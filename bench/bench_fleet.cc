@@ -121,7 +121,6 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   // No readahead: every victim miss is a single kGetPage frame — the
   // depth/latency signals the admission gate watches, undiluted.
   o.tenant.compute.scan_readahead = 0;
-  o.tenant.compute.readahead_pages = 0;
   // A shed scan keeps the abuser on the local plan long enough for the
   // victim's serving window to recover before the next wire attempt.
   o.tenant.compute.rbio_overload_backoff_us = 200 * 1000;

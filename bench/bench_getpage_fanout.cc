@@ -11,9 +11,9 @@
 //
 // Phase 2 — fan-out sweep: F ∈ {1,4,16,64,256} concurrent clients miss
 // on distinct pages in the same virtual instant, for max_batch = 1
-// (per-page v2 frames, the old wire behavior) vs 16 (kGetPageBatch
-// multiplexing). Reports round trips (frames sent), round trips saved,
-// batch occupancy, and client-observed GetPage p50/p99.
+// (per-page kGetPage frames) vs 16 (kGetPageBatch multiplexing).
+// Reports round trips (frames sent), round trips saved, batch
+// occupancy, and client-observed GetPage p50/p99.
 
 #include <algorithm>
 #include <cinttypes>

@@ -1,12 +1,12 @@
-// Computation pushdown (RBIO v4 kScanRange): selectivity x aggregate
+// Computation pushdown (RBIO kScanRange): selectivity x aggregate
 // sweep.
 //
 // A filtered scan over a database much larger than the compute memory
 // tier, swept across predicate selectivity (100% .. 0.1%) and execution
 // mode:
 //
-//   pages   pushdown disabled — the pre-v4 plan: fetch every leaf via
-//           GetPage@LSN / GetPageRange and evaluate locally;
+//   pages   pushdown disabled — fetch every leaf via GetPage@LSN and
+//           evaluate locally;
 //   tuples  kScanRange ships predicate + projection; Page Servers stream
 //           back qualifying projected tuples;
 //   agg     kScanRange additionally carries a partial-aggregate spec
@@ -145,6 +145,7 @@ PushdownResult Measure(const Params& p, const Config& c) {
 
     rbio::RbioClient& cl = d.primary()->rbio_client();
     cl.ResetStats();
+    const uint64_t fallbacks_before = e->stats().pushdown_fallbacks;
     Histogram lat;
     SimTime t0 = sim.now();
     co_await TimedScan(&sim, e, &p, &c, &lat, &r.matched);
@@ -152,7 +153,7 @@ PushdownResult Measure(const Params& p, const Config& c) {
     r.wire_bytes = cl.wire_bytes_sent() + cl.wire_bytes_received();
     r.round_trips = cl.requests_sent();
     r.scans_sent = cl.scans_sent();
-    r.fallbacks = cl.scan_fallbacks();
+    r.fallbacks = e->stats().pushdown_fallbacks - fallbacks_before;
     r.p50_us = lat.Percentile(50.0);
     r.p99_us = lat.Percentile(99.0);
   });

@@ -186,26 +186,6 @@ void EncodePredicate(std::string* out, const ScanPredicate& pred) {
   out->push_back(static_cast<char>(pred.op));
   PutFixed64(out, pred.a);
   PutFixed64(out, pred.b);
-}
-
-Status DecodePredicate(Slice* in, ScanPredicate* out) {
-  if (in->empty()) return Status::Corruption("scan: truncated predicate");
-  uint8_t op = static_cast<uint8_t>((*in)[0]);
-  in->remove_prefix(1);
-  if (op > static_cast<uint8_t>(PredOp::kPayloadByteLt)) {
-    return Status::NotSupported("scan: unknown predicate op");
-  }
-  out->op = static_cast<PredOp>(op);
-  if (!GetFixed64(in, &out->a) || !GetFixed64(in, &out->b)) {
-    return Status::Corruption("scan: truncated predicate operands");
-  }
-  return Status::OK();
-}
-
-void EncodePredicateV5(std::string* out, const ScanPredicate& pred) {
-  out->push_back(static_cast<char>(pred.op));
-  PutFixed64(out, pred.a);
-  PutFixed64(out, pred.b);
   out->push_back(static_cast<char>(pred.conjuncts.size() & 0xff));
   for (const ScanPredicate::Term& t : pred.conjuncts) {
     out->push_back(static_cast<char>(t.op));
@@ -214,7 +194,7 @@ void EncodePredicateV5(std::string* out, const ScanPredicate& pred) {
   }
 }
 
-Status DecodePredicateV5(Slice* in, ScanPredicate* out) {
+Status DecodePredicate(Slice* in, ScanPredicate* out) {
   if (in->empty()) return Status::Corruption("scan: truncated predicate");
   uint8_t op = static_cast<uint8_t>((*in)[0]);
   in->remove_prefix(1);
@@ -291,7 +271,7 @@ Status DecodeAggregate(Slice* in, ScanAggregate* out) {
   return Status::OK();
 }
 
-void EncodeAggregateListV5(std::string* out, const ScanAggregateList& aggs) {
+void EncodeAggregateList(std::string* out, const ScanAggregateList& aggs) {
   out->push_back(static_cast<char>(aggs.size() & 0xff));
   for (const ScanAggregate& agg : aggs) {
     out->push_back(static_cast<char>(agg.fn));
@@ -299,7 +279,7 @@ void EncodeAggregateListV5(std::string* out, const ScanAggregateList& aggs) {
   }
 }
 
-Status DecodeAggregateListV5(Slice* in, ScanAggregateList* out) {
+Status DecodeAggregateList(Slice* in, ScanAggregateList* out) {
   if (in->empty()) return Status::Corruption("scan: truncated agg list");
   uint8_t n = static_cast<uint8_t>((*in)[0]);
   in->remove_prefix(1);

@@ -1,6 +1,6 @@
 // Scan expressions: the predicate / projection / partial-aggregate
 // vocabulary shared by the compute-tier scan planner and the Page
-// Server's pushdown evaluator (RBIO v4 kScanRange).
+// Server's pushdown evaluator (RBIO kScanRange).
 //
 // This lives in common/ on purpose: rbio must not depend on engine (the
 // wire codec ships these specs inside kScanRange frames) and engine must
@@ -16,16 +16,10 @@
 //   * predicates over the row key (modular residue — the HTAP mix's
 //     "every Nth row" analytic filter) and over single payload bytes;
 //   * projections as a list of [offset, len) payload extents;
+//   * key-range predicates (a <= key < b) and conjunctions (the primary
+//     term ANDed with a bounded list of extra byte/key tests);
 //   * partial aggregates COUNT / SUM / MIN / MAX over a little-endian
-//     u64 read at a fixed payload offset.
-//
-// The v5 extension (kScanExprV5MinVersion in rbio) widens the vocabulary
-// without touching the v4 wire shapes: key-range predicates (a <= key
-// < b), conjunctions of terms (the primary term ANDed with a bounded
-// list of extra byte/key tests), and multi-field aggregate lists. A spec
-// that uses none of the new forms still encodes byte-identically to v4;
-// NeedsV5() is the client-side gate that decides which frame shape (and
-// therefore which minimum protocol version) a scan requires.
+//     u64 read at a fixed payload offset, several fields in one pass.
 
 #pragma once
 
@@ -44,22 +38,16 @@ enum class PredOp : uint8_t {
   kKeyModEq = 1,     // (key % a) == b — selectivity exactly 1/a
   kPayloadByteEq = 2,  // payload[a] == (b & 0xff); short payloads miss
   kPayloadByteLt = 3,  // payload[a] <  (b & 0xff); short payloads miss
-  // ----- v5 vocabulary. Only encodable in v5+ frames; a v4-version
-  // decode rejects these ops as NotSupported (the negotiation signal).
   kKeyRange = 4,     // a <= key < b (b == 0 means unbounded above)
 };
-
-/// Highest op encodable in a v4 frame; everything above requires v5.
-inline constexpr uint8_t kMaxV4PredOp =
-    static_cast<uint8_t>(PredOp::kPayloadByteLt);
 
 struct ScanPredicate {
   PredOp op = PredOp::kAll;
   uint64_t a = 0;
   uint64_t b = 0;
 
-  /// Extra terms ANDed with the primary (op, a, b) term — the v5
-  /// "conjunction of byte tests" form. Empty for every v4 predicate.
+  /// Extra terms ANDed with the primary (op, a, b) term — the
+  /// "conjunction of byte tests" form. Empty for a single-term predicate.
   struct Term {
     PredOp op = PredOp::kAll;
     uint64_t a = 0;
@@ -77,12 +65,12 @@ struct ScanPredicate {
   static ScanPredicate PayloadByteLt(uint64_t offset, uint8_t bound) {
     return ScanPredicate{PredOp::kPayloadByteLt, offset, bound, {}};
   }
-  /// v5: lo <= key < hi (hi == 0 → unbounded above).
+  /// lo <= key < hi (hi == 0 → unbounded above).
   static ScanPredicate KeyRange(uint64_t lo, uint64_t hi) {
     return ScanPredicate{PredOp::kKeyRange, lo, hi, {}};
   }
 
-  /// AND another single-term predicate onto this one (v5 conjunction).
+  /// AND another single-term predicate onto this one (conjunction).
   /// The argument's own conjuncts are appended too, so chains compose.
   ScanPredicate& And(const ScanPredicate& other) {
     conjuncts.push_back(Term{other.op, other.a, other.b});
@@ -92,12 +80,6 @@ struct ScanPredicate {
 
   bool IsAll() const {
     return op == PredOp::kAll && conjuncts.empty();
-  }
-
-  /// True iff this predicate uses v5-only vocabulary (key-range op or
-  /// any conjunct) and therefore cannot ride in a v4 frame.
-  bool NeedsV5() const {
-    return static_cast<uint8_t>(op) > kMaxV4PredOp || !conjuncts.empty();
   }
 };
 
@@ -171,10 +153,9 @@ struct ScanAggregate {
   }
 };
 
-/// v5 multi-field aggregates: a bounded list of per-field specs computed
+/// Multi-field aggregates: a bounded list of per-field specs computed
 /// in one pass over the scanned rows (e.g. COUNT + SUM(price) +
-/// MAX(ts)). A single-element list is semantically identical to the v4
-/// scalar aggregate; lists longer than one require a v5 frame.
+/// MAX(ts)).
 using ScanAggregateList = std::vector<ScanAggregate>;
 inline constexpr size_t kMaxScanAggregates = 8;
 
@@ -192,32 +173,23 @@ struct AggState {
   void Merge(AggFn fn, const AggState& other);
 };
 
-// ----- Wire codec (shared by the rbio kScanRange frames).
-//
-// The v4 codecs are frozen: their byte layout is pinned by the
-// mixed-version tests, and DecodePredicate's unknown-op NotSupported
-// rejection is the negotiation signal an old server sends back when a
-// new client leaks v5 vocabulary at it. The v5 codecs append the
-// conjunct list after the primary term and replace the scalar aggregate
-// with a counted list; they are only ever used inside frames stamped
-// >= kScanExprV5MinVersion.
+// ----- Wire codec (shared by the rbio kScanRange frames). Decoders
+// reject unknown ops and over-long lists: the bytes come from the wire.
 
+/// [u8 op][u64 a][u64 b], then [u8 n_conjuncts]([u8 op][u64 a][u64 b])*.
 void EncodePredicate(std::string* out, const ScanPredicate& pred);
 Status DecodePredicate(Slice* in, ScanPredicate* out);
-
-/// v5: primary term, then [u8 n_conjuncts]([u8 op][u64 a][u64 b])*.
-void EncodePredicateV5(std::string* out, const ScanPredicate& pred);
-Status DecodePredicateV5(Slice* in, ScanPredicate* out);
 
 void EncodeProjection(std::string* out, const ScanProjection& proj);
 Status DecodeProjection(Slice* in, ScanProjection* out);
 
+/// [u8 fn][u16 field_offset].
 void EncodeAggregate(std::string* out, const ScanAggregate& agg);
 Status DecodeAggregate(Slice* in, ScanAggregate* out);
 
-/// v5: [u8 n]([u8 fn][u16 field_offset])*, n <= kMaxScanAggregates.
-void EncodeAggregateListV5(std::string* out, const ScanAggregateList& aggs);
-Status DecodeAggregateListV5(Slice* in, ScanAggregateList* out);
+/// [u8 n] aggregates, n <= kMaxScanAggregates.
+void EncodeAggregateList(std::string* out, const ScanAggregateList& aggs);
+Status DecodeAggregateList(Slice* in, ScanAggregateList* out);
 
 }  // namespace common
 }  // namespace socrates

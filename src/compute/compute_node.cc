@@ -16,7 +16,7 @@ struct ComputeNode::PendingPull {
 // GetPage@LSN client over RBIO (§3.4): typed request to the best replica
 // of the owning partition, freshness LSN from the evicted-LSN map
 // (Primary) or the applied watermark (Secondary), checksum verification
-// on receipt, optional readahead via GetPageRange.
+// on receipt.
 class ComputeNode::RemoteFetcher : public engine::PageFetcher {
  public:
   explicit RemoteFetcher(ComputeNode* node) : node_(node) {}
@@ -52,44 +52,10 @@ class ComputeNode::RemoteFetcher : public engine::PageFetcher {
     }
     node_->remote_fetches_++;
 
-    // Readahead (Primary only): one GetPageRange covers the miss plus
-    // the next few pages — the multi-page access pattern the Page
-    // Server's stride-preserving covering cache serves in one I/O.
-    uint32_t readahead = secondary ? 0 : node_->opts_.readahead_pages;
-    Result<storage::Page> page = Status::NotFound("not fetched");
-    if (readahead > 1) {
-      // Freshness must hold for EVERY page in the range, not just the
-      // requested one: take the max evicted-LSN across the range, or a
-      // prefetched page could be staler than state this node already
-      // observed (and the log records it then produces would diverge
-      // from the Page Servers' view).
-      Lsn range_min = min_lsn;
-      for (uint32_t i = 1; i < readahead; i++) {
-        Lsn l = node_->evicted_map_.Get(page_id + i);
-        if (l != kInvalidLsn) range_min = std::max(range_min, l);
-      }
-      Result<std::vector<storage::Page>> pages =
-          co_await node_->rbio_->GetPageRange(endpoints, page_id,
-                                              readahead, range_min);
-      if (!pages.ok()) {
-        page = Result<storage::Page>(pages.status());
-      } else {
-        page = Result<storage::Page>(Status::NotFound("page not found"));
-        for (storage::Page& p : *pages) {
-          if (p.page_id() == page_id) {
-            page = Result<storage::Page>(std::move(p));
-          } else {
-            node_->pool_->InstallIfAbsent(std::move(p));
-          }
-        }
-      }
-    } else {
-      // Point miss: concurrent misses for the same partition issued this
-      // tick are multiplexed into one kGetPageBatch frame by the RBIO
-      // client (readahead stays on GetPageRange — contiguous ranges are
-      // already one frame).
-      page = co_await node_->rbio_->GetPage(endpoints, page_id, min_lsn);
-    }
+    // Concurrent misses for the same partition issued this tick are
+    // multiplexed into one kGetPageBatch frame by the RBIO client.
+    Result<storage::Page> page =
+        co_await node_->rbio_->GetPage(endpoints, page_id, min_lsn);
 
     if (!page.ok()) {
       if (secondary) node_->applier_->CancelPendingFetch(page_id);
@@ -106,21 +72,18 @@ class ComputeNode::RemoteFetcher : public engine::PageFetcher {
   ComputeNode* node_;
 };
 
-// Engine::RemoteScanner over RBIO v4 kScanRange (computation pushdown):
+// Engine::RemoteScanner over RBIO kScanRange (computation pushdown):
 // routes the chunk to the replicas of the partition owning the start
 // leaf, sets the LSN-consistency floor for the node's role, and converts
 // the wire response (tuple Slices aliasing the response frame) into an
-// owned RemoteScanChunk. NotSupported from a pre-v4 server surfaces as an
-// error Result; the planner then falls back to the page-based path and
-// the RBIO client memoizes the endpoint as scan-incapable.
+// owned RemoteScanChunk. Server errors (e.g. a kOverloaded shed) surface
+// as an error Result; the planner then falls back to the page-based path.
 class ComputeNode::PushdownScanner : public engine::RemoteScanner {
  public:
   explicit PushdownScanner(ComputeNode* node) : node_(node) {}
 
   bool Enabled() const override {
-    return node_->opts_.pushdown_enabled && node_->alive_ &&
-           node_->opts_.rbio_protocol_version >=
-               rbio::kScanRangeMinVersion;
+    return node_->opts_.pushdown_enabled && node_->alive_;
   }
 
   double MaxSelectivity() const override {
@@ -210,7 +173,6 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
   rbio_opts.network = options.rpc_latency;
   rbio_opts.cpu_per_request_us = options.rpc_cpu_us;
   rbio_opts.max_batch = options.rbio_max_batch;
-  rbio_opts.protocol_version = options.rbio_protocol_version;
   rbio_opts.injector = options.chaos_injector;
   rbio_opts.site = options.chaos_site;
   rbio_opts.wire_mb_per_s = options.rbio_wire_mb_per_s;

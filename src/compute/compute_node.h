@@ -141,19 +141,15 @@ struct ComputeOptions {
   int apply_lanes = 4;
   /// Issue the next XLOG pull while the current batch applies.
   bool pipelined_pulls = true;
-  /// Fetch this many pages per GetPageRange on a miss (scan readahead;
-  /// 0 disables). Primary-only: a Secondary's fetches must go through
-  /// the per-page registration protocol (§4.5).
-  uint32_t readahead_pages = 0;
   /// RBIO GetPage batching: concurrent misses bound for the same Page
   /// Server are multiplexed into one kGetPageBatch frame of up to this
-  /// many sub-requests (1 = per-page frames, the pre-v3 behavior).
+  /// many sub-requests (1 = per-page frames).
   uint32_t rbio_max_batch = 16;
   /// B+-tree sequential-scan readahead: max prefetch window in leaves
   /// (ramps 2 → this on confirmed sequential access, collapses on a
   /// break; 0 disables and reproduces the serial scan exactly). Safe on
   /// Secondaries too — prefetch misses go through RemoteFetcher and thus
-  /// the §4.5 pending-fetch registration, unlike readahead_pages.
+  /// the §4.5 pending-fetch registration.
   uint32_t scan_readahead = 32;
   /// After RecoverPrimary / Promote, promote the recovered RBPEX tier's
   /// MRU prefix into memory in the background (§3.3: failover resumes at
@@ -161,11 +157,7 @@ struct ComputeOptions {
   bool warmup_after_recovery = true;
   /// Cap on warmup promotions (0 = memory capacity).
   size_t warmup_pages = 0;
-  /// Highest RBIO protocol version this node speaks (mixed-version
-  /// deployments: < 3 never emits batch frames, < 4 never pushes scans
-  /// down).
-  uint16_t rbio_protocol_version = rbio::kProtocolVersion;
-  /// Computation pushdown (RBIO v4 kScanRange) master switch. Even when
+  /// Computation pushdown (RBIO kScanRange) master switch. Even when
   /// on, only ScanWhere plans that clear the planner's eligibility bar
   /// (selectivity / aggregate, see Engine::ScanWhere) ship; plain Scan
   /// and Get are never affected.
@@ -191,7 +183,7 @@ struct ComputeOptions {
   /// Client CPU per KB of pushdown result tuples materialized.
   double rbio_cpu_per_result_kb_us = 2.0;
   /// How long a kOverloaded reply keeps this client off an endpoint's
-  /// scan path (temporary, unlike the NotSupported version memo).
+  /// scan path.
   SimTime rbio_overload_backoff_us = 50 * 1000;
   /// Chaos injection: the node's network site name (unique per node,
   /// stable across role changes) and the deployment's fault hub. The
@@ -268,10 +260,9 @@ class ComputeNode {
   rbio::RbioClient& rbio_client() { return *rbio_; }
   /// Reconfiguration hook: the deployment bumps its config epoch after
   /// every topology change, and endpoint names may now resolve to
-  /// different servers — drop the client's memoized per-endpoint scan
-  /// support (and any temporary overload backoff) so capability is
-  /// re-probed against the new topology.
-  void InvalidateScanSupport() { rbio_->InvalidateScanSupport(); }
+  /// different servers — drop the client's kOverloaded scan backoffs,
+  /// which described the old servers' load.
+  void ClearScanBackoff() { rbio_->ClearScanBackoff(); }
   uint64_t pipelined_pull_hits() const { return pipelined_pull_hits_; }
   SimTime pull_wait_us() const { return pull_wait_us_; }
 

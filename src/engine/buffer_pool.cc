@@ -258,10 +258,9 @@ Result<PageRef> BufferPool::NewPage(PageId page_id) {
 }
 
 void BufferPool::InstallIfAbsent(storage::Page page) {
-  // Hot-front install, unlike Prefetch(): the image already arrived
-  // (piggybacked on a demand GetPageRange), and the range is typically
-  // consumed within the next few accesses — a cold insert would let a
-  // tight pool evict the range right before the scan cursor reaches it.
+  // Hot-front install, unlike Prefetch(): the image already arrived and
+  // is typically consumed within the next few accesses — a cold insert
+  // would let a tight pool evict it before it is read.
   PageId page_id = page.page_id();
   if (Contains(page_id) || inflight_.count(page_id) > 0) return;
   auto frame = std::make_unique<Frame>();

@@ -168,9 +168,8 @@ class BufferPool {
   /// InvalidArgument if the page is already cached.
   Result<PageRef> NewPage(PageId page_id);
 
-  /// Install a prefetched page image if the page is not already cached
-  /// or being loaded (scan readahead via RBIO GetPageRange). No-op
-  /// otherwise.
+  /// Install a fetched page image if the page is not already cached or
+  /// being loaded. No-op otherwise.
   void InstallIfAbsent(storage::Page page);
 
   /// Fire-and-forget readahead: start loading each page that is not

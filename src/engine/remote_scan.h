@@ -1,4 +1,4 @@
-// RemoteScanner: the engine-side seam for computation pushdown (RBIO v4
+// RemoteScanner: the engine-side seam for computation pushdown (RBIO
 // kScanRange). The scan planner in Engine::ScanWhere decides *whether* to
 // push a filtered scan down; this interface hides *how* — the compute
 // tier implements it over its RBIO client and Page Server routing table
@@ -32,9 +32,8 @@ struct ScanFilter {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// v5 multi-field aggregates computed in the same pass as `aggregate`
-  /// (ignored unless `aggregate` is enabled). Requires a v5-capable
-  /// server end to end; older servers trigger the usual fallback.
+  /// Multi-field aggregates computed in the same pass as `aggregate`
+  /// (ignored unless `aggregate` is enabled).
   common::ScanAggregateList extra_aggregates;
 };
 
@@ -86,7 +85,7 @@ struct RemoteScanSpec {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// v5 multi-field aggregates (see ScanFilter::extra_aggregates).
+  /// Multi-field aggregates (see ScanFilter::extra_aggregates).
   common::ScanAggregateList extra_aggregates;
 };
 
@@ -107,8 +106,8 @@ struct RemoteScanChunk {
   uint64_t pages_scanned = 0;
   /// Aggregate mode: mergeable partial state.
   common::AggState agg;
-  /// v5 multi-field aggregates, index-aligned with the spec's
-  /// extra_aggregates (empty from a v4-only implementation).
+  /// Multi-field aggregate states, index-aligned with the spec's
+  /// extra_aggregates.
   std::vector<common::AggState> extra_aggs;
   /// Tuple mode: qualifying (key, projected payload), in key order.
   std::vector<std::pair<uint64_t, std::string>> tuples;
@@ -131,8 +130,9 @@ class RemoteScanner {
   virtual PushdownCostModel CostModel() const { return PushdownCostModel{}; }
 
   /// Evaluate `spec` remotely starting at `start_leaf`. Transport errors
-  /// and NotSupported (pre-v4 server) surface as error Results — the
-  /// planner falls back to the local page-based path from spec.start_key.
+  /// and server rejections (e.g. kOverloaded) surface as error Results —
+  /// the planner falls back to the local page-based path from
+  /// spec.start_key.
   virtual sim::Task<Result<RemoteScanChunk>> ScanLeaves(
       PageId start_leaf, const RemoteScanSpec& spec) = 0;
 };

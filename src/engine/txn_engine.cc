@@ -430,10 +430,10 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       Result<RemoteScanChunk> c =
           co_await scanner_->ScanLeaves(leaf, spec);
       if (!c.ok()) {
-        // NotSupported (pre-v4/v5 server), kOverloaded (scan admission
-        // shed — the rbio client is already backing off that endpoint),
-        // or a hard transport error: finish [cursor, end_key) on the
-        // local page-based path — partial remote results stay valid.
+        // kOverloaded (scan admission shed — the rbio client is already
+        // backing off that endpoint) or a hard transport error: finish
+        // [cursor, end_key) on the local page-based path — partial
+        // remote results stay valid.
         if (c.status().IsOverloaded()) stats_.pushdown_overloaded++;
         out.fallbacks++;
         need_local_tail = true;
@@ -456,7 +456,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       remote_pages += c->pages_scanned;
       if (agg) {
         out.agg.Merge(filter.aggregate.fn, c->agg);
-        // v5 multi-field aggregates (empty from a v4-only server path).
         for (size_t i = 0;
              i < out.extra_aggs.size() && i < c->extra_aggs.size(); i++) {
           out.extra_aggs[i].Merge(filter.extra_aggregates[i].fn,
@@ -591,8 +590,16 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     Deactivate(&active_read_ts_, txn);
     co_return Status::OK();
   }
+  // Every error exit finishes the transaction too: one left in
+  // active_read_ts_ would pin OldestActiveTs and stop version trimming.
+  auto fail = [this, txn](Status s) {
+    stats_.aborts++;
+    txn->finished_ = true;
+    Deactivate(&active_read_ts_, txn);
+    return s;
+  };
   if (sink_ == nullptr) {
-    co_return Status::InvalidArgument("engine has no log sink");
+    co_return fail(Status::InvalidArgument("engine has no log sink"));
   }
 
   Lsn commit_lsn;
@@ -607,13 +614,10 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
         const RowVersion* newest = chain->Newest();
         if (newest != nullptr && newest->commit_ts > txn->read_ts()) {
           stats_.conflicts++;
-          stats_.aborts++;
-          txn->finished_ = true;
-          Deactivate(&active_read_ts_, txn);
-          co_return Status::Aborted("write-write conflict");
+          co_return fail(Status::Aborted("write-write conflict"));
         }
       } else if (!chain.status().IsNotFound()) {
-        co_return chain.status();
+        co_return fail(chain.status());
       }
     }
 
@@ -629,8 +633,8 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
       chain.Push(commit_ts, op.is_delete, Slice(op.value));
       chain.Trim(trim_ts);
       chain.Cap(kMaxChainLength);
-      SOCRATES_CO_RETURN_IF_ERROR(
-          co_await btree_.Write(txn->id_, key, chain));
+      Status ws = co_await btree_.Write(txn->id_, key, chain);
+      if (!ws.ok()) co_return fail(std::move(ws));
     }
 
     // Phase 3: commit record. Visibility advances as soon as the record

@@ -116,7 +116,7 @@ struct FilteredScanResult {
   /// (key, projected payload), in key order; empty in aggregate mode.
   std::vector<std::pair<uint64_t, std::string>> rows;
   common::AggState agg;
-  /// v5 multi-field aggregates, index-aligned with the filter's
+  /// Multi-field aggregate states, index-aligned with the filter's
   /// extra_aggregates (empty unless aggregating with extras).
   std::vector<common::AggState> extra_aggs;
   bool aggregated = false;

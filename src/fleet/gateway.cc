@@ -65,13 +65,11 @@ void Gateway::Refill(TenantQos& q) {
 namespace {
 
 // Shed response: the format-shared [version][status] prefix means this
-// decodes as an error PageResponse, batch response or ScanRangeResponse
-// alike — the client's existing overload machinery (backoff + local-plan
-// fallback) handles it with no gateway-specific wire format.
+// decodes as an error GetPage, batch or ScanRange response alike — the
+// client's existing overload machinery (backoff + local-plan fallback)
+// handles it with no gateway-specific wire format.
 std::string EncodeShed(const char* why) {
-  rbio::PageResponse resp;
-  resp.status = Status::Overloaded(why);
-  return resp.Encode();
+  return rbio::EncodeSinglePageResponse(Status::Overloaded(why), nullptr);
 }
 
 }  // namespace

@@ -496,58 +496,39 @@ sim::Task<Result<std::string>> PageServer::HandleRbio(
     co_return Result<std::string>(
         Status::Unavailable("injected transient failure"));
   }
-  rbio::PageResponse resp;
-  uint16_t version = 0;
-  rbio::GetPageRequest get;
-  rbio::GetPageRangeRequest range;
-  rbio::GetPageBatchRequest batch;
-  rbio::ScanRangeRequest scan;
   // Dispatch on the peeked type byte: exactly one decode runs per frame.
-  rbio::MessageType type = rbio::PeekMessageType(frame);
-  if (type == rbio::MessageType::kGetPageBatch &&
-      rbio::GetPageBatchRequest::Decode(Slice(frame), &batch, &version,
-                                        opts_.rbio_max_version)
-          .ok()) {
-    co_return co_await ServeBatch(std::move(batch));
-  }
-  if (type == rbio::MessageType::kScanRange &&
-      rbio::ScanRangeRequest::Decode(Slice(frame), &scan, &version,
-                                     opts_.rbio_max_version)
-          .ok()) {
-    co_return co_await ServeScan(std::move(scan));
-  }
-  // (A v3-capped server falls through the failed kScanRange decode to
-  // the NotSupported PageResponse below — the §3.4 downgrade signal.)
-  if (type == rbio::MessageType::kGetPage &&
-      rbio::GetPageRequest::Decode(Slice(frame), &get, &version,
-                                   opts_.rbio_max_version)
-          .ok()) {
-    // Hot path: encode the lone page straight to the wire, skipping the
-    // PageResponse struct and its per-response vector.
-    Result<storage::Page> page =
-        co_await GetPageAtLsn(get.page_id, get.min_lsn);
-    co_return rbio::EncodeSinglePageResponse(
-        page.ok() ? Status::OK() : page.status(),
-        page.ok() ? &page.value() : nullptr);
-  }
-  if (type == rbio::MessageType::kGetPageRange &&
-      rbio::GetPageRangeRequest::Decode(Slice(frame), &range, &version,
-                                        opts_.rbio_max_version)
-          .ok()) {
-    Result<std::vector<storage::Page>> pages = co_await GetPageRangeAtLsn(
-        range.first_page, range.count, range.min_lsn);
-    if (pages.ok()) {
-      resp.status = Status::OK();
-      resp.pages = std::move(pages).value();
-    } else {
-      resp.status = pages.status();
+  Status ds;
+  switch (rbio::PeekMessageType(frame)) {
+    case rbio::MessageType::kGetPage: {
+      rbio::GetPageRequest get;
+      ds = rbio::GetPageRequest::Decode(Slice(frame), &get);
+      if (!ds.ok()) break;
+      // Hot path: encode the lone page straight to the wire.
+      Result<storage::Page> page =
+          co_await GetPageAtLsn(get.page_id, get.min_lsn);
+      co_return rbio::EncodeSinglePageResponse(
+          page.ok() ? Status::OK() : page.status(),
+          page.ok() ? &page.value() : nullptr);
     }
-  } else {
-    // Unknown type or unsupported version: reject in a typed way so the
-    // client can distinguish protocol errors from data errors.
-    resp.status = Status::NotSupported("rbio: unsupported request");
+    case rbio::MessageType::kGetPageBatch: {
+      rbio::GetPageBatchRequest batch;
+      ds = rbio::GetPageBatchRequest::Decode(Slice(frame), &batch);
+      if (!ds.ok()) break;
+      co_return co_await ServeBatch(std::move(batch));
+    }
+    case rbio::MessageType::kScanRange: {
+      rbio::ScanRangeRequest scan;
+      ds = rbio::ScanRangeRequest::Decode(Slice(frame), &scan);
+      if (!ds.ok()) break;
+      co_return co_await ServeScan(std::move(scan));
+    }
+    default:
+      ds = Status::NotSupported("rbio: unknown message type");
+      break;
   }
-  co_return resp.Encode();
+  // Undecodable or unknown frame: reject in a typed way so the client
+  // can distinguish protocol errors from data errors.
+  co_return rbio::EncodeSinglePageResponse(ds, nullptr);
 }
 
 // Serve one kGetPageBatch frame: sub-requests grouped by min_lsn and
@@ -715,7 +696,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
       if (resp.aggregated) {
         resp.agg.Accumulate(req.aggregate.fn,
                             common::AggFieldValue(req.aggregate, payload));
-        // v5 multi-field aggregates: one pass, one AggState per extra.
+        // Multi-field aggregates: one pass, one AggState per extra.
         for (size_t ai = 0; ai < req.extra_aggregates.size(); ai++) {
           resp.extra_aggs[ai].Accumulate(
               req.extra_aggregates[ai].fn,

@@ -104,13 +104,6 @@ struct PageServerOptions {
   /// Disable the periodic checkpoint loop (hot standby replicas that
   /// exist purely for availability can skip checkpointing, §6).
   bool checkpointing_enabled = true;
-  /// Highest RBIO protocol version this server accepts. Lowering it to 2
-  /// models a not-yet-upgraded server in a mixed-version deployment: v3
-  /// batch frames are rejected with NotSupported (§3.4 automatic
-  /// versioning) and clients degrade to per-page singles; lowering it to
-  /// 3 rejects v4 kScanRange frames and clients degrade to page-based
-  /// scans.
-  uint16_t rbio_max_version = rbio::kProtocolVersion;
   /// CPU pricing for the kScanRange pushdown evaluator (per leaf page
   /// visited + per KB of leaf data evaluated). Pushdown trades wire bytes
   /// for Page Server compute; this profile makes that compute show up in
@@ -126,7 +119,7 @@ struct PageServerOptions {
   // client treats that as "fall back locally, back off this endpoint").
   /// Master switch; off = pre-admission behavior (scans always admitted).
   bool scan_admission_enabled = true;
-  /// Degraded while this many point reads (GetPage/range/batch frames,
+  /// Degraded while this many point reads (GetPage/batch frames,
   /// excluding scans) are in service. Same family as
   /// checkpoint_pace_getpage_depth. 0 disables the trigger.
   uint64_t scan_admission_getpage_depth = 8;
@@ -173,9 +166,10 @@ class PageServer : public rbio::RbioServer {
   sim::Task<Result<storage::Page>> GetPageAtLsn(PageId page_id,
                                                 Lsn min_lsn);
 
-  /// Multi-page read for scans (§4.6): pages [first, first+count) of this
-  /// partition as of min_lsn; nonexistent pages are omitted. The covering
-  /// stride-preserving cache makes this one logical I/O.
+  /// In-process multi-page read (§4.6), not offered over RBIO: pages
+  /// [first, first+count) of this partition as of min_lsn; nonexistent
+  /// pages are omitted. The covering stride-preserving cache makes this
+  /// one logical I/O.
   sim::Task<Result<std::vector<storage::Page>>> GetPageRangeAtLsn(
       PageId first_page, uint32_t count, Lsn min_lsn);
 
@@ -285,7 +279,7 @@ class PageServer : public rbio::RbioServer {
   uint64_t batch_requests() const { return batch_requests_; }
   uint64_t batch_subrequests() const { return batch_subrequests_; }
 
-  // Pushdown-evaluator health (RBIO v4 kScanRange; the benches print
+  // Pushdown-evaluator health (RBIO kScanRange; the benches print
   // these — rows vs tuples is the server-observed selectivity).
   /// kScanRange frames served.
   uint64_t scan_requests() const { return scan_requests_; }

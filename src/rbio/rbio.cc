@@ -7,24 +7,32 @@ namespace rbio {
 
 namespace {
 
-// Common frame header: [u16 version][u8 type].
-void PutHeader(std::string* out, uint16_t version, MessageType type) {
-  PutFixed16(out, version);
+// Every frame, request or response, starts with the u16 protocol
+// version. All peers share one wire format, so any other value means
+// the bytes are not an RBIO frame of this build.
+Status GetVersion(Slice* in) {
+  uint16_t version;
+  if (!GetFixed16(in, &version)) {
+    return Status::Corruption("rbio: truncated header");
+  }
+  if (version != kProtocolVersion) {
+    return Status::Corruption("rbio: foreign protocol version");
+  }
+  return Status::OK();
+}
+
+// Request header: [u16 version][u8 type].
+void PutHeader(std::string* out, MessageType type) {
+  PutFixed16(out, kProtocolVersion);
   out->push_back(static_cast<char>(type));
 }
 
-Status GetHeader(Slice* in, uint16_t* version, MessageType* type,
-                 uint16_t max_version) {
-  if (!GetFixed16(in, version)) {
-    return Status::Corruption("rbio: truncated header");
-  }
+Status GetHeader(Slice* in, MessageType want, const char* wrong_type) {
+  SOCRATES_RETURN_IF_ERROR(GetVersion(in));
   if (in->empty()) return Status::Corruption("rbio: missing type");
-  *type = static_cast<MessageType>((*in)[0]);
+  auto type = static_cast<MessageType>((*in)[0]);
   in->remove_prefix(1);
-  if (*version > max_version || *version > kProtocolVersion ||
-      *version < kMinSupportedVersion) {
-    return Status::NotSupported("rbio: protocol version mismatch");
-  }
+  if (type != want) return Status::InvalidArgument(wrong_type);
   return Status::OK();
 }
 
@@ -32,6 +40,12 @@ Status GetHeader(Slice* in, uint16_t* version, MessageType* type,
 void PutStatus(std::string* out, const Status& status) {
   out->push_back(static_cast<char>(status.code()));
   PutLengthPrefixed(out, Slice(status.message()));
+}
+
+// The [u16 version][status] prefix every response format starts with.
+void PutResponsePrefix(std::string* out, const Status& status) {
+  PutFixed16(out, kProtocolVersion);
+  PutStatus(out, status);
 }
 
 Status GetStatus(Slice* in, Status* out) {
@@ -66,14 +80,10 @@ Status GetStatus(Slice* in, Status* out) {
   return Status::OK();
 }
 
-// Every response format starts [u16 version][status]; the retry loop
-// peeks this shared prefix to classify transient failures without
-// knowing which response format the frame carries.
+// The retry loop peeks this shared prefix to classify transient
+// failures without knowing which response format the frame carries.
 Status PeekResponseStatus(Slice wire, Status* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated response");
-  }
+  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
   return GetStatus(&wire, out);
 }
 
@@ -81,10 +91,7 @@ Status PeekResponseStatus(Slice wire, Status* out) {
 // byte without materializing the message string (error messages exceed
 // SSO, so the full peek allocates on every error response).
 Status PeekResponseStatusCode(Slice wire, Status::Code* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated response");
-  }
+  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
   if (wire.empty()) return Status::Corruption("rbio: missing status");
   *out = static_cast<Status::Code>(wire[0]);
   return Status::OK();
@@ -113,35 +120,10 @@ Status GetPageImage(Slice* in,
   return Status::OK();
 }
 
-Status DecodePageResponse(Slice wire,
-                          const std::shared_ptr<const std::string>& owner,
-                          PageResponse* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated response");
-  }
-  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
-  uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated page count");
-  }
-  out->pages.clear();
-  out->pages.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    storage::Page p;
-    SOCRATES_RETURN_IF_ERROR(GetPageImage(&wire, owner, &p));
-    out->pages.push_back(std::move(p));
-  }
-  return Status::OK();
-}
-
 Status DecodeBatchResponse(Slice wire,
                            const std::shared_ptr<const std::string>& owner,
                            GetPageBatchResponse* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated batch response");
-  }
+  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
   uint32_t n;
   if (!GetFixed32(&wire, &n)) {
@@ -171,26 +153,22 @@ Status DecodeResponseStatusPrefix(Slice wire, Status* out) {
   return PeekResponseStatus(wire, out);
 }
 
-std::string GetPageRequest::Encode(uint16_t version) const {
+std::string GetPageRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void GetPageRequest::EncodeTo(std::string* out, uint16_t version) const {
+void GetPageRequest::EncodeTo(std::string* out) const {
   out->clear();
-  PutHeader(out, version, MessageType::kGetPage);
+  PutHeader(out, MessageType::kGetPage);
   PutFixed64(out, page_id);
   PutFixed64(out, min_lsn);
 }
 
-Status GetPageRequest::Decode(Slice wire, GetPageRequest* out,
-                              uint16_t* version, uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPage) {
-    return Status::InvalidArgument("rbio: not a GetPage request");
-  }
+Status GetPageRequest::Decode(Slice wire, GetPageRequest* out) {
+  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kGetPage,
+                                     "rbio: not a GetPage request"));
   if (!GetFixed64(&wire, &out->page_id) ||
       !GetFixed64(&wire, &out->min_lsn)) {
     return Status::Corruption("rbio: truncated GetPage request");
@@ -198,48 +176,16 @@ Status GetPageRequest::Decode(Slice wire, GetPageRequest* out,
   return Status::OK();
 }
 
-std::string GetPageRangeRequest::Encode(uint16_t version) const {
+std::string GetPageBatchRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void GetPageRangeRequest::EncodeTo(std::string* out,
-                                   uint16_t version) const {
-  out->clear();
-  PutHeader(out, version, MessageType::kGetPageRange);
-  PutFixed64(out, first_page);
-  PutFixed32(out, count);
-  PutFixed64(out, min_lsn);
-}
-
-Status GetPageRangeRequest::Decode(Slice wire, GetPageRangeRequest* out,
-                                   uint16_t* version,
-                                   uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPageRange) {
-    return Status::InvalidArgument("rbio: not a GetPageRange request");
-  }
-  if (!GetFixed64(&wire, &out->first_page) ||
-      !GetFixed32(&wire, &out->count) ||
-      !GetFixed64(&wire, &out->min_lsn)) {
-    return Status::Corruption("rbio: truncated GetPageRange request");
-  }
-  return Status::OK();
-}
-
-std::string GetPageBatchRequest::Encode(uint16_t version) const {
-  std::string out;
-  EncodeTo(&out, version);
-  return out;
-}
-
-void GetPageBatchRequest::EncodeTo(std::string* out,
-                                   uint16_t version) const {
+void GetPageBatchRequest::EncodeTo(std::string* out) const {
   out->clear();
   out->reserve(2 + 1 + 4 + entries.size() * 16);
-  PutHeader(out, version, MessageType::kGetPageBatch);
+  PutHeader(out, MessageType::kGetPageBatch);
   PutFixed32(out, static_cast<uint32_t>(entries.size()));
   for (const Entry& e : entries) {
     PutFixed64(out, e.page_id);
@@ -247,17 +193,9 @@ void GetPageBatchRequest::EncodeTo(std::string* out,
   }
 }
 
-Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out,
-                                   uint16_t* version,
-                                   uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPageBatch) {
-    return Status::InvalidArgument("rbio: not a GetPageBatch request");
-  }
-  if (*version < kBatchMinVersion) {
-    return Status::NotSupported("rbio: batch frame below v3");
-  }
+Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out) {
+  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kGetPageBatch,
+                                     "rbio: not a GetPageBatch request"));
   uint32_t n;
   if (!GetFixed32(&wire, &n)) {
     return Status::Corruption("rbio: truncated batch count");
@@ -274,33 +212,12 @@ Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out,
   return Status::OK();
 }
 
-std::string PageResponse::Encode() const {
+std::string GetPageBatchResponse::Encode() const {
   std::string out;
   // One exact-size allocation instead of append-growth reallocs.
   out.reserve(2 + 1 + 5 + status.message().size() + 4 +
-              pages.size() * kPageSize);
-  PutFixed16(&out, kPageResponseVersion);
-  PutStatus(&out, status);
-  PutFixed32(&out, static_cast<uint32_t>(pages.size()));
-  for (const storage::Page& p : pages) PutPageImage(&out, p);
-  return out;
-}
-
-Status PageResponse::Decode(Slice wire, PageResponse* out) {
-  return DecodePageResponse(wire, nullptr, out);
-}
-
-Status PageResponse::Decode(std::shared_ptr<const std::string> frame,
-                            PageResponse* out) {
-  return DecodePageResponse(Slice(*frame), frame, out);
-}
-
-std::string GetPageBatchResponse::Encode() const {
-  std::string out;
-  out.reserve(2 + 1 + 5 + status.message().size() + 4 +
               entries.size() * (kPageSize + 16));
-  PutFixed16(&out, kPageResponseVersion);
-  PutStatus(&out, status);
+  PutResponsePrefix(&out, status);
   PutFixed32(&out, static_cast<uint32_t>(entries.size()));
   for (const Entry& e : entries) {
     PutStatus(&out, e.status);
@@ -324,8 +241,7 @@ std::string EncodeSinglePageResponse(const Status& status,
   std::string out;
   out.reserve(2 + 1 + 5 + status.message().size() + 4 +
               (page != nullptr ? kPageSize : 0));
-  PutFixed16(&out, kPageResponseVersion);
-  PutStatus(&out, status);
+  PutResponsePrefix(&out, status);
   PutFixed32(&out, page != nullptr ? 1u : 0u);
   if (page != nullptr) PutPageImage(&out, *page);
   return out;
@@ -335,10 +251,7 @@ Status DecodeSinglePageResponse(
     const std::shared_ptr<const std::string>& frame, Status* status,
     storage::Page* page) {
   Slice wire(*frame);
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated response");
-  }
+  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, status));
   uint32_t n;
   if (!GetFixed32(&wire, &n)) {
@@ -351,15 +264,15 @@ Status DecodeSinglePageResponse(
   return GetPageImage(&wire, frame, page);
 }
 
-std::string ScanRangeRequest::Encode(uint16_t version) const {
+std::string ScanRangeRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void ScanRangeRequest::EncodeTo(std::string* out, uint16_t version) const {
+void ScanRangeRequest::EncodeTo(std::string* out) const {
   out->clear();
-  PutHeader(out, version, MessageType::kScanRange);
+  PutHeader(out, MessageType::kScanRange);
   PutFixed64(out, start_page);
   PutFixed64(out, start_key);
   PutFixed64(out, end_key);
@@ -367,30 +280,15 @@ void ScanRangeRequest::EncodeTo(std::string* out, uint16_t version) const {
   PutFixed32(out, max_pages);
   PutFixed64(out, min_lsn);
   PutFixed64(out, read_ts);
-  if (version >= kScanExprV5MinVersion) {
-    common::EncodePredicateV5(out, predicate);
-    common::EncodeProjection(out, projection);
-    common::EncodeAggregate(out, aggregate);
-    common::EncodeAggregateListV5(out, extra_aggregates);
-  } else {
-    // Pinned v4 body — byte-identical to the pre-v5 codec. Callers only
-    // frame at v4 when NeedsV5() is false, so nothing is dropped here.
-    common::EncodePredicate(out, predicate);
-    common::EncodeProjection(out, projection);
-    common::EncodeAggregate(out, aggregate);
-  }
+  common::EncodePredicate(out, predicate);
+  common::EncodeProjection(out, projection);
+  common::EncodeAggregate(out, aggregate);
+  common::EncodeAggregateList(out, extra_aggregates);
 }
 
-Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out,
-                                uint16_t* version, uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kScanRange) {
-    return Status::InvalidArgument("rbio: not a ScanRange request");
-  }
-  if (*version < kScanRangeMinVersion) {
-    return Status::NotSupported("rbio: scan frame below v4");
-  }
+Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out) {
+  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kScanRange,
+                                     "rbio: not a ScanRange request"));
   if (!GetFixed64(&wire, &out->start_page) ||
       !GetFixed64(&wire, &out->start_key) ||
       !GetFixed64(&wire, &out->end_key) || !GetFixed32(&wire, &out->limit) ||
@@ -399,25 +297,11 @@ Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out,
       !GetFixed64(&wire, &out->read_ts)) {
     return Status::Corruption("rbio: truncated ScanRange request");
   }
-  if (*version >= kScanExprV5MinVersion) {
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodePredicateV5(&wire, &out->predicate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeProjection(&wire, &out->projection));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregate(&wire, &out->aggregate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregateListV5(&wire, &out->extra_aggregates));
-  } else {
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodePredicate(&wire, &out->predicate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeProjection(&wire, &out->projection));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregate(&wire, &out->aggregate));
-    out->extra_aggregates.clear();
-  }
-  return Status::OK();
+  SOCRATES_RETURN_IF_ERROR(common::DecodePredicate(&wire, &out->predicate));
+  SOCRATES_RETURN_IF_ERROR(
+      common::DecodeProjection(&wire, &out->projection));
+  SOCRATES_RETURN_IF_ERROR(common::DecodeAggregate(&wire, &out->aggregate));
+  return common::DecodeAggregateList(&wire, &out->extra_aggregates);
 }
 
 std::string ScanRangeResponse::Encode() const {
@@ -426,12 +310,7 @@ std::string ScanRangeResponse::Encode() const {
   for (const Tuple& t : tuples) tuple_bytes += 12 + t.value.size();
   out.reserve(2 + 1 + 5 + status.message().size() + 29 +
               (aggregated ? 17 + 16 * extra_aggs.size() : 4 + tuple_bytes));
-  // Multi-aggregate bodies are the only v5 response shape; everything
-  // else keeps the pinned v4 stamp so pre-v5 responses stay
-  // byte-identical across the protocol bump.
-  bool v5_body = aggregated && !extra_aggs.empty();
-  PutFixed16(&out, v5_body ? kScanExprV5MinVersion : kScanResponseVersion);
-  PutStatus(&out, status);
+  PutResponsePrefix(&out, status);
   uint8_t flags = (complete ? 1u : 0u) | (fence_miss ? 2u : 0u) |
                   (aggregated ? 4u : 0u);
   out.push_back(static_cast<char>(flags));
@@ -442,12 +321,10 @@ std::string ScanRangeResponse::Encode() const {
   if (aggregated) {
     PutFixed64(&out, agg.rows);
     PutFixed64(&out, agg.value);
-    if (v5_body) {
-      out.push_back(static_cast<char>(extra_aggs.size() & 0xff));
-      for (const common::AggState& st : extra_aggs) {
-        PutFixed64(&out, st.rows);
-        PutFixed64(&out, st.value);
-      }
+    out.push_back(static_cast<char>(extra_aggs.size() & 0xff));
+    for (const common::AggState& st : extra_aggs) {
+      PutFixed64(&out, st.rows);
+      PutFixed64(&out, st.value);
     }
   } else {
     PutFixed32(&out, static_cast<uint32_t>(tuples.size()));
@@ -462,14 +339,9 @@ std::string ScanRangeResponse::Encode() const {
 Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
                                  ScanRangeResponse* out) {
   Slice wire(*frame);
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
-    return Status::Corruption("rbio: truncated scan response");
-  }
+  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
-  // Error responses carry no body — and a pre-v4 server's NotSupported
-  // PageResponse shares this exact prefix, so it decodes cleanly here as
-  // the negotiation fallback signal.
+  // Error responses carry no body.
   if (!out->status.ok()) return Status::OK();
   if (wire.empty()) return Status::Corruption("rbio: truncated scan flags");
   uint8_t flags = static_cast<uint8_t>(wire[0]);
@@ -490,20 +362,18 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
         !GetFixed64(&wire, &out->agg.value)) {
       return Status::Corruption("rbio: truncated scan aggregate");
     }
-    if (version >= kScanExprV5MinVersion) {
-      if (wire.empty()) {
-        return Status::Corruption("rbio: truncated extra-agg count");
+    if (wire.empty()) {
+      return Status::Corruption("rbio: truncated extra-agg count");
+    }
+    uint8_t n = static_cast<uint8_t>(wire[0]);
+    wire.remove_prefix(1);
+    out->extra_aggs.reserve(n);
+    for (uint8_t i = 0; i < n; i++) {
+      common::AggState st;
+      if (!GetFixed64(&wire, &st.rows) || !GetFixed64(&wire, &st.value)) {
+        return Status::Corruption("rbio: truncated extra aggregate");
       }
-      uint8_t n = static_cast<uint8_t>(wire[0]);
-      wire.remove_prefix(1);
-      out->extra_aggs.reserve(n);
-      for (uint8_t i = 0; i < n; i++) {
-        common::AggState st;
-        if (!GetFixed64(&wire, &st.rows) || !GetFixed64(&wire, &st.value)) {
-          return Status::Corruption("rbio: truncated extra aggregate");
-        }
-        out->extra_aggs.push_back(st);
-      }
+      out->extra_aggs.push_back(st);
     }
     return Status::OK();
   }
@@ -638,7 +508,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
       link_delay = opts_.injector->LinkDelayUs(opts_.site, ep.name);
     }
     // A configured wire bandwidth adds a size-proportional transfer term
-    // per leg; the default (0) keeps the pre-v4 base-latency-only timing.
+    // per leg; the default (0) keeps base-latency-only timing.
     SimTime xfer_out =
         opts_.wire_mb_per_s > 0
             ? static_cast<SimTime>(static_cast<double>(frame.size()) /
@@ -693,39 +563,19 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
   co_return Result<std::string>(last);
 }
 
-sim::Task<Result<PageResponse>> RbioClient::Roundtrip(
-    const std::vector<Endpoint>& replicas, std::string frame) {
-  Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
-  if (!raw.ok()) co_return Result<PageResponse>(raw.status());
-  PageResponse resp;
-  // Zero-copy: the decoded pages alias into the response frame, which
-  // stays alive (shared) for as long as any of them does.
-  std::shared_ptr<std::string> fp = AcquireRespFrame();
-  *fp = std::move(*raw);
-  Status ds = PageResponse::Decode(fp, &resp);
-  if (!ds.ok()) co_return Result<PageResponse>(ds);
-  co_return std::move(resp);
-}
-
 sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
     const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
   GetPageRequest req;
   req.page_id = page_id;
   req.min_lsn = min_lsn;
   singles_sent_++;
-  // Per-page frames carry the oldest version whose semantics match
-  // (GetPage is unchanged since v2), so a v3 client interoperates with
-  // v2 servers without negotiation.
-  uint16_t version =
-      std::min<uint16_t>(opts_.protocol_version, kGetPageFrameVersion);
   std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, version);
+  req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
       replicas, std::move(frame), opts_.cpu_per_request_us);
   if (!raw.ok()) co_return Result<storage::Page>(raw.status());
   // Single-page decode: the page aliases into the pooled response frame;
-  // no PageResponse struct, no per-response vector.
+  // no per-response vector.
   std::shared_ptr<std::string> fp = AcquireRespFrame();
   *fp = std::move(*raw);
   Status rstatus;
@@ -743,7 +593,7 @@ sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
 
 sim::Task<Result<storage::Page>> RbioClient::GetPage(
     const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
-  if (!BatchingEnabled() || replicas.empty()) {
+  if (opts_.max_batch <= 1 || replicas.empty()) {
     co_return co_await GetPageSingle(replicas, page_id, min_lsn);
   }
   std::string key;
@@ -752,11 +602,6 @@ sim::Task<Result<storage::Page>> RbioClient::GetPage(
     key += '|';
   }
   BatchQueue& q = batch_queues_[key];
-  if (q.support_known && !q.supported) {
-    // This endpoint set rejected a v3 batch frame before: stay on
-    // per-page singles.
-    co_return co_await GetPageSingle(replicas, page_id, min_lsn);
-  }
   // Batch-aware dedup: a request for a page already queued this window
   // rides along (at the max of both freshness LSNs) instead of adding a
   // duplicate sub-request.
@@ -820,7 +665,7 @@ sim::Task<> RbioClient::BatchFlusher(std::string key) {
     q.pending.erase(q.pending.begin(), q.pending.begin() + n);
     // Detached: bursts above max_batch go out as several concurrent
     // frames rather than serializing round trips.
-    sim::Spawn(sim_, FlushBatch(q.replicas, key, std::move(batch)));
+    sim::Spawn(sim_, FlushBatch(q.replicas, std::move(batch)));
   }
   q.flusher_active = false;
 }
@@ -833,7 +678,7 @@ sim::Task<> RbioClient::ResolveSingle(ReplicaSet replicas,
   ReleasePending(entry);
 }
 
-sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
+sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas,
                                    std::vector<PendingGet*> batch) {
   if (batch.size() == 1) {
     // Nothing to multiplex: identical wire behavior to the unbatched
@@ -855,11 +700,7 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
       opts_.cpu_per_request_us +
       (batch.size() - 1) * opts_.cpu_per_batched_page_us;
   std::string reqframe = AcquireFrame();
-  // Batch frames carry the oldest version whose semantics match
-  // (kGetPageBatch is unchanged since v3), so a v4 client's batches
-  // interoperate with v3 servers without renegotiation.
-  req.EncodeTo(&reqframe,
-               std::min<uint16_t>(opts_.protocol_version, kBatchFrameVersion));
+  req.EncodeTo(&reqframe);
   Result<std::string> raw =
       co_await RoundtripRaw(*replicas, std::move(reqframe), cpu_us);
   GetPageBatchResponse resp;
@@ -868,19 +709,6 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
     std::shared_ptr<std::string> fp = AcquireRespFrame();
     *fp = std::move(*raw);
     ds = GetPageBatchResponse::Decode(fp, &resp);
-  }
-  BatchQueue& q = batch_queues_[key];
-  if (ds.ok() && resp.status.IsNotSupported() && resp.entries.empty()) {
-    // Automatic versioning (§3.4): a pre-v3 server rejected the batch
-    // frame. Degrade this endpoint set to per-page singles for good and
-    // resolve the stranded sub-requests individually.
-    q.support_known = true;
-    q.supported = false;
-    batch_fallbacks_ += batch.size();
-    for (auto& e : batch) {
-      sim::Spawn(sim_, ResolveSingle(replicas, e));
-    }
-    co_return;
   }
   if (ds.ok() && resp.status.ok() &&
       resp.entries.size() != batch.size()) {
@@ -907,76 +735,30 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
     batch[i]->done.Set();
     ReleasePending(batch[i]);
   }
-  if (ds.ok() && resp.status.ok()) {
-    q.support_known = true;
-    q.supported = true;
-  }
-}
-
-sim::Task<Result<std::vector<storage::Page>>> RbioClient::GetPageRange(
-    const std::vector<Endpoint>& replicas, PageId first_page,
-    uint32_t count, Lsn min_lsn) {
-  GetPageRangeRequest req;
-  req.first_page = first_page;
-  req.count = count;
-  req.min_lsn = min_lsn;
-  uint16_t version =
-      std::min<uint16_t>(opts_.protocol_version, kGetPageFrameVersion);
-  std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, version);
-  Result<PageResponse> resp = co_await Roundtrip(replicas, std::move(frame));
-  if (!resp.ok()) {
-    co_return Result<std::vector<storage::Page>>(resp.status());
-  }
-  if (!resp->status.ok()) {
-    co_return Result<std::vector<storage::Page>>(resp->status);
-  }
-  for (storage::Page& p : resp->pages) {
-    SOCRATES_CO_RETURN_IF_ERROR(p.VerifyChecksum());
-  }
-  co_return std::move(resp->pages);
 }
 
 sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
     const std::vector<Endpoint>& replicas, const ScanRangeRequest& req) {
-  static const Status kNotSupp =
-      Status::NotSupported("rbio: scan pushdown unsupported");
+  static const Status kNoEndpoints = Status::Unavailable("no endpoints");
   static const Status kBackedOff =
       Status::Overloaded("rbio: endpoint in overload backoff");
   scan_requests_++;
-  // Frames carry the lowest version whose vocabulary covers the spec:
-  // a v4-expressible scan is byte-identical to the pre-v5 wire and a
-  // v4 server serves it without negotiation.
-  uint16_t frame_version = req.MinFrameVersion();
-  if (replicas.empty() || opts_.protocol_version < frame_version) {
-    // A client too old for the frame never emits it (mixed-version
-    // deployments): the caller takes the page-based path immediately.
-    scan_fallbacks_++;
-    co_return Result<ScanRangeResponse>(kNotSupp);
-  }
+  if (replicas.empty()) co_return Result<ScanRangeResponse>(kNoEndpoints);
   std::string key;
   for (const Endpoint& ep : replicas) {
     key += ep.name;
     key += '|';
   }
-  ScanSupport& sup = scan_support_[key];
-  if (sup.known && sup.max_version < frame_version) {
-    // This endpoint set rejected a frame at (or below) this version
-    // before: short-circuit without wire traffic so repeated planner
-    // probes cost nothing. v4 scans still flow to a set that only
-    // rejected v5 vocabulary.
-    scan_fallbacks_++;
-    co_return Result<ScanRangeResponse>(kNotSupp);
-  }
-  if (sup.backoff_until > sim_.now()) {
+  auto backoff = scan_backoff_until_.find(key);
+  if (backoff != scan_backoff_until_.end() && backoff->second > sim_.now()) {
     // The set shed a scan recently (kOverloaded): stay off it until the
-    // backoff expires. Temporary, unlike the version memo above.
+    // backoff expires.
     scans_overloaded_++;
     co_return Result<ScanRangeResponse>(kBackedOff);
   }
   scans_sent_++;
   std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, frame_version);
+  req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
       replicas, std::move(frame), opts_.cpu_per_request_us);
   if (!raw.ok()) co_return Result<ScanRangeResponse>(raw.status());
@@ -985,27 +767,17 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   *fp = std::move(*raw);
   Status ds = ScanRangeResponse::Decode(fp, &resp);
   if (!ds.ok()) co_return Result<ScanRangeResponse>(ds);
-  if (resp.status.IsNotSupported()) {
-    // Automatic versioning (§3.4): the server rejected this frame
-    // version. Cap the memo one tier below what we sent — a v4-capped
-    // server that rejected v5 vocabulary still speaks v4 — and let the
-    // caller degrade (to a v4 plan or to page-based scans).
-    sup.known = true;
-    sup.max_version =
-        std::min<uint16_t>(sup.max_version, frame_version - 1);
-    scan_fallbacks_++;
-    co_return Result<ScanRangeResponse>(resp.status);
-  }
   if (resp.status.IsOverloaded()) {
     // Scan admission shed the work: back off this endpoint set for a
     // while and fall back locally for this scan. Point reads (GetPage)
-    // are unaffected — that is the entire point of admission.
-    sup.backoff_until = sim_.now() + opts_.overload_backoff_us;
+    // are unaffected — that is the entire point of admission. Looked up
+    // again: a config-epoch change may have cleared the map while the
+    // frame was in flight.
+    scan_backoff_until_[key] = sim_.now() + opts_.overload_backoff_us;
     scans_overloaded_++;
     co_return Result<ScanRangeResponse>(resp.status);
   }
   if (!resp.status.ok()) co_return Result<ScanRangeResponse>(resp.status);
-  sup.known = true;
   scan_tuples_received_ += resp.tuples.size();
   // Tuple frames are variable-size, so decode CPU scales with the bytes
   // actually shipped (fixed-size page frames amortize this into

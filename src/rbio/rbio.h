@@ -6,20 +6,18 @@
 //  * stateless        — every request is self-contained;
 //  * strongly typed   — explicit message structs with a wire codec, not
 //                       raw byte passing;
-//  * automatic versioning — every frame carries a protocol version; a
-//                       server rejects versions it cannot serve and the
-//                       client surfaces the mismatch cleanly (and, for
-//                       batch frames, degrades to per-page singles);
+//  * versioned        — every frame header carries the protocol version.
+//                       Every peer here is built from one tree, so there
+//                       is exactly one wire format: a frame stamped with
+//                       any other version is rejected as Corruption;
 //  * resilient to transient failures — bounded retries with backoff;
 //  * QoS support for best replica selection — the client tracks an EWMA
 //    of observed latency per endpoint and routes to the fastest healthy
 //    replica, failing over on Unavailable.
 //
-// Messages: GetPage (the §4.4 GetPage@LSN call), GetPageRange (multi-
-// page reads — a single request for up-to-128-page scans, the access
-// pattern the Page Server's stride-preserving covering cache exists to
-// serve, §4.6), and GetPageBatch (protocol v3: many unrelated GetPage
-// sub-requests multiplexed into one frame).
+// Messages: GetPage (the §4.4 GetPage@LSN call), GetPageBatch (many
+// unrelated GetPage sub-requests multiplexed into one frame) and
+// ScanRange (computation pushdown).
 //
 // Batched multiplexing: GetPage@LSN is the hottest cross-tier path, and
 // per-page frames pay one full network round trip plus fixed per-request
@@ -27,9 +25,7 @@
 // concurrent misses destined for the same Page Server are queued and
 // packed into a single kGetPageBatch frame (flushed when max_batch
 // sub-requests are queued, or at the next simulator tick when no further
-// miss arrives — so a lone miss pays zero extra latency). A server that
-// does not speak v3 rejects the frame with NotSupported and the client
-// degrades that endpoint set to per-page v2 singles permanently.
+// miss arrives — so a lone miss pays zero extra latency).
 
 #pragma once
 
@@ -57,38 +53,11 @@ namespace socrates {
 namespace rbio {
 
 inline constexpr uint16_t kProtocolVersion = 5;
-/// Oldest protocol version a server still understands.
-inline constexpr uint16_t kMinSupportedVersion = 1;
-/// First version that understands kGetPageBatch frames.
-inline constexpr uint16_t kBatchMinVersion = 3;
-/// First version that understands kScanRange (computation pushdown).
-inline constexpr uint16_t kScanRangeMinVersion = 4;
-/// First version that understands the v5 scan-expression vocabulary
-/// (key-range predicates, conjunctions, multi-field aggregates). Scan
-/// frames are stamped with the *lowest* version whose vocabulary covers
-/// the spec — a v4-expressible scan still goes out as v4, byte-identical,
-/// and interoperates with v4 servers without negotiation.
-inline constexpr uint16_t kScanExprV5MinVersion = 5;
-/// Wire version per-page frames are encoded at: the oldest version whose
-/// GetPage/GetPageRange semantics match (unchanged since v2), so a v4
-/// client's singles interoperate with v2 servers without negotiation.
-inline constexpr uint16_t kGetPageFrameVersion = 2;
-/// Wire version batch frames are encoded at: kGetPageBatch semantics are
-/// unchanged since v3, so a v4 client's batches interoperate with v3
-/// servers without negotiation (only kScanRange frames carry v4).
-inline constexpr uint16_t kBatchFrameVersion = 3;
-/// Wire version stamped on page/batch response frames. Response formats
-/// are unchanged since v3 and decoders ignore the value; pinning it
-/// keeps every pre-v4 response byte-identical across the version bump.
-inline constexpr uint16_t kPageResponseVersion = 3;
-/// Wire version stamped on scan responses that use only v4 shapes
-/// (tuples or a single aggregate). Multi-aggregate responses stamp
-/// kScanExprV5MinVersion; everything else is pinned so pre-v5 scan
-/// responses stay byte-identical across the version bump.
-inline constexpr uint16_t kScanResponseVersion = 4;
 
 enum class MessageType : uint8_t {
   kGetPage = 1,
+  /// Retired multi-page read. The value stays reserved so it is never
+  /// reused; servers reject it like any other unknown type.
   kGetPageRange = 2,
   kGetPageBatch = 3,
   kScanRange = 4,
@@ -106,28 +75,15 @@ struct GetPageRequest {
   PageId page_id = kInvalidPageId;
   Lsn min_lsn = kInvalidLsn;
 
-  std::string Encode(uint16_t version = kProtocolVersion) const;
+  std::string Encode() const;
   /// Encode into a caller-owned buffer (cleared first) so hot paths can
   /// recycle string capacity instead of allocating per frame.
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageRequest* out, uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, GetPageRequest* out);
 };
 
-struct GetPageRangeRequest {
-  PageId first_page = kInvalidPageId;
-  uint32_t count = 0;
-  Lsn min_lsn = kInvalidLsn;
-
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageRangeRequest* out,
-                       uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
-};
-
-/// Protocol v3: many independent GetPage@LSN sub-requests multiplexed
-/// into one frame — one network round trip for the whole batch.
+/// Many independent GetPage@LSN sub-requests multiplexed into one frame
+/// — one network round trip for the whole batch.
 struct GetPageBatchRequest {
   struct Entry {
     PageId page_id = kInvalidPageId;
@@ -135,32 +91,14 @@ struct GetPageBatchRequest {
   };
   std::vector<Entry> entries;
 
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageBatchRequest* out,
-                       uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
-};
-
-/// Response: status code + zero or more full page images (checksummed).
-struct PageResponse {
-  Status status;
-  std::vector<storage::Page> pages;
-
   std::string Encode() const;
-  static Status Decode(Slice wire, PageResponse* out);
-  /// Zero-copy decode: the pages alias into `*frame` (sharing ownership)
-  /// instead of copying each 8 KiB image. Mutating a decoded page COW-
-  /// detaches it, so the frame's bytes are never written through a page.
-  static Status Decode(std::shared_ptr<const std::string> frame,
-                       PageResponse* out);
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, GetPageBatchRequest* out);
 };
 
 /// Response to a kGetPageBatch frame: per-sub-request status + page, in
-/// request order. The wire prefix (version, overall status) is identical
-/// to PageResponse with zero pages, so a pre-v3 server's NotSupported
-/// PageResponse decodes cleanly as an empty batch response — that is the
-/// negotiation fallback signal.
+/// request order, after the [u16 version][status] prefix every response
+/// format shares.
 struct GetPageBatchResponse {
   struct Entry {
     Status status;
@@ -171,17 +109,19 @@ struct GetPageBatchResponse {
 
   std::string Encode() const;
   static Status Decode(Slice wire, GetPageBatchResponse* out);
-  /// Zero-copy decode; see PageResponse::Decode(frame).
+  /// Zero-copy decode: the pages alias into `*frame` (sharing ownership)
+  /// instead of copying each 8 KiB image. Mutating a decoded page COW-
+  /// detaches it, so the frame's bytes are never written through a page.
   static Status Decode(std::shared_ptr<const std::string> frame,
                        GetPageBatchResponse* out);
 };
 
-/// Protocol v4 (computation pushdown): evaluate a predicate +
-/// projection (or partial aggregate) over the key range
-/// [start_key, end_key) directly on the Page Server's covering RBPEX,
-/// walking leaves from `start_page` at freshness `min_lsn` and snapshot
-/// `read_ts`. The server returns qualifying projected tuples (or one
-/// partial-aggregate frame) instead of raw pages.
+/// Computation pushdown: evaluate a predicate + projection (or partial
+/// aggregates) over the key range [start_key, end_key) directly on the
+/// Page Server's covering RBPEX, walking leaves from `start_page` at
+/// freshness `min_lsn` and snapshot `read_ts`. The server returns
+/// qualifying projected tuples (or partial-aggregate states) instead of
+/// raw pages.
 struct ScanRangeRequest {
   /// Leaf the range starts on (the client locates it by descending its
   /// cached interior pages; the B+-tree spans partitions, so the server
@@ -200,32 +140,18 @@ struct ScanRangeRequest {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// v5 multi-field aggregates: extra specs evaluated in the same pass
-  /// as `aggregate` (which stays the primary field — a request whose
-  /// extra list is empty is v4-expressible). Total fields are bounded by
-  /// common::kMaxScanAggregates.
+  /// Multi-field aggregates: extra specs evaluated in the same pass as
+  /// `aggregate` (which stays the primary field). Total fields are
+  /// bounded by common::kMaxScanAggregates.
   common::ScanAggregateList extra_aggregates;
 
-  /// True iff this request uses v5-only vocabulary and therefore must
-  /// be framed at kScanExprV5MinVersion or above.
-  bool NeedsV5() const {
-    return predicate.NeedsV5() || !extra_aggregates.empty();
-  }
-  /// The lowest frame version whose vocabulary covers this request.
-  uint16_t MinFrameVersion() const {
-    return NeedsV5() ? kScanExprV5MinVersion : kScanRangeMinVersion;
-  }
-
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, ScanRangeRequest* out, uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
+  std::string Encode() const;
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, ScanRangeRequest* out);
 };
 
-/// kScanRange response. The wire prefix ([u16 version][status]) is the
-/// format-shared one, so a pre-v4 server's NotSupported PageResponse
-/// decodes cleanly as an error ScanRangeResponse — that is the
-/// negotiation fallback signal, exactly like kGetPageBatch.
+/// kScanRange response, after the format-shared [u16 version][status]
+/// prefix.
 struct ScanRangeResponse {
   Status status;
   /// True when the whole requested range was evaluated; false means the
@@ -245,10 +171,8 @@ struct ScanRangeResponse {
   uint64_t rows_scanned = 0;
   uint32_t pages_scanned = 0;
   common::AggState agg;  // valid iff aggregated
-  /// v5: partial states for the request's extra_aggregates, in spec
-  /// order (`agg` holds the primary field's state). A response with a
-  /// non-empty list is stamped kScanExprV5MinVersion on the wire; all
-  /// other responses keep the pinned v4 shape.
+  /// Partial states for the request's extra_aggregates, in spec order
+  /// (`agg` holds the primary field's state).
   std::vector<common::AggState> extra_aggs;
   /// Qualifying projected tuples, in key order. Values alias the decoded
   /// response frame (zero-copy; `owner` keeps it alive).
@@ -264,16 +188,15 @@ struct ScanRangeResponse {
                        ScanRangeResponse* out);
 };
 
-/// Encode a PageResponse carrying exactly one page (`page` non-null) or
-/// just an error status (`page` null) without materializing the struct —
-/// byte-identical to PageResponse::Encode, but the server's GetPage hot
-/// path skips the per-response page vector.
+/// Encode a kGetPage response: [u16 version][status][u32 n] followed by
+/// the page image when `page` is non-null (n = 1) or nothing (n = 0, an
+/// error status). Servers also answer undecodable frames this way.
 std::string EncodeSinglePageResponse(const Status& status,
                                      const storage::Page* page);
 
-/// Decode a PageResponse expected to carry exactly one page. `*page`
-/// aliases into `frame` (zero-copy); no per-response vector. An error
-/// `*status` with zero pages decodes as OK with `*page` untouched.
+/// Decode a kGetPage response. `*page` aliases into `frame` (zero-copy).
+/// An error `*status` with zero pages decodes as OK with `*page`
+/// untouched.
 Status DecodeSinglePageResponse(
     const std::shared_ptr<const std::string>& frame, Status* status,
     storage::Page* page);
@@ -314,26 +237,21 @@ struct RbioClientOptions {
   double ewma_alpha = 0.2;
   /// Pack up to this many concurrent GetPage misses per endpoint set
   /// into one kGetPageBatch frame. 1 disables batching entirely: every
-  /// miss goes out as a per-page frame, byte-identical to protocol v2.
+  /// miss goes out as a per-page frame.
   uint32_t max_batch = 16;
-  /// Highest protocol version this client speaks. A < v3 client never
-  /// emits batch frames, a < v4 client never emits kScanRange frames
-  /// (mixed-version deployments, §3.4 automatic versioning).
-  uint16_t protocol_version = kProtocolVersion;
   /// Client-side CPU charged per KiB of pushdown result decoded (tuple
   /// frames are variable-size, unlike the fixed 8 KiB page frames whose
   /// cost cpu_per_request_us already amortizes).
   double cpu_per_result_kb_us = 2.0;
   /// How long ScanRange avoids an endpoint set after it replied
-  /// kOverloaded (scan admission shed the work). Unlike the NotSupported
-  /// memo this is time-based, not permanent: overload passes, protocol
-  /// versions don't. During the window scans short-circuit to Overloaded
-  /// without wire traffic and the planner runs its local plan.
+  /// kOverloaded (scan admission shed the work). During the window scans
+  /// short-circuit to Overloaded without wire traffic and the planner
+  /// runs its local plan.
   SimTime overload_backoff_us = 50 * 1000;
   /// Compute <-> Page Server wire bandwidth in MB/s: each leg pays an
   /// extra frame_bytes / bandwidth transfer term on top of the sampled
-  /// base latency (1 MB/s == 1 byte/us). 0 keeps the pre-v4 behavior
-  /// (base latency only), byte-identical in time for existing traffic.
+  /// base latency (1 MB/s == 1 byte/us). 0 charges base latency only,
+  /// so frame size never enters simulated time.
   double wire_mb_per_s = 0;
   /// Chaos injection: when set, every frame consults the hub for a
   /// partition / lossy-link verdict between `site` (this node) and the
@@ -358,16 +276,10 @@ class RbioClient {
   sim::Task<Result<storage::Page>> GetPage(
       const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
 
-  /// Multi-page read (scan readahead): pages [first, first+count) as of
-  /// min_lsn. Pages that do not exist are simply absent from the result.
-  sim::Task<Result<std::vector<storage::Page>>> GetPageRange(
-      const std::vector<Endpoint>& replicas, PageId first_page,
-      uint32_t count, Lsn min_lsn);
-
-  /// Computation pushdown (protocol v4): evaluate `req` on the best
-  /// replica. A NotSupported response (pre-v4 server) is memoized per
-  /// endpoint set — subsequent calls short-circuit without wire traffic
-  /// so the planner's page-based fallback costs nothing extra.
+  /// Computation pushdown: evaluate `req` on the best replica. While the
+  /// endpoint set is in its kOverloaded backoff window the call returns
+  /// Overloaded without wire traffic, so the planner's local fallback
+  /// costs nothing extra.
   sim::Task<Result<ScanRangeResponse>> ScanRange(
       const std::vector<Endpoint>& replicas, const ScanRangeRequest& req);
 
@@ -384,43 +296,33 @@ class RbioClient {
   // ----- Pushdown counters.
   /// ScanRange calls made by the planner.
   uint64_t scan_requests() const { return scan_requests_; }
-  /// kScanRange frames actually sent (excludes memoized short-circuits).
+  /// kScanRange frames actually sent (excludes backoff short-circuits).
   uint64_t scans_sent() const { return scans_sent_; }
-  /// ScanRange calls resolved NotSupported (fresh rejection or memoized).
-  uint64_t scan_fallbacks() const { return scan_fallbacks_; }
   /// ScanRange calls resolved Overloaded (server shed the scan, or the
   /// endpoint set is inside its overload-backoff window).
   uint64_t scans_overloaded() const { return scans_overloaded_; }
   /// Qualifying tuples received in ScanRange responses.
   uint64_t scan_tuples_received() const { return scan_tuples_received_; }
 
-  /// Drop every memoized scan/batch capability verdict (and any overload
-  /// backoff). Call on config-epoch change: after a failover or reseed
-  /// the endpoint name may now be served by a replacement speaking a
-  /// different RBIO version, so a stale memo would either skip an
-  /// eligible server forever or keep a degraded path pinned.
-  void InvalidateScanSupport() {
-    scan_support_.clear();
-    for (auto& [key, q] : batch_queues_) {
-      q.support_known = false;
-      q.supported = true;
-    }
-  }
+  /// Drop every endpoint set's overload backoff. Call on config-epoch
+  /// change: after a failover or reseed the endpoint name may now be
+  /// served by a different server, whose load the old backoff says
+  /// nothing about.
+  void ClearScanBackoff() { scan_backoff_until_.clear(); }
 
   /// Remaining overload-backoff window for an endpoint set, 0 when none.
   /// The key is the concatenated replica names, each followed by '|' —
   /// the same key ScanRange builds internally. All per-endpoint state in
-  /// this client (EWMA, capability memos, this backoff) is keyed by
-  /// endpoint *name*; in a multi-tenant fleet each tenant's client sees
+  /// this client (EWMA, batch queues, this backoff) is keyed by endpoint
+  /// *name*; in a multi-tenant fleet each tenant's client sees
   /// tenant-prefixed names, so backoff earned by one tenant tripping a
   /// server's admission control is scoped (tenant, endpoint) and never
   /// bleeds into a neighbor's scans against the same physical server.
   SimTime ScanBackoffRemainingUs(const std::string& endpoint_key) const {
-    auto it = scan_support_.find(endpoint_key);
-    if (it == scan_support_.end()) return 0;
+    auto it = scan_backoff_until_.find(endpoint_key);
+    if (it == scan_backoff_until_.end()) return 0;
     SimTime now = sim_.now();
-    return it->second.backoff_until > now ? it->second.backoff_until - now
-                                          : 0;
+    return it->second > now ? it->second - now : 0;
   }
 
   // ----- Batching counters.
@@ -430,9 +332,6 @@ class RbioClient {
   uint64_t batched_pages() const { return batched_pages_; }
   /// Per-page frames sent for plain (unbatched / batch-of-one) GetPage.
   uint64_t singles_sent() const { return singles_sent_; }
-  /// Sub-requests resolved as singles after a server rejected a batch
-  /// frame (version fallback).
-  uint64_t batch_fallbacks() const { return batch_fallbacks_; }
   /// Duplicate page requests coalesced into an already-queued entry.
   uint64_t batch_dedup_hits() const { return batch_dedup_hits_; }
   /// Network round trips avoided by multiplexing: each batch of k pages
@@ -452,11 +351,9 @@ class RbioClient {
     batches_sent_ = 0;
     batched_pages_ = 0;
     singles_sent_ = 0;
-    batch_fallbacks_ = 0;
     batch_dedup_hits_ = 0;
     scan_requests_ = 0;
     scans_sent_ = 0;
-    scan_fallbacks_ = 0;
     scans_overloaded_ = 0;
     scan_tuples_received_ = 0;
     wire_bytes_sent_ = 0;
@@ -470,7 +367,7 @@ class RbioClient {
   ~RbioClient();
 
  private:
-  // One queued GetPage awaiting a batch flush (or fallback single).
+  // One queued GetPage awaiting a batch flush (or a lone-miss single).
   // Nodes are recycled through a free list (AcquirePending /
   // ReleasePending) with a manual refcount — one ref for the queue/flush
   // side plus one per awaiting rider — so the steady-state hot path
@@ -496,10 +393,6 @@ class RbioClient {
     ReplicaSet replicas;
     std::vector<PendingGet*> pending;
     bool flusher_active = false;
-    // Tri-state batch support: unknown (try) / true / false (a server
-    // rejected a v3 frame; stay on singles).
-    bool support_known = false;
-    bool supported = true;
   };
 
   PendingGet* AcquirePending(PageId page_id, Lsn min_lsn);
@@ -517,10 +410,6 @@ class RbioClient {
   // the shared_ptr control block.
   std::shared_ptr<std::string> AcquireRespFrame();
 
-  bool BatchingEnabled() const {
-    return opts_.max_batch > 1 && opts_.protocol_version >= kBatchMinVersion;
-  }
-
   // Pick the healthy endpoint with the lowest EWMA latency; unknown
   // endpoints count as fastest (explore once).
   size_t PickReplica(const std::vector<Endpoint>& replicas,
@@ -533,17 +422,14 @@ class RbioClient {
       const std::vector<Endpoint>& replicas, std::string frame,
       SimTime cpu_us);
 
-  sim::Task<Result<PageResponse>> Roundtrip(
-      const std::vector<Endpoint>& replicas, std::string frame);
-
-  // The unbatched GetPage path (also the fallback for rejected batches).
+  // The unbatched GetPage path.
   sim::Task<Result<storage::Page>> GetPageSingle(
       const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
 
   // Drains a queue: flushes full batches this tick, one frame per
   // max_batch sub-requests, each as a detached round trip.
   sim::Task<> BatchFlusher(std::string key);
-  sim::Task<> FlushBatch(ReplicaSet replicas, std::string key,
+  sim::Task<> FlushBatch(ReplicaSet replicas,
                          std::vector<PendingGet*> batch);
   sim::Task<> ResolveSingle(ReplicaSet replicas, PendingGet* entry);
 
@@ -556,21 +442,11 @@ class RbioClient {
   sim::CpuResource* cpu_;
   RbioClientOptions opts_;
   mutable Random rng_;
-  // Per-endpoint-set kScanRange capability, mirroring BatchQueue's batch
-  // negotiation but tiered by frame version: optimistic until a frame at
-  // some version is rejected, after which max_version caps what this set
-  // is believed to speak (a v4-capped server still serves v4 scans after
-  // rejecting a v5 one). `backoff_until` is the orthogonal, *temporary*
-  // kOverloaded signal — admission pressure passes, versions don't.
-  struct ScanSupport {
-    bool known = false;
-    uint16_t max_version = kProtocolVersion;
-    SimTime backoff_until = 0;
-  };
 
   std::map<std::string, EndpointStats> stats_;
   std::map<std::string, BatchQueue> batch_queues_;
-  std::map<std::string, ScanSupport> scan_support_;
+  // Per-endpoint-set end of the kOverloaded scan backoff.
+  std::map<std::string, SimTime> scan_backoff_until_;
   std::vector<PendingGet*> pending_pool_;
   std::vector<std::string> frame_pool_;
   std::vector<std::shared_ptr<std::string>> resp_frame_pool_;
@@ -579,11 +455,9 @@ class RbioClient {
   uint64_t batches_sent_ = 0;
   uint64_t batched_pages_ = 0;
   uint64_t singles_sent_ = 0;
-  uint64_t batch_fallbacks_ = 0;
   uint64_t batch_dedup_hits_ = 0;
   uint64_t scan_requests_ = 0;
   uint64_t scans_sent_ = 0;
-  uint64_t scan_fallbacks_ = 0;
   uint64_t scans_overloaded_ = 0;
   uint64_t scan_tuples_received_ = 0;
   uint64_t wire_bytes_sent_ = 0;

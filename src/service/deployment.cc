@@ -328,10 +328,10 @@ sim::Task<Status> Deployment::FailoverPageServer(PartitionId partition) {
 void Deployment::BumpConfigEpoch() {
   config_epoch_++;
   if (primary_ != nullptr && primary_->alive()) {
-    primary_->InvalidateScanSupport();
+    primary_->ClearScanBackoff();
   }
   for (auto& s : secondaries_) {
-    if (s != nullptr && s->alive()) s->InvalidateScanSupport();
+    if (s != nullptr && s->alive()) s->ClearScanBackoff();
   }
 }
 

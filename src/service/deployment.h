@@ -294,11 +294,10 @@ class Deployment {
                                            : router_.get();
   }
 
-  // Complete a reconfiguration: bump the config epoch and drop every
-  // live compute node's memoized per-endpoint scan capability — an
-  // endpoint name may now resolve to a different server (a replica
-  // promoted, a recovered server at another rbio version), so negative
-  // NotSupported memos and overload backoffs must be re-probed.
+  // Complete a reconfiguration: bump the config epoch and clear every
+  // live compute node's kOverloaded scan backoffs — an endpoint name may
+  // now resolve to a different server (a replica promoted, a reseeded
+  // server), whose load the old backoff says nothing about.
   void BumpConfigEpoch();
 
   sim::Simulator& sim_;

@@ -150,7 +150,7 @@ struct DeviceProfile {
     return p;
   }
 
-  /// Server-side pushdown evaluation (RBIO v4 kScanRange): the CPU a
+  /// Server-side pushdown evaluation (RBIO kScanRange): the CPU a
   /// Page Server burns walking leaf pages and evaluating predicates /
   /// projections / aggregates against its covering RBPEX. No I/O latency
   /// of its own — the page reads pay the RBPEX device; this profile

@@ -164,9 +164,9 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
     }
     case CdbTxnType::kAnalyticScan: {
       // HTAP analytic read: selective predicate (or partial aggregate)
-      // over a contiguous span of 512-2048 rows. With a v4 deployment
-      // the engine ships this to the owning Page Servers (kScanRange);
-      // against v3 it transparently degrades to a page-based scan.
+      // over a contiguous span of 512-2048 rows. With pushdown on the
+      // engine ships this to the owning Page Servers (kScanRange);
+      // otherwise it runs as a page-based scan.
       auto txn = engine->Begin(true);
       int t = static_cast<int>(rng->Uniform(6));
       uint64_t rows = TableRows(t);

@@ -74,9 +74,9 @@ struct CdbMix {
   }
   /// HTAP mix: OLTP foreground plus a heavy analytic-scan component —
   /// the workload computation pushdown is built for. Scans are filtered
-  /// wide-span reads (selective predicates, ~half aggregating), so a v4
-  /// deployment ships them to Page Servers while the OLTP side still
-  /// moves pages.
+  /// wide-span reads (selective predicates, ~half aggregating), so a
+  /// pushdown-enabled deployment ships them to Page Servers while the
+  /// OLTP side still moves pages.
   static CdbMix Htap() {
     CdbMix m;
     m.weights = {0.40, 0.15, 0.10, 0.01, 0.04, 0.0, 0.30};

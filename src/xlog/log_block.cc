@@ -13,32 +13,37 @@ namespace {
 // parsing an arbitrary byte range (repair reads, disk garbage) as a frame.
 constexpr uint32_t kFrameMagic = 0x31424c53;  // "SLB1"
 
-// [magic u32][version u16][flags u8][start_lsn u64][raw_len u32]
+// The one frame layout. The header still carries it, so bytes from any
+// other layout are rejected as corrupt instead of being misparsed.
+constexpr uint16_t kFrameLayout = 2;
+
+constexpr uint8_t kFlagCompressed = 0x1;
+
+// [magic u32][layout u16][flags u8][start_lsn u64][raw_len u32]
 // [stored_len u32][npart u32]
 constexpr size_t kHeaderBytes = 4 + 2 + 1 + 8 + 4 + 4 + 4;
 
 }  // namespace
 
-std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
-                             bool compress) {
-  std::string frame;
-  std::string stored;
-  uint8_t flags = 0;
-  if (version >= kBlockFrameV2 && compress && !block.payload().empty()) {
-    compress::Compress(Slice(block.payload()), &stored);
-    if (stored.size() < block.payload().size()) {
-      flags |= kBlockFrameFlagCompressed;
-    } else {
-      stored.clear();  // incompressible: ship raw, flag stays clear
-    }
-  }
+std::shared_ptr<const std::string> CompressBlockPayload(
+    const LogBlock& block) {
+  auto stored = std::make_shared<std::string>();
+  compress::Compress(Slice(block.payload()), stored.get());
+  if (stored->size() >= block.payload().size()) return nullptr;
+  return stored;
+}
+
+std::string EncodeBlockFrame(const LogBlock& block,
+                             const std::string* compressed) {
   const std::string& body =
-      (flags & kBlockFrameFlagCompressed) ? stored : block.payload();
+      compressed != nullptr ? *compressed : block.payload();
+  std::string frame;
   frame.reserve(kHeaderBytes + 4 * block.partitions().size() +
                 body.size() + 4);
   PutFixed32(&frame, kFrameMagic);
-  PutFixed16(&frame, version);
-  frame.push_back(static_cast<char>(flags));
+  PutFixed16(&frame, kFrameLayout);
+  frame.push_back(static_cast<char>(compressed != nullptr ? kFlagCompressed
+                                                          : 0));
   PutFixed64(&frame, block.start_lsn);
   PutFixed32(&frame, static_cast<uint32_t>(block.payload().size()));
   PutFixed32(&frame, static_cast<uint32_t>(body.size()));
@@ -50,7 +55,7 @@ std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
   return frame;
 }
 
-Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out) {
+Status DecodeBlockFrame(Slice frame, LogBlock* out) {
   if (frame.size() < kHeaderBytes + 4) {
     return Status::Corruption("block frame truncated");
   }
@@ -58,17 +63,10 @@ Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out) {
   if (DecodeFixed32(p) != kFrameMagic) {
     return Status::Corruption("block frame bad magic");
   }
-  uint16_t version = DecodeFixed16(p + 4);
-  if (version == 0 || version > kBlockFrameVersionMax) {
-    return Status::Corruption("block frame unknown version");
-  }
-  if (version > max_version) {
-    return Status::NotSupported("block frame version too new");
+  if (DecodeFixed16(p + 4) != kFrameLayout) {
+    return Status::Corruption("block frame unknown layout");
   }
   uint8_t flags = static_cast<uint8_t>(p[6]);
-  if (version < kBlockFrameV2 && flags != 0) {
-    return Status::Corruption("block frame v1 with flags");
-  }
   Lsn start_lsn = DecodeFixed64(p + 7);
   uint32_t raw_len = DecodeFixed32(p + 15);
   uint32_t stored_len = DecodeFixed32(p + 19);
@@ -88,7 +86,7 @@ Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out) {
     partitions.insert(DecodeFixed32(parts + 4ull * i));
   }
   std::string payload;
-  if (flags & kBlockFrameFlagCompressed) {
+  if (flags & kFlagCompressed) {
     Status s = compress::Decompress(Slice(body, stored_len), raw_len,
                                     &payload);
     if (!s.ok()) return s;

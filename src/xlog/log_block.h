@@ -7,11 +7,8 @@
 // (§4.6 "block filtering").
 //
 // On the wire (Primary -> XLOG lossy channel) a block travels as a
-// versioned, checksummed **block frame**. Frame v1 carries the payload
-// raw; v2 adds optional compression. Version negotiation follows the
-// RBIO kGetPageBatch dance: the sender starts at its highest version and
-// degrades to v1 when the receiver answers NotSupported, so mixed-version
-// deployments keep logging in both directions.
+// checksummed **block frame** whose payload may be compressed (a flag
+// bit says which).
 
 #pragma once
 
@@ -101,27 +98,23 @@ struct LogBlock {
 
 // ----------------------------------------------------------------- frames
 
-/// Frame v1: raw payload. The floor every XLOG build understands.
-inline constexpr uint16_t kBlockFrameV1 = 1;
-/// Frame v2: payload may be compressed (flag bit 0).
-inline constexpr uint16_t kBlockFrameV2 = 2;
-inline constexpr uint16_t kBlockFrameVersionMax = kBlockFrameV2;
+/// LZ-compress `block`'s payload. Null when that does not shrink it: the
+/// block is then stored and sent raw, so the frame flag and the landing
+/// zone's accounting never lie.
+std::shared_ptr<const std::string> CompressBlockPayload(
+    const LogBlock& block);
 
-inline constexpr uint8_t kBlockFrameFlagCompressed = 0x1;
+/// Encode `block` as a wire frame. `compressed` is the payload as
+/// CompressBlockPayload returned it: non-null ships those bytes with the
+/// compressed flag set, null ships the payload raw.
+std::string EncodeBlockFrame(const LogBlock& block,
+                             const std::string* compressed);
 
-/// Encode `block` as a wire frame. `version` selects the layout;
-/// `compress` (v2 only) LZ-compresses the payload when that actually
-/// shrinks it — incompressible blocks are sent raw with the flag clear,
-/// so the flag always tells the receiver the truth. Returns the frame.
-std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
-                             bool compress);
-
-/// Decode a wire frame into `*out`. Returns:
-///   * NotSupported — frame version > `max_version` (negotiation miss);
-///   * Corruption   — bad magic, truncated frame, checksum mismatch, or a
-///                    payload that does not decompress to its stated size;
-///   * OK           — `*out` holds the block with the payload raw again.
-Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out);
+/// Decode a wire frame into `*out`. Corruption for bad magic, an unknown
+/// layout, a truncated frame, a checksum mismatch, or a payload that does
+/// not decompress to its stated size; otherwise OK with the payload raw
+/// again.
+Status DecodeBlockFrame(Slice frame, LogBlock* out);
 
 /// Partition mapping: pages are range-partitioned across Page Servers.
 struct PartitionMap {

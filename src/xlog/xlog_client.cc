@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/compress.h"
-
 namespace socrates {
 namespace xlog {
 
@@ -21,9 +19,7 @@ XLogClient::XLogClient(sim::Simulator& sim, LandingZone* lz,
       hardened_(sim),
       work_available_(sim),
       inflight_(std::make_unique<sim::Semaphore>(
-          sim, options.max_inflight_writes)),
-      wire_version_(std::min(options.frame_version, kBlockFrameVersionMax)) {
-  if (wire_version_ < kBlockFrameV1) wire_version_ = kBlockFrameV1;
+          sim, options.max_inflight_writes)) {
   hardened_.Advance(lz->durable_end());
   // Hardening follows the LZ's in-order durable frontier; each advance
   // wakes committed transactions (group commit) and tells XLOG it may
@@ -163,20 +159,13 @@ sim::Task<> XLogClient::FlusherLoop() {
     have_last_cut_ = true;
     last_cut_us_ = now;
 
-    // Compress the stored form when enabled; incompressible blocks stay
-    // raw so the LZ's accounting (and the frame flag) never lies.
-    std::string stored;
-    bool compressed = false;
-    if (opts_.compress_blocks) {
-      compress::Compress(Slice(block.payload()), &stored);
-      if (stored.size() < block.payload().size()) {
-        compressed = true;
-      } else {
-        stored.clear();
-      }
-    }
+    // Compress once when enabled: the same stored bytes go to the LZ and
+    // onto the XLOG wire. Null means the block stays raw.
+    std::shared_ptr<const std::string> stored;
+    if (opts_.compress_blocks) stored = CompressBlockPayload(block);
+    const bool compressed = stored != nullptr;
     uint64_t stored_size =
-        compressed ? stored.size() : block.payload().size();
+        compressed ? stored->size() : block.payload().size();
 
     // Reserve the block's LZ range in log order; stall while the LZ is
     // full (destaging behind, §4.3).
@@ -190,21 +179,22 @@ sim::Task<> XLogClient::FlusherLoop() {
 
     // Availability path: fire-and-forget to XLOG (lossy).
     if (xlog_ != nullptr) {
-      sim::Spawn(sim_, DeliverAsync(block));
+      sim::Spawn(sim_, DeliverAsync(block, stored));
     }
 
     // Durability path: pipelined quorum write; bounded in-flight.
     co_await inflight_->Acquire();
     sim::Spawn(sim_, WriteBlockTask(std::move(block), std::move(stored),
-                                    compressed, sim_.now()));
+                                    sim_.now()));
   }
   stopped_ = true;
 }
 
-sim::Task<> XLogClient::WriteBlockTask(LogBlock block, std::string stored,
-                                       bool compressed,
-                                       SimTime cut_at_us) {
-  Slice data = compressed ? Slice(stored) : Slice(block.payload());
+sim::Task<> XLogClient::WriteBlockTask(
+    LogBlock block, std::shared_ptr<const std::string> stored,
+    SimTime cut_at_us) {
+  const bool compressed = stored != nullptr;
+  Slice data = compressed ? Slice(*stored) : Slice(block.payload());
   // The per-I/O + per-byte CPU cost (REST vs RDMA path) lands on the
   // Primary (Table 7); compression trades a cheap per-KB encode for the
   // much larger per-KB wire cost of the stored bytes.
@@ -242,10 +232,9 @@ sim::Task<> XLogClient::VisibleWatch(Lsn end, SimTime hardened_at_us) {
   hist_visible_us_.Add(static_cast<double>(sim_.now() - hardened_at_us));
 }
 
-sim::Task<> XLogClient::DeliverAsync(LogBlock block) {
-  std::string frame = EncodeBlockFrame(
-      block, wire_version_,
-      opts_.compress_blocks && wire_version_ >= kBlockFrameV2);
+sim::Task<> XLogClient::DeliverAsync(
+    LogBlock block, std::shared_ptr<const std::string> stored) {
+  std::string frame = EncodeBlockFrame(block, stored.get());
   wire_bytes_sent_ += frame.size();
   SimTime link_delay =
       opts_.injector != nullptr
@@ -260,16 +249,9 @@ sim::Task<> XLogClient::DeliverAsync(LogBlock block) {
     deliveries_lost_++;
     co_return;  // lost on the wire; XLOG will repair from the LZ
   }
-  Status s = xlog_->DeliverFrame(Slice(frame));
-  if (s.IsNotSupported() && wire_version_ > kBlockFrameV1) {
-    // Version negotiation miss: the receiver is older than us. Downgrade
-    // for all future sends and re-encode this block at the floor.
-    wire_version_ = kBlockFrameV1;
-    frame_downgrades_++;
-    frame = EncodeBlockFrame(block, wire_version_, false);
-    wire_bytes_sent_ += frame.size();
-    (void)xlog_->DeliverFrame(Slice(frame));
-  }
+  // A damaged frame is dropped (and counted) by XLOG; the repair path
+  // reads the range back from the LZ.
+  (void)xlog_->DeliverFrame(Slice(frame));
 }
 
 sim::Task<> XLogClient::NotifyAsync(Lsn hardened) {

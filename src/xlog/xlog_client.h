@@ -23,10 +23,8 @@
 // immediately (no added latency); under fan-in it holds the buffer
 // (bounded) to amortize per-I/O cost over bigger blocks.
 //
-// Blocks may be stored compressed in the LZ and travel the async wire as
-// versioned frames; when the XLOG process answers NotSupported the client
-// downgrades the frame version and re-encodes (kGetPageBatch-style
-// negotiation).
+// Blocks may be compressed, once per block: the same stored bytes go to
+// the LZ and travel the async wire inside a checksummed frame.
 //
 // If the LZ is full (destaging behind) the flusher stalls and retries:
 // the Primary cannot process update transactions until space frees (§4.3).
@@ -89,12 +87,9 @@ struct XLogClientOptions {
   SimTime adaptive_hold_cap_us = 2000;
   double adaptive_ewma_alpha = 0.2;
 
-  /// Compress block payloads (LZ storage and the v2 wire frame). Blocks
+  /// Compress block payloads (LZ storage and the wire frame). Blocks
   /// that do not shrink are kept raw.
   bool compress_blocks = false;
-  /// Highest frame version to attempt on the async wire; downgraded at
-  /// runtime when the receiver answers NotSupported.
-  uint16_t frame_version = kBlockFrameVersionMax;
 };
 
 class XLogClient : public engine::LogSink {
@@ -135,8 +130,6 @@ class XLogClient : public engine::LogSink {
   uint64_t lz_stalls() const { return lz_stalls_; }
   uint64_t adaptive_holds() const { return adaptive_holds_; }
   uint64_t wire_bytes_sent() const { return wire_bytes_sent_; }
-  uint64_t frame_downgrades() const { return frame_downgrades_; }
-  uint16_t wire_version() const { return wire_version_; }
 
   // Commit-path phase histograms (all in microseconds except flush size):
   //   enqueue — first append in a block until the block is cut;
@@ -150,10 +143,13 @@ class XLogClient : public engine::LogSink {
 
  private:
   sim::Task<> FlusherLoop();
-  sim::Task<> WriteBlockTask(LogBlock block, std::string stored,
-                             bool compressed, SimTime cut_at_us);
+  // `stored` is the block's compressed payload, null when it stays raw.
+  sim::Task<> WriteBlockTask(LogBlock block,
+                             std::shared_ptr<const std::string> stored,
+                             SimTime cut_at_us);
   sim::Task<> VisibleWatch(Lsn end, SimTime hardened_at_us);
-  sim::Task<> DeliverAsync(LogBlock block);
+  sim::Task<> DeliverAsync(LogBlock block,
+                           std::shared_ptr<const std::string> stored);
   sim::Task<> NotifyAsync(Lsn hardened);
 
   /// Adaptive target: EWMA arrival bytes/us x EWMA write latency us,
@@ -189,8 +185,6 @@ class XLogClient : public engine::LogSink {
   bool have_last_append_ = false;
   SimTime last_append_us_ = 0;
 
-  uint16_t wire_version_;
-
   uint64_t blocks_written_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t stored_bytes_written_ = 0;
@@ -199,7 +193,6 @@ class XLogClient : public engine::LogSink {
   uint64_t lz_stalls_ = 0;
   uint64_t adaptive_holds_ = 0;
   uint64_t wire_bytes_sent_ = 0;
-  uint64_t frame_downgrades_ = 0;
 
   Histogram hist_enqueue_us_;
   Histogram hist_quorum_us_;

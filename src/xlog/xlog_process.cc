@@ -40,13 +40,7 @@ void XLogProcess::DeliverBlock(LogBlock block) {
 
 Status XLogProcess::DeliverFrame(Slice frame) {
   LogBlock block;
-  Status s = DecodeBlockFrame(frame, opts_.max_frame_version, &block);
-  if (s.IsNotSupported()) {
-    // Too-new frame: tell the sender so it downgrades. The block itself
-    // is not lost — the sender re-encodes and re-delivers.
-    frames_rejected_++;
-    return s;
-  }
+  Status s = DecodeBlockFrame(frame, &block);
   if (!s.ok()) {
     // Damaged on the lossy channel; drop it and let the repair path
     // reconstruct the range from the LZ.

@@ -10,9 +10,9 @@
 // Lost or out-of-order blocks are repaired by reading the missing byte
 // range back from the LZ.
 //
-// On the wire blocks travel as versioned frames (optionally compressed);
-// DeliverFrame answers NotSupported for too-new versions so a newer
-// Primary degrades, mirroring the RBIO kGetPageBatch negotiation.
+// On the wire blocks travel as checksummed frames (optionally
+// compressed); DeliverFrame drops damaged ones and the repair path above
+// covers the gap.
 //
 // Once admitted, blocks live in the in-memory **sequence map** for fast
 // dissemination and are simultaneously indexed into **per-partition
@@ -68,9 +68,6 @@ struct XLogOptions {
   sim::DeviceProfile ssd_profile = sim::DeviceProfile::LocalSsd();
   std::string lt_blob = "log/lt";         // long-term archive blob in XStore
   PartitionMap partition_map;
-  /// Highest block-frame version this process accepts; DeliverFrame
-  /// answers NotSupported above it (mixed-version negotiation).
-  uint16_t max_frame_version = kBlockFrameVersionMax;
   /// Concurrent destage batches in flight (SSD + LT writes overlap; the
   /// destaged frontier still advances in order).
   int destage_lanes = 4;
@@ -94,9 +91,8 @@ class XLogProcess {
   void DeliverBlock(LogBlock block);
 
   /// A wire frame arriving from the Primary's async channel. Returns
-  /// NotSupported when the frame version exceeds max_frame_version (the
-  /// sender downgrades and re-encodes) and Corruption for damaged frames
-  /// (dropped; the lossy-channel repair path covers the gap).
+  /// Corruption for damaged frames (dropped; the lossy-channel repair
+  /// path covers the gap).
   Status DeliverFrame(Slice frame);
 
   /// The Primary confirms durability up to `lsn`. Pending blocks whose
@@ -147,7 +143,6 @@ class XLogProcess {
   uint64_t pulls_from_shard() const { return pulls_shard_; }
   uint64_t stream_shards() const { return shards_.size(); }
   uint64_t frames_delivered() const { return frames_delivered_; }
-  uint64_t frames_rejected() const { return frames_rejected_; }
   uint64_t frames_corrupt() const { return frames_corrupt_; }
 
  private:
@@ -218,7 +213,6 @@ class XLogProcess {
   uint64_t pulls_lt_ = 0;
   uint64_t pulls_shard_ = 0;
   uint64_t frames_delivered_ = 0;
-  uint64_t frames_rejected_ = 0;
   uint64_t frames_corrupt_ = 0;
 };
 

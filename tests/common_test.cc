@@ -405,11 +405,10 @@ TEST(CounterStatsTest, HitRate) {
   EXPECT_DOUBLE_EQ(s.HitRate(), 0.75);
 }
 
-// ----------------------------------------------- scan expressions (v5)
+// ------------------------- scan expressions (key ranges, conjunctions)
 
 TEST(ScanExprV5Test, KeyRangeEval) {
   auto p = common::ScanPredicate::KeyRange(10, 20);
-  EXPECT_TRUE(p.NeedsV5());
   EXPECT_FALSE(common::EvalPredicate(p, 9, Slice()));
   EXPECT_TRUE(common::EvalPredicate(p, 10, Slice()));
   EXPECT_TRUE(common::EvalPredicate(p, 19, Slice()));
@@ -424,7 +423,6 @@ TEST(ScanExprV5Test, ConjunctionEval) {
   std::string payload = "\x07rest";
   auto p = common::ScanPredicate::KeyModEq(2, 0);
   p.And(common::ScanPredicate::PayloadByteEq(0, 7));
-  EXPECT_TRUE(p.NeedsV5());
   EXPECT_TRUE(common::EvalPredicate(p, 4, Slice(payload)));
   EXPECT_FALSE(common::EvalPredicate(p, 5, Slice(payload)));  // odd key
   EXPECT_FALSE(common::EvalPredicate(p, 4, Slice("xrest")));  // byte miss
@@ -434,13 +432,6 @@ TEST(ScanExprV5Test, ConjunctionEval) {
   EXPECT_EQ(q.conjuncts.size(), 2u);
   EXPECT_TRUE(common::EvalPredicate(q, 4, Slice(payload)));
   EXPECT_FALSE(common::EvalPredicate(q, 102, Slice(payload)));
-}
-
-TEST(ScanExprV5Test, V4PredicatesDoNotNeedV5) {
-  EXPECT_FALSE(common::ScanPredicate::All().NeedsV5());
-  EXPECT_FALSE(common::ScanPredicate::KeyModEq(8, 1).NeedsV5());
-  EXPECT_FALSE(common::ScanPredicate::PayloadByteEq(3, 9).NeedsV5());
-  EXPECT_FALSE(common::ScanPredicate::PayloadByteLt(3, 9).NeedsV5());
 }
 
 TEST(ScanExprV5Test, RangeAwareModSelectivityClamps) {
@@ -473,10 +464,10 @@ TEST(ScanExprV5Test, PredicateV5CodecRoundTrip) {
   p.And(common::ScanPredicate::KeyModEq(7, 3));
   p.And(common::ScanPredicate::PayloadByteLt(12, 200));
   std::string wire;
-  common::EncodePredicateV5(&wire, p);
+  common::EncodePredicate(&wire, p);
   Slice in(wire);
   common::ScanPredicate out;
-  ASSERT_TRUE(common::DecodePredicateV5(&in, &out).ok());
+  ASSERT_TRUE(common::DecodePredicate(&in, &out).ok());
   EXPECT_EQ(out.op, common::PredOp::kKeyRange);
   EXPECT_EQ(out.a, 100u);
   EXPECT_EQ(out.b, 900u);
@@ -488,18 +479,16 @@ TEST(ScanExprV5Test, PredicateV5CodecRoundTrip) {
   for (size_t cut = 0; cut + 1 < wire.size(); cut++) {
     Slice t(wire.data(), cut);
     common::ScanPredicate scratch;
-    EXPECT_FALSE(common::DecodePredicateV5(&t, &scratch).ok());
+    EXPECT_FALSE(common::DecodePredicate(&t, &scratch).ok());
   }
-}
-
-TEST(ScanExprV5Test, V4CodecRejectsV5Vocabulary) {
-  // The frozen v4 decoder answers NotSupported for a v5 op byte — the
-  // negotiation signal an un-upgraded server sends a too-new client.
-  std::string wire;
-  common::EncodePredicate(&wire, common::ScanPredicate::KeyRange(1, 2));
-  Slice in(wire);
-  common::ScanPredicate out;
-  EXPECT_TRUE(common::DecodePredicate(&in, &out).IsNotSupported());
+  // Unknown ops are rejected, in the primary term and in a conjunct.
+  for (size_t at : {size_t{0}, size_t{18}}) {
+    std::string bad = wire;
+    bad[at] = static_cast<char>(0x7f);
+    Slice b(bad);
+    common::ScanPredicate scratch;
+    EXPECT_FALSE(common::DecodePredicate(&b, &scratch).ok()) << at;
+  }
 }
 
 TEST(ScanExprV5Test, AggregateListCodecRoundTrip) {
@@ -508,10 +497,10 @@ TEST(ScanExprV5Test, AggregateListCodecRoundTrip) {
   aggs.push_back(common::ScanAggregate::Sum(8));
   aggs.push_back(common::ScanAggregate::Max(16));
   std::string wire;
-  common::EncodeAggregateListV5(&wire, aggs);
+  common::EncodeAggregateList(&wire, aggs);
   Slice in(wire);
   common::ScanAggregateList out;
-  ASSERT_TRUE(common::DecodeAggregateListV5(&in, &out).ok());
+  ASSERT_TRUE(common::DecodeAggregateList(&in, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].fn, common::AggFn::kCount);
   EXPECT_EQ(out[1].fn, common::AggFn::kSum);

@@ -812,6 +812,32 @@ TEST(EngineTest, WriteWriteConflictAborts) {
   EXPECT_EQ(f.engine->stats().conflicts, 1u);
 }
 
+TEST(EngineTest, FailedCommitStillLetsLaterCommitsTrim) {
+  EngineFixture f;
+  RunSim(f.sim, [&]() -> Task<> {
+    // A version chain too large for a page fails phase 2 of Commit.
+    auto big = f.engine->Begin();
+    (void)f.engine->Put(big.get(), 1, std::string(kPageSize, 'x'));
+    Status s = co_await f.engine->Commit(big.get());
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    // The failed transaction no longer pins the trim watermark...
+    EXPECT_EQ(f.engine->OldestActiveTs(), f.engine->last_committed_ts());
+    // ...so rewriting a key keeps only the versions a live snapshot (the
+    // writer's own) can need, not the whole history.
+    for (int i = 0; i < 4; i++) {
+      auto w = f.engine->Begin();
+      (void)f.engine->Put(w.get(), 2, "v" + std::to_string(i));
+      EXPECT_TRUE((co_await f.engine->Commit(w.get())).ok());
+    }
+    auto chain = co_await f.engine->btree()->Find(2);
+    EXPECT_TRUE(chain.ok());
+    if (chain.ok()) {
+      EXPECT_LE(chain->size(), 2u);
+    }
+  });
+  EXPECT_EQ(f.engine->stats().aborts, 1u);
+}
+
 TEST(EngineTest, DeleteBecomesTombstone) {
   EngineFixture f;
   RunSim(f.sim, [&]() -> Task<> {

@@ -244,11 +244,10 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
   o.tenant.compute.ssd_pages = 16;
   o.tenant.compute.pushdown_max_selectivity = 1.0;
   o.tenant.compute.pushdown_cost_planning = false;
-  // No readahead/prefetch: every miss is a single kGetPage frame, which
-  // is what feeds the server's point-read latency ring (the admission
-  // health signal ignores range/batch prefetch traffic).
+  // No scan readahead: every miss is a single kGetPage frame, which is
+  // what feeds the server's point-read latency ring (the admission
+  // health signal ignores batch prefetch traffic).
   o.tenant.compute.scan_readahead = 0;
-  o.tenant.compute.readahead_pages = 0;
   // Server-side admission trips on any measurable tail once the latency
   // window fills, and sheds immediately (no tokens): a deterministic
   // kOverloaded for every admitted-by-the-gateway scan.

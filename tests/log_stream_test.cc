@@ -1,8 +1,8 @@
 // Logging tier v2 tests: exact landing-zone space accounting under
-// variable-size (compressed) blocks, versioned block-frame round trips
-// and mixed-version negotiation, corrupt-frame rejection, deterministic
-// adaptive block sizing, per-partition stream shards, and the global
-// commit watermark's prefix-correctness guarantee.
+// variable-size (compressed) blocks, block-frame round trips, corrupt-
+// frame rejection, deterministic adaptive block sizing, per-partition
+// stream shards, and the global commit watermark's prefix-correctness
+// guarantee.
 
 #include <gtest/gtest.h>
 
@@ -145,14 +145,20 @@ LogBlock TestBlock() {
   return LogBlock::Make(kLogStreamStart + 12345, payload, {1, 3});
 }
 
+// The frame a compressing client sends for `b`.
+std::string CompressedFrame(const LogBlock& b) {
+  std::shared_ptr<const std::string> zip = CompressBlockPayload(b);
+  EXPECT_NE(zip, nullptr);
+  return EncodeBlockFrame(b, zip.get());
+}
+
 TEST(BlockFrameTest, RoundTripRawAndCompressed) {
   LogBlock b = TestBlock();
-  for (bool zip : {false, true}) {
-    std::string frame =
-        EncodeBlockFrame(b, kBlockFrameV2, /*compress=*/zip);
+  std::string raw = EncodeBlockFrame(b, nullptr);
+  std::string zip = CompressedFrame(b);
+  for (const std::string* frame : {&raw, &zip}) {
     LogBlock out;
-    ASSERT_TRUE(
-        DecodeBlockFrame(Slice(frame), kBlockFrameVersionMax, &out).ok());
+    ASSERT_TRUE(DecodeBlockFrame(Slice(*frame), &out).ok());
     EXPECT_EQ(out.start_lsn, b.start_lsn);
     EXPECT_EQ(out.payload(), b.payload());
     EXPECT_EQ(out.payload_size, b.payload().size());
@@ -160,50 +166,36 @@ TEST(BlockFrameTest, RoundTripRawAndCompressed) {
     EXPECT_FALSE(out.filtered);
   }
   // The compressed frame is genuinely smaller for repetitive payloads.
-  std::string raw = EncodeBlockFrame(b, kBlockFrameV2, false);
-  std::string zip = EncodeBlockFrame(b, kBlockFrameV2, true);
   EXPECT_LT(zip.size(), raw.size());
-  // v1 frames never compress and decode under a v1-only receiver.
-  std::string v1 = EncodeBlockFrame(b, kBlockFrameV1, true);
-  LogBlock out;
-  ASSERT_TRUE(DecodeBlockFrame(Slice(v1), kBlockFrameV1, &out).ok());
-  EXPECT_EQ(out.payload(), b.payload());
-}
-
-TEST(BlockFrameTest, TooNewFrameAnswersNotSupported) {
-  LogBlock b = TestBlock();
-  std::string frame = EncodeBlockFrame(b, kBlockFrameV2, true);
-  LogBlock out;
-  Status s = DecodeBlockFrame(Slice(frame), kBlockFrameV1, &out);
-  EXPECT_TRUE(s.IsNotSupported());
+  // An incompressible payload is not offered compressed at all.
+  EXPECT_EQ(CompressBlockPayload(LogBlock::Make(kLogStreamStart, "ab", {})),
+            nullptr);
 }
 
 TEST(BlockFrameTest, CorruptFramesRejected) {
   LogBlock b = TestBlock();
-  std::string frame = EncodeBlockFrame(b, kBlockFrameV2, true);
+  std::string frame = CompressedFrame(b);
   LogBlock out;
   // Truncated.
-  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), frame.size() - 3),
-                               kBlockFrameVersionMax, &out)
+  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), frame.size() - 3), &out)
                   .IsCorruption());
-  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), 5),
-                               kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), 5), &out).IsCorruption());
   // Bad magic.
   std::string bad = frame;
   bad[0] ^= 0x5a;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
+  // A header stamped with any other layout.
+  bad = frame;
+  bad[4] ^= 0x01;
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
   // Body bit flip breaks the checksum.
   bad = frame;
   bad[bad.size() / 2] ^= 0x01;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
   // Checksum bit flip.
   bad = frame;
   bad[bad.size() - 1] ^= 0x80;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
 }
 
 // ------------------------------------------- end-to-end via the client
@@ -227,52 +219,12 @@ struct XLogFixture {
   }
 };
 
-TEST(FrameNegotiationTest, NewSenderDowngradesForOldReceiver) {
-  XLogOptions xopts;
-  xopts.max_frame_version = kBlockFrameV1;  // old XLOG process
-  XLogClientOptions copts;
-  copts.frame_version = kBlockFrameV2;      // new Primary
-  copts.compress_blocks = true;
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts, xopts);
-  RunSim(f.sim, [&]() -> Task<> {
-    for (int i = 0; i < 30; i++) {
-      f.client.Append(InsertRecord(1, i, 200));
-      if (i % 10 == 9) (void)co_await f.client.Flush();
-    }
-    (void)co_await f.client.Flush();
-  });
-  // The first v2 frame bounced; the client re-encoded it at v1 and sent
-  // all later frames at v1 — nothing was lost and no repair was needed.
-  EXPECT_GE(f.xlog.frames_rejected(), 1u);
-  EXPECT_EQ(f.client.frame_downgrades(), 1u);
-  EXPECT_EQ(f.client.wire_version(), kBlockFrameV1);
-  EXPECT_GT(f.xlog.frames_delivered(), 0u);
-  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
-}
-
-TEST(FrameNegotiationTest, OldSenderAcceptedByNewReceiver) {
-  XLogOptions xopts;
-  xopts.max_frame_version = kBlockFrameV2;  // new XLOG process
-  XLogClientOptions copts;
-  copts.frame_version = kBlockFrameV1;      // old Primary
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts, xopts);
-  RunSim(f.sim, [&]() -> Task<> {
-    for (int i = 0; i < 30; i++) {
-      f.client.Append(InsertRecord(1, i, 200));
-    }
-    (void)co_await f.client.Flush();
-  });
-  EXPECT_EQ(f.xlog.frames_rejected(), 0u);
-  EXPECT_EQ(f.client.frame_downgrades(), 0u);
-  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
-}
-
-TEST(FrameNegotiationTest, CorruptWireFrameCountedAndDropped) {
+TEST(BlockFrameTest, CorruptWireFrameCountedAndDropped) {
   Simulator s;
   xstore::XStore lt(s);
   LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 64 * MiB);
   XLogProcess xlog(s, &lz, &lt, {});
-  std::string frame = EncodeBlockFrame(TestBlock(), kBlockFrameV2, true);
+  std::string frame = CompressedFrame(TestBlock());
   frame[frame.size() / 2] ^= 0x10;
   EXPECT_TRUE(xlog.DeliverFrame(Slice(frame)).IsCorruption());
   EXPECT_EQ(xlog.frames_corrupt(), 1u);

@@ -1,9 +1,8 @@
-// Computation pushdown tests (RBIO v4 kScanRange): the ScanWhere planner
+// Computation pushdown tests (RBIO kScanRange): the ScanWhere planner
 // against a fake RemoteScanner (eligibility, chunked resume, fence-miss
 // retry, mid-scan fallback, write-set overlay), and end to end through a
-// real deployment (pushdown vs local plans must agree row for row; v3
-// Page Servers degrade transparently; chaos bursts never corrupt
-// results).
+// real deployment (pushdown vs local plans must agree row for row; chaos
+// bursts and admission sheds never corrupt results).
 
 #include <gtest/gtest.h>
 
@@ -575,28 +574,6 @@ TEST(PushdownEndToEndTest, UncommittedWritesOverlayPushedResults) {
   d.Stop();
 }
 
-TEST(PushdownEndToEndTest, V3PageServerDegradesTransparently) {
-  Simulator s;
-  service::DeploymentOptions o = SmallDeployment();
-  o.page_server.rbio_max_version = 3;  // a not-yet-upgraded server
-  service::Deployment d(s, o);
-  bool pushed = true;
-  RunSim(s, [&]() -> Task<> {
-    EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 3000);
-    ScanFilter filter;
-    filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
-    co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
-  });
-  // Results identical (checked in ComparePlans), nothing pushed down,
-  // and the v4 client memoized the rejection after one probe.
-  EXPECT_FALSE(pushed);
-  EXPECT_EQ(d.page_server(0)->scan_requests(), 0u);
-  EXPECT_GT(d.primary()->rbio_client().scan_fallbacks(), 0u);
-  EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
-  d.Stop();
-}
-
 TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
   Simulator s;
   service::Deployment d(s, SmallDeployment());
@@ -604,9 +581,10 @@ TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
     EXPECT_TRUE((co_await d.Start()).ok());
     co_await Load(d.primary_engine(), 3000);
     engine::Engine* e = d.primary_engine();
-    // v5 vocabulary end to end: key-range ∧ mod predicate, three
-    // aggregate fields in one pass. COUNT + SUM(field) + MAX(field)
-    // over keys in [500, 2500) with k % 10 == 5.
+    // Key ranges, conjunctions and multi-field aggregates end to end:
+    // key-range ∧ mod predicate, three aggregate fields in one pass.
+    // COUNT + SUM(field) + MAX(field) over keys in [500, 2500) with
+    // k % 10 == 5.
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyRange(MakeKey(1, 500),
                                                        MakeKey(1, 2500));
@@ -653,40 +631,9 @@ TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
     }
     (void)co_await e->Commit(txn.get());
   });
-  // The key-range ∧ conjunct predicate required a v5 frame on the wire.
+  // The key-range ∧ conjunct predicate went out on the wire.
   EXPECT_GT(d.primary()->rbio_client().scans_sent(), 0u);
   EXPECT_GT(d.page_server(0)->scan_requests(), 0u);
-  d.Stop();
-}
-
-TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
-  Simulator s;
-  service::DeploymentOptions o = SmallDeployment();
-  o.page_server.rbio_max_version = 3;  // scans rejected and memoized
-  service::Deployment d(s, o);
-  RunSim(s, [&]() -> Task<> {
-    EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 2000);
-    ScanFilter filter;
-    filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
-    bool pushed = true;
-    co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
-    EXPECT_FALSE(pushed);
-    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
-    // Memoized: the second scan never touches the wire.
-    co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
-    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
-    // Reconfigure the partition: promote a hot-standby replica. The
-    // endpoint name now resolves to a different physical server, so the
-    // config-epoch bump must drop the stale capability memo and let the
-    // client probe the replacement.
-    EXPECT_TRUE((co_await d.AddPageServerReplica(0)).ok());
-    const uint64_t epoch_before = d.config_epoch();
-    EXPECT_TRUE((co_await d.FailoverPageServer(0)).ok());
-    EXPECT_GT(d.config_epoch(), epoch_before);
-    co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
-    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 2u);
-  });
   d.Stop();
 }
 
@@ -1093,8 +1040,7 @@ TEST(ScanAdmissionTest, OverloadShedsScanAndClientFallsBackEqual) {
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed2);
     EXPECT_FALSE(pushed2);
     EXPECT_EQ(d.page_server(0)->scan_requests(), served_after_shed);
-    // Past the backoff the endpoint is probed again (the memo is
-    // temporary, unlike the NotSupported version ladder).
+    // Past the backoff the endpoint is probed again.
     co_await sim::Delay(s, 60 * 1000);
     bool pushed3 = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed3);
@@ -1104,6 +1050,42 @@ TEST(ScanAdmissionTest, OverloadShedsScanAndClientFallsBackEqual) {
   EXPECT_GT(d.primary()->rbio_client().scans_overloaded(), 0u);
   EXPECT_GT(d.primary_engine()->stats().pushdown_overloaded, 0u);
   EXPECT_GT(d.primary_engine()->stats().pushdown_fallbacks, 0u);
+  d.Stop();
+}
+
+TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
+  // A kOverloaded backoff describes one server's load. Promoting a
+  // replica makes the endpoint name resolve to a different server, so
+  // the config-epoch bump must clear the backoff.
+  Simulator s;
+  service::DeploymentOptions o = AdmissionDeployment();
+  o.page_server.scan_admission_tokens_per_s = 0.0005;  // shed every scan
+  service::Deployment d(s, o);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);
+    EXPECT_TRUE((co_await d.Checkpoint()).ok());
+    EXPECT_TRUE((co_await d.AddPageServerReplica(0)).ok());
+    EXPECT_TRUE((co_await d.RestartPrimary()).ok());
+    co_await ColdPointReads(d.primary_engine(), 32, 3000);
+    ScanFilter filter;
+    filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    bool pushed = true;
+    co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
+    EXPECT_FALSE(pushed);
+    rbio::RbioClient& client = d.primary()->rbio_client();
+    const std::string kSet = "ps-0|ps-0-r0|";  // main server + replica
+    EXPECT_GT(client.ScanBackoffRemainingUs(kSet), 0u);
+    const uint64_t epoch_before = d.config_epoch();
+    EXPECT_TRUE((co_await d.FailoverPageServer(0)).ok());
+    EXPECT_GT(d.config_epoch(), epoch_before);
+    EXPECT_EQ(client.ScanBackoffRemainingUs(kSet), 0u);
+    // The next scan probes the replacement instead of sitting out the
+    // old server's backoff.
+    const uint64_t sent_before = client.scans_sent();
+    co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
+    EXPECT_GT(client.scans_sent(), sent_before);
+  });
   d.Stop();
 }
 

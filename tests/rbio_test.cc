@@ -1,6 +1,6 @@
-// RBIO protocol tests (§3.4): codec round trips, version negotiation,
-// transient-failure retries, QoS replica selection, GetPageRange /
-// readahead, and the end-to-end path through a real Page Server.
+// RBIO protocol tests (§3.4): codec round trips, the single wire format,
+// transient-failure retries, QoS replica selection, batching, and the
+// end-to-end path through a real Page Server.
 
 #include <gtest/gtest.h>
 
@@ -36,83 +36,65 @@ TEST(RbioCodecTest, GetPageRoundTrip) {
   req.page_id = 42;
   req.min_lsn = 123456;
   GetPageRequest out;
-  uint16_t version = 0;
-  ASSERT_TRUE(GetPageRequest::Decode(Slice(req.Encode()), &out, &version)
-                  .ok());
-  EXPECT_EQ(version, kProtocolVersion);
+  ASSERT_TRUE(GetPageRequest::Decode(Slice(req.Encode()), &out).ok());
   EXPECT_EQ(out.page_id, 42u);
   EXPECT_EQ(out.min_lsn, 123456u);
 }
 
-TEST(RbioCodecTest, GetPageRangeRoundTrip) {
-  GetPageRangeRequest req;
-  req.first_page = 100;
-  req.count = 128;
-  req.min_lsn = 777;
-  GetPageRangeRequest out;
-  uint16_t version = 0;
-  ASSERT_TRUE(
-      GetPageRangeRequest::Decode(Slice(req.Encode()), &out, &version)
-          .ok());
-  EXPECT_EQ(out.first_page, 100u);
-  EXPECT_EQ(out.count, 128u);
-  EXPECT_EQ(out.min_lsn, 777u);
-}
-
 TEST(RbioCodecTest, TypeConfusionRejected) {
   GetPageRequest get;
-  GetPageRangeRequest range;
-  uint16_t v;
-  EXPECT_TRUE(GetPageRangeRequest::Decode(Slice(get.Encode()), &range, &v)
+  GetPageBatchRequest batch;
+  batch.entries.push_back({1, 1});
+  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(get.Encode()), &batch)
                   .IsInvalidArgument());
-  EXPECT_TRUE(GetPageRequest::Decode(Slice(range.Encode()), &get, &v)
+  EXPECT_TRUE(GetPageRequest::Decode(Slice(batch.Encode()), &get)
                   .IsInvalidArgument());
 }
 
-TEST(RbioCodecTest, VersionNegotiation) {
+TEST(RbioCodecTest, ForeignVersionRejected) {
+  // One wire format: a frame stamped with any other protocol version is
+  // not a frame of this build, in either direction.
   GetPageRequest req;
   req.page_id = 1;
-  // An ancient version is rejected...
-  std::string old = req.Encode(/*version=*/0);
+  const std::string wire = req.Encode();
   GetPageRequest out;
-  uint16_t v;
-  EXPECT_TRUE(
-      GetPageRequest::Decode(Slice(old), &out, &v).IsNotSupported());
-  // ...a still-supported older version is accepted (auto-versioning).
-  std::string v1 = req.Encode(kMinSupportedVersion);
-  EXPECT_TRUE(GetPageRequest::Decode(Slice(v1), &out, &v).ok());
-  EXPECT_EQ(v, kMinSupportedVersion);
-  // ...a future version is rejected.
-  std::string future = req.Encode(kProtocolVersion + 1);
-  EXPECT_TRUE(
-      GetPageRequest::Decode(Slice(future), &out, &v).IsNotSupported());
+  for (uint16_t v : {uint16_t{0}, uint16_t{kProtocolVersion - 1},
+                     uint16_t{kProtocolVersion + 1}}) {
+    std::string foreign = wire;
+    foreign[0] = static_cast<char>(v & 0xff);
+    foreign[1] = static_cast<char>(v >> 8);
+    EXPECT_TRUE(GetPageRequest::Decode(Slice(foreign), &out).IsCorruption())
+        << v;
+  }
+  std::string resp = EncodeSinglePageResponse(Status::OK(), nullptr);
+  resp[0] ^= 0x01;
+  Status prefix;
+  EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(resp), &prefix).IsCorruption());
 }
 
 TEST(RbioCodecTest, ResponseRoundTripWithPages) {
-  PageResponse resp;
-  resp.status = Status::OK();
-  for (PageId id : {5u, 9u}) {
-    storage::Page p;
-    p.Format(id, storage::PageType::kBTreeLeaf);
-    p.UpdateChecksum();
-    resp.pages.push_back(std::move(p));
-  }
-  PageResponse out;
-  ASSERT_TRUE(PageResponse::Decode(Slice(resp.Encode()), &out).ok());
-  EXPECT_TRUE(out.status.ok());
-  ASSERT_EQ(out.pages.size(), 2u);
-  EXPECT_EQ(out.pages[0].page_id(), 5u);
-  EXPECT_EQ(out.pages[1].page_id(), 9u);
-  EXPECT_TRUE(out.pages[1].VerifyChecksum().ok());
+  storage::Page p;
+  p.Format(9, storage::PageType::kBTreeLeaf);
+  p.UpdateChecksum();
+  auto frame =
+      std::make_shared<const std::string>(EncodeSinglePageResponse(
+          Status::OK(), &p));
+  Status status;
+  storage::Page out;
+  ASSERT_TRUE(DecodeSinglePageResponse(frame, &status, &out).ok());
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(out.page_id(), 9u);
+  EXPECT_TRUE(out.VerifyChecksum().ok());
 }
 
 TEST(RbioCodecTest, ErrorStatusSurvivesWire) {
-  PageResponse resp;
-  resp.status = Status::NotFound("no such page");
-  PageResponse out;
-  ASSERT_TRUE(PageResponse::Decode(Slice(resp.Encode()), &out).ok());
-  EXPECT_TRUE(out.status.IsNotFound());
-  EXPECT_EQ(out.status.message(), "no such page");
+  auto frame = std::make_shared<const std::string>(
+      EncodeSinglePageResponse(Status::NotFound("no such page"), nullptr));
+  Status status;
+  storage::Page out;
+  ASSERT_TRUE(DecodeSinglePageResponse(frame, &status, &out).ok());
+  EXPECT_TRUE(status.IsNotFound());
+  EXPECT_EQ(status.message(), "no such page");
 }
 
 TEST(RbioCodecTest, TruncatedFramesRejected) {
@@ -120,10 +102,8 @@ TEST(RbioCodecTest, TruncatedFramesRejected) {
   req.page_id = 7;
   std::string wire = req.Encode();
   GetPageRequest out;
-  uint16_t v;
   for (size_t cut : {size_t{1}, size_t{3}, wire.size() - 1}) {
-    EXPECT_FALSE(
-        GetPageRequest::Decode(Slice(wire.data(), cut), &out, &v).ok());
+    EXPECT_FALSE(GetPageRequest::Decode(Slice(wire.data(), cut), &out).ok());
   }
 }
 
@@ -134,9 +114,7 @@ TEST(RbioCodecTest, BatchRequestRoundTrip) {
   req.entries.push_back({33, 999999});
   std::string wire = req.Encode();
   GetPageBatchRequest out;
-  uint16_t v = 0;
-  ASSERT_TRUE(GetPageBatchRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kProtocolVersion);
+  ASSERT_TRUE(GetPageBatchRequest::Decode(Slice(wire), &out).ok());
   ASSERT_EQ(out.entries.size(), 3u);
   EXPECT_EQ(out.entries[0].page_id, 11u);
   EXPECT_EQ(out.entries[0].min_lsn, 100u);
@@ -144,24 +122,8 @@ TEST(RbioCodecTest, BatchRequestRoundTrip) {
   // Truncations anywhere are rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
-        GetPageBatchRequest::Decode(Slice(wire.data(), cut), &out, &v)
-            .ok());
+        GetPageBatchRequest::Decode(Slice(wire.data(), cut), &out).ok());
   }
-}
-
-TEST(RbioCodecTest, BatchRequestVersionGate) {
-  GetPageBatchRequest req;
-  req.entries.push_back({1, 1});
-  GetPageBatchRequest out;
-  uint16_t v;
-  // A server capped below v3 (not yet upgraded) rejects batch frames.
-  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(req.Encode()), &out, &v,
-                                          /*max_version=*/2)
-                  .IsNotSupported());
-  // A batch frame mislabeled with a pre-batch version is also rejected.
-  EXPECT_TRUE(GetPageBatchRequest::Decode(
-                  Slice(req.Encode(/*version=*/2)), &out, &v)
-                  .IsNotSupported());
 }
 
 TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
@@ -187,19 +149,6 @@ TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
   EXPECT_EQ(out.entries[1].status.message(), "no such page");
 }
 
-TEST(RbioCodecTest, V2NotSupportedReplyDecodesAsBatchFallbackSignal) {
-  // The negotiation fallback hinges on this: a pre-v3 server answers an
-  // unknown frame with PageResponse{NotSupported, 0 pages}, whose wire
-  // prefix is identical to an empty batch response.
-  PageResponse v2_reject;
-  v2_reject.status = Status::NotSupported("rbio: unsupported request");
-  GetPageBatchResponse out;
-  ASSERT_TRUE(
-      GetPageBatchResponse::Decode(Slice(v2_reject.Encode()), &out).ok());
-  EXPECT_TRUE(out.status.IsNotSupported());
-  EXPECT_TRUE(out.entries.empty());
-}
-
 TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   ScanRangeRequest req;
   req.start_page = 17;
@@ -214,9 +163,7 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   req.aggregate = common::ScanAggregate::Sum(8);
   std::string wire = req.Encode();
   ScanRangeRequest out;
-  uint16_t v = 0;
-  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kProtocolVersion);
+  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out).ok());
   EXPECT_EQ(out.start_page, 17u);
   EXPECT_EQ(out.start_key, 1000u);
   EXPECT_EQ(out.end_key, 5000u);
@@ -232,25 +179,12 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   EXPECT_EQ(out.projection.extents[0].len, 12u);
   EXPECT_EQ(out.aggregate.fn, common::AggFn::kSum);
   EXPECT_EQ(out.aggregate.field_offset, 8u);
+  EXPECT_TRUE(out.extra_aggregates.empty());
   // Truncations anywhere are rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
-        ScanRangeRequest::Decode(Slice(wire.data(), cut), &out, &v).ok());
+        ScanRangeRequest::Decode(Slice(wire.data(), cut), &out).ok());
   }
-}
-
-TEST(RbioCodecTest, ScanRangeVersionGate) {
-  ScanRangeRequest req;
-  ScanRangeRequest out;
-  uint16_t v;
-  // A server capped at v3 (not yet upgraded) rejects scan frames.
-  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode()), &out, &v,
-                                       /*max_version=*/3)
-                  .IsNotSupported());
-  // A scan frame mislabeled with a pre-v4 version is also rejected.
-  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode(/*version=*/3)),
-                                       &out, &v)
-                  .IsNotSupported());
 }
 
 TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
@@ -296,20 +230,7 @@ TEST(RbioCodecTest, ScanRangeResponseAggRoundTrip) {
   EXPECT_TRUE(out.aggregated);
   EXPECT_EQ(out.agg.rows, 42u);
   EXPECT_EQ(out.agg.value, 123456789u);
-  EXPECT_TRUE(out.tuples.empty());
-}
-
-TEST(RbioCodecTest, V3NotSupportedReplyDecodesAsScanFallbackSignal) {
-  // Same negotiation trick as batch-vs-v2: a pre-v4 server answers a
-  // kScanRange frame with PageResponse{NotSupported}, whose wire prefix
-  // ScanRangeResponse::Decode reads as an error status and returns OK
-  // with that status — the client's cue to fall back and memoize.
-  PageResponse v3_reject;
-  v3_reject.status = Status::NotSupported("rbio: unsupported request");
-  auto frame = std::make_shared<const std::string>(v3_reject.Encode());
-  ScanRangeResponse out;
-  ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
-  EXPECT_TRUE(out.status.IsNotSupported());
+  EXPECT_TRUE(out.extra_aggs.empty());
   EXPECT_TRUE(out.tuples.empty());
 }
 
@@ -322,50 +243,20 @@ TEST(RbioCodecTest, ScanRangeRequestV5RoundTrip) {
   req.aggregate = common::ScanAggregate::Count();
   req.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
   req.extra_aggregates.push_back(common::ScanAggregate::Max(8));
-  EXPECT_TRUE(req.NeedsV5());
-  EXPECT_EQ(req.MinFrameVersion(), kScanExprV5MinVersion);
-  std::string wire = req.Encode(req.MinFrameVersion());
+  std::string wire = req.Encode();
   ScanRangeRequest out;
-  uint16_t v = 0;
-  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kScanExprV5MinVersion);
+  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out).ok());
   EXPECT_EQ(out.predicate.op, common::PredOp::kKeyRange);
   ASSERT_EQ(out.predicate.conjuncts.size(), 1u);
   EXPECT_EQ(out.predicate.conjuncts[0].a, 7u);
   ASSERT_EQ(out.extra_aggregates.size(), 2u);
   EXPECT_EQ(out.extra_aggregates[0].fn, common::AggFn::kSum);
   EXPECT_EQ(out.extra_aggregates[1].fn, common::AggFn::kMax);
-  // A server capped at v4 rejects the v5 frame — negotiation signal.
-  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v,
-                                       /*max_version=*/4)
-                  .IsNotSupported());
   // Truncations rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
-        ScanRangeRequest::Decode(Slice(wire.data(), cut), &out, &v).ok());
+        ScanRangeRequest::Decode(Slice(wire.data(), cut), &out).ok());
   }
-}
-
-TEST(RbioCodecTest, V4ExpressibleSpecFramesByteIdenticalV4) {
-  // A spec using no v5 vocabulary must hit the wire exactly as the v4
-  // codec framed it, whatever the client's own protocol version — the
-  // backward-compat contract for mixed fleets.
-  ScanRangeRequest req;
-  req.start_key = 10;
-  req.end_key = 500;
-  req.predicate = common::ScanPredicate::KeyModEq(16, 1);
-  req.projection.extents.push_back({0, 8});
-  EXPECT_FALSE(req.NeedsV5());
-  EXPECT_EQ(req.MinFrameVersion(), kScanRangeMinVersion);
-  EXPECT_EQ(req.Encode(req.MinFrameVersion()),
-            req.Encode(/*version=*/kScanRangeMinVersion));
-  ScanRangeRequest out;
-  uint16_t v = 0;
-  ASSERT_TRUE(ScanRangeRequest::Decode(
-                  Slice(req.Encode(req.MinFrameVersion())), &out, &v)
-                  .ok());
-  EXPECT_EQ(v, kScanRangeMinVersion);
-  EXPECT_TRUE(out.extra_aggregates.empty());
 }
 
 TEST(RbioCodecTest, ScanRangeResponseExtraAggsRoundTrip) {
@@ -395,24 +286,23 @@ TEST(RbioCodecTest, ScanRangeResponseExtraAggsRoundTrip) {
 
 TEST(RbioCodecTest, OverloadedStatusSurvivesWire) {
   // kOverloaded is the scan-admission shed signal; it must round-trip so
-  // the client planner can distinguish it from NotSupported (permanent)
-  // and Unavailable (retried by transport).
+  // the client planner can distinguish it from Unavailable (retried by
+  // transport).
   ScanRangeResponse resp;
   resp.status = Status::Overloaded("ps: scan admission shed");
   auto frame = std::make_shared<const std::string>(resp.Encode());
   ScanRangeResponse out;
   ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
   EXPECT_TRUE(out.status.IsOverloaded());
-  EXPECT_FALSE(out.status.IsNotSupported());
+  EXPECT_FALSE(out.status.IsUnavailable());
 }
 
 // ------------------------------------------------------------ mock server
 
 class MockServer : public RbioServer {
  public:
-  MockServer(Simulator& sim, SimTime service_us,
-             uint16_t max_version = kProtocolVersion)
-      : sim_(sim), service_us_(service_us), max_version_(max_version) {}
+  MockServer(Simulator& sim, SimTime service_us)
+      : sim_(sim), service_us_(service_us) {}
 
   static storage::Page MakePage(PageId id, Lsn lsn) {
     storage::Page p;
@@ -432,10 +322,7 @@ class MockServer : public RbioServer {
     }
     GetPageRequest req;
     GetPageBatchRequest batch;
-    uint16_t version;
-    if (GetPageBatchRequest::Decode(Slice(frame), &batch, &version,
-                                    max_version_)
-            .ok()) {
+    if (GetPageBatchRequest::Decode(Slice(frame), &batch).ok()) {
       batch_frames_++;
       GetPageBatchResponse bresp;
       bresp.status = Status::OK();
@@ -447,17 +334,13 @@ class MockServer : public RbioServer {
       }
       co_return bresp.Encode();
     }
-    PageResponse resp;
-    if (GetPageRequest::Decode(Slice(frame), &req, &version, max_version_)
-            .ok()) {
+    if (GetPageRequest::Decode(Slice(frame), &req).ok()) {
       single_frames_++;
-      resp.status = Status::OK();
-      resp.pages.push_back(MakePage(req.page_id, req.min_lsn + 1));
-    } else {
-      // What a real pre-v3 server does with a frame it cannot decode.
-      resp.status = Status::NotSupported("mock: unknown request");
+      storage::Page page = MakePage(req.page_id, req.min_lsn + 1);
+      co_return EncodeSinglePageResponse(Status::OK(), &page);
     }
-    co_return resp.Encode();
+    co_return EncodeSinglePageResponse(
+        Status::NotSupported("mock: unknown request"), nullptr);
   }
 
   int handled_ = 0;
@@ -469,7 +352,6 @@ class MockServer : public RbioServer {
  private:
   Simulator& sim_;
   SimTime service_us_;
-  uint16_t max_version_;
 };
 
 // Issue `n` concurrent GetPage calls for distinct pages and wait for all.
@@ -629,7 +511,7 @@ TEST(RbioBatchTest, SamePageConcurrentMissesDeduped) {
 
 TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
   // A single miss must behave exactly like the unbatched client: same
-  // frame on the wire (a per-page v2 single), same completion time.
+  // frame on the wire (a per-page single), same completion time.
   auto run_one = [](uint32_t max_batch, SimTime* finished,
                     std::string* frame) {
     Simulator s;
@@ -660,137 +542,7 @@ TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
   GetPageRequest expect;
   expect.page_id = 9;
   expect.min_lsn = 10;
-  EXPECT_EQ(unbatched_frame, expect.Encode(kGetPageFrameVersion));
-}
-
-// ---------------------------------------------------------- mixed version
-
-TEST(RbioMixedVersionTest, V3ClientFallsBackOnV2Server) {
-  Simulator s;
-  // A server still on protocol v2: batch frames are NotSupported.
-  MockServer server(s, 100, /*max_version=*/2);
-  RbioClient client(s, nullptr, {});
-  std::vector<Endpoint> eps{{&server, "m"}};
-  int ok = 0;
-  RunSim(s, [&]() -> Task<> {
-    co_await ConcurrentGets(s, client, eps, 100, 6, &ok);
-  });
-  EXPECT_EQ(ok, 6);  // negotiation is invisible to callers
-  EXPECT_EQ(server.batch_frames_, 0);
-  EXPECT_EQ(server.single_frames_, 6);
-  EXPECT_EQ(client.batch_fallbacks(), 6u);
-  EXPECT_EQ(client.batches_sent(), 1u);  // the one rejected probe
-
-  // The rejection is memoized: the next burst goes straight to singles.
-  int ok2 = 0;
-  RunSim(s, [&]() -> Task<> {
-    co_await ConcurrentGets(s, client, eps, 200, 6, &ok2);
-  });
-  EXPECT_EQ(ok2, 6);
-  EXPECT_EQ(client.batches_sent(), 1u);  // unchanged
-  EXPECT_EQ(server.single_frames_, 12);
-}
-
-TEST(RbioMixedVersionTest, V2ClientWorksAgainstV3Server) {
-  Simulator s;
-  MockServer server(s, 100);  // fully v3-capable
-  RbioClientOptions opts;
-  opts.protocol_version = 2;  // an old client
-  RbioClient client(s, nullptr, opts);
-  std::vector<Endpoint> eps{{&server, "m"}};
-  int ok = 0;
-  RunSim(s, [&]() -> Task<> {
-    co_await ConcurrentGets(s, client, eps, 100, 6, &ok);
-  });
-  EXPECT_EQ(ok, 6);
-  // A v2 client never emits batch frames, and the v3 server still
-  // understands its v2 singles (kMinSupportedVersion <= 2).
-  EXPECT_EQ(server.batch_frames_, 0);
-  EXPECT_EQ(server.single_frames_, 6);
-  EXPECT_EQ(client.batches_sent(), 0u);
-  EXPECT_EQ(client.singles_sent(), 6u);
-}
-
-TEST(RbioMixedVersionTest, V4ScanFallsBackOnV3ServerAndMemoizes) {
-  Simulator s;
-  // A server still on protocol v3: kScanRange frames are NotSupported
-  // (the MockServer answers undecodable frames exactly like a real
-  // pre-v4 server: PageResponse{NotSupported}).
-  MockServer server(s, 100, /*max_version=*/3);
-  RbioClient client(s, nullptr, {});
-  std::vector<Endpoint> eps{{&server, "m"}};
-  ScanRangeRequest req;
-  req.start_page = 2;
-  RunSim(s, [&]() -> Task<> {
-    auto r = co_await client.ScanRange(eps, req);
-    // The client surfaces the rejection as a NotSupported error: the
-    // caller's signal to degrade to the page-based plan.
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsNotSupported());
-  });
-  EXPECT_EQ(server.handled_, 1);
-  EXPECT_EQ(client.scans_sent(), 1u);
-  EXPECT_EQ(client.scan_fallbacks(), 1u);
-
-  // The rejection is memoized: the next scan for the same endpoint set
-  // short-circuits client-side, no wire traffic at all.
-  RunSim(s, [&]() -> Task<> {
-    auto r = co_await client.ScanRange(eps, req);
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsNotSupported());
-  });
-  EXPECT_EQ(server.handled_, 1);  // unchanged
-  EXPECT_EQ(client.scans_sent(), 1u);
-  EXPECT_EQ(client.scan_fallbacks(), 2u);
-}
-
-TEST(RbioMixedVersionTest, V3ClientNeverEmitsScanFrames) {
-  Simulator s;
-  MockServer server(s, 100);  // fully v4-capable
-  RbioClientOptions opts;
-  opts.protocol_version = 3;  // an old client
-  RbioClient client(s, nullptr, opts);
-  std::vector<Endpoint> eps{{&server, "m"}};
-  RunSim(s, [&]() -> Task<> {
-    auto r = co_await client.ScanRange(eps, ScanRangeRequest{});
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsNotSupported());
-    // ...and its GetPage traffic is untouched by the v4 upgrade.
-    auto p = co_await client.GetPage(eps, 5, 0);
-    EXPECT_TRUE(p.ok());
-  });
-  // The scan short-circuited client-side: zero scan frames on the wire.
-  EXPECT_EQ(client.scans_sent(), 0u);
-  EXPECT_EQ(client.scan_fallbacks(), 1u);
-  EXPECT_EQ(server.single_frames_, 1);
-}
-
-TEST(RbioMixedVersionTest, V4ClientPagePathBytesUnchanged) {
-  // The v3-fallback acceptance bar: a v4 client's page-based wire frames
-  // must be byte-identical to a pre-v4 client's. Single GetPage frames
-  // are pinned at kGetPageFrameVersion and responses at
-  // kPageResponseVersion, so the upgrade is invisible on the page path.
-  GetPageRequest req;
-  req.page_id = 31;
-  req.min_lsn = 64;
-  // The client stamps min(protocol_version, kGetPageFrameVersion) on
-  // every single-page frame; that pin must resolve below v4.
-  std::string wire_req = req.Encode(
-      std::min<uint16_t>(kProtocolVersion, kGetPageFrameVersion));
-  EXPECT_EQ(wire_req, req.Encode(kGetPageFrameVersion));
-  uint16_t req_version =
-      static_cast<uint16_t>(static_cast<unsigned char>(wire_req[0])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(wire_req[1])) << 8;
-  EXPECT_EQ(req_version, kGetPageFrameVersion);
-  static_assert(kGetPageFrameVersion < kScanRangeMinVersion);
-  static_assert(kPageResponseVersion < kScanRangeMinVersion);
-  PageResponse resp;
-  resp.status = Status::OK();
-  std::string wire = resp.Encode();
-  uint16_t wire_version =
-      static_cast<uint16_t>(static_cast<unsigned char>(wire[0])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(wire[1])) << 8;
-  EXPECT_EQ(wire_version, kPageResponseVersion);
+  EXPECT_EQ(unbatched_frame, expect.Encode());
 }
 
 // --------------------------------------------- end-to-end via Page Server
@@ -828,12 +580,20 @@ TEST(RbioEndToEndTest, PageServerServesTypedRequests) {
     // Typed GetPage.
     auto page = co_await client.GetPage(eps, engine::kRootPageId, 0);
     EXPECT_TRUE(page.ok());
-    // Typed GetPageRange: a scan-style multi-page read.
-    auto range = co_await client.GetPageRange(eps, 1, 16, 0);
-    EXPECT_TRUE(range.ok());
-    EXPECT_GT(range->size(), 4u);
-    for (auto& p : *range) {
-      EXPECT_TRUE(p.VerifyChecksum().ok());
+    // The retired kGetPageRange type is answered with a typed rejection,
+    // not served.
+    std::string range;
+    PutFixed16(&range, kProtocolVersion);
+    range.push_back(static_cast<char>(MessageType::kGetPageRange));
+    PutFixed64(&range, 1);
+    PutFixed32(&range, 16);
+    PutFixed64(&range, 0);
+    auto raw = co_await d.page_server(0)->HandleRbio(range);
+    EXPECT_TRUE(raw.ok());
+    if (raw.ok()) {
+      Status prefix;
+      EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(*raw), &prefix).ok());
+      EXPECT_TRUE(prefix.IsNotSupported()) << prefix.ToString();
     }
   });
   d.Stop();
@@ -854,30 +614,8 @@ TEST(RbioEndToEndTest, BatchedGetsAgainstRealPageServer) {
   });
   EXPECT_EQ(ok, 8);
   EXPECT_GE(client.batches_sent(), 1u);
-  EXPECT_EQ(client.batch_fallbacks(), 0u);
   EXPECT_EQ(d.page_server(0)->batch_requests(), client.batches_sent());
   EXPECT_EQ(d.page_server(0)->batch_subrequests(), client.batched_pages());
-  d.Stop();
-}
-
-TEST(RbioEndToEndTest, V3ClientDegradesAgainstV2PageServer) {
-  Simulator s;
-  service::DeploymentOptions o = SmallDeployment();
-  o.page_server.rbio_max_version = 2;  // a not-yet-upgraded server
-  service::Deployment d(s, o);
-  RbioClient client(s, nullptr, RbioClientOptions{});
-  int ok = 0;
-  RunSim(s, [&]() -> Task<> {
-    EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 2000);
-    co_await d.page_server(0)->applied_lsn().WaitFor(
-        d.log_client().end_lsn());
-    std::vector<Endpoint> eps{{d.page_server(0), "ps0"}};
-    co_await ConcurrentGets(s, client, eps, engine::kRootPageId, 8, &ok);
-  });
-  EXPECT_EQ(ok, 8);  // served correctly despite the version mismatch
-  EXPECT_EQ(d.page_server(0)->batch_requests(), 0u);
-  EXPECT_EQ(client.batch_fallbacks(), 8u);
   d.Stop();
 }
 
@@ -908,46 +646,6 @@ TEST(RbioEndToEndTest, ComputeSurvivesTransientPageServerFailures) {
   });
   EXPECT_GT(d.primary()->rbio_client().retries(), 0u);
   d.Stop();
-}
-
-TEST(RbioEndToEndTest, ReadaheadCutsRoundTrips) {
-  auto fetches_with_readahead = [](uint32_t readahead) {
-    Simulator s;
-    service::DeploymentOptions o = SmallDeployment();
-    o.compute.mem_pages = 8;
-    o.compute.ssd_pages = 0;  // no RBPEX: rely on remote fetches
-    o.compute.readahead_pages = readahead;
-    // Isolate the GetPageRange effect: B+-tree scan readahead would cut
-    // the readahead=0 baseline's round trips on its own.
-    o.compute.scan_readahead = 0;
-    service::Deployment d(s, o);
-    uint64_t requests = 0;
-    bool done = false;
-    Spawn(s, Wrap([](service::Deployment* dp, uint64_t* reqs) -> Task<> {
-            EXPECT_TRUE((co_await dp->Start()).ok());
-            co_await Load(dp->primary_engine(), 3000);
-            engine::Engine* e = dp->primary_engine();
-            // Scan the whole table with a cold cache.
-            auto txn = e->Begin(true);
-            auto rows =
-                co_await e->Scan(txn.get(), engine::MakeKey(1, 0), 3000);
-            EXPECT_TRUE(rows.ok());
-            if (rows.ok()) {
-              EXPECT_EQ(rows->size(), 3000u);
-            }
-            (void)co_await e->Commit(txn.get());
-            *reqs = dp->primary()->rbio_client().requests_sent();
-          }(&d, &requests),
-          &done));
-    while (!done && s.Step()) {
-    }
-    d.Stop();
-    return requests;
-  };
-  uint64_t without = fetches_with_readahead(0);
-  uint64_t with = fetches_with_readahead(8);
-  // One GetPageRange replaces several GetPage round trips.
-  EXPECT_LT(with, without / 2);
 }
 
 }  // namespace
