@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark, real CPU time) for the hot
 // building blocks: CRC32-C, page checksum, slotted-page operations,
-// version-chain codec, log-record codec + redo, Zipf generation, and the
-// simulator substrate itself (event core, coroutine wakes, channel
-// hand-offs, the end-to-end simulated GetPage path).
+// version-chain codec, log-record codec + redo, log-block frame codec,
+// Zipf generation, and the simulator substrate itself (event core,
+// coroutine wakes, channel hand-offs, the end-to-end simulated GetPage
+// path).
 //
 // A counting allocator (global operator new/delete overrides, this
 // binary only) reports heap allocations per operation for the substrate
@@ -29,6 +30,7 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "storage/page.h"
+#include "xlog/log_block.h"
 
 // ----------------------------------------------------------------------
 // Counting allocator: every heap allocation in this binary bumps a
@@ -159,6 +161,25 @@ void BM_LogRecordCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogRecordCodec)->Arg(64)->Arg(512);
+
+// One log block over the XLOG wire: the Primary's EncodeBlockFrame plus
+// the receiver's DecodeBlockFrame (header, partition list, body copy and
+// the frame CRC on both sides). Bytes/s counts the raw payload.
+void BM_LogFrameCodec(benchmark::State& state) {
+  Random rng(7);
+  std::string payload(state.range(0), '\0');
+  for (char& c : payload) c = static_cast<char>(rng.Next());
+  xlog::LogBlock block =
+      xlog::LogBlock::Make(4096, std::move(payload), {0, 1, 3});
+  for (auto _ : state) {
+    std::string frame = xlog::EncodeBlockFrame(block, nullptr);
+    xlog::LogBlock decoded;
+    benchmark::DoNotOptimize(xlog::DecodeBlockFrame(Slice(frame), &decoded));
+    benchmark::DoNotOptimize(decoded.payload().data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LogFrameCodec)->Arg(4096)->Arg(65536);
 
 void BM_RedoApply(benchmark::State& state) {
   engine::LogRecord rec;

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -27,10 +28,13 @@ namespace bench {
 // Machine-readable results: every Line() goes to stdout, and — when the
 // bench was invoked with `--json` — is also appended to
 // BENCH_<name>.json (one JSON object per line), so the perf trajectory
-// can be tracked across PRs.
+// can be tracked across PRs. Each object gets a trailing "wall_ms": the
+// real milliseconds since this JsonOut was built, so real time sits
+// beside the simulated results it took to produce them.
 class JsonOut {
  public:
-  JsonOut(const std::string& name, int argc, char** argv) {
+  JsonOut(const std::string& name, int argc, char** argv)
+      : start_(std::chrono::steady_clock::now()) {
     for (int i = 1; i < argc; i++) {
       if (std::strcmp(argv[i], "--json") == 0) {
         path_ = "BENCH_" + name + ".json";
@@ -58,11 +62,32 @@ class JsonOut {
     va_start(ap, fmt);
     vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
-    printf("%s\n", buf);
-    if (file_ != nullptr) fprintf(file_, "%s\n", buf);
+    std::string line = buf;
+    StampWallMs(&line);
+    printf("%s\n", line.c_str());
+    if (file_ != nullptr) fprintf(file_, "%s\n", line.c_str());
   }
 
  private:
+  // Appends "wall_ms" as the last key of a JSON object. Rows that
+  // already carry one (bench_fleet and bench_pushdown_interference
+  // report a simulated span under that name) and text that is not an
+  // object are left as they are.
+  void StampWallMs(std::string* line) const {
+    if (line->size() < 2 || line->back() != '}' ||
+        line->find("\"wall_ms\":") != std::string::npos) {
+      return;
+    }
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count();
+    char stamp[64];
+    snprintf(stamp, sizeof(stamp), "%s\"wall_ms\":%.1f",
+             (*line)[line->size() - 2] == '{' ? "" : ",", ms);
+    line->insert(line->size() - 1, stamp);
+  }
+
+  std::chrono::steady_clock::time_point start_;
   std::string path_;
   FILE* file_ = nullptr;
 };

@@ -162,11 +162,62 @@ TEST(CodingTest, LengthPrefixedTruncated) {
 // ----------------------------------------------------------------- CRC32C
 
 TEST(Crc32cTest, KnownVectors) {
-  // Standard CRC-32C test vector: "123456789" -> 0xE3069283.
-  EXPECT_EQ(crc32c::Value("123456789", 9), 0xE3069283u);
-  // 32 zero bytes -> 0x8A9136AA.
   char zeros[32] = {0};
-  EXPECT_EQ(crc32c::Value(zeros, 32), 0x8A9136AAu);
+  char ones[32], up[32], down[32];
+  for (int i = 0; i < 32; i++) {
+    ones[i] = static_cast<char>(0xFF);
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  // The standard check value, then RFC 3720 (iSCSI) appendix B.4;
+  // each on the dispatched path and on the table reference.
+  const struct {
+    const char* data;
+    size_t n;
+    uint32_t crc;
+  } kVectors[] = {{"123456789", 9, 0xE3069283u},
+                  {zeros, 32, 0x8A9136AAu},
+                  {ones, 32, 0x62A8AB43u},
+                  {up, 32, 0x46DD794Eu},
+                  {down, 32, 0x113FDB5Cu}};
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(crc32c::Value(v.data, v.n), v.crc);
+    EXPECT_EQ(crc32c::ExtendPortable(0, v.data, v.n), v.crc);
+  }
+}
+
+TEST(Crc32cTest, DispatchUsesHardwareWhenCpuHasIt) {
+  // Otherwise the equivalence test below compares the table with itself.
+#if defined(__x86_64__)
+  EXPECT_EQ(crc32c::HardwareAccelerated(),
+            __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(crc32c::HardwareAccelerated());
+#endif
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortable) {
+  Random rng(13);
+  std::string buf(9000 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  // Every length to 512, then a stride coprime with 8 so the 8-byte
+  // chain meets every tail length; misaligned starts, random seeds.
+  for (size_t len = 0; len <= 9000; len += (len < 512 ? 1 : 7)) {
+    size_t off = rng.Uniform(16);
+    uint32_t init = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(crc32c::Extend(init, buf.data() + off, len),
+              crc32c::ExtendPortable(init, buf.data() + off, len))
+        << "len " << len << " off " << off << " init " << init;
+  }
+  // Chaining: a split at any cut point gives the one-shot value.
+  const char* p = buf.data() + 3;
+  for (size_t cut = 0; cut <= 64; cut++) {
+    uint32_t init = static_cast<uint32_t>(rng.Next());
+    uint32_t whole = crc32c::ExtendPortable(init, p, 64);
+    uint32_t head = crc32c::Extend(init, p, cut);
+    EXPECT_EQ(crc32c::Extend(head, p + cut, 64 - cut), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(Crc32cTest, ExtendEquivalence) {
