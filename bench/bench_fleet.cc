@@ -3,19 +3,19 @@
 //
 // The paper's cost argument is pooling: many databases share Page
 // Server, XLOG and XStore capacity. That only works if (a) a noisy
-// tenant cannot inflate its neighbors' point-read tails — per-tenant
-// QoS at the gateway plus host-aware scan admission at the servers —
-// and (b) the fleet can rebalance placement online, moving a partition
-// between hosts without a visible outage (§4.3's reseed path does the
-// data movement; the directory epoch fences the route swap).
+// tenant cannot inflate its neighbors' point-read tails — the gateway's
+// cross-tenant scan hold-off plus host-aware scan admission at the
+// servers — and (b) the fleet can rebalance placement online, moving a
+// partition between hosts without a visible outage (§4.3's reseed path
+// does the data movement; the directory epoch fences the route swap).
 //
 // Phases:
 //   reseed     crash + recover one Page Server: the PR 5 reseed MTTR,
 //              the yardstick the migration stall is gated against;
 //   solo       one tenant alone on the host — the point-read p99 floor;
 //   qos_on     a second tenant runs bulk scans against the same host,
-//              gateway QoS + host-aware admission on. Victim p99 must
-//              hold within 1.3x solo;
+//              gateway hold-off + host-aware admission on. Victim p99
+//              must hold within 1.3x solo;
 //   qos_off    the counterfactual: same scans, all QoS off — shows what
 //              the neighbor would otherwise do to the victim's tail;
 //   migration  continuous reads while the partition live-migrates to
@@ -102,7 +102,7 @@ sim::Task<> Scanner(sim::Simulator* sim, engine::Engine* e,
 // lands on ONE shared host with ONE serving core, so a neighbor's scan
 // CPU directly contends with the victim's GetPage serving — the fleet
 // analog of bench_pushdown_interference, with the QoS machinery
-// (gateway token buckets + host-aware admission) as the `qos` toggle.
+// (gateway scan hold-off + host-aware admission) as the `qos` toggle.
 fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   fleet::FleetOptions o;
   o.tenants = tenants;
@@ -115,8 +115,7 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.compute.ssd_pages = 96;
   o.tenant.compute.warmup_after_recovery = false;
   o.tenant.compute.rbpex_recoverable = false;
-  o.tenant.compute.pushdown_max_selectivity = 1.0;
-  o.tenant.compute.pushdown_cost_planning = false;
+  o.tenant.compute.pushdown_plan = compute::PushdownPlan::kPush;
   o.tenant.compute.rbio_wire_mb_per_s = 2000;
   // No readahead: every victim miss is a single kGetPage frame — the
   // depth/latency signals the admission gate watches, undiluted.
@@ -130,13 +129,9 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.page_server.scan_admission_p99_us = 20;
   o.tenant.page_server.scan_admission_tokens_per_s = 10;
   o.tenant.page_server.scan_admission_use_host_load = qos;
-  o.gateway.qos_enabled = qos;
-  // Points are paced generously (never the bottleneck, never shed);
-  // isolation comes from scan pricing + the per-(tenant, host) backoff.
-  o.gateway.tenant_tokens_per_s = 100000;
-  o.gateway.tenant_burst = 128;
-  o.gateway.scan_cost = 16.0;
-  o.gateway.max_scan_wait_us = 10 * 1000;
+  // Isolation comes from the gateway's cross-tenant scan hold-off; the
+  // 16-subset ablation in EXPERIMENTS.md shows it is the gate that acts.
+  if (!qos) o.gateway.scan_hold_off_us = 0;
   return o;
 }
 
@@ -145,8 +140,8 @@ struct PhaseResult {
   double getpage_p99_us = 0;  // victim server-side GetPage service p99
   uint64_t failures = 0;
   uint64_t scans_forwarded = 0;
-  uint64_t scans_shed = 0;  // gateway quota/backoff/hold-off sheds, abuser
-  double wall_ms = 0;
+  uint64_t scans_shed = 0;  // gateway hold-off sheds, abuser
+  double sim_ms = 0;        // simulated span of the reader phase
 };
 
 PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
@@ -185,7 +180,7 @@ PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
       }
     }
     co_await readers_wg.Wait();
-    r.wall_ms = static_cast<double>(sim.now() - t0) / 1e3;
+    r.sim_ms = static_cast<double>(sim.now() - t0) / 1e3;
     stop = true;
     if (scans && tenants > 1) co_await scanners_wg.Wait();
 
@@ -198,8 +193,7 @@ PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
     if (tenants > 1) {
       const fleet::TenantQos& abuser = f.gateway().qos(1);
       r.scans_forwarded = abuser.scans_forwarded;
-      r.scans_shed = abuser.scans_shed_quota + abuser.scans_shed_backoff +
-                     abuser.scans_shed_holdoff;
+      r.scans_shed = abuser.scans_shed_holdoff;
     }
   });
   f.Stop();
@@ -281,7 +275,7 @@ struct SweepResult {
   double agg_reads_per_s = 0;
   uint64_t failures = 0;
   uint64_t gw_frames = 0;
-  double wall_ms = 0;
+  double sim_ms = 0;  // simulated span of the read phase
 };
 
 // Fleet density: N tenants over a fixed 4-host pool, every tenant
@@ -320,12 +314,12 @@ SweepResult MeasureSweep(const Params& p, int tenants) {
                                   &r.failures, &wg));
     }
     co_await wg.Wait();
-    r.wall_ms = static_cast<double>(sim.now() - t0) / 1e3;
+    r.sim_ms = static_cast<double>(sim.now() - t0) / 1e3;
     r.point_p99_us = lat.Percentile(99.0);
     r.agg_reads_per_s =
-        r.wall_ms > 0 ? static_cast<double>(f.num_tenants()) *
+        r.sim_ms > 0 ? static_cast<double>(f.num_tenants()) *
                             static_cast<double>(p.sweep_reads) /
-                            (r.wall_ms / 1e3)
+                            (r.sim_ms / 1e3)
                       : 0;
     r.gw_frames = f.gateway().frames_forwarded();
   });
@@ -362,7 +356,7 @@ int main(int argc, char** argv) {
 
   // Phases: solo floor, then the noisy neighbor with QoS on / off.
   printf("\n%-10s %12s %12s %9s %8s %8s %9s\n", "config", "gp p99 us",
-         "pt p99 us", "fail", "scan fwd", "shed", "wall ms");
+         "pt p99 us", "fail", "scan fwd", "shed", "sim ms");
   struct {
     const char* name;
     bool qos;
@@ -378,14 +372,14 @@ int main(int argc, char** argv) {
     printf("%-10s %12.1f %12.1f %9" PRIu64 " %8" PRIu64 " %8" PRIu64
            " %9.2f\n",
            c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-           r.scans_forwarded, r.scans_shed, r.wall_ms);
+           r.scans_forwarded, r.scans_shed, r.sim_ms);
     json.Line(
         "{\"bench\":\"fleet\",\"phase\":\"noisy\",\"config\":\"%s\","
         "\"getpage_p99_us\":%.1f,\"point_p99_us\":%.1f,"
         "\"failures\":%" PRIu64 ",\"scans_forwarded\":%" PRIu64
-        ",\"scans_shed\":%" PRIu64 ",\"wall_ms\":%.2f}",
+        ",\"scans_shed\":%" PRIu64 ",\"sim_ms\":%.2f}",
         c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-        r.scans_forwarded, r.scans_shed, r.wall_ms);
+        r.scans_forwarded, r.scans_shed, r.sim_ms);
     if (std::strcmp(c.name, "solo") == 0) solo_p99 = r.getpage_p99_us;
     if (std::strcmp(c.name, "qos_on") == 0 && solo_p99 > 0) {
       on_ratio = r.getpage_p99_us / solo_p99;
@@ -417,19 +411,19 @@ int main(int argc, char** argv) {
 
   // Phase: tenant density sweep.
   printf("\n%-8s %12s %12s %9s %12s %9s\n", "tenants", "pt p99 us",
-         "agg reads/s", "fail", "gw frames", "wall ms");
+         "agg reads/s", "fail", "gw frames", "sim ms");
   for (int n : p.sweep) {
     SweepResult r = MeasureSweep(p, n);
     printf("%-8d %12.1f %12.0f %9" PRIu64 " %12" PRIu64 " %9.2f\n", n,
            r.point_p99_us, r.agg_reads_per_s, r.failures, r.gw_frames,
-           r.wall_ms);
+           r.sim_ms);
     json.Line(
         "{\"bench\":\"fleet\",\"phase\":\"sweep\",\"tenants\":%d,"
         "\"point_p99_us\":%.1f,\"agg_reads_per_s\":%.0f,"
         "\"failures\":%" PRIu64 ",\"gw_frames\":%" PRIu64
-        ",\"wall_ms\":%.2f}",
+        ",\"sim_ms\":%.2f}",
         n, r.point_p99_us, r.agg_reads_per_s, r.failures, r.gw_frames,
-        r.wall_ms);
+        r.sim_ms);
   }
   return 0;
 }

@@ -116,12 +116,14 @@ PushdownResult Measure(const Params& p, const Config& c) {
   o.compute.ssd_pages = 8192;  // RBPEX can hold the whole database
   o.compute.warmup_after_recovery = false;
   o.compute.rbpex_recoverable = std::strcmp(c.state, "cold") != 0;
-  o.compute.pushdown_enabled = std::strcmp(c.mode, "pages") != 0;
-  // The sweep axis is the predicate, not the planner knob: let every
-  // selectivity push down so the crossover is visible in the data. Only
+  // The sweep axis is the predicate, not the planner: tuples and agg
+  // push every selectivity so the crossover is visible in the data. Only
   // the "planned" mode hands the choice to the cost-based planner.
-  o.compute.pushdown_max_selectivity = 1.0;
-  o.compute.pushdown_cost_planning = std::strcmp(c.mode, "planned") == 0;
+  if (std::strcmp(c.mode, "pages") == 0) {
+    o.compute.pushdown_plan = compute::PushdownPlan::kPages;
+  } else if (std::strcmp(c.mode, "planned") != 0) {
+    o.compute.pushdown_plan = compute::PushdownPlan::kPush;
+  }
   // Finite wire so bytes moved show up as time (2 GB/s intra-DC link).
   o.compute.rbio_wire_mb_per_s = 2000;
   o.page_server.mem_pages = 1024;

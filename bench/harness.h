@@ -69,15 +69,10 @@ class JsonOut {
   }
 
  private:
-  // Appends "wall_ms" as the last key of a JSON object. Rows that
-  // already carry one (bench_fleet and bench_pushdown_interference
-  // report a simulated span under that name) and text that is not an
-  // object are left as they are.
+  // Appends "wall_ms" as the last key of a JSON object; text that is
+  // not an object is left as it is. Simulated spans go under "sim_ms".
   void StampWallMs(std::string* line) const {
-    if (line->size() < 2 || line->back() != '}' ||
-        line->find("\"wall_ms\":") != std::string::npos) {
-      return;
-    }
+    if (line->size() < 2 || line->back() != '}') return;
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start_)
                     .count();

@@ -83,18 +83,13 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
   explicit PushdownScanner(ComputeNode* node) : node_(node) {}
 
   bool Enabled() const override {
-    return node_->opts_.pushdown_enabled && node_->alive_;
-  }
-
-  double MaxSelectivity() const override {
-    return node_->opts_.pushdown_max_selectivity;
+    return node_->opts_.pushdown_plan != PushdownPlan::kPages &&
+           node_->alive_;
   }
 
   engine::PushdownCostModel CostModel() const override {
-    engine::PushdownCostModel m = node_->opts_.pushdown_cost_model;
-    m.enabled = node_->opts_.pushdown_cost_planning;
-    m.leaves_per_frame =
-        static_cast<double>(node_->opts_.pushdown_max_pages);
+    engine::PushdownCostModel m;
+    m.enabled = node_->opts_.pushdown_plan == PushdownPlan::kCost;
     return m;
   }
 
@@ -111,7 +106,7 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     req.start_key = spec.start_key;
     req.end_key = spec.end_key;
     req.limit = spec.limit;
-    req.max_pages = node_->opts_.pushdown_max_pages;
+    req.max_pages = engine::kScanLeavesPerFrame;
     req.read_ts = spec.read_ts;
     req.predicate = spec.predicate;
     req.projection = spec.projection;

@@ -120,6 +120,18 @@ class EvictedLsnMap {
   std::vector<Lsn> buckets_;
 };
 
+/// How ScanWhere plans a filtered scan.
+enum class PushdownPlan : uint8_t {
+  /// The residency- and load-aware cost planner picks local, pushdown
+  /// or hybrid per range (Engine::ScanWhere).
+  kCost,
+  /// Never push: every scan fetches leaves via GetPage@LSN.
+  kPages,
+  /// Push every eligible scan (all but aggregates over the transaction's
+  /// own writes); benches and tests use it to force the wire path.
+  kPush,
+};
+
 struct ComputeOptions {
   int cpu_cores = 8;
   size_t mem_pages = 4096;
@@ -157,25 +169,9 @@ struct ComputeOptions {
   bool warmup_after_recovery = true;
   /// Cap on warmup promotions (0 = memory capacity).
   size_t warmup_pages = 0;
-  /// Computation pushdown (RBIO kScanRange) master switch. Even when
-  /// on, only ScanWhere plans that clear the planner's eligibility bar
-  /// (selectivity / aggregate, see Engine::ScanWhere) ship; plain Scan
-  /// and Get are never affected.
-  bool pushdown_enabled = true;
-  /// Tuple-mode pushdown only when the predicate's estimated selectivity
-  /// is at or below this; denser results move fewer bytes as raw pages.
-  double pushdown_max_selectivity = 0.25;
-  /// Residency- and load-aware cost planning for ScanWhere: the engine
-  /// probes the scanned range's leaf residency and picks local vs
-  /// pushdown vs hybrid from modeled cost with per-range EWMA feedback.
-  /// Off = the legacy selectivity-only gate above.
-  bool pushdown_cost_planning = true;
-  /// Pricing knobs for the cost planner (enabled/leaves_per_frame are
-  /// overridden from this node's state; the rest are taken as-is).
-  engine::PushdownCostModel pushdown_cost_model;
-  /// Leaves evaluated per kScanRange chunk (bounds Page Server work and
-  /// response size per round trip).
-  uint32_t pushdown_max_pages = 64;
+  /// How ScanWhere plans filtered scans (computation pushdown, RBIO
+  /// kScanRange); plain Scan and Get are never affected.
+  PushdownPlan pushdown_plan = PushdownPlan::kCost;
   /// Simulated RBIO wire bandwidth in MB/s for transfer-time accounting
   /// on request/response legs (0 = infinite — the historical timing,
   /// bit-identical traces).

@@ -37,14 +37,18 @@ struct ScanFilter {
   common::ScanAggregateList extra_aggregates;
 };
 
+/// Leaves a Page Server evaluates per kScanRange round trip (the
+/// request's max_pages budget); the cost model prices round trips with
+/// the same number.
+inline constexpr uint32_t kScanLeavesPerFrame = 64;
+
 /// Cost-model constants for the residency-aware scan planner, all in
 /// virtual µs per leaf / per round trip. `enabled == false` (the
-/// default, and what test fakes inherit) keeps the legacy
-/// selectivity-only pushdown gate; the compute tier's scanner turns the
-/// model on and prices it from its device profiles. The planner
-/// multiplies these by per-range EWMA correction factors learned from
-/// observed scan outcomes, so the constants only need to be in the
-/// right ballpark.
+/// default, and what test fakes inherit) skips the model and pushes
+/// every eligible scan; the compute tier's scanner turns the model on
+/// unless its plan is forced. The planner multiplies these by per-range
+/// EWMA correction factors learned from observed scan outcomes, so the
+/// constants only need to be in the right ballpark.
 struct PushdownCostModel {
   bool enabled = false;
   /// Local evaluation of one leaf, by residency tier.
@@ -59,7 +63,7 @@ struct PushdownCostModel {
   /// Shipping qualifying tuple bytes back over the wire.
   double wire_us_per_kb = 1.0;
   /// Server max_pages budget: leaves evaluated per round trip.
-  double leaves_per_frame = 64;
+  double leaves_per_frame = kScanLeavesPerFrame;
   /// Tree geometry estimates for sizing a range in leaves/bytes.
   double rows_per_leaf = 64;
   double avg_row_bytes = 128;
@@ -117,16 +121,15 @@ class RemoteScanner {
  public:
   virtual ~RemoteScanner() = default;
 
-  /// False disables pushdown wholesale (planner knob / bench baseline).
+  /// False disables pushdown wholesale (every scan runs the page plan).
   virtual bool Enabled() const = 0;
 
-  /// Ship tuples only when the predicate's estimated selectivity is at
-  /// or below this; denser scans move fewer bytes as raw pages.
-  virtual double MaxSelectivity() const = 0;
+  /// Unused by the planner. Kept only because perfbench/tracing.h
+  /// forwards it in its tracing wrapper.
+  virtual double MaxSelectivity() const { return 1.0; }
 
   /// Cost model for the residency-aware planner. The default (disabled)
-  /// keeps the legacy selectivity-only gate, so existing fakes and any
-  /// scanner that predates the model are unaffected.
+  /// pushes every eligible scan without pricing it.
   virtual PushdownCostModel CostModel() const { return PushdownCostModel{}; }
 
   /// Evaluate `spec` remotely starting at `start_leaf`. Transport errors

@@ -251,33 +251,32 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
                               (!agg || !writes_in_range);
   const PushdownCostModel cm =
       scanner_ != nullptr ? scanner_->CostModel() : PushdownCostModel{};
-  // Range-aware selectivity: a window narrower than a kKeyModEq modulus
-  // is dense relative to itself, never 1/a-sparse.
-  const double sel =
-      common::EstimatedSelectivity(filter.predicate, start, end_key);
 
   ScanPlanDebug plan;
   bool use_remote = false;     // the plan includes a remote portion
   uint64_t push_from = start;  // keys >= push_from go remote
+  // The residency probe can only size a bounded, non-empty range; any
+  // other range stays local while the model is on.
   const bool cost_planned = remote_allowed && cm.enabled &&
                             end_key != UINT64_MAX && end_key > start;
   // Residency-weighted model constants, kept for the EWMA update below.
   double model_local_leaf_us = 0;
   double model_remote_leaf_us = 0;
 
-  if (remote_allowed && !cost_planned) {
-    // Legacy gate (cost model off, or an unbounded range the residency
-    // probe cannot size): always push aggregates (one frame back), push
-    // tuple scans only below the selectivity knee.
-    plan.kind = ScanPlanDebug::Kind::kLegacy;
-    use_remote = agg || (!filter.predicate.IsAll() &&
-                         sel <= scanner_->MaxSelectivity());
+  if (remote_allowed && !cm.enabled) {
+    // Model off (a forced plan): every eligible scan ships.
+    plan.kind = ScanPlanDebug::Kind::kPushdown;
+    use_remote = true;
   } else if (cost_planned) {
     // Residency- and load-aware plan: sample the range's leaves against
     // the pool tiers, price local vs pushdown vs hybrid from the model
     // (corrected by per-range EWMA feedback), take the cheapest.
     const ResidencyProbe probe = co_await ProbeResidency(start, end_key);
     const ScanCostEwma& e = EwmaFor(start, end_key);
+    // Range-aware selectivity: a window narrower than a kKeyModEq
+    // modulus is dense relative to itself, never 1/a-sparse.
+    const double sel =
+        common::EstimatedSelectivity(filter.predicate, start, end_key);
     const double width = static_cast<double>(end_key - start);
     const double rows_per_leaf = std::max(1.0, cm.rows_per_leaf);
     const double leaves = std::max(1.0, width / rows_per_leaf);

@@ -91,11 +91,11 @@ struct EngineStats {
   uint64_t pushdown_overloaded = 0;
 };
 
-/// How the residency-aware planner decided the last ScanWhere (debug /
-/// test visibility; meaningful when the scanner's cost model is on).
+/// How the planner decided the last ScanWhere (debug / test visibility;
+/// the residency and cost fields are filled only by cost-planned scans).
 struct ScanPlanDebug {
-  enum class Kind : uint8_t { kLegacy = 0, kLocal, kPushdown, kHybrid };
-  Kind kind = Kind::kLegacy;
+  enum class Kind : uint8_t { kLocal = 0, kPushdown, kHybrid };
+  Kind kind = Kind::kLocal;
   /// Sampled fraction of the range's leaves resident locally (mem+ssd).
   double resident_frac = 0;
   double mem_frac = 0;
@@ -157,8 +157,9 @@ class Engine {
   /// filter.predicate, projected (tuple mode) or partially aggregated
   /// (aggregate mode); `limit` caps returned tuples (0 = unbounded).
   /// The planner pushes evaluation down to Page Servers via the attached
-  /// RemoteScanner when the filter is selective enough (or aggregating),
-  /// with transparent mid-scan fallback to the local page-based path —
+  /// RemoteScanner when its cost model says the wire is cheaper (or on
+  /// every eligible scan when the scanner's model is off), with
+  /// transparent mid-scan fallback to the local page-based path —
   /// both paths evaluate the same scan_expr code, so results are
   /// identical either way.
   sim::Task<Result<FilteredScanResult>> ScanWhere(Transaction* txn,

@@ -49,19 +49,6 @@ TenantPort* Gateway::PortFor(TenantId tenant, PartitionId partition) {
   return it->second.get();
 }
 
-void Gateway::Refill(TenantQos& q) {
-  const SimTime now = sim_.now();
-  if (!q.primed) {
-    q.tokens = opts_.tenant_burst;
-    q.primed = true;
-  } else if (now > q.refilled_at) {
-    q.tokens += static_cast<double>(now - q.refilled_at) *
-                opts_.tenant_tokens_per_s / 1e6;
-    if (q.tokens > opts_.tenant_burst) q.tokens = opts_.tenant_burst;
-  }
-  q.refilled_at = now;
-}
-
 namespace {
 
 // Shed response: the format-shared [version][status] prefix means this
@@ -84,9 +71,9 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
   // Epoch-fenced route cache: any reconfiguration of this tenant bumps
   // the route epoch and forces a re-resolve on next use. The cached
   // server can still go stale *mid-flight* (a migration cuts over while
-  // this frame is queued behind QoS) — then the stopped incumbent
-  // answers Unavailable and the client's retry resolves fresh. Routes
-  // are never silently wrong, and never left broken.
+  // this frame waits on the gateway CPU or hop) — then the stopped
+  // incumbent answers Unavailable and the client's retry resolves
+  // fresh. Routes are never silently wrong, and never left broken.
   const uint64_t epoch = directory_->RouteEpoch(port->tenant_);
   TenantQos& q = qos_[port->tenant_];
   if (port->server_ == nullptr || port->epoch_ != epoch) {
@@ -104,66 +91,29 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
 
   const bool is_scan =
       rbio::PeekMessageType(frame) == rbio::MessageType::kScanRange;
-  if (opts_.qos_enabled) {
-    if (is_scan) {
-      auto it = q.scan_backoff_until.find(port->host_site_);
-      if (it != q.scan_backoff_until.end()) {
-        if (sim_.now() < it->second) {
-          q.scans_shed_backoff++;
+  if (is_scan && opts_.scan_hold_off_us > 0) {
+    // Bulk yields to interactive: another tenant's point read on this
+    // host inside the window means the scan's CPU burst would land on
+    // an interactive server. Shed it — the scanner's client falls back
+    // to its local plan and backs off.
+    auto hp = host_points_.find(port->host_site_);
+    if (hp != host_points_.end()) {
+      for (const auto& [t, at] : hp->second) {
+        if (t != port->tenant_ &&
+            sim_.now() < at + opts_.scan_hold_off_us) {
+          q.scans_shed_holdoff++;
           frames_shed_++;
-          co_return EncodeShed("gateway: tenant in scan backoff");
-        }
-        q.scan_backoff_until.erase(it);
-      }
-    }
-    if (is_scan && opts_.scan_hold_off_us > 0) {
-      // Bulk yields to interactive: another tenant's point read on this
-      // host inside the window means the scan's CPU burst would land on
-      // an interactive server. Shed it — the scanner's client falls back
-      // to its local plan and backs off.
-      auto hp = host_points_.find(port->host_site_);
-      if (hp != host_points_.end()) {
-        for (const auto& [t, at] : hp->second) {
-          if (t != port->tenant_ &&
-              sim_.now() < at + opts_.scan_hold_off_us) {
-            q.scans_shed_holdoff++;
-            frames_shed_++;
-            co_return EncodeShed("gateway: host serving interactive");
-          }
+          co_return EncodeShed("gateway: host serving interactive");
         }
       }
     }
-    const double cost = is_scan ? opts_.scan_cost : opts_.page_cost;
-    Refill(q);
-    if (is_scan && q.tokens < cost) {
-      const SimTime wait = static_cast<SimTime>(
-          (cost - q.tokens) * 1e6 / opts_.tenant_tokens_per_s);
-      if (wait > opts_.max_scan_wait_us) {
-        q.scans_shed_quota++;
-        frames_shed_++;
-        co_return EncodeShed("gateway: tenant scan quota");
-      }
-    }
-    // Pace until the bucket covers the cost. Points are never shed: an
-    // over-quota tenant's point reads stretch out, they don't error.
-    while (q.tokens < cost) {
-      const SimTime wait = static_cast<SimTime>(
-                               (cost - q.tokens) * 1e6 /
-                               opts_.tenant_tokens_per_s) +
-                           1;
-      q.throttle_waits++;
-      q.throttle_wait_us_total += wait;
-      co_await sim::Delay(sim_, wait);
-      Refill(q);
-    }
-    q.tokens -= cost;
   }
 
   if (is_scan) {
     q.scans_forwarded++;
   } else {
     q.points_forwarded++;
-    if (opts_.qos_enabled && opts_.scan_hold_off_us > 0) {
+    if (opts_.scan_hold_off_us > 0) {
       host_points_[port->host_site_][port->tenant_] = sim_.now();
     }
   }
@@ -172,21 +122,7 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
   if (opts_.hop_latency_us > 0) {
     co_await sim::Delay(sim_, opts_.hop_latency_us);
   }
-  pageserver::PageServer* target = port->server_;
-  Result<std::string> resp = co_await target->HandleRbio(frame);
-
-  // A Page Server that shed this tenant's scan (host admission control)
-  // earns a (tenant, host) backoff window: this tenant's next scans to
-  // that host short-circuit at the gateway, other tenants are untouched.
-  if (is_scan && resp.ok() && opts_.qos_enabled) {
-    Status prefix;
-    if (rbio::DecodeResponseStatusPrefix(Slice(*resp), &prefix).ok() &&
-        prefix.IsOverloaded()) {
-      q.scan_backoff_until[port->host_site_] =
-          sim_.now() + opts_.scan_backoff_us;
-    }
-  }
-  co_return resp;
+  co_return co_await port->server_->HandleRbio(frame);
 }
 
 }  // namespace fleet

@@ -1,8 +1,8 @@
 // Gateway: the fleet's routing tier. Compute nodes of every tenant send
 // their RBIO traffic to per-(tenant, partition) gateway ports instead of
 // directly to Page Servers; each port resolves the serving server
-// through the TenantDirectory under the current route epoch, enforces
-// the tenant's QoS contract, and forwards.
+// through the TenantDirectory under the current route epoch, applies
+// the cross-tenant scan hold-off, and forwards.
 //
 // Why a port per (tenant, partition) and not one per tenant: the RBIO
 // client keys its batch queues, latency EWMAs and capability memos by
@@ -14,14 +14,13 @@
 // tenant 3 tripping a server's admission control never pins tenant 5's
 // scans into backoff against the same physical server.
 //
-// QoS is a per-tenant token bucket, priced per frame class. Point reads
-// (GetPage/range/batch) are paced but never shed — a throttled tenant
-// gets latency, not errors. Scans are the bulk class: a scan whose
-// projected wait exceeds max_wait_us is shed with kOverloaded, which the
-// tenant's own RBIO client converts into a local-plan fallback plus a
-// client-side backoff window. The same signal arriving *from* a Page
-// Server (host admission control, PR 9) is recorded per (tenant, host)
-// so only the tenant that tripped it backs off.
+// QoS is one cross-tenant rule: bulk yields to interactive. A scan
+// bound for a host that forwarded another tenant's point read within
+// scan_hold_off_us is shed with kOverloaded, which the tenant's own RBIO
+// client converts into a local-plan fallback plus a (tenant, endpoint)
+// backoff window. Point reads are never shed. The Page Server's own
+// scan admission still acts behind the gateway; its kOverloaded replies
+// reach the same per-(tenant, endpoint) client backoff.
 
 #pragma once
 
@@ -43,31 +42,11 @@ namespace socrates {
 namespace fleet {
 
 struct GatewayOptions {
-  /// Master switch: off forwards every frame untouched (routing and
-  /// epoch fencing stay on — QoS is the only thing disabled).
-  bool qos_enabled = true;
-  /// Token refill rate per tenant. Costs are per frame, so with
-  /// page_cost 1 this is roughly "frames per second".
-  double tenant_tokens_per_s = 20000;
-  /// Bucket depth: how much burst a tenant may front-load.
-  double tenant_burst = 256;
-  double page_cost = 1.0;
-  /// Scans are priced as bulk work: one kScanRange frame can occupy a
-  /// server for many leaf pages.
-  double scan_cost = 16.0;
-  /// Scans whose projected token wait exceeds this are shed with
-  /// kOverloaded instead of queued (mirrors the Page Server's own scan
-  /// admission deadline). Points are never shed, only paced.
-  SimTime max_scan_wait_us = 20 * 1000;
   /// Extra network hop through the gateway, per frame.
   SimTime hop_latency_us = 30;
   /// Gateway CPU per forwarded frame.
   SimTime cpu_per_frame_us = 2;
   int cpu_cores = 16;
-  /// How long a (tenant, host) pair avoids sending scans after that host
-  /// shed one with kOverloaded. Mirrors the RBIO client's
-  /// overload_backoff_us, but scoped to the tenant that tripped it.
-  SimTime scan_backoff_us = 50 * 1000;
   /// Cross-tenant bulk/interactive hold-off: a scan bound for a host
   /// that forwarded *another* tenant's point read within this window is
   /// shed with kOverloaded. The Page Server's own admission control is
@@ -75,26 +54,16 @@ struct GatewayOptions {
   /// scan admitted between two point reads still lands its CPU burst on
   /// top of the next one. The gateway sees every tenant's traffic and
   /// can keep bulk work off an interactive host *before* the collision.
-  /// 0 disables the hold-off.
+  /// 0 disables the hold-off, and with it all gateway QoS.
   SimTime scan_hold_off_us = 2000;
 };
 
-/// Per-tenant QoS state and counters (read by tests and the bench).
+/// Per-tenant QoS counters (read by tests and the bench).
 struct TenantQos {
-  double tokens = 0;
-  SimTime refilled_at = 0;
-  bool primed = false;  // bucket starts full on first use
-  /// host site -> backoff deadline for this tenant's scans.
-  std::map<std::string, SimTime> scan_backoff_until;
-
   uint64_t points_forwarded = 0;
   uint64_t scans_forwarded = 0;
-  uint64_t scans_shed_quota = 0;    // projected wait > max_scan_wait_us
-  uint64_t scans_shed_backoff = 0;  // inside a (tenant, host) backoff
   uint64_t scans_shed_holdoff = 0;  // host busy with another tenant's points
-  uint64_t throttle_waits = 0;
-  SimTime throttle_wait_us_total = 0;
-  uint64_t route_refreshes = 0;  // re-resolves after an epoch bump
+  uint64_t route_refreshes = 0;     // re-resolves after an epoch bump
 };
 
 class Gateway;
@@ -126,7 +95,7 @@ class TenantPort : public rbio::RbioServer {
   // Route cache, valid only at cached_epoch_.
   pageserver::PageServer* server_ = nullptr;
   uint64_t epoch_ = UINT64_MAX;
-  std::string host_site_;  // the server's chaos/host site (backoff key)
+  std::string host_site_;  // the server's chaos/host site (hold-off key)
 };
 
 /// The router handed to one tenant's compute nodes: every partition
@@ -162,11 +131,10 @@ class Gateway {
   /// The port fronting (tenant, partition), created on demand.
   TenantPort* PortFor(TenantId tenant, PartitionId partition);
 
-  /// QoS state/counters for a tenant (created on demand).
+  /// QoS counters for a tenant (created on demand).
   TenantQos& qos(TenantId tenant) { return qos_[tenant]; }
 
   const GatewayOptions& options() const { return opts_; }
-  void set_qos_enabled(bool on) { opts_.qos_enabled = on; }
 
   uint64_t frames_forwarded() const { return frames_forwarded_; }
   uint64_t frames_shed() const { return frames_shed_; }
@@ -174,13 +142,9 @@ class Gateway {
  private:
   friend class TenantPort;
 
-  // The whole data path: epoch-fenced resolve, QoS admission, forward,
-  // response classification.
+  // The whole data path: epoch-fenced resolve, scan hold-off, forward.
   sim::Task<Result<std::string>> Forward(TenantPort* port,
                                          const std::string& frame);
-
-  // Lazy token refill (deterministic: pure function of sim time).
-  void Refill(TenantQos& q);
 
   sim::Simulator& sim_;
   TenantDirectory* directory_;

@@ -52,7 +52,6 @@ std::string RowPayload(uint64_t key) {
 class FakeScanner : public RemoteScanner {
  public:
   bool enabled = true;
-  double max_sel = 0.25;
   uint64_t chunk_span = UINT64_MAX;  // keys evaluated per call
   int fence_misses_to_inject = 0;
   int error_after_chunks = -1;  // serve this many chunks, then error
@@ -61,7 +60,6 @@ class FakeScanner : public RemoteScanner {
   std::map<uint64_t, std::string> data;
 
   bool Enabled() const override { return enabled; }
-  double MaxSelectivity() const override { return max_sel; }
 
   Task<Result<RemoteScanChunk>> ScanLeaves(
       PageId, const RemoteScanSpec& spec) override {
@@ -283,33 +281,6 @@ TEST(ScanWherePlannerTest, SelectivePredicatePushesDown) {
   EXPECT_EQ(f.engine->stats().pushdown_scans, 1u);
 }
 
-TEST(ScanWherePlannerTest, DensePredicateStaysLocal) {
-  EngineFixture f;
-  f.engine->SetRemoteScanner(&f.fake);
-  RunSim(f.sim, [&]() -> Task<> {
-    auto txn = f.engine->Begin(true);
-    // Unfiltered tuple scans and dense predicates (sel > MaxSelectivity)
-    // move fewer bytes as raw pages: the planner must not push them.
-    ScanFilter all;
-    auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, all);
-    EXPECT_TRUE(r.ok());
-    if (r.ok()) {
-      EXPECT_FALSE(r->pushed_down);
-      EXPECT_EQ(r->rows.size(), 400u);
-    }
-    ScanFilter dense;
-    dense.predicate = common::ScanPredicate::KeyModEq(2, 0);  // 50%
-    auto r2 = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, dense);
-    EXPECT_TRUE(r2.ok());
-    if (r2.ok()) {
-      EXPECT_FALSE(r2->pushed_down);
-      EXPECT_EQ(r2->rows, Expected(f.fake.data, 0, 400, dense));
-    }
-    (void)co_await f.engine->Commit(txn.get());
-  });
-  EXPECT_EQ(f.fake.calls, 0);
-}
-
 TEST(ScanWherePlannerTest, AggregatePushesDownEvenUnfiltered) {
   EngineFixture f;
   f.engine->SetRemoteScanner(&f.fake);
@@ -461,11 +432,11 @@ service::DeploymentOptions SmallDeployment() {
   o.num_page_servers = 1;
   o.compute.mem_pages = 64;  // most leaves are remote
   o.compute.ssd_pages = 128;
-  // These tests exercise the kScanRange wire path end to end; pin the
-  // legacy selectivity-only gate so the residency-aware planner cannot
-  // (correctly!) keep the small warm fixture local. The cost planner has
-  // its own tests (ScanWhereCostPlannerTest, residency suites).
-  o.compute.pushdown_cost_planning = false;
+  // These tests exercise the kScanRange wire path end to end; force it
+  // so the residency-aware planner cannot (correctly!) keep the small
+  // warm fixture local. The cost planner has its own tests
+  // (ScanCostPlannerTest).
+  o.compute.pushdown_plan = compute::PushdownPlan::kPush;
   return o;
 }
 
@@ -705,7 +676,7 @@ TEST(PushdownEndToEndTest, SecondaryScansAtAppliedWatermark) {
 // ------------------------------------- residency-aware cost planner
 
 // FakeScanner with a test-controlled cost model (the base class keeps
-// the model disabled so the legacy-gate suites above stay legacy).
+// the model disabled, so the suites above push every eligible scan).
 class CostFakeScanner : public FakeScanner {
  public:
   PushdownCostModel cm;
@@ -738,7 +709,7 @@ service::DeploymentOptions PlannerDeployment() {
   o.compute.ssd_pages = 8192;
   o.compute.warmup_after_recovery = false;
   o.compute.rbpex_recoverable = false;  // restart = fully cold tiers
-  return o;  // pushdown_cost_planning stays at its default (on)
+  return o;  // pushdown_plan stays at its default (kCost)
 }
 
 // Run one cost-planned scan, snapshot the plan the engine chose, then
@@ -857,21 +828,86 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
   d.Stop();
 }
 
-TEST(ScanCostPlannerTest, LegacyGateWhenModelDisabled) {
+// The plan override, on the fixtures above: kPush ships the warm range
+// that kCost keeps local (WarmRangeStaysLocal), and kPages sends no scan
+// for the cold range that kCost pushes (ColdRangePushesDown). Both
+// return the local plan's rows.
+TEST(ScanCostPlannerTest, PlanOverride) {
+  struct Case {
+    compute::PushdownPlan plan;
+    bool cold;
+    ScanPlanDebug::Kind kind;
+    bool pushed;
+  };
+  const Case cases[] = {
+      {compute::PushdownPlan::kPush, false, ScanPlanDebug::Kind::kPushdown,
+       true},
+      {compute::PushdownPlan::kPages, true, ScanPlanDebug::Kind::kLocal,
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "plan " << static_cast<int>(c.plan)
+                                    << (c.cold ? " cold" : " warm"));
+    Simulator s;
+    service::DeploymentOptions o = PlannerDeployment();
+    o.compute.pushdown_plan = c.plan;
+    service::Deployment d(s, o);
+    FilteredScanResult r;
+    ScanPlanDebug plan;
+    RunSim(s, [&]() -> Task<> {
+      EXPECT_TRUE((co_await d.Start()).ok());
+      co_await Load(d.primary_engine(), 3000);
+      if (c.cold) {
+        EXPECT_TRUE((co_await d.Checkpoint()).ok());
+        EXPECT_TRUE((co_await d.RestartPrimary()).ok());
+      }
+      ScanFilter filter;
+      filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+      filter.projection.extents.push_back({0, 8});
+      co_await PlannedScanAndCompare(d.primary_engine(), 3000, filter, &r,
+                                     &plan);
+    });
+    EXPECT_EQ(plan.kind, c.kind);
+    EXPECT_EQ(r.pushed_down, c.pushed);
+    EXPECT_EQ(r.rows.size(), 3000u / 16 + 1);
+    EXPECT_EQ(d.primary()->rbio_client().scans_sent() > 0, c.pushed);
+    d.Stop();
+  }
+}
+
+// An unbounded range gives the residency probe nothing to size: with
+// the cost model on it plans local, never calls the scanner, and
+// returns the same rows — even under a model that pushes the bounded
+// range.
+TEST(ScanCostPlannerTest, UnboundedRangePlansLocal) {
   EngineFixture f;
-  f.engine->SetRemoteScanner(&f.fake);  // base fake: cost model off
+  CostFakeScanner scanner;
+  scanner.data = f.fake.data;
+  // A nearly free remote path: bounded ranges price as pushdown.
+  scanner.cm.round_trip_us = 1;
+  scanner.cm.remote_leaf_us = 0.5;
+  f.engine->SetRemoteScanner(&scanner);
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
-    auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
+    auto bounded =
+        co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
+    EXPECT_TRUE(bounded.ok());
+    EXPECT_EQ(f.engine->last_scan_plan().kind,
+              ScanPlanDebug::Kind::kPushdown);
+    const int calls_before = scanner.calls;
+    auto r = co_await f.engine->ScanWhere(txn.get(), 0, UINT64_MAX, 0,
+                                          filter);
     EXPECT_TRUE(r.ok());
     if (r.ok()) {
-      EXPECT_TRUE(r->pushed_down);
+      EXPECT_FALSE(r->pushed_down);
+      EXPECT_EQ(r->rows, Expected(f.fake.data, 0, UINT64_MAX, filter));
     }
+    EXPECT_EQ(f.engine->last_scan_plan().kind, ScanPlanDebug::Kind::kLocal);
+    EXPECT_EQ(scanner.calls, calls_before);
     (void)co_await f.engine->Commit(txn.get());
   });
-  EXPECT_EQ(f.engine->last_scan_plan().kind, ScanPlanDebug::Kind::kLegacy);
 }
 
 TEST(ScanCostPlannerTest, EwmaFeedbackConvergesToObservedCost) {
@@ -951,7 +987,7 @@ service::DeploymentOptions AdmissionDeployment() {
   o.num_page_servers = 1;
   o.compute.mem_pages = 96;  // compute misses reach the server
   o.compute.ssd_pages = 128;
-  o.compute.pushdown_cost_planning = false;  // force the wire path
+  o.compute.pushdown_plan = compute::PushdownPlan::kPush;  // the wire
   o.compute.warmup_after_recovery = false;   // restart = fully cold tiers
   o.compute.rbpex_recoverable = false;
   o.page_server.mem_pages = 48;  // server misses reach the SSD tier

@@ -246,9 +246,9 @@ TEST(DriverTest, HtapMixPushesAnalyticScansDown) {
   o.num_page_servers = 1;
   o.compute.mem_pages = 256;  // analytic spans overflow the memory tier
   o.compute.ssd_pages = 1024;
-  // This test asserts that scans *reach* the Page Server; pin the legacy
-  // selectivity gate so the cost planner can't keep warm ranges local.
-  o.compute.pushdown_cost_planning = false;
+  // This test asserts that scans *reach* the Page Server; force the wire
+  // so the cost planner can't keep warm ranges local.
+  o.compute.pushdown_plan = compute::PushdownPlan::kPush;
   service::Deployment d(s, o);
   CdbOptions copts;
   copts.scale_factor = 5;
