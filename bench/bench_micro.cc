@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark, real CPU time) for the hot
 // building blocks: CRC32-C, page checksum, slotted-page operations,
 // version-chain codec, log-record codec + redo, log-block frame codec,
-// Zipf generation, and the simulator substrate itself (event core,
-// coroutine wakes, channel hand-offs, the end-to-end simulated GetPage
-// path).
+// Zipf generation, the RBPEX promote/spill cycle, and the simulator
+// substrate itself (event core, coroutine wakes, channel hand-offs, the
+// end-to-end simulated GetPage path).
 //
 // A counting allocator (global operator new/delete overrides, this
 // binary only) reports heap allocations per operation for the substrate
@@ -20,6 +20,7 @@
 #include "common/crc32c.h"
 #include "common/random.h"
 #include "engine/btree_page.h"
+#include "engine/buffer_pool.h"
 #include "engine/log_record.h"
 #include "engine/redo.h"
 #include "engine/version.h"
@@ -398,6 +399,57 @@ void BM_ApplyStreamDecode(benchmark::State& state) {
   allocs.Report(state.iterations() * 64);
 }
 BENCHMARK(BM_ApplyStreamDecode);
+
+// RBPEX round trip: 32 pages cycled round-robin through 16 memory frames
+// over a 64-page SSD tier, so every op is one SSD promotion plus one
+// eviction spill — the path a Page Server's covering cache runs on every
+// memory miss. The SSD tier keeps page images by reference, so
+// allocs_per_op is the pool's own bookkeeping, not page copies.
+class FormattingFetcher : public engine::PageFetcher {
+ public:
+  sim::Task<Result<storage::Page>> FetchPage(PageId page_id) override {
+    storage::Page p;
+    engine::BTreePage::Format(&p, page_id, 0, engine::kMinKey,
+                              engine::kMaxKey, kInvalidPageId);
+    p.UpdateChecksum();
+    co_return p;
+  }
+};
+
+sim::Task<> TouchPage(engine::BufferPool* pool, PageId id, bool* done) {
+  auto ref = co_await pool->GetPage(id);
+  if (!ref.ok()) abort();
+  benchmark::DoNotOptimize(ref->page()->cdata());
+  *done = true;
+}
+
+void BM_RbpexCycle(benchmark::State& state) {
+  constexpr PageId kPages = 32;
+  sim::Simulator s;
+  FormattingFetcher fetcher;
+  engine::BufferPoolOptions opts;
+  opts.mem_pages = 16;
+  opts.ssd_pages = 64;
+  engine::BufferPool pool(s, opts, &fetcher);
+  PageId next = 0;
+  auto touch = [&] {
+    bool done = false;
+    sim::Spawn(s, TouchPage(&pool, next++ % kPages, &done));
+    while (!done && s.Step()) {
+    }
+  };
+  for (PageId i = 0; i < 2 * kPages; i++) touch();  // reach steady state
+  uint64_t ssd_hits = pool.stats().ssd_hits;
+  AllocCounter allocs(state);
+  for (auto _ : state) touch();
+  allocs.Report(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  if (pool.stats().ssd_hits - ssd_hits !=
+      static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("an op was not an SSD promotion");
+  }
+}
+BENCHMARK(BM_RbpexCycle);
 
 // ----------------------------------------------------------------------
 // End-to-end simulated GetPage: a real Deployment (Primary + Page Server

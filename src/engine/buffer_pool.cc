@@ -14,10 +14,11 @@ struct PageRef::Frame {
   // Capture generation of the most recent MarkDirty (checkpoint
   // lost-update guard; see BufferPool::DirtyGen).
   uint64_t dirty_gen = 0;
-  // True while the in-frame checksum matches the payload. Starts false
-  // (installed images may be legitimately mutated after the client-side
-  // verify, e.g. the Secondary's pending-fetch drain) and is set only by
-  // EnsureChecksum; any MarkDirty clears it.
+  // True while the in-frame checksum matches the payload. Set by
+  // EnsureChecksum and by promotion from the SSD tier (the image has just
+  // passed VerifyChecksum); any MarkDirty clears it. Fetched pages start
+  // false: they may be legitimately mutated after the client-side verify
+  // (the Secondary's pending-fetch drain).
   bool checksum_valid = false;
   // Cold (probationary) LRU segment membership; prefetched frames start
   // cold and are promoted to the hot segment on their second demand
@@ -174,18 +175,16 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
       InflightInsert(page_id, event);
       meta->second.readers++;
       uint64_t slot = meta->second.slot;
-      std::string image;
-      Status s = co_await ssd_->Read(slot * kPageSize, kPageSize, &image);
+      // The promoted frame shares the SSD image until its first write
+      // detaches it (copy-on-write), so promotion copies no bytes.
+      storage::Page page;
+      Status s = co_await ssd_->ReadPage(slot * kPageSize, &page);
       auto meta2 = ssd_meta_.find(page_id);
       if (meta2 != ssd_meta_.end()) meta2->second.readers--;
       InflightErase(page_id);
       event->Set();
       ReleaseEvent(std::move(event));
       if (!s.ok()) co_return Result<PageRef>(s);
-      storage::Page page = storage::Page::Uninitialized();
-      if (Status ps = page.FromSlice(Slice(image)); !ps.ok()) {
-        co_return Result<PageRef>(ps);
-      }
       if (Status cs = page.VerifyChecksum(); !cs.ok()) {
         co_return Result<PageRef>(cs);
       }
@@ -210,7 +209,7 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
         gen = m2->second.dirty_gen;
       }
       co_return co_await InstallAndPin(page_id, std::move(page), dirty,
-                                       gen);
+                                       gen, /*checksum_valid=*/true);
     }
 
     if (!fetch_on_miss) {
@@ -237,7 +236,8 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
       stats_.leaf_misses++;
     }
     co_return co_await InstallAndPin(page_id, std::move(fetched).value(),
-                                     /*dirty=*/false, /*dirty_gen=*/0);
+                                     /*dirty=*/false, /*dirty_gen=*/0,
+                                     /*checksum_valid=*/false);
   }
 }
 
@@ -273,13 +273,14 @@ void BufferPool::InstallIfAbsent(storage::Page page) {
 }
 
 void BufferPool::InstallCold(storage::Page page, bool dirty,
-                             uint64_t dirty_gen) {
+                             uint64_t dirty_gen, bool checksum_valid) {
   PageId page_id = page.page_id();
   auto frame = std::make_unique<Frame>();
   frame->page_id = page_id;
   frame->page = std::move(page);
   frame->dirty = dirty;
   frame->dirty_gen = dirty_gen;
+  frame->checksum_valid = checksum_valid;
   frame->cold = true;
   frame->prefetched = true;
   if (dirty) dirty_index_.insert(page_id);
@@ -313,8 +314,8 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     // SSD promotion, installed cold without a pin.
     meta->second.readers++;
     uint64_t slot = meta->second.slot;
-    std::string image;
-    Status s = co_await ssd->Read(slot * kPageSize, kPageSize, &image);
+    storage::Page page;
+    Status s = co_await ssd->ReadPage(slot * kPageSize, &page);
     if (!life->alive) {
       barrier->Set();
       co_return;
@@ -323,16 +324,12 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
       m2->second.readers--;
     }
-    if (life->epoch == epoch && s.ok()) {
-      storage::Page page = storage::Page::Uninitialized();
-      if (page.FromSlice(Slice(image)).ok() &&
-          page.VerifyChecksum().ok() && page.page_id() == page_id &&
-          frames_.count(page_id) == 0) {
-        bool dirty = m2 != ssd_meta_.end() ? m2->second.dirty : false;
-        uint64_t gen = m2 != ssd_meta_.end() ? m2->second.dirty_gen : 0;
-        TouchSsd(page_id);
-        InstallCold(std::move(page), dirty, gen);
-      }
+    if (life->epoch == epoch && s.ok() && page.VerifyChecksum().ok() &&
+        page.page_id() == page_id && frames_.count(page_id) == 0) {
+      bool dirty = m2 != ssd_meta_.end() ? m2->second.dirty : false;
+      uint64_t gen = m2 != ssd_meta_.end() ? m2->second.dirty_gen : 0;
+      TouchSsd(page_id);
+      InstallCold(std::move(page), dirty, gen, /*checksum_valid=*/true);
     }
   } else if (fetcher_ != nullptr) {
     Result<storage::Page> fetched = co_await fetcher_->FetchPage(page_id);
@@ -343,7 +340,7 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     if (life->epoch == epoch && fetched.ok() &&
         frames_.count(page_id) == 0) {
       InstallCold(std::move(fetched).value(), /*dirty=*/false,
-                  /*dirty_gen=*/0);
+                  /*dirty_gen=*/0, /*checksum_valid=*/false);
     }
   }
   if (life->alive && life->epoch == epoch) {
@@ -534,34 +531,40 @@ void BufferPool::Crash() {
 sim::Task<Result<size_t>> BufferPool::Recover(Lsn durable_end_lsn) {
   if (ssd_ == nullptr || ssd_meta_.empty()) co_return size_t{0};
   // Rebuild by scanning: read every slot, verify, and drop images that
-  // reflect log which never hardened (speculative state, §4.3).
-  std::vector<PageId> drop;
+  // reflect log which never hardened (speculative state, §4.3). The index
+  // can change while a read is suspended (spills insert and rehash, SSD
+  // evictions and Purge erase), so walk a snapshot of (page, slot) pairs
+  // and re-look-up each entry after its read.
+  std::vector<std::pair<PageId, uint64_t>> slots;
+  slots.reserve(ssd_meta_.size());
+  for (const auto& [id, meta] : ssd_meta_) slots.emplace_back(id, meta.slot);
   size_t recovered = 0;
-  for (auto& [id, meta] : ssd_meta_) {
-    std::string image;
-    Status s =
-        co_await ssd_->Read(meta.slot * kPageSize, kPageSize, &image);
-    if (!s.ok()) {
-      drop.push_back(id);
+  for (const auto& [id, slot] : slots) {
+    storage::Page page;
+    Status s = co_await ssd_->ReadPage(slot * kPageSize, &page);
+    auto meta = ssd_meta_.find(id);
+    // Evicted, purged or being rewritten while the read was in flight:
+    // the slot no longer holds the image just read, so leave it alone.
+    if (meta == ssd_meta_.end() || meta->second.slot != slot ||
+        meta->second.writers > 0) {
       continue;
     }
-    storage::Page page = storage::Page::Uninitialized();
-    if (!page.FromSlice(Slice(image)).ok() ||
-        !page.VerifyChecksum().ok() || page.page_lsn() > durable_end_lsn) {
-      drop.push_back(id);
+    if (!s.ok() || !page.VerifyChecksum().ok() ||
+        page.page_lsn() > durable_end_lsn) {
+      Purge(id);
       continue;
     }
-    meta.page_lsn = page.page_lsn();
+    meta->second.page_lsn = page.page_lsn();
     recovered++;
   }
-  for (PageId id : drop) Purge(id);
   co_return recovered;
 }
 
 sim::Task<Result<PageRef>> BufferPool::InstallAndPin(PageId page_id,
                                                      storage::Page page,
                                                      bool dirty,
-                                                     uint64_t dirty_gen) {
+                                                     uint64_t dirty_gen,
+                                                     bool checksum_valid) {
   // A concurrent installer may have won the race while we were reading.
   auto it = frames_.find(page_id);
   if (it == frames_.end()) {
@@ -570,6 +573,7 @@ sim::Task<Result<PageRef>> BufferPool::InstallAndPin(PageId page_id,
     frame->page = std::move(page);
     frame->dirty = dirty;
     frame->dirty_gen = dirty_gen;
+    frame->checksum_valid = checksum_valid;
     if (dirty) dirty_index_.insert(page_id);
     mem_lru_.push_front(page_id);
     frame->lru_it = mem_lru_.begin();
@@ -653,6 +657,10 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
                                  std::shared_ptr<sim::Event> barrier,
                                  LifePtr life, uint64_t epoch, SsdPtr ssd) {
   PageId page_id = frame->page_id;
+  // Stamp in place only when the frame changed since its last checksum:
+  // a clean frame promoted from SSD goes back by reference, with no copy
+  // and no CRC pass.
+  if (!frame->checksum_valid) frame->page.UpdateChecksum();
   co_await SpillToSsd(page_id, frame->page, life, ssd);
   if (life->alive && life->epoch == epoch) {
     if (frame->dirty) {
@@ -737,9 +745,7 @@ sim::Task<> BufferPool::SpillToSsd(PageId page_id,
   // spills cannot recycle it out from under this I/O.
   ssd_meta_[page_id].page_lsn = page.page_lsn();
   ssd_meta_[page_id].writers++;
-  storage::Page copy = page;
-  copy.UpdateChecksum();
-  co_await ssd->Write(slot * kPageSize, copy.AsSlice());
+  co_await ssd->WritePage(slot * kPageSize, page);
   // The SSD index survives Crash() (RBPEX), so release the slot pin as
   // long as the pool object itself is alive — even across an epoch bump.
   if (life->alive) {

@@ -242,7 +242,9 @@ class BufferPool {
 
   /// RBPEX recovery: scan SSD slots, verify checksums, rebuild the index.
   /// Pages whose pageLSN exceeds `durable_end_lsn` are discarded (they
-  /// reflect log that never hardened). Returns number of pages recovered.
+  /// reflect log that never hardened). Entries that a concurrent spill,
+  /// SSD eviction or Purge changes while their slot is being read are
+  /// left to that change. Returns number of pages recovered.
   sim::Task<Result<size_t>> Recover(Lsn durable_end_lsn);
 
   const BufferPoolStats& stats() const { return stats_; }
@@ -271,12 +273,16 @@ class BufferPool {
                                              bool fetch_on_miss);
 
   // Install a page into the memory tier (evicting as needed) and pin it.
+  // `checksum_valid` is true only for images that just passed
+  // VerifyChecksum (SSD promotion).
   sim::Task<Result<PageRef>> InstallAndPin(PageId page_id,
                                            storage::Page page, bool dirty,
-                                           uint64_t dirty_gen);
+                                           uint64_t dirty_gen,
+                                           bool checksum_valid);
 
   // Install an unpinned frame into the cold LRU segment (prefetch path).
-  void InstallCold(storage::Page page, bool dirty, uint64_t dirty_gen);
+  void InstallCold(storage::Page page, bool dirty, uint64_t dirty_gen,
+                   bool checksum_valid);
 
   // Kick the background evictor if the memory tier is over capacity.
   void ScheduleEviction();
@@ -296,7 +302,8 @@ class BufferPool {
                        std::shared_ptr<sim::Event> barrier, LifePtr life,
                        uint64_t epoch, SsdPtr ssd);
 
-  // Write a page image into the SSD tier (allocating / recycling slots).
+  // Write a checksummed page image into the SSD tier (allocating /
+  // recycling slots). The device keeps `page` by reference.
   sim::Task<> SpillToSsd(PageId page_id, const storage::Page& page,
                          LifePtr life, SsdPtr ssd);
 

@@ -1,15 +1,18 @@
 // BlockDevice: the byte-addressable async storage abstraction under every
 // tier (the analogue of SQL Server's FCB I/O virtualization layer, §3.6).
 // SimBlockDevice models one device with a latency profile and optional
-// outage injection; ReplicatedBlockDevice adds N-way replication with
+// outage injection, and keeps whole pages by reference for the RBPEX tier
+// (ReadPage/WritePage); ReplicatedBlockDevice adds N-way replication with
 // write quorum K — the shape of the XIO landing zone and of XStore.
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -23,6 +26,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "storage/page.h"
 
 namespace socrates {
 namespace storage {
@@ -56,26 +60,43 @@ class SimBlockDevice : public BlockDevice {
 
   sim::Task<Status> Read(uint64_t offset, uint64_t len,
                          std::string* out) override {
-    co_await sim::Delay(sim_, profile_.read.Sample(rng_) +
-                                  profile_.TransferUs(len) +
-                                  chaos_port_.GrayDelayUs());
-    if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
-    out->assign(len, '\0');
-    ReadRaw(offset, len, out->data());
-    stats_.reads++;
-    stats_.bytes_read += len;
-    co_return Status::OK();
+    Status s = co_await Access(/*write=*/false, len);
+    if (s.ok()) {
+      out->assign(len, '\0');
+      ReadRaw(offset, len, out->data());
+    }
+    co_return s;
   }
 
   sim::Task<Status> Write(uint64_t offset, Slice data) override {
-    co_await sim::Delay(sim_, profile_.write.Sample(rng_) +
-                                  profile_.TransferUs(data.size()) +
-                                  chaos_port_.GrayDelayUs());
-    if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
-    WriteRaw(offset, data.data(), data.size());
-    stats_.writes++;
-    stats_.bytes_written += data.size();
-    co_return Status::OK();
+    Status s = co_await Access(/*write=*/true, data.size());
+    if (s.ok()) WriteRaw(offset, data.data(), data.size());
+    co_return s;
+  }
+
+  /// Page-granular I/O: the device keeps the refcounted copy-on-write
+  /// image itself, so a page moves in or out by a refcount bump instead
+  /// of an 8 KiB copy. Latency, chaos and stats are charged exactly as
+  /// for a kPageSize Read/Write. `offset` must be page-aligned. The page
+  /// store is separate from the byte store: a device is used either page-
+  /// wise (the RBPEX tier) or byte-wise, never both. An offset never
+  /// written with WritePage reads as the zero page, which fails
+  /// VerifyChecksum.
+  sim::Task<Status> ReadPage(uint64_t offset, Page* out) {
+    assert(offset % kPageSize == 0);
+    Status s = co_await Access(/*write=*/false, kPageSize);
+    if (s.ok()) {
+      auto it = pages_.find(offset / kPageSize);
+      *out = it != pages_.end() ? it->second : Page();
+    }
+    co_return s;
+  }
+
+  sim::Task<Status> WritePage(uint64_t offset, Page page) {
+    assert(offset % kPageSize == 0);
+    Status s = co_await Access(/*write=*/true, kPageSize);
+    if (s.ok()) pages_.insert_or_assign(offset / kPageSize, std::move(page));
+    co_return s;
   }
 
   SimTime cpu_per_io_us() const override { return profile_.cpu_per_io_us; }
@@ -131,16 +152,37 @@ class SimBlockDevice : public BlockDevice {
   }
 
   /// Bytes of backing memory actually allocated (for size-of-data checks).
-  uint64_t allocated_bytes() const { return chunks_.size() * kChunkSize; }
+  uint64_t allocated_bytes() const {
+    return chunks_.size() * kChunkSize + pages_.size() * kPageSize;
+  }
 
  private:
   static constexpr uint64_t kChunkSize = 64 * KiB;
+
+  // The one place a request pays its modelled latency, outage check and
+  // stats, so the byte and page calls draw the device RNG identically.
+  sim::Task<Status> Access(bool write, uint64_t len) {
+    SimTime delay = (write ? profile_.write : profile_.read).Sample(rng_);
+    delay += profile_.TransferUs(len);
+    delay += chaos_port_.GrayDelayUs();
+    co_await sim::Delay(sim_, delay);
+    if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
+    if (write) {
+      stats_.writes++;
+      stats_.bytes_written += len;
+    } else {
+      stats_.reads++;
+      stats_.bytes_read += len;
+    }
+    co_return Status::OK();
+  }
 
   sim::Simulator& sim_;
   sim::DeviceProfile profile_;
   Random rng_;
   chaos::SitePort chaos_port_;
   std::map<uint64_t, std::string> chunks_;
+  std::unordered_map<uint64_t, Page> pages_;  // page index -> image
   CounterStats stats_;
 };
 

@@ -1,10 +1,15 @@
-// Stress/regression tests for BufferPool concurrency: these pin down two
+// Stress/regression tests for BufferPool concurrency: these pin down
 // real races found during development —
 //  (1) SSD slot recycling while a promotion read was in flight delivered
 //      another page's image under the wrong page id;
 //  (2) a reader promoting the *stale* SSD image while the eviction spill
-//      of the fresh image was still in flight lost updates.
-// Both manifest only under concurrent access with tiny cache tiers.
+//      of the fresh image was still in flight lost updates;
+//  (3) Recover() walked the live SSD index across its device reads, so
+//      spills landing meanwhile could rehash the map under it.
+// They manifest only under concurrent access with tiny cache tiers. The
+// RBPEX by-reference tests pin the ownership rules of the SSD tier: a
+// promoted frame shares the SSD image until its first write, and the
+// checksum is recomputed only for frames changed since the last one.
 
 #include <gtest/gtest.h>
 
@@ -225,6 +230,200 @@ TEST(BufferPoolStressTest, CrashCancelsInflightPrefetch) {
     // The pool remains usable for demand traffic.
     Result<PageRef> ref = co_await p.GetPage(1);
     EXPECT_TRUE(ref.ok());
+    *done = true;
+  }(sim, pool, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+// Loads page 1 through the fetcher, pushes it out to SSD by touching
+// pages 2..5 (4 memory frames), then promotes it back from SSD.
+Task<Result<PageRef>> PromoteFromSsd(Simulator& s, BufferPool& p) {
+  (void)co_await p.GetPage(1);
+  for (PageId id = 2; id <= 5; id++) (void)co_await p.GetPage(id);
+  co_await sim::Delay(s, 5000);  // let the spills land
+  EXPECT_FALSE(p.InMemory(1));
+  EXPECT_TRUE(p.Contains(1));
+  uint64_t ssd_hits = p.stats().ssd_hits;
+  Result<PageRef> ref = co_await p.GetPage(1);
+  EXPECT_EQ(p.stats().ssd_hits, ssd_hits + 1);
+  co_return ref;
+}
+
+BufferPoolOptions RbpexOptions() {
+  BufferPoolOptions opts;
+  opts.mem_pages = 4;
+  opts.ssd_pages = 16;
+  return opts;
+}
+
+TEST(RbpexByReferenceTest, PromotedFrameWriteLeavesSsdImageIntact) {
+  // The promoted frame shares the SSD image; a write must detach it, so
+  // after a crash the SSD still holds the pre-mutation bytes, verified.
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPool pool(sim, RbpexOptions(), &fetcher);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, FreshFetcher& f,
+                bool* done) -> Task<> {
+    Result<PageRef> ref = co_await PromoteFromSsd(s, p);
+    EXPECT_TRUE(ref.ok());
+    EXPECT_FALSE(ref->page()->unique());  // shared with the SSD image
+    const char before = ref->page()->cdata()[kPageSize - 1];
+    ref->page()->data()[kPageSize - 1] = 'M';
+    ref.value().MarkDirty();
+    ref.value().Release();
+    p.Crash();  // before the dirtied frame is ever spilled
+    Result<size_t> rec = co_await p.Recover(/*durable_end_lsn=*/100);
+    EXPECT_TRUE(rec.ok());
+    EXPECT_TRUE(p.Contains(1));  // the SSD image still verifies
+    int fetches = f.fetches_;
+    uint64_t ssd_hits = p.stats().ssd_hits;
+    ref = co_await p.GetPage(1);
+    EXPECT_TRUE(ref.ok());
+    EXPECT_EQ(p.stats().ssd_hits, ssd_hits + 1);
+    EXPECT_EQ(f.fetches_, fetches);
+    EXPECT_EQ(ref->page()->cdata()[kPageSize - 1], before);
+    EXPECT_TRUE(ref->page()->VerifyChecksum().ok());
+    *done = true;
+  }(sim, pool, fetcher, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(RbpexByReferenceTest, PromotedFrameSkipsChecksumUntilDirtied) {
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPool pool(sim, RbpexOptions(), &fetcher);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, bool* done) -> Task<> {
+    Result<PageRef> ref = co_await PromoteFromSsd(s, p);
+    EXPECT_TRUE(ref.ok());
+    p.ResetStats();
+    // Promotion verified the image, so serving it needs no CRC pass.
+    ref.value().EnsureChecksum();
+    EXPECT_EQ(p.stats().checksum_skips, 1u);
+    EXPECT_EQ(p.stats().checksum_recomputes, 0u);
+    ref->page()->data()[kPageSize - 1] = 'M';
+    ref.value().MarkDirty();
+    ref.value().EnsureChecksum();
+    EXPECT_EQ(p.stats().checksum_skips, 1u);
+    EXPECT_EQ(p.stats().checksum_recomputes, 1u);
+    EXPECT_TRUE(ref->page()->VerifyChecksum().ok());
+    *done = true;
+  }(sim, pool, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(RbpexByReferenceTest, DirtiedPromotedFrameRespillsWithFreshStamp) {
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPool pool(sim, RbpexOptions(), &fetcher);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, FreshFetcher& f,
+                bool* done) -> Task<> {
+    Result<PageRef> ref = co_await PromoteFromSsd(s, p);
+    EXPECT_TRUE(ref.ok());
+    ref->page()->data()[kPageSize - 1] = 'M';
+    ref.value().MarkDirty();
+    ref.value().Release();
+    // Evict it again: the spill must checksum the changed image.
+    for (PageId id = 6; id <= 9; id++) (void)co_await p.GetPage(id);
+    co_await sim::Delay(s, 5000);
+    EXPECT_FALSE(p.InMemory(1));
+    int fetches = f.fetches_;
+    ref = co_await p.GetPage(1);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_EQ(f.fetches_, fetches);  // promoted, not refetched
+    if (ref.ok()) {
+      EXPECT_EQ(ref->page()->cdata()[kPageSize - 1], 'M');
+      EXPECT_TRUE(ref->page()->VerifyChecksum().ok());
+    }
+    *done = true;
+  }(sim, pool, fetcher, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+// A dirty formatted page `id` at `lsn`, installed and released.
+void InstallDirty(BufferPool& p, PageId id, Lsn lsn) {
+  Result<PageRef> ref = p.NewPage(id);
+  EXPECT_TRUE(ref.ok());
+  BTreePage::Format(ref->page(), id, 0, kMinKey, kMaxKey, kInvalidPageId);
+  ref->page()->set_page_lsn(lsn);
+  ref.value().MarkDirty();
+}
+
+constexpr Lsn kDurableEnd = 500;
+constexpr PageId kOldPages = 12;  // pages 0..11 sit in SSD at the crash
+constexpr PageId kFresh = 200;    // pages 200.. installed during Recover
+constexpr PageId kNumFresh = 48;
+
+Task<> InstallDuringRecover(Simulator& s, BufferPool& p, bool* fin) {
+  for (PageId i = 0; i < kNumFresh; i++) {
+    InstallDirty(p, kFresh + i, 2000);
+    co_await sim::Delay(s, 15);
+  }
+  *fin = true;
+}
+
+TEST(BufferPoolStressTest, RecoverSurvivesSpillsDuringItsReads) {
+  // Recover() suspends on one device read per SSD slot. Pages installed
+  // meanwhile spill into the SSD tier and grow (rehash) its index. Every
+  // valid pre-crash image must be recovered exactly once, every
+  // speculative one dropped exactly once, and the fresh spills kept.
+  Simulator sim;
+  BufferPoolOptions opts;
+  opts.mem_pages = 4;
+  opts.ssd_pages = 256;
+  BufferPool pool(sim, opts, nullptr);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, bool* done) -> Task<> {
+    // Even pages hardened; odd pages reflect log past the durable end.
+    for (PageId id = 0; id < kOldPages; id++) {
+      InstallDirty(p, id, id % 2 == 0 ? 10 : 1000);
+    }
+    for (PageId id = 100; id < 104; id++) InstallDirty(p, id, 1);
+    co_await sim::Delay(s, 5000);
+    for (PageId id = 0; id < kOldPages; id++) EXPECT_FALSE(p.InMemory(id));
+    EXPECT_EQ(p.ssd_resident(), kOldPages);
+    p.Crash();
+
+    bool installs_done = false;
+    Spawn(s, InstallDuringRecover(s, p, &installs_done));
+    Result<size_t> rec = co_await p.Recover(kDurableEnd);
+    EXPECT_TRUE(rec.ok());
+    EXPECT_EQ(*rec, kOldPages / 2);
+    while (!installs_done) co_await sim::Delay(s, 100);
+    co_await sim::Delay(s, 5000);
+
+    for (PageId id = 0; id < kOldPages; id++) {
+      EXPECT_EQ(p.Contains(id), id % 2 == 0) << id;
+    }
+    size_t fresh_on_ssd = 0;
+    for (PageId i = 0; i < kNumFresh; i++) {
+      EXPECT_TRUE(p.Contains(kFresh + i)) << kFresh + i;
+      if (!p.InMemory(kFresh + i)) fresh_on_ssd++;
+    }
+    EXPECT_GT(fresh_on_ssd, kOldPages);  // enough inserts to rehash
+    EXPECT_EQ(p.ssd_resident(),
+              kOldPages / 2 + kNumFresh - p.mem_resident());
+    // No slot was freed twice: every SSD-resident page promotes as itself.
+    for (PageId id = 0; id < kOldPages; id += 2) {
+      Result<PageRef> ref = co_await p.GetIfCached(id);
+      EXPECT_TRUE(ref.ok()) << id;
+      if (ref.ok()) {
+        EXPECT_EQ(ref->page()->page_id(), id);
+      }
+    }
+    for (PageId i = 0; i < kNumFresh; i++) {
+      Result<PageRef> ref = co_await p.GetIfCached(kFresh + i);
+      EXPECT_TRUE(ref.ok()) << kFresh + i;
+      if (ref.ok()) {
+        EXPECT_EQ(ref->page()->page_id(), kFresh + i);
+      }
+    }
     *done = true;
   }(sim, pool, &done));
   sim.Run();

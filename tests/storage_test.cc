@@ -209,6 +209,129 @@ TEST(SimBlockDeviceTest, StatsAccumulate) {
   EXPECT_EQ(dev.stats().bytes_read, 6u);
 }
 
+// A checksummed leaf image stamped with `id`.
+Page StampedPage(PageId id) {
+  Page p;
+  p.Format(id, PageType::kBTreeLeaf);
+  p.set_page_lsn(100 + id);
+  memcpy(p.data() + 64, "image", 5);
+  p.UpdateChecksum();
+  return p;
+}
+
+TEST(SimBlockDeviceTest, PageCallsChargeLikeByteCalls) {
+  // Same seed, same request sequence: the page calls and kPageSize byte
+  // calls draw the device RNG identically, so every I/O completes at the
+  // same simulated time (bit-identical simulation across the two APIs).
+  Simulator s1, s2;
+  SimBlockDevice pages(s1, DeviceProfile::LocalSsd(), 7);
+  SimBlockDevice bytes(s2, DeviceProfile::LocalSsd(), 7);
+  std::vector<SimTime> t1, t2;
+  Spawn(s1, [](Simulator& s, SimBlockDevice& d,
+               std::vector<SimTime>* t) -> Task<> {
+    for (PageId i = 0; i < 8; i++) {
+      EXPECT_TRUE((co_await d.WritePage(i * kPageSize, StampedPage(i))).ok());
+      t->push_back(s.now());
+      Page got;
+      EXPECT_TRUE((co_await d.ReadPage(i * kPageSize, &got)).ok());
+      t->push_back(s.now());
+      EXPECT_EQ(got.page_id(), i);
+    }
+  }(s1, pages, &t1));
+  Spawn(s2, [](Simulator& s, SimBlockDevice& d,
+               std::vector<SimTime>* t) -> Task<> {
+    for (PageId i = 0; i < 8; i++) {
+      Page img = StampedPage(i);
+      EXPECT_TRUE((co_await d.Write(i * kPageSize, img.AsSlice())).ok());
+      t->push_back(s.now());
+      std::string got;
+      EXPECT_TRUE((co_await d.Read(i * kPageSize, kPageSize, &got)).ok());
+      t->push_back(s.now());
+    }
+  }(s2, bytes, &t2));
+  s1.Run();
+  s2.Run();
+  ASSERT_EQ(t1.size(), 16u);
+  EXPECT_EQ(t1, t2);
+  EXPECT_EQ(pages.stats().reads, bytes.stats().reads);
+  EXPECT_EQ(pages.stats().writes, bytes.stats().writes);
+  EXPECT_EQ(pages.stats().bytes_read, bytes.stats().bytes_read);
+  EXPECT_EQ(pages.stats().bytes_written, bytes.stats().bytes_written);
+}
+
+TEST(SimBlockDeviceTest, ReadPageSharesStoredImageUntilWritten) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page written = StampedPage(3);
+  const char* stored = written.cdata();
+  Page first, second;
+  Spawn(s, [](SimBlockDevice& d, Page img, Page* a, Page* b) -> Task<> {
+    (void)co_await d.WritePage(2 * kPageSize, std::move(img));
+    (void)co_await d.ReadPage(2 * kPageSize, a);
+    (void)co_await d.ReadPage(2 * kPageSize, b);
+  }(dev, written, &first, &second));
+  s.Run();
+  // No copy on the way in or out: both reads return the written frame.
+  EXPECT_EQ(first.cdata(), stored);
+  EXPECT_EQ(second.cdata(), stored);
+  // Writing through a returned page detaches it; the stored image (seen
+  // through the other reader and a fresh read) keeps its bytes.
+  first.data()[64] = 'X';
+  EXPECT_NE(first.cdata(), stored);
+  EXPECT_EQ(second.cdata()[64], 'i');
+  Page third;
+  Spawn(s, [](SimBlockDevice& d, Page* c) -> Task<> {
+    (void)co_await d.ReadPage(2 * kPageSize, c);
+  }(dev, &third));
+  s.Run();
+  EXPECT_EQ(third.cdata(), stored);
+  EXPECT_EQ(third.cdata()[64], 'i');
+  EXPECT_TRUE(third.VerifyChecksum().ok());
+}
+
+TEST(SimBlockDeviceTest, UnwrittenPageFailsVerify) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page got = StampedPage(1);
+  Status rs;
+  Spawn(s, [](SimBlockDevice& d, Page* out, Status* r) -> Task<> {
+    *r = co_await d.ReadPage(40 * kPageSize, out);
+  }(dev, &got, &rs));
+  s.Run();
+  // The read itself succeeds (unwritten media reads as zeros), and the
+  // zero image is caught by the checksum, as with a byte read.
+  EXPECT_TRUE(rs.ok());
+  EXPECT_EQ(got.page_id(), 0u);
+  EXPECT_TRUE(got.VerifyChecksum().IsCorruption());
+}
+
+TEST(SimBlockDeviceTest, PageCallsFailDuringOutageAndStoreNothing) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  dev.SetAvailable(false);
+  Status ws, rs;
+  Page got = StampedPage(9);
+  Spawn(s, [](SimBlockDevice& d, Page* out, Status* w,
+              Status* r) -> Task<> {
+    *w = co_await d.WritePage(0, StampedPage(5));
+    *r = co_await d.ReadPage(0, out);
+  }(dev, &got, &ws, &rs));
+  s.Run();
+  EXPECT_TRUE(ws.IsUnavailable());
+  EXPECT_TRUE(rs.IsUnavailable());
+  EXPECT_EQ(got.page_id(), 9u);  // a failed read leaves the output alone
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+  EXPECT_EQ(dev.stats().writes, 0u);
+  EXPECT_EQ(dev.stats().reads, 0u);
+  dev.SetAvailable(true);
+  Spawn(s, [](SimBlockDevice& d, Page* out, Status* r) -> Task<> {
+    *r = co_await d.ReadPage(0, out);
+  }(dev, &got, &rs));
+  s.Run();
+  EXPECT_TRUE(rs.ok());
+  EXPECT_TRUE(got.VerifyChecksum().IsCorruption());  // nothing was stored
+}
+
 // --------------------------------------------------- ReplicatedBlockDevice
 
 TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
