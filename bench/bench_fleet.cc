@@ -128,7 +128,6 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.page_server.scan_admission_getpage_depth = 2;
   o.tenant.page_server.scan_admission_p99_us = 20;
   o.tenant.page_server.scan_admission_tokens_per_s = 10;
-  o.tenant.page_server.scan_admission_use_host_load = qos;
   // Isolation comes from the gateway's cross-tenant scan hold-off; the
   // 16-subset ablation in EXPERIMENTS.md shows it is the gate that acts.
   if (!qos) o.gateway.scan_hold_off_us = 0;

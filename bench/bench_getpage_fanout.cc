@@ -184,17 +184,18 @@ FreshnessResult RunFreshnessPhase(Bed& bed) {
 
 // ---- Phase 2: fan-out sweep.
 
-// Enumerate pages actually present in the partition via range reads.
+// Enumerate pages actually present in the partition, in 128-page chunks;
+// a page that was never allocated reads NotFound and is skipped.
 std::vector<PageId> CollectPagePool(Bed& bed, size_t want) {
   std::vector<PageId> pool;
   RunSim(bed.sim, [&]() -> Task<> {
-    for (PageId first = 0; first < 1 << 14 && pool.size() < want;
-         first += 128) {
-      Result<std::vector<storage::Page>> r =
-          co_await bed.ps->GetPageRangeAtLsn(first, 128, bed.end);
-      if (!r.ok()) abort();
-      for (const storage::Page& p : r.value()) {
-        pool.push_back(p.page_id());
+    for (PageId id = 0; id < 1 << 14; id++) {
+      if (id % 128 == 0 && pool.size() >= want) break;
+      Result<storage::Page> r = co_await bed.ps->GetPageAtLsn(id, bed.end);
+      if (r.ok()) {
+        pool.push_back(id);
+      } else if (!r.status().IsNotFound()) {
+        abort();
       }
     }
   });

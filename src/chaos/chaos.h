@@ -32,6 +32,10 @@
 namespace socrates {
 namespace chaos {
 
+/// The XLOG process's site: one per deployment, shared by the log
+/// writer's delivery channel, the Page Servers' pulls and fault plans.
+inline constexpr char kXLogSite[] = "xlog";
+
 /// How often each class of fault actually fired (not how often it was
 /// configured) — benches and the soak test print these.
 struct InjectorStats {

@@ -114,6 +114,12 @@ FaultPlan& FaultPlan::TransientFailures(SimTime at_us, int index,
   return *this;
 }
 
+// Shortest window fault; the longest is RandomPlanOptions::max_window_us.
+constexpr SimTime kMinWindowUs = 50 * 1000;
+// Added latency of a gray Page Server, and loss rate of a flaky link.
+constexpr SimTime kGrayDelayUs = 3000;
+constexpr double kFlakyDropProb = 0.3;
+
 FaultPlan FaultPlan::Random(uint64_t seed,
                             const RandomPlanOptions& o) {
   ::socrates::Random rng(seed ^ 0xfa017u);
@@ -123,22 +129,16 @@ FaultPlan FaultPlan::Random(uint64_t seed,
     menu.push_back(FaultKind::kCrashPageServer);
     if (o.num_secondaries > 0) menu.push_back(FaultKind::kCrashSecondary);
   }
-  if (o.partitions) {
-    menu.push_back(FaultKind::kPartitionPrimaryPs);
-    menu.push_back(FaultKind::kPartitionLogDelivery);
-    menu.push_back(FaultKind::kFlakyLink);
-  }
-  if (o.gray) menu.push_back(FaultKind::kGrayPageServer);
-  if (o.storage_outages) {
-    menu.push_back(FaultKind::kXStoreOutage);
-    menu.push_back(FaultKind::kLZOutage);
-  }
-  if (o.transient_failures) {
-    menu.push_back(FaultKind::kTransientFailures);
-  }
+  menu.push_back(FaultKind::kPartitionPrimaryPs);
+  menu.push_back(FaultKind::kPartitionLogDelivery);
+  menu.push_back(FaultKind::kFlakyLink);
+  menu.push_back(FaultKind::kGrayPageServer);
+  menu.push_back(FaultKind::kXStoreOutage);
+  menu.push_back(FaultKind::kLZOutage);
+  menu.push_back(FaultKind::kTransientFailures);
 
   FaultPlan plan;
-  if (menu.empty() || o.events <= 0) return plan;
+  if (o.events <= 0) return plan;
   for (int i = 0; i < o.events; i++) {
     FaultEvent e;
     e.at_us = o.start_us + rng.Uniform(std::max<SimTime>(o.horizon_us, 1));
@@ -151,14 +151,13 @@ FaultPlan FaultPlan::Random(uint64_t seed,
           rng.Uniform(std::max(o.num_secondaries, 1)));
     }
     if (e.IsWindow()) {
-      e.duration_us =
-          rng.UniformRange(o.min_window_us, o.max_window_us);
+      e.duration_us = rng.UniformRange(kMinWindowUs, o.max_window_us);
     }
     if (e.kind == FaultKind::kFlakyLink) {
-      e.drop_prob = o.flaky_drop_prob;
+      e.drop_prob = kFlakyDropProb;
       e.delay_us = 500;
     }
-    if (e.kind == FaultKind::kGrayPageServer) e.delay_us = o.gray_delay_us;
+    if (e.kind == FaultKind::kGrayPageServer) e.delay_us = kGrayDelayUs;
     if (e.kind == FaultKind::kTransientFailures) {
       e.count = static_cast<int>(rng.UniformRange(2, 8));
     }
@@ -225,8 +224,8 @@ void OpenWindow(sim::Simulator& sim, const FaultEvent& e,
       break;
     }
     case FaultKind::kPartitionLogDelivery: {
-      inj->SetPartitioned(t.logwriter_site, t.xlog_site, true);
-      std::string a = t.logwriter_site, b = t.xlog_site;
+      inj->SetPartitioned(t.logwriter_site, kXLogSite, true);
+      std::string a = t.logwriter_site, b = kXLogSite;
       sim.ScheduleAt(e.at_us + e.duration_us, [inj, a, b] {
         inj->SetPartitioned(a, b, false);
       });

@@ -84,29 +84,22 @@ struct FaultTargets {
   std::function<void(int)> crash_page_server;
   std::function<void(int, int)> inject_transient;  // (ps index, count)
   std::string logwriter_site = "logwriter";
-  std::string xlog_site = "xlog";
   std::string xstore_site = "xstore";
   std::string lz_site = "lz";
 };
 
-/// Knobs for FaultPlan::Random. Category flags let callers carve out
-/// faults their harness cannot absorb (e.g. a fuzzer that needs commits
-/// to eventually succeed keeps LZ outages short or off).
+/// Knobs for FaultPlan::Random. Window faults (partitions, flaky links,
+/// gray Page Servers, storage outages) and transient failures are always
+/// on the menu; `crashes` lets a harness that drives crash timing itself
+/// leave crashes out.
 struct RandomPlanOptions {
   SimTime start_us = 100 * 1000;
   SimTime horizon_us = 1500 * 1000;  // events drawn in [start, start+horizon)
   int events = 6;
   int num_page_servers = 1;
   int num_secondaries = 0;
-  SimTime min_window_us = 50 * 1000;
-  SimTime max_window_us = 250 * 1000;
-  SimTime gray_delay_us = 3000;
-  double flaky_drop_prob = 0.3;
+  SimTime max_window_us = 250 * 1000;  // windows last [50 ms, max]
   bool crashes = true;
-  bool partitions = true;
-  bool gray = true;
-  bool storage_outages = true;
-  bool transient_failures = true;
 };
 
 class FaultPlan {

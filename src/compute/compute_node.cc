@@ -150,6 +150,11 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
   ComputeNode* node_;
 };
 
+// Redo apply lanes for the Secondary / recovery apply path: page records
+// are sharded by PageId across this many concurrent coroutines (see
+// engine::RedoApplier::ConfigureLanes).
+constexpr int kApplyLanes = 4;
+
 ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
                          PageServerRouter* router, xlog::XLogProcess* xlog,
                          engine::LogSink* sink,
@@ -161,17 +166,13 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       sink_(sink),
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)),
-      evicted_map_(options.evicted_map_buckets),
       rpc_rng_(0xfe7c + options.cpu_cores),
       pull_rng_(0x9e0) {
   rbio::RbioClientOptions rbio_opts;
   rbio_opts.network = options.rpc_latency;
-  rbio_opts.cpu_per_request_us = options.rpc_cpu_us;
-  rbio_opts.max_batch = options.rbio_max_batch;
   rbio_opts.injector = options.chaos_injector;
   rbio_opts.site = options.chaos_site;
   rbio_opts.wire_mb_per_s = options.rbio_wire_mb_per_s;
-  rbio_opts.cpu_per_result_kb_us = options.rbio_cpu_per_result_kb_us;
   rbio_opts.overload_backoff_us = options.rbio_overload_backoff_us;
   rbio_ = std::make_unique<rbio::RbioClient>(
       sim, cpu_.get(), rbio_opts, 0xb10c + options.cpu_cores);
@@ -187,7 +188,7 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       [this](PageId id, Lsn lsn) { evicted_map_.Update(id, lsn); });
   applier_ = std::make_unique<engine::RedoApplier>(
       sim, pool_.get(), engine::RedoApplier::MissPolicy::kIgnoreUncached);
-  applier_->ConfigureLanes(opts_.apply_lanes, cpu_.get());
+  applier_->ConfigureLanes(kApplyLanes, cpu_.get());
   engine_ = std::make_unique<engine::Engine>(
       sim, pool_.get(), role == Role::kPrimary ? sink : nullptr);
   // Scan readahead is safe on both roles: prefetch misses go through
@@ -243,7 +244,7 @@ sim::Task<> ComputeNode::PullTask(std::shared_ptr<PendingPull> pull) {
   SimTime ship = opts_.pull_latency.Sample(pull_rng_);
   if (ship > 0) co_await sim::Delay(sim_, ship);
   pull->result = co_await xlog_->Pull(pull->from, std::nullopt,
-                                      opts_.pull_bytes);
+                                      xlog::XLogProcess::kPullBytes);
   pull->done.Set();
 }
 
@@ -274,7 +275,8 @@ sim::Task<> ComputeNode::SecondaryApplyLoop() {
       co_await sim::Delay(sim_, 10000);
       continue;
     }
-    if (opts_.pipelined_pulls && !blocks->empty()) {
+    if (!blocks->empty()) {
+      // Overlap the next pull with applying this batch.
       next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());
       sim::Spawn(sim_, PullTask(next));
     }
@@ -322,7 +324,8 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   while (applier_->applied_lsn().value() < durable_end) {
     Lsn from = applier_->applied_lsn().value();
     Result<std::vector<xlog::LogBlock>> blocks =
-        co_await xlog_->Pull(from, std::nullopt, opts_.pull_bytes);
+        co_await xlog_->Pull(from, std::nullopt,
+                             xlog::XLogProcess::kPullBytes);
     if (!blocks.ok()) co_return blocks.status();
     if (blocks->empty()) break;
     for (xlog::LogBlock& block : *blocks) {
@@ -345,7 +348,7 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   //    back into memory in the background so the node reaches warm-cache
   //    throughput without waiting for demand misses.
   if (opts_.warmup_after_recovery) {
-    pool_->StartWarmup(opts_.warmup_pages);
+    pool_->StartWarmup();
   }
   co_return Status::OK();
 }
@@ -371,7 +374,7 @@ sim::Task<Status> ComputeNode::Promote(engine::LogSink* sink,
   // was serving a different read set; promote the RBPEX MRU prefix so
   // failover reaches warm-cache throughput quickly (§5 + §3.3).
   if (opts_.warmup_after_recovery) {
-    pool_->StartWarmup(opts_.warmup_pages);
+    pool_->StartWarmup();
   }
   co_return Status::OK();
 }

@@ -139,24 +139,11 @@ struct ComputeOptions {
   /// False degrades RBPEX to a plain (pre-Socrates) buffer-pool
   /// extension whose contents die with the process — the §3.3 ablation.
   bool rbpex_recoverable = true;
-  size_t evicted_map_buckets = 1 << 16;
   sim::LatencyModel rpc_latency =
       sim::DeviceProfile::IntraDcNetwork().read;
   /// One-way latency added per XLOG pull round (log shipping distance).
   /// Intra-DC by default; geo-replicas (§6) set a cross-region profile.
   sim::LatencyModel pull_latency = sim::LatencyModel::Zero();
-  SimTime rpc_cpu_us = 8;
-  uint64_t pull_bytes = 1 * MiB;
-  /// Redo apply lanes for the Secondary / recovery apply path (page
-  /// records sharded by PageId across concurrent coroutines; see
-  /// engine::RedoApplier::ConfigureLanes). 1 = serial apply.
-  int apply_lanes = 4;
-  /// Issue the next XLOG pull while the current batch applies.
-  bool pipelined_pulls = true;
-  /// RBIO GetPage batching: concurrent misses bound for the same Page
-  /// Server are multiplexed into one kGetPageBatch frame of up to this
-  /// many sub-requests (1 = per-page frames).
-  uint32_t rbio_max_batch = 16;
   /// B+-tree sequential-scan readahead: max prefetch window in leaves
   /// (ramps 2 → this on confirmed sequential access, collapses on a
   /// break; 0 disables and reproduces the serial scan exactly). Safe on
@@ -167,8 +154,6 @@ struct ComputeOptions {
   /// MRU prefix into memory in the background (§3.3: failover resumes at
   /// warm-cache speed without waiting for demand misses).
   bool warmup_after_recovery = true;
-  /// Cap on warmup promotions (0 = memory capacity).
-  size_t warmup_pages = 0;
   /// How ScanWhere plans filtered scans (computation pushdown, RBIO
   /// kScanRange); plain Scan and Get are never affected.
   PushdownPlan pushdown_plan = PushdownPlan::kCost;
@@ -176,8 +161,6 @@ struct ComputeOptions {
   /// on request/response legs (0 = infinite — the historical timing,
   /// bit-identical traces).
   double rbio_wire_mb_per_s = 0;
-  /// Client CPU per KB of pushdown result tuples materialized.
-  double rbio_cpu_per_result_kb_us = 2.0;
   /// How long a kOverloaded reply keeps this client off an endpoint's
   /// scan path.
   SimTime rbio_overload_backoff_us = 50 * 1000;

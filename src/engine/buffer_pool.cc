@@ -86,9 +86,8 @@ BufferPool::BufferPool(sim::Simulator& sim,
       life_(std::make_shared<LifeToken>()) {
   if (opts_.ssd_pages > 0) {
     ssd_ = std::make_shared<storage::SimBlockDevice>(
-        sim, opts_.ssd_profile, seed);
+        sim, sim::DeviceProfile::LocalSsd(), seed);
   }
-  if (opts_.spill_batch_pages == 0) opts_.spill_batch_pages = 1;
 }
 
 BufferPool::~BufferPool() { life_->alive = false; }
@@ -353,13 +352,12 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
   barrier->Set();
 }
 
-void BufferPool::StartWarmup(size_t max_pages) {
+void BufferPool::StartWarmup() {
   if (ssd_ == nullptr || ssd_meta_.empty()) {
     warmup_done_ = true;
     return;
   }
-  if (max_pages == 0) max_pages = opts_.mem_pages;
-  max_pages = std::min(max_pages, opts_.mem_pages);
+  const size_t max_pages = opts_.mem_pages;
   // Snapshot the MRU prefix now; the order reflects pre-crash heat.
   std::vector<PageId> ids;
   ids.reserve(std::min(max_pages, ssd_lru_.size()));
@@ -617,12 +615,14 @@ auto BufferPool::CollectVictims(size_t want)
   return out;
 }
 
+// Max victims spilled per eviction pass; their SSD writes overlap.
+constexpr size_t kSpillBatchPages = 8;
+
 sim::Task<> BufferPool::EvictionLoop(LifePtr life, uint64_t epoch,
                                      SsdPtr ssd) {
   while (life->alive && life->epoch == epoch &&
          frames_.size() > opts_.mem_pages) {
-    size_t want = std::min(opts_.spill_batch_pages,
-                           frames_.size() - opts_.mem_pages);
+    size_t want = std::min(kSpillBatchPages, frames_.size() - opts_.mem_pages);
     std::vector<std::unique_ptr<Frame>> victims = CollectVictims(want);
     if (victims.empty()) break;  // everything pinned: transient overflow
     stats_.mem_evictions += victims.size();

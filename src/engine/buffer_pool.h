@@ -60,10 +60,6 @@ struct BufferPoolOptions {
   size_t mem_pages = 1024;
   size_t ssd_pages = 0;  // 0 disables the SSD tier
   bool ssd_recoverable = true;  // RBPEX; false = plain BPE lost on crash
-  sim::DeviceProfile ssd_profile = sim::DeviceProfile::LocalSsd();
-  // Max victims spilled per eviction pass; their SSD writes overlap.
-  // 1 reproduces the old one-victim-at-a-time drain.
-  size_t spill_batch_pages = 8;
 };
 
 struct BufferPoolStats {
@@ -181,10 +177,10 @@ class BufferPool {
   void Prefetch(const std::vector<PageId>& pages);
 
   /// Background warm-cache promotion (§3.3): walk the SSD tier's MRU
-  /// prefix and promote up to `max_pages` (0 = mem capacity) into memory
-  /// via the prefetch machinery, in small windows so demand traffic is
-  /// not starved. Stops early if memory fills with demand-loaded pages.
-  void StartWarmup(size_t max_pages = 0);
+  /// prefix and promote up to memory capacity into memory via the
+  /// prefetch machinery, in small windows so demand traffic is not
+  /// starved. Stops early if memory fills with demand-loaded pages.
+  void StartWarmup();
   bool warmup_done() const { return warmup_done_; }
   uint64_t warmup_promoted() const { return warmup_promoted_; }
 

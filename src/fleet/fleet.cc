@@ -3,11 +3,14 @@
 namespace socrates {
 namespace fleet {
 
+// Shared XStore bandwidth for the whole fleet, in MB/s.
+constexpr double kXStoreBandwidthMbS = 400.0;
+
 Fleet::Fleet(sim::Simulator& sim, const FleetOptions& options)
     : sim_(sim), opts_(options) {
   chaos_ = std::make_unique<chaos::Injector>();
   xstore_ = std::make_unique<xstore::XStore>(
-      sim, sim::DeviceProfile::XStore(), opts_.xstore_bandwidth_mb_s);
+      sim, sim::DeviceProfile::XStore(), kXStoreBandwidthMbS);
   xstore_->AttachChaos(chaos_.get(), "xstore");
   for (int h = 0; h < opts_.hosts; h++) {
     auto host = std::make_unique<PageServerHost>();
@@ -20,11 +23,6 @@ Fleet::Fleet(sim::Simulator& sim, const FleetOptions& options)
 }
 
 Fleet::~Fleet() { Stop(); }
-
-int Fleet::PlaceOf(TenantId t, PartitionId p) const {
-  if (opts_.place) return opts_.place(t, p);
-  return static_cast<int>(t) % opts_.hosts;
-}
 
 sim::Task<Status> Fleet::Start() {
   for (int t = 0; t < opts_.tenants; t++) {
@@ -39,8 +37,10 @@ sim::Task<Status> Fleet::Start() {
                                             ? opts_.lz_hosts
                                             : 1));
     d.compute_router = gateway_->RouterFor(tenant, d.partition_map);
+    // Placement packs a tenant's partitions onto one host, tenants
+    // round-robin.
     d.ps_host = [this, tenant](PartitionId p) {
-      const int h = PlaceOf(tenant, p);
+      const int h = static_cast<int>(tenant) % opts_.hosts;
       placement_[{tenant, p}] = h;
       hosts_[h]->load.residents++;
       return service::PsHostBinding{hosts_[h]->site, hosts_[h]->cpu.get(),

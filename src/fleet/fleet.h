@@ -14,7 +14,6 @@
 
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,16 +45,11 @@ struct FleetOptions {
   /// Landing-zone hosts; tenant t's LZ lives on "lzhost-<t % lz_hosts>".
   int lz_hosts = 2;
   int host_cpu_cores = 16;
-  /// Shared XStore bandwidth for the whole fleet.
-  double xstore_bandwidth_mb_s = 400.0;
   /// Per-tenant deployment shape (partitions, caches, LZ size...).
   /// Fleet-mode fields (shared_*, site_prefix, blob_namespace, lz_site,
   /// compute_router, ps_host) are overwritten per tenant.
   service::DeploymentOptions tenant;
   GatewayOptions gateway;
-  /// Placement: (tenant, partition) -> host index. Default packs a
-  /// tenant's partitions onto one host, tenants round-robin.
-  std::function<int(TenantId, PartitionId)> place;
 };
 
 class Fleet {
@@ -98,8 +92,6 @@ class Fleet {
   chaos::FaultTargets ChaosTargets(TenantId t);
 
  private:
-  int PlaceOf(TenantId t, PartitionId p) const;
-
   sim::Simulator& sim_;
   FleetOptions opts_;
   std::unique_ptr<chaos::Injector> chaos_;

@@ -18,12 +18,15 @@ std::vector<rbio::Endpoint> TenantRouter::EndpointsFor(PageId page) const {
   return {rbio::Endpoint{port, port->name()}};
 }
 
+// Gateway CPU cores shared by every tenant's frames.
+constexpr int kCpuCores = 16;
+// Extra network hop through the gateway, and gateway CPU, per frame.
+constexpr SimTime kHopLatencyUs = 30;
+constexpr SimTime kCpuPerFrameUs = 2;
+
 Gateway::Gateway(sim::Simulator& sim, TenantDirectory* directory,
                  const GatewayOptions& options)
-    : sim_(sim),
-      directory_(directory),
-      opts_(options),
-      cpu_(sim, options.cpu_cores) {}
+    : sim_(sim), directory_(directory), opts_(options), cpu_(sim, kCpuCores) {}
 
 compute::PageServerRouter* Gateway::RouterFor(
     TenantId tenant, const xlog::PartitionMap& pmap) {
@@ -118,10 +121,8 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
     }
   }
   frames_forwarded_++;
-  co_await cpu_.Consume(opts_.cpu_per_frame_us);
-  if (opts_.hop_latency_us > 0) {
-    co_await sim::Delay(sim_, opts_.hop_latency_us);
-  }
+  co_await cpu_.Consume(kCpuPerFrameUs);
+  co_await sim::Delay(sim_, kHopLatencyUs);
   co_return co_await port->server_->HandleRbio(frame);
 }
 

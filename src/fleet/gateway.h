@@ -42,11 +42,6 @@ namespace socrates {
 namespace fleet {
 
 struct GatewayOptions {
-  /// Extra network hop through the gateway, per frame.
-  SimTime hop_latency_us = 30;
-  /// Gateway CPU per forwarded frame.
-  SimTime cpu_per_frame_us = 2;
-  int cpu_cores = 16;
   /// Cross-tenant bulk/interactive hold-off: a scan bound for a host
   /// that forwarded *another* tenant's point read within this window is
   /// shed with kOverloaded. The Page Server's own admission control is

@@ -3,6 +3,19 @@
 namespace socrates {
 namespace hadr {
 
+namespace {
+// One Primary and three Secondaries (§2).
+constexpr int kNumSecondaries = 3;
+// Each node stores the full database on local disk; this is the node
+// storage budget in pages (deployments cannot exceed it — the 4 TB cap
+// of Table 1).
+constexpr size_t kNodeStoragePages = 1 << 20;
+// Node-to-node network (log shipping, seeding) and each node's local log
+// disk.
+const sim::LatencyModel kNetwork = sim::DeviceProfile::IntraDcNetwork().write;
+const sim::DeviceProfile kLocalLogDisk = sim::DeviceProfile::LocalSsd();
+}  // namespace
+
 // ------------------------------------------------------------ HadrLogSink
 
 HadrLogSink::HadrLogSink(sim::Simulator& sim, sim::CpuResource* cpu,
@@ -20,7 +33,7 @@ HadrLogSink::HadrLogSink(sim::Simulator& sim, sim::CpuResource* cpu,
       backup_progress_(sim),
       work_(sim),
       log_disk_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.local_log_disk, 0xd15c)) {
+          sim, kLocalLogDisk, 0xd15c)) {
   hardened_.Advance(engine::kLogStreamStart);
   backup_progress_.Advance(engine::kLogStreamStart);
 }
@@ -122,12 +135,10 @@ sim::Task<> HadrLogSink::FlusherLoop() {
       sim::Spawn(sim_, [](HadrLogSink* self, HadrSecondary* s, Lsn start,
                           std::shared_ptr<const std::string> data,
                           std::function<void()> v) -> sim::Task<> {
-        co_await sim::Delay(self->sim_, self->opts_.network.Sample(
-                                            self->rng_));
+        co_await sim::Delay(self->sim_, kNetwork.Sample(self->rng_));
         Status st = co_await s->Receive(start, std::move(data));
         if (st.ok()) {
-          co_await sim::Delay(self->sim_, self->opts_.network.Sample(
-                                              self->rng_));
+          co_await sim::Delay(self->sim_, kNetwork.Sample(self->rng_));
           v();
         }
       }(this, sec, block_start, payload, vote));
@@ -189,13 +200,13 @@ HadrSecondary::HadrSecondary(sim::Simulator& sim,
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)),
       log_disk_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.local_log_disk, 0x5ec + index)),
+          sim, kLocalLogDisk, 0x5ec + index)),
       rng_(0x5eed + index) {
   engine::BufferPoolOptions pool_opts;
   pool_opts.mem_pages = options.mem_pages;
   // Full local copy: the "SSD tier" is the node's local disk, sized to
   // hold the entire database.
-  pool_opts.ssd_pages = options.node_storage_pages;
+  pool_opts.ssd_pages = kNodeStoragePages;
   pool_opts.ssd_recoverable = true;
   pool_ = std::make_unique<engine::BufferPool>(sim, pool_opts, nullptr,
                                                0xab + index);
@@ -229,7 +240,7 @@ HadrCluster::HadrCluster(sim::Simulator& sim, xstore::XStore* xstore,
       xstore_(xstore),
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)) {
-  for (int i = 0; i < options.num_secondaries; i++) {
+  for (int i = 0; i < kNumSecondaries; i++) {
     secondaries_.push_back(
         std::make_unique<HadrSecondary>(sim, options, i));
     secondary_ptrs_.push_back(secondaries_.back().get());
@@ -238,7 +249,7 @@ HadrCluster::HadrCluster(sim::Simulator& sim, xstore::XStore* xstore,
                                         xstore, options);
   engine::BufferPoolOptions pool_opts;
   pool_opts.mem_pages = options.mem_pages;
-  pool_opts.ssd_pages = options.node_storage_pages;  // full local copy
+  pool_opts.ssd_pages = kNodeStoragePages;  // full local copy
   pool_opts.ssd_recoverable = true;
   pool_ = std::make_unique<engine::BufferPool>(sim, pool_opts, nullptr,
                                                0x11ad);
@@ -264,7 +275,6 @@ sim::Task<Result<SimTime>> HadrCluster::SeedNewSecondary() {
   auto node = std::make_unique<HadrSecondary>(
       sim_, opts_, static_cast<int>(secondaries_.size()));
   Random rng(0x5eed);
-  sim::LatencyModel net = opts_.network;
   uint64_t copied = 0;
   // Iterate all pages the primary's tree ever allocated.
   PageId end_page = active_engine_->btree()->next_page_id();
@@ -273,7 +283,7 @@ sim::Task<Result<SimTime>> HadrCluster::SeedNewSecondary() {
     if (!ref.ok()) continue;
     storage::Page copy = *ref->page();
     copy.UpdateChecksum();
-    co_await sim::Delay(sim_, net.Sample(rng));
+    co_await sim::Delay(sim_, kNetwork.Sample(rng));
     Result<engine::PageRef> dst = node->engine()->pool()->NewPage(id);
     if (dst.ok()) {
       *dst->page() = copy;

@@ -3,7 +3,7 @@
 // compares against.
 //
 // Shape reproduced:
-//  * One Primary and N (default 3) Secondaries, each holding a FULL local
+//  * One Primary and three Secondaries, each holding a FULL local
 //    copy of the database (local reads never leave the node; cache hit
 //    rate is 100% by construction).
 //  * Log shipping: the Primary writes log locally and ships every block
@@ -35,17 +35,10 @@ namespace socrates {
 namespace hadr {
 
 struct HadrOptions {
-  int num_secondaries = 3;
   /// Quorum counts the Primary's local write plus Secondary acks.
   int commit_quorum = 3;
   int cpu_cores = 8;
   size_t mem_pages = 4096;
-  /// Each node stores the full database on local disk; this is the node
-  /// storage budget in pages (deployments cannot exceed it — the 4 TB
-  /// cap of Table 1).
-  size_t node_storage_pages = 1 << 20;
-  sim::LatencyModel network = sim::DeviceProfile::IntraDcNetwork().write;
-  sim::DeviceProfile local_log_disk = sim::DeviceProfile::LocalSsd();
   /// Max bytes of log produced but not yet backed up to XStore before
   /// the Primary stalls (backup egress throttling, §7.4).
   uint64_t max_backup_lag_bytes = 8 * MiB;

@@ -267,8 +267,8 @@ sim::Task<> PageServer::PullTask(std::shared_ptr<PendingPull> pull,
     pull->result = Result<std::vector<xlog::LogBlock>>(
         Status::Unavailable("xlog partitioned"));
   } else {
-    pull->result =
-        co_await xlog_->Pull(pull->from, opts_.partition, opts_.pull_bytes);
+    pull->result = co_await xlog_->Pull(pull->from, opts_.partition,
+                                        xlog::XLogProcess::kPullBytes);
   }
   pull->done.Set();
 }
@@ -298,8 +298,8 @@ sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
         pulled = Result<std::vector<xlog::LogBlock>>(
             Status::Unavailable("xlog partitioned"));
       } else {
-        pulled =
-            co_await xlog_->Pull(from, opts_.partition, opts_.pull_bytes);
+        pulled = co_await xlog_->Pull(from, opts_.partition,
+                                      xlog::XLogProcess::kPullBytes);
       }
       pull_wait_us_ += sim_.now() - wait_start;
     }
@@ -310,8 +310,7 @@ sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
       continue;
     }
     pulls_++;
-    if (opts_.pipelined_pulls && !blocks->empty() &&
-        blocks->back().end_lsn() < opts_.apply_until) {
+    if (!blocks->empty() && blocks->back().end_lsn() < opts_.apply_until) {
       // Overlap the next pull with applying this batch.
       next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());
       sim::Spawn(sim_, PullTask(next, epoch));
@@ -450,42 +449,6 @@ sim::Task<Status> PageServer::WaitApplied(Lsn min_lsn) {
     co_await w->event.Wait();
     waiter_wake_lag_us_.Add(static_cast<double>(sim_.now() - w->woken_at));
   }
-}
-
-sim::Task<Result<std::vector<storage::Page>>> PageServer::GetPageRangeAtLsn(
-    PageId first_page, uint32_t count, Lsn min_lsn) {
-  getpage_requests_++;
-  ScopedInflight inflight(&getpage_inflight_,
-                          opts_.host_load != nullptr
-                              ? &opts_.host_load->getpage_inflight
-                              : nullptr);
-  SOCRATES_CO_RETURN_IF_ERROR(co_await WaitApplied(min_lsn));
-  // One logical I/O against the covering, stride-preserving cache: the
-  // whole range costs a single CPU slice plus the (mostly local-SSD)
-  // page reads, instead of `count` round trips.
-  co_await cpu_->Consume(5 + count / 8);
-  std::vector<storage::Page> pages;
-  pages.reserve(count);
-  PageId end = first_page + count;
-  // Overlap the SSD promotions: start the whole range loading before the
-  // serial collection loop below pins page by page.
-  std::vector<PageId> range_ids;
-  range_ids.reserve(count);
-  for (PageId id = first_page; id < end; id++) {
-    if (InPartition(id)) range_ids.push_back(id);
-  }
-  pool_->Prefetch(range_ids);
-  for (PageId id = first_page; id < end; id++) {
-    if (!InPartition(id)) continue;
-    Result<engine::PageRef> ref = co_await pool_->GetPage(id);
-    if (!ref.ok()) {
-      if (ref.status().IsNotFound()) continue;  // unallocated page
-      co_return Result<std::vector<storage::Page>>(ref.status());
-    }
-    ref->EnsureChecksum();
-    pages.push_back(*ref->page());
-  }
-  co_return std::move(pages);
 }
 
 sim::Task<Result<std::string>> PageServer::HandleRbio(
@@ -638,9 +601,12 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     uint32_t len;
   };
   std::vector<Tup> tups;
+  // Pushdown trades wire bytes for Page Server compute: each leaf visited
+  // pays the evaluator's per-I/O and per-KB price on this server's CPU.
+  const sim::DeviceProfile eval = sim::DeviceProfile::PushdownEval();
   const SimTime eval_cpu_us =
-      opts_.pushdown_profile.cpu_per_io_us +
-      static_cast<SimTime>(opts_.pushdown_profile.cpu_per_kb_us *
+      eval.cpu_per_io_us +
+      static_cast<SimTime>(eval.cpu_per_kb_us *
                            (static_cast<double>(kPageSize) / 1024.0));
   bool done = false;
   while (!done) {
@@ -778,8 +744,7 @@ bool PageServer::ServingDegraded() const {
   // this server too — its scans would steal the shared host CPU those
   // point reads are queued on. Host depth uses the same subtraction
   // (scans host-wide are not point pressure).
-  if (opts_.host_load != nullptr && opts_.scan_admission_use_host_load &&
-      opts_.scan_admission_getpage_depth > 0) {
+  if (opts_.host_load != nullptr && opts_.scan_admission_getpage_depth > 0) {
     const HostLoad& h = *opts_.host_load;
     const uint64_t host_point_depth =
         h.getpage_inflight > h.scan_inflight
@@ -790,11 +755,16 @@ bool PageServer::ServingDegraded() const {
   return false;
 }
 
+// Scan admission token bucket capacity (burst allowance).
+constexpr double kScanAdmissionBurst = 2.0;
+// Max admission-queue wait before a scan is shed with kOverloaded.
+constexpr SimTime kScanAdmissionMaxWaitUs = 20 * 1000;
+
 // Gate one kScanRange request. Healthy server: admit immediately, zero
 // added latency. Degraded server: the scan joins a token-bucket queue
-// (refill scan_admission_tokens_per_s, cap scan_admission_burst) and is
+// (refill scan_admission_tokens_per_s, cap kScanAdmissionBurst) and is
 // shed with kOverloaded once waiting any longer cannot yield a token
-// before scan_admission_max_wait_us. The health predicate is re-checked
+// before kScanAdmissionMaxWaitUs. The health predicate is re-checked
 // every wakeup, so scans stop paying the bucket as soon as the point-
 // read burst drains.
 sim::Task<Status> PageServer::AdmitScan() {
@@ -802,7 +772,7 @@ sim::Task<Status> PageServer::AdmitScan() {
   if (!ServingDegraded()) co_return Status::OK();
   scans_queued_++;
   const SimTime start = sim_.now();
-  const SimTime deadline = start + opts_.scan_admission_max_wait_us;
+  const SimTime deadline = start + kScanAdmissionMaxWaitUs;
   while (true) {
     const SimTime now = sim_.now();
     // Lazy refill from elapsed virtual time.
@@ -813,7 +783,7 @@ sim::Task<Status> PageServer::AdmitScan() {
           static_cast<double>(now - scan_tokens_refill_at_) *
           opts_.scan_admission_tokens_per_s / 1e6;
       scan_tokens_ =
-          std::min(opts_.scan_admission_burst, scan_tokens_ + refill);
+          std::min(kScanAdmissionBurst, scan_tokens_ + refill);
     }
     scan_tokens_refill_at_ = now;
     if (!ServingDegraded()) {
@@ -846,21 +816,27 @@ sim::Task<Status> PageServer::AdmitScan() {
   }
 }
 
+// Adaptive checkpoint pacing: collapse checkpoint write concurrency to a
+// single in-flight write while this many foreground GetPage requests are
+// being served. Checkpoints must never blow out serving p99 (§4.6:
+// checkpointing is a Page Server duty exactly so it cannot throttle the
+// Primary).
+constexpr uint64_t kCheckpointPaceGetPageDepth = 8;
+// ...or while the applier lags more than this many log bytes behind the
+// XLOG available tail.
+constexpr uint64_t kCheckpointPaceApplyLagBytes = 4 * MiB;
+
 bool PageServer::PaceCheckpoint() const {
-  if (opts_.checkpoint_pace_getpage_depth > 0 &&
-      getpage_inflight_ >= opts_.checkpoint_pace_getpage_depth) {
-    return true;
-  }
-  if (opts_.checkpoint_pace_apply_lag_bytes > 0) {
-    uint64_t available = xlog_->available().value();
-    uint64_t applied = applier_->applied_lsn().value();
-    if (available > applied &&
-        available - applied > opts_.checkpoint_pace_apply_lag_bytes) {
-      return true;
-    }
-  }
-  return false;
+  if (getpage_inflight_ >= kCheckpointPaceGetPageDepth) return true;
+  uint64_t available = xlog_->available().value();
+  uint64_t applied = applier_->applied_lsn().value();
+  return available > applied &&
+         available - applied > kCheckpointPaceApplyLagBytes;
 }
+
+// Aggregate contiguous dirty pages into single XStore writes up to this
+// many pages (§4.6 "aggregate multiple I/Os ... in a single large write").
+constexpr uint64_t kMaxXStoreBatchPages = 64;
 
 sim::Task<> PageServer::CheckpointWriteBatch(
     std::vector<PageId> run, std::shared_ptr<CheckpointJoin> join,
@@ -945,7 +921,7 @@ sim::Task<Status> PageServer::Checkpoint() {
   while (i < dirty.size()) {
     size_t j = i + 1;
     while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1 &&
-           j - i < opts_.max_xstore_batch_pages) {
+           j - i < kMaxXStoreBatchPages) {
       j++;
     }
     co_await sem.Acquire();

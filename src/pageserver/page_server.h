@@ -65,35 +65,16 @@ struct PageServerOptions {
   /// drift apart instead of checkpointing in lockstep and thundering-
   /// herd XStore. 0 restores fixed-period rounds.
   double checkpoint_jitter_frac = 0.1;
-  /// Aggregate contiguous dirty pages into single XStore writes up to
-  /// this many pages (§4.6 "aggregate multiple I/Os ... in a single large
-  /// write").
-  uint64_t max_xstore_batch_pages = 64;
   /// Checkpoint pipeline concurrency: up to this many XStore extent
   /// writes in flight per round (capture → write overlapped across
   /// batches under a semaphore). 1 reproduces the serialized
   /// capture→write→clear loop exactly.
   int checkpoint_inflight_writes = 4;
-  /// Adaptive pacing: collapse checkpoint write concurrency to a single
-  /// in-flight write while this many foreground GetPage requests are
-  /// being served (0 disables the trigger). Checkpoints must never blow
-  /// out serving p99 (§4.6: checkpointing is a Page Server duty exactly
-  /// so it cannot throttle the Primary).
-  uint64_t checkpoint_pace_getpage_depth = 8;
-  /// ...or while the applier lags more than this many log bytes behind
-  /// the XLOG available tail (0 disables the trigger).
-  uint64_t checkpoint_pace_apply_lag_bytes = 4 * MiB;
-  /// XLOG pull chunk size.
-  uint64_t pull_bytes = 1 * MiB;
   int cpu_cores = 4;
   /// Redo apply lanes: page records are sharded by PageId across this
   /// many concurrent apply coroutines (same page -> same lane), so apply
   /// throughput scales with cpu_cores. 1 = the serial applier.
   int apply_lanes = 4;
-  /// Double-buffer the consumer side: issue the next XLogProcess::Pull
-  /// while the current batch is still being applied, overlapping
-  /// network/LZ latency with apply compute.
-  bool pipelined_pulls = true;
   /// Stop applying log at this LSN (point-in-time restore); kMaxLsn =
   /// follow the live tail forever.
   Lsn apply_until = kMaxLsn;
@@ -104,34 +85,27 @@ struct PageServerOptions {
   /// Disable the periodic checkpoint loop (hot standby replicas that
   /// exist purely for availability can skip checkpointing, §6).
   bool checkpointing_enabled = true;
-  /// CPU pricing for the kScanRange pushdown evaluator (per leaf page
-  /// visited + per KB of leaf data evaluated). Pushdown trades wire bytes
-  /// for Page Server compute; this profile makes that compute show up in
-  /// the server's CPU accounting instead of being free.
-  sim::DeviceProfile pushdown_profile = sim::DeviceProfile::PushdownEval();
 
   // ----- Scan admission (§4.6: scan CPU must not starve the GetPage
   // path). ServeScan work is metered against a serving-health signal —
   // point-read inflight depth plus recent GetPage p99, the same family
   // as the checkpoint pacer. While healthy, scans are admitted
   // immediately; while degraded they queue behind a token bucket and are
-  // rejected with kOverloaded once the queue wait exceeds its bound (the
-  // client treats that as "fall back locally, back off this endpoint").
+  // rejected with kOverloaded once the queue wait exceeds its bound
+  // (kScanAdmissionMaxWaitUs; the client treats that as "fall back
+  // locally, back off this endpoint").
   /// Master switch; off = pre-admission behavior (scans always admitted).
   bool scan_admission_enabled = true;
   /// Degraded while this many point reads (GetPage/batch frames,
-  /// excluding scans) are in service. Same family as
-  /// checkpoint_pace_getpage_depth. 0 disables the trigger.
+  /// excluding scans) are in service, on this server or — with host_load
+  /// set — host-wide. Same family as the checkpoint pacer's
+  /// kCheckpointPaceGetPageDepth. 0 disables the trigger.
   uint64_t scan_admission_getpage_depth = 8;
   /// ...or while the recent GetPage service p99 exceeds this (µs over a
   /// sliding window of served point reads). 0 disables the trigger.
   SimTime scan_admission_p99_us = 5000;
   /// Token bucket draining queued scans while degraded: refill rate.
   double scan_admission_tokens_per_s = 100.0;
-  /// Token bucket capacity (burst allowance).
-  double scan_admission_burst = 2.0;
-  /// Max admission-queue wait before a scan is shed with kOverloaded.
-  SimTime scan_admission_max_wait_us = 20 * 1000;
 
   // ----- Fleet colocation (multi-tenant shared hosts).
   /// When set, this server runs on a shared host CPU instead of owning
@@ -139,12 +113,10 @@ struct PageServerOptions {
   /// work contend for the same cores — the noisy-neighbor substrate.
   sim::CpuResource* shared_cpu = nullptr;
   /// Host-wide load board shared by co-resident servers (see HostLoad).
+  /// When set, host-wide point-read depth also feeds the scan-admission
+  /// degradation signal: a scan on this server queues while any
+  /// co-resident tenant's point path is hot.
   HostLoad* host_load = nullptr;
-  /// Feed host-wide point-read depth into the scan-admission degradation
-  /// signal (only meaningful with host_load set): a scan on this server
-  /// queues while any co-resident tenant's point path is hot. Off = the
-  /// per-server-only PR 9 signal, the bench counterfactual.
-  bool scan_admission_use_host_load = true;
 };
 
 class PageServer : public rbio::RbioServer {
@@ -165,13 +137,6 @@ class PageServer : public rbio::RbioServer {
   /// to `min_lsn` (or later) applied. Blocks until log apply catches up.
   sim::Task<Result<storage::Page>> GetPageAtLsn(PageId page_id,
                                                 Lsn min_lsn);
-
-  /// In-process multi-page read (§4.6), not offered over RBIO: pages
-  /// [first, first+count) of this partition as of min_lsn; nonexistent
-  /// pages are omitted. The covering stride-preserving cache makes this
-  /// one logical I/O.
-  sim::Task<Result<std::vector<storage::Page>>> GetPageRangeAtLsn(
-      PageId first_page, uint32_t count, Lsn min_lsn);
 
   /// rbio::RbioServer: decode a typed request frame and serve it.
   sim::Task<Result<std::string>> HandleRbio(
@@ -402,7 +367,8 @@ class PageServer : public rbio::RbioServer {
   // transient pull error).
   bool XlogPartitioned() const {
     return chaos_port_.hub() != nullptr &&
-           chaos_port_.hub()->Partitioned(chaos_port_.site(), "xlog");
+           chaos_port_.hub()->Partitioned(chaos_port_.site(),
+                                          chaos::kXLogSite);
   }
 
   bool InPartition(PageId id) const {

@@ -393,6 +393,21 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
   return Status::OK();
 }
 
+// Client CPU per request frame, and the amortized CPU for each batched
+// sub-request beyond the first (the frame pays kCpuPerRequestUs once).
+constexpr SimTime kCpuPerRequestUs = 8;
+constexpr SimTime kCpuPerBatchedPageUs = 1;
+// Client CPU per KiB of pushdown result decoded: tuple frames are
+// variable-size, unlike the fixed 8 KiB page frames whose decode
+// kCpuPerRequestUs already amortizes.
+constexpr double kCpuPerResultKbUs = 2.0;
+// Retry backoff, scaled by the attempt number.
+constexpr SimTime kRetryBackoffUs = 2000;
+// A frame the chaos hub drops surfaces as TimedOut after this long.
+constexpr SimTime kDropTimeoutUs = 5000;
+// EWMA smoothing for per-endpoint latency (QoS replica selection).
+constexpr double kEwmaAlpha = 0.2;
+
 RbioClient::RbioClient(sim::Simulator& sim, sim::CpuResource* cpu,
                        const RbioClientOptions& options, uint64_t seed)
     : sim_(sim), cpu_(cpu), opts_(options), rng_(seed) {}
@@ -488,7 +503,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
     if (replicas.empty()) break;
     if (attempt > 0) {
       retries_++;
-      co_await sim::Delay(sim_, opts_.retry_backoff_us * attempt);
+      co_await sim::Delay(sim_, kRetryBackoffUs * attempt);
     }
     const Endpoint& ep = replicas[PickReplica(replicas, attempt)];
     requests_++;
@@ -501,7 +516,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
         // Request or response lost on the wire (partition / lossy
         // link): the call times out and the retry loop takes over.
         co_await sim::Delay(
-            sim_, opts_.network.Sample(rng_) + opts_.drop_timeout_us);
+            sim_, opts_.network.Sample(rng_) + kDropTimeoutUs);
         last = Status::TimedOut("rbio: frame lost");
         continue;
       }
@@ -530,8 +545,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
     double elapsed = static_cast<double>(sim_.now() - begin);
     EndpointStats& st = stats_[ep.name];
     st.ewma_us = st.seen
-                     ? st.ewma_us * (1 - opts_.ewma_alpha) +
-                           elapsed * opts_.ewma_alpha
+                     ? st.ewma_us * (1 - kEwmaAlpha) + elapsed * kEwmaAlpha
                      : elapsed;
     st.seen = true;
     if (!raw.ok()) {
@@ -572,7 +586,7 @@ sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
   std::string frame = AcquireFrame();
   req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
+      replicas, std::move(frame), kCpuPerRequestUs);
   if (!raw.ok()) co_return Result<storage::Page>(raw.status());
   // Single-page decode: the page aliases into the pooled response frame;
   // no per-response vector.
@@ -697,8 +711,7 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas,
   // One round trip pays the fixed per-request CPU once; each extra
   // sub-request costs only the amortized marshalling share.
   SimTime cpu_us =
-      opts_.cpu_per_request_us +
-      (batch.size() - 1) * opts_.cpu_per_batched_page_us;
+      kCpuPerRequestUs + (batch.size() - 1) * kCpuPerBatchedPageUs;
   std::string reqframe = AcquireFrame();
   req.EncodeTo(&reqframe);
   Result<std::string> raw =
@@ -760,7 +773,7 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   std::string frame = AcquireFrame();
   req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
+      replicas, std::move(frame), kCpuPerRequestUs);
   if (!raw.ok()) co_return Result<ScanRangeResponse>(raw.status());
   ScanRangeResponse resp;
   std::shared_ptr<std::string> fp = AcquireRespFrame();
@@ -781,14 +794,13 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   scan_tuples_received_ += resp.tuples.size();
   // Tuple frames are variable-size, so decode CPU scales with the bytes
   // actually shipped (fixed-size page frames amortize this into
-  // cpu_per_request_us instead).
-  if (cpu_ != nullptr && opts_.cpu_per_result_kb_us > 0 &&
-      !resp.tuples.empty()) {
+  // kCpuPerRequestUs instead).
+  if (cpu_ != nullptr && !resp.tuples.empty()) {
     size_t bytes = 0;
     for (const ScanRangeResponse::Tuple& t : resp.tuples) {
       bytes += 8 + t.value.size();
     }
-    auto us = static_cast<SimTime>(opts_.cpu_per_result_kb_us *
+    auto us = static_cast<SimTime>(kCpuPerResultKbUs *
                                    static_cast<double>(bytes) / 1024.0);
     if (us > 0) co_await cpu_->Consume(us);
   }

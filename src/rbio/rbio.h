@@ -227,22 +227,11 @@ struct Endpoint {
 
 struct RbioClientOptions {
   sim::LatencyModel network = sim::DeviceProfile::IntraDcNetwork().read;
-  SimTime cpu_per_request_us = 8;
-  /// Amortized CPU for each batched sub-request beyond the first (the
-  /// frame itself pays cpu_per_request_us once).
-  SimTime cpu_per_batched_page_us = 1;
   int max_attempts = 4;
-  SimTime retry_backoff_us = 2000;
-  /// EWMA smoothing for per-endpoint latency (QoS selection).
-  double ewma_alpha = 0.2;
   /// Pack up to this many concurrent GetPage misses per endpoint set
   /// into one kGetPageBatch frame. 1 disables batching entirely: every
   /// miss goes out as a per-page frame.
   uint32_t max_batch = 16;
-  /// Client-side CPU charged per KiB of pushdown result decoded (tuple
-  /// frames are variable-size, unlike the fixed 8 KiB page frames whose
-  /// cost cpu_per_request_us already amortizes).
-  double cpu_per_result_kb_us = 2.0;
   /// How long ScanRange avoids an endpoint set after it replied
   /// kOverloaded (scan admission shed the work). During the window scans
   /// short-circuit to Overloaded without wire traffic and the planner
@@ -256,11 +245,10 @@ struct RbioClientOptions {
   /// Chaos injection: when set, every frame consults the hub for a
   /// partition / lossy-link verdict between `site` (this node) and the
   /// target endpoint's name, and pays any configured link delay. A
-  /// dropped frame surfaces as TimedOut after `drop_timeout_us` — the
+  /// dropped frame surfaces as TimedOut after a drop timeout — the
   /// normal retry/backoff/QoS machinery does the rest.
   chaos::Injector* injector = nullptr;
   std::string site;
-  SimTime drop_timeout_us = 5000;
 };
 
 /// Client side: typed calls, retries, QoS replica selection, batched

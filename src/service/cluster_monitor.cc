@@ -12,6 +12,12 @@ constexpr const char* kMonitorSite = "monitor";
 // Warm probes commit into a dedicated table so they never collide with
 // workload keys (table ids are 8 bits; 97 is reserved here).
 constexpr TableId kWarmProbeTable = 97;
+// Baseline probe round trip on a healthy, unimpeded link.
+constexpr SimTime kProbeRttUs = 200;
+// Warm-phase polling (bounded — never parks on a watermark owned by an
+// incarnation that a later recovery might replace).
+constexpr SimTime kWarmPollUs = 5 * 1000;
+constexpr int kWarmPollLimit = 400;
 }  // namespace
 
 ClusterMonitor::ClusterMonitor(sim::Simulator& sim, Deployment* deployment,
@@ -39,32 +45,27 @@ std::vector<ClusterMonitor::Target> ClusterMonitor::Targets() {
           return p != nullptr && p->alive();
         }});
   }
-  if (opts_.probe_secondaries) {
-    for (int i = 0; i < d->num_secondaries(); i++) {
-      std::string site = d->secondary(i)->chaos_site();
-      out.push_back(Target{TargetKind::kSecondary, site, i, [d, site] {
-                             for (int j = 0; j < d->num_secondaries(); j++) {
-                               compute::ComputeNode* s = d->secondary(j);
-                               if (s->chaos_site() == site)
-                                 return s->alive();
-                             }
-                             return false;
-                           }});
-    }
+  for (int i = 0; i < d->num_secondaries(); i++) {
+    std::string site = d->secondary(i)->chaos_site();
+    out.push_back(Target{TargetKind::kSecondary, site, i, [d, site] {
+                           for (int j = 0; j < d->num_secondaries(); j++) {
+                             compute::ComputeNode* s = d->secondary(j);
+                             if (s->chaos_site() == site) return s->alive();
+                           }
+                           return false;
+                         }});
   }
-  if (opts_.probe_page_servers) {
-    for (int p = 0; p < d->num_page_servers(); p++) {
-      pageserver::PageServer* serving =
-          d->ServingPageServer(static_cast<PartitionId>(p));
-      std::string site = serving != nullptr && !serving->chaos_site().empty()
-                             ? serving->chaos_site()
-                             : "ps-" + std::to_string(p);
-      out.push_back(Target{TargetKind::kPageServer, site, p, [d, p] {
-                             pageserver::PageServer* s = d->ServingPageServer(
-                                 static_cast<PartitionId>(p));
-                             return s != nullptr && s->running();
-                           }});
-    }
+  for (int p = 0; p < d->num_page_servers(); p++) {
+    pageserver::PageServer* serving =
+        d->ServingPageServer(static_cast<PartitionId>(p));
+    std::string site = serving != nullptr && !serving->chaos_site().empty()
+                           ? serving->chaos_site()
+                           : "ps-" + std::to_string(p);
+    out.push_back(Target{TargetKind::kPageServer, site, p, [d, p] {
+                           pageserver::PageServer* s = d->ServingPageServer(
+                               static_cast<PartitionId>(p));
+                           return s != nullptr && s->running();
+                         }});
   }
   return out;
 }
@@ -91,7 +92,7 @@ sim::Task<> ClusterMonitor::ProbeWire(std::string site,
       inj.DropMessage(kMonitorSite, site)) {
     co_return;
   }
-  SimTime leg = opts_.probe_rtt_us / 2 + inj.LinkDelayUs(kMonitorSite, site);
+  SimTime leg = kProbeRttUs / 2 + inj.LinkDelayUs(kMonitorSite, site);
   co_await sim::Delay(sim_, leg);
   // The node answers only if its process is up and its site is not in
   // an outage window; a gray node answers late.
@@ -135,8 +136,8 @@ sim::Task<> ClusterMonitor::ProbeTask(Target t) {
   stats_.probes_missed++;
   if (h.misses == 0) h.first_miss_us = start;
   h.misses++;
-  if (h.misses >= opts_.suspicion_threshold && opts_.auto_recover &&
-      !h.recovering && !deployment_->stopping()) {
+  if (h.misses >= opts_.suspicion_threshold && !h.recovering &&
+      !deployment_->stopping()) {
     h.recovering = true;
     active_recoveries_++;
     stats_.recoveries_started++;
@@ -263,7 +264,7 @@ sim::Task<> ClusterMonitor::Recover(Target t, SimTime suspected,
 }
 
 sim::Task<> ClusterMonitor::WarmTarget(Target t, Lsn target_lsn) {
-  for (int i = 0; i < opts_.warm_poll_limit; i++) {
+  for (int i = 0; i < kWarmPollLimit; i++) {
     if (deployment_->stopping()) co_return;
     bool ready = false;
     switch (t.kind) {
@@ -300,7 +301,7 @@ sim::Task<> ClusterMonitor::WarmTarget(Target t, Lsn target_lsn) {
       }
     }
     if (ready) co_return;
-    co_await sim::Delay(sim_, opts_.warm_poll_us);
+    co_await sim::Delay(sim_, kWarmPollUs);
   }
 }
 

@@ -48,20 +48,9 @@ struct MonitorOptions {
   SimTime heartbeat_timeout_us = 5 * 1000;
   /// Consecutive missed probes before a node is declared dead.
   int suspicion_threshold = 3;
-  /// Baseline probe round trip on a healthy, unimpeded link.
-  SimTime probe_rtt_us = 200;
   /// A successful probe slower than this is a gray strike.
   SimTime gray_latency_us = 2500;
   int gray_threshold = 4;
-  /// Warm-phase polling (bounded — never parks on a watermark owned by
-  /// an incarnation that a later recovery might replace).
-  SimTime warm_poll_us = 5 * 1000;
-  int warm_poll_limit = 400;
-  bool probe_secondaries = true;
-  bool probe_page_servers = true;
-  /// False = detect-only (the ledger still records nothing; useful for
-  /// measuring raw detection latency in tests).
-  bool auto_recover = true;
 };
 
 /// One completed recovery, with the MTTR phase boundaries.

@@ -5,13 +5,14 @@
 namespace socrates {
 namespace service {
 
+// Landing-zone capacity (the LZ is a circular buffer over the log).
+constexpr uint64_t kLzCapacityBytes = 256 * MiB;
+// XStore bandwidth cap in MB/s (shared by checkpoints, backups, LT).
+constexpr double kXStoreBandwidthMbS = 200.0;
+
 Deployment::Deployment(sim::Simulator& sim,
                        const DeploymentOptions& options)
     : sim_(sim), opts_(options) {
-  if (opts_.apply_lanes > 0) {
-    opts_.page_server.apply_lanes = opts_.apply_lanes;
-    opts_.compute.apply_lanes = opts_.apply_lanes;
-  }
   // Fleet mode: attach to the shared pools instead of owning them. The
   // shared XStore/chaos hub are attached once by the fleet ("xstore");
   // everything this tenant registers is namespaced by site_prefix /
@@ -27,16 +28,16 @@ Deployment::Deployment(sim::Simulator& sim,
     xstore_ = opts_.shared_xstore;
   } else {
     owned_xstore_ = std::make_unique<xstore::XStore>(
-        sim, sim::DeviceProfile::XStore(), opts_.xstore_bandwidth_mb_s);
+        sim, sim::DeviceProfile::XStore(), kXStoreBandwidthMbS);
     xstore_ = owned_xstore_.get();
     owned_xstore_->AttachChaos(chaos_, "xstore");
   }
   lz_ = std::make_unique<xlog::LandingZone>(sim, opts_.lz_profile,
-                                            opts_.lz_capacity_bytes);
+                                            kLzCapacityBytes);
   lz_->device()->AttachChaos(chaos_, opts_.lz_site.empty()
                                          ? opts_.site_prefix + "lz"
                                          : opts_.lz_site);
-  xlog::XLogOptions xopts = opts_.xlog;
+  xlog::XLogOptions xopts;
   xopts.partition_map = opts_.partition_map;
   // The long-term log archive lives in the (possibly shared) XStore:
   // namespace it per tenant like every other blob.
@@ -55,10 +56,6 @@ Deployment::Deployment(sim::Simulator& sim,
                        const DeploymentOptions& options, Deployment* parent,
                        const std::string& blob_suffix)
     : sim_(sim), opts_(options) {
-  if (opts_.apply_lanes > 0) {
-    opts_.page_server.apply_lanes = opts_.apply_lanes;
-    opts_.compute.apply_lanes = opts_.apply_lanes;
-  }
   xstore_ = parent->xstore_;
   xlog_ = parent->xlog_;
   chaos_ = parent->chaos_;  // shared fault hub, same site namespace

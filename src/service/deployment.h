@@ -44,20 +44,12 @@ struct PsHostBinding {
 struct DeploymentOptions {
   /// Landing-zone storage service (XIO vs DirectDrive, Appendix A).
   sim::DeviceProfile lz_profile = sim::DeviceProfile::DirectDrive();
-  uint64_t lz_capacity_bytes = 256 * MiB;
   xlog::PartitionMap partition_map{/*pages_per_partition=*/16384};
   int num_page_servers = 1;
   int num_secondaries = 0;
   compute::ComputeOptions compute;
   pageserver::PageServerOptions page_server;  // partition filled per server
-  xlog::XLogOptions xlog;
   xlog::XLogClientOptions xlog_client;
-  /// XStore bandwidth cap in MB/s (shared by checkpoints, backups, LT).
-  double xstore_bandwidth_mb_s = 200.0;
-  /// Deployment-wide redo apply lane override: > 0 forces this lane
-  /// count on every Page Server and Compute node (0 keeps the per-tier
-  /// defaults in their own options structs).
-  int apply_lanes = 0;
 
   // ----- Fleet mode (multi-tenant shared pools; src/fleet/). All off by
   // default: a standalone deployment owns its tiers and is byte-for-byte

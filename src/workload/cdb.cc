@@ -186,7 +186,7 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
       }
       // CPU for issuing the scan + consuming the (small) result; the
       // per-row evaluation cost lands wherever it runs — Page Server
-      // (pushdown_profile) or locally (buffer-pool page reads).
+      // (DeviceProfile::PushdownEval) or locally (buffer-pool page reads).
       (void)co_await Charge(cpu,
                             kAnalyticRowUs * static_cast<double>(span) *
                                 0.1);

@@ -20,10 +20,9 @@ namespace socrates {
 namespace workload {
 
 struct CdbOptions {
-  /// Rows per table = multiplier * scale_factor. The paper's SF 20000 is
-  /// a 1 TB database; scale down proportionally.
+  /// Rows per table = CdbWorkload::kRowMultipliers[t] * scale_factor.
+  /// The paper's SF 20000 is a 1 TB database; scale down proportionally.
   uint64_t scale_factor = 100;
-  std::array<uint64_t, 6> row_multipliers{40, 24, 12, 8, 2, 1};
   std::array<uint32_t, 6> payload_bytes{120, 90, 150, 60, 250, 180};
   /// Multiplier on all CPU costs (calibration knob).
   double cpu_scale = 4.0;
@@ -106,8 +105,12 @@ class CdbWorkload : public Workload {
                               sim::CpuResource* cpu,
                               Random* rng) override;
 
+  /// Rows per unit of scale factor, per table.
+  static constexpr std::array<uint64_t, 6> kRowMultipliers = {
+      40, 24, 12, 8, 2, 1};
+
   uint64_t TableRows(int table) const {
-    return opts_.row_multipliers[table] * opts_.scale_factor;
+    return kRowMultipliers[table] * opts_.scale_factor;
   }
   uint64_t TotalRows() const {
     uint64_t total = 0;

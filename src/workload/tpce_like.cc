@@ -16,7 +16,7 @@ constexpr double kUpdateUs = 95;
 sim::Task<Status> TpceLikeWorkload::Load(Engine* engine) {
   Random rng(0x7bce);
   uint64_t row = 0;
-  std::string payload(opts_.payload_bytes, 't');
+  std::string payload(kPayloadBytes, 't');
   while (row < opts_.customers) {
     auto txn = engine->Begin();
     uint64_t chunk = std::min<uint64_t>(opts_.customers - row, 256);
@@ -40,7 +40,7 @@ sim::Task<TxnResult> TpceLikeWorkload::RunOne(Engine* engine,
     }
   };
   co_await charge(kTxnBaseUs);
-  bool write = rng->Bernoulli(opts_.write_fraction);
+  bool write = rng->Bernoulli(kWriteFraction);
   auto txn = engine->Begin(!write);
   // A "trade" touches a handful of skewed rows.
   int reads = 2 + static_cast<int>(rng->Uniform(6));
@@ -52,7 +52,7 @@ sim::Task<TxnResult> TpceLikeWorkload::RunOne(Engine* engine,
   }
   if (write) {
     co_await charge(kUpdateUs);
-    std::string payload(opts_.payload_bytes, 'u');
+    std::string payload(kPayloadBytes, 'u');
     (void)engine->Put(txn.get(), last_key, payload);
     result.is_write = true;
   }

@@ -14,9 +14,6 @@ namespace workload {
 
 struct TpceOptions {
   uint64_t customers = 100000;  // rows in the main trade table
-  uint32_t payload_bytes = 200;
-  double zipf_theta = 0.9;      // access skew
-  double write_fraction = 0.1;  // TPC-E is ~10% trade updates
   double cpu_scale = 4.0;
 };
 
@@ -24,7 +21,7 @@ class TpceLikeWorkload : public Workload {
  public:
   explicit TpceLikeWorkload(const TpceOptions& options)
       : opts_(options),
-        zipf_(options.customers, options.zipf_theta, /*seed=*/0x7bce) {}
+        zipf_(options.customers, kZipfTheta, /*seed=*/0x7bce) {}
 
   /// Populate the trade table.
   sim::Task<Status> Load(engine::Engine* engine);
@@ -35,10 +32,14 @@ class TpceLikeWorkload : public Workload {
 
   const TpceOptions& options() const { return opts_; }
   uint64_t ApproxBytes() const {
-    return opts_.customers * (opts_.payload_bytes + 40);
+    return opts_.customers * (kPayloadBytes + 40);
   }
 
  private:
+  static constexpr uint32_t kPayloadBytes = 200;
+  static constexpr double kZipfTheta = 0.9;      // access skew
+  static constexpr double kWriteFraction = 0.1;  // TPC-E is ~10% updates
+
   /// Skewed key: hot customers are spread over the keyspace (multiplying
   /// by a large odd constant) so hotness is per-row, not per-range.
   uint64_t SkewedRow(uint64_t zipf_rank) const {

@@ -52,8 +52,8 @@ Lsn XLogClient::Append(const engine::LogRecord& rec) {
     // make a lone committer look like a steady arrival stream.
     if (have_last_append_) {
       double gap = static_cast<double>(now - last_append_us_);
-      ewma_gap_us_ = opts_.adaptive_ewma_alpha * gap +
-                     (1 - opts_.adaptive_ewma_alpha) * ewma_gap_us_;
+      ewma_gap_us_ = kAdaptiveEwmaAlpha * gap +
+                     (1 - kAdaptiveEwmaAlpha) * ewma_gap_us_;
     }
     have_last_append_ = true;
     last_append_us_ = now;
@@ -109,19 +109,18 @@ sim::Task<> XLogClient::FlusherLoop() {
       // feedback loop.
       bool arrivals_expected =
           ewma_gap_us_ > 0 &&
-          ewma_gap_us_ * 2 <=
-              static_cast<double>(opts_.adaptive_hold_cap_us);
+          ewma_gap_us_ * 2 <= static_cast<double>(kAdaptiveHoldCapUs);
       if (buffer_.size() < target && arrivals_expected) {
         adaptive_holds_++;
-        SimTime deadline = sim_.now() + opts_.adaptive_hold_cap_us;
+        SimTime deadline = sim_.now() + kAdaptiveHoldCapUs;
         SimTime last_growth_us = sim_.now();
         uint64_t last_size = buffer_.size();
         double stall_budget =
             std::max(ewma_gap_us_ * 2,
-                     static_cast<double>(opts_.adaptive_hold_quantum_us));
+                     static_cast<double>(kAdaptiveHoldQuantumUs));
         while (running_ && buffer_.size() < target &&
                sim_.now() < deadline) {
-          co_await sim::Delay(sim_, opts_.adaptive_hold_quantum_us);
+          co_await sim::Delay(sim_, kAdaptiveHoldQuantumUs);
           if (buffer_.size() > last_size) {
             last_size = buffer_.size();
             last_growth_us = sim_.now();
@@ -152,9 +151,8 @@ sim::Task<> XLogClient::FlusherLoop() {
     if (have_last_cut_ && now > last_cut_us_) {
       double rate = static_cast<double>(take) /
                     static_cast<double>(now - last_cut_us_);
-      ewma_arrival_bpu_ = opts_.adaptive_ewma_alpha * rate +
-                          (1 - opts_.adaptive_ewma_alpha) *
-                              ewma_arrival_bpu_;
+      ewma_arrival_bpu_ = kAdaptiveEwmaAlpha * rate +
+                          (1 - kAdaptiveEwmaAlpha) * ewma_arrival_bpu_;
     }
     have_last_cut_ = true;
     last_cut_us_ = now;
@@ -215,8 +213,8 @@ sim::Task<> XLogClient::WriteBlockTask(
   SimTime done = sim_.now();
   hist_quorum_us_.Add(static_cast<double>(done - cut_at_us));
   ewma_write_lat_us_ =
-      opts_.adaptive_ewma_alpha * static_cast<double>(done - cut_at_us) +
-      (1 - opts_.adaptive_ewma_alpha) * ewma_write_lat_us_;
+      kAdaptiveEwmaAlpha * static_cast<double>(done - cut_at_us) +
+      (1 - kAdaptiveEwmaAlpha) * ewma_write_lat_us_;
   blocks_written_++;
   bytes_written_ += block.payload().size();
   stored_bytes_written_ += data.size();
@@ -238,13 +236,12 @@ sim::Task<> XLogClient::DeliverAsync(
   wire_bytes_sent_ += frame.size();
   SimTime link_delay =
       opts_.injector != nullptr
-          ? opts_.injector->LinkDelayUs(opts_.site, opts_.xlog_site)
+          ? opts_.injector->LinkDelayUs(opts_.site, chaos::kXLogSite)
           : 0;
-  co_await sim::Delay(sim_, opts_.delivery_latency.Sample(rng_) +
-                                link_delay);
+  co_await sim::Delay(sim_, delivery_latency_.Sample(rng_) + link_delay);
   bool chaos_drop =
       opts_.injector != nullptr &&
-      opts_.injector->DropMessage(opts_.site, opts_.xlog_site);
+      opts_.injector->DropMessage(opts_.site, chaos::kXLogSite);
   if (rng_.Bernoulli(opts_.delivery_loss_prob) || chaos_drop) {
     deliveries_lost_++;
     co_return;  // lost on the wire; XLOG will repair from the LZ
@@ -257,7 +254,7 @@ sim::Task<> XLogClient::DeliverAsync(
 sim::Task<> XLogClient::NotifyAsync(Lsn hardened) {
   // Durability notifications ride a reliable control channel (they are
   // tiny and cumulative).
-  co_await sim::Delay(sim_, opts_.delivery_latency.Sample(rng_));
+  co_await sim::Delay(sim_, delivery_latency_.Sample(rng_));
   xlog_->NotifyHardened(hardened);
 }
 

@@ -64,28 +64,18 @@ struct XLogClientOptions {
   /// protocol). Durability notifications travel a reliable control
   /// channel; XLOG repairs lost blocks from the LZ.
   double delivery_loss_prob = 0.0;
-  sim::LatencyModel delivery_latency =
-      sim::DeviceProfile::IntraDcNetwork().write;
   PartitionMap partition_map;
   /// Chaos injection: async block deliveries consult the hub for a
-  /// partition / lossy-link verdict on site -> xlog_site and pay any
+  /// partition / lossy-link verdict on site -> chaos::kXLogSite and pay any
   /// configured link delay. Durability notifications stay on the
   /// reliable control channel (they are cumulative; XLOG repairs lost
   /// blocks from the LZ — §4.3 liveness does not depend on delivery).
   chaos::Injector* injector = nullptr;
   std::string site = "logwriter";
-  std::string xlog_site = "xlog";
 
   /// Group-commit block sizing policy. kFixed reproduces the original
   /// behavior byte-for-byte.
   BlockSizing block_sizing = BlockSizing::kFixed;
-  /// Adaptive controller: hold-poll quantum and the hard cap on how long
-  /// a cut may be delayed waiting for the target to fill.
-  SimTime adaptive_hold_quantum_us = 50;
-  /// Roughly half a quorum-write latency on the slow (XIO) path: holding
-  /// longer than the per-I/O cost it amortizes away is a bad trade.
-  SimTime adaptive_hold_cap_us = 2000;
-  double adaptive_ewma_alpha = 0.2;
 
   /// Compress block payloads (LZ storage and the wire frame). Blocks
   /// that do not shrink are kept raw.
@@ -120,6 +110,15 @@ class XLogClient : public engine::LogSink {
   /// CPU cost of compressing one block of `bytes` (charged on the
   /// Primary when compression is enabled).
   static constexpr double kCompressCpuUsPerKb = 0.4;
+
+  /// Adaptive block sizing: hold-poll quantum, and the hard cap on how
+  /// long a cut may be delayed waiting for the target to fill. The cap is
+  /// roughly half a quorum-write latency on the slow (XIO) path: holding
+  /// longer than the per-I/O cost it amortizes away is a bad trade.
+  static constexpr SimTime kAdaptiveHoldQuantumUs = 50;
+  static constexpr SimTime kAdaptiveHoldCapUs = 2000;
+  /// Smoothing of the arrival-gap, arrival-rate and write-latency EWMAs.
+  static constexpr double kAdaptiveEwmaAlpha = 0.2;
 
   uint64_t blocks_written() const { return blocks_written_; }
   uint64_t bytes_written() const { return bytes_written_; }
@@ -162,6 +161,9 @@ class XLogClient : public engine::LogSink {
   sim::CpuResource* cpu_;
   XLogClientOptions opts_;
   Random rng_;
+  // Async block delivery and durability notification to XLOG.
+  const sim::LatencyModel delivery_latency_ =
+      sim::DeviceProfile::IntraDcNetwork().write;
 
   // Current (un-cut) block buffer.
   std::string buffer_;

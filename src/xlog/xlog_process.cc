@@ -5,6 +5,9 @@
 namespace socrates {
 namespace xlog {
 
+// Local SSD block cache, circular over the stream like the LZ.
+constexpr uint64_t kSsdCacheBytes = 64 * MiB;
+
 XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
                          xstore::XStore* lt, const XLogOptions& options)
     : sim_(sim),
@@ -13,7 +16,7 @@ XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
       opts_(options),
       available_(sim),
       ssd_cache_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.ssd_profile, /*seed=*/0x10c)),
+          sim, sim::DeviceProfile::LocalSsd(), /*seed=*/0x10c)),
       destage_q_(sim),
       destage_slots_(std::make_unique<sim::Semaphore>(
           sim, std::max(1, options.destage_lanes))),
@@ -215,7 +218,7 @@ sim::Task<> XLogProcess::DestageLoop() {
 sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
   const std::string& payload = block.payload();
   // Local SSD block cache: circular over the stream, like the LZ.
-  uint64_t cap = opts_.ssd_cache_bytes;
+  uint64_t cap = kSsdCacheBytes;
   uint64_t off = block.start_lsn % cap;
   uint64_t first = std::min<uint64_t>(payload.size(), cap - off);
   co_await ssd_cache_->Write(off, Slice(payload.data(), first));
@@ -389,7 +392,7 @@ sim::Task<Result<std::string>> XLogProcess::ReadRange(
   // Tier 1: local SSD block cache.
   if (from >= ssd_cache_start_ && to <= destaged_) {
     (*ssd_ctr)++;
-    uint64_t cap = opts_.ssd_cache_bytes;
+    uint64_t cap = kSsdCacheBytes;
     uint64_t off = from % cap;
     uint64_t len = to - from;
     uint64_t first = std::min<uint64_t>(len, cap - off);
@@ -440,13 +443,18 @@ void XLogProcess::ReportProgress(int consumer_id, Lsn lsn) {
   }
 }
 
+// Consumers hold a lease renewed by ReportProgress; an expired lease
+// stops counting toward MinConsumerProgress so a dead consumer cannot pin
+// log retention forever (§4.3 "leases for log lifetime").
+constexpr SimTime kConsumerLeaseUs = 10 * 1000 * 1000;
+
 bool XLogProcess::LeaseLive(int consumer_id) const {
   if (consumer_id < 0 ||
       consumer_id >= static_cast<int>(consumers_.size())) {
     return false;
   }
   return sim_.now() - consumers_[consumer_id].lease_renewed_at <=
-         opts_.consumer_lease_us;
+         kConsumerLeaseUs;
 }
 
 Lsn XLogProcess::MinConsumerProgress() const {

@@ -60,12 +60,6 @@ namespace xlog {
 
 struct XLogOptions {
   uint64_t sequence_map_bytes = 8 * MiB;  // in-memory tail for dissemination
-  /// Consumers hold a lease renewed by ReportProgress; an expired lease
-  /// stops counting toward MinConsumerProgress so a dead consumer cannot
-  /// pin log retention forever (§4.3 "leases for log lifetime").
-  SimTime consumer_lease_us = 10 * 1000 * 1000;
-  uint64_t ssd_cache_bytes = 64 * MiB;    // local SSD block cache
-  sim::DeviceProfile ssd_profile = sim::DeviceProfile::LocalSsd();
   std::string lt_blob = "log/lt";         // long-term archive blob in XStore
   PartitionMap partition_map;
   /// Concurrent destage batches in flight (SSD + LT writes overlap; the
@@ -110,6 +104,9 @@ class XLogProcess {
   /// >= available end.
   sim::Task<Result<std::vector<LogBlock>>> Pull(
       Lsn from, std::optional<PartitionId> filter, uint64_t max_bytes);
+  /// `max_bytes` of one round of a consumer's apply loop (Page Servers,
+  /// Secondaries, Primary recovery).
+  static constexpr uint64_t kPullBytes = 1 * MiB;
 
   /// Watermark of log available for dissemination (end of the LogBroker).
   sim::Watermark& available() { return available_; }

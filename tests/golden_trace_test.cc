@@ -4,6 +4,11 @@
 // its (virtual time, sequence) into the simulator's trace hash; the same
 // seed must produce the identical hash on every run — with and without a
 // chaos fault schedule running against the deployment.
+//
+// The hashes are also pinned to constants, so a change that moves the
+// simulation between commits fails here rather than only within one
+// build. A deliberate simulation change re-pins them (print the new
+// values from this test's failure output) and says why in CHANGES.md.
 
 #include <gtest/gtest.h>
 
@@ -122,12 +127,17 @@ uint64_t RunChaosTrace(uint64_t seed) {
   return s.trace_hash();
 }
 
+// Pinned values; see the header comment before changing them.
+constexpr uint64_t kWorkloadTrace7 = 0xb439da4e4edca2f2ull;
+constexpr uint64_t kChaosTrace3 = 0x075756944a0c4b49ull;
+
 TEST(GoldenTrace, WorkloadTraceIdenticalAcrossRuns) {
   const uint64_t h1 = RunWorkloadTrace(7);
   const uint64_t h2 = RunWorkloadTrace(7);
   const uint64_t h3 = RunWorkloadTrace(7);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h2, h3);
+  EXPECT_EQ(h1, kWorkloadTrace7);
   // And the hash actually depends on the workload (not a constant).
   EXPECT_NE(h1, RunWorkloadTrace(8));
 }
@@ -138,6 +148,7 @@ TEST(GoldenTrace, ChaosTraceIdenticalAcrossRuns) {
   const uint64_t h3 = RunChaosTrace(3);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h2, h3);
+  EXPECT_EQ(h1, kChaosTrace3);
   EXPECT_NE(h1, RunChaosTrace(4));
 }
 

@@ -288,8 +288,7 @@ TEST(AdaptiveSizingTest, LoneCommitIsNotHeld) {
   // With no arrival history the target is zero: the cut is immediate and
   // the commit pays only the quorum write, never the hold cap.
   EXPECT_EQ(f.client.adaptive_holds(), 0u);
-  EXPECT_LT(committed_at,
-            static_cast<SimTime>(copts.adaptive_hold_cap_us));
+  EXPECT_LT(committed_at, XLogClient::kAdaptiveHoldCapUs);
 }
 
 TEST(AdaptiveSizingTest, SameSeedSameBlockBoundaries) {
