@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark, real CPU time) for the hot
 // building blocks: CRC32-C, page checksum, slotted-page operations,
 // version-chain codec, log-record codec + redo, log-block frame codec,
-// Zipf generation, the RBPEX promote/spill cycle, and the simulator
+// Zipf generation, the RBPEX promote/spill cycle, the landing-zone
+// quorum write, and the simulator
 // substrate itself (event core, coroutine wakes, channel hand-offs, the
 // end-to-end simulated GetPage path).
 //
@@ -30,6 +31,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "storage/block_device.h"
 #include "storage/page.h"
 #include "xlog/log_block.h"
 
@@ -450,6 +452,44 @@ void BM_RbpexCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RbpexCycle);
+
+// One 64 KiB log frame through the landing zone's replica set (3
+// replicas, write quorum 2), over a 1 MiB ring so each write overwrites
+// a frame of the previous lap. The producer already holds the frame as
+// a shared segment, as XLogClient holds a block payload; every replica
+// maps that segment, so allocs_per_op counts bookkeeping, not copies.
+
+sim::Task<> QuorumWrite(storage::ReplicatedBlockDevice* dev, uint64_t off,
+                        const storage::Segment* frame, bool* done) {
+  Status st = co_await dev->Write(off, *frame);
+  if (!st.ok()) abort();
+  *done = true;
+}
+
+void BM_LzQuorumWrite(benchmark::State& state) {
+  constexpr uint64_t kFrame = 64 * KiB;
+  constexpr uint64_t kRing = 16 * kFrame;
+  sim::Simulator s;
+  storage::ReplicatedBlockDevice dev(s, sim::DeviceProfile::Xio(),
+                                     /*num_replicas=*/3, /*write_quorum=*/2);
+  const storage::Segment frame =
+      std::make_shared<const std::string>(kFrame, 'f');
+  uint64_t off = 0;
+  auto write = [&] {
+    bool done = false;
+    sim::Spawn(s, QuorumWrite(&dev, off, &frame, &done));
+    off = (off + kFrame) % kRing;
+    while (!done && s.Step()) {
+    }
+  };
+  for (int i = 0; i < 32; i++) write();  // fill the ring twice
+  AllocCounter allocs(state);
+  for (auto _ : state) write();
+  allocs.Report(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  s.Run();  // let the laggard replica writes land
+}
+BENCHMARK(BM_LzQuorumWrite);
 
 // ----------------------------------------------------------------------
 // End-to-end simulated GetPage: a real Deployment (Primary + Page Server

@@ -66,38 +66,12 @@ sim::Task<Result<PageRef>> BTree::TraverseToLeaf(uint64_t key,
         // §4.5: this page is from the "future" relative to the parent we
         // came through (or apply is mid-flight). Pause and re-traverse.
         traversal_retries_++;
-        static const bool trace =
-            getenv("SOCRATES_TRACE_RETRY") != nullptr;
-        if (trace) {
-          fprintf(stderr,
-                  "[btree] retry key=%llu page=%llu level=%u low=%llu "
-                  "high=%llu slots=%d attempt=%d pathlen=%zu\n",
-                  (unsigned long long)key, (unsigned long long)page_id,
-                  bp.level(), (unsigned long long)bp.low_fence(),
-                  (unsigned long long)bp.high_fence(), bp.slot_count(),
-                  attempt, path->size());
-        }
         co_await sim::Delay(sim_, kRetryPauseUs);
         retry = true;
         break;
       }
       path->push_back(page_id);
       if (bp.is_leaf()) co_return std::move(ref).value();
-      static const bool trace_route =
-          getenv("SOCRATES_TRACE_RETRY") != nullptr;
-      if (trace_route && attempt == 100) {
-        int slot = bp.FindChildSlot(key);
-        fprintf(stderr,
-                "[route] key=%llu page=%llu level=%u slots=%d chosen=%d "
-                "sep=%llu child=%llu next_sep=%llu\n",
-                (unsigned long long)key, (unsigned long long)page_id,
-                bp.level(), bp.slot_count(), slot,
-                (unsigned long long)bp.KeyAt(slot),
-                (unsigned long long)bp.ChildAt(slot),
-                (unsigned long long)(slot + 1 < bp.slot_count()
-                                         ? bp.KeyAt(slot + 1)
-                                         : bp.high_fence()));
-      }
       page_id = bp.ChildAt(bp.FindChildSlot(key));
     }
     if (retry) continue;

@@ -125,8 +125,8 @@ sim::Task<> HadrLogSink::FlusherLoop() {
     sim::Spawn(sim_, [](HadrLogSink* self, Lsn start,
                         std::shared_ptr<const std::string> data,
                         std::function<void()> v) -> sim::Task<> {
-      (void)co_await self->log_disk_->Write(
-          start % (64 * MiB), Slice(*data));
+      (void)co_await self->log_disk_->Write(start % (64 * MiB),
+                                            std::move(data));
       v();
     }(this, block_start, payload, vote));
 
@@ -163,7 +163,7 @@ sim::Task<> HadrLogSink::BackupLoop() {
         backed_up_ - engine::kLogStreamStart, take);
     Status s = co_await xstore_->Write(
         "hadr/log-backup", backed_up_ - engine::kLogStreamStart,
-        Slice(chunk));
+        storage::SegmentRef::Adopt(std::move(chunk)));
     if (!s.ok()) {
       co_await sim::Delay(sim_, 50000);
       continue;
@@ -178,11 +178,11 @@ sim::Task<> HadrLogSink::BackgroundBackupLoop() {
   // with the log backup (HADR must "drive log and database backup from
   // the compute nodes in parallel with the user workload", §7.4).
   const uint64_t chunk = 256 * KiB;
-  std::string data(chunk, 'd');
+  const storage::SegmentRef data =
+      storage::SegmentRef::Adopt(std::string(chunk, 'd'));
   uint64_t offset = 0;
   while (running_) {
-    (void)co_await xstore_->Write("hadr/delta-backup", offset,
-                                  Slice(data));
+    (void)co_await xstore_->Write("hadr/delta-backup", offset, data);
     offset += chunk;
     // Pace to the configured background rate.
     SimTime pace_us = static_cast<SimTime>(
@@ -222,7 +222,7 @@ sim::Task<Status> HadrSecondary::Receive(
     Lsn start_lsn, std::shared_ptr<const std::string> payload) {
   // Persist the block locally (the ack is meaningless otherwise), then
   // apply it to the local full copy.
-  (void)co_await log_disk_->Write(start_lsn % (64 * MiB), Slice(*payload));
+  (void)co_await log_disk_->Write(start_lsn % (64 * MiB), payload);
   co_await cpu_->Consume(10 + payload->size() / 2000);
   Result<Lsn> end = co_await applier_->ApplyStream(
       Slice(*payload), start_lsn,

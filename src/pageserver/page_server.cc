@@ -274,7 +274,6 @@ sim::Task<> PageServer::PullTask(std::shared_ptr<PendingPull> pull,
 }
 
 sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
-  const bool trace = getenv("SOCRATES_TRACE_APPLY") != nullptr;
   std::shared_ptr<PendingPull> next;
   while (Live(epoch)) {
     Lsn from = applier_->applied_lsn().value();
@@ -317,13 +316,6 @@ sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
     }
     for (xlog::LogBlock& block : *blocks) {
       if (!Live(epoch)) co_return;
-      if (trace && opts_.partition == 0) {
-        fprintf(stderr,
-                "[ps0] block start=%llu size=%llu filtered=%d applied=%llu\n",
-                (unsigned long long)block.start_lsn,
-                (unsigned long long)block.payload_size, block.filtered,
-                (unsigned long long)applier_->applied_lsn().value());
-      }
       if (block.start_lsn > applier_->applied_lsn().value()) {
         // A gap would mean silently lost log — stop loudly.
         last_error_ = Status::Corruption("gap in pulled log stream");
@@ -869,7 +861,8 @@ sim::Task<> PageServer::CheckpointWriteBatch(
   }
   if (status.ok() && epoch_ == epoch) {
     status = co_await xstore_->Write(
-        data_blob_, (run.front() - first_page) * kPageSize, Slice(batch));
+        data_blob_, (run.front() - first_page) * kPageSize,
+        storage::SegmentRef::Adopt(std::move(batch)));
   }
   if (epoch_ == epoch) {
     if (status.ok()) {

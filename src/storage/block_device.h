@@ -1,15 +1,17 @@
 // BlockDevice: the byte-addressable async storage abstraction under every
 // tier (the analogue of SQL Server's FCB I/O virtualization layer, §3.6).
 // SimBlockDevice models one device with a latency profile and optional
-// outage injection, and keeps whole pages by reference for the RBPEX tier
-// (ReadPage/WritePage); ReplicatedBlockDevice adds N-way replication with
-// write quorum K — the shape of the XIO landing zone and of XStore.
+// outage injection. Its bytes live in an ExtentStore, so a write of a
+// shared segment keeps the caller's bytes by reference; it also keeps
+// whole pages by reference for the RBPEX tier (ReadPage/WritePage).
+// ReplicatedBlockDevice adds N-way replication with write quorum K — the
+// shape of the XIO landing zone — and hands every replica the same
+// segment.
 
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -26,6 +28,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "storage/extent_store.h"
 #include "storage/page.h"
 
 namespace socrates {
@@ -35,13 +38,18 @@ class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
 
-  /// Read `len` bytes at `offset` into `*out` (replacing its contents).
-  /// Unwritten ranges read as zero bytes.
+  /// Read `len` bytes at `offset`, appending them to `*out`. Unwritten
+  /// ranges read as zero bytes. A failed read leaves `*out` alone.
   virtual sim::Task<Status> Read(uint64_t offset, uint64_t len,
                                  std::string* out) = 0;
 
-  /// Write `data` at `offset`.
-  virtual sim::Task<Status> Write(uint64_t offset, Slice data) = 0;
+  /// Write `data` at `offset`, keeping its segment by reference.
+  virtual sim::Task<Status> Write(uint64_t offset, SegmentRef data) = 0;
+
+  /// Write a copy of `data` at `offset`.
+  sim::Task<Status> Write(uint64_t offset, Slice data) {
+    return Write(offset, SegmentRef::Copy(data));
+  }
 
   /// CPU microseconds the issuing node burns per request on this device
   /// (REST marshalling vs. cheap RDMA path; see DeviceProfile).
@@ -50,10 +58,12 @@ class BlockDevice {
   virtual const CounterStats& stats() const = 0;
 };
 
-/// In-memory device with modelled latency. Storage is a sparse chunk map so
-/// multi-GiB address spaces cost only what is actually written.
+/// In-memory device with modelled latency. Storage is a sparse extent map,
+/// so multi-GiB address spaces cost only what is actually written.
 class SimBlockDevice : public BlockDevice {
  public:
+  using BlockDevice::Write;
+
   SimBlockDevice(sim::Simulator& sim, sim::DeviceProfile profile,
                  uint64_t seed = 1)
       : sim_(sim), profile_(profile), rng_(seed) {}
@@ -61,16 +71,13 @@ class SimBlockDevice : public BlockDevice {
   sim::Task<Status> Read(uint64_t offset, uint64_t len,
                          std::string* out) override {
     Status s = co_await Access(/*write=*/false, len);
-    if (s.ok()) {
-      out->assign(len, '\0');
-      ReadRaw(offset, len, out->data());
-    }
+    if (s.ok()) bytes_.Read(offset, len, out);
     co_return s;
   }
 
-  sim::Task<Status> Write(uint64_t offset, Slice data) override {
+  sim::Task<Status> Write(uint64_t offset, SegmentRef data) override {
     Status s = co_await Access(/*write=*/true, data.size());
-    if (s.ok()) WriteRaw(offset, data.data(), data.size());
+    if (s.ok()) bytes_.Write(offset, std::move(data));
     co_return s;
   }
 
@@ -118,47 +125,19 @@ class SimBlockDevice : public BlockDevice {
 
   /// Synchronous backdoor used by tests and by crash-recovery assertions
   /// ("what is really on the media?"). Not part of the service data path.
-  void ReadRaw(uint64_t offset, uint64_t len, char* out) const {
-    uint64_t pos = 0;
-    while (pos < len) {
-      uint64_t abs = offset + pos;
-      uint64_t chunk = abs / kChunkSize;
-      uint64_t within = abs % kChunkSize;
-      uint64_t n = std::min(kChunkSize - within, len - pos);
-      auto it = chunks_.find(chunk);
-      if (it != chunks_.end()) {
-        memcpy(out + pos, it->second.data() + within, n);
-      } else {
-        memset(out + pos, 0, n);
-      }
-      pos += n;
-    }
+  std::string ReadRaw(uint64_t offset, uint64_t len) const {
+    std::string out;
+    bytes_.Read(offset, len, &out);
+    return out;
   }
 
-  void WriteRaw(uint64_t offset, const char* data, uint64_t len) {
-    uint64_t pos = 0;
-    while (pos < len) {
-      uint64_t abs = offset + pos;
-      uint64_t chunk = abs / kChunkSize;
-      uint64_t within = abs % kChunkSize;
-      uint64_t n = std::min(kChunkSize - within, len - pos);
-      auto it = chunks_.find(chunk);
-      if (it == chunks_.end()) {
-        it = chunks_.emplace(chunk, std::string(kChunkSize, '\0')).first;
-      }
-      memcpy(it->second.data() + within, data + pos, n);
-      pos += n;
-    }
-  }
-
-  /// Bytes of backing memory actually allocated (for size-of-data checks).
+  /// Bytes the device maps (byte extents plus whole pages), whether or
+  /// not another store shares them (for size-of-data checks).
   uint64_t allocated_bytes() const {
-    return chunks_.size() * kChunkSize + pages_.size() * kPageSize;
+    return bytes_.mapped_bytes() + pages_.size() * kPageSize;
   }
 
  private:
-  static constexpr uint64_t kChunkSize = 64 * KiB;
-
   // The one place a request pays its modelled latency, outage check and
   // stats, so the byte and page calls draw the device RNG identically.
   sim::Task<Status> Access(bool write, uint64_t len) {
@@ -181,7 +160,7 @@ class SimBlockDevice : public BlockDevice {
   sim::DeviceProfile profile_;
   Random rng_;
   chaos::SitePort chaos_port_;
-  std::map<uint64_t, std::string> chunks_;
+  ExtentStore bytes_;
   std::unordered_map<uint64_t, Page> pages_;  // page index -> image
   CounterStats stats_;
 };
@@ -192,6 +171,8 @@ class SimBlockDevice : public BlockDevice {
 /// the landing zone (XIO keeps three replicas) and of XStore.
 class ReplicatedBlockDevice : public BlockDevice {
  public:
+  using BlockDevice::Write;
+
   ReplicatedBlockDevice(sim::Simulator& sim, sim::DeviceProfile profile,
                         int num_replicas, int write_quorum,
                         uint64_t seed = 1)
@@ -217,13 +198,14 @@ class ReplicatedBlockDevice : public BlockDevice {
     co_return Status::Unavailable("all replicas down");
   }
 
-  sim::Task<Status> Write(uint64_t offset, Slice data) override {
+  sim::Task<Status> Write(uint64_t offset, SegmentRef data) override {
     // Fan the write out to every replica; complete as soon as `quorum`
     // replicas acknowledge, or fail once success becomes impossible.
-    // Shared state is heap-allocated because laggard replica writes
-    // outlive this frame.
+    // Every replica maps the same segment. Shared state is heap-allocated
+    // because laggard replica writes outlive this frame.
+    const uint64_t size = data.size();
     auto state = std::make_shared<WriteState>(sim_);
-    state->payload.assign(data.data(), data.size());
+    state->payload = std::move(data);
     state->quorum = write_quorum_;
     state->max_failures =
         static_cast<int>(replicas_.size()) - write_quorum_;
@@ -232,7 +214,7 @@ class ReplicatedBlockDevice : public BlockDevice {
     }
     co_await state->decided.Wait();
     stats_.writes++;
-    stats_.bytes_written += data.size();
+    stats_.bytes_written += size;
     if (state->successes >= state->quorum) co_return Status::OK();
     co_return Status::Unavailable("write quorum not reached");
   }
@@ -253,7 +235,7 @@ class ReplicatedBlockDevice : public BlockDevice {
  private:
   struct WriteState {
     explicit WriteState(sim::Simulator& s) : decided(s) {}
-    std::string payload;
+    SegmentRef payload;
     sim::Event decided;
     int quorum = 0;
     int max_failures = 0;
@@ -263,7 +245,7 @@ class ReplicatedBlockDevice : public BlockDevice {
 
   sim::Task<> ReplicaWrite(SimBlockDevice* dev, uint64_t offset,
                            std::shared_ptr<WriteState> state) {
-    Status s = co_await dev->Write(offset, Slice(state->payload));
+    Status s = co_await dev->Write(offset, state->payload);
     if (s.ok()) {
       state->successes++;
       if (state->successes == state->quorum) state->decided.Set();

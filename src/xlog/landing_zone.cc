@@ -8,18 +8,19 @@
 namespace socrates {
 namespace xlog {
 
-sim::Task<Status> LandingZone::WritePhysical(uint64_t pos, Slice data) {
+sim::Task<Status> LandingZone::WritePhysical(uint64_t pos,
+                                             storage::SegmentRef data) {
   uint64_t off = pos % capacity_;
   uint64_t first = std::min<uint64_t>(data.size(), capacity_ - off);
-  Status s = co_await device_->Write(off, Slice(data.data(), first));
+  Status s = co_await device_->Write(off, data.Sub(0, first));
   if (s.ok() && first < data.size()) {
-    s = co_await device_->Write(
-        0, Slice(data.data() + first, data.size() - first));
+    s = co_await device_->Write(0, data.Sub(first, data.size() - first));
   }
   co_return s;
 }
 
-sim::Task<Status> LandingZone::WriteReserved(Lsn lsn, Slice data) {
+sim::Task<Status> LandingZone::WriteReserved(Lsn lsn,
+                                             storage::SegmentRef data) {
   auto it = extents_.find(lsn);
   if (it == extents_.end() || data.size() != it->second.stored_len) {
     co_return Status::InvalidArgument("LZ write does not match reservation");
@@ -28,7 +29,7 @@ sim::Task<Status> LandingZone::WriteReserved(Lsn lsn, Slice data) {
   // while the device write is in flight (never this extent — it is not
   // yet durable — but iterators are not stable).
   const Extent ext = it->second;
-  Status s = co_await WritePhysical(ext.phys_pos, data);
+  Status s = co_await WritePhysical(ext.phys_pos, std::move(data));
   if (!s.ok()) co_return s;
   logical_bytes_written_ += ext.logical_len;
   stored_bytes_written_ += ext.stored_len;
@@ -79,13 +80,12 @@ sim::Task<Result<std::string>> LandingZone::Read(Lsn from, Lsn to) {
   uint64_t off = p0 % capacity_;
   uint64_t first = std::min<uint64_t>(len, capacity_ - off);
   std::string raw;
+  raw.reserve(len);
   Status s = co_await device_->Read(off, first, &raw);
   if (!s.ok()) co_return Result<std::string>(s);
   if (first < len) {
-    std::string rest;
-    s = co_await device_->Read(0, len - first, &rest);
+    s = co_await device_->Read(0, len - first, &raw);
     if (!s.ok()) co_return Result<std::string>(s);
-    raw += rest;
   }
   std::string out;
   out.reserve(to - from);

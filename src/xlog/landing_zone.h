@@ -75,11 +75,16 @@ class LandingZone {
   }
 
   /// Durably write a previously reserved range. `data` is the *stored*
-  /// form and must match the reservation's stored size. The durable end
-  /// advances only over the contiguous prefix of completed writes, so
-  /// hardening order equals log order even when device completions
-  /// reorder.
-  sim::Task<Status> WriteReserved(Lsn lsn, Slice data);
+  /// form and must match the reservation's stored size; every replica
+  /// keeps its segment by reference. The durable end advances only over
+  /// the contiguous prefix of completed writes, so hardening order equals
+  /// log order even when device completions reorder.
+  sim::Task<Status> WriteReserved(Lsn lsn, storage::SegmentRef data);
+
+  /// Write a copy of `data` into a reserved range.
+  sim::Task<Status> WriteReserved(Lsn lsn, Slice data) {
+    return WriteReserved(lsn, storage::SegmentRef::Copy(data));
+  }
 
   /// Convenience single-in-flight raw write (reserve + write).
   sim::Task<Status> Write(Lsn lsn, Slice data);
@@ -147,7 +152,7 @@ class LandingZone {
 
   // Write [pos, pos + data.size()) of the monotonic physical stream,
   // splitting at the circular-buffer wrap.
-  sim::Task<Status> WritePhysical(uint64_t pos, Slice data);
+  sim::Task<Status> WritePhysical(uint64_t pos, storage::SegmentRef data);
 
   uint64_t capacity_;
   double profile_cpu_per_kb_;

@@ -192,7 +192,8 @@ sim::Task<> XLogClient::WriteBlockTask(
     LogBlock block, std::shared_ptr<const std::string> stored,
     SimTime cut_at_us) {
   const bool compressed = stored != nullptr;
-  Slice data = compressed ? Slice(*stored) : Slice(block.payload());
+  const storage::SegmentRef data(compressed ? std::move(stored)
+                                            : block.payload_ptr());
   // The per-I/O + per-byte CPU cost (REST vs RDMA path) lands on the
   // Primary (Table 7); compression trades a cheap per-KB encode for the
   // much larger per-KB wire cost of the stored bytes.

@@ -174,7 +174,6 @@ void XLogProcess::MaybeSetDestageIdle() {
 }
 
 sim::Task<> XLogProcess::DestageLoop() {
-  const bool trace = getenv("SOCRATES_TRACE_DESTAGE") != nullptr;
   while (true) {
     auto item = co_await destage_q_.Pop();
     if (!item.has_value()) {
@@ -199,12 +198,6 @@ sim::Task<> XLogProcess::DestageLoop() {
       }
       block = LogBlock::Make(block.start_lsn, std::move(batch), {});
     }
-    if (trace) {
-      fprintf(stderr, "[destage] start=%llu size=%llu destaged=%llu\n",
-              (unsigned long long)block.start_lsn,
-              (unsigned long long)block.payload().size(),
-              (unsigned long long)destaged_);
-    }
     // Hand the batch to a destage lane; bounded lanes keep several SSD +
     // LT writes in flight while the destaged frontier (and the LZ
     // truncation it drives) advances only over the contiguous prefix of
@@ -216,15 +209,16 @@ sim::Task<> XLogProcess::DestageLoop() {
 }
 
 sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
-  const std::string& payload = block.payload();
+  // The SSD cache and the LT archive both map the batch's own segment.
+  const storage::SegmentRef payload(block.payload_ptr());
   // Local SSD block cache: circular over the stream, like the LZ.
   uint64_t cap = kSsdCacheBytes;
   uint64_t off = block.start_lsn % cap;
   uint64_t first = std::min<uint64_t>(payload.size(), cap - off);
-  co_await ssd_cache_->Write(off, Slice(payload.data(), first));
+  co_await ssd_cache_->Write(off, payload.Sub(0, first));
   if (first < payload.size()) {
     co_await ssd_cache_->Write(
-        0, Slice(payload.data() + first, payload.size() - first));
+        0, payload.Sub(first, payload.size() - first));
   }
   Lsn batch_end = block.start_lsn + payload.size();
   if (batch_end > ssd_cache_start_ + cap) {
@@ -235,8 +229,7 @@ sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
   // XStore outage never loses log — it only pauses truncation.
   while (true) {
     Status lt_status = co_await lt_->Write(
-        opts_.lt_blob, block.start_lsn - engine::kLogStreamStart,
-        Slice(payload));
+        opts_.lt_blob, block.start_lsn - engine::kLogStreamStart, payload);
     if (lt_status.ok()) break;
     co_await sim::Delay(sim_, kDestageRetryUs);
   }
@@ -396,11 +389,11 @@ sim::Task<Result<std::string>> XLogProcess::ReadRange(
     uint64_t off = from % cap;
     uint64_t len = to - from;
     uint64_t first = std::min<uint64_t>(len, cap - off);
-    std::string out, part;
+    std::string out;
+    out.reserve(len);
     Status s = co_await ssd_cache_->Read(off, first, &out);
     if (s.ok() && first < len) {
-      s = co_await ssd_cache_->Read(0, len - first, &part);
-      out += part;
+      s = co_await ssd_cache_->Read(0, len - first, &out);
     }
     if (s.ok()) co_return std::move(out);
   }

@@ -1,13 +1,12 @@
 #include "xstore/xstore.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace socrates {
 namespace xstore {
 
 sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
-                                Slice data) {
+                                storage::SegmentRef data) {
   co_await sim::Delay(sim_, profile_.write.Sample(rng_));
   // Transfer time: 1 MB/s == 1 byte/us. Models XStore's throughput limits
   // (the reason HADR's backup egress throttles its log rate, Table 5).
@@ -15,12 +14,11 @@ sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
       sim_, static_cast<SimTime>(static_cast<double>(data.size()) /
                                  bandwidth_mb_s_));
   if (!available()) co_return Status::Unavailable("xstore outage");
-  log_.emplace_back(data.data(), data.size());
-  stored_bytes_ += data.size();
-  Blob& b = blobs_[blob];
-  ApplyWrite(&b, offset, log_.size() - 1, data.size());
+  const uint64_t size = data.size();
+  stored_bytes_ += size;
+  blobs_[blob].Write(offset, std::move(data));
   stats_.writes++;
-  stats_.bytes_written += data.size();
+  stats_.bytes_written += size;
   co_return Status::OK();
 }
 
@@ -32,8 +30,8 @@ sim::Task<Status> XStore::Read(const std::string& blob, uint64_t offset,
   if (!available()) co_return Status::Unavailable("xstore outage");
   auto it = blobs_.find(blob);
   if (it == blobs_.end()) co_return Status::NotFound("blob " + blob);
-  out->assign(len, '\0');
-  ReadInto(it->second, offset, len, out->data());
+  out->clear();
+  it->second.Read(offset, len, out);
   stats_.reads++;
   stats_.bytes_read += len;
   co_return Status::OK();
@@ -50,7 +48,7 @@ sim::Task<Result<SnapshotId>> XStore::Snapshot(const std::string& blob) {
     co_return Result<SnapshotId>(Status::NotFound("blob " + blob));
   }
   SnapshotId id = next_snapshot_++;
-  snapshots_[id] = it->second;  // extent table copy; data stays in the log
+  snapshots_[id] = it->second;  // extent table copy; segments are shared
   co_return Result<SnapshotId>(id);
 }
 
@@ -74,7 +72,7 @@ sim::Task<Status> XStore::Delete(const std::string& blob) {
 
 uint64_t XStore::BlobSize(const std::string& blob) const {
   auto it = blobs_.find(blob);
-  return it == blobs_.end() ? 0 : it->second.size;
+  return it == blobs_.end() ? 0 : it->second.size();
 }
 
 std::vector<std::string> XStore::List(const std::string& prefix) const {
@@ -88,75 +86,11 @@ std::vector<std::string> XStore::List(const std::string& prefix) const {
 
 std::string XStore::ReadRaw(const std::string& blob, uint64_t offset,
                             uint64_t len) const {
-  std::string out(len, '\0');
   auto it = blobs_.find(blob);
-  if (it != blobs_.end()) ReadInto(it->second, offset, len, out.data());
+  if (it == blobs_.end()) return std::string(len, '\0');
+  std::string out;
+  it->second.Read(offset, len, &out);
   return out;
-}
-
-void XStore::ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
-                        uint64_t length) {
-  if (length == 0) return;
-  const uint64_t end = offset + length;
-  ExtentMap& m = b->extents;
-
-  // Trim a predecessor extent that overlaps [offset, end).
-  auto it = m.lower_bound(offset);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    uint64_t pstart = prev->first;
-    uint64_t pend = pstart + prev->second.length;
-    if (pend > offset) {
-      Extent old = prev->second;
-      prev->second.length = offset - pstart;
-      if (prev->second.length == 0) m.erase(prev);
-      if (pend > end) {
-        // The old extent sticks out past our write; keep its tail.
-        Extent tail = old;
-        tail.seg_offset += end - pstart;
-        tail.length = pend - end;
-        m[end] = tail;
-      }
-    }
-  }
-
-  // Remove / trim extents starting inside [offset, end).
-  it = m.lower_bound(offset);
-  while (it != m.end() && it->first < end) {
-    uint64_t estart = it->first;
-    uint64_t eend = estart + it->second.length;
-    if (eend <= end) {
-      it = m.erase(it);
-    } else {
-      Extent tail = it->second;
-      tail.seg_offset += end - estart;
-      tail.length = eend - end;
-      m.erase(it);
-      m[end] = tail;
-      break;
-    }
-  }
-
-  m[offset] = Extent{segment, 0, length};
-  b->size = std::max(b->size, end);
-}
-
-void XStore::ReadInto(const Blob& b, uint64_t offset, uint64_t len,
-                      char* out) const {
-  const uint64_t end = offset + len;
-  const ExtentMap& m = b.extents;
-  auto it = m.upper_bound(offset);
-  if (it != m.begin()) --it;
-  for (; it != m.end() && it->first < end; ++it) {
-    uint64_t estart = it->first;
-    uint64_t eend = estart + it->second.length;
-    uint64_t from = std::max(estart, offset);
-    uint64_t to = std::min(eend, end);
-    if (from >= to) continue;
-    const std::string& seg = log_[it->second.segment];
-    memcpy(out + (from - offset),
-           seg.data() + it->second.seg_offset + (from - estart), to - from);
-  }
 }
 
 }  // namespace xstore

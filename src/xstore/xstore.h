@@ -1,9 +1,10 @@
 // XStore: simulated Azure Standard Storage — the durable "truth" tier
-// (paper §4.7). Log-structured: every write appends a segment to a global
-// append-only log, and a blob is a metadata map from byte ranges to log
-// segments. That makes snapshots and restores **constant-time metadata
-// operations** (keep a pointer / copy an extent table), the property
-// Socrates' size-of-data-free backup/restore depends on (§3.5).
+// (paper §4.7). Log-structured: every write lands as an immutable
+// refcounted segment, and a blob is an extent table from byte ranges to
+// segments (storage::ExtentStore). That makes snapshots and restores
+// **constant-time metadata operations** (copy an extent table), the
+// property Socrates' size-of-data-free backup/restore depends on (§3.5).
+// A segment lives while the live blob or any snapshot still maps it.
 //
 // Cheap and durable but slow: every operation pays the XStore latency
 // profile. Outage injection models transient Azure Storage failures, which
@@ -12,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "sim/latency.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "storage/extent_store.h"
 
 namespace socrates {
 namespace xstore {
@@ -51,11 +51,18 @@ class XStore {
   static constexpr SimTime kMetaOpLatencyUs = 20000;
 
   /// Write `data` into `blob` at `offset` (creating the blob if needed).
-  /// Appends a segment to the store's log and patches the extent table.
+  /// The blob's extent table maps `data`'s segment by reference.
   sim::Task<Status> Write(const std::string& blob, uint64_t offset,
-                          Slice data);
+                          storage::SegmentRef data);
 
-  /// Read `len` bytes at `offset`. Unwritten ranges read as zeros.
+  /// Write a copy of `data`.
+  sim::Task<Status> Write(const std::string& blob, uint64_t offset,
+                          Slice data) {
+    return Write(blob, offset, storage::SegmentRef::Copy(data));
+  }
+
+  /// Read `len` bytes at `offset` into `*out` (replacing its contents).
+  /// Unwritten ranges read as zeros.
   sim::Task<Status> Read(const std::string& blob, uint64_t offset,
                          uint64_t len, std::string* out);
 
@@ -64,7 +71,7 @@ class XStore {
   sim::Task<Result<SnapshotId>> Snapshot(const std::string& blob);
 
   /// Constant-time restore: materialize `dst` from a snapshot's extent
-  /// table (copy-on-write against the shared log).
+  /// table (the restored blob shares the snapshot's segments).
   sim::Task<Status> Restore(SnapshotId snap, const std::string& dst);
 
   sim::Task<Status> Delete(const std::string& blob);
@@ -90,7 +97,7 @@ class XStore {
     chaos_port_.Attach(hub, site);
   }
 
-  /// Total data bytes ever appended to the store log (storage-cost
+  /// Total data bytes ever written, overwritten or not (storage-cost
   /// accounting for the Table 1 "storage impact" comparison).
   uint64_t stored_bytes() const { return stored_bytes_; }
 
@@ -101,34 +108,14 @@ class XStore {
                       uint64_t len) const;
 
  private:
-  // One contiguous range of a blob mapped onto a log segment.
-  struct Extent {
-    uint64_t segment;      // index into log_
-    uint64_t seg_offset;   // offset within the segment
-    uint64_t length;
-  };
-  // Extent table: key = blob offset of the extent start. Non-overlapping.
-  using ExtentMap = std::map<uint64_t, Extent>;
-
-  struct Blob {
-    ExtentMap extents;
-    uint64_t size = 0;
-  };
-
-  void ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
-                  uint64_t length);
-  void ReadInto(const Blob& b, uint64_t offset, uint64_t len,
-                char* out) const;
-
   sim::Simulator& sim_;
   sim::DeviceProfile profile_;
   double bandwidth_mb_s_;
   Random rng_;
   chaos::SitePort chaos_port_;
 
-  std::deque<std::string> log_;  // append-only data segments
-  std::unordered_map<std::string, Blob> blobs_;
-  std::unordered_map<SnapshotId, Blob> snapshots_;
+  std::unordered_map<std::string, storage::ExtentStore> blobs_;
+  std::unordered_map<SnapshotId, storage::ExtentStore> snapshots_;
   SnapshotId next_snapshot_ = 1;
   uint64_t stored_bytes_ = 0;
   CounterStats stats_;

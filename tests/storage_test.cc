@@ -1,10 +1,17 @@
-// Tests for pages and simulated block devices: header round-trips,
-// checksums, sparse device storage, latency ordering, replication quorum,
-// outage behaviour.
+// Tests for pages, the extent store and simulated block devices: header
+// round-trips, checksums, extent mapping against a flat byte model,
+// segment release, sparse device storage, latency ordering, replication
+// quorum, outage behaviour.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "storage/block_device.h"
+#include "storage/extent_store.h"
 #include "storage/page.h"
 
 namespace socrates {
@@ -116,6 +123,139 @@ TEST(PageTest, SliceRoundTrip) {
   EXPECT_EQ(b.page_id(), 9u);
   EXPECT_EQ(b.page_lsn(), 55u);
   EXPECT_TRUE(b.FromSlice(Slice("short")).IsInvalidArgument());
+}
+
+// ------------------------------------------------------------ ExtentStore
+
+// A segment of `n` bytes all equal to `c`.
+Segment Filled(uint64_t n, char c) {
+  return std::make_shared<const std::string>(n, c);
+}
+
+std::string ReadAll(const ExtentStore& st, uint64_t offset, uint64_t len) {
+  std::string out;
+  st.Read(offset, len, &out);
+  return out;
+}
+
+TEST(ExtentStoreTest, HeadMiddleTailSplits) {
+  ExtentStore st;
+  st.Write(0, Filled(10, 'a'));
+  st.Write(3, Filled(4, 'b'));   // middle: 'a' keeps head and tail
+  EXPECT_EQ(ReadAll(st, 0, 10), "aaabbbbaaa");
+  st.Write(0, Filled(2, 'c'));   // head of the first 'a' extent
+  st.Write(9, Filled(3, 'd'));   // tail of the last one, and past it
+  EXPECT_EQ(ReadAll(st, 0, 12), "ccabbbbaaddd");
+  st.Write(1, Filled(10, 'e'));  // spans several extents at once
+  EXPECT_EQ(ReadAll(st, 0, 12), "ceeeeeeeeeed");
+  EXPECT_EQ(st.size(), 12u);
+  EXPECT_EQ(st.mapped_bytes(), 12u);
+}
+
+TEST(ExtentStoreTest, HolesReadAsZeroAndReadAppends) {
+  ExtentStore st;
+  st.Write(4, Filled(2, 'x'));
+  st.Write(10, SegmentRef(Filled(8, 'y'), 2, 3));  // a sub-range
+  std::string out = "keep";
+  st.Read(2, 12, &out);
+  EXPECT_EQ(out, std::string("keep") + std::string(2, '\0') + "xx" +
+                     std::string(4, '\0') + "yyy" + std::string(1, '\0'));
+  EXPECT_EQ(st.mapped_bytes(), 5u);
+  EXPECT_EQ(st.size(), 13u);
+  EXPECT_EQ(ReadAll(ExtentStore(), 7, 3), std::string(3, '\0'));
+}
+
+// Property test: random overlapping writes of random segment sub-ranges,
+// ring-wrap overwrites included, against a flat byte array (with a
+// coverage map for the holes).
+TEST(ExtentStorePropertyTest, MatchesFlatModel) {
+  const uint64_t kSpace = 4096;
+  Random rng(17);
+  ExtentStore st;
+  std::string model(kSpace, '\0');
+  std::vector<bool> covered(kSpace, false);
+  auto write = [&](uint64_t off, const SegmentRef& data) {
+    st.Write(off, data);
+    for (uint64_t i = 0; i < data.size(); i++) {
+      model[off + i] = (*data.seg)[data.off + i];
+      covered[off + i] = true;
+    }
+  };
+  for (int i = 0; i < 2000; i++) {
+    const uint64_t seg_len = 1 + rng.Uniform(300);
+    std::string bytes(seg_len, '\0');
+    for (auto& c : bytes) c = static_cast<char>('a' + rng.Uniform(26));
+    SegmentRef seg = SegmentRef::Adopt(std::move(bytes));
+    const uint64_t sub_off = rng.Uniform(seg_len);
+    const uint64_t sub_len = 1 + rng.Uniform(seg_len - sub_off);
+    SegmentRef data = seg.Sub(sub_off, sub_len);
+    const uint64_t off = rng.Uniform(kSpace);
+    if (i % 3 == 0) {
+      // Ring write: split at the end of the space, the tail wrapping to 0.
+      const uint64_t first = std::min(data.size(), kSpace - off);
+      write(off, data.Sub(0, first));
+      if (first < data.size()) write(0, data.Sub(first, data.size() - first));
+    } else if (off + data.size() <= kSpace) {
+      write(off, data);
+    }
+    if (i % 100 == 0 || i == 1999) {
+      ASSERT_EQ(ReadAll(st, 0, kSpace), model) << "after write " << i;
+      uint64_t mapped = 0;
+      for (bool c : covered) mapped += c;
+      ASSERT_EQ(st.mapped_bytes(), mapped) << "after write " << i;
+      const uint64_t a = rng.Uniform(kSpace);
+      const uint64_t n = rng.Uniform(kSpace - a + 1);
+      ASSERT_EQ(ReadAll(st, a, n), model.substr(a, n)) << "after write " << i;
+    }
+  }
+}
+
+TEST(ExtentStoreTest, FullyOverwrittenSegmentIsReleased) {
+  ExtentStore st;
+  std::weak_ptr<const std::string> old_seg, kept_seg;
+  {
+    Segment a = Filled(100, 'a');
+    Segment b = Filled(100, 'b');
+    old_seg = a;
+    kept_seg = b;
+    st.Write(0, a);
+    st.Write(100, b);
+  }
+  // Two writes that together cover all of `a`, and one byte of `b`.
+  st.Write(0, Filled(60, 'c'));
+  EXPECT_FALSE(old_seg.expired());  // 40 bytes of `a` still mapped
+  st.Write(50, Filled(51, 'd'));
+  EXPECT_TRUE(old_seg.expired());
+  EXPECT_FALSE(kept_seg.expired());  // 99 bytes of `b` still mapped
+  EXPECT_EQ(ReadAll(st, 95, 10), "ddddddbbbb");
+}
+
+TEST(ExtentStoreTest, RingLapReleasesThePreviousLap) {
+  // A ring of 4 slots of 1 KiB, written with segments that straddle the
+  // slot boundaries: once the second lap is done, no first-lap segment is
+  // alive, and the store maps exactly one lap.
+  const uint64_t kCap = 4 * KiB;
+  ExtentStore st;
+  std::vector<std::weak_ptr<const std::string>> lap1;
+  uint64_t pos = 0;
+  auto put = [&](Segment seg) {
+    SegmentRef data(std::move(seg));
+    const uint64_t off = pos % kCap;
+    const uint64_t first = std::min<uint64_t>(data.size(), kCap - off);
+    st.Write(off, data.Sub(0, first));
+    if (first < data.size()) st.Write(0, data.Sub(first, data.size() - first));
+    pos += data.size();
+  };
+  while (pos < kCap) {
+    Segment seg = Filled(700, 'a');
+    lap1.push_back(seg);
+    put(std::move(seg));
+  }
+  const uint64_t lap1_end = pos;
+  while (pos < lap1_end + kCap) put(Filled(700, 'b'));
+  for (auto& w : lap1) EXPECT_TRUE(w.expired());
+  EXPECT_EQ(st.mapped_bytes(), kCap);
+  EXPECT_EQ(ReadAll(st, 0, kCap), std::string(kCap, 'b'));
 }
 
 // ---------------------------------------------------------- SimBlockDevice
@@ -344,10 +484,37 @@ TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
   s.Run();  // run to completion: laggard replica writes finish too
   EXPECT_TRUE(ws.ok());
   for (int i = 0; i < 3; i++) {
-    char buf[14];
-    dev.replica(i)->ReadRaw(512, 14, buf);
-    EXPECT_EQ(std::string(buf, 14), "quorum payload") << "replica " << i;
+    EXPECT_EQ(dev.replica(i)->ReadRaw(512, 14), "quorum payload")
+        << "replica " << i;
   }
+}
+
+TEST(ReplicatedDeviceTest, DownReplicaKeepsNothingLiveOnesShareOneImage) {
+  Simulator s;
+  ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
+  dev.replica(0)->SetAvailable(false);
+  Segment image = std::make_shared<const std::string>("shared image");
+  Status ws;
+  Spawn(s, [](ReplicatedBlockDevice& d, Segment img, Status* w) -> Task<> {
+    *w = co_await d.Write(64, std::move(img));
+  }(dev, image, &ws));
+  s.Run();
+  EXPECT_TRUE(ws.ok());
+  // This test's handle plus one per live replica: no replica copied it.
+  EXPECT_EQ(image.use_count(), 3);
+  dev.replica(0)->SetAvailable(true);
+  EXPECT_EQ(dev.replica(0)->ReadRaw(64, 12), std::string(12, '\0'));
+  EXPECT_EQ(dev.replica(0)->allocated_bytes(), 0u);
+  for (int i = 1; i < 3; i++) {
+    EXPECT_EQ(dev.replica(i)->ReadRaw(64, 12), "shared image")
+        << "replica " << i;
+  }
+  std::string got;
+  Spawn(s, [](ReplicatedBlockDevice& d, std::string* out) -> Task<> {
+    (void)co_await d.Read(64, 12, out);  // replica 0 answers first
+  }(dev, &got));
+  s.Run();
+  EXPECT_EQ(got, std::string(12, '\0'));
 }
 
 TEST(ReplicatedDeviceTest, QuorumFasterThanAllReplicas) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,42 @@ TEST(XStoreTest, SnapshotIsolatesFromLaterWrites) {
   EXPECT_EQ(restored, "version-1");
 }
 
+TEST(XStoreTest, SnapshotKeepsOverwrittenBytesReadable) {
+  Simulator s;
+  XStore xs(s);
+  std::weak_ptr<const std::string> v1;
+  std::string live, restored;
+  RunSim(s, [&]() -> Task<> {
+    storage::Segment seg = std::make_shared<const std::string>("version-1");
+    v1 = seg;
+    (void)co_await xs.Write("db", 0, std::move(seg));
+    auto r = co_await xs.Snapshot("db");
+    (void)co_await xs.Write("db", 0, Slice("version-2"));
+    // The live blob no longer maps v1; the snapshot's extent table does.
+    EXPECT_FALSE(v1.expired());
+    (void)co_await xs.Read("db", 0, 9, &live);
+    (void)co_await xs.Restore(*r, "db-restored");
+    (void)co_await xs.Read("db-restored", 0, 9, &restored);
+  });
+  EXPECT_EQ(live, "version-2");
+  EXPECT_EQ(restored, "version-1");
+  EXPECT_EQ(xs.stored_bytes(), 18u);  // both versions are accounted
+}
+
+TEST(XStoreTest, OverwrittenSegmentWithoutSnapshotIsReleased) {
+  Simulator s;
+  XStore xs(s);
+  std::weak_ptr<const std::string> v1;
+  RunSim(s, [&]() -> Task<> {
+    storage::Segment seg = std::make_shared<const std::string>("version-1");
+    v1 = seg;
+    (void)co_await xs.Write("db", 0, std::move(seg));
+    (void)co_await xs.Write("db", 0, Slice("version-2"));
+  });
+  EXPECT_TRUE(v1.expired());
+  EXPECT_EQ(xs.ReadRaw("db", 0, 9), "version-2");
+}
+
 TEST(XStoreTest, RestoredBlobIsIndependent) {
   Simulator s;
   XStore xs(s);
@@ -252,9 +289,9 @@ TEST(XStoreTest, StoredBytesAccountsAppends) {
   XStore xs(s);
   RunSim(s, [&]() -> Task<> {
     (void)co_await xs.Write("b", 0, Slice("aaaa"));
-    (void)co_await xs.Write("b", 0, Slice("bbbb"));  // overwrite still appends
+    (void)co_await xs.Write("b", 0, Slice("bbbb"));  // overwrite still counts
   });
-  EXPECT_EQ(xs.stored_bytes(), 8u);  // log-structured: both versions stored
+  EXPECT_EQ(xs.stored_bytes(), 8u);  // every written byte is charged
 }
 
 }  // namespace

@@ -18,7 +18,9 @@ source field is itself set somewhere, so plumbing that forwards a
 never-set default does not keep either end alive.
 
 The script also checks that DESIGN.md's knob table (rows beginning
-"| `Struct::field` |") lists exactly the fields found.
+"| `Struct::field` |") lists exactly the fields found, and that no code
+under src/ calls getenv(): an environment variable is a knob no options
+struct, setter or table row accounts for.
 
 Usage: python3 tools/knob_census.py   (from anywhere; exit 1 on failure)
 """
@@ -131,6 +133,22 @@ def source_files():
             for fn in sorted(files):
                 if fn.endswith(EXTS):
                     yield os.path.join(dirpath, fn), d
+
+
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
+
+
+def getenv_calls():
+    """'path:line' of every getenv( call in src/, comments excluded."""
+    hits = []
+    for path, d in source_files():
+        if d != "src":
+            continue
+        text = strip_comments(open(path, errors="replace").read())
+        for m in GETENV_RE.finditer(text):
+            line = text.count("\n", 0, m.start()) + 1
+            hits.append(f"{os.path.relpath(path, ROOT)}:{line}")
+    return hits
 
 
 def struct_bodies(text, name_re):
@@ -293,6 +311,14 @@ def main():
               "named constant beside its reader, or give it a setter):")
         for u in unset:
             print(f"  {u}")
+
+    env = getenv_calls()
+    if env:
+        ok = False
+        print(f"\n{len(env)} getenv() call(s) under src/ (a hidden knob: "
+              "make it an options field with a setter, or delete it):")
+        for e in env:
+            print(f"  {e}")
 
     design = os.path.join(ROOT, "DESIGN.md")
     if os.path.exists(design):
