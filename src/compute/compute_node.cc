@@ -1,17 +1,15 @@
 #include "compute/compute_node.h"
 
-#include <optional>
-
 namespace socrates {
 namespace compute {
 
-// One double-buffered XLOG pull in flight (mirrors the Page Server's).
-struct ComputeNode::PendingPull {
-  PendingPull(sim::Simulator& sim, Lsn from) : from(from), done(sim) {}
-  Lsn from;
-  std::optional<Result<std::vector<xlog::LogBlock>>> result;
-  sim::Event done;
-};
+namespace {
+// Out of line on purpose: GCC 12 with -fsanitize=thread flags an error
+// Result<Page> built inline in FetchPageInner as maybe-uninitialized.
+[[gnu::noinline]] Result<storage::Page> PageError(Status s) {
+  return Result<storage::Page>(std::move(s));
+}
+}  // namespace
 
 // GetPage@LSN client over RBIO (§3.4): typed request to the best replica
 // of the owning partition, freshness LSN from the evicted-LSN map
@@ -34,8 +32,7 @@ class ComputeNode::RemoteFetcher : public engine::PageFetcher {
     std::vector<rbio::Endpoint> endpoints =
         node_->router_->EndpointsFor(page_id);
     if (endpoints.empty()) {
-      co_return Result<storage::Page>(
-          Status::Unavailable("no page server for partition"));
+      co_return PageError(Status::Unavailable("no page server for partition"));
     }
     Lsn min_lsn = node_->evicted_map_.Get(page_id);
     if (min_lsn == kInvalidLsn) min_lsn = 0;
@@ -64,7 +61,7 @@ class ComputeNode::RemoteFetcher : public engine::PageFetcher {
     if (secondary) {
       Status ds =
           node_->applier_->DrainPendingInto(page_id, &page.value());
-      if (!ds.ok()) co_return Result<storage::Page>(ds);
+      if (!ds.ok()) co_return PageError(ds);
     }
     co_return page;
   }
@@ -167,7 +164,8 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)),
       rpc_rng_(0xfe7c + options.cpu_cores),
-      pull_rng_(0x9e0) {
+      consumer_(sim, xlog,
+                {.name = "secondary", .ship_latency = options.pull_latency}) {
   rbio::RbioClientOptions rbio_opts;
   rbio_opts.network = options.rpc_latency;
   rbio_opts.injector = options.chaos_injector;
@@ -229,84 +227,11 @@ sim::Task<Status> ComputeNode::StartSecondary() {
     co_return Status::InvalidArgument("not a secondary");
   }
   applier_->applied_lsn().Advance(engine::kLogStreamStart);
-  xlog_consumer_id_ = xlog_->RegisterConsumer("secondary");
-  consuming_ = true;
-  sim::Spawn(sim_, SecondaryApplyLoop());
+  // Consume until the node crashes or is promoted.
+  sim::Spawn(sim_, consumer_.Run(applier_.get(), [this] {
+    return alive_ && role_ == Role::kSecondary;
+  }));
   co_return Status::OK();
-}
-
-// Resolve one pull (including the log-shipping distance) as soon as log
-// past `pull->from` is available; the apply loop overlaps this with
-// applying the previous batch.
-sim::Task<> ComputeNode::PullTask(std::shared_ptr<PendingPull> pull) {
-  co_await xlog_->available().WaitFor(pull->from + 1);
-  // Log shipping distance (zero intra-DC, real for geo-replicas, §6).
-  SimTime ship = opts_.pull_latency.Sample(pull_rng_);
-  if (ship > 0) co_await sim::Delay(sim_, ship);
-  pull->result = co_await xlog_->Pull(pull->from, std::nullopt,
-                                      xlog::XLogProcess::kPullBytes);
-  pull->done.Set();
-}
-
-sim::Task<> ComputeNode::SecondaryApplyLoop() {
-  // Secondaries consume the complete log stream (no partition filter).
-  std::shared_ptr<PendingPull> next;
-  while (consuming_) {
-    Lsn from = applier_->applied_lsn().value();
-    std::optional<Result<std::vector<xlog::LogBlock>>> pulled;
-    if (next != nullptr && next->from == from) {
-      if (next->done.is_set()) pipelined_pull_hits_++;
-      SimTime wait_start = sim_.now();
-      co_await next->done.Wait();
-      pull_wait_us_ += sim_.now() - wait_start;
-      pulled = std::move(next->result);
-      next.reset();
-    } else {
-      next.reset();
-      SimTime wait_start = sim_.now();
-      auto fresh = std::make_shared<PendingPull>(sim_, from);
-      co_await PullTask(fresh);
-      pulled = std::move(fresh->result);
-      pull_wait_us_ += sim_.now() - wait_start;
-    }
-    if (!consuming_) break;
-    Result<std::vector<xlog::LogBlock>>& blocks = *pulled;
-    if (!blocks.ok()) {
-      co_await sim::Delay(sim_, 10000);
-      continue;
-    }
-    if (!blocks->empty()) {
-      // Overlap the next pull with applying this batch.
-      next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());
-      sim::Spawn(sim_, PullTask(next));
-    }
-    for (xlog::LogBlock& block : *blocks) {
-      if (block.start_lsn > applier_->applied_lsn().value()) {
-        fprintf(stderr, "[secondary] FATAL: log gap %llu -> %llu\n",
-                (unsigned long long)applier_->applied_lsn().value(),
-                (unsigned long long)block.start_lsn);
-        consuming_ = false;
-        co_return;
-      }
-      if (applier_->lanes() <= 1) {
-        co_await cpu_->Consume(
-            engine::RedoApplier::kApplyCpuFixedUs +
-            block.payload().size() / engine::RedoApplier::kApplyCpuBytesPerUs);
-      }
-      Result<Lsn> end = co_await applier_->ApplyStream(
-          Slice(block.payload()), block.start_lsn,
-          /*resume_from=*/applier_->applied_lsn().value());
-      if (!end.ok()) {
-        fprintf(stderr, "[secondary] FATAL log apply error: %s\n",
-                end.status().ToString().c_str());
-        consuming_ = false;
-        co_return;
-      }
-      applier_->applied_lsn().Advance(*end);
-    }
-    xlog_->ReportProgress(xlog_consumer_id_,
-                          applier_->applied_lsn().value());
-  }
 }
 
 sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
@@ -320,22 +245,8 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   // 2. Redo the hardened tail over cached pages. Uncached pages will be
   //    fetched fresh (>= durable_end) from Page Servers when touched.
   applier_->applied_lsn().Advance(replay_from);
-  co_await xlog_->available().WaitFor(durable_end);
-  while (applier_->applied_lsn().value() < durable_end) {
-    Lsn from = applier_->applied_lsn().value();
-    Result<std::vector<xlog::LogBlock>> blocks =
-        co_await xlog_->Pull(from, std::nullopt,
-                             xlog::XLogProcess::kPullBytes);
-    if (!blocks.ok()) co_return blocks.status();
-    if (blocks->empty()) break;
-    for (xlog::LogBlock& block : *blocks) {
-      Result<Lsn> end = co_await applier_->ApplyStream(
-          Slice(block.payload()), block.start_lsn,
-          /*resume_from=*/applier_->applied_lsn().value());
-      if (!end.ok()) co_return end.status();
-      applier_->applied_lsn().Advance(*end);
-    }
-  }
+  SOCRATES_CO_RETURN_IF_ERROR(
+      co_await consumer_.Replay(applier_.get(), durable_end));
   // 3. Counters from the checkpoint + everything replayed after it.
   PageId next_page = std::max<PageId>(applier_->checkpoint_next_page_id(),
                                       applier_->max_page_seen() + 1);
@@ -361,7 +272,6 @@ sim::Task<Status> ComputeNode::Promote(engine::LogSink* sink,
   // Apply every hardened byte before taking writes.
   co_await applier_->applied_lsn().WaitFor(durable_end);
   alive_ = true;
-  consuming_ = false;
   role_ = Role::kPrimary;
   sink_ = sink;
   engine_->SetSink(sink);
@@ -381,7 +291,6 @@ sim::Task<Status> ComputeNode::Promote(engine::LogSink* sink,
 
 void ComputeNode::Crash() {
   alive_ = false;
-  consuming_ = false;
   pool_->Crash();
 }
 

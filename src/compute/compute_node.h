@@ -38,6 +38,7 @@
 #include "rbio/rbio.h"
 #include "sim/cpu.h"
 #include "xlog/log_block.h"
+#include "xlog/log_consumer.h"
 #include "xlog/xlog_process.h"
 
 namespace socrates {
@@ -242,16 +243,10 @@ class ComputeNode {
   /// different servers — drop the client's kOverloaded scan backoffs,
   /// which described the old servers' load.
   void ClearScanBackoff() { rbio_->ClearScanBackoff(); }
-  uint64_t pipelined_pull_hits() const { return pipelined_pull_hits_; }
-  SimTime pull_wait_us() const { return pull_wait_us_; }
 
  private:
   class RemoteFetcher;
   class PushdownScanner;
-  struct PendingPull;
-
-  sim::Task<> SecondaryApplyLoop();
-  sim::Task<> PullTask(std::shared_ptr<PendingPull> pull);
 
   sim::Simulator& sim_;
   Role role_;
@@ -270,12 +265,8 @@ class ComputeNode {
   EvictedLsnMap evicted_map_;
 
   Random rpc_rng_;
-  Random pull_rng_;
+  xlog::LogConsumer consumer_;
   bool alive_ = true;
-  bool consuming_ = false;
-  int xlog_consumer_id_ = -1;
-  uint64_t pipelined_pull_hits_ = 0;
-  SimTime pull_wait_us_ = 0;
   // All fetches use at least this LSN; set to the durable log end after
   // a restart/promotion (the evicted-LSN map did not survive).
   Lsn recovery_floor_ = kInvalidLsn;

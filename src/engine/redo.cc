@@ -5,6 +5,12 @@
 namespace socrates {
 namespace engine {
 
+// CPU cost model for log apply: a segment costs kApplyCpuFixedUs plus one
+// microsecond per kApplyCpuBytesPerUs of payload, charged up front on one
+// lane and split across lanes otherwise.
+constexpr SimTime kApplyCpuFixedUs = 10;
+constexpr uint64_t kApplyCpuBytesPerUs = 2000;
+
 // Shared state of one ApplyItemsParallel batch: a span over the caller's
 // decoded items, the per-lane work lists, and the barrier positions.
 // Heap-allocated and shared_ptr-held because lanes and coordinator are
@@ -136,8 +142,14 @@ sim::Task<Status> RedoApplier::Apply(Lsn lsn, uint64_t framed_size,
 }
 
 sim::Task<Result<Lsn>> RedoApplier::ApplyStream(Slice stream, Lsn start_lsn,
-                                                Lsn resume_from,
                                                 Lsn stop_at) {
+  if (lanes_ == 1 && cpu_ != nullptr) {
+    // Serial apply pays the whole segment's cost up front; parallel
+    // lanes split the same cost between them (LaneTask).
+    SimTime cost = kApplyCpuFixedUs + stream.size() / kApplyCpuBytesPerUs;
+    co_await cpu_->Consume(cost);
+    apply_busy_us_ += cost;
+  }
   // Collect the frames first (the visitor cannot co_await), then apply.
   // Frames decode into the recycled scratch arena: each StreamItem (and
   // the value buffer inside its record) is reused across calls, so the
@@ -147,6 +159,9 @@ sim::Task<Result<Lsn>> RedoApplier::ApplyStream(Slice stream, Lsn start_lsn,
   const bool use_scratch = !scratch_busy_;
   if (use_scratch) scratch_busy_ = true;
   std::vector<StreamItem>& buf = use_scratch ? scratch_items_ : local;
+  // The watermark is read after the serial charge: concurrent ApplyStream
+  // calls (HADR secondaries receive blocks in parallel) may advance it.
+  const Lsn resume_from = applied_lsn_.value();
   size_t used = 0;
   Status parse = Status::OK();
   Lsn walked_end = start_lsn;

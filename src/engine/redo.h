@@ -56,13 +56,6 @@ class RedoApplier {
     kIgnoreUncached  // skip records for uncached pages — Secondaries
   };
 
-  /// CPU cost model for log apply, shared by every consumer: a pulled
-  /// block costs kApplyCpuFixedUs plus one microsecond per
-  /// kApplyCpuBytesPerUs of payload. Serial consumers charge it before
-  /// ApplyStream; parallel lanes split the same cost across lanes.
-  static constexpr SimTime kApplyCpuFixedUs = 10;
-  static constexpr uint64_t kApplyCpuBytesPerUs = 2000;
-
   RedoApplier(sim::Simulator& sim, BufferPool* pool, MissPolicy policy)
       : sim_(sim), pool_(pool), policy_(policy), applied_lsn_(sim) {}
 
@@ -72,10 +65,9 @@ class RedoApplier {
   }
 
   /// Shard page records into `lanes` PageId-affine apply lanes. `cpu`
-  /// (nullable) is the node CPU the lanes consume; with lanes > 1 the
-  /// applier charges apply cost itself (per lane) instead of the caller
-  /// charging it per block. Lane count never changes results — only how
-  /// much virtual time the apply takes.
+  /// (nullable) is the node CPU that pays the apply cost ApplyStream
+  /// charges. Lane count never changes results — only how much virtual
+  /// time the apply takes.
   void ConfigureLanes(int lanes, sim::CpuResource* cpu);
   int lanes() const { return lanes_; }
 
@@ -85,11 +77,11 @@ class RedoApplier {
                           const LogRecord& rec);
 
   /// Apply every record in a framed stream segment whose first byte is
-  /// `start_lsn`. Records with lsn < resume_from are skipped (framing is
-  /// still walked); records with lsn >= stop_at are not applied (point-
-  /// in-time restore). Returns the LSN after the last record consumed.
+  /// `start_lsn`. Records below the applied watermark are skipped
+  /// (framing is still walked); records with lsn >= stop_at are not
+  /// applied (point-in-time restore). Returns the LSN after the last
+  /// record consumed.
   sim::Task<Result<Lsn>> ApplyStream(Slice stream, Lsn start_lsn,
-                                     Lsn resume_from = 0,
                                      Lsn stop_at = kMaxLsn);
 
   /// §4.5 registration protocol. A reader about to fetch page `id`

@@ -212,6 +212,7 @@ HadrSecondary::HadrSecondary(sim::Simulator& sim,
                                                0xab + index);
   applier_ = std::make_unique<engine::RedoApplier>(
       sim, pool_.get(), engine::RedoApplier::MissPolicy::kMaterialize);
+  applier_->ConfigureLanes(1, cpu_.get());
   applier_->applied_lsn().Advance(engine::kLogStreamStart);
   engine_ = std::make_unique<engine::Engine>(sim, pool_.get(), nullptr);
   engine_->SetReadTsProvider(
@@ -223,10 +224,7 @@ sim::Task<Status> HadrSecondary::Receive(
   // Persist the block locally (the ack is meaningless otherwise), then
   // apply it to the local full copy.
   (void)co_await log_disk_->Write(start_lsn % (64 * MiB), payload);
-  co_await cpu_->Consume(10 + payload->size() / 2000);
-  Result<Lsn> end = co_await applier_->ApplyStream(
-      Slice(*payload), start_lsn,
-      /*resume_from=*/applier_->applied_lsn().value());
+  Result<Lsn> end = co_await applier_->ApplyStream(Slice(*payload), start_lsn);
   if (!end.ok()) co_return end.status();
   applier_->applied_lsn().Advance(*end);
   co_return Status::OK();

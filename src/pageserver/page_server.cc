@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "engine/btree_page.h"
 
@@ -61,15 +60,6 @@ struct PageServer::CheckpointJoin {
   int inflight = 0;
   Status first_error;
   sim::Event drained;  // pulsed on every batch completion
-};
-
-// One double-buffered XLOG pull in flight: PullTask fills `result` and
-// fires `done`; the apply loop consumes it when it reaches `from`.
-struct PageServer::PendingPull {
-  PendingPull(sim::Simulator& sim, Lsn from) : from(from), done(sim) {}
-  Lsn from;
-  std::optional<Result<std::vector<xlog::LogBlock>>> result;
-  sim::Event done;
 };
 
 // Fetches partition pages from the XStore checkpoint blob. Pages that
@@ -146,6 +136,19 @@ PageServer::PageServer(sim::Simulator& sim, xlog::XLogProcess* xlog,
                            sim, options.cpu_cores)),
       cpu_(options.shared_cpu != nullptr ? options.shared_cpu
                                          : owned_cpu_.get()),
+      consumer_(sim, xlog,
+                {.name = "pageserver-" + std::to_string(options.partition),
+                 .partition = options.partition,
+                 .apply_until = options.apply_until,
+                 // A chaos partition between this server and XLOG fails
+                 // pulls like a transient XLOG error.
+                 .partitioned =
+                     [this] {
+                       return chaos_port_.hub() != nullptr &&
+                              chaos_port_.hub()->Partitioned(
+                                  chaos_port_.site(), chaos::kXLogSite);
+                     },
+                 .on_fatal = [this] { running_ = false; }}),
       checkpoint_mu_(std::make_unique<sim::Mutex>(sim)),
       checkpoint_rng_(std::hash<std::string>{}(data_blob_) ^ 0xc4e9) {
   engine::BufferPoolOptions pool_opts;
@@ -186,11 +189,11 @@ sim::Task<Status> PageServer::Start() {
   applier_->ConfigureLanes(opts_.apply_lanes, cpu_);
   AttachWaiterWake();
   applier_->applied_lsn().Advance(restart_lsn_);
-  xlog_consumer_id_ = xlog_->RegisterConsumer(
-      "pageserver-" + std::to_string(opts_.partition));
   running_ = true;
   epoch_++;
-  sim::Spawn(sim_, ApplyLoop(epoch_));
+  sim::Spawn(sim_, consumer_.Run(applier_.get(), [this, epoch = epoch_] {
+    return Live(epoch);
+  }));
   if (opts_.checkpointing_enabled) {
     sim::Spawn(sim_, CheckpointLoop(epoch_));
   }
@@ -252,129 +255,6 @@ void PageServer::WakeAllWaiters() {
     w->event.Set();
   }
   waiters_.clear();
-}
-
-// Resolve one pull as soon as log past `pull->from` becomes available.
-// Detached: the apply loop consumes the result through the shared state
-// (or drops it if the position no longer matches after a retry).
-sim::Task<> PageServer::PullTask(std::shared_ptr<PendingPull> pull,
-                                 uint64_t epoch) {
-  co_await xlog_->available().WaitFor(pull->from + 1);
-  if (!Live(epoch)) {
-    pull->result = Result<std::vector<xlog::LogBlock>>(
-        Status::Unavailable("page server stopped"));
-  } else if (XlogPartitioned()) {
-    pull->result = Result<std::vector<xlog::LogBlock>>(
-        Status::Unavailable("xlog partitioned"));
-  } else {
-    pull->result = co_await xlog_->Pull(pull->from, opts_.partition,
-                                        xlog::XLogProcess::kPullBytes);
-  }
-  pull->done.Set();
-}
-
-sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
-  std::shared_ptr<PendingPull> next;
-  while (Live(epoch)) {
-    Lsn from = applier_->applied_lsn().value();
-    if (from >= opts_.apply_until) break;  // PITR target reached
-    std::optional<Result<std::vector<xlog::LogBlock>>> pulled;
-    if (next != nullptr && next->from == from) {
-      // Double-buffered pull issued while the previous batch applied.
-      if (next->done.is_set()) pipelined_pull_hits_++;
-      SimTime wait_start = sim_.now();
-      co_await next->done.Wait();
-      pull_wait_us_ += sim_.now() - wait_start;
-      pulled = std::move(next->result);
-      next.reset();
-    } else {
-      // No usable prefetch (startup, or a retry moved the position).
-      next.reset();
-      SimTime wait_start = sim_.now();
-      co_await xlog_->available().WaitFor(from + 1);
-      if (!Live(epoch)) break;
-      if (XlogPartitioned()) {
-        pulled = Result<std::vector<xlog::LogBlock>>(
-            Status::Unavailable("xlog partitioned"));
-      } else {
-        pulled = co_await xlog_->Pull(from, opts_.partition,
-                                      xlog::XLogProcess::kPullBytes);
-      }
-      pull_wait_us_ += sim_.now() - wait_start;
-    }
-    if (!Live(epoch)) break;
-    Result<std::vector<xlog::LogBlock>>& blocks = *pulled;
-    if (!blocks.ok()) {
-      co_await sim::Delay(sim_, 10000);  // transient storage error
-      continue;
-    }
-    pulls_++;
-    if (!blocks->empty() && blocks->back().end_lsn() < opts_.apply_until) {
-      // Overlap the next pull with applying this batch.
-      next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());
-      sim::Spawn(sim_, PullTask(next, epoch));
-    }
-    for (xlog::LogBlock& block : *blocks) {
-      if (!Live(epoch)) co_return;
-      if (block.start_lsn > applier_->applied_lsn().value()) {
-        // A gap would mean silently lost log — stop loudly.
-        last_error_ = Status::Corruption("gap in pulled log stream");
-        fprintf(stderr, "[pageserver %u] FATAL: log gap %llu -> %llu\n",
-                opts_.partition,
-                (unsigned long long)applier_->applied_lsn().value(),
-                (unsigned long long)block.start_lsn);
-        running_ = false;
-        co_return;
-      }
-      if (block.filtered) {
-        // No records for our partition: just advance the watermark.
-        applier_->applied_lsn().Advance(block.start_lsn +
-                                        block.payload_size);
-        continue;
-      }
-      if (applier_->lanes() <= 1) {
-        // Serial apply: charge the block's apply cost here. Parallel
-        // lanes charge their share of the same cost inside the applier.
-        co_await cpu_->Consume(
-            engine::RedoApplier::kApplyCpuFixedUs +
-            block.payload().size() / engine::RedoApplier::kApplyCpuBytesPerUs);
-      }
-      Result<Lsn> end = co_await applier_->ApplyStream(
-          Slice(block.payload()), block.start_lsn,
-          /*resume_from=*/applier_->applied_lsn().value(),
-          /*stop_at=*/opts_.apply_until);
-      if (!end.ok()) {
-        if (end.status().IsUnavailable() || end.status().IsBusy() ||
-            end.status().IsTimedOut()) {
-          // XStore-outage insulation (§4.6): a fetch needed by redo hit
-          // a transient failure. Keep serving, retry this position once
-          // the storage tier recovers.
-          co_await sim::Delay(sim_, 20000);
-          break;  // re-pull from the current applied position
-        }
-        // Anything else (corruption) is fatal for this server.
-        last_error_ = end.status();
-        fprintf(stderr,
-                "[pageserver %u] FATAL log apply error at lsn %llu: %s\n",
-                opts_.partition,
-                (unsigned long long)applier_->applied_lsn().value(),
-                end.status().ToString().c_str());
-        running_ = false;
-        co_return;
-      }
-      if (!Live(epoch)) co_return;  // crashed during the apply await
-      applier_->applied_lsn().Advance(*end);
-      if (block.start_lsn + block.payload_size >= opts_.apply_until) {
-        // PITR target reached (it always lies on a record boundary, but
-        // be robust to mid-gap targets): report the watermark as caught
-        // up so GetPage@LSN waits at the target resolve.
-        applier_->applied_lsn().Advance(opts_.apply_until);
-        break;
-      }
-    }
-    xlog_->ReportProgress(xlog_consumer_id_,
-                          applier_->applied_lsn().value());
-  }
 }
 
 sim::Task<Result<storage::Page>> PageServer::GetPageAtLsn(PageId page_id,

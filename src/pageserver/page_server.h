@@ -35,6 +35,7 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "xlog/log_block.h"
+#include "xlog/log_consumer.h"
 #include "xlog/xlog_process.h"
 #include "xstore/xstore.h"
 
@@ -285,16 +286,13 @@ class PageServer : public rbio::RbioServer {
 
   // Apply-path health (the benches print these).
   engine::RedoApplier& applier() { return *applier_; }
-  uint64_t pulls() const { return pulls_; }
-  uint64_t pipelined_pull_hits() const { return pipelined_pull_hits_; }
-  /// Virtual micros the apply loop spent waiting for log to pull (vs the
-  /// applier's apply_busy_us, the time spent applying).
-  SimTime pull_wait_us() const { return pull_wait_us_; }
+  uint64_t pulls() const { return consumer_.pulls(); }
+  uint64_t pipelined_pull_hits() const {
+    return consumer_.pipelined_pull_hits();
+  }
+  SimTime pull_wait_us() const { return consumer_.pull_wait_us(); }
   /// GetPage@LSN wait-for-apply latency (§4.4 freshness waits).
   const Histogram& freshness_wait_us() const { return freshness_wait_us_; }
-
-  /// Non-OK if the apply loop died on a log-apply error.
-  const Status& last_error() const { return last_error_; }
 
   /// Name of the XStore data blob for a partition.
   static std::string BlobName(PartitionId p) {
@@ -303,7 +301,6 @@ class PageServer : public rbio::RbioServer {
 
  private:
   class XStoreFetcher;
-  struct PendingPull;
   struct CheckpointJoin;
 
   // One GetPage@LSN freshness wait parked until the applied watermark
@@ -315,8 +312,6 @@ class PageServer : public rbio::RbioServer {
     sim::Event event;
   };
 
-  sim::Task<> ApplyLoop(uint64_t epoch);
-  sim::Task<> PullTask(std::shared_ptr<PendingPull> pull, uint64_t epoch);
   sim::Task<> CheckpointLoop(uint64_t epoch);
   // One contiguous dirty run: capture images (generation-stamped),
   // write the extent, clear the still-unchanged dirty bits.
@@ -362,15 +357,6 @@ class PageServer : public rbio::RbioServer {
 
   bool Live(uint64_t epoch) const { return running_ && epoch == epoch_; }
 
-  // True while a chaos partition separates this server from XLOG: pulls
-  // fail Unavailable and the apply loop retries (same path as a real
-  // transient pull error).
-  bool XlogPartitioned() const {
-    return chaos_port_.hub() != nullptr &&
-           chaos_port_.hub()->Partitioned(chaos_port_.site(),
-                                          chaos::kXLogSite);
-  }
-
   bool InPartition(PageId id) const {
     return opts_.partition_map.PartitionOf(id) == opts_.partition;
   }
@@ -388,12 +374,13 @@ class PageServer : public rbio::RbioServer {
   std::unique_ptr<XStoreFetcher> fetcher_;
   std::unique_ptr<engine::BufferPool> pool_;
   std::unique_ptr<engine::RedoApplier> applier_;
+  // One per server, not per incarnation: its counters span restarts.
+  xlog::LogConsumer consumer_;
 
   bool running_ = false;
   // Restart generation: a crash+restart bumps the epoch so service loops
   // spawned before the crash exit instead of racing the new ones.
   uint64_t epoch_ = 0;
-  int xlog_consumer_id_ = -1;
   Lsn restart_lsn_ = engine::kLogStreamStart;
   uint64_t seeded_pages_ = 0;
   bool seeding_done_ = false;
@@ -439,9 +426,6 @@ class PageServer : public rbio::RbioServer {
   size_t getpage_lat_next_ = 0;
   size_t getpage_lat_count_ = 0;
   Histogram getpage_service_us_;
-  uint64_t pulls_ = 0;
-  uint64_t pipelined_pull_hits_ = 0;
-  SimTime pull_wait_us_ = 0;
   Histogram freshness_wait_us_;
   // Min-heap of parked freshness waiters, ordered by lsn (front = lowest
   // threshold). Owned by the server, not the applier, so it survives the
@@ -450,7 +434,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t waiter_wakes_ = 0;
   Histogram waiter_wake_lag_us_;
   chaos::SitePort chaos_port_;
-  Status last_error_;
 };
 
 }  // namespace pageserver

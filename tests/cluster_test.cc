@@ -435,6 +435,53 @@ TEST(ClusterTest, GeoSecondaryLagsButStaysConsistent) {
   d.Stop();
 }
 
+TEST(ClusterTest, CrashedSecondaryStopsApplyingMidBatch) {
+  // A Secondary that joins late pulls the whole backlog as one
+  // multi-block batch. Crash it while it applies that batch: the block in
+  // flight may finish, but no block starting after the crash point may
+  // reach the crashed pool.
+  Simulator s;
+  Deployment d(s, SmallDeployment(2, 0));
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await LoadRows(d.primary_engine(), 0, 400, "lag-");
+    auto sec = co_await d.AddSecondary();
+    EXPECT_TRUE(sec.ok());
+    if (!sec.ok()) co_return;
+    compute::ComputeNode* node = *sec;
+    co_await node->applier()->applied_lsn().WaitFor(
+        engine::kLogStreamStart + 1);
+    node->Crash();
+    const Lsn at_crash = node->applied_lsn();
+    co_await LoadRows(d.primary_engine(), 400, 100, "lag-");
+    co_await sim::Delay(s, 100 * 1000);
+
+    // The block in flight at the crash: the one holding `at_crash`.
+    Lsn in_flight_end = kInvalidLsn;
+    size_t blocks_after = 0;
+    Lsn pos = engine::kLogStreamStart;
+    while (pos < d.log_client().end_lsn()) {
+      auto blocks = co_await d.xlog().Pull(pos, std::nullopt,
+                                           xlog::XLogProcess::kPullBytes);
+      EXPECT_TRUE(blocks.ok());
+      if (!blocks.ok() || blocks->empty()) break;
+      for (const xlog::LogBlock& b : *blocks) {
+        if (b.start_lsn <= at_crash && at_crash < b.end_lsn()) {
+          in_flight_end = b.end_lsn();
+        } else if (b.start_lsn > at_crash) {
+          blocks_after++;
+        }
+      }
+      pos = blocks->back().end_lsn();
+    }
+    EXPECT_NE(in_flight_end, kInvalidLsn);
+    EXPECT_GT(blocks_after, 1u);  // the batch had more to apply
+    EXPECT_LE(node->applied_lsn(), in_flight_end)
+        << "crashed at " << at_crash << ", kept applying";
+  });
+  d.Stop();
+}
+
 TEST(ClusterTest, PageServerReplicaFailoverIsInstant) {
   Simulator s;
   Deployment d(s, SmallDeployment(2, 0));

@@ -127,9 +127,83 @@ uint64_t RunChaosTrace(uint64_t seed) {
   return s.trace_hash();
 }
 
+// Commit `n` seeded rows starting at key `from` through `e`.
+Task<> CommitSeededRows(Engine* e, uint64_t seed, uint64_t from,
+                        uint64_t n) {
+  for (uint64_t k = from; k < from + n; k++) {
+    auto txn = e->Begin();
+    std::string val(8 + (seed * 13 + k) % 80, 'f');
+    (void)e->Put(txn.get(), MakeKey(1, k % 400), val);
+    (void)co_await e->Commit(txn.get());
+  }
+}
+
+// Every log-consumer role in one run: the Secondary is promoted over a
+// crashed Primary, the new Primary warm-restarts (RBPEX + serial log
+// replay), a point-in-time restore replays into Page Servers that stop
+// at apply_until, and a geo Secondary pulls across a shipping delay.
+uint64_t RunFailoverTrace(uint64_t seed) {
+  Simulator s;
+  s.EnableTraceHash();
+  DeploymentOptions o;
+  o.partition_map.pages_per_partition = 512;
+  o.num_page_servers = 2;
+  o.num_secondaries = 1;
+  o.compute.mem_pages = 48;
+  o.compute.ssd_pages = 128;
+  // A restore's blob names carry a process-wide counter, and checkpoint
+  // jitter is seeded by the blob name: unjittered checkpoints keep the
+  // hash independent of how many restores ran before.
+  o.page_server.checkpoint_jitter_frac = 0;
+  Deployment d(s, o);
+  std::unique_ptr<Deployment> restored;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await CommitSeededRows(d.primary_engine(), seed, 0, 120);
+    Result<BackupHandle> backup = co_await d.Backup();
+    EXPECT_TRUE(backup.ok());
+    co_await CommitSeededRows(d.primary_engine(), seed, 120, 80);
+    EXPECT_TRUE((co_await d.Failover()).ok());
+    co_await CommitSeededRows(d.primary_engine(), seed, 200, 60);
+    EXPECT_TRUE((co_await d.Checkpoint()).ok());
+    co_await CommitSeededRows(d.primary_engine(), seed, 260, 40);
+    EXPECT_TRUE((co_await d.RestartPrimary()).ok());
+    const Lsn target = d.durable_end();
+    co_await CommitSeededRows(d.primary_engine(), seed, 300, 40);
+    if (backup.ok()) {
+      auto r = co_await d.PointInTimeRestore(*backup, target);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) restored = std::move(r).value();
+    }
+    auto geo = co_await d.AddGeoSecondary(20000);
+    EXPECT_TRUE(geo.ok());
+    co_await CommitSeededRows(d.primary_engine(), seed, 340, 40);
+    if (geo.ok()) {
+      co_await (*geo)->applier()->applied_lsn().WaitFor(
+          d.log_client().end_lsn());
+      auto txn = (*geo)->engine()->Begin(true);
+      for (uint64_t k = 0; k < 40; k++) {
+        (void)co_await (*geo)->engine()->Get(txn.get(), MakeKey(1, k * 7));
+      }
+    }
+    if (restored != nullptr) {
+      auto txn = restored->primary_engine()->Begin(true);
+      for (uint64_t k = 0; k < 40; k++) {
+        (void)co_await restored->primary_engine()->Get(txn.get(),
+                                                       MakeKey(1, k * 7));
+      }
+    }
+  });
+  if (restored != nullptr) restored->Stop();
+  d.Stop();
+  s.Run();
+  return s.trace_hash();
+}
+
 // Pinned values; see the header comment before changing them.
 constexpr uint64_t kWorkloadTrace7 = 0xb439da4e4edca2f2ull;
 constexpr uint64_t kChaosTrace3 = 0x075756944a0c4b49ull;
+constexpr uint64_t kFailoverTrace5 = 0xc6f925585f40c427ull;
 
 TEST(GoldenTrace, WorkloadTraceIdenticalAcrossRuns) {
   const uint64_t h1 = RunWorkloadTrace(7);
@@ -150,6 +224,16 @@ TEST(GoldenTrace, ChaosTraceIdenticalAcrossRuns) {
   EXPECT_EQ(h2, h3);
   EXPECT_EQ(h1, kChaosTrace3);
   EXPECT_NE(h1, RunChaosTrace(4));
+}
+
+TEST(GoldenTrace, FailoverTraceIdenticalAcrossRuns) {
+  const uint64_t h1 = RunFailoverTrace(5);
+  const uint64_t h2 = RunFailoverTrace(5);
+  const uint64_t h3 = RunFailoverTrace(5);
+  EXPECT_EQ(h1, h2);
+  EXPECT_EQ(h2, h3);
+  EXPECT_EQ(h1, kFailoverTrace5);
+  EXPECT_NE(h1, RunFailoverTrace(6));
 }
 
 }  // namespace

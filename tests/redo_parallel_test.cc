@@ -94,9 +94,8 @@ ApplyOutcome MaterializeWithLanes(const std::string& stream, int lanes,
   applier.ConfigureLanes(lanes, &cpu);
   ApplyOutcome out;
   RunSim(sim, [&]() -> Task<> {
-    Result<Lsn> r = co_await applier.ApplyStream(Slice(stream),
-                                                 kLogStreamStart,
-                                                 /*resume_from=*/0, stop_at);
+    Result<Lsn> r =
+        co_await applier.ApplyStream(Slice(stream), kLogStreamStart, stop_at);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) co_return;
     applier.applied_lsn().Advance(*r);
@@ -149,14 +148,13 @@ TEST(ParallelRedoTest, DeterministicAcrossRuns) {
   EXPECT_EQ(first.barrier_stalls, second.barrier_stalls);
 }
 
-// Applies the stream tail [mid, end) with the kIgnoreUncached policy —
-// the Secondary role — as a detached task so the test body can race a
-// pending-fetch drain against the in-flight lanes.
-Task<> ApplyTail(RedoApplier* applier, const std::string* stream, Lsn mid,
+// Applies the stream tail past the applier's watermark with the
+// kIgnoreUncached policy — the Secondary role — as a detached task so the
+// test body can race a pending-fetch drain against the in-flight lanes.
+Task<> ApplyTail(RedoApplier* applier, const std::string* stream,
                  bool* done) {
-  Result<Lsn> r = co_await applier->ApplyStream(Slice(*stream),
-                                                kLogStreamStart,
-                                                /*resume_from=*/mid);
+  Result<Lsn> r =
+      co_await applier->ApplyStream(Slice(*stream), kLogStreamStart);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (r.ok()) applier->applied_lsn().Advance(*r);
   *done = true;
@@ -205,7 +203,6 @@ void RunPendingFetchRace(SimTime drain_at_us) {
   warm.ConfigureLanes(4, &cpu);
   RunSim(sim, [&]() -> Task<> {
     Result<Lsn> r = co_await warm.ApplyStream(Slice(stream), kLogStreamStart,
-                                              /*resume_from=*/0,
                                               /*stop_at=*/mid);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
@@ -225,7 +222,7 @@ void RunPendingFetchRace(SimTime drain_at_us) {
 
   bool apply_done = false;
   RunSim(sim, [&]() -> Task<> {
-    Spawn(sim, ApplyTail(&applier, &stream, mid, &apply_done));
+    Spawn(sim, ApplyTail(&applier, &stream, &apply_done));
     co_await sim::Delay(sim, drain_at_us);
     // Fetch completes: drain queued records into the image and install
     // it, with no suspension point in between (the §4.5 protocol).
