@@ -63,11 +63,9 @@ constexpr SimTime kPingIntervalUs = 2000;
 constexpr SimTime kKillPrimaryUs = 400 * 1000;
 constexpr SimTime kKillStorageUs = 900 * 1000;
 constexpr SimTime kStormEndUs = 1600 * 1000;
-// The shared detector knobs (MonitorOptions defaults).
-constexpr SimTime kHeartbeatUs = 10 * 1000;
-constexpr SimTime kTimeoutUs = 5 * 1000;
-constexpr SimTime kProbeRttUs = 200;
-constexpr int kMisses = 3;
+// The shared failure detector: HADR's bench-local copy runs the
+// monitor's own constants.
+using Monitor = service::ClusterMonitor;
 
 // The one fault plan both systems replay.
 chaos::FaultPlan StormPlan() {
@@ -98,14 +96,15 @@ sim::Task<> DetectDeath(sim::Simulator& s, std::function<bool()> alive,
   while (true) {
     SimTime sent = s.now();
     bool up = alive();
-    co_await sim::Delay(s, up ? kProbeRttUs : kTimeoutUs);
+    co_await sim::Delay(s, up ? Monitor::kProbeRttUs
+                              : Monitor::kHeartbeatTimeoutUs);
     if (up) {
       misses = 0;
-    } else if (++misses >= kMisses) {
+    } else if (++misses >= Monitor::kSuspicionThreshold) {
       *detected_at = s.now();
       co_return;
     }
-    SimTime next = sent + kHeartbeatUs;
+    SimTime next = sent + Monitor::kHeartbeatIntervalUs;
     if (s.now() < next) co_await sim::Delay(s, next - s.now());
   }
 }
@@ -127,8 +126,7 @@ void RunSocrates(const Params& p, std::vector<MttrRow>* rows,
   RunSim(s, [&]() -> sim::Task<> {
     if (!(co_await d.Start()).ok()) abort();
     co_await LoadRows(s, d.primary_engine(), p.rows);
-    service::ClusterMonitor* mon =
-        d.EnableMonitor(service::MonitorOptions{});
+    Monitor* mon = d.EnableMonitor();
 
     // The pinger doubles as the plan executor: crashes land between
     // commits (a VM dies between instructions, never inside the
@@ -313,7 +311,8 @@ int main(int argc, char** argv) {
          "detector: %lldms heartbeat / %d misses\n",
          static_cast<long long>(kKillPrimaryUs / 1000),
          static_cast<long long>(kKillStorageUs / 1000),
-         static_cast<long long>(kHeartbeatUs / 1000), kMisses);
+         static_cast<long long>(Monitor::kHeartbeatIntervalUs / 1000),
+         Monitor::kSuspicionThreshold);
 
   std::vector<MttrRow> rows;
   PingTrace soc_trace, hadr_trace;

@@ -2,17 +2,18 @@
 // cluster. The paper's availability claims (§5) are about behaviour
 // *under failures*; this module makes those failures first-class:
 //
-//  * Injector — the per-deployment fault hub. Components register a site
-//    name ("ps-0", "compute-1", "xstore", "lz", "logwriter", ...) and
-//    consult the hub on their data paths: is my site in an outage
-//    window? should this request fail (transient-failure credits)? how
-//    much extra latency does my gray (slow-but-alive) node pay? is the
-//    link between two sites partitioned / lossy / slow?
-//  * SitePort — the embedded per-component handle. Components work
-//    unchanged without a hub (unit tests): the port carries local
-//    fallback state, and the pre-existing ad-hoc fault APIs
-//    (SimBlockDevice::SetAvailable, XStore::SetAvailable,
-//    PageServer::InjectTransientFailures) are thin shims over it.
+//  * Injector — the per-deployment fault hub and the only fault store.
+//    Components register a site name ("ps-0", "compute-1", "xstore",
+//    "lz", "logwriter", ...) and consult the hub on their data paths: is
+//    my site in an outage window? should this request fail
+//    (transient-failure credits)? how much extra latency does my gray
+//    (slow-but-alive) node pay? is the link between two sites
+//    partitioned / lossy / slow? Tests inject faults by calling the hub
+//    with the site a component is attached under.
+//  * SitePort — the per-component handle: a (hub, site) pair whose
+//    queries ask the hub about that site and its links to peers. An
+//    unattached port (no hub) answers "no fault", so components run
+//    unchanged in unit tests that inject nothing.
 //
 // Determinism: the injector owns its own seeded RNG, and queries draw
 // randomness only when a probabilistic fault (link loss) is actually
@@ -60,7 +61,8 @@ class Injector {
   }
 
   /// The next `n` operations that consult ConsumeFailure at `site` fail
-  /// (the uniform replacement for InjectTransientFailures).
+  /// (replacing any credits left there). Credits belong to the site, so
+  /// they outlive a restart of the component attached under it.
   void InjectFailures(const std::string& site, int n) {
     sites_[site].fail_next = n;
   }
@@ -96,10 +98,27 @@ class Injector {
     l.delay_us = delay_us;
   }
 
-  /// All faults off (site and link state cleared; stats retained).
+  // ----- Fault windows (FaultPlan). Windows on one fault nest: the
+  // fault stays on until the last overlapping window on it closes.
+
+  /// Counts a window opening on fault `key`.
+  void OpenWindow(const std::string& key) { open_windows_[key]++; }
+
+  /// Counts a window on fault `key` closing; true when no other window
+  /// on it is still open, so the caller clears the fault.
+  bool CloseWindow(const std::string& key) {
+    auto it = open_windows_.find(key);
+    if (it == open_windows_.end()) return true;
+    if (--it->second > 0) return false;
+    open_windows_.erase(it);
+    return true;
+  }
+
+  /// All faults off (site, link and window state cleared; stats kept).
   void Clear() {
     sites_.clear();
     links_.clear();
+    open_windows_.clear();
   }
 
   // ----- Queries (the injection points call these).
@@ -173,37 +192,23 @@ class Injector {
   Random rng_;
   std::map<std::string, SiteState> sites_;
   std::map<std::pair<std::string, std::string>, LinkState> links_;
+  std::map<std::string, int> open_windows_;
   mutable InjectorStats stats_;
 };
 
-/// Per-component fault handle. Unattached (no hub) it carries local
-/// state, so components keep their historical standalone fault APIs;
-/// attached, local state and hub state are OR-ed together — a test can
-/// still poke one device directly inside a monitored deployment.
+/// Per-component fault handle: every query asks the hub about `site`
+/// (and its links to a peer). Unattached, every query answers "no fault".
 class SitePort {
  public:
-  void Attach(Injector* hub, std::string site) {
-    hub_ = hub;
-    site_ = std::move(site);
-  }
+  SitePort() = default;
+  SitePort(Injector* hub, std::string site)
+      : hub_(hub), site_(std::move(site)) {}
 
-  Injector* hub() const { return hub_; }
   const std::string& site() const { return site_; }
 
-  // Local shims (the pre-chaos fault APIs resolve to these).
-  void SetOutage(bool down) { local_outage_ = down; }
-  void InjectFailures(int n) { local_fail_next_ = n; }
-
-  bool Out() const {
-    if (local_outage_) return true;
-    return hub_ != nullptr && hub_->SiteOut(site_);
-  }
+  bool Out() const { return hub_ != nullptr && hub_->SiteOut(site_); }
 
   bool ConsumeFailure() {
-    if (local_fail_next_ > 0) {
-      local_fail_next_--;
-      return true;
-    }
     return hub_ != nullptr && hub_->ConsumeFailure(site_);
   }
 
@@ -211,11 +216,24 @@ class SitePort {
     return hub_ == nullptr ? 0 : hub_->GrayDelayUs(site_);
   }
 
+  // ----- Link queries: this site <-> `peer`.
+
+  bool PartitionedFrom(const std::string& peer) const {
+    return hub_ != nullptr && hub_->Partitioned(site_, peer);
+  }
+
+  /// One-way verdict for a message to `peer` (see Injector::DropMessage).
+  bool DropTo(const std::string& peer) {
+    return hub_ != nullptr && hub_->DropMessage(site_, peer);
+  }
+
+  SimTime LinkDelayUs(const std::string& peer) const {
+    return hub_ == nullptr ? 0 : hub_->LinkDelayUs(site_, peer);
+  }
+
  private:
   Injector* hub_ = nullptr;
   std::string site_;
-  bool local_outage_ = false;
-  int local_fail_next_ = 0;
 };
 
 }  // namespace chaos

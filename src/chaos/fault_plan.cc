@@ -207,66 +207,60 @@ namespace {
 
 // Open a window event: resolve sites now, apply the fault, and schedule
 // the heal with the captured names (a failover mid-window must not
-// orphan the partition on a renamed primary).
+// orphan the partition on a renamed primary). The hub counts the open
+// windows on each fault, so a window that ends while another on the
+// same fault is still open leaves the fault on.
 void OpenWindow(sim::Simulator& sim, const FaultEvent& e,
                 const FaultTargets& t) {
   Injector* inj = t.injector;
   if (inj == nullptr) return;
+  auto primary = [&] {
+    return t.primary_site ? t.primary_site() : std::string();
+  };
+  auto page_server = [&] {
+    return t.page_server_site ? t.page_server_site(e.index) : std::string();
+  };
+  std::string a, b;  // the fault's site, or the two ends of its link
+  std::function<void()> heal;
   switch (e.kind) {
-    case FaultKind::kPartitionPrimaryPs: {
-      std::string a = t.primary_site ? t.primary_site() : std::string();
-      std::string b = t.page_server_site ? t.page_server_site(e.index)
-                                         : std::string();
+    case FaultKind::kPartitionPrimaryPs:
+    case FaultKind::kPartitionLogDelivery:
+      if (e.kind == FaultKind::kPartitionPrimaryPs) {
+        a = primary();
+        b = page_server();
+      } else {
+        a = t.logwriter_site;
+        b = kXLogSite;
+      }
       inj->SetPartitioned(a, b, true);
-      sim.ScheduleAt(e.at_us + e.duration_us, [inj, a, b] {
-        inj->SetPartitioned(a, b, false);
-      });
+      heal = [inj, a, b] { inj->SetPartitioned(a, b, false); };
       break;
-    }
-    case FaultKind::kPartitionLogDelivery: {
-      inj->SetPartitioned(t.logwriter_site, kXLogSite, true);
-      std::string a = t.logwriter_site, b = kXLogSite;
-      sim.ScheduleAt(e.at_us + e.duration_us, [inj, a, b] {
-        inj->SetPartitioned(a, b, false);
-      });
-      break;
-    }
-    case FaultKind::kFlakyLink: {
-      std::string a = t.primary_site ? t.primary_site() : std::string();
-      std::string b = t.page_server_site ? t.page_server_site(e.index)
-                                         : std::string();
+    case FaultKind::kFlakyLink:
+      a = primary();
+      b = page_server();
       inj->SetLink(a, b, e.drop_prob, e.delay_us);
-      sim.ScheduleAt(e.at_us + e.duration_us, [inj, a, b] {
-        inj->SetLink(a, b, 0, 0);
-      });
+      heal = [inj, a, b] { inj->SetLink(a, b, 0, 0); };
       break;
-    }
-    case FaultKind::kGrayPageServer: {
-      std::string s = t.page_server_site ? t.page_server_site(e.index)
-                                         : std::string();
-      if (s.empty()) break;
-      inj->SetGrayDelay(s, e.delay_us);
-      sim.ScheduleAt(e.at_us + e.duration_us,
-                     [inj, s] { inj->SetGrayDelay(s, 0); });
+    case FaultKind::kGrayPageServer:
+      a = page_server();
+      if (a.empty()) return;
+      inj->SetGrayDelay(a, e.delay_us);
+      heal = [inj, a] { inj->SetGrayDelay(a, 0); };
       break;
-    }
-    case FaultKind::kXStoreOutage: {
-      inj->SetOutage(t.xstore_site, true);
-      std::string s = t.xstore_site;
-      sim.ScheduleAt(e.at_us + e.duration_us,
-                     [inj, s] { inj->SetOutage(s, false); });
+    case FaultKind::kXStoreOutage:
+    case FaultKind::kLZOutage:
+      a = e.kind == FaultKind::kXStoreOutage ? t.xstore_site : t.lz_site;
+      inj->SetOutage(a, true);
+      heal = [inj, a] { inj->SetOutage(a, false); };
       break;
-    }
-    case FaultKind::kLZOutage: {
-      inj->SetOutage(t.lz_site, true);
-      std::string s = t.lz_site;
-      sim.ScheduleAt(e.at_us + e.duration_us,
-                     [inj, s] { inj->SetOutage(s, false); });
-      break;
-    }
     default:
-      break;
+      return;
   }
+  const std::string key = std::string(KindName(e.kind)) + "/" + a + "/" + b;
+  inj->OpenWindow(key);
+  sim.ScheduleAt(e.at_us + e.duration_us, [inj, key, heal] {
+    if (inj->CloseWindow(key)) heal();
+  });
 }
 
 void Fire(sim::Simulator& sim, const FaultEvent& e,
@@ -282,7 +276,9 @@ void Fire(sim::Simulator& sim, const FaultEvent& e,
       if (t.crash_page_server) t.crash_page_server(e.index);
       break;
     case FaultKind::kTransientFailures:
-      if (t.inject_transient) t.inject_transient(e.index, e.count);
+      if (t.injector != nullptr && t.page_server_site) {
+        t.injector->InjectFailures(t.page_server_site(e.index), e.count);
+      }
       break;
     default:
       OpenWindow(sim, e, t);

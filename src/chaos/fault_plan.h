@@ -82,7 +82,6 @@ struct FaultTargets {
   std::function<void()> crash_primary;
   std::function<void(int)> crash_secondary;
   std::function<void(int)> crash_page_server;
-  std::function<void(int, int)> inject_transient;  // (ps index, count)
   std::string logwriter_site = "logwriter";
   std::string xstore_site = "xstore";
   std::string lz_site = "lz";
@@ -133,7 +132,9 @@ class FaultPlan {
 
 /// Arm every event of `plan` on the simulator clock against `targets`.
 /// Window events schedule their own heal at open time with the site
-/// names captured then. Events whose time is already in the past fire
+/// names captured then; a fault stays on until the last overlapping
+/// window on it ends. Transient failures become credits at the target
+/// Page Server's site. Events whose time is already in the past fire
 /// on the next simulator step.
 void SchedulePlan(sim::Simulator& sim, const FaultPlan& plan,
                   const FaultTargets& targets);

@@ -168,8 +168,7 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
                 {.name = "secondary", .ship_latency = options.pull_latency}) {
   rbio::RbioClientOptions rbio_opts;
   rbio_opts.network = options.rpc_latency;
-  rbio_opts.injector = options.chaos_injector;
-  rbio_opts.site = options.chaos_site;
+  rbio_opts.chaos = options.chaos;
   rbio_opts.wire_mb_per_s = options.rbio_wire_mb_per_s;
   rbio_opts.overload_backoff_us = options.rbio_overload_backoff_us;
   rbio_ = std::make_unique<rbio::RbioClient>(

@@ -165,11 +165,10 @@ struct ComputeOptions {
   /// How long a kOverloaded reply keeps this client off an endpoint's
   /// scan path.
   SimTime rbio_overload_backoff_us = 50 * 1000;
-  /// Chaos injection: the node's network site name (unique per node,
-  /// stable across role changes) and the deployment's fault hub. The
-  /// RBIO client keys link faults on (chaos_site, endpoint name).
-  chaos::Injector* chaos_injector = nullptr;
-  std::string chaos_site;
+  /// Chaos injection: the deployment's fault hub and the node's network
+  /// site (unique per node, stable across role changes). The RBIO client
+  /// keys link faults on (this site, endpoint name).
+  chaos::SitePort chaos;
 
   /// A Secondary in another region (§6 geo-replication): page fetches
   /// and log shipping both pay the cross-region round trip.
@@ -224,7 +223,7 @@ class ComputeNode {
   /// object stays in the deployment until reconfiguration replaces it,
   /// exactly like a dead VM keeps its slot until the fabric acts.
   bool alive() const { return alive_; }
-  const std::string& chaos_site() const { return opts_.chaos_site; }
+  const std::string& chaos_site() const { return opts_.chaos.site(); }
 
   Role role() const { return role_; }
   engine::Engine* engine() { return engine_.get(); }

@@ -144,9 +144,7 @@ PageServer::PageServer(sim::Simulator& sim, xlog::XLogProcess* xlog,
                  // pulls like a transient XLOG error.
                  .partitioned =
                      [this] {
-                       return chaos_port_.hub() != nullptr &&
-                              chaos_port_.hub()->Partitioned(
-                                  chaos_port_.site(), chaos::kXLogSite);
+                       return chaos_port_.PartitionedFrom(chaos::kXLogSite);
                      },
                  .on_fatal = [this] { running_ = false; }}),
       checkpoint_mu_(std::make_unique<sim::Mutex>(sim)),

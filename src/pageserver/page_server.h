@@ -143,17 +143,12 @@ class PageServer : public rbio::RbioServer {
   sim::Task<Result<std::string>> HandleRbio(
       const std::string& frame) override;
 
-  /// Fault injection for RBIO resilience tests: the next `n` requests
-  /// fail with Unavailable. (Shim over the chaos port's local
-  /// transient-failure credits; deployment-wide faults arrive through
-  /// AttachChaos.)
-  void InjectTransientFailures(int n) { chaos_port_.InjectFailures(n); }
-
   /// Join a deployment-wide fault hub under `site` (the RBIO endpoint
   /// name, e.g. "ps-0", so client-side link faults and server-side site
-  /// faults key on the same string).
+  /// faults key on the same string). Site outages and transient-failure
+  /// credits fail RBIO requests with Unavailable; gray delay slows them.
   void AttachChaos(chaos::Injector* hub, const std::string& site) {
-    chaos_port_.Attach(hub, site);
+    chaos_port_ = chaos::SitePort(hub, site);
   }
   const std::string& chaos_site() const { return chaos_port_.site(); }
 

@@ -499,7 +499,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
     SimTime cpu_us) {
   static const Status kNoEndpoints = Status::Unavailable("no endpoints");
   Status last = kNoEndpoints;
-  for (int attempt = 0; attempt < opts_.max_attempts; attempt++) {
+  for (int attempt = 0; attempt < kMaxAttempts; attempt++) {
     if (replicas.empty()) break;
     if (attempt > 0) {
       retries_++;
@@ -510,18 +510,15 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
     wire_bytes_sent_ += frame.size();  // retried frames really were sent
     if (cpu_ != nullptr) co_await cpu_->Consume(cpu_us);
     SimTime begin = sim_.now();
-    SimTime link_delay = 0;
-    if (opts_.injector != nullptr) {
-      if (opts_.injector->DropMessage(opts_.site, ep.name)) {
-        // Request or response lost on the wire (partition / lossy
-        // link): the call times out and the retry loop takes over.
-        co_await sim::Delay(
-            sim_, opts_.network.Sample(rng_) + kDropTimeoutUs);
-        last = Status::TimedOut("rbio: frame lost");
-        continue;
-      }
-      link_delay = opts_.injector->LinkDelayUs(opts_.site, ep.name);
+    if (opts_.chaos.DropTo(ep.name)) {
+      // Request or response lost on the wire (partition / lossy link):
+      // the call times out and the retry loop takes over.
+      co_await sim::Delay(sim_,
+                          opts_.network.Sample(rng_) + kDropTimeoutUs);
+      last = Status::TimedOut("rbio: frame lost");
+      continue;
     }
+    const SimTime link_delay = opts_.chaos.LinkDelayUs(ep.name);
     // A configured wire bandwidth adds a size-proportional transfer term
     // per leg; the default (0) keeps base-latency-only timing.
     SimTime xfer_out =

@@ -227,7 +227,6 @@ struct Endpoint {
 
 struct RbioClientOptions {
   sim::LatencyModel network = sim::DeviceProfile::IntraDcNetwork().read;
-  int max_attempts = 4;
   /// Pack up to this many concurrent GetPage misses per endpoint set
   /// into one kGetPageBatch frame. 1 disables batching entirely: every
   /// miss goes out as a per-page frame.
@@ -242,19 +241,22 @@ struct RbioClientOptions {
   /// base latency (1 MB/s == 1 byte/us). 0 charges base latency only,
   /// so frame size never enters simulated time.
   double wire_mb_per_s = 0;
-  /// Chaos injection: when set, every frame consults the hub for a
-  /// partition / lossy-link verdict between `site` (this node) and the
-  /// target endpoint's name, and pays any configured link delay. A
-  /// dropped frame surfaces as TimedOut after a drop timeout — the
-  /// normal retry/backoff/QoS machinery does the rest.
-  chaos::Injector* injector = nullptr;
-  std::string site;
+  /// Chaos injection: every frame asks this node's port for a
+  /// partition / lossy-link verdict on the link to the target endpoint's
+  /// name, and pays any configured link delay. A dropped frame surfaces
+  /// as TimedOut after a drop timeout — the normal retry/backoff/QoS
+  /// machinery does the rest.
+  chaos::SitePort chaos;
 };
 
 /// Client side: typed calls, retries, QoS replica selection, batched
 /// GetPage multiplexing.
 class RbioClient {
  public:
+  /// Tries per call (first send plus retries) before the last transient
+  /// error is returned.
+  static constexpr int kMaxAttempts = 4;
+
   RbioClient(sim::Simulator& sim, sim::CpuResource* cpu,
              const RbioClientOptions& options, uint64_t seed = 0xb10);
 

@@ -12,17 +12,14 @@ constexpr const char* kMonitorSite = "monitor";
 // Warm probes commit into a dedicated table so they never collide with
 // workload keys (table ids are 8 bits; 97 is reserved here).
 constexpr TableId kWarmProbeTable = 97;
-// Baseline probe round trip on a healthy, unimpeded link.
-constexpr SimTime kProbeRttUs = 200;
 // Warm-phase polling (bounded — never parks on a watermark owned by an
 // incarnation that a later recovery might replace).
 constexpr SimTime kWarmPollUs = 5 * 1000;
 constexpr int kWarmPollLimit = 400;
 }  // namespace
 
-ClusterMonitor::ClusterMonitor(sim::Simulator& sim, Deployment* deployment,
-                               const MonitorOptions& options)
-    : sim_(sim), deployment_(deployment), opts_(options), stop_ev_(sim) {}
+ClusterMonitor::ClusterMonitor(sim::Simulator& sim, Deployment* deployment)
+    : sim_(sim), deployment_(deployment), stop_ev_(sim) {}
 
 void ClusterMonitor::Start() {
   if (running_) return;
@@ -72,7 +69,7 @@ std::vector<ClusterMonitor::Target> ClusterMonitor::Targets() {
 
 sim::Task<> ClusterMonitor::WatchLoop() {
   while (running_) {
-    bool stopped = co_await stop_ev_.WaitFor(opts_.heartbeat_interval_us);
+    bool stopped = co_await stop_ev_.WaitFor(kHeartbeatIntervalUs);
     if (stopped || !running_ || deployment_->stopping()) break;
     // Fire-and-forget: the probe clock must tick at exactly the
     // heartbeat interval, independent of how long probes to dead nodes
@@ -113,7 +110,7 @@ sim::Task<> ClusterMonitor::ProbeTask(Target t) {
   SimTime start = sim_.now();
   auto ack = std::make_shared<sim::Event>(sim_);
   sim::Spawn(sim_, ProbeWire(t.site, t.alive, ack));
-  bool ok = co_await ack->WaitFor(opts_.heartbeat_timeout_us);
+  bool ok = co_await ack->WaitFor(kHeartbeatTimeoutUs);
   if (!running_) co_return;
   SimTime rtt = sim_.now() - start;
   Health& h = health_[t.site];
@@ -121,10 +118,10 @@ sim::Task<> ClusterMonitor::ProbeTask(Target t) {
     stats_.probes_ok++;
     h.misses = 0;
     h.first_miss_us = 0;
-    if (rtt > opts_.gray_latency_us) {
+    if (rtt > kGrayLatencyUs) {
       h.gray++;
       stats_.gray_strikes++;
-      if (h.gray >= opts_.gray_threshold && !h.recovering) {
+      if (h.gray >= kGrayThreshold && !h.recovering) {
         h.gray = 0;
         Quarantine(t);
       }
@@ -136,7 +133,7 @@ sim::Task<> ClusterMonitor::ProbeTask(Target t) {
   stats_.probes_missed++;
   if (h.misses == 0) h.first_miss_us = start;
   h.misses++;
-  if (h.misses >= opts_.suspicion_threshold && !h.recovering &&
+  if (h.misses >= kSuspicionThreshold && !h.recovering &&
       !deployment_->stopping()) {
     h.recovering = true;
     active_recoveries_++;

@@ -2,13 +2,13 @@
 // delegates failure detection and reconfiguration to Azure Service
 // Fabric; this is that role inside the deployment:
 //
-//  * Heartbeats — every heartbeat_interval the monitor probes the
+//  * Heartbeats — every kHeartbeatIntervalUs the monitor probes the
 //    Primary, each Secondary and each partition's serving Page Server
 //    over the simulated network ("monitor" <-> site links go through
 //    the chaos injector, so partitions and gray latency distort the
 //    detector exactly like real probes).
 //  * Lease-based detection — a probe unanswered within
-//    heartbeat_timeout is a miss; suspicion_threshold consecutive
+//    kHeartbeatTimeoutUs is a miss; kSuspicionThreshold consecutive
 //    misses declare the node dead. Detection latency is therefore
 //    deterministic: (threshold-1)*interval + timeout, plus the phase of
 //    the probe clock relative to the death (at most one interval).
@@ -19,8 +19,8 @@
 //    exists, else restart-and-reseed from the XStore checkpoint + log
 //    replay. All reconfigurations run under the deployment's reconfig
 //    mutex and bump its config epoch.
-//  * Gray failures — probes that answer but slower than gray_latency_us
-//    accumulate strikes; at gray_threshold the node is quarantined (its
+//  * Gray failures — probes that answer but slower than kGrayLatencyUs
+//    accumulate strikes; at kGrayThreshold the node is quarantined (its
 //    injected latency is cleared, modelling traffic drained to healthy
 //    peers) and the event ledgered.
 //  * Availability ledger — every recovery records the MTTR split the
@@ -42,16 +42,6 @@
 
 namespace socrates {
 namespace service {
-
-struct MonitorOptions {
-  SimTime heartbeat_interval_us = 10 * 1000;
-  SimTime heartbeat_timeout_us = 5 * 1000;
-  /// Consecutive missed probes before a node is declared dead.
-  int suspicion_threshold = 3;
-  /// A successful probe slower than this is a gray strike.
-  SimTime gray_latency_us = 2500;
-  int gray_threshold = 4;
-};
 
 /// One completed recovery, with the MTTR phase boundaries.
 struct RecoveryRecord {
@@ -86,8 +76,19 @@ struct MonitorStats {
 
 class ClusterMonitor {
  public:
-  ClusterMonitor(sim::Simulator& sim, Deployment* deployment,
-                 const MonitorOptions& options);
+  // Failure detector (see the file comment).
+  static constexpr SimTime kHeartbeatIntervalUs = 10 * 1000;
+  static constexpr SimTime kHeartbeatTimeoutUs = 5 * 1000;
+  /// Consecutive missed probes before a node is declared dead.
+  static constexpr int kSuspicionThreshold = 3;
+  /// A successful probe slower than this is a gray strike...
+  static constexpr SimTime kGrayLatencyUs = 2500;
+  /// ...and this many strikes quarantine the node.
+  static constexpr int kGrayThreshold = 4;
+  /// Baseline probe round trip on a healthy, unimpeded link.
+  static constexpr SimTime kProbeRttUs = 200;
+
+  ClusterMonitor(sim::Simulator& sim, Deployment* deployment);
 
   void Start();
   /// Stops probing; in-flight recoveries abort at their next stopping()
@@ -131,7 +132,6 @@ class ClusterMonitor {
 
   sim::Simulator& sim_;
   Deployment* deployment_;
-  MonitorOptions opts_;
 
   bool running_ = false;
   sim::Event stop_ev_;

@@ -72,8 +72,7 @@ sim::Task<Status> Deployment::Start() {
   xlog_->Start();
   xlog::XLogClientOptions copts = opts_.xlog_client;
   copts.partition_map = opts_.partition_map;
-  copts.injector = chaos_;
-  copts.site = opts_.site_prefix + copts.site;
+  copts.chaos = chaos::SitePort(chaos_, LogWriterSite());
   client_ = std::make_unique<xlog::XLogClient>(sim_, lz_.get(), xlog_,
                                                nullptr, copts);
   client_->Start();
@@ -81,8 +80,7 @@ sim::Task<Status> Deployment::Start() {
   SOCRATES_CO_RETURN_IF_ERROR(co_await StartPageServers());
 
   compute::ComputeOptions primary_opts = opts_.compute;
-  primary_opts.chaos_injector = chaos_;
-  primary_opts.chaos_site = NextComputeSite();
+  primary_opts.chaos = chaos::SitePort(chaos_, NextComputeSite());
   primary_ = std::make_unique<compute::ComputeNode>(
       sim_, compute::ComputeNode::Role::kPrimary, compute_router(), xlog_,
       client_.get(), primary_opts);
@@ -254,8 +252,7 @@ sim::Task<Result<compute::ComputeNode*>> Deployment::AddSecondary() {
 sim::Task<Result<compute::ComputeNode*>> Deployment::AddSecondaryWithOptions(
     const compute::ComputeOptions& copts) {
   compute::ComputeOptions node_opts = copts;
-  node_opts.chaos_injector = chaos_;
-  node_opts.chaos_site = NextComputeSite();
+  node_opts.chaos = chaos::SitePort(chaos_, NextComputeSite());
   auto node = std::make_unique<compute::ComputeNode>(
       sim_, compute::ComputeNode::Role::kSecondary, compute_router(),
       xlog_, nullptr, node_opts);
@@ -332,9 +329,9 @@ void Deployment::BumpConfigEpoch() {
   }
 }
 
-ClusterMonitor* Deployment::EnableMonitor(const MonitorOptions& mopts) {
+ClusterMonitor* Deployment::EnableMonitor() {
   if (monitor_ == nullptr) {
-    monitor_ = std::make_unique<ClusterMonitor>(sim_, this, mopts);
+    monitor_ = std::make_unique<ClusterMonitor>(sim_, this);
     monitor_->Start();
   }
   return monitor_.get();
@@ -365,17 +362,12 @@ chaos::FaultTargets Deployment::ChaosTargets() {
   t.page_server_site = [this](int p) {
     return PageServerSite(static_cast<PartitionId>(p));
   };
-  t.logwriter_site = opts_.site_prefix + opts_.xlog_client.site;
+  t.logwriter_site = LogWriterSite();
   t.lz_site =
       opts_.lz_site.empty() ? opts_.site_prefix + "lz" : opts_.lz_site;
   t.crash_primary = [this] { CrashPrimary(); };
   t.crash_secondary = [this](int i) { CrashSecondary(i); };
   t.crash_page_server = [this](int p) { CrashPageServer(p); };
-  t.inject_transient = [this](int p, int n) {
-    if (p >= 0 && p < num_page_servers()) {
-      page_servers_[p]->InjectTransientFailures(n);
-    }
-  };
   return t;
 }
 

@@ -29,7 +29,6 @@ namespace socrates {
 namespace service {
 
 class ClusterMonitor;
-struct MonitorOptions;
 
 /// Where a Page Server runs in a multi-tenant fleet: the host's chaos
 /// site (a host outage takes down every resident partition of every
@@ -148,7 +147,7 @@ class Deployment {
 
   /// Attach and start the Service-Fabric-style failure detector +
   /// auto-recovery loop. Call after Start(); returns the monitor.
-  ClusterMonitor* EnableMonitor(const MonitorOptions& mopts);
+  ClusterMonitor* EnableMonitor();
   ClusterMonitor* monitor() { return monitor_.get(); }
 
   /// Fault-plan hooks: kill a tier (VM death). The dead object keeps its
@@ -273,6 +272,7 @@ class Deployment {
              Deployment* parent, const std::string& blob_suffix);
 
   sim::Task<Status> StartPageServers();
+  std::string LogWriterSite() const { return opts_.site_prefix + "logwriter"; }
   std::string NextComputeSite() {
     return opts_.site_prefix + "compute-" +
            std::to_string(compute_serial_++);

@@ -109,18 +109,12 @@ class SimBlockDevice : public BlockDevice {
   SimTime cpu_per_io_us() const override { return profile_.cpu_per_io_us; }
   const CounterStats& stats() const override { return stats_; }
 
-  /// Outage injection: while unavailable, requests fail after their
-  /// modelled latency with Status::Unavailable. (Shim over the chaos
-  /// port's local state; deployment-wide outage windows arrive through
-  /// AttachChaos instead.)
-  void SetAvailable(bool available) { chaos_port_.SetOutage(!available); }
-  bool available() const { return !chaos_port_.Out(); }
-
-  /// Join a deployment-wide fault hub under `site` (e.g. every replica
-  /// of the landing zone attaches as "lz", so one injector call opens a
-  /// whole-service outage window).
+  /// Join a fault hub under `site` (e.g. every replica of the landing
+  /// zone attaches as "lz", so one injector call opens a whole-service
+  /// outage window). While the site is out, requests fail after their
+  /// modelled latency with Status::Unavailable.
   void AttachChaos(chaos::Injector* hub, const std::string& site) {
-    chaos_port_.Attach(hub, site);
+    chaos_port_ = chaos::SitePort(hub, site);
   }
 
   /// Synchronous backdoor used by tests and by crash-recovery assertions
@@ -226,8 +220,8 @@ class ReplicatedBlockDevice : public BlockDevice {
   SimBlockDevice* replica(int i) { return replicas_[i].get(); }
 
   /// Attach every replica to the fault hub under one shared site: a
-  /// site outage then takes the whole replica set (no quorum), while
-  /// per-replica SetAvailable still works for partial failures.
+  /// site outage then takes the whole replica set (no quorum). A partial
+  /// failure attaches one replica under a site of its own instead.
   void AttachChaos(chaos::Injector* hub, const std::string& site) {
     for (auto& r : replicas_) r->AttachChaos(hub, site);
   }

@@ -8,6 +8,8 @@ using engine::MakeKey;
 
 namespace {
 constexpr TableId kTradeTable = 9;
+// Per-operation CPU costs in microseconds, charged times kCpuScale.
+constexpr double kCpuScale = 4.0;
 constexpr double kTxnBaseUs = 150;
 constexpr double kReadUs = 55;
 constexpr double kUpdateUs = 95;
@@ -36,7 +38,7 @@ sim::Task<TxnResult> TpceLikeWorkload::RunOne(Engine* engine,
   TxnResult result;
   auto charge = [&](double us) -> sim::Task<> {
     if (cpu != nullptr) {
-      co_await cpu->Consume(static_cast<SimTime>(us * opts_.cpu_scale));
+      co_await cpu->Consume(static_cast<SimTime>(us * kCpuScale));
     }
   };
   co_await charge(kTxnBaseUs);

@@ -14,7 +14,6 @@ namespace workload {
 
 struct TpceOptions {
   uint64_t customers = 100000;  // rows in the main trade table
-  double cpu_scale = 4.0;
 };
 
 class TpceLikeWorkload : public Workload {

@@ -235,14 +235,9 @@ sim::Task<> XLogClient::DeliverAsync(
     LogBlock block, std::shared_ptr<const std::string> stored) {
   std::string frame = EncodeBlockFrame(block, stored.get());
   wire_bytes_sent_ += frame.size();
-  SimTime link_delay =
-      opts_.injector != nullptr
-          ? opts_.injector->LinkDelayUs(opts_.site, chaos::kXLogSite)
-          : 0;
+  SimTime link_delay = opts_.chaos.LinkDelayUs(chaos::kXLogSite);
   co_await sim::Delay(sim_, delivery_latency_.Sample(rng_) + link_delay);
-  bool chaos_drop =
-      opts_.injector != nullptr &&
-      opts_.injector->DropMessage(opts_.site, chaos::kXLogSite);
+  bool chaos_drop = opts_.chaos.DropTo(chaos::kXLogSite);
   if (rng_.Bernoulli(opts_.delivery_loss_prob) || chaos_drop) {
     deliveries_lost_++;
     co_return;  // lost on the wire; XLOG will repair from the LZ

@@ -65,13 +65,13 @@ struct XLogClientOptions {
   /// channel; XLOG repairs lost blocks from the LZ.
   double delivery_loss_prob = 0.0;
   PartitionMap partition_map;
-  /// Chaos injection: async block deliveries consult the hub for a
-  /// partition / lossy-link verdict on site -> chaos::kXLogSite and pay any
-  /// configured link delay. Durability notifications stay on the
-  /// reliable control channel (they are cumulative; XLOG repairs lost
-  /// blocks from the LZ — §4.3 liveness does not depend on delivery).
-  chaos::Injector* injector = nullptr;
-  std::string site = "logwriter";
+  /// Chaos injection: async block deliveries ask the log writer's port
+  /// ("logwriter" in a deployment) for a partition / lossy-link verdict
+  /// on the link to chaos::kXLogSite and pay any configured link delay.
+  /// Durability notifications stay on the reliable control channel
+  /// (they are cumulative; XLOG repairs lost blocks from the LZ — §4.3
+  /// liveness does not depend on delivery).
+  chaos::SitePort chaos;
 
   /// Group-commit block sizing policy. kFixed reproduces the original
   /// behavior byte-for-byte.

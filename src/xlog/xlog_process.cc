@@ -19,7 +19,7 @@ XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
           sim, sim::DeviceProfile::LocalSsd(), /*seed=*/0x10c)),
       destage_q_(sim),
       destage_slots_(std::make_unique<sim::Semaphore>(
-          sim, std::max(1, options.destage_lanes))),
+          sim, kDestageLanes)),
       destage_idle_(sim) {
   available_.Advance(engine::kLogStreamStart);
   destage_idle_.Set();

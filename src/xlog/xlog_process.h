@@ -62,13 +62,14 @@ struct XLogOptions {
   uint64_t sequence_map_bytes = 8 * MiB;  // in-memory tail for dissemination
   std::string lt_blob = "log/lt";         // long-term archive blob in XStore
   PartitionMap partition_map;
-  /// Concurrent destage batches in flight (SSD + LT writes overlap; the
-  /// destaged frontier still advances in order).
-  int destage_lanes = 4;
 };
 
 class XLogProcess {
  public:
+  /// Concurrent destage batches in flight (SSD + LT writes overlap; the
+  /// destaged frontier still advances in order).
+  static constexpr int kDestageLanes = 4;
+
   XLogProcess(sim::Simulator& sim, LandingZone* lz, xstore::XStore* lt,
               const XLogOptions& options);
 

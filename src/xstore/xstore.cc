@@ -13,7 +13,7 @@ sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
   co_await sim::Delay(
       sim_, static_cast<SimTime>(static_cast<double>(data.size()) /
                                  bandwidth_mb_s_));
-  if (!available()) co_return Status::Unavailable("xstore outage");
+  if (chaos_port_.Out()) co_return Status::Unavailable("xstore outage");
   const uint64_t size = data.size();
   stored_bytes_ += size;
   blobs_[blob].Write(offset, std::move(data));
@@ -27,7 +27,7 @@ sim::Task<Status> XStore::Read(const std::string& blob, uint64_t offset,
   co_await sim::Delay(sim_, profile_.read.Sample(rng_));
   co_await sim::Delay(sim_, static_cast<SimTime>(static_cast<double>(len) /
                                                  bandwidth_mb_s_));
-  if (!available()) co_return Status::Unavailable("xstore outage");
+  if (chaos_port_.Out()) co_return Status::Unavailable("xstore outage");
   auto it = blobs_.find(blob);
   if (it == blobs_.end()) co_return Status::NotFound("blob " + blob);
   out->clear();
@@ -40,7 +40,7 @@ sim::Task<Status> XStore::Read(const std::string& blob, uint64_t offset,
 sim::Task<Result<SnapshotId>> XStore::Snapshot(const std::string& blob) {
   // Constant-time: metadata only, no dependence on blob size.
   co_await sim::Delay(sim_, kMetaOpLatencyUs);
-  if (!available()) {
+  if (chaos_port_.Out()) {
     co_return Result<SnapshotId>(Status::Unavailable("xstore outage"));
   }
   auto it = blobs_.find(blob);
@@ -54,7 +54,7 @@ sim::Task<Result<SnapshotId>> XStore::Snapshot(const std::string& blob) {
 
 sim::Task<Status> XStore::Restore(SnapshotId snap, const std::string& dst) {
   co_await sim::Delay(sim_, kMetaOpLatencyUs);
-  if (!available()) co_return Status::Unavailable("xstore outage");
+  if (chaos_port_.Out()) co_return Status::Unavailable("xstore outage");
   auto it = snapshots_.find(snap);
   if (it == snapshots_.end()) {
     co_return Status::NotFound("snapshot " + std::to_string(snap));
@@ -65,7 +65,7 @@ sim::Task<Status> XStore::Restore(SnapshotId snap, const std::string& dst) {
 
 sim::Task<Status> XStore::Delete(const std::string& blob) {
   co_await sim::Delay(sim_, kMetaOpLatencyUs);
-  if (!available()) co_return Status::Unavailable("xstore outage");
+  if (chaos_port_.Out()) co_return Status::Unavailable("xstore outage");
   blobs_.erase(blob);
   co_return Status::OK();
 }

@@ -87,14 +87,10 @@ class XStore {
   /// List blob names with the given prefix (control-plane helper).
   std::vector<std::string> List(const std::string& prefix) const;
 
-  /// Outage injection; while down, every operation fails Unavailable.
-  /// (Shim over the chaos port; deployment-wide outage windows come in
-  /// through AttachChaos under site "xstore".)
-  void SetAvailable(bool a) { chaos_port_.SetOutage(!a); }
-  bool available() const { return !chaos_port_.Out(); }
-
+  /// Join a fault hub under `site` ("xstore" in a deployment); while
+  /// the site is out, every operation fails Unavailable.
   void AttachChaos(chaos::Injector* hub, const std::string& site) {
-    chaos_port_.Attach(hub, site);
+    chaos_port_ = chaos::SitePort(hub, site);
   }
 
   /// Total data bytes ever written, overwritten or not (storage-cost

@@ -83,7 +83,7 @@ TEST_P(ChaosSoak, MonitorKeepsAckedCommitsReadable) {
   std::map<uint64_t, std::string> acked;
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    ClusterMonitor* mon = d.EnableMonitor(MonitorOptions{});
+    ClusterMonitor* mon = d.EnableMonitor();
     chaos::SchedulePlan(s, windows, d.ChaosTargets());
 
     const SimTime end = plan.end_us() + 200 * 1000;

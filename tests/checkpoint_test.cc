@@ -337,7 +337,7 @@ TEST(CheckpointTest, XStoreOutageKeepsPagesDirtyAcrossParallelBatches) {
     std::sort(dirty_before.begin(), dirty_before.end());
     EXPECT_FALSE(dirty_before.empty());
 
-    d.xstore().SetAvailable(false);
+    d.chaos().SetOutage("xstore", true);
     Status cp = co_await ps->Checkpoint();
     EXPECT_FALSE(cp.ok());
     EXPECT_GT(ps->checkpoint_failures(), 0u);
@@ -345,7 +345,7 @@ TEST(CheckpointTest, XStoreOutageKeepsPagesDirtyAcrossParallelBatches) {
     std::sort(dirty_after.begin(), dirty_after.end());
     EXPECT_EQ(dirty_before, dirty_after);
 
-    d.xstore().SetAvailable(true);
+    d.chaos().SetOutage("xstore", false);
     EXPECT_TRUE((co_await ps->Checkpoint()).ok());
     EXPECT_TRUE(ps->pool()->DirtyPages().empty());
     co_await VerifyRows(d.primary_engine(), 0, 250, "o");

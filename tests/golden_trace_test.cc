@@ -106,7 +106,7 @@ uint64_t RunChaosTrace(uint64_t seed) {
 
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    d.EnableMonitor(MonitorOptions{});
+    d.EnableMonitor();
     chaos::SchedulePlan(s, plan, d.ChaosTargets());
     const SimTime end = plan.end_us() + 100 * 1000;
     uint64_t k = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.h"
 #include "common/compress.h"
 #include "engine/log_record.h"
 #include "xlog/landing_zone.h"
@@ -453,8 +454,8 @@ TEST(WatermarkTest, LossyShardedStreamStaysPrefixCorrect) {
 // -------------------------------------------------- parallel destaging
 
 TEST(DestageTest, ParallelLanesArchiveTheExactStream) {
+  static_assert(XLogProcess::kDestageLanes > 1);
   XLogOptions xopts;
-  xopts.destage_lanes = 4;
   xopts.sequence_map_bytes = 16 * KiB;  // force continuous destaging
   XLogFixture f(sim::DeviceProfile::DirectDrive(), {}, xopts);
   std::string expected;
@@ -479,17 +480,18 @@ TEST(DestageTest, ParallelLanesArchiveTheExactStream) {
 }
 
 TEST(DestageTest, LanesSurviveXStoreOutageWithoutReordering) {
-  XLogOptions xopts;
-  xopts.destage_lanes = 3;
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), {}, xopts);
-  f.lt.SetAvailable(false);
+  static_assert(XLogProcess::kDestageLanes > 1);
+  XLogFixture f;
+  chaos::Injector inj;
+  f.lt.AttachChaos(&inj, "xstore");
+  inj.SetOutage("xstore", true);
   Spawn(f.sim, [](XLogFixture* fx) -> Task<> {
     for (int i = 0; i < 80; i++) fx->client.Append(InsertRecord(1, i, 100));
     EXPECT_TRUE((co_await fx->client.Flush()).ok());
   }(&f));
   f.sim.RunFor(500000);
   EXPECT_LT(f.xlog.destaged_lsn(), f.client.end_lsn());  // blocked
-  f.lt.SetAvailable(true);
+  inj.SetOutage("xstore", false);
   f.sim.RunFor(30LL * 1000 * 1000);
   EXPECT_EQ(f.xlog.destaged_lsn(), f.client.end_lsn());
   EXPECT_EQ(f.lz.start_lsn(), f.xlog.destaged_lsn());

@@ -1,6 +1,6 @@
 // ClusterMonitor tests: autonomous detection + recovery of every tier
-// (the ISSUE 5 acceptance scenario), deterministic detection latency as
-// a function of the heartbeat knobs, gray-failure quarantine, and the
+// (the acceptance scenario), deterministic and bounded detection latency,
+// gray-failure quarantine, fault-plan windows and transient credits, and the
 // reconfiguration races (Stop() mid-recovery, manual Failover racing the
 // monitor's auto-promote, concurrent manual failovers).
 
@@ -9,6 +9,7 @@
 #include <map>
 
 #include "chaos/fault_plan.h"
+#include "rbio/rbio.h"
 #include "service/cluster_monitor.h"
 #include "service/deployment.h"
 
@@ -94,8 +95,7 @@ TEST(MonitorTest, AutoRecoversPrimaryAndPageServerFromPlan) {
   Deployment d(s, SmallDeployment(2, 1));
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    MonitorOptions mo;  // 10ms interval, 5ms timeout, 3 misses
-    ClusterMonitor* mon = d.EnableMonitor(mo);
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 200, "v");
 
     chaos::FaultPlan plan;
@@ -138,24 +138,19 @@ TEST(MonitorTest, AutoRecoversPrimaryAndPageServerFromPlan) {
 }
 
 // ---------------------------------------------------------------------
-// Detection latency must follow the heartbeat knobs deterministically:
-// identical runs agree exactly; with probes every I and declaration at
-// K consecutive misses (each observed T after its send), the latency
-// from death to detection lies in [(K-1)*I, K*I + T + I].
-SimTime MeasureDetectLatency(SimTime interval_us, SimTime timeout_us,
-                             int threshold) {
+// Detection latency is deterministic and bounded: identical runs agree
+// exactly; with probes every I and declaration at K consecutive misses
+// (each observed T after its send), the latency from death to detection
+// lies in [(K-1)*I, K*I + T + I].
+SimTime MeasureDetectLatency() {
   Simulator s;
   Deployment d(s, SmallDeployment(1, 1));
   SimTime latency = 0;
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    MonitorOptions mo;
-    mo.heartbeat_interval_us = interval_us;
-    mo.heartbeat_timeout_us = timeout_us;
-    mo.suspicion_threshold = threshold;
-    ClusterMonitor* mon = d.EnableMonitor(mo);
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 64, "v");
-    co_await sim::Delay(s, 5 * interval_us);
+    co_await sim::Delay(s, 5 * ClusterMonitor::kHeartbeatIntervalUs);
     SimTime killed = s.now();
     d.CrashPrimary();
     for (int i = 0; i < 2000 && mon->ledger().empty(); i++) {
@@ -170,21 +165,15 @@ SimTime MeasureDetectLatency(SimTime interval_us, SimTime timeout_us,
   return latency;
 }
 
-TEST(MonitorTest, DetectionLatencyTracksHeartbeatKnobsDeterministically) {
-  const SimTime fast = MeasureDetectLatency(10000, 5000, 3);
-  const SimTime fast_again = MeasureDetectLatency(10000, 5000, 3);
-  EXPECT_EQ(fast, fast_again) << "identical knobs must detect at the "
-                                 "exact same simulated instant";
-  EXPECT_GE(fast, 2u * 10000);
-  EXPECT_LE(fast, 3u * 10000 + 5000 + 10000);
-
-  const SimTime slow = MeasureDetectLatency(40000, 20000, 3);
-  EXPECT_GT(slow, fast) << "larger interval/timeout must detect later";
-  EXPECT_GE(slow, 2u * 40000);
-  EXPECT_LE(slow, 3u * 40000 + 20000 + 40000);
-
-  const SimTime patient = MeasureDetectLatency(10000, 5000, 6);
-  EXPECT_GT(patient, fast) << "higher suspicion threshold detects later";
+TEST(MonitorTest, DetectionLatencyIsDeterministicAndBounded) {
+  constexpr SimTime kI = ClusterMonitor::kHeartbeatIntervalUs;
+  constexpr SimTime kT = ClusterMonitor::kHeartbeatTimeoutUs;
+  constexpr SimTime kK = ClusterMonitor::kSuspicionThreshold;
+  const SimTime latency = MeasureDetectLatency();
+  EXPECT_EQ(latency, MeasureDetectLatency())
+      << "identical runs must detect at the exact same simulated instant";
+  EXPECT_GE(latency, (kK - 1) * kI);
+  EXPECT_LE(latency, kK * kI + kT + kI);
 }
 
 // ---------------------------------------------------------------------
@@ -194,7 +183,7 @@ TEST(MonitorTest, ReplacesDeadSecondary) {
   Deployment d(s, SmallDeployment(1, 2));
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    ClusterMonitor* mon = d.EnableMonitor(MonitorOptions{});
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 64, "v");
     d.CrashSecondary(0);
     for (int i = 0; i < 600; i++) {
@@ -219,7 +208,7 @@ TEST(MonitorTest, PrefersWarmReplicaOverReseed) {
     EXPECT_TRUE((co_await d.Start()).ok());
     co_await LoadRows(d.primary_engine(), 0, 64, "v");
     EXPECT_TRUE((co_await d.AddPageServerReplica(1)).ok());
-    ClusterMonitor* mon = d.EnableMonitor(MonitorOptions{});
+    ClusterMonitor* mon = d.EnableMonitor();
     d.CrashPageServer(1);
     for (int i = 0; i < 600; i++) {
       if (!mon->ledger().empty() && mon->idle()) break;
@@ -235,18 +224,16 @@ TEST(MonitorTest, PrefersWarmReplicaOverReseed) {
 
 // ---------------------------------------------------------------------
 // Gray failure: the node answers, but slowly; the monitor quarantines
-// it after gray_threshold slow probes instead of declaring it dead.
+// it after kGrayThreshold slow probes instead of declaring it dead.
 TEST(MonitorTest, QuarantinesGrayPageServer) {
   Simulator s;
   Deployment d(s, SmallDeployment(1, 0));
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    MonitorOptions mo;
-    mo.gray_latency_us = 1000;
-    mo.gray_threshold = 3;
-    ClusterMonitor* mon = d.EnableMonitor(mo);
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 32, "v");
-    d.chaos().SetGrayDelay("ps-0", 3000);  // slow, not dead
+    // Slow, not dead: every probe pays more than the gray threshold.
+    d.chaos().SetGrayDelay("ps-0", ClusterMonitor::kGrayLatencyUs + 500);
     for (int i = 0; i < 600; i++) {
       if (mon->stats().quarantines > 0) break;
       co_await sim::Delay(s, 10 * 1000);
@@ -270,7 +257,7 @@ TEST(MonitorTest, StopIsIdempotentDuringRecovery) {
   Deployment d(s, SmallDeployment(1, 1));
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    ClusterMonitor* mon = d.EnableMonitor(MonitorOptions{});
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 64, "v");
     d.CrashPrimary();
     // Wait until the recovery has started, then stop mid-flight.
@@ -340,7 +327,7 @@ TEST(MonitorTest, MonitorStandsDownWhenManualFailoverWins) {
   Deployment d(s, SmallDeployment(1, 1));
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    ClusterMonitor* mon = d.EnableMonitor(MonitorOptions{});
+    ClusterMonitor* mon = d.EnableMonitor();
     co_await LoadRows(d.primary_engine(), 0, 64, "v");
     d.CrashPrimary();
     // Give the detector time to suspect, then beat it with a manual
@@ -363,6 +350,64 @@ TEST(MonitorTest, MonitorStandsDownWhenManualFailoverWins) {
     EXPECT_TRUE(d.primary()->alive());
     co_await LoadRows(d.primary_engine(), 64, 16, "v");
     co_await VerifyRows(d.primary_engine(), 0, 80, "v");
+    d.Stop();
+  });
+}
+
+// ---------------------------------------------------------------------
+// Fault plans. Two windows on one fault overlap: the fault stays on
+// until the later window ends, not until the first one does.
+TEST(FaultPlanTest, OverlappingWindowsHealWhenTheLastOneEnds) {
+  Simulator s;
+  chaos::Injector inj;
+  chaos::FaultTargets t;
+  t.injector = &inj;
+  t.primary_site = [] { return std::string("compute-0"); };
+  t.page_server_site = [](int p) { return "ps-" + std::to_string(p); };
+  constexpr SimTime kMs = 1000;
+  chaos::FaultPlan plan;
+  plan.XStoreOutage(100 * kMs, 200 * kMs)  // [100, 300) ms
+      .XStoreOutage(200 * kMs, 300 * kMs)  // [200, 500) ms
+      .FlakyLink(100 * kMs, 0, 0.3, 500, 150 * kMs)   // [100, 250) ms
+      .FlakyLink(150 * kMs, 0, 0.3, 500, 250 * kMs);  // [150, 400) ms
+  chaos::SchedulePlan(s, plan, t);
+
+  s.RunUntil(350 * kMs);  // both first windows have ended
+  EXPECT_TRUE(inj.SiteOut("xstore"));
+  EXPECT_EQ(inj.LinkDelayUs("compute-0", "ps-0"), 500u);
+  s.RunUntil(450 * kMs);
+  EXPECT_TRUE(inj.SiteOut("xstore"));
+  EXPECT_EQ(inj.LinkDelayUs("compute-0", "ps-0"), 0u);
+  s.RunUntil(550 * kMs);
+  EXPECT_FALSE(inj.SiteOut("xstore"));
+}
+
+// A transient-failure burst lands as credits on the Page Server's site:
+// the next `count` RBIO frames there fail Unavailable, then it serves.
+TEST(FaultPlanTest, TransientFailuresAreCreditsAtThePageServerSite) {
+  Simulator s;
+  Deployment d(s, SmallDeployment(1, 0));
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    chaos::FaultPlan plan;
+    plan.TransientFailures(s.now() + 1000, 0, 3);
+    chaos::SchedulePlan(s, plan, d.ChaosTargets());
+    co_await sim::Delay(s, 2000);
+    EXPECT_EQ(d.chaos().FailuresRemaining("ps-0"), 3);
+    const std::string frame =
+        rbio::GetPageRequest{engine::kRootPageId, 0}.Encode();
+    for (int i = 0; i < 3; i++) {
+      auto raw = co_await d.page_server(0)->HandleRbio(frame);
+      EXPECT_TRUE(raw.status().IsUnavailable()) << "frame " << i;
+    }
+    auto raw = co_await d.page_server(0)->HandleRbio(frame);
+    EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+    if (raw.ok()) {
+      Status served;
+      EXPECT_TRUE(rbio::DecodeResponseStatusPrefix(Slice(*raw), &served).ok());
+      EXPECT_TRUE(served.ok()) << served.ToString();
+    }
+    EXPECT_EQ(d.chaos().FailuresRemaining("ps-0"), 0);
     d.Stop();
   });
 }

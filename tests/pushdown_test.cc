@@ -624,7 +624,7 @@ TEST(PushdownEndToEndTest, TransientFailuresFallBackWithoutWrongResults) {
       // Failure bursts straddling the retry budget: some scans retry
       // through, some degrade to the local path — none return wrong
       // rows.
-      d.page_server(0)->InjectTransientFailures(round % 5);
+      d.chaos().InjectFailures("ps-0", round % 5);
       auto txn = e->Begin(true);
       auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
                                      MakeKey(1, 3000), 0, filter);

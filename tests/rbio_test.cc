@@ -393,15 +393,13 @@ TEST(RbioClientTest, GivesUpAfterMaxAttempts) {
   Simulator s;
   MockServer server(s, 100);
   server.fail_next_ = 100;
-  RbioClientOptions opts;
-  opts.max_attempts = 3;
-  RbioClient client(s, nullptr, opts);
+  RbioClient client(s, nullptr, {});
   std::vector<Endpoint> eps{{&server, "m"}};
   RunSim(s, [&]() -> Task<> {
     auto r = co_await client.GetPage(eps, 7, 50);
     EXPECT_TRUE(r.status().IsUnavailable());
   });
-  EXPECT_EQ(server.handled_, 3);
+  EXPECT_EQ(server.handled_, RbioClient::kMaxAttempts);
 }
 
 TEST(RbioClientTest, QosPrefersFasterReplica) {
@@ -635,7 +633,7 @@ TEST(RbioEndToEndTest, ComputeSurvivesTransientPageServerFailures) {
     int bursts = 0;
     for (uint64_t k = 0; k < 2000; k += 7) {
       if (k % 210 == 0) {
-        d.page_server(0)->InjectTransientFailures(2);
+        d.chaos().InjectFailures("ps-0", 2);
         bursts++;
       }
       auto v = co_await e->Get(txn.get(), engine::MakeKey(1, k));

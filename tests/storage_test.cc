@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "common/random.h"
 #include "storage/block_device.h"
 #include "storage/extent_store.h"
@@ -317,14 +318,16 @@ TEST(SimBlockDeviceTest, CrossChunkWrite) {
 TEST(SimBlockDeviceTest, OutageFailsRequests) {
   Simulator s;
   SimBlockDevice dev(s, DeviceProfile::XStore());
-  dev.SetAvailable(false);
+  chaos::Injector inj;
+  dev.AttachChaos(&inj, "dev");
+  inj.SetOutage("dev", true);
   Status ws;
   Spawn(s, [](SimBlockDevice& d, Status* w) -> Task<> {
     *w = co_await d.Write(0, Slice("x"));
   }(dev, &ws));
   s.Run();
   EXPECT_TRUE(ws.IsUnavailable());
-  dev.SetAvailable(true);
+  inj.SetOutage("dev", false);
   Status ws2;
   Spawn(s, [](SimBlockDevice& d, Status* w) -> Task<> {
     *w = co_await d.Write(0, Slice("x"));
@@ -448,7 +451,9 @@ TEST(SimBlockDeviceTest, UnwrittenPageFailsVerify) {
 TEST(SimBlockDeviceTest, PageCallsFailDuringOutageAndStoreNothing) {
   Simulator s;
   SimBlockDevice dev(s, DeviceProfile::LocalSsd());
-  dev.SetAvailable(false);
+  chaos::Injector inj;
+  dev.AttachChaos(&inj, "dev");
+  inj.SetOutage("dev", true);
   Status ws, rs;
   Page got = StampedPage(9);
   Spawn(s, [](SimBlockDevice& d, Page* out, Status* w,
@@ -463,7 +468,7 @@ TEST(SimBlockDeviceTest, PageCallsFailDuringOutageAndStoreNothing) {
   EXPECT_EQ(dev.allocated_bytes(), 0u);
   EXPECT_EQ(dev.stats().writes, 0u);
   EXPECT_EQ(dev.stats().reads, 0u);
-  dev.SetAvailable(true);
+  inj.SetOutage("dev", false);
   Spawn(s, [](SimBlockDevice& d, Page* out, Status* r) -> Task<> {
     *r = co_await d.ReadPage(0, out);
   }(dev, &got, &rs));
@@ -473,6 +478,14 @@ TEST(SimBlockDeviceTest, PageCallsFailDuringOutageAndStoreNothing) {
 }
 
 // --------------------------------------------------- ReplicatedBlockDevice
+
+// Attaches each replica under a site of its own ("replica-<i>"), so one
+// replica can fail alone.
+void AttachReplicaSites(ReplicatedBlockDevice& dev, chaos::Injector* inj) {
+  for (int i = 0; i < dev.num_replicas(); i++) {
+    dev.replica(i)->AttachChaos(inj, "replica-" + std::to_string(i));
+  }
+}
 
 TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
   Simulator s;
@@ -492,7 +505,9 @@ TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
 TEST(ReplicatedDeviceTest, DownReplicaKeepsNothingLiveOnesShareOneImage) {
   Simulator s;
   ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
-  dev.replica(0)->SetAvailable(false);
+  chaos::Injector inj;
+  AttachReplicaSites(dev, &inj);
+  inj.SetOutage("replica-0", true);
   Segment image = std::make_shared<const std::string>("shared image");
   Status ws;
   Spawn(s, [](ReplicatedBlockDevice& d, Segment img, Status* w) -> Task<> {
@@ -502,7 +517,7 @@ TEST(ReplicatedDeviceTest, DownReplicaKeepsNothingLiveOnesShareOneImage) {
   EXPECT_TRUE(ws.ok());
   // This test's handle plus one per live replica: no replica copied it.
   EXPECT_EQ(image.use_count(), 3);
-  dev.replica(0)->SetAvailable(true);
+  inj.SetOutage("replica-0", false);
   EXPECT_EQ(dev.replica(0)->ReadRaw(64, 12), std::string(12, '\0'));
   EXPECT_EQ(dev.replica(0)->allocated_bytes(), 0u);
   for (int i = 1; i < 3; i++) {
@@ -552,7 +567,9 @@ TEST(ReplicatedDeviceTest, QuorumFasterThanAllReplicas) {
 TEST(ReplicatedDeviceTest, SurvivesMinorityOutage) {
   Simulator s;
   ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
-  dev.replica(0)->SetAvailable(false);
+  chaos::Injector inj;
+  AttachReplicaSites(dev, &inj);
+  inj.SetOutage("replica-0", true);
   Status ws;
   std::string got;
   Spawn(s, [](ReplicatedBlockDevice& d, Status* w, std::string* out)
@@ -568,8 +585,10 @@ TEST(ReplicatedDeviceTest, SurvivesMinorityOutage) {
 TEST(ReplicatedDeviceTest, FailsWithoutQuorum) {
   Simulator s;
   ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
-  dev.replica(0)->SetAvailable(false);
-  dev.replica(1)->SetAvailable(false);
+  chaos::Injector inj;
+  AttachReplicaSites(dev, &inj);
+  inj.SetOutage("replica-0", true);
+  inj.SetOutage("replica-1", true);
   Status ws;
   Spawn(s, [](ReplicatedBlockDevice& d, Status* w) -> Task<> {
     *w = co_await d.Write(0, Slice("lost"));
@@ -581,7 +600,11 @@ TEST(ReplicatedDeviceTest, FailsWithoutQuorum) {
 TEST(ReplicatedDeviceTest, AllReplicasDownReadFails) {
   Simulator s;
   ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
-  for (int i = 0; i < 3; i++) dev.replica(i)->SetAvailable(false);
+  chaos::Injector inj;
+  AttachReplicaSites(dev, &inj);
+  for (int i = 0; i < 3; i++) {
+    inj.SetOutage("replica-" + std::to_string(i), true);
+  }
   Status rs;
   std::string out;
   Spawn(s, [](ReplicatedBlockDevice& d, Status* r, std::string* o)

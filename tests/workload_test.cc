@@ -146,7 +146,6 @@ TEST(TpceTest, SkewConcentratesAccesses) {
   StandaloneEngine se;
   TpceOptions opts;
   opts.customers = 5000;
-  opts.cpu_scale = 0.1;
   TpceLikeWorkload tpce(opts);
   RunSim(se.sim, [&]() -> Task<> {
     EXPECT_TRUE((co_await tpce.Load(se.eng.get())).ok());

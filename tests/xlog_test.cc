@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.h"
 #include "common/histogram.h"
 #include "engine/log_record.h"
 #include "xlog/landing_zone.h"
@@ -124,7 +125,9 @@ TEST(LandingZoneTest, ReadOutsideWindowFails) {
 TEST(LandingZoneTest, SurvivesSingleReplicaOutage) {
   Simulator s;
   LandingZone lz(s, sim::DeviceProfile::Xio(), 1 * MiB);
-  lz.device()->replica(1)->SetAvailable(false);
+  chaos::Injector inj;
+  lz.device()->replica(1)->AttachChaos(&inj, "lz-replica-1");
+  inj.SetOutage("lz-replica-1", true);
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await lz.Write(kLogStreamStart, Slice("durable"))).ok());
     auto r = co_await lz.Read(kLogStreamStart, kLogStreamStart + 7);
@@ -334,7 +337,9 @@ TEST(XLogTest, OldLogServedFromLowerTiersAfterSeqMapEviction) {
 
 TEST(XLogTest, DestagingSurvivesXStoreOutage) {
   XLogFixture f;
-  f.lt.SetAvailable(false);
+  chaos::Injector inj;
+  f.lt.AttachChaos(&inj, "xstore");
+  inj.SetOutage("xstore", true);
   // Bounded runs throughout: while XStore is down the destage retry loop
   // keeps scheduling events, so Run() would never drain.
   Spawn(f.sim, [](XLogFixture* fx) -> Task<> {
@@ -354,7 +359,7 @@ TEST(XLogTest, DestagingSurvivesXStoreOutage) {
   }(&f, &committed));
   f.sim.RunFor(2LL * 1000 * 1000);
   EXPECT_TRUE(committed);
-  f.lt.SetAvailable(true);
+  inj.SetOutage("xstore", false);
   f.sim.RunFor(10LL * 1000 * 1000);
   EXPECT_EQ(f.xlog.destaged_lsn(), f.client.end_lsn());  // caught up
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "common/random.h"
 #include "xstore/xstore.h"
 
@@ -248,16 +249,18 @@ TEST(XStoreTest, TransferTimeScalesWithSize) {
 TEST(XStoreTest, OutageFailsEverything) {
   Simulator s;
   XStore xs(s);
+  chaos::Injector inj;
+  xs.AttachChaos(&inj, "xstore");
   Status w0, w1, r1, snap_st;
   std::string got;
   RunSim(s, [&]() -> Task<> {
     w0 = co_await xs.Write("b", 0, Slice("pre"));
-    xs.SetAvailable(false);
+    inj.SetOutage("xstore", true);
     w1 = co_await xs.Write("b", 0, Slice("during"));
     r1 = co_await xs.Read("b", 0, 3, &got);
     auto r = co_await xs.Snapshot("b");
     snap_st = r.status();
-    xs.SetAvailable(true);
+    inj.SetOutage("xstore", false);
     r1 = co_await xs.Read("b", 0, 3, &got);
   });
   EXPECT_TRUE(w0.ok());

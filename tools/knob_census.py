@@ -17,6 +17,10 @@ A setter whose right-hand side is just another option field
 source field is itself set somewhere, so plumbing that forwards a
 never-set default does not keep either end alive.
 
+A field whose only setters are under tests/ fails too: it is a path only
+tests exercise, so it becomes a constant the tests read. The exceptions
+are listed in TEST_ONLY_ALLOWED below, each with the reason it stays.
+
 The script also checks that DESIGN.md's knob table (rows beginning
 "| `Struct::field` |") lists exactly the fields found, and that no code
 under src/ calls getenv(): an environment variable is a knob no options
@@ -38,6 +42,19 @@ KEYWORDS = {
     "co_await", "co_yield", "throw", "sizeof", "typename", "struct", "class",
     "using", "goto", "static", "constexpr", "inline", "if", "while", "for",
     "switch", "do", "operator",
+}
+
+# Fields that only tests set and that stay on purpose, with the reason.
+TEST_ONLY_ALLOWED = {
+    **{f"RandomPlanOptions::{f}":
+       "input to the chaos tests' fault-plan generator"
+       for f in ("start_us", "horizon_us", "events", "num_page_servers",
+                 "num_secondaries", "max_window_us", "crashes")},
+    "XLogClientOptions::max_block_bytes": "param_test's block-size sweep",
+    "XLogClientOptions::delivery_loss_prob":
+        "its Bernoulli draw advances the client RNG on every delivery, "
+        "even at 0; folding it shifts every later delivery latency, so it "
+        "waits for a change that may re-pin the golden traces",
 }
 
 IDENT = r"[A-Za-z_]\w*"
@@ -289,7 +306,7 @@ def main():
         if source is None or any(x in live for x in source):
             per_dir[(s, f)][d] += 1
 
-    unset, total = [], 0
+    unset, test_only, total = [], [], 0
     for s in sorted(structs):
         fields = structs[s]["fields"]
         plural = "" if len(fields) == 1 else "s"
@@ -297,10 +314,12 @@ def main():
         for f, _ in fields:
             total += 1
             counts = per_dir[(s, f)]
-            where = " ".join(f"{d}:{counts[d]}" for d in SCAN_DIRS
-                             if counts[d])
-            if not where:
+            dirs = [d for d in SCAN_DIRS if counts[d]]
+            where = " ".join(f"{d}:{counts[d]}" for d in dirs)
+            if not dirs:
                 unset.append(f"{s}::{f}")
+            elif dirs == ["tests"]:
+                test_only.append(f"{s}::{f}")
             print(f"  {f:36s} {where or 'UNSET'}")
     print(f"{total} option fields in {len(structs)} structs")
 
@@ -311,6 +330,19 @@ def main():
               "named constant beside its reader, or give it a setter):")
         for u in unset:
             print(f"  {u}")
+
+    unexplained = [f for f in test_only if f not in TEST_ONLY_ALLOWED]
+    if unexplained:
+        ok = False
+        print(f"\n{len(unexplained)} field(s) set only by tests (fold each "
+              "into a named constant the tests read, or give it a setter "
+              "outside tests/):")
+        for u in unexplained:
+            print(f"  {u}")
+    for name in sorted(set(TEST_ONLY_ALLOWED) - set(test_only)):
+        ok = False
+        print(f"TEST_ONLY_ALLOWED lists {name}, which is not a field set "
+              "only by tests")
 
     env = getenv_calls()
     if env:
