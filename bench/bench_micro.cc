@@ -2,7 +2,7 @@
 // building blocks: CRC32-C, page checksum, slotted-page operations,
 // version-chain codec, log-record codec + redo, log-block frame codec,
 // Zipf generation, the RBPEX promote/spill cycle, the landing-zone
-// quorum write, and the simulator
+// quorum write, the destage gather write, and the simulator
 // substrate itself (event core, coroutine wakes, channel hand-offs, the
 // end-to-end simulated GetPage path).
 //
@@ -34,6 +34,7 @@
 #include "storage/block_device.h"
 #include "storage/page.h"
 #include "xlog/log_block.h"
+#include "xstore/xstore.h"
 
 // ----------------------------------------------------------------------
 // Counting allocator: every heap allocation in this binary bumps a
@@ -490,6 +491,54 @@ void BM_LzQuorumWrite(benchmark::State& state) {
   s.Run();  // let the laggard replica writes land
 }
 BENCHMARK(BM_LzQuorumWrite);
+
+// One destage batch: 64 admitted 64 KiB log blocks go to XLOG's SSD
+// cache in one write and to the LT archive in XStore in one write, as
+// XLogProcess's destage task issues them. The batch is a gather list of
+// the blocks' own payload segments, so allocs_per_op counts the list and
+// bookkeeping, not a 4 MiB concatenated copy. Both stores are rings over
+// 16 batches, so every write remaps the previous lap's extents.
+
+sim::Task<> DestageBatch(storage::SimBlockDevice* ssd, xstore::XStore* lt,
+                         const std::vector<xlog::LogBlock>* blocks,
+                         uint64_t off, bool* done) {
+  storage::SegmentList batch;
+  for (const xlog::LogBlock& b : *blocks) batch.Append(b.payload_ptr());
+  if (!(co_await ssd->Write(off, batch)).ok()) abort();
+  if (!(co_await lt->Write("log/lt", off, batch)).ok()) abort();
+  *done = true;
+}
+
+void BM_DestageBatch(benchmark::State& state) {
+  constexpr uint64_t kBlock = 64 * KiB;
+  constexpr int kBlocks = 64;
+  constexpr uint64_t kBatch = kBlock * kBlocks;
+  constexpr uint64_t kRing = 16 * kBatch;
+  sim::Simulator s;
+  storage::SimBlockDevice ssd(s, sim::DeviceProfile::LocalSsd());
+  xstore::XStore lt(s);
+  std::vector<xlog::LogBlock> blocks;
+  for (int i = 0; i < kBlocks; i++) {
+    blocks.push_back(xlog::LogBlock::Make(
+        i * kBlock, std::string(kBlock, static_cast<char>('a' + i % 26)),
+        {}));
+  }
+  uint64_t off = 0;
+  auto destage = [&] {
+    bool done = false;
+    sim::Spawn(s, DestageBatch(&ssd, &lt, &blocks, off, &done));
+    off = (off + kBatch) % kRing;
+    while (!done && s.Step()) {
+    }
+  };
+  for (int i = 0; i < 32; i++) destage();  // fill both rings twice
+  AllocCounter allocs(state);
+  for (auto _ : state) destage();
+  allocs.Report(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_DestageBatch);
 
 // ----------------------------------------------------------------------
 // End-to-end simulated GetPage: a real Deployment (Primary + Page Server

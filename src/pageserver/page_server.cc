@@ -712,14 +712,15 @@ sim::Task<> PageServer::CheckpointWriteBatch(
     std::vector<PageId> run, std::shared_ptr<CheckpointJoin> join,
     sim::Semaphore* sem, uint64_t epoch) {
   PageId first_page = opts_.partition_map.FirstPage(opts_.partition);
-  std::string batch;
-  batch.reserve(run.size() * kPageSize);
-  // Capture images up front, each copied under its ref in one
-  // synchronous stretch together with the page's dirty generation. No
-  // frame stays pinned across the write await below, so concurrent log
-  // apply is free to keep mutating these pages — the generation check
-  // in ClearDirtyIfUnchanged keeps any such page dirty for the next
-  // round (the XStore image is stale for it).
+  // Capture images up front, in one synchronous stretch together with
+  // each page's dirty generation. The batch maps the captured frames
+  // themselves, not copies: XStore holding a frame makes it shared, so
+  // when concurrent log apply mutates one of these pages while the write
+  // is in flight (or later), Page's copy-on-write detaches the pool's
+  // copy onto a fresh frame and the captured image never changes. The
+  // generation check in ClearDirtyIfUnchanged keeps such a page dirty for
+  // the next round (the XStore image is stale for it).
+  storage::SegmentList batch;
   std::vector<std::pair<PageId, uint64_t>> captured;
   captured.reserve(run.size());
   Status status;
@@ -734,13 +735,13 @@ sim::Task<> PageServer::CheckpointWriteBatch(
       break;
     }
     ref->EnsureChecksum();
-    batch.append(ref->page()->cdata(), kPageSize);
+    batch.Append(storage::SegmentRef(ref->page()->ShareFrame(), kPageSize));
     captured.emplace_back(id, pool_->DirtyGen(id));
   }
   if (status.ok() && epoch_ == epoch) {
     status = co_await xstore_->Write(
         data_blob_, (run.front() - first_page) * kPageSize,
-        storage::SegmentRef::Adopt(std::move(batch)));
+        std::move(batch));
   }
   if (epoch_ == epoch) {
     if (status.ok()) {

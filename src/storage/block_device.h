@@ -1,12 +1,12 @@
 // BlockDevice: the byte-addressable async storage abstraction under every
 // tier (the analogue of SQL Server's FCB I/O virtualization layer, §3.6).
 // SimBlockDevice models one device with a latency profile and optional
-// outage injection. Its bytes live in an ExtentStore, so a write of a
-// shared segment keeps the caller's bytes by reference; it also keeps
-// whole pages by reference for the RBPEX tier (ReadPage/WritePage).
-// ReplicatedBlockDevice adds N-way replication with write quorum K — the
-// shape of the XIO landing zone — and hands every replica the same
-// segment.
+// outage injection. Its bytes live in an ExtentStore, so a write keeps the
+// caller's segments by reference (a gather list is one request of the
+// summed length); it also keeps whole pages by reference for the RBPEX
+// tier (ReadPage/WritePage). ReplicatedBlockDevice adds N-way replication
+// with write quorum K — the shape of the XIO landing zone — and hands
+// every replica the same segments.
 
 #pragma once
 
@@ -43,8 +43,9 @@ class BlockDevice {
   virtual sim::Task<Status> Read(uint64_t offset, uint64_t len,
                                  std::string* out) = 0;
 
-  /// Write `data` at `offset`, keeping its segment by reference.
-  virtual sim::Task<Status> Write(uint64_t offset, SegmentRef data) = 0;
+  /// Write `data`'s ranges back to back at `offset`, keeping their
+  /// segments by reference: one request of the summed length.
+  virtual sim::Task<Status> Write(uint64_t offset, SegmentList data) = 0;
 
   /// Write a copy of `data` at `offset`.
   sim::Task<Status> Write(uint64_t offset, Slice data) {
@@ -75,11 +76,17 @@ class SimBlockDevice : public BlockDevice {
     co_return s;
   }
 
-  sim::Task<Status> Write(uint64_t offset, SegmentRef data) override {
+  sim::Task<Status> Write(uint64_t offset, SegmentList data) override {
     Status s = co_await Access(/*write=*/true, data.size());
-    if (s.ok()) bytes_.Write(offset, std::move(data));
+    if (s.ok()) bytes_.Write(offset, data);
     co_return s;
   }
+
+  /// Unmap [offset, offset + len) (a trim): it reads as zeros afterwards
+  /// and the segments it mapped lose this holder. Free and synchronous:
+  /// no latency, RNG draw, chaos check or stats, so discarding never
+  /// moves the simulation.
+  void Discard(uint64_t offset, uint64_t len) { bytes_.Discard(offset, len); }
 
   /// Page-granular I/O: the device keeps the refcounted copy-on-write
   /// image itself, so a page moves in or out by a refcount bump instead
@@ -192,10 +199,10 @@ class ReplicatedBlockDevice : public BlockDevice {
     co_return Status::Unavailable("all replicas down");
   }
 
-  sim::Task<Status> Write(uint64_t offset, SegmentRef data) override {
+  sim::Task<Status> Write(uint64_t offset, SegmentList data) override {
     // Fan the write out to every replica; complete as soon as `quorum`
     // replicas acknowledge, or fail once success becomes impossible.
-    // Every replica maps the same segment. Shared state is heap-allocated
+    // Every replica maps the same segments. Shared state is heap-allocated
     // because laggard replica writes outlive this frame.
     const uint64_t size = data.size();
     auto state = std::make_shared<WriteState>(sim_);
@@ -216,6 +223,13 @@ class ReplicatedBlockDevice : public BlockDevice {
   SimTime cpu_per_io_us() const override { return cpu_per_io_us_; }
   const CounterStats& stats() const override { return stats_; }
 
+  /// Discard [offset, offset + len) on every replica (see
+  /// SimBlockDevice::Discard). A laggard replica write that lands in the
+  /// range afterwards maps its bytes again.
+  void Discard(uint64_t offset, uint64_t len) {
+    for (auto& r : replicas_) r->Discard(offset, len);
+  }
+
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   SimBlockDevice* replica(int i) { return replicas_[i].get(); }
 
@@ -229,7 +243,7 @@ class ReplicatedBlockDevice : public BlockDevice {
  private:
   struct WriteState {
     explicit WriteState(sim::Simulator& s) : decided(s) {}
-    SegmentRef payload;
+    SegmentList payload;
     sim::Event decided;
     int quorum = 0;
     int max_failures = 0;

@@ -70,8 +70,9 @@ class Page {
   /// `owner`; mutation detaches onto a private frame, so the owner's
   /// bytes are never written through this view.
   static Page Alias(std::shared_ptr<const void> owner, const char* image) {
-    return Page(std::shared_ptr<char>(std::move(owner),
-                                      const_cast<char*>(image)));
+    Page p(std::shared_ptr<char>(std::move(owner), const_cast<char*>(image)));
+    p.aliased_ = true;
+    return p;
   }
 
   // Copies share the frame; the next mutation on either side detaches.
@@ -93,6 +94,16 @@ class Page {
 
   /// True when this Page is the sole owner of its frame (diagnostics).
   bool unique() const { return data_.use_count() == 1; }
+
+  /// The frame as an immutable owner, for a store that keeps the image by
+  /// reference (an XStore checkpoint blob). The holder counts as a sharer,
+  /// so the next mutation through any Page detaches and the held image
+  /// never changes. An Alias() view is first copied onto a frame of its
+  /// own: the store then pins these 8 KiB, not the buffer it pointed into.
+  std::shared_ptr<const char> ShareFrame() {
+    if (aliased_) CopyFrame();
+    return data_;
+  }
 
   /// Zero the page and stamp a fresh header.
   void Format(PageId id, PageType type) {
@@ -179,21 +190,28 @@ class Page {
 
   // Copy-on-write: give this Page a private frame, preserving contents.
   void Detach() {
-    if (data_.use_count() != 1) {
-      std::shared_ptr<char> fresh = NewFrame();
-      memcpy(fresh.get(), data_.get(), kPageSize);
-      data_ = std::move(fresh);
-    }
+    if (data_.use_count() != 1) CopyFrame();
+  }
+
+  void CopyFrame() {
+    std::shared_ptr<char> fresh = NewFrame();
+    memcpy(fresh.get(), data_.get(), kPageSize);
+    data_ = std::move(fresh);
+    aliased_ = false;
   }
 
   // Like Detach() but the caller overwrites the whole frame, so a shared
   // frame is replaced without copying the old contents.
   char* DetachForOverwrite() {
-    if (data_.use_count() != 1) data_ = NewFrame();
+    if (data_.use_count() != 1) {
+      data_ = NewFrame();
+      aliased_ = false;
+    }
     return data_.get();
   }
 
   std::shared_ptr<char> data_;
+  bool aliased_ = false;  // data_ points into a buffer Alias() was handed
 };
 
 }  // namespace storage

@@ -19,6 +19,18 @@ sim::Task<Status> LandingZone::WritePhysical(uint64_t pos,
   co_return s;
 }
 
+void LandingZone::DiscardFree() {
+  uint64_t keep = phys_start_;
+  if (!read_pins_.empty()) keep = std::min(keep, *read_pins_.begin());
+  const uint64_t live = phys_reserved_end_ - keep;
+  if (live >= capacity_) return;
+  const uint64_t off = phys_reserved_end_ % capacity_;
+  const uint64_t len = capacity_ - live;
+  const uint64_t first = std::min<uint64_t>(len, capacity_ - off);
+  device_->Discard(off, first);
+  if (first < len) device_->Discard(0, len - first);
+}
+
 sim::Task<Status> LandingZone::WriteReserved(Lsn lsn,
                                              storage::SegmentRef data) {
   auto it = extents_.find(lsn);
@@ -73,7 +85,8 @@ sim::Task<Result<std::string>> LandingZone::Read(Lsn from, Lsn to) {
   }
   // One coalesced device read over the covering physical span, split only
   // at the circular-buffer wrap — the same request count as a raw-layout
-  // read of [from, to).
+  // read of [from, to). The span is pinned while the read is in flight: a
+  // truncation meanwhile must not discard bytes this read returns.
   uint64_t p0 = pieces.front().ext.phys_pos;
   uint64_t p1 = pieces.back().ext.phys_pos + pieces.back().ext.stored_len;
   uint64_t len = p1 - p0;
@@ -81,12 +94,12 @@ sim::Task<Result<std::string>> LandingZone::Read(Lsn from, Lsn to) {
   uint64_t first = std::min<uint64_t>(len, capacity_ - off);
   std::string raw;
   raw.reserve(len);
+  auto pin = read_pins_.insert(p0);
   Status s = co_await device_->Read(off, first, &raw);
+  if (s.ok() && first < len) s = co_await device_->Read(0, len - first, &raw);
+  read_pins_.erase(pin);
+  DiscardFree();
   if (!s.ok()) co_return Result<std::string>(s);
-  if (first < len) {
-    s = co_await device_->Read(0, len - first, &raw);
-    if (!s.ok()) co_return Result<std::string>(s);
-  }
   std::string out;
   out.reserve(to - from);
   std::string scratch;

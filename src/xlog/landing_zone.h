@@ -3,7 +3,10 @@
 // premium-storage device (XIO keeps three replicas; writes complete at
 // quorum). The LZ holds only the recent tail of the log: space is
 // reclaimed when the destaging pipeline has moved blocks to the local
-// block cache and the long-term archive (LT) in XStore. If destaging
+// block cache and the long-term archive (LT) in XStore, and reclaimed
+// space is discarded on every replica, so the LZ maps its retained window
+// and no more (the log's bytes live on in the SSD cache and LT, which map
+// XLOG's own copies of the blocks). If destaging
 // falls behind and the buffer fills, writes fail with OutOfSpace and the
 // Primary stalls — exactly the backpressure the paper describes.
 //
@@ -19,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "common/result.h"
 #include "common/slice.h"
@@ -103,7 +107,9 @@ class LandingZone {
 
   /// Release space up to `lsn` (called once destaging has archived it).
   /// The logical window may start mid-block; physical bytes are freed
-  /// only when a whole stored block falls below the window.
+  /// only when a whole stored block falls below the window. Freed bytes
+  /// are discarded on every replica (reads below start_lsn() are refused,
+  /// so no reader can tell), except what an in-flight Read still covers.
   void Truncate(Lsn lsn) {
     if (lsn > start_lsn_) start_lsn_ = std::min(lsn, durable_end_);
     while (!extents_.empty()) {
@@ -112,6 +118,7 @@ class LandingZone {
       phys_start_ = it->second.phys_pos + it->second.stored_len;
       extents_.erase(it);
     }
+    DiscardFree();
   }
 
   Lsn start_lsn() const { return start_lsn_; }
@@ -154,6 +161,12 @@ class LandingZone {
   // splitting at the circular-buffer wrap.
   sim::Task<Status> WritePhysical(uint64_t pos, storage::SegmentRef data);
 
+  // Discard the ring outside [keep, phys_reserved_end_) on every replica,
+  // where `keep` is phys_start_ or an in-flight read's start if lower.
+  // The whole free arc goes each time, so a laggard replica write that
+  // landed after its block was freed is dropped by the next call.
+  void DiscardFree();
+
   uint64_t capacity_;
   double profile_cpu_per_kb_;
   std::unique_ptr<storage::ReplicatedBlockDevice> device_;
@@ -172,6 +185,7 @@ class LandingZone {
   uint64_t compressed_blocks_written_ = 0;
   std::map<Lsn, Extent> extents_;     // start lsn -> stored extent
   std::map<Lsn, Lsn> completed_;      // out-of-order completions
+  std::multiset<uint64_t> read_pins_;  // physical starts of in-flight reads
   std::function<void(Lsn)> on_durable_advance_;
 };
 

@@ -5,9 +5,6 @@
 namespace socrates {
 namespace xlog {
 
-// Local SSD block cache, circular over the stream like the LZ.
-constexpr uint64_t kSsdCacheBytes = 64 * MiB;
-
 XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
                          xstore::XStore* lt, const XLogOptions& options)
     : sim_(sim),
@@ -183,20 +180,16 @@ sim::Task<> XLogProcess::DestageLoop() {
     destage_idle_.Reset();
     // Batch contiguous queued blocks into one archive write: the LT
     // write pays a full XStore round trip, so per-block writes would cap
-    // destaging far below the log production rate. A lone block (queue
-    // empty behind it) ships its shared payload as-is — no copy; only
-    // actual coalescing concatenates, since those bytes must merge.
-    LogBlock block = std::move(*item);
-    if (block.payload().size() < kDestageBatchBytes &&
-        !destage_q_.empty()) {
-      std::string batch = block.payload();
-      while (batch.size() < kDestageBatchBytes && !destage_q_.empty()) {
-        auto next = co_await destage_q_.Pop();
-        if (!next.has_value()) break;
-        // Admission order makes the queue contiguous by construction.
-        batch += next->payload();
-      }
-      block = LogBlock::Make(block.start_lsn, std::move(batch), {});
+    // destaging far below the log production rate. The batch is a gather
+    // list of the blocks' own payloads, so the SSD cache and the LT map
+    // the bytes the sequence map already holds.
+    const Lsn start = item->start_lsn;
+    storage::SegmentList batch(item->payload_ptr());
+    while (batch.size() < kDestageBatchBytes && !destage_q_.empty()) {
+      auto next = co_await destage_q_.Pop();
+      if (!next.has_value()) break;
+      // Admission order makes the queue contiguous by construction.
+      batch.Append(next->payload_ptr());
     }
     // Hand the batch to a destage lane; bounded lanes keep several SSD +
     // LT writes in flight while the destaged frontier (and the LZ
@@ -204,23 +197,22 @@ sim::Task<> XLogProcess::DestageLoop() {
     // completed batches.
     co_await destage_slots_->Acquire();
     inflight_destages_++;
-    sim::Spawn(sim_, DestageBatchTask(std::move(block)));
+    sim::Spawn(sim_, DestageBatchTask(start, std::move(batch)));
   }
 }
 
-sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
-  // The SSD cache and the LT archive both map the batch's own segment.
-  const storage::SegmentRef payload(block.payload_ptr());
+sim::Task<> XLogProcess::DestageBatchTask(Lsn start,
+                                          storage::SegmentList batch) {
+  // The SSD cache and the LT archive both map the blocks' own payloads.
   // Local SSD block cache: circular over the stream, like the LZ.
-  uint64_t cap = kSsdCacheBytes;
-  uint64_t off = block.start_lsn % cap;
-  uint64_t first = std::min<uint64_t>(payload.size(), cap - off);
-  co_await ssd_cache_->Write(off, payload.Sub(0, first));
-  if (first < payload.size()) {
-    co_await ssd_cache_->Write(
-        0, payload.Sub(first, payload.size() - first));
+  const uint64_t cap = kSsdCacheBytes;
+  const uint64_t off = start % cap;
+  const uint64_t first = std::min<uint64_t>(batch.size(), cap - off);
+  co_await ssd_cache_->Write(off, batch.Sub(0, first));
+  if (first < batch.size()) {
+    co_await ssd_cache_->Write(0, batch.Sub(first, batch.size() - first));
   }
-  Lsn batch_end = block.start_lsn + payload.size();
+  const Lsn batch_end = start + batch.size();
   if (batch_end > ssd_cache_start_ + cap) {
     ssd_cache_start_ = batch_end - cap;
   }
@@ -229,11 +221,11 @@ sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
   // XStore outage never loses log — it only pauses truncation.
   while (true) {
     Status lt_status = co_await lt_->Write(
-        opts_.lt_blob, block.start_lsn - engine::kLogStreamStart, payload);
+        opts_.lt_blob, start - engine::kLogStreamStart, batch);
     if (lt_status.ok()) break;
     co_await sim::Delay(sim_, kDestageRetryUs);
   }
-  destage_done_[block.start_lsn] = batch_end;
+  destage_done_[start] = batch_end;
   while (true) {
     auto it = destage_done_.find(destaged_);
     if (it == destage_done_.end()) break;

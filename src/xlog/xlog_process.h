@@ -24,9 +24,10 @@
 // frontier — so no lane can ever expose a record whose stream
 // predecessors are unacknowledged.
 //
-// A **destaging** pipeline copies admitted blocks to a fixed-size local
+// A **destaging** pipeline writes admitted blocks to a fixed-size local
 // SSD block cache and appends them to the long-term archive (LT) in
-// XStore over several parallel lanes; the destaged frontier (and LZ
+// XStore over several parallel lanes, each batch one gather write that
+// maps the blocks' own payloads; the destaged frontier (and LZ
 // truncation) advances only over the contiguous prefix of completed
 // batches. Consumers (Secondaries, Page Servers) *pull* blocks — the
 // broker does not track consumers — optionally filtered by partition,
@@ -127,6 +128,8 @@ class XLogProcess {
   static constexpr SimTime kDestageRetryUs = 50000;
   /// Destaging batches contiguous blocks into LT writes up to this size.
   static constexpr uint64_t kDestageBatchBytes = 4 * MiB;
+  /// Local SSD block cache, circular over the stream like the LZ.
+  static constexpr uint64_t kSsdCacheBytes = 64 * MiB;
 
   Lsn hardened_lsn() const { return hardened_; }
   Lsn destaged_lsn() const { return destaged_; }
@@ -150,7 +153,7 @@ class XLogProcess {
   void Admit(LogBlock block);
   void EvictSequenceMap();
   sim::Task<> DestageLoop();
-  sim::Task<> DestageBatchTask(LogBlock batch);
+  sim::Task<> DestageBatchTask(Lsn start, storage::SegmentList batch);
   void MaybeSetDestageIdle();
 
   // Compute the partition annotation of a raw stream range (used when a

@@ -6,7 +6,7 @@ namespace socrates {
 namespace xstore {
 
 sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
-                                storage::SegmentRef data) {
+                                storage::SegmentList data) {
   co_await sim::Delay(sim_, profile_.write.Sample(rng_));
   // Transfer time: 1 MB/s == 1 byte/us. Models XStore's throughput limits
   // (the reason HADR's backup egress throttles its log rate, Table 5).
@@ -16,7 +16,7 @@ sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
   if (chaos_port_.Out()) co_return Status::Unavailable("xstore outage");
   const uint64_t size = data.size();
   stored_bytes_ += size;
-  blobs_[blob].Write(offset, std::move(data));
+  blobs_[blob].Write(offset, data);
   stats_.writes++;
   stats_.bytes_written += size;
   co_return Status::OK();

@@ -1,7 +1,7 @@
 // XStore: simulated Azure Standard Storage — the durable "truth" tier
-// (paper §4.7). Log-structured: every write lands as an immutable
-// refcounted segment, and a blob is an extent table from byte ranges to
-// segments (storage::ExtentStore). That makes snapshots and restores
+// (paper §4.7). Log-structured: every write maps immutable refcounted
+// segments (a gather list of them: log payloads, page frames), and a blob
+// is an extent table from byte ranges to segments (storage::ExtentStore). That makes snapshots and restores
 // **constant-time metadata operations** (copy an extent table), the
 // property Socrates' size-of-data-free backup/restore depends on (§3.5).
 // A segment lives while the live blob or any snapshot still maps it.
@@ -50,10 +50,11 @@ class XStore {
   /// delete): independent of blob size by construction.
   static constexpr SimTime kMetaOpLatencyUs = 20000;
 
-  /// Write `data` into `blob` at `offset` (creating the blob if needed).
-  /// The blob's extent table maps `data`'s segment by reference.
+  /// Write `data`'s ranges back to back into `blob` at `offset` (creating
+  /// the blob if needed): one request of the summed length. The blob's
+  /// extent table maps the segments by reference.
   sim::Task<Status> Write(const std::string& blob, uint64_t offset,
-                          storage::SegmentRef data);
+                          storage::SegmentList data);
 
   /// Write a copy of `data`.
   sim::Task<Status> Write(const std::string& blob, uint64_t offset,

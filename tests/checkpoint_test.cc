@@ -2,8 +2,9 @@
 // on Page Servers. Covers the capture-generation lost-update guard,
 // byte-equality of the pipelined path against the serial order,
 // crash-mid-checkpoint recovery, checkpoint-vs-concurrent-apply
-// interleavings, per-server interval jitter, XStore outage insulation,
-// and the Backup() checkpoint/snapshot latency split.
+// interleavings, copy-on-write of the page frames a checkpoint blob
+// maps, per-server interval jitter, XStore outage insulation, and the
+// Backup() checkpoint/snapshot latency split.
 
 #include <gtest/gtest.h>
 
@@ -159,6 +160,85 @@ TEST(CheckpointTest, RedirtyDuringCheckpointIsNotLost) {
     raw = d.xstore().ReadRaw(ps->data_blob(),
                              (victim - first) * kPageSize, kPageSize);
     EXPECT_EQ(raw[storage::kPageHeaderSize], 'B');
+  });
+  d.Stop();
+}
+
+// A checkpoint blob maps the captured page frames themselves, not copies.
+// Log applied to a captured page while the XStore write is in flight must
+// detach the pool's copy (copy-on-write), so the blob keeps exactly the
+// captured image, checksum included, and the next round writes the new
+// one.
+TEST(CheckpointTest, ApplyDuringWriteDetachesFromTheCapturedFrame) {
+  Simulator s;
+  DeploymentOptions o = CheckpointDeployment();
+  Deployment d(s, o);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await LoadRows(d.primary_engine(), 0, 200, "v");
+    auto* ps = d.page_server(0);
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+    EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+    co_await LoadRows(d.primary_engine(), 40, 8, "w");
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+
+    struct Captured {
+      PageId id;
+      Lsn lsn;
+      const char* frame;
+    };
+    std::vector<Captured> captured;
+    for (PageId id : ps->pool()->DirtyPages()) {
+      auto ref = co_await ps->pool()->GetPage(id);
+      EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+      if (!ref.ok()) co_return;
+      captured.push_back({id, ref->page()->page_lsn(), ref->page()->cdata()});
+    }
+    EXPECT_FALSE(captured.empty());
+    Status cp_status;
+    bool cp_done = false;
+    Spawn(s, RunCheckpoint(ps, &cp_status, &cp_done));
+    co_await sim::Delay(s, 500);  // captured; the XStore write is in flight
+    co_await LoadRows(d.primary_engine(), 40, 8, "x");
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+    EXPECT_FALSE(cp_done) << "the apply did not overlap the write";
+
+    std::vector<Captured> changed;
+    for (const Captured& c : captured) {
+      auto ref = co_await ps->pool()->GetPage(c.id);
+      EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+      if (!ref.ok()) co_return;
+      if (ref->page()->page_lsn() == c.lsn) continue;
+      // The blob still holds the captured frame, so the apply detached.
+      EXPECT_NE(ref->page()->cdata(), c.frame) << "page " << c.id;
+      changed.push_back({c.id, ref->page()->page_lsn(), nullptr});
+    }
+    EXPECT_FALSE(changed.empty());
+    while (!cp_done) co_await sim::Delay(s, 1000);
+    EXPECT_TRUE(cp_status.ok()) << cp_status.ToString();
+
+    const PageId first = o.partition_map.FirstPage(0);
+    auto blob_image = [&](PageId id) {
+      storage::Page img;
+      EXPECT_TRUE(img.FromSlice(Slice(d.xstore().ReadRaw(
+                                    ps->data_blob(),
+                                    (id - first) * kPageSize, kPageSize)))
+                      .ok());
+      EXPECT_TRUE(img.VerifyChecksum().ok()) << "page " << id;
+      return img;
+    };
+    for (const Captured& c : captured) {
+      EXPECT_EQ(blob_image(c.id).page_lsn(), c.lsn) << "page " << c.id;
+    }
+    for (const Captured& c : changed) {
+      EXPECT_TRUE(Contains(ps->pool()->DirtyPages(), c.id));
+    }
+    EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+    for (const Captured& c : changed) {
+      EXPECT_FALSE(Contains(ps->pool()->DirtyPages(), c.id));
+      EXPECT_EQ(blob_image(c.id).page_lsn(), c.lsn) << "page " << c.id;
+    }
+    co_await VerifyRows(d.primary_engine(), 40, 8, "x");
   });
   d.Stop();
 }

@@ -1,10 +1,11 @@
 // Tests for pages, the extent store and simulated block devices: header
-// round-trips, checksums, extent mapping against a flat byte model,
-// segment release, sparse device storage, latency ordering, replication
-// quorum, outage behaviour.
+// round-trips, checksums, frame sharing, extent mapping and discard
+// against a flat byte model, gather lists, segment release, sparse device
+// storage, latency ordering, replication quorum, outage behaviour.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,6 +114,41 @@ TEST(PageTest, AliasReadsForeignBufferWithoutCopy) {
   EXPECT_EQ((*frame)[100], src.cdata()[100]);
 }
 
+TEST(PageTest, ShareFrameHoldsTheImageAcrossMutation) {
+  Page p;
+  p.Format(3, PageType::kBTreeLeaf);
+  p.data()[64] = 'a';
+  const char* frame = p.cdata();
+  std::shared_ptr<const char> held = p.ShareFrame();
+  EXPECT_EQ(held.get(), frame);  // an owned frame is shared, not copied
+  EXPECT_FALSE(p.unique());
+  p.data()[64] = 'b';  // the holder makes this write detach
+  EXPECT_NE(p.cdata(), frame);
+  EXPECT_EQ(held.get()[64], 'a');
+  EXPECT_EQ(p.cdata()[64], 'b');
+}
+
+TEST(PageTest, ShareFrameCopiesAnAliasOutOfItsBuffer) {
+  // A page aliasing into a larger buffer (an RBIO response holding many
+  // images) must not hand a store a hold on the whole buffer.
+  Page src;
+  src.Format(4, PageType::kBTreeLeaf);
+  src.UpdateChecksum();
+  auto buffer = std::make_shared<std::string>(4 * kPageSize, '\0');
+  memcpy(buffer->data() + kPageSize, src.cdata(), kPageSize);
+  std::weak_ptr<std::string> watch = buffer;
+  Page aliased = Page::Alias(buffer, buffer->data() + kPageSize);
+  std::shared_ptr<const char> held = aliased.ShareFrame();
+  EXPECT_NE(held.get(), buffer->data() + kPageSize);
+  EXPECT_EQ(memcmp(held.get(), src.cdata(), kPageSize), 0);
+  EXPECT_EQ(held.get(), aliased.cdata());  // the page moved to the copy
+  // A second call shares the now-owned frame.
+  EXPECT_EQ(aliased.ShareFrame().get(), held.get());
+  buffer.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(aliased.VerifyChecksum().ok());
+}
+
 TEST(PageTest, SliceRoundTrip) {
   Page a;
   a.Format(9, PageType::kVersionStore);
@@ -156,7 +192,7 @@ TEST(ExtentStoreTest, HeadMiddleTailSplits) {
 TEST(ExtentStoreTest, HolesReadAsZeroAndReadAppends) {
   ExtentStore st;
   st.Write(4, Filled(2, 'x'));
-  st.Write(10, SegmentRef(Filled(8, 'y'), 2, 3));  // a sub-range
+  st.Write(10, SegmentRef(Filled(8, 'y')).Sub(2, 3));  // a sub-range
   std::string out = "keep";
   st.Read(2, 12, &out);
   EXPECT_EQ(out, std::string("keep") + std::string(2, '\0') + "xx" +
@@ -178,7 +214,7 @@ TEST(ExtentStorePropertyTest, MatchesFlatModel) {
   auto write = [&](uint64_t off, const SegmentRef& data) {
     st.Write(off, data);
     for (uint64_t i = 0; i < data.size(); i++) {
-      model[off + i] = (*data.seg)[data.off + i];
+      model[off + i] = data.data()[i];
       covered[off + i] = true;
     }
   };
@@ -257,6 +293,114 @@ TEST(ExtentStoreTest, RingLapReleasesThePreviousLap) {
   for (auto& w : lap1) EXPECT_TRUE(w.expired());
   EXPECT_EQ(st.mapped_bytes(), kCap);
   EXPECT_EQ(ReadAll(st, 0, kCap), std::string(kCap, 'b'));
+}
+
+TEST(ExtentStoreTest, DiscardUnmapsHeadTailMiddleAndSpans) {
+  ExtentStore st;
+  st.Write(0, Filled(10, 'a'));
+  st.Write(10, Filled(10, 'b'));
+  st.Write(20, Filled(10, 'c'));
+  st.Discard(10, 10);  // a whole extent
+  EXPECT_EQ(ReadAll(st, 0, 30), std::string(10, 'a') +
+                                    std::string(10, '\0') +
+                                    std::string(10, 'c'));
+  EXPECT_EQ(st.mapped_bytes(), 20u);
+  st.Discard(0, 3);   // the head of 'a'
+  st.Discard(27, 3);  // the tail of 'c'
+  st.Discard(5, 2);   // the middle of 'a': splits it in two
+  EXPECT_EQ(ReadAll(st, 0, 30),
+            std::string(3, '\0') + "aa" + std::string(2, '\0') + "aaa" +
+                std::string(10, '\0') + std::string(7, 'c') +
+                std::string(3, '\0'));
+  EXPECT_EQ(st.mapped_bytes(), 12u);
+  st.Discard(4, 22);  // spans both pieces of 'a' and most of 'c'
+  EXPECT_EQ(ReadAll(st, 0, 30), std::string(3, '\0') + "a" +
+                                    std::string(22, '\0') + "c" +
+                                    std::string(3, '\0'));
+  EXPECT_EQ(st.mapped_bytes(), 2u);
+  st.Discard(40, 5);  // nothing mapped there
+  EXPECT_EQ(st.mapped_bytes(), 2u);
+  EXPECT_EQ(st.size(), 30u);  // discarding never shrinks the address space
+  st.Write(5, Filled(2, 'd'));  // a discarded range takes writes again
+  EXPECT_EQ(ReadAll(st, 3, 5), std::string("a\0dd\0", 5));
+  EXPECT_EQ(st.mapped_bytes(), 4u);
+}
+
+TEST(ExtentStoreTest, DiscardedSegmentIsFreedOnceNoStoreMapsIt) {
+  ExtentStore a, b;
+  std::weak_ptr<const std::string> watch;
+  {
+    Segment seg = Filled(100, 's');
+    watch = seg;
+    a.Write(0, seg);
+    b.Write(500, SegmentRef(seg).Sub(10, 50));
+  }
+  a.Discard(0, 60);
+  EXPECT_FALSE(watch.expired());
+  a.Discard(60, 40);
+  EXPECT_EQ(a.mapped_bytes(), 0u);
+  EXPECT_FALSE(watch.expired());  // `b` still maps a range of it
+  b.Discard(490, 30);             // `b` keeps the tail of its range
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(ReadAll(b, 520, 30), std::string(30, 's'));
+  b.Discard(520, 100);
+  EXPECT_TRUE(watch.expired());
+}
+
+// Property test: random writes and discards against a flat byte model.
+TEST(ExtentStorePropertyTest, DiscardMatchesFlatModel) {
+  const uint64_t kSpace = 2048;
+  Random rng(29);
+  ExtentStore st;
+  std::string model(kSpace, '\0');
+  for (int i = 0; i < 1500; i++) {
+    const uint64_t off = rng.Uniform(kSpace);
+    const uint64_t len = 1 + rng.Uniform(std::min<uint64_t>(400, kSpace - off));
+    if (rng.Uniform(3) == 0) {
+      st.Discard(off, len);
+      model.replace(off, len, len, '\0');
+    } else {
+      const char c = static_cast<char>('a' + rng.Uniform(26));
+      st.Write(off, Filled(len, c));
+      model.replace(off, len, len, c);
+    }
+    if (i % 50 == 0 || i == 1499) {
+      ASSERT_EQ(ReadAll(st, 0, kSpace), model) << "after op " << i;
+      // Written bytes are letters, so the mapped ones are the non-zeros.
+      const auto zeros = std::count(model.begin(), model.end(), '\0');
+      ASSERT_EQ(st.mapped_bytes(), kSpace - zeros) << "after op " << i;
+    }
+  }
+}
+
+TEST(SegmentListTest, GathersInlineThenOnTheHeapAndSubTrimsEnds) {
+  SegmentList one(Filled(4, 'a'));
+  EXPECT_EQ(one.size(), 4u);
+  EXPECT_EQ(one.refs().size(), 1u);
+  SegmentList empty;
+  empty.Append(SegmentRef());  // empty ranges are skipped
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.refs().empty());
+
+  Segment b = Filled(6, 'b');
+  SegmentList list(Filled(4, 'a'));
+  list.Append(b);
+  list.Append(SegmentRef(Filled(5, 'c')).Sub(1, 3));
+  EXPECT_EQ(list.size(), 13u);
+  ASSERT_EQ(list.refs().size(), 3u);
+  ExtentStore st;
+  st.Write(2, list);
+  EXPECT_EQ(ReadAll(st, 0, 16), std::string(2, '\0') + "aaaabbbbbbccc" +
+                                    std::string(1, '\0'));
+
+  SegmentList mid = list.Sub(3, 8);  // 'a' + all of `b` + 'c'
+  EXPECT_EQ(mid.size(), 8u);
+  ASSERT_EQ(mid.refs().size(), 3u);
+  EXPECT_EQ(mid.refs()[1].data(), b->data());  // shares, no copy
+  ExtentStore st2;
+  st2.Write(0, mid);
+  EXPECT_EQ(ReadAll(st2, 0, 8), "abbbbbbc");
+  EXPECT_EQ(list.Sub(5, 2).refs().size(), 1u);  // inside one range
 }
 
 // ---------------------------------------------------------- SimBlockDevice
@@ -530,6 +674,36 @@ TEST(ReplicatedDeviceTest, DownReplicaKeepsNothingLiveOnesShareOneImage) {
   }(dev, &got));
   s.Run();
   EXPECT_EQ(got, std::string(12, '\0'));
+}
+
+TEST(ReplicatedDeviceTest, GatherWriteIsOneRequestAndSharesEverySegment) {
+  Simulator s;
+  ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
+  Segment a = std::make_shared<const std::string>("gather ");
+  Segment b = std::make_shared<const std::string>("write");
+  SegmentList list(a);
+  list.Append(b);
+  Status ws;
+  Spawn(s, [](ReplicatedBlockDevice& d, SegmentList l, Status* w) -> Task<> {
+    *w = co_await d.Write(100, std::move(l));
+  }(dev, list, &ws));
+  s.Run();
+  EXPECT_TRUE(ws.ok());
+  EXPECT_EQ(dev.stats().writes, 1u);
+  EXPECT_EQ(dev.stats().bytes_written, 12u);
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(dev.replica(i)->stats().writes, 1u) << "replica " << i;
+    EXPECT_EQ(dev.replica(i)->ReadRaw(100, 12), "gather write")
+        << "replica " << i;
+  }
+  // Our handle, the list's, and one per replica.
+  EXPECT_EQ(a.use_count(), 5);
+  EXPECT_EQ(b.use_count(), 5);
+  dev.Discard(100, 7);  // a trim on every replica frees the first segment
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_EQ(dev.replica(2)->ReadRaw(100, 12),
+            std::string(7, '\0') + "write");
+  EXPECT_EQ(dev.replica(0)->allocated_bytes(), 5u);
 }
 
 TEST(ReplicatedDeviceTest, QuorumFasterThanAllReplicas) {

@@ -1,12 +1,14 @@
 // Regression + property tests for the XLOG serving pipeline under
 // stress: sequence-map eviction, destaging lag, the destage frontier
 // (ranges that straddle SSD-cache/LZ/LT coverage), batched destaging,
-// and late consumers. These pin down a real bug found during
+// and late consumers, and log retention (each byte held once, every
+// tier serving the same bytes). These pin down a real bug found during
 // development: a Pull that straddled the destage frontier fell through
 // to the LT and silently returned zeros, making consumers skip log.
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.h"
 #include "engine/log_record.h"
 #include "xlog/landing_zone.h"
 #include "xlog/xlog_client.h"
@@ -271,6 +273,130 @@ TEST(XLogPipelineTest, LossyDeliveryPlusEvictionStillContiguous) {
   }
 }
 
+// Log retention (§4.3): once destaged, a byte is held by the SSD cache
+// and the LT archive, which map XLOG's own block payloads, and by no one
+// else; the LZ discards what it truncates. Every tier still serves the
+// same bytes.
+TEST(XLogPipelineTest, RetentionHoldsEachByteOnceAndEveryTierAgrees) {
+  PipelineFixture f(/*seq_map_bytes=*/256 * KiB, /*xstore_mb_s=*/400.0);
+  chaos::Injector inj;
+  f.lt.AttachChaos(&inj, "xstore");
+  uint64_t next_key = 0;
+  auto write = [&](uint64_t bytes) {
+    RunSim(f.sim, [&]() -> Task<> {
+      const Lsn until = f.client.end_lsn() + bytes;
+      while (f.client.end_lsn() < until) {
+        for (int i = 0; i < 16; i++) {
+          f.client.Append(InsertRecord(1 + next_key % 5, next_key, 3000));
+          next_key++;
+        }
+        (void)co_await f.client.Flush();
+      }
+    });
+  };
+  auto drain = [&] {
+    f.sim.RunFor(20LL * 1000 * 1000);
+    ASSERT_EQ(f.xlog.destaged_lsn(), f.client.end_lsn());
+  };
+  // Concatenated payloads of an unfiltered pull of [from, to).
+  auto pull = [&](Lsn from, Lsn to) {
+    std::string out;
+    RunSim(f.sim, [&]() -> Task<> {
+      Lsn pos = from;
+      while (pos < to) {
+        auto blocks = co_await f.xlog.Pull(pos, std::nullopt, 256 * KiB);
+        EXPECT_TRUE(blocks.ok() && !blocks->empty());
+        if (!blocks.ok() || blocks->empty()) co_return;
+        for (const LogBlock& b : *blocks) {
+          EXPECT_EQ(b.start_lsn, pos);
+          out += b.payload();
+          pos = b.end_lsn();
+        }
+      }
+    });
+    out.resize(to - from);
+    return out;
+  };
+  auto archived = [&](Lsn from, Lsn to) {
+    return f.lt.ReadRaw("log/lt", from - kLogStreamStart, to - from);
+  };
+  auto expect_lz_holds_only_its_window = [&] {
+    for (int r = 0; r < 3; r++) {
+      EXPECT_LE(f.lz.device()->replica(r)->allocated_bytes(),
+                f.lz.stored_bytes())
+          << "replica " << r;
+    }
+  };
+
+  // Destaged log below the sequence map is served by the SSD cache.
+  write(2 * MiB);
+  drain();
+  expect_lz_holds_only_its_window();
+  const Lsn head_end = kLogStreamStart + 512 * KiB;
+  uint64_t ssd = f.xlog.pulls_from_ssd();
+  const std::string head = pull(kLogStreamStart, head_end);
+  EXPECT_GT(f.xlog.pulls_from_ssd(), ssd);
+  EXPECT_EQ(head, archived(kLogStreamStart, head_end));
+
+  // While XStore is out nothing destages: the LZ serves what left the
+  // sequence map, the sequence map the tail.
+  inj.SetOutage("xstore", true);
+  const Lsn stuck = f.xlog.destaged_lsn();
+  write(1 * MiB);
+  f.sim.RunFor(200 * 1000);
+  EXPECT_EQ(f.xlog.destaged_lsn(), stuck);
+  expect_lz_holds_only_its_window();
+  EXPECT_GE(f.lz.stored_bytes(), 1 * MiB);
+  const uint64_t lz = f.xlog.pulls_from_lz();
+  const uint64_t seq = f.xlog.pulls_from_seq_map();
+  const Lsn end = f.client.end_lsn();
+  const std::string tail = pull(stuck, end);
+  EXPECT_GT(f.xlog.pulls_from_lz(), lz);
+  EXPECT_GT(f.xlog.pulls_from_seq_map(), seq);
+  inj.SetOutage("xstore", false);
+  drain();
+  EXPECT_EQ(tail, archived(stuck, end));
+
+  // Lap the SSD cache: the head now comes from the LT archive.
+  write(XLogProcess::kSsdCacheBytes + 1 * MiB);
+  const Lsn last_from = f.client.end_lsn();  // a block boundary
+  write(64 * KiB);
+  drain();
+  EXPECT_EQ(f.lz.start_lsn(), f.client.end_lsn());
+  EXPECT_EQ(f.lz.stored_bytes(), 0u);
+  expect_lz_holds_only_its_window();
+  const uint64_t lt = f.xlog.pulls_from_lt();
+  EXPECT_EQ(pull(kLogStreamStart, head_end), head);
+  EXPECT_GT(f.xlog.pulls_from_lt(), lt);
+
+  // The last blocks are held by the sequence map, this pull, one SSD
+  // cache extent and one LT extent: both tiers map the block's own
+  // payload, neither holds a copy.
+  RunSim(f.sim, [&]() -> Task<> {
+    auto blocks =
+        co_await f.xlog.Pull(last_from, std::nullopt, 256 * KiB);
+    EXPECT_TRUE(blocks.ok() && !blocks->empty());
+    if (!blocks.ok()) co_return;
+    for (const LogBlock& b : *blocks) {
+      EXPECT_EQ(b.payload_ptr().use_count(), 4) << "block at " << b.start_lsn;
+    }
+  });
+
+  // The archive is the exact record stream.
+  const std::string all = archived(kLogStreamStart, f.client.end_lsn());
+  uint64_t seen = 0;
+  EXPECT_TRUE(engine::ForEachRecord(Slice(all), kLogStreamStart,
+                                    [&](Lsn, Slice p) {
+                                      LogRecord rec;
+                                      EXPECT_TRUE(
+                                          LogRecord::Decode(p, &rec).ok());
+                                      EXPECT_EQ(rec.key, seen);
+                                      seen++;
+                                      return true;
+                                    })
+                  .ok());
+  EXPECT_EQ(seen, next_key);
+}
 
 TEST(XLogPipelineTest, FullLandingZoneStallsThenRecovers) {
   // §4.3: "Socrates cannot process any update transactions once the LZ

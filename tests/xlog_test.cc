@@ -136,6 +136,112 @@ TEST(LandingZoneTest, SurvivesSingleReplicaOutage) {
   });
 }
 
+// Truncation discards what it frees: each replica maps the retained
+// window and no more, and a truncated block's segment is freed.
+TEST(LandingZoneTest, TruncateDiscardsFreedBlocksOnEveryReplica) {
+  Simulator s;
+  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 4096);
+  std::vector<std::weak_ptr<const std::string>> written;
+  Lsn pos = kLogStreamStart;
+  auto put = [&](char c) {
+    RunSim(s, [&]() -> Task<> {
+      storage::Segment block = std::make_shared<const std::string>(1000, c);
+      written.push_back(block);
+      EXPECT_TRUE(lz.TryReserve(pos, block->size()).ok());
+      EXPECT_TRUE((co_await lz.WriteReserved(pos, block)).ok());
+      pos += block->size();
+    });  // Run() also lands the laggard replica's write
+  };
+  auto expect_window_only = [&] {
+    for (int r = 0; r < 3; r++) {
+      EXPECT_EQ(lz.device()->replica(r)->allocated_bytes(), lz.stored_bytes())
+          << "replica " << r;
+    }
+  };
+  for (char c : {'a', 'b', 'c', 'd'}) put(c);
+  expect_window_only();
+  EXPECT_EQ(lz.stored_bytes(), 4000u);
+  lz.Truncate(kLogStreamStart + 2500);  // frees 'a' and 'b' only
+  EXPECT_EQ(lz.stored_bytes(), 2000u);
+  expect_window_only();
+  EXPECT_TRUE(written[0].expired());
+  EXPECT_TRUE(written[1].expired());
+  EXPECT_FALSE(written[2].expired());
+  // Around the ring: 'e' wraps, and truncation splits its discard too.
+  put('e');
+  put('f');
+  lz.Truncate(pos - 1000);
+  EXPECT_EQ(lz.stored_bytes(), 1000u);
+  expect_window_only();
+  for (int i = 0; i < 5; i++) EXPECT_TRUE(written[i].expired()) << i;
+  RunSim(s, [&]() -> Task<> {
+    auto r = co_await lz.Read(pos - 1000, pos);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.ok() ? *r : "", std::string(1000, 'f'));
+  });
+}
+
+// A read in flight when truncation frees its range still returns the
+// bytes it was admitted for; the range is discarded once it completes.
+TEST(LandingZoneTest, ReadRacingTruncationKeepsItsBytes) {
+  Simulator s;
+  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 1 * MiB);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await lz.Write(kLogStreamStart, Slice("racing"))).ok());
+    EXPECT_TRUE(
+        (co_await lz.Write(kLogStreamStart + 6, Slice(" reader"))).ok());
+  });
+  Result<std::string> got = Status::Unavailable("not read");
+  bool read_done = false;
+  Spawn(s, [](LandingZone* z, Result<std::string>* out,
+              bool* done) -> Task<> {
+    *out = co_await z->Read(kLogStreamStart, kLogStreamStart + 13);
+    *done = true;
+  }(&lz, &got, &read_done));
+  Spawn(s, [](Simulator* sim, LandingZone* z, bool* done) -> Task<> {
+    co_await sim::Delay(*sim, 1);
+    EXPECT_FALSE(*done);  // the device read is still in flight
+    z->Truncate(kLogStreamStart + 13);
+    EXPECT_EQ(z->stored_bytes(), 0u);
+    EXPECT_EQ(z->device()->replica(0)->allocated_bytes(), 13u);
+  }(&s, &lz, &read_done));
+  s.Run();
+  ASSERT_TRUE(read_done);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "racing reader");
+  for (int r = 0; r < 3; r++) {
+    EXPECT_EQ(lz.device()->replica(r)->allocated_bytes(), 0u)
+        << "replica " << r;
+  }
+}
+
+// A laggard replica write that lands after its block was truncated maps
+// bytes outside the window until the next truncation drops them.
+TEST(LandingZoneTest, LaggardReplicaWriteIsDroppedByTheNextTruncate) {
+  Simulator s;
+  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 1 * MiB);
+  chaos::Injector inj;
+  lz.device()->replica(2)->AttachChaos(&inj, "slow-replica");
+  inj.SetGrayDelay("slow-replica", 50000);
+  Spawn(s, [](LandingZone* z) -> Task<> {
+    EXPECT_TRUE((co_await z->Write(kLogStreamStart, Slice("late"))).ok());
+    z->Truncate(kLogStreamStart + 4);  // before replica 2 lands
+  }(&lz));
+  s.Run();
+  EXPECT_EQ(lz.stored_bytes(), 0u);
+  EXPECT_EQ(lz.device()->replica(0)->allocated_bytes(), 0u);
+  EXPECT_EQ(lz.device()->replica(2)->allocated_bytes(), 4u);
+  inj.SetGrayDelay("slow-replica", 0);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await lz.Write(kLogStreamStart + 4, Slice("next"))).ok());
+  });
+  lz.Truncate(kLogStreamStart + 8);
+  for (int r = 0; r < 3; r++) {
+    EXPECT_EQ(lz.device()->replica(r)->allocated_bytes(), 0u)
+        << "replica " << r;
+  }
+}
+
 // -------------------------------------------------- XLogProcess + client
 
 struct XLogFixture {

@@ -179,6 +179,30 @@ TEST(XStoreTest, OverwrittenSegmentWithoutSnapshotIsReleased) {
   EXPECT_EQ(xs.ReadRaw("db", 0, 9), "version-2");
 }
 
+TEST(XStoreTest, GatherWriteChargesOneRequestOfTheSummedLength) {
+  // The same bytes as one concatenated string and as a gather list of two
+  // segments: same latency draw, same transfer time, one request each.
+  Simulator s1, s2;
+  XStore flat(s1), gather(s2);
+  storage::Segment a = std::make_shared<const std::string>(3000, 'a');
+  storage::Segment b = std::make_shared<const std::string>(5000, 'b');
+  RunSim(s1, [&]() -> Task<> {
+    (void)co_await flat.Write("blob", 64, Slice(*a + *b));
+  });
+  RunSim(s2, [&]() -> Task<> {
+    storage::SegmentList list(a);
+    list.Append(b);
+    (void)co_await gather.Write("blob", 64, std::move(list));
+  });
+  EXPECT_EQ(s1.now(), s2.now());
+  EXPECT_EQ(gather.stats().writes, 1u);
+  EXPECT_EQ(gather.stats().bytes_written, 8000u);
+  EXPECT_EQ(gather.stored_bytes(), flat.stored_bytes());
+  EXPECT_EQ(gather.ReadRaw("blob", 0, 8064), flat.ReadRaw("blob", 0, 8064));
+  EXPECT_EQ(a.use_count(), 2);  // mapped by the blob, not copied
+  EXPECT_EQ(b.use_count(), 2);
+}
+
 TEST(XStoreTest, RestoredBlobIsIndependent) {
   Simulator s;
   XStore xs(s);
