@@ -28,7 +28,6 @@
 #include "engine/log_record.h"
 #include "engine/log_sink.h"
 #include "engine/redo.h"
-#include "engine/version.h"
 #include "pageserver/page_server.h"
 #include "rbio/rbio.h"
 #include "sim/simulator.h"
@@ -71,9 +70,9 @@ GeneratedLog GenerateLog() {
     for (int pass = 0; pass < 2; pass++) {
       std::string value(180, static_cast<char>('a' + pass));
       for (uint64_t k = 0; k < 20000; k++) {
-        engine::VersionChain chain;
-        chain.Push(ts, false, Slice(value));
-        Status ws = co_await tree.Write(1, k * 7, chain);
+        // Trimming at the commit timestamp keeps one version per key.
+        Status ws = co_await tree.Write(1, k * 7, ts, false, Slice(value),
+                                        /*trim_ts=*/ts);
         if (!ws.ok()) abort();
         if (++in_txn == 16) {
           engine::LogRecord commit;

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark, real CPU time) for the hot
 // building blocks: CRC32-C, page checksum, slotted-page operations,
-// version-chain codec, log-record codec + redo, log-block frame codec,
+// version-chain codec, log-record codec + redo, the log bytes of a split
+// image, log-block frame codec,
 // Zipf generation, the RBPEX promote/spill cycle, the landing-zone
 // quorum write, the destage gather write, and the simulator
 // substrate itself (event core, coroutine wakes, channel hand-offs, the
@@ -20,9 +21,11 @@
 
 #include "common/crc32c.h"
 #include "common/random.h"
+#include "engine/btree.h"
 #include "engine/btree_page.h"
 #include "engine/buffer_pool.h"
 #include "engine/log_record.h"
+#include "engine/log_sink.h"
 #include "engine/redo.h"
 #include "engine/version.h"
 #include "rbio/rbio.h"
@@ -402,6 +405,53 @@ void BM_ApplyStreamDecode(benchmark::State& state) {
   allocs.Report(state.iterations() * 64);
 }
 BENCHMARK(BM_ApplyStreamDecode);
+
+// One root split through the B-tree into an in-memory log: the split logs
+// the two halves and the new root as page images. Counters: the log bytes
+// of one image (the record's image field) and the live bytes of the page
+// it rebuilds (header and record heap up to free_offset, plus the slot
+// directory). CI gates image_bytes <= live_bytes + 16, which a full 8 KiB
+// image fails.
+void BM_SplitImageLog(benchmark::State& state) {
+  const std::string payload(100, 'p');
+  double image_bytes = 0;
+  double live_bytes = 0;
+  int64_t images = 0;
+  for (auto _ : state) {
+    sim::Simulator s;
+    engine::BufferPool pool(s, engine::BufferPoolOptions{}, nullptr);
+    engine::MemLogSink sink(s);
+    engine::BTree tree(s, &pool, &sink);
+    sim::Spawn(s, [](engine::BTree* t, Slice v) -> sim::Task<> {
+      if (!(co_await t->Create()).ok()) abort();
+      for (uint64_t k = 0; t->next_page_id() == engine::kRootPageId + 1;
+           k++) {
+        if (!(co_await t->Write(1, k, 1, false, v, 1)).ok()) abort();
+      }
+    }(&tree, Slice(payload)));
+    s.Run();
+    Status st = engine::ForEachRecord(
+        Slice(sink.stream()), engine::kLogStreamStart,
+        [&](Lsn lsn, Slice p) {
+          engine::LogRecord rec;
+          if (!engine::LogRecord::Decode(p, &rec).ok()) abort();
+          if (rec.type != engine::LogRecordType::kPageImage) return true;
+          storage::Page page;
+          if (!engine::ApplyToPage(rec, lsn, &page).ok()) abort();
+          engine::BTreePage bp(&page);
+          image_bytes += rec.value.size();
+          live_bytes += engine::kRecordAreaStart + bp.LiveBytes() +
+                        2 * bp.slot_count();
+          images++;
+          return true;
+        });
+    if (!st.ok()) abort();
+  }
+  state.SetItemsProcessed(images);
+  state.counters["image_bytes"] = benchmark::Counter(image_bytes / images);
+  state.counters["live_bytes"] = benchmark::Counter(live_bytes / images);
+}
+BENCHMARK(BM_SplitImageLog);
 
 // RBPEX round trip: 32 pages cycled round-robin through 16 memory frames
 // over a 64-page SSD tier, so every op is one SSD promotion plus one

@@ -14,27 +14,6 @@ namespace {
 // healthy Secondary the log-apply thread catches up after a few pauses.
 constexpr int kMaxTraverseRetries = 10000;
 
-// Build the image of a freshly formatted page carrying slots
-// [from, to) of `src`. Used by splits.
-void CopyRange(const BTreePage& src, storage::Page* dst_page, PageId dst_id,
-               uint64_t low, uint64_t high, PageId right_sibling, int from,
-               int to) {
-  BTreePage::Format(dst_page, dst_id, src.level(), low, high,
-                    right_sibling);
-  BTreePage dst(dst_page);
-  for (int i = from; i < to; i++) {
-    if (src.is_leaf()) {
-      Status s = dst.LeafInsert(src.KeyAt(i), src.LeafValueAt(i));
-      assert(s.ok());
-      (void)s;
-    } else {
-      Status s = dst.InteriorInsert(src.KeyAt(i), src.ChildAt(i));
-      assert(s.ok());
-      (void)s;
-    }
-  }
-}
-
 }  // namespace
 
 sim::Task<Status> BTree::Create() {
@@ -199,19 +178,28 @@ Status BTree::ApplyAndLog(const LogRecord& rec, PageRef* page) {
   return s;
 }
 
-sim::Task<Status> BTree::Write(TxnId txn, uint64_t key,
-                               const VersionChain& chain) {
-  std::string encoded = chain.Encode();
-  if (encoded.size() > storage::kPageUsableSize / 2) {
-    co_return Status::InvalidArgument("version chain too large for a page");
-  }
+sim::Task<Status> BTree::Write(TxnId txn, uint64_t key, Timestamp commit_ts,
+                               bool tombstone, Slice payload,
+                               Timestamp trim_ts) {
+  std::string chain;  // the chain this write leaves, sized for the fit check
   for (int attempt = 0; attempt < kMaxTraverseRetries; attempt++) {
     std::vector<PageId> path;
     Result<PageRef> leaf = co_await TraverseToLeaf(key, &path);
     if (!leaf.ok()) co_return leaf.status();
     BTreePage bp(leaf->page());
-    bool exists = bp.FindSlot(key) >= 0;
-    uint32_t vsize = static_cast<uint32_t>(encoded.size());
+    const int slot = bp.FindSlot(key);
+    const bool exists = slot >= 0;
+    chain.clear();
+    if (!VersionChain::EncodePushed(exists ? bp.LeafValueAt(slot) : Slice(),
+                                    commit_ts, tombstone, payload, trim_ts,
+                                    &chain)) {
+      co_return Status::Corruption("bad version chain encoding");
+    }
+    if (chain.size() > storage::kPageUsableSize / 2) {
+      co_return Status::InvalidArgument(
+          "version chain too large for a page");
+    }
+    uint32_t vsize = static_cast<uint32_t>(chain.size());
     bool fits = exists ? bp.CanHostLeafUpdate(key, vsize)
                        : bp.CanHostLeafInsert(vsize);
     if (fits) {
@@ -221,7 +209,10 @@ sim::Task<Status> BTree::Write(TxnId txn, uint64_t key,
       rec.txn_id = txn;
       rec.page_id = path.back();
       rec.key = key;
-      rec.value = encoded;
+      rec.commit_ts = commit_ts;
+      rec.tombstone = tombstone;
+      rec.trim_ts = trim_ts;
+      rec.value.assign(payload.data(), payload.size());
       co_return ApplyAndLog(rec, &leaf.value());
     }
     // Split and retry. Release the leaf pin first; splits repin.
@@ -262,12 +253,11 @@ sim::Task<Status> BTree::SplitPage(TxnId txn,
 
   PageId right_id = AllocatePage();
 
-  // Build both halves as images, then log+apply them.
+  // The right half is a new page: log its image. The left half keeps
+  // its lower records, which redo derives from the page itself.
   storage::Page right_img;
-  CopyRange(lp, &right_img, right_id, sep, lp.high_fence(),
-            lp.right_sibling(), mid, n);
-  storage::Page left_img;
-  CopyRange(lp, &left_img, left_id, lp.low_fence(), sep, right_id, 0, mid);
+  BTreePage::CopyRange(lp, &right_img, right_id, sep, lp.high_fence(),
+                       lp.right_sibling(), mid, n);
 
   Result<PageRef> right = pool_->NewPage(right_id);
   if (!right.ok()) co_return right.status();
@@ -276,14 +266,15 @@ sim::Task<Status> BTree::SplitPage(TxnId txn,
   rrec.type = LogRecordType::kPageImage;
   rrec.txn_id = txn;
   rrec.page_id = right_id;
-  rrec.value = right_img.AsSlice().ToString();
+  rrec.value = right_img.HoleFreeImage();
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(rrec, &right.value()));
 
   LogRecord lrec;
-  lrec.type = LogRecordType::kPageImage;
+  lrec.type = LogRecordType::kSplitLeft;
   lrec.txn_id = txn;
   lrec.page_id = left_id;
-  lrec.value = left_img.AsSlice().ToString();
+  lrec.key = sep;
+  lrec.right_sibling = right_id;
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(lrec, &left.value()));
 
   co_return co_await InsertIntoInterior(txn, path, depth - 1, sep,
@@ -366,9 +357,10 @@ sim::Task<Status> BTree::SplitRoot(TxnId txn) {
   PageId right_id = AllocatePage();
 
   storage::Page left_img, right_img;
-  CopyRange(rp, &left_img, left_id, rp.low_fence(), sep, right_id, 0, mid);
-  CopyRange(rp, &right_img, right_id, sep, rp.high_fence(),
-            rp.right_sibling(), mid, n);
+  BTreePage::CopyRange(rp, &left_img, left_id, rp.low_fence(), sep,
+                       right_id, 0, mid);
+  BTreePage::CopyRange(rp, &right_img, right_id, sep, rp.high_fence(),
+                       rp.right_sibling(), mid, n);
 
   // New root: interior page one level up with exactly two children.
   storage::Page root_img;
@@ -393,15 +385,15 @@ sim::Task<Status> BTree::SplitRoot(TxnId txn) {
   rec.txn_id = txn;
 
   rec.page_id = left_id;
-  rec.value = left_img.AsSlice().ToString();
+  rec.value = left_img.HoleFreeImage();
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(rec, &left.value()));
 
   rec.page_id = right_id;
-  rec.value = right_img.AsSlice().ToString();
+  rec.value = right_img.HoleFreeImage();
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(rec, &right.value()));
 
   rec.page_id = kRootPageId;
-  rec.value = root_img.AsSlice().ToString();
+  rec.value = root_img.HoleFreeImage();
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(rec, &root.value()));
 
   co_return Status::OK();

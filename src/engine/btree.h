@@ -11,8 +11,9 @@
 // the engine's commit mutex. Every mutation is expressed as a log record
 // that is appended to the LogSink and then applied to the local page with
 // the same ApplyToPage used by redo on Page Servers — one code path for
-// do and redo. Structure changes (splits) are logged as full page images;
-// they are rare enough that the log-volume cost is negligible.
+// do and redo. A leaf write logs only the new row version; structure
+// changes (splits) are logged as page images without their free-space
+// hole (see log_record.h).
 
 #pragma once
 
@@ -62,10 +63,12 @@ class BTree {
   /// same §4.5 retry discipline as TraverseToLeaf.
   sim::Task<Result<PageId>> LeafIdFor(uint64_t key);
 
-  /// Upsert: store `chain` under `key` (insert or replace), splitting as
-  /// needed. Primary-only, under the engine's commit mutex.
-  sim::Task<Status> Write(TxnId txn, uint64_t key,
-                          const VersionChain& chain);
+  /// Commit one row version under `key` (insert or update), splitting as
+  /// needed. The stored chain becomes VersionChain::EncodePushed of the
+  /// old one (empty for a new key); the log record carries only the new
+  /// version and `trim_ts`. Primary-only, under the engine's commit mutex.
+  sim::Task<Status> Write(TxnId txn, uint64_t key, Timestamp commit_ts,
+                          bool tombstone, Slice payload, Timestamp trim_ts);
 
   /// Remove `key` entirely (version GC when the whole chain is dead).
   sim::Task<Status> Erase(TxnId txn, uint64_t key);

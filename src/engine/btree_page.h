@@ -61,6 +61,23 @@ class BTreePage {
     EncodeFixed64(d + 56, 0);
   }
 
+  /// Format `dst` as page `dst_id` carrying slots [from, to) of `src`
+  /// (a split half). The records land back to back in slot order, so the
+  /// hole after them is all zeros.
+  static void CopyRange(const BTreePage& src, storage::Page* dst,
+                        PageId dst_id, uint64_t low, uint64_t high,
+                        PageId right_sibling, int from, int to) {
+    Format(dst, dst_id, src.level(), low, high, right_sibling);
+    BTreePage d(dst);
+    for (int i = from; i < to; i++) {
+      Status s = src.is_leaf()
+                     ? d.LeafInsert(src.KeyAt(i), src.LeafValueAt(i))
+                     : d.InteriorInsert(src.KeyAt(i), src.ChildAt(i));
+      assert(s.ok());
+      (void)s;
+    }
+  }
+
   bool is_leaf() const { return p_->aux() == 0; }
   uint32_t level() const { return p_->aux(); }
 

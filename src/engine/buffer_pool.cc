@@ -90,7 +90,12 @@ BufferPool::BufferPool(sim::Simulator& sim,
   }
 }
 
-BufferPool::~BufferPool() { life_->alive = false; }
+BufferPool::~BufferPool() {
+  life_->alive = false;
+  // A detached spill or prefetch can still hold the SSD device; drop its
+  // page images now so a frame that never resumes pins none of them.
+  if (ssd_ != nullptr) ssd_->Discard(0, UINT64_MAX);
+}
 
 sim::Task<Result<PageRef>> BufferPool::GetPage(PageId page_id) {
   return GetPageInternal(page_id, /*fetch_on_miss=*/true);
@@ -746,13 +751,17 @@ sim::Task<> BufferPool::SpillToSsd(PageId page_id,
   ssd_meta_[page_id].page_lsn = page.page_lsn();
   ssd_meta_[page_id].writers++;
   co_await ssd->WritePage(slot * kPageSize, page);
+  if (!life->alive) {
+    // The pool died while this write was in flight: nobody will read
+    // the slot again.
+    ssd->Discard(slot * kPageSize, kPageSize);
+    co_return;
+  }
   // The SSD index survives Crash() (RBPEX), so release the slot pin as
   // long as the pool object itself is alive — even across an epoch bump.
-  if (life->alive) {
-    auto m2 = ssd_meta_.find(page_id);
-    if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
-      m2->second.writers--;
-    }
+  auto m2 = ssd_meta_.find(page_id);
+  if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
+    m2->second.writers--;
   }
 }
 

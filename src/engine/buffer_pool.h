@@ -248,6 +248,11 @@ class BufferPool {
   size_t mem_resident() const { return frames_.size(); }
   size_t mem_cold_resident() const { return mem_cold_.size(); }
   size_t ssd_resident() const { return ssd_meta_.size(); }
+  /// The RBPEX device (null without an SSD tier). Detached spills and
+  /// prefetches share it, so it can outlive the pool.
+  std::shared_ptr<const storage::SimBlockDevice> ssd_device() const {
+    return ssd_;
+  }
 
  private:
   friend class PageRef;

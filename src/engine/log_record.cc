@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "engine/btree_page.h"
+#include "engine/version.h"
 
 namespace socrates {
 namespace engine {
@@ -23,6 +24,9 @@ std::string LogRecord::Encode() const {
     case LogRecordType::kLeafInsert:
     case LogRecordType::kLeafUpdate:
       PutFixed64(&out, key);
+      PutFixed64(&out, commit_ts);
+      if (type == LogRecordType::kLeafUpdate) PutFixed64(&out, trim_ts);
+      out.push_back(static_cast<char>(tombstone ? 0x1 : 0x0));
       PutLengthPrefixed(&out, Slice(value));
       break;
     case LogRecordType::kLeafDelete:
@@ -41,6 +45,10 @@ std::string LogRecord::Encode() const {
     case LogRecordType::kCheckpoint:
       PutFixed64(&out, commit_ts);
       PutFixed64(&out, next_page_id);
+      break;
+    case LogRecordType::kSplitLeft:
+      PutFixed64(&out, key);
+      PutFixed64(&out, right_sibling);
       break;
   }
   return out;
@@ -70,7 +78,14 @@ Status LogRecord::Decode(Slice payload, LogRecord* out) {
     case LogRecordType::kLeafUpdate: {
       Slice v;
       ok = GetFixed64(&payload, &out->key) &&
-           GetLengthPrefixed(&payload, &v);
+           GetFixed64(&payload, &out->commit_ts) &&
+           (out->type == LogRecordType::kLeafInsert ||
+            GetFixed64(&payload, &out->trim_ts)) &&
+           !payload.empty();
+      if (!ok) break;
+      out->tombstone = (payload[0] & 0x1) != 0;
+      payload.remove_prefix(1);
+      ok = GetLengthPrefixed(&payload, &v);
       if (ok) out->value.assign(v.data(), v.size());
       break;
     }
@@ -93,6 +108,10 @@ Status LogRecord::Decode(Slice payload, LogRecord* out) {
     case LogRecordType::kCheckpoint:
       ok = GetFixed64(&payload, &out->commit_ts) &&
            GetFixed64(&payload, &out->next_page_id);
+      break;
+    case LogRecordType::kSplitLeft:
+      ok = GetFixed64(&payload, &out->key) &&
+           GetFixed64(&payload, &out->right_sibling);
       break;
     default:
       return Status::Corruption("unknown log record type");
@@ -118,14 +137,26 @@ Status ApplyToPage(const LogRecord& rec, Lsn lsn, storage::Page* page) {
       BTreePage::Format(page, rec.page_id, rec.level, rec.low_fence,
                         rec.high_fence, rec.right_sibling);
       break;
-    case LogRecordType::kLeafInsert: {
-      BTreePage bp(page);
-      SOCRATES_RETURN_IF_ERROR(bp.LeafInsert(rec.key, Slice(rec.value)));
-      break;
-    }
+    case LogRecordType::kLeafInsert:
     case LogRecordType::kLeafUpdate: {
       BTreePage bp(page);
-      SOCRATES_RETURN_IF_ERROR(bp.LeafUpdate(rec.key, Slice(rec.value)));
+      const bool insert = rec.type == LogRecordType::kLeafInsert;
+      const int slot = bp.FindSlot(rec.key);
+      if (insert && slot >= 0) {
+        return Status::InvalidArgument("duplicate key in leaf");
+      }
+      if (!insert && slot < 0) return Status::NotFound("key not in leaf");
+      // Rebuilt in a reused buffer, so steady-state redo never allocates.
+      thread_local std::string chain;
+      chain.clear();
+      if (!VersionChain::EncodePushed(
+              insert ? Slice() : bp.LeafValueAt(slot), rec.commit_ts,
+              rec.tombstone, Slice(rec.value), rec.trim_ts, &chain)) {
+        return Status::Corruption("bad version chain encoding");
+      }
+      SOCRATES_RETURN_IF_ERROR(insert
+                                   ? bp.LeafInsert(rec.key, Slice(chain))
+                                   : bp.LeafUpdate(rec.key, Slice(chain)));
       break;
     }
     case LogRecordType::kLeafDelete: {
@@ -138,8 +169,21 @@ Status ApplyToPage(const LogRecord& rec, Lsn lsn, storage::Page* page) {
       SOCRATES_RETURN_IF_ERROR(bp.InteriorInsert(rec.key, rec.child));
       break;
     }
-    case LogRecordType::kPageImage: {
-      SOCRATES_RETURN_IF_ERROR(page->FromSlice(Slice(rec.value)));
+    case LogRecordType::kPageImage:
+      SOCRATES_RETURN_IF_ERROR(page->FromHoleFreeImage(Slice(rec.value)));
+      break;
+    case LogRecordType::kSplitLeft: {
+      // The Primary split at slot_count / 2; the same page state gives
+      // the same separator here, or the page is not the one it split.
+      BTreePage bp(page);
+      const int n = bp.slot_count();
+      if (n < 2 || bp.KeyAt(n / 2) != rec.key) {
+        return Status::Corruption("split separator does not match page");
+      }
+      storage::Page left;
+      BTreePage::CopyRange(bp, &left, rec.page_id, bp.low_fence(), rec.key,
+                           rec.right_sibling, 0, n / 2);
+      *page = std::move(left);
       break;
     }
     default:

@@ -5,13 +5,38 @@
 // and the redo-path on Page Servers / Secondaries / recovery are the same
 // code by construction. Records target at most one page; multi-page
 // operations (splits) decompose into per-page records, with bulk page
-// movement expressed as full page images (splits are amortized-rare, so
-// the log-volume impact is small).
+// movement expressed as page images.
+//
+// Records log what changed, not the state that results:
+//  * A leaf write carries only the new row version (commit_ts, tombstone
+//    flag, payload) and, for an update, the trim timestamp. Redo rebuilds
+//    the stored chain with VersionChain::EncodePushed, the function the
+//    Primary's write ran, so every tier's leaf bytes stay equal.
+//  * A split logs the page it keeps as the operation: kSplitLeft names
+//    the separator and the new right sibling, and redo rebuilds the lower
+//    half from the page's own records. The new pages (the right half, and
+//    both halves plus the new root of a root split) are page images
+//    without their free-space hole (storage::Page::HoleFreeImage): the
+//    hole between the record heap and the slot directory of a freshly
+//    built page is all zeros, and redo rebuilds it from the image's own
+//    free_offset and slot_count.
 //
 // Wire format of a record: the LogSink frames records as
 // [u32 total_len][payload]; LSNs are byte offsets of the frame start in
 // the logical log stream. The payload starts with a fixed header:
-//   [u8 type][u64 txn_id][u64 page_id] followed by type-specific fields.
+//   [u8 type][u64 txn_id][u64 page_id] followed by type-specific fields:
+//   kPageFormat      [u32 page_type][u32 level][u64 low][u64 high]
+//                    [u64 right_sibling]
+//   kLeafInsert      [u64 key][u64 commit_ts][u8 flags][u32 len][payload]
+//   kLeafUpdate      [u64 key][u64 commit_ts][u64 trim_ts][u8 flags]
+//                    [u32 len][payload]
+//   kLeafDelete      [u64 key]
+//   kInteriorInsert  [u64 key][u64 child]
+//   kPageImage       [u32 len][hole-free image]
+//   kTxnCommit       [u64 commit_ts]
+//   kCheckpoint      [u64 commit_ts][u64 next_page_id]
+//   kSplitLeft       [u64 separator][u64 right_sibling]
+// flags bit 0: the new version is a tombstone.
 
 #pragma once
 
@@ -30,13 +55,14 @@ namespace engine {
 
 enum class LogRecordType : uint8_t {
   kPageFormat = 1,   // format a fresh B-tree page (fences, level, sibling)
-  kLeafInsert = 2,   // insert (key, chain) into a leaf
-  kLeafUpdate = 3,   // replace the chain stored under key
+  kLeafInsert = 2,   // insert key with a one-version chain into a leaf
+  kLeafUpdate = 3,   // push a version onto the chain stored under key
   kLeafDelete = 4,   // remove key from a leaf (version GC only)
   kInteriorInsert = 5,  // insert (separator, child) into an interior page
-  kPageImage = 6,    // overwrite the whole page (splits)
+  kPageImage = 6,    // overwrite the whole page (splits; hole-free)
   kTxnCommit = 7,    // commit marker: carries commit_ts (no page)
   kCheckpoint = 8,   // checkpoint marker: carries engine counters (no page)
+  kSplitLeft = 9,    // keep the lower half of a page (left half of a split)
 };
 
 struct LogRecord {
@@ -44,11 +70,16 @@ struct LogRecord {
   TxnId txn_id = kInvalidTxnId;
   PageId page_id = kInvalidPageId;
 
-  // kLeafInsert / kLeafUpdate / kLeafDelete / kInteriorInsert.
+  // kLeafInsert / kLeafUpdate / kLeafDelete / kInteriorInsert; kSplitLeft:
+  // the separator (first key of the right half).
   uint64_t key = 0;
-  // kLeafInsert / kLeafUpdate: encoded VersionChain. kPageImage: the page
-  // image. kCheckpoint: encoded counters.
+  // kLeafInsert / kLeafUpdate: the new version's payload. kPageImage:
+  // the page's HoleFreeImage.
   std::string value;
+  // kLeafInsert / kLeafUpdate: the new version is a tombstone.
+  bool tombstone = false;
+  // kLeafUpdate: the chain is trimmed at this timestamp after the push.
+  Timestamp trim_ts = kInvalidTimestamp;
   // kInteriorInsert.
   PageId child = kInvalidPageId;
   // kPageFormat.
@@ -56,8 +87,9 @@ struct LogRecord {
   uint32_t level = 0;
   uint64_t low_fence = 0;
   uint64_t high_fence = 0;
-  PageId right_sibling = kInvalidPageId;
-  // kTxnCommit / kCheckpoint.
+  PageId right_sibling = kInvalidPageId;  // kPageFormat / kSplitLeft
+  // kTxnCommit / kCheckpoint; kLeafInsert / kLeafUpdate: the new
+  // version's commit timestamp.
   Timestamp commit_ts = kInvalidTimestamp;
   // kCheckpoint.
   PageId next_page_id = kInvalidPageId;
@@ -78,6 +110,8 @@ struct LogRecord {
     page_id = kInvalidPageId;
     key = 0;
     value.clear();
+    tombstone = false;
+    trim_ts = kInvalidTimestamp;
     child = kInvalidPageId;
     page_type = 0;
     level = 0;

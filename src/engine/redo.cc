@@ -6,8 +6,10 @@ namespace socrates {
 namespace engine {
 
 // CPU cost model for log apply: a segment costs kApplyCpuFixedUs plus one
-// microsecond per kApplyCpuBytesPerUs of payload, charged up front on one
-// lane and split across lanes otherwise.
+// microsecond per kApplyCpuBytesPerUs of payload, whatever the lane count.
+// One lane (or a segment that decodes to at most one record) pays it in
+// one piece; parallel lanes split it in proportion to their bytes, in
+// shares that sum to the whole.
 constexpr SimTime kApplyCpuFixedUs = 10;
 constexpr uint64_t kApplyCpuBytesPerUs = 2000;
 
@@ -20,6 +22,7 @@ struct ParallelLane {
   explicit ParallelLane(sim::Simulator& sim) : progress(sim) {}
   std::vector<uint32_t> items;  // indices into state items, stream order
   uint64_t bytes = 0;           // framed bytes of this lane's records
+  SimTime cost = 0;             // this lane's share of the apply cost
   // Count of this lane's items processed; barriers wait on prefixes.
   sim::Watermark progress;
 };
@@ -141,15 +144,19 @@ sim::Task<Status> RedoApplier::Apply(Lsn lsn, uint64_t framed_size,
   co_return result;
 }
 
+sim::Task<> RedoApplier::ChargeApply(SimTime cost) {
+  if (cpu_ == nullptr || cost == 0) co_return;
+  co_await cpu_->Consume(cost);
+  apply_busy_us_ += cost;
+}
+
 sim::Task<Result<Lsn>> RedoApplier::ApplyStream(Slice stream, Lsn start_lsn,
                                                 Lsn stop_at) {
-  if (lanes_ == 1 && cpu_ != nullptr) {
-    // Serial apply pays the whole segment's cost up front; parallel
-    // lanes split the same cost between them (LaneTask).
-    SimTime cost = kApplyCpuFixedUs + stream.size() / kApplyCpuBytesPerUs;
-    co_await cpu_->Consume(cost);
-    apply_busy_us_ += cost;
-  }
+  const SimTime cost =
+      kApplyCpuFixedUs + stream.size() / kApplyCpuBytesPerUs;
+  // One lane pays the whole segment up front; with more lanes the charge
+  // waits until the decoded segment shows whether lanes will split it.
+  if (lanes_ == 1) co_await ChargeApply(cost);
   // Collect the frames first (the visitor cannot co_await), then apply.
   // Frames decode into the recycled scratch arena: each StreamItem (and
   // the value buffer inside its record) is reused across calls, so the
@@ -180,12 +187,14 @@ sim::Task<Result<Lsn>> RedoApplier::ApplyStream(Slice stream, Lsn start_lsn,
         return true;
       });
   Result<Lsn> result = walked_end;
+  const bool parallel = iter.ok() && parse.ok() && lanes_ > 1 && used > 1;
+  if (lanes_ > 1 && !parallel) co_await ChargeApply(cost);
   if (!iter.ok()) {
     result = Result<Lsn>(iter);
   } else if (!parse.ok()) {
     result = Result<Lsn>(parse);
-  } else if (lanes_ > 1 && used > 1) {
-    result = co_await ApplyItemsParallel(buf.data(), used, walked_end);
+  } else if (parallel) {
+    result = co_await ApplyItemsParallel(buf.data(), used, walked_end, cost);
   } else {
     for (size_t i = 0; i < used; i++) {
       Status s = co_await Apply(buf[i].lsn, buf[i].framed, buf[i].rec);
@@ -200,7 +209,7 @@ sim::Task<Result<Lsn>> RedoApplier::ApplyStream(Slice stream, Lsn start_lsn,
 }
 
 sim::Task<Result<Lsn>> RedoApplier::ApplyItemsParallel(
-    StreamItem* items, size_t count, Lsn walked_end) {
+    StreamItem* items, size_t count, Lsn walked_end, SimTime cost) {
   auto st = std::make_shared<ParallelApplyState>(sim_, lanes_);
   st->items = items;
   st->count = count;
@@ -216,6 +225,20 @@ sim::Task<Result<Lsn>> RedoApplier::ApplyItemsParallel(
       ParallelLane& ln = *st->lane[rec.page_id % lanes_];
       ln.items.push_back(i);
       ln.bytes += st->items[i].framed;
+    }
+  }
+  // Split `cost` by lane bytes; the cumulative rounding makes the shares
+  // sum to exactly `cost`. A batch of barriers alone pays it here.
+  uint64_t total_bytes = 0;
+  for (const auto& ln : st->lane) total_bytes += ln->bytes;
+  if (total_bytes == 0) {
+    co_await ChargeApply(cost);
+  } else {
+    uint64_t cum = 0;
+    for (auto& ln : st->lane) {
+      const SimTime before = cost * cum / total_bytes;
+      cum += ln->bytes;
+      ln->cost = cost * cum / total_bytes - before;
     }
   }
   parallel_batches_++;
@@ -235,15 +258,9 @@ sim::Task<Result<Lsn>> RedoApplier::ApplyItemsParallel(
 sim::Task<> RedoApplier::LaneTask(std::shared_ptr<ParallelApplyState> st,
                                   int lane) {
   ParallelLane& ln = *st->lane[lane];
-  if (cpu_ != nullptr && !ln.items.empty()) {
-    // This lane's share of the batch apply cost, paid against a real
-    // core. Lanes queue when the node has fewer cores than lanes.
-    SimTime cost = kApplyCpuFixedUs / lanes_ + ln.bytes / kApplyCpuBytesPerUs;
-    if (cost > 0) {
-      co_await cpu_->Consume(cost);
-      apply_busy_us_ += cost;
-    }
-  }
+  // This lane's share of the batch apply cost, paid against a real core.
+  // Lanes queue when the node has fewer cores than lanes.
+  co_await ChargeApply(ln.cost);
   uint64_t done = 0;
   for (uint32_t idx : ln.items) {
     // After an earlier-in-stream error everything behind it is skipped,

@@ -132,8 +132,11 @@ class RedoApplier {
   /// serial Apply or the parallel coordinator — owns ordering).
   sim::Task<Status> ApplyPageRecord(Lsn lsn, const LogRecord& rec);
 
+  // Pay `cost` microseconds of apply CPU on `cpu_` (if any).
+  sim::Task<> ChargeApply(SimTime cost);
+
   sim::Task<Result<Lsn>> ApplyItemsParallel(StreamItem* items, size_t count,
-                                            Lsn walked_end);
+                                            Lsn walked_end, SimTime cost);
   sim::Task<> LaneTask(std::shared_ptr<ParallelApplyState> st, int lane);
   sim::Task<> BarrierTask(std::shared_ptr<ParallelApplyState> st);
 

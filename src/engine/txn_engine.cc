@@ -626,13 +626,9 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     Timestamp trim_ts = OldestActiveTs();
     for (const auto& [key, op] : txn->writes_) {
       stats_.writes++;
-      Result<VersionChain> existing = co_await btree_.Find(key);
-      VersionChain chain;
-      if (existing.ok()) chain = std::move(existing).value();
-      chain.Push(commit_ts, op.is_delete, Slice(op.value));
-      chain.Trim(trim_ts);
-      chain.Cap(kMaxChainLength);
-      Status ws = co_await btree_.Write(txn->id_, key, chain);
+      Status ws = co_await btree_.Write(txn->id_, key, commit_ts,
+                                        op.is_delete, Slice(op.value),
+                                        trim_ts);
       if (!ws.ok()) co_return fail(std::move(ws));
     }
 

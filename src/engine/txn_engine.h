@@ -220,9 +220,6 @@ class Engine {
   /// Oldest read_ts among active transactions (version-trim watermark).
   Timestamp OldestActiveTs() const;
 
-  /// Keep at most this much history beyond the oldest active snapshot.
-  static constexpr size_t kMaxChainLength = 8;
-
  private:
   // Local page-based collection for [cursor, end_key): visible rows
   // matching filter.predicate, stored projected (project=true) or as

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +28,9 @@
 
 namespace socrates {
 namespace engine {
+
+/// A row keeps at most this many versions, newest first.
+inline constexpr size_t kMaxChainLength = 8;
 
 struct RowVersion {
   Timestamp commit_ts = 0;
@@ -111,6 +115,42 @@ class VersionChain {
   /// Hard cap on history length: keep only the newest `max` versions.
   void Cap(size_t max) {
     if (versions_.size() > max) versions_.resize(max);
+  }
+
+  /// Append to `*out` the encoding of the chain that committing one
+  /// version leaves behind: `old` (an encoded chain; empty for a new row)
+  /// after Push(commit_ts, tombstone, payload), Trim(trim_ts) and
+  /// Cap(kMaxChainLength). Works on the encoding, copying the kept old
+  /// versions as one block. The Primary's write and every redo of its
+  /// leaf record run this one function, so all tiers store the same
+  /// bytes. Returns false if `old` is malformed.
+  static bool EncodePushed(Slice old, Timestamp commit_ts, bool tombstone,
+                           Slice payload, Timestamp trim_ts,
+                           std::string* out) {
+    uint16_t old_count = 0;
+    if (!old.empty() && !GetFixed16(&old, &old_count)) return false;
+    // Trim keeps everything down to the newest version at or below
+    // trim_ts; Cap then keeps at most kMaxChainLength.
+    uint16_t keep = 1;  // the pushed version
+    size_t kept_bytes = 0;
+    bool trimmed = commit_ts <= trim_ts;
+    Slice rest = old;
+    while (!trimmed && keep < kMaxChainLength && keep <= old_count) {
+      uint64_t ts;
+      Slice skip;
+      if (!GetFixed64(&rest, &ts) || rest.empty()) return false;
+      rest.remove_prefix(1);  // flags
+      if (!GetLengthPrefixed(&rest, &skip)) return false;
+      keep++;
+      kept_bytes = old.size() - rest.size();
+      trimmed = ts <= trim_ts;
+    }
+    PutFixed16(out, keep);
+    PutFixed64(out, commit_ts);
+    out->push_back(static_cast<char>(tombstone ? 0x1 : 0x0));
+    PutLengthPrefixed(out, payload);
+    out->append(old.data(), kept_bytes);
+    return true;
   }
 
   size_t size() const { return versions_.size(); }

@@ -224,6 +224,11 @@ sim::Task<Status> HadrSecondary::Receive(
   // Persist the block locally (the ack is meaningless otherwise), then
   // apply it to the local full copy.
   (void)co_await log_disk_->Write(start_lsn % (64 * MiB), payload);
+  // Each block ships with its own network delay, so a later block can
+  // arrive first. Apply in LSN order, as a log-shipping stream would:
+  // redo derives leaf chains and split halves from the page it applies
+  // to, so a page must see its records in order.
+  co_await applier_->applied_lsn().WaitFor(start_lsn);
   Result<Lsn> end = co_await applier_->ApplyStream(Slice(*payload), start_lsn);
   if (!end.ok()) co_return end.status();
   applier_->applied_lsn().Advance(*end);
@@ -291,7 +296,9 @@ sim::Task<Result<SimTime>> HadrCluster::SeedNewSecondary() {
     if (id % 64 == 0) co_await sim::Yield(sim_);
   }
   (void)copied;
-  node->applier()->applied_lsn().Advance(sink_->hardened_lsn());
+  // The copied pages hold every record appended so far; the node joins
+  // the shipping set at the next block, so its stream starts there.
+  node->applier()->applied_lsn().Advance(sink_->shipped_lsn());
   secondaries_.push_back(std::move(node));
   secondary_ptrs_.push_back(secondaries_.back().get());
   co_return sim_.now() - begin;

@@ -65,6 +65,9 @@ class HadrLogSink : public engine::LogSink {
   Lsn hardened_lsn() const override { return hardened_.value(); }
   sim::Task<Status> WaitHardened(Lsn lsn) override;
   sim::Task<Status> Flush();
+  /// Where the next shipped block starts: everything below it is in a
+  /// block already on its way to the current Secondaries.
+  Lsn shipped_lsn() const { return flushed_; }
 
   Lsn backed_up_lsn() const { return backed_up_; }
   uint64_t backup_stalls() const { return backup_stalls_; }

@@ -83,10 +83,18 @@ class SimBlockDevice : public BlockDevice {
   }
 
   /// Unmap [offset, offset + len) (a trim): it reads as zeros afterwards
-  /// and the segments it mapped lose this holder. Free and synchronous:
+  /// and the segments and whole pages it mapped lose this holder (a page
+  /// is dropped when the range covers all of it). Free and synchronous:
   /// no latency, RNG draw, chaos check or stats, so discarding never
   /// moves the simulation.
-  void Discard(uint64_t offset, uint64_t len) { bytes_.Discard(offset, len); }
+  void Discard(uint64_t offset, uint64_t len) {
+    bytes_.Discard(offset, len);
+    if (len < kPageSize) return;
+    std::erase_if(pages_, [&](const auto& entry) {
+      const uint64_t start = entry.first * kPageSize;
+      return start >= offset && start - offset <= len - kPageSize;
+    });
+  }
 
   /// Page-granular I/O: the device keeps the refcounted copy-on-write
   /// image itself, so a page moves in or out by a refcount bump instead

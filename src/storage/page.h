@@ -21,6 +21,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -163,6 +165,44 @@ class Page {
       return Status::InvalidArgument("page image has wrong size");
     }
     memcpy(DetachForOverwrite(), s.data(), kPageSize);
+    return Status::OK();
+  }
+
+  /// The image of a slotted page without its free-space hole: bytes
+  /// [0, free_offset) followed by the slot directory (2 bytes per slot at
+  /// the end of the page). Only for a page whose hole is all zeros, i.e.
+  /// one built on a freshly formatted page; FromHoleFreeImage restores it
+  /// byte for byte.
+  std::string HoleFreeImage() const {
+    const uint32_t head = free_offset();
+    const uint32_t dir = 2u * slot_count();
+    assert(head + dir <= kPageSize);
+    assert(std::all_of(data_.get() + head, data_.get() + kPageSize - dir,
+                       [](char c) { return c == 0; }));
+    std::string out;
+    out.reserve(head + dir);
+    out.append(data_.get(), head);
+    out.append(data_.get() + kPageSize - dir, dir);
+    return out;
+  }
+
+  /// Load a HoleFreeImage: its own header's free_offset and slot_count
+  /// say where the zero hole goes. Corruption if the image's length
+  /// disagrees with them.
+  Status FromHoleFreeImage(Slice image) {
+    if (image.size() < kPageHeaderSize) {
+      return Status::Corruption("page image shorter than its header");
+    }
+    const uint64_t head = DecodeFixed16(image.data() + 26);
+    const uint64_t dir = 2 * uint64_t{DecodeFixed16(image.data() + 24)};
+    if (head < kPageHeaderSize || head + dir > kPageSize ||
+        image.size() != head + dir) {
+      return Status::Corruption("page image length disagrees with header");
+    }
+    char* d = DetachForOverwrite();
+    memcpy(d, image.data(), head);
+    memset(d + head, 0, kPageSize - head - dir);
+    memcpy(d + kPageSize - dir, image.data() + head, dir);
     return Status::OK();
   }
 

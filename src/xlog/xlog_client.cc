@@ -237,8 +237,7 @@ sim::Task<> XLogClient::DeliverAsync(
   wire_bytes_sent_ += frame.size();
   SimTime link_delay = opts_.chaos.LinkDelayUs(chaos::kXLogSite);
   co_await sim::Delay(sim_, delivery_latency_.Sample(rng_) + link_delay);
-  bool chaos_drop = opts_.chaos.DropTo(chaos::kXLogSite);
-  if (rng_.Bernoulli(opts_.delivery_loss_prob) || chaos_drop) {
+  if (opts_.chaos.DropTo(chaos::kXLogSite)) {
     deliveries_lost_++;
     co_return;  // lost on the wire; XLOG will repair from the LZ
   }

@@ -60,10 +60,6 @@ struct XLogClientOptions {
   /// Outstanding LZ block writes (the real log writer keeps several
   /// I/Os in flight; hardening still advances in log order).
   int max_inflight_writes = 8;
-  /// Probability that an async block delivery to XLOG is lost (the lossy
-  /// protocol). Durability notifications travel a reliable control
-  /// channel; XLOG repairs lost blocks from the LZ.
-  double delivery_loss_prob = 0.0;
   PartitionMap partition_map;
   /// Chaos injection: async block deliveries ask the log writer's port
   /// ("logwriter" in a deployment) for a partition / lossy-link verdict

@@ -211,6 +211,40 @@ TEST(BufferPoolStressTest, DestroyPoolWithInflightSpillIsSafe) {
   sim.Run();  // drain the orphaned coroutines — must not crash
 }
 
+TEST(BufferPoolStressTest, DestroyedPoolLeavesItsSsdDeviceEmpty) {
+  // A spill suspended in its SSD write keeps the device alive past the
+  // pool. The page images on it must not stay with it: neither those
+  // spilled before the pool died nor the one whose write lands after.
+  Simulator sim;
+  std::shared_ptr<const storage::SimBlockDevice> ssd;
+  {
+    BufferPoolOptions opts;
+    opts.mem_pages = 2;
+    opts.ssd_pages = 16;
+    BufferPool pool(sim, opts, nullptr);
+    for (PageId id = 0; id < 8; id++) {
+      Result<PageRef> ref = pool.NewPage(id);
+      ASSERT_TRUE(ref.ok());
+      ref->page()->Format(id, storage::PageType::kBTreeLeaf);
+      ref->page()->set_page_lsn(1);
+      ref.value().MarkDirty();
+    }
+    ssd = pool.ssd_device();
+    // Let some spills land and leave others suspended in their writes.
+    auto some_landed_some_inflight = [&] {
+      const uint64_t landed = ssd->allocated_bytes() / kPageSize;
+      return landed > 0 && pool.ssd_resident() > landed;
+    };
+    while (!some_landed_some_inflight() && sim.Step()) {
+    }
+    ASSERT_TRUE(some_landed_some_inflight());
+  }
+  EXPECT_GT(ssd.use_count(), 1);  // still held by a suspended spill
+  EXPECT_EQ(ssd->allocated_bytes(), 0u);
+  sim.Run();  // the suspended writes land on the orphaned device
+  EXPECT_EQ(ssd->allocated_bytes(), 0u);
+}
+
 TEST(BufferPoolStressTest, CrashCancelsInflightPrefetch) {
   Simulator sim;
   FreshFetcher fetcher(sim);

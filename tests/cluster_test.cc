@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "hadr/hadr.h"
@@ -150,6 +151,94 @@ TEST(ClusterTest, FailoverPromotesSecondaryWithoutDataLoss) {
     // And it accepts new writes.
     co_await LoadRows(d.primary_engine(), 150, 50, "post-");
     co_await VerifyRows(d.primary_engine(), 150, 50, "post-");
+  });
+  d.Stop();
+}
+
+// Commit one single-key transaction: a Put, or a Delete for "".
+Task<> CommitOne(Engine* e, uint64_t key, const std::string& value) {
+  auto txn = e->Begin();
+  if (value.empty()) {
+    EXPECT_TRUE(e->Delete(txn.get(), key).ok());
+  } else {
+    EXPECT_TRUE(e->Put(txn.get(), key, value).ok());
+  }
+  Status s = co_await e->Commit(txn.get());
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(ClusterTest, LeafBytesEqualOnEveryTierAfterTrimCapAndTombstone) {
+  // Leaf records carry only the new version, and every tier rebuilds
+  // the chain itself. After updates that cap, trim and tombstone chains
+  // (and the splits of the load), the Secondary's and the Page Servers'
+  // pages must equal the Primary's byte for byte.
+  Simulator s;
+  Deployment d(s, SmallDeployment(2, 1));
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await LoadRows(e, 0, 300, "v");
+    // The Secondary reads every row, so it caches the leaves and keeps
+    // them fresh by redo.
+    co_await d.secondary(0)->applier()->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    co_await VerifyRows(d.secondary(0)->engine(), 0, 300, "v");
+
+    // A held snapshot stops trimming: key 1 grows to the cap, key 2 to
+    // four versions.
+    auto snapshot = e->Begin(true);
+    for (int i = 0; i < 12; i++) {
+      co_await CommitOne(e, MakeKey(1, 1), "capped" + std::to_string(i));
+    }
+    for (int i = 0; i < 3; i++) {
+      co_await CommitOne(e, MakeKey(1, 2), "held" + std::to_string(i));
+    }
+    EXPECT_TRUE((co_await e->Commit(snapshot.get())).ok());
+    // With the snapshot gone, the next write trims key 2 to two versions.
+    co_await CommitOne(e, MakeKey(1, 2), "trimmed");
+    co_await CommitOne(e, MakeKey(1, 3), "");  // tombstones
+    co_await CommitOne(e, MakeKey(1, 250), "");
+    auto capped = co_await e->btree()->Find(MakeKey(1, 1));
+    auto trimmed = co_await e->btree()->Find(MakeKey(1, 2));
+    auto deleted = co_await e->btree()->Find(MakeKey(1, 3));
+    EXPECT_TRUE(capped.ok() && trimmed.ok() && deleted.ok());
+    if (capped.ok() && trimmed.ok() && deleted.ok()) {
+      EXPECT_EQ(capped->size(), engine::kMaxChainLength);
+      EXPECT_EQ(trimmed->size(), 2u);
+      EXPECT_TRUE(deleted->Newest()->tombstone);
+    }
+
+    const Lsn end = d.log_client().end_lsn();
+    co_await d.secondary(0)->applier()->applied_lsn().WaitFor(end);
+    for (int p = 0; p < 2; p++) {
+      co_await d.page_server(p)->applied_lsn().WaitFor(end);
+    }
+    // Byte 0-3 hold the checksum, which each tier stamps when it needs.
+    int secondary_pages = 0, page_server_pages = 0;
+    const PageId next = e->btree()->next_page_id();
+    for (PageId id = engine::kRootPageId; id < next; id++) {
+      auto want = co_await d.primary()->pool()->GetIfCached(id);
+      EXPECT_TRUE(want.ok()) << "page " << id;
+      if (!want.ok()) continue;
+      const char* bytes = want->page()->cdata() + 4;
+      auto sec = co_await d.secondary(0)->pool()->GetIfCached(id);
+      if (sec.ok()) {
+        EXPECT_EQ(0, memcmp(bytes, sec->page()->cdata() + 4, kPageSize - 4))
+            << "secondary page " << id;
+        secondary_pages++;
+      }
+      for (int p = 0; p < 2; p++) {
+        auto ps = co_await d.page_server(p)->pool()->GetIfCached(id);
+        if (!ps.ok()) continue;
+        EXPECT_EQ(0, memcmp(bytes, ps->page()->cdata() + 4, kPageSize - 4))
+            << "page server " << p << " page " << id;
+        page_server_pages++;
+      }
+    }
+    EXPECT_GT(next, engine::kRootPageId + 2);  // the load split the root
+    EXPECT_EQ(secondary_pages, static_cast<int>(next - engine::kRootPageId));
+    EXPECT_EQ(page_server_pages,
+              static_cast<int>(next - engine::kRootPageId));
   });
   d.Stop();
 }
@@ -758,6 +847,50 @@ TEST(HadrTest, SecondariesReplicateEverything) {
       co_await cluster.secondary(i)->applier()->applied_lsn().WaitFor(
           cluster.sink()->hardened_lsn());
       co_await VerifyRows(cluster.secondary(i)->engine(), 0, 80, "r");
+    }
+  });
+  cluster.Stop();
+  s.Run();
+}
+
+TEST(HadrTest, SecondariesHoldThePrimarysPagesByteForByte) {
+  // Blocks reach each Secondary with their own network delay, so a later
+  // block can arrive first. Redo must still see every page's records in
+  // LSN order: leaf records carry only the new version and a split's
+  // left half is an operation on the page, so an out-of-order apply
+  // would lose versions or fail the split. Eight concurrent writers
+  // keep several blocks in flight.
+  Simulator s;
+  xstore::XStore xs(s);
+  hadr::HadrCluster cluster(s, &xs);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await cluster.Start()).ok());
+    const std::string prefix = "w";  // outlives the writers' frames
+    std::vector<Task<>> writers;
+    for (int w = 0; w < 8; w++) {
+      writers.push_back(
+          LoadRows(cluster.primary_engine(), w * 1000, 400, prefix));
+    }
+    co_await sim::Gather(s, std::move(writers));
+    for (int w = 0; w < 8; w++) {
+      co_await LoadRows(cluster.primary_engine(), w * 1000, 100, "update");
+    }
+    Engine* primary = cluster.primary_engine();
+    const PageId next = primary->btree()->next_page_id();
+    EXPECT_GT(next, engine::kRootPageId + 2);
+    for (int i = 0; i < cluster.num_secondaries(); i++) {
+      co_await cluster.secondary(i)->applier()->applied_lsn().WaitFor(
+          cluster.sink()->hardened_lsn());
+      for (PageId id = engine::kRootPageId; id < next; id++) {
+        auto want = co_await primary->pool()->GetPage(id);
+        auto got =
+            co_await cluster.secondary(i)->engine()->pool()->GetPage(id);
+        EXPECT_TRUE(want.ok() && got.ok()) << "page " << id;
+        if (!want.ok() || !got.ok()) continue;
+        EXPECT_EQ(0, memcmp(want->page()->cdata() + 4,
+                            got->page()->cdata() + 4, kPageSize - 4))
+            << "secondary " << i << " page " << id;
+      }
     }
   });
   cluster.Stop();

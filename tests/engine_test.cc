@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <string>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "engine/btree.h"
 #include "engine/btree_page.h"
@@ -191,7 +193,19 @@ TEST(LogRecordTest, CodecRoundTripAllTypes) {
     r.txn_id = 77;
     r.page_id = 4;
     r.key = 42;
-    r.value = "chainbytes";
+    r.commit_ts = 31;
+    r.value = "payload";
+    recs.push_back(r);
+  }
+  {
+    LogRecord r;
+    r.type = LogRecordType::kLeafUpdate;
+    r.txn_id = 78;
+    r.page_id = 4;
+    r.key = 42;
+    r.commit_ts = 32;
+    r.trim_ts = 30;
+    r.tombstone = true;
     recs.push_back(r);
   }
   {
@@ -223,6 +237,14 @@ TEST(LogRecordTest, CodecRoundTripAllTypes) {
     r.next_page_id = 17;
     recs.push_back(r);
   }
+  {
+    LogRecord r;
+    r.type = LogRecordType::kSplitLeft;
+    r.page_id = 4;
+    r.key = 42;
+    r.right_sibling = 19;
+    recs.push_back(r);
+  }
   for (const auto& r : recs) {
     LogRecord d;
     ASSERT_TRUE(LogRecord::Decode(Slice(r.Encode()), &d).ok());
@@ -231,7 +253,10 @@ TEST(LogRecordTest, CodecRoundTripAllTypes) {
     EXPECT_EQ(d.page_id, r.page_id);
     EXPECT_EQ(d.key, r.key);
     EXPECT_EQ(d.value, r.value);
+    EXPECT_EQ(d.tombstone, r.tombstone);
+    EXPECT_EQ(d.trim_ts, r.trim_ts);
     EXPECT_EQ(d.child, r.child);
+    EXPECT_EQ(d.right_sibling, r.right_sibling);
     EXPECT_EQ(d.commit_ts, r.commit_ts);
     EXPECT_EQ(d.next_page_id, r.next_page_id);
   }
@@ -271,6 +296,145 @@ TEST(LogRecordTest, RedoIsIdempotent) {
   // Re-applying the same record is a no-op, not a duplicate-key error.
   ASSERT_TRUE(ApplyToPage(ins, 110, &page).ok());
   EXPECT_EQ(bp.slot_count(), 1);
+}
+
+// A page whose bytes are all `fill` (what a recycled frame may hold),
+// apart from a pageLSN low enough that redo applies to it.
+storage::Page FilledPage(char fill) {
+  storage::Page p;
+  EXPECT_TRUE(p.FromSlice(Slice(std::string(kPageSize, fill))).ok());
+  p.set_page_lsn(1);
+  return p;
+}
+
+TEST(LogRecordTest, HoleFreeImagesRestoreExactPages) {
+  // The three kinds of split image: a leaf, an interior page and a root
+  // one level up, each built on a freshly formatted page.
+  storage::Page leaf, interior, root;
+  BTreePage::Format(&leaf, 7, 0, 100, 900, 8);
+  for (uint64_t k = 100; k < 160; k++) {
+    ASSERT_TRUE(
+        BTreePage(&leaf).LeafInsert(k, Slice(std::string(k % 37, 'a'))).ok());
+  }
+  BTreePage::Format(&interior, 9, 1, 0, 5000, 12);
+  for (uint64_t k = 0; k < 40; k++) {
+    ASSERT_TRUE(BTreePage(&interior).InteriorInsert(k * 100, 20 + k).ok());
+  }
+  BTreePage::Format(&root, kRootPageId, 2, kMinKey, kMaxKey,
+                    kInvalidPageId);
+  ASSERT_TRUE(BTreePage(&root).InteriorInsert(kMinKey, 30).ok());
+  ASSERT_TRUE(BTreePage(&root).InteriorInsert(5000, 31).ok());
+
+  for (storage::Page* img : {&leaf, &interior, &root}) {
+    LogRecord rec;
+    rec.type = LogRecordType::kPageImage;
+    rec.page_id = img->page_id();
+    rec.value = img->HoleFreeImage();
+    EXPECT_EQ(rec.value.size(),
+              img->free_offset() + 2u * img->slot_count());
+    LogRecord decoded;
+    ASSERT_TRUE(LogRecord::Decode(Slice(rec.Encode()), &decoded).ok());
+    storage::Page target = FilledPage('\xab');
+    ASSERT_TRUE(ApplyToPage(decoded, 500, &target).ok());
+    img->set_page_lsn(500);  // redo stamps the record's LSN
+    EXPECT_EQ(0, memcmp(target.cdata(), img->cdata(), kPageSize))
+        << "page " << img->page_id();
+  }
+}
+
+TEST(LogRecordTest, PageImageLengthMismatchIsCorruption) {
+  storage::Page img;
+  BTreePage::Format(&img, 7, 0, kMinKey, kMaxKey, kInvalidPageId);
+  for (uint64_t k = 0; k < 10; k++) {
+    ASSERT_TRUE(BTreePage(&img).LeafInsert(k, Slice("value")).ok());
+  }
+  const std::string good = img.HoleFreeImage();
+  std::string more_slots = good;
+  EncodeFixed16(more_slots.data() + 24, img.slot_count() + 1);
+  std::string past_page = good;
+  EncodeFixed16(past_page.data() + 26, kPageSize);
+  std::string inside_header = good;
+  EncodeFixed16(inside_header.data() + 26, 8);
+  const std::string bad[] = {
+      good.substr(0, good.size() - 1),  // a byte short
+      good + "x",                       // a byte long
+      more_slots,                       // header claims one more slot
+      past_page,                        // free_offset past the page
+      inside_header,                    // free_offset inside the header
+      good.substr(0, 20),               // shorter than the header
+      std::string(),                    // empty
+  };
+  for (const std::string& value : bad) {
+    LogRecord rec;
+    rec.type = LogRecordType::kPageImage;
+    rec.page_id = 7;
+    rec.value = value;
+    storage::Page target = FilledPage('\x5a');
+    const std::string before = target.AsSlice().ToString();
+    Status s = ApplyToPage(rec, 500, &target);
+    EXPECT_TRUE(s.IsCorruption()) << value.size() << ": " << s.ToString();
+    EXPECT_EQ(target.AsSlice().ToString(), before);  // left alone
+  }
+}
+
+TEST(LogRecordTest, LeafRecordsCarryOnlyTheNewVersion) {
+  storage::Page page;
+  BTreePage::Format(&page, 5, 0, kMinKey, kMaxKey, kInvalidPageId);
+  LogRecord rec;
+  rec.type = LogRecordType::kLeafInsert;
+  rec.page_id = 5;
+  rec.key = 9;
+  rec.commit_ts = 1;
+  rec.value = std::string(100, 'p');
+  ASSERT_TRUE(ApplyToPage(rec, 100, &page).ok());
+  const size_t insert_bytes = rec.Encode().size();
+  // Ten updates, no trimming: the chain grows to the cap while each
+  // record stays the size of one version.
+  rec.type = LogRecordType::kLeafUpdate;
+  for (int i = 2; i <= 11; i++) {
+    rec.commit_ts = i;
+    rec.trim_ts = 0;
+    ASSERT_TRUE(ApplyToPage(rec, 100 * i, &page).ok());
+    EXPECT_EQ(rec.Encode().size(), insert_bytes + 8);  // + trim_ts
+  }
+  BTreePage bp(&page);
+  VersionChain chain;
+  ASSERT_TRUE(VersionChain::Decode(bp.LeafValueAt(bp.FindSlot(9)), &chain));
+  EXPECT_EQ(chain.size(), kMaxChainLength);
+  EXPECT_EQ(chain.Newest()->commit_ts, 11u);
+  // An update that is not in the leaf, or an insert that is, fails.
+  rec.key = 10;
+  EXPECT_TRUE(ApplyToPage(rec, 5000, &page).IsNotFound());
+  rec.type = LogRecordType::kLeafInsert;
+  rec.key = 9;
+  EXPECT_TRUE(ApplyToPage(rec, 5000, &page).IsInvalidArgument());
+}
+
+TEST(VersionChainTest, EncodePushedMatchesPushTrimCap) {
+  // Every (chain length, trim point) pair: the encoding-level push must
+  // produce the bytes Push + Trim + Cap + Encode would.
+  for (int len = 0; len <= 10; len++) {
+    VersionChain old;
+    for (int i = 1; i <= len; i++) {
+      old.Push(i * 10, i % 3 == 0, Slice(std::string(i, 'a' + i)));
+    }
+    const std::string old_enc = len == 0 ? std::string() : old.Encode();
+    for (Timestamp trim : {0, 5, 10, 25, 40, 100, 200}) {
+      for (bool tomb : {false, true}) {
+        VersionChain want = old;
+        want.Push(150, tomb, Slice("new"));
+        want.Trim(trim);
+        want.Cap(kMaxChainLength);
+        std::string got;
+        ASSERT_TRUE(VersionChain::EncodePushed(Slice(old_enc), 150, tomb,
+                                               Slice("new"), trim, &got));
+        EXPECT_EQ(got, want.Encode()) << len << " " << trim << " " << tomb;
+      }
+    }
+  }
+  std::string out;
+  EXPECT_FALSE(VersionChain::EncodePushed(Slice("\x02\x00\x01", 3), 9,
+                                          false, Slice("x"), 0, &out));
 }
 
 TEST(LogRecordTest, ForEachRecordWalksFrames) {
@@ -567,17 +731,18 @@ struct TreeFixture {
   }
 };
 
-VersionChain OneVersion(Timestamp ts, const std::string& v) {
-  VersionChain c;
-  c.Push(ts, false, Slice(v));
-  return c;
+// Store `v` as the only version of `key`: trimming at the commit
+// timestamp drops every older version.
+Task<Status> WriteOne(BTree* tree, uint64_t key, Timestamp ts,
+                      std::string v) {
+  co_return co_await tree->Write(1, key, ts, false, Slice(v), ts);
 }
 
 TEST(BTreeTest, InsertAndFind) {
   TreeFixture f;
   RunSim(f.sim, [&]() -> Task<> {
     EXPECT_TRUE(
-        (co_await f.tree->Write(1, 42, OneVersion(1, "hello"))).ok());
+        (co_await WriteOne(f.tree.get(), 42, 1, "hello")).ok());
     auto r = co_await f.tree->Find(42);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r->Newest()->payload, "hello");
@@ -586,13 +751,12 @@ TEST(BTreeTest, InsertAndFind) {
   });
 }
 
-TEST(BTreeTest, UpdateReplacesChain) {
+TEST(BTreeTest, UpdatePushesVersion) {
   TreeFixture f;
   RunSim(f.sim, [&]() -> Task<> {
-    (void)co_await f.tree->Write(1, 5, OneVersion(1, "a"));
-    VersionChain c2 = OneVersion(1, "a");
-    c2.Push(2, false, Slice("b"));
-    (void)co_await f.tree->Write(1, 5, c2);
+    (void)co_await WriteOne(f.tree.get(), 5, 1, "a");
+    (void)co_await f.tree->Write(1, 5, 2, false, Slice("b"),
+                                 /*trim_ts=*/0);
     auto r = co_await f.tree->Find(5);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r->size(), 2u);
@@ -611,8 +775,8 @@ TEST(BTreeTest, ManyInsertsForceSplitsAndStayFindable) {
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     Shuffle(&keys, &rng);
     for (uint64_t k : keys) {
-      Status s = co_await f.tree->Write(
-          1, k, OneVersion(1, "v" + std::to_string(k)));
+      Status s =
+          co_await WriteOne(f.tree.get(), k, 1, "v" + std::to_string(k));
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
     for (uint64_t k : keys) {
@@ -630,7 +794,7 @@ TEST(BTreeTest, ScanReturnsSortedRange) {
   TreeFixture f;
   RunSim(f.sim, [&]() -> Task<> {
     for (uint64_t k = 0; k < 500; k++) {
-      (void)co_await f.tree->Write(1, k * 2, OneVersion(1, "v"));
+      (void)co_await WriteOne(f.tree.get(), k * 2, 1, "v");
     }
     std::vector<uint64_t> seen;
     auto r = co_await f.tree->Scan(100, 50,
@@ -658,7 +822,7 @@ TEST(BTreePropertyTest, MatchesModelUnderRandomOps) {
       uint64_t key = rng.Uniform(800);
       if (rng.Bernoulli(0.75) || model.count(key) == 0) {
         std::string v(64 + rng.Uniform(400), 'a' + key % 26);
-        (void)co_await f.tree->Write(1, key, OneVersion(1, v));
+        (void)co_await WriteOne(f.tree.get(), key, 1, v);
         model[key] = v;
       } else {
         Status s = co_await f.tree->Erase(1, key);
@@ -690,8 +854,8 @@ TEST(BTreeTest, LogReplayReproducesTree) {
   TreeFixture f;
   RunSim(f.sim, [&]() -> Task<> {
     for (uint64_t k = 0; k < 1500; k++) {
-      (void)co_await f.tree->Write(
-          1, k * 3, OneVersion(1, std::string(100, 'x')));
+      (void)co_await WriteOne(f.tree.get(), k * 3, 1,
+                              std::string(100, 'x'));
     }
   });
 
@@ -711,6 +875,83 @@ TEST(BTreeTest, LogReplayReproducesTree) {
     }
   });
   EXPECT_EQ(applier.applied_lsn().value(), f.sink.end_lsn());
+}
+
+// Every split kind through the log: leaf and interior splits (a right
+// image plus a kSplitLeft record) and root splits (three images). The
+// replayed pages must equal the Primary's byte for byte.
+TEST(BTreeTest, LogReplayReproducesEveryPageByteForByte) {
+  TreeFixture f;
+  const int kKeys = 20000;
+  RunSim(f.sim, [&]() -> Task<> {
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < kKeys; i++) keys.push_back(i);
+    Random rng(11);
+    Shuffle(&keys, &rng);
+    for (uint64_t k : keys) {
+      EXPECT_TRUE((co_await WriteOne(f.tree.get(), k, 1,
+                                     std::string(150, 'a' + k % 26)))
+                      .ok());
+    }
+  });
+  int split_lefts = 0;
+  ASSERT_TRUE(ForEachRecord(Slice(f.sink.stream()), kLogStreamStart,
+                            [&](Lsn, Slice p) {
+                              LogRecord rec;
+                              EXPECT_TRUE(LogRecord::Decode(p, &rec).ok());
+                              if (rec.type == LogRecordType::kSplitLeft) {
+                                split_lefts++;
+                              }
+                              return true;
+                            })
+                  .ok());
+  EXPECT_GT(split_lefts, 0);
+
+  BufferPoolOptions opts;
+  opts.mem_pages = 1 << 20;
+  BufferPool replica_pool(f.sim, opts, nullptr);
+  RedoApplier applier(f.sim, &replica_pool,
+                      RedoApplier::MissPolicy::kMaterialize);
+  RunSim(f.sim, [&]() -> Task<> {
+    auto r = co_await applier.ApplyStream(Slice(f.sink.stream()),
+                                          kLogStreamStart);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    auto root = co_await f.pool->GetPage(kRootPageId);
+    EXPECT_TRUE(root.ok());
+    if (root.ok()) {
+      EXPECT_GE(BTreePage(root->page()).level(), 2u);  // interior split
+    }
+    for (PageId id = kRootPageId; id < f.tree->next_page_id(); id++) {
+      auto want = co_await f.pool->GetPage(id);
+      auto got = co_await replica_pool.GetPage(id);
+      EXPECT_TRUE(want.ok() && got.ok()) << "page " << id;
+      if (!want.ok() || !got.ok()) continue;
+      EXPECT_EQ(0, memcmp(want->page()->cdata(), got->page()->cdata(),
+                          kPageSize))
+          << "page " << id;
+    }
+  });
+}
+
+TEST(LogRecordTest, SplitLeftChecksItsSeparator) {
+  storage::Page page;
+  BTreePage::Format(&page, 5, 0, kMinKey, kMaxKey, kInvalidPageId);
+  for (uint64_t k = 0; k < 10; k++) {
+    ASSERT_TRUE(BTreePage(&page).LeafInsert(k * 10, Slice("v")).ok());
+  }
+  LogRecord rec;
+  rec.type = LogRecordType::kSplitLeft;
+  rec.page_id = 5;
+  rec.key = 40;  // the split point is slot 5, key 50
+  rec.right_sibling = 6;
+  EXPECT_TRUE(ApplyToPage(rec, 100, &page).IsCorruption());
+  rec.key = 50;
+  ASSERT_TRUE(ApplyToPage(rec, 100, &page).ok());
+  BTreePage bp(&page);
+  EXPECT_EQ(bp.slot_count(), 5);
+  EXPECT_EQ(bp.high_fence(), 50u);
+  EXPECT_EQ(bp.right_sibling(), 6u);
+  EXPECT_EQ(page.page_lsn(), 100u);
 }
 
 // --------------------------------------------------------------- Engine

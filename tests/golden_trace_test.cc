@@ -201,9 +201,9 @@ uint64_t RunFailoverTrace(uint64_t seed) {
 }
 
 // Pinned values; see the header comment before changing them.
-constexpr uint64_t kWorkloadTrace7 = 0xb439da4e4edca2f2ull;
-constexpr uint64_t kChaosTrace3 = 0x075756944a0c4b49ull;
-constexpr uint64_t kFailoverTrace5 = 0xc6f925585f40c427ull;
+constexpr uint64_t kWorkloadTrace7 = 0xef13d2fe9d0dfd96ull;
+constexpr uint64_t kChaosTrace3 = 0x0f8873da2e645e74ull;
+constexpr uint64_t kFailoverTrace5 = 0xd91253bd966b675eull;
 
 TEST(GoldenTrace, WorkloadTraceIdenticalAcrossRuns) {
   const uint64_t h1 = RunWorkloadTrace(7);

@@ -418,9 +418,11 @@ TEST(WatermarkTest, NeverExposesRecordWithUnacknowledgedPredecessors) {
 TEST(WatermarkTest, LossyShardedStreamStaysPrefixCorrect) {
   XLogOptions xopts;
   xopts.partition_map.pages_per_partition = 100;
+  chaos::Injector chaos;
+  chaos.SetLink("logwriter", chaos::kXLogSite, /*drop_prob=*/0.3, 0);
   XLogClientOptions copts;
   copts.partition_map = xopts.partition_map;
-  copts.delivery_loss_prob = 0.3;
+  copts.chaos = chaos::SitePort(&chaos, "logwriter");
   copts.compress_blocks = true;
   XLogFixture f(sim::DeviceProfile::DirectDrive(), copts, xopts);
   RunSim(f.sim, [&]() -> Task<> {

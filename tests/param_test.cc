@@ -10,6 +10,7 @@
 #include <map>
 #include <tuple>
 
+#include "chaos/chaos.h"
 #include "engine/btree.h"
 #include "engine/buffer_pool.h"
 #include "engine/log_sink.h"
@@ -70,9 +71,10 @@ TEST_P(BTreeSweep, MatchesModel) {
       uint64_t key = rng.Uniform(keyspace);
       if (rng.Bernoulli(0.8) || model.count(key) == 0) {
         std::string v(1 + rng.Uniform(value_size), 'a' + key % 26);
-        VersionChain c;
-        c.Push(1, false, Slice(v));
-        EXPECT_TRUE((co_await tree.Write(1, key, c)).ok());
+        // Trimming at the commit timestamp keeps only the new version.
+        EXPECT_TRUE((co_await tree.Write(1, key, /*commit_ts=*/1, false,
+                                         Slice(v), /*trim_ts=*/1))
+                        .ok());
         model[key] = v;
       } else {
         EXPECT_TRUE((co_await tree.Erase(1, key)).ok());
@@ -224,9 +226,11 @@ TEST_P(LogPipelineSweep, ReplicaConvergesByteExact) {
   xlog::XLogOptions xopts;
   xopts.sequence_map_bytes = 512 * KiB;
   xlog::XLogProcess xlog(sim, &lz, &lt, xopts);
+  chaos::Injector chaos;
+  chaos.SetLink("logwriter", chaos::kXLogSite, loss_pct / 100.0, 0);
   xlog::XLogClientOptions copts;
   copts.max_block_bytes = block_bytes;
-  copts.delivery_loss_prob = loss_pct / 100.0;
+  copts.chaos = chaos::SitePort(&chaos, "logwriter");
   xlog::XLogClient client(sim, &lz, &xlog, nullptr, copts);
   xlog.Start();
   client.Start();

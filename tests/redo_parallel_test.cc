@@ -14,7 +14,6 @@
 #include "engine/log_record.h"
 #include "engine/log_sink.h"
 #include "engine/redo.h"
-#include "engine/version.h"
 #include "sim/cpu.h"
 
 namespace socrates {
@@ -29,12 +28,6 @@ template <typename Fn>
 void RunSim(Simulator& s, Fn&& fn) {
   Spawn(s, fn());
   s.Run();
-}
-
-VersionChain OneVersion(Timestamp ts, const std::string& v) {
-  VersionChain c;
-  c.Push(ts, false, Slice(v));
-  return c;
 }
 
 // Update-heavy stream: `passes` passes over the same keys (pass 0 inserts,
@@ -55,8 +48,10 @@ std::string BuildUpdateHeavyStream(uint64_t keys, int passes, Lsn* mid) {
     for (int pass = 0; pass < passes; pass++) {
       for (uint64_t k = 0; k < keys; k++) {
         std::string value(100, static_cast<char>('a' + pass));
-        EXPECT_TRUE(
-            (co_await tree.Write(1, k * 5, OneVersion(ts, value))).ok());
+        // Trimming at the commit timestamp keeps one version per key.
+        EXPECT_TRUE((co_await tree.Write(1, k * 5, ts, false, Slice(value),
+                                         /*trim_ts=*/ts))
+                        .ok());
         if (++in_txn == 8) {
           LogRecord commit;
           commit.type = LogRecordType::kTxnCommit;
@@ -137,6 +132,51 @@ TEST(ParallelRedoTest, LaneCountDoesNotChangeResults) {
     EXPECT_GT(parallel.parallel_batches, 0u);
     ExpectSameOutcome(serial, parallel,
                       ("lanes=" + std::to_string(lanes)).c_str());
+  }
+}
+
+// Apply `stream` in frame-aligned segments of cycling size (one record,
+// up to 4 KiB, up to 64 KiB) and return the apply CPU charged. The
+// one-record segments take the serial path at every lane count.
+SimTime ApplyBusyInSegments(const std::string& stream, int lanes,
+                            SimTime* model) {
+  Simulator sim;
+  BufferPoolOptions opts;
+  opts.mem_pages = 1 << 20;
+  BufferPool pool(sim, opts, nullptr);
+  sim::CpuResource cpu(sim, 4);
+  RedoApplier applier(sim, &pool, RedoApplier::MissPolicy::kMaterialize);
+  applier.ConfigureLanes(lanes, &cpu);
+  *model = 0;
+  RunSim(sim, [&]() -> Task<> {
+    const uint64_t caps[] = {1, 4 * KiB, 64 * KiB};
+    Slice rest(stream);
+    Lsn lsn = kLogStreamStart;
+    for (int i = 0; !rest.empty(); i++) {
+      const uint64_t len = FrameAlignedPrefix(rest, caps[i % 3]);
+      if (len == 0) break;
+      Result<Lsn> r =
+          co_await applier.ApplyStream(Slice(rest.data(), len), lsn);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) co_return;
+      applier.applied_lsn().Advance(*r);
+      *model += 10 + len / 2000;  // kApplyCpuFixedUs + bytes / 2000
+      rest.remove_prefix(len);
+      lsn += len;
+    }
+  });
+  return applier.apply_busy_us();
+}
+
+TEST(ParallelRedoTest, ApplyChargeIsTheSameAtEveryLaneCount) {
+  // Lanes change how long the apply takes, not how much CPU it costs.
+  std::string stream = BuildUpdateHeavyStream(800, 3, nullptr);
+  SimTime model = 0;
+  const SimTime serial = ApplyBusyInSegments(stream, 1, &model);
+  EXPECT_EQ(serial, model);
+  for (int lanes : {4, 8}) {
+    EXPECT_EQ(ApplyBusyInSegments(stream, lanes, &model), serial)
+        << "lanes=" << lanes;
   }
 }
 

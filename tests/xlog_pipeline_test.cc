@@ -209,8 +209,10 @@ TEST(XLogPipelineTest, BatchedDestagingKeepsLtExact) {
 TEST(XLogPipelineTest, LossyDeliveryPlusEvictionStillContiguous) {
   // Combine everything: lossy channel (repairs from LZ), tiny sequence
   // map, slow destaging, late consumer.
+  chaos::Injector chaos;
+  chaos.SetLink("logwriter", chaos::kXLogSite, /*drop_prob=*/0.3, 0);
   XLogClientOptions copts;
-  copts.delivery_loss_prob = 0.3;
+  copts.chaos = chaos::SitePort(&chaos, "logwriter");
   Simulator sim;
   xstore::XStore lt(sim, sim::DeviceProfile::XStore(), 3.0);
   LandingZone lz(sim, sim::DeviceProfile::DirectDrive(), 64 * MiB);

@@ -303,8 +303,11 @@ TEST(XLogTest, SpeculativeBlocksNotDisseminatedUntilHardened) {
 }
 
 TEST(XLogTest, LostDeliveriesRepairedFromLandingZone) {
+  // Half the blocks vanish on the link from the log writer to XLOG.
+  chaos::Injector chaos;
+  chaos.SetLink("logwriter", chaos::kXLogSite, /*drop_prob=*/0.5, 0);
   XLogClientOptions copts;
-  copts.delivery_loss_prob = 0.5;  // half the blocks vanish
+  copts.chaos = chaos::SitePort(&chaos, "logwriter");
   XLogFixture f(sim::DeviceProfile::DirectDrive(), copts);
   RunSim(f.sim, [&]() -> Task<> {
     for (int i = 0; i < 200; i++) {

@@ -51,10 +51,6 @@ TEST_ONLY_ALLOWED = {
        for f in ("start_us", "horizon_us", "events", "num_page_servers",
                  "num_secondaries", "max_window_us", "crashes")},
     "XLogClientOptions::max_block_bytes": "param_test's block-size sweep",
-    "XLogClientOptions::delivery_loss_prob":
-        "its Bernoulli draw advances the client RNG on every delivery, "
-        "even at 0; folding it shifts every later delivery latency, so it "
-        "waits for a change that may re-pin the golden traces",
 }
 
 IDENT = r"[A-Za-z_]\w*"
