@@ -117,7 +117,7 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.compute.rbpex_recoverable = false;
   o.tenant.compute.pushdown_plan = compute::PushdownPlan::kPush;
   o.tenant.compute.rbio_wire_mb_per_s = 2000;
-  // No readahead: every victim miss is a single kGetPage frame — the
+  // No readahead: every victim miss is a one-page frame — the
   // depth/latency signals the admission gate watches, undiluted.
   o.tenant.compute.scan_readahead = 0;
   // A shed scan keeps the abuser on the local plan long enough for the

@@ -11,7 +11,8 @@
 //
 // Phase 2 — fan-out sweep: F ∈ {1,4,16,64,256} concurrent clients miss
 // on distinct pages in the same virtual instant, for max_batch = 1
-// (per-page kGetPage frames) vs 16 (kGetPageBatch multiplexing).
+// (a one-entry kGetPageBatch frame per page) vs 16 (up to 16 pages
+// multiplexed per frame).
 // Reports round trips (frames sent), round trips saved, batch
 // occupancy, and client-observed GetPage p50/p99.
 
@@ -278,7 +279,7 @@ int main(int argc, char** argv) {
 
   printf("\n==========================================================\n");
   printf("GetPage@LSN fan-out: batched RBIO multiplexing + event-\n");
-  printf("driven freshness waits (vs per-page frames + 300us polls)\n");
+  printf("driven freshness waits (vs one-page frames + 300us polls)\n");
   printf("==========================================================\n");
 
   socrates::bench::GeneratedLog log = socrates::bench::GenerateLog();

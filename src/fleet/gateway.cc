@@ -55,11 +55,11 @@ TenantPort* Gateway::PortFor(TenantId tenant, PartitionId partition) {
 namespace {
 
 // Shed response: the format-shared [version][status] prefix means this
-// decodes as an error GetPage, batch or ScanRange response alike — the
+// decodes as an error GetPage or ScanRange response alike — the
 // client's existing overload machinery (backoff + local-plan fallback)
 // handles it with no gateway-specific wire format.
 std::string EncodeShed(const char* why) {
-  return rbio::EncodeSinglePageResponse(Status::Overloaded(why), nullptr);
+  return rbio::GetPageBatchResponse{Status::Overloaded(why), {}}.Encode();
 }
 
 }  // namespace

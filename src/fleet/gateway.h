@@ -5,7 +5,7 @@
 // the cross-tenant scan hold-off, and forwards.
 //
 // Why a port per (tenant, partition) and not one per tenant: the RBIO
-// client keys its batch queues, latency EWMAs and capability memos by
+// client keys its batch queues, latency EWMAs and scan backoff by
 // endpoint *name*. One shared "gw" endpoint would coalesce GetPage
 // misses of different partitions into a single kGetPageBatch frame that
 // no single Page Server could serve. Port names carry the tenant prefix

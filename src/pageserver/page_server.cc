@@ -1,7 +1,6 @@
 #include "pageserver/page_server.h"
 
 #include <algorithm>
-#include <map>
 
 #include "engine/btree_page.h"
 
@@ -257,23 +256,18 @@ void PageServer::WakeAllWaiters() {
 
 sim::Task<Result<storage::Page>> PageServer::GetPageAtLsn(PageId page_id,
                                                           Lsn min_lsn) {
-  getpage_requests_++;
-  ScopedInflight inflight(&getpage_inflight_,
-                          opts_.host_load != nullptr
-                              ? &opts_.host_load->getpage_inflight
-                              : nullptr);
-  if (!InPartition(page_id)) {
-    co_return Result<storage::Page>(
-        Status::InvalidArgument("page not in this partition"));
-  }
-  // Freshness protocol (§4.4): wait until all log up to min_lsn applied.
-  const SimTime t0 = sim_.now();
-  SOCRATES_CO_RETURN_IF_ERROR(co_await WaitApplied(min_lsn));
-  co_await cpu_->Consume(5);
-  Result<storage::Page> page = co_await ServeLocal(page_id);
-  // Feed the scan-admission health signal: this is the point-read
-  // service time a co-resident scan must not be allowed to inflate.
-  RecordGetPageServiceTime(sim_.now() - t0);
+  // The one-entry case of the wire path: a frame's entry bytes, served
+  // by the same routine.
+  char entry[rbio::GetPageBatchRequest::kEntryBytes];
+  EncodeFixed64(entry, page_id);
+  EncodeFixed64(entry + 8, min_lsn);
+  GetPageScratch scratch = AcquireScratch();
+  co_await ServeGetPages(rbio::GetPageBatchRequest(entry, 1), &scratch);
+  rbio::GetPageBatchResponse::Entry& e = scratch.resp.entries[0];
+  Result<storage::Page> page = e.status.ok()
+                                   ? Result<storage::Page>(std::move(e.page))
+                                   : Result<storage::Page>(e.status);
+  ReleaseScratch(std::move(scratch));
   co_return page;
 }
 
@@ -332,22 +326,15 @@ sim::Task<Result<std::string>> PageServer::HandleRbio(
   // Dispatch on the peeked type byte: exactly one decode runs per frame.
   Status ds;
   switch (rbio::PeekMessageType(frame)) {
-    case rbio::MessageType::kGetPage: {
-      rbio::GetPageRequest get;
-      ds = rbio::GetPageRequest::Decode(Slice(frame), &get);
-      if (!ds.ok()) break;
-      // Hot path: encode the lone page straight to the wire.
-      Result<storage::Page> page =
-          co_await GetPageAtLsn(get.page_id, get.min_lsn);
-      co_return rbio::EncodeSinglePageResponse(
-          page.ok() ? Status::OK() : page.status(),
-          page.ok() ? &page.value() : nullptr);
-    }
     case rbio::MessageType::kGetPageBatch: {
-      rbio::GetPageBatchRequest batch;
-      ds = rbio::GetPageBatchRequest::Decode(Slice(frame), &batch);
+      rbio::GetPageBatchRequest req;
+      ds = rbio::GetPageBatchRequest::Decode(Slice(frame), &req);
       if (!ds.ok()) break;
-      co_return co_await ServeBatch(std::move(batch));
+      GetPageScratch scratch = AcquireScratch();
+      co_await ServeGetPages(req, &scratch);
+      std::string out = scratch.resp.Encode();
+      ReleaseScratch(std::move(scratch));
+      co_return out;
     }
     case rbio::MessageType::kScanRange: {
       rbio::ScanRangeRequest scan;
@@ -359,64 +346,103 @@ sim::Task<Result<std::string>> PageServer::HandleRbio(
       ds = Status::NotSupported("rbio: unknown message type");
       break;
   }
-  // Undecodable or unknown frame: reject in a typed way so the client
+  // Undecodable or unknown frame: reject in a typed way (a zero-entry
+  // GetPage response, whose prefix every format shares) so the client
   // can distinguish protocol errors from data errors.
-  co_return rbio::EncodeSinglePageResponse(ds, nullptr);
+  co_return rbio::GetPageBatchResponse{ds, {}}.Encode();
 }
 
-// Serve one kGetPageBatch frame: sub-requests grouped by min_lsn and
-// served in ascending freshness order, so low-LSN groups' page reads
-// overlap the apply progress the high-LSN groups are still waiting on.
-// One amortized CPU slice for the frame plus a small per-page share.
-sim::Task<Result<std::string>> PageServer::ServeBatch(
-    rbio::GetPageBatchRequest req) {
+PageServer::GetPageScratch PageServer::AcquireScratch() {
+  if (scratch_pool_.empty()) return GetPageScratch{};
+  GetPageScratch s = std::move(scratch_pool_.back());
+  scratch_pool_.pop_back();
+  return s;
+}
+
+void PageServer::ReleaseScratch(GetPageScratch&& scratch) {
+  scratch.resp.entries.clear();  // keeps capacity, drops page refs
+  scratch_pool_.push_back(std::move(scratch));
+}
+
+namespace {
+
+void SetEntry(rbio::GetPageBatchResponse::Entry* out,
+              Result<storage::Page> page) {
+  if (page.ok()) {
+    out->page = std::move(page).value();
+    out->status = Status::OK();
+  } else {
+    out->status = page.status();
+  }
+}
+
+}  // namespace
+
+// Serve every GetPage@LSN entry of one frame into scratch->resp, in
+// request order. A one-page frame waits for freshness, then pays 5 us of
+// CPU and feeds its service time to the scan-admission window. A frame of
+// N >= 2 pays 5 + N/2 us on arrival plus 1 us per page, and serves its
+// entries grouped by min_lsn in ascending order (ties in request order),
+// so low-LSN groups' page reads overlap the apply progress the high-LSN
+// groups are still waiting on.
+sim::Task<> PageServer::ServeGetPages(rbio::GetPageBatchRequest req,
+                                      GetPageScratch* scratch) {
+  const uint32_t n = req.size();
   batch_requests_++;
-  batch_subrequests_ += req.entries.size();
-  getpage_requests_ += req.entries.size();
+  batch_subrequests_ += n;
+  getpage_requests_ += n;
   ScopedInflight inflight(&getpage_inflight_,
                           opts_.host_load != nullptr
                               ? &opts_.host_load->getpage_inflight
                               : nullptr);
-  rbio::GetPageBatchResponse resp;
+  rbio::GetPageBatchResponse& resp = scratch->resp;
   resp.status = Status::OK();
-  resp.entries.resize(req.entries.size());
-  std::map<Lsn, std::vector<size_t>> groups;
-  for (size_t i = 0; i < req.entries.size(); i++) {
-    groups[req.entries[i].min_lsn].push_back(i);
-  }
-  co_await cpu_->Consume(5 + req.entries.size() / 2);
-  for (auto& [min_lsn, idxs] : groups) {
-    Status ws = co_await WaitApplied(min_lsn);
-    for (size_t i : idxs) {
-      if (!ws.ok()) {
-        resp.entries[i].status = ws;
-        continue;
-      }
-      co_await cpu_->Consume(1);
-      Result<storage::Page> page =
-          co_await ServeLocal(req.entries[i].page_id);
-      if (page.ok()) {
-        resp.entries[i].page = std::move(page).value();
-        resp.entries[i].status = Status::OK();
-      } else {
-        resp.entries[i].status = page.status();
+  resp.entries.resize(n);
+  if (n == 1) {
+    const rbio::GetPageBatchRequest::Entry e = req[0];
+    rbio::GetPageBatchResponse::Entry& out = resp.entries[0];
+    const SimTime t0 = sim_.now();
+    if (!InPartition(e.page_id)) {
+      out.status = Status::InvalidArgument("page not in this partition");
+    } else if (Status ws = co_await WaitApplied(e.min_lsn); !ws.ok()) {
+      out.status = ws;
+    } else {
+      co_await cpu_->Consume(5);
+      SetEntry(&out, co_await ServeLocal(e.page_id));
+      RecordGetPageServiceTime(sim_.now() - t0);
+    }
+  } else {
+    std::vector<uint32_t>& order = scratch->order;
+    order.resize(n);
+    for (uint32_t i = 0; i < n; i++) order[i] = i;
+    std::sort(order.begin(), order.end(), [&req](uint32_t a, uint32_t b) {
+      const Lsn la = req[a].min_lsn, lb = req[b].min_lsn;
+      return la != lb ? la < lb : a < b;
+    });
+    co_await cpu_->Consume(5 + n / 2);
+    for (uint32_t g = 0; g < n;) {
+      const Lsn min_lsn = req[order[g]].min_lsn;
+      Status ws = co_await WaitApplied(min_lsn);
+      for (; g < n && req[order[g]].min_lsn == min_lsn; g++) {
+        rbio::GetPageBatchResponse::Entry& out = resp.entries[order[g]];
+        if (!ws.ok()) {
+          out.status = ws;
+          continue;
+        }
+        co_await cpu_->Consume(1);
+        SetEntry(&out, co_await ServeLocal(req[order[g]].page_id));
       }
     }
   }
-  // Crash-during-wait: if every sub-request died Unavailable, report it
-  // as the overall status so the client's retry loop treats the whole
-  // frame as transient (mirrors the single-page path).
-  if (!resp.entries.empty()) {
-    bool all_unavailable = true;
-    for (const auto& e : resp.entries) {
-      if (!e.status.IsUnavailable()) {
-        all_unavailable = false;
-        break;
-      }
-    }
-    if (all_unavailable) resp.status = resp.entries[0].status;
+  // Crash-during-wait: if every entry died Unavailable, report it as the
+  // overall status so the client's retry loop treats the whole frame as
+  // transient.
+  if (n > 0 && std::all_of(resp.entries.begin(), resp.entries.end(),
+                           [](const rbio::GetPageBatchResponse::Entry& e) {
+                             return e.status.IsUnavailable();
+                           })) {
+    resp.status = resp.entries[0].status;
   }
-  co_return resp.Encode();
 }
 
 // Serve one kScanRange frame: the computation-pushdown evaluator. Wait

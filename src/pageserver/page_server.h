@@ -136,6 +136,7 @@ class PageServer : public rbio::RbioServer {
 
   /// GetPage@LSN (§4.4): returns a copy of the page with all updates up
   /// to `min_lsn` (or later) applied. Blocks until log apply catches up.
+  /// In-process entry point: served as a one-entry kGetPageBatch frame.
   sim::Task<Result<storage::Page>> GetPageAtLsn(PageId page_id,
                                                 Lsn min_lsn);
 
@@ -228,7 +229,7 @@ class PageServer : public rbio::RbioServer {
   SimTime last_backup_snapshot_us() const {
     return last_backup_snapshot_us_;
   }
-  /// Foreground requests currently in service (GetPage/range/batch) —
+  /// Foreground requests currently in service (GetPage and scan) —
   /// the queue-depth signal the checkpoint pacer watches.
   uint64_t getpage_inflight() const { return getpage_inflight_; }
   /// Start times of the first few checkpoint rounds (jitter tests).
@@ -236,7 +237,8 @@ class PageServer : public rbio::RbioServer {
     return checkpoint_starts_;
   }
   uint64_t getpage_requests() const { return getpage_requests_; }
-  /// kGetPageBatch frames served / sub-requests carried in them.
+  /// kGetPageBatch frames served (GetPageAtLsn counts as one) / entries
+  /// carried in them.
   uint64_t batch_requests() const { return batch_requests_; }
   uint64_t batch_subrequests() const { return batch_subrequests_; }
 
@@ -321,9 +323,18 @@ class PageServer : public rbio::RbioServer {
   sim::Task<> SeedLoop(uint64_t epoch);
 
   // Serve one page from the local pool (no freshness wait — the caller
-  // has already waited). Shared by the single and batch paths.
+  // has already waited).
   sim::Task<Result<storage::Page>> ServeLocal(PageId page_id);
-  sim::Task<Result<std::string>> ServeBatch(rbio::GetPageBatchRequest req);
+  // Per-frame state of the GetPage serve path, pooled so that serving a
+  // frame allocates nothing but its encoded response.
+  struct GetPageScratch {
+    rbio::GetPageBatchResponse resp;
+    std::vector<uint32_t> order;  // entry indexes in serve order
+  };
+  GetPageScratch AcquireScratch();
+  void ReleaseScratch(GetPageScratch&& scratch);
+  sim::Task<> ServeGetPages(rbio::GetPageBatchRequest req,
+                            GetPageScratch* scratch);
   // kScanRange pushdown evaluator (§4.6 covering RBPEX + PushdownDB
   // economics): wait for min_lsn, then walk leaves from req.start_page
   // evaluating predicate/projection/aggregate at req.read_ts.
@@ -429,6 +440,7 @@ class PageServer : public rbio::RbioServer {
   uint64_t waiter_wakes_ = 0;
   Histogram waiter_wake_lag_us_;
   chaos::SitePort chaos_port_;
+  std::vector<GetPageScratch> scratch_pool_;
 };
 
 }  // namespace pageserver

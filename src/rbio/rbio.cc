@@ -101,51 +101,34 @@ void PutPageImage(std::string* out, const storage::Page& page) {
   out->append(page.data(), kPageSize);
 }
 
-// `owner` non-null: the decoded page aliases into the owner's buffer
-// (zero-copy); null: the image is copied out (self-contained decode).
+// The decoded page aliases into `owner`'s buffer (zero-copy).
 Status GetPageImage(Slice* in,
                     const std::shared_ptr<const std::string>& owner,
                     storage::Page* out) {
   if (in->size() < kPageSize) {
     return Status::Corruption("rbio: truncated page image");
   }
-  if (owner != nullptr) {
-    *out = storage::Page::Alias(owner, in->data());
-  } else {
-    storage::Page fresh = storage::Page::Uninitialized();
-    SOCRATES_RETURN_IF_ERROR(fresh.FromSlice(Slice(in->data(), kPageSize)));
-    *out = std::move(fresh);
-  }
+  *out = storage::Page::Alias(owner, in->data());
   in->remove_prefix(kPageSize);
   return Status::OK();
 }
 
-Status DecodeBatchResponse(Slice wire,
-                           const std::shared_ptr<const std::string>& owner,
-                           GetPageBatchResponse* out) {
-  SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
-  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
-  uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated batch entry count");
-  }
-  out->entries.clear();
-  out->entries.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    GetPageBatchResponse::Entry e;
-    SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &e.status));
-    if (wire.empty()) {
-      return Status::Corruption("rbio: truncated batch entry");
-    }
-    bool has_page = wire[0] != 0;
-    wire.remove_prefix(1);
-    if (has_page) {
-      SOCRATES_RETURN_IF_ERROR(GetPageImage(&wire, owner, &e.page));
-    }
-    out->entries.push_back(std::move(e));
+// Reads a u32 element count and rejects it unless `min_bytes` per
+// element could still follow: a corrupt count must not size an
+// allocation.
+Status GetCount(Slice* in, size_t min_bytes, uint32_t* n) {
+  if (!GetFixed32(in, n)) return Status::Corruption("rbio: truncated count");
+  if (*n > in->size() / min_bytes) {
+    return Status::Corruption("rbio: count exceeds frame");
   }
   return Status::OK();
 }
+
+// Minimum encoded size of a batch response entry: [u8 code][u32 message
+// length][u8 has_page].
+constexpr size_t kMinBatchResponseEntryBytes = 6;
+// Minimum encoded size of a scan tuple: [u64 key][u32 value length].
+constexpr size_t kMinScanTupleBytes = 12;
 
 }  // namespace
 
@@ -153,70 +136,43 @@ Status DecodeResponseStatusPrefix(Slice wire, Status* out) {
   return PeekResponseStatus(wire, out);
 }
 
-std::string GetPageRequest::Encode() const {
-  std::string out;
-  EncodeTo(&out);
-  return out;
-}
-
-void GetPageRequest::EncodeTo(std::string* out) const {
+void GetPageBatchRequest::EncodeHeader(std::string* out, uint32_t n) {
   out->clear();
-  PutHeader(out, MessageType::kGetPage);
-  PutFixed64(out, page_id);
-  PutFixed64(out, min_lsn);
-}
-
-Status GetPageRequest::Decode(Slice wire, GetPageRequest* out) {
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kGetPage,
-                                     "rbio: not a GetPage request"));
-  if (!GetFixed64(&wire, &out->page_id) ||
-      !GetFixed64(&wire, &out->min_lsn)) {
-    return Status::Corruption("rbio: truncated GetPage request");
-  }
-  return Status::OK();
-}
-
-std::string GetPageBatchRequest::Encode() const {
-  std::string out;
-  EncodeTo(&out);
-  return out;
-}
-
-void GetPageBatchRequest::EncodeTo(std::string* out) const {
-  out->clear();
-  out->reserve(2 + 1 + 4 + entries.size() * 16);
+  out->reserve(2 + 1 + 4 + n * kEntryBytes);
   PutHeader(out, MessageType::kGetPageBatch);
-  PutFixed32(out, static_cast<uint32_t>(entries.size()));
-  for (const Entry& e : entries) {
-    PutFixed64(out, e.page_id);
-    PutFixed64(out, e.min_lsn);
-  }
+  PutFixed32(out, n);
+}
+
+void GetPageBatchRequest::AppendEntry(std::string* out, const Entry& e) {
+  PutFixed64(out, e.page_id);
+  PutFixed64(out, e.min_lsn);
+}
+
+std::string GetPageBatchRequest::Encode(const std::vector<Entry>& entries) {
+  std::string out;
+  EncodeHeader(&out, static_cast<uint32_t>(entries.size()));
+  for (const Entry& e : entries) AppendEntry(&out, e);
+  return out;
 }
 
 Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out) {
   SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kGetPageBatch,
                                      "rbio: not a GetPageBatch request"));
-  uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated batch count");
-  }
-  out->entries.clear();
-  out->entries.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    Entry e;
-    if (!GetFixed64(&wire, &e.page_id) || !GetFixed64(&wire, &e.min_lsn)) {
-      return Status::Corruption("rbio: truncated batch entry");
-    }
-    out->entries.push_back(e);
-  }
+  uint32_t n = 0;
+  SOCRATES_RETURN_IF_ERROR(GetCount(&wire, kEntryBytes, &n));
+  *out = GetPageBatchRequest(wire.data(), n);
   return Status::OK();
 }
 
 std::string GetPageBatchResponse::Encode() const {
   std::string out;
   // One exact-size allocation instead of append-growth reallocs.
-  out.reserve(2 + 1 + 5 + status.message().size() + 4 +
-              entries.size() * (kPageSize + 16));
+  size_t size = 2 + 1 + 4 + status.message().size() + 4;
+  for (const Entry& e : entries) {
+    size += kMinBatchResponseEntryBytes + e.status.message().size() +
+            (e.status.ok() ? kPageSize : 0);
+  }
+  out.reserve(size);
   PutResponsePrefix(&out, status);
   PutFixed32(&out, static_cast<uint32_t>(entries.size()));
   for (const Entry& e : entries) {
@@ -227,41 +183,27 @@ std::string GetPageBatchResponse::Encode() const {
   return out;
 }
 
-Status GetPageBatchResponse::Decode(Slice wire, GetPageBatchResponse* out) {
-  return DecodeBatchResponse(wire, nullptr, out);
-}
-
-Status GetPageBatchResponse::Decode(
-    std::shared_ptr<const std::string> frame, GetPageBatchResponse* out) {
-  return DecodeBatchResponse(Slice(*frame), frame, out);
-}
-
-std::string EncodeSinglePageResponse(const Status& status,
-                                     const storage::Page* page) {
-  std::string out;
-  out.reserve(2 + 1 + 5 + status.message().size() + 4 +
-              (page != nullptr ? kPageSize : 0));
-  PutResponsePrefix(&out, status);
-  PutFixed32(&out, page != nullptr ? 1u : 0u);
-  if (page != nullptr) PutPageImage(&out, *page);
-  return out;
-}
-
-Status DecodeSinglePageResponse(
-    const std::shared_ptr<const std::string>& frame, Status* status,
-    storage::Page* page) {
+Status GetPageBatchResponse::Decode(std::shared_ptr<const std::string> frame,
+                                    GetPageBatchResponse* out) {
   Slice wire(*frame);
+  out->entries.clear();
   SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
-  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, status));
-  uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated page count");
+  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
+  uint32_t n = 0;
+  SOCRATES_RETURN_IF_ERROR(GetCount(&wire, kMinBatchResponseEntryBytes, &n));
+  out->entries.resize(n);
+  for (Entry& e : out->entries) {
+    SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &e.status));
+    if (wire.empty()) {
+      return Status::Corruption("rbio: truncated batch entry");
+    }
+    bool has_page = wire[0] != 0;
+    wire.remove_prefix(1);
+    if (has_page) {
+      SOCRATES_RETURN_IF_ERROR(GetPageImage(&wire, frame, &e.page));
+    }
   }
-  if (!status->ok()) return Status::OK();  // error responses carry no page
-  if (n != 1) {
-    return Status::Corruption("rbio: GetPage returned wrong page count");
-  }
-  return GetPageImage(&wire, frame, page);
+  return Status::OK();
 }
 
 std::string ScanRangeRequest::Encode() const {
@@ -377,10 +319,8 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
     }
     return Status::OK();
   }
-  uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated tuple count");
-  }
+  uint32_t n = 0;
+  SOCRATES_RETURN_IF_ERROR(GetCount(&wire, kMinScanTupleBytes, &n));
   out->tuples.reserve(n);
   for (uint32_t i = 0; i < n; i++) {
     Tuple t;
@@ -574,39 +514,10 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
   co_return Result<std::string>(last);
 }
 
-sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
-    const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
-  GetPageRequest req;
-  req.page_id = page_id;
-  req.min_lsn = min_lsn;
-  singles_sent_++;
-  std::string frame = AcquireFrame();
-  req.EncodeTo(&frame);
-  Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), kCpuPerRequestUs);
-  if (!raw.ok()) co_return Result<storage::Page>(raw.status());
-  // Single-page decode: the page aliases into the pooled response frame;
-  // no per-response vector.
-  std::shared_ptr<std::string> fp = AcquireRespFrame();
-  *fp = std::move(*raw);
-  Status rstatus;
-  storage::Page page;
-  Status ds = DecodeSinglePageResponse(fp, &rstatus, &page);
-  if (!ds.ok()) co_return Result<storage::Page>(ds);
-  if (!rstatus.ok()) co_return Result<storage::Page>(rstatus);
-  SOCRATES_CO_RETURN_IF_ERROR(page.VerifyChecksum());
-  if (page.page_id() != page_id) {
-    co_return Result<storage::Page>(
-        Status::Corruption("rbio: wrong page returned"));
-  }
-  co_return std::move(page);
-}
-
 sim::Task<Result<storage::Page>> RbioClient::GetPage(
     const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
-  if (opts_.max_batch <= 1 || replicas.empty()) {
-    co_return co_await GetPageSingle(replicas, page_id, min_lsn);
-  }
+  static const Status kNoEndpoints = Status::Unavailable("no endpoints");
+  if (replicas.empty()) co_return Result<storage::Page>(kNoEndpoints);
   std::string key;
   for (const Endpoint& ep : replicas) {
     key += ep.name;
@@ -659,20 +570,19 @@ sim::Task<Result<storage::Page>> RbioClient::GetPage(
 sim::Task<> RbioClient::BatchFlusher(std::string key) {
   // Adaptive window: give misses issued at the same virtual instant one
   // simulator tick to pile up, then flush. The tick is zero virtual
-  // time, so a lone miss pays no extra latency over the unbatched path.
+  // time, so a lone miss pays no extra latency for the window.
   co_await sim::Yield(sim_);
   BatchQueue& q = batch_queues_[key];
   while (!q.pending.empty()) {
-    size_t n = std::min<size_t>(q.pending.size(), opts_.max_batch);
-    if (n == 1 && q.pending.size() == 1) {
-      // The common lone-miss case: resolve directly, no batch vector.
-      PendingGet* only = q.pending.front();
-      q.pending.clear();
-      sim::Spawn(sim_, ResolveSingle(q.replicas, only));
-      break;
+    // max_batch 0 means 1: a frame carries at least one page.
+    size_t n = std::min<size_t>(q.pending.size(),
+                                std::max<uint32_t>(opts_.max_batch, 1));
+    std::vector<PendingGet*> batch;
+    if (!batch_pool_.empty()) {
+      batch = std::move(batch_pool_.back());
+      batch_pool_.pop_back();
     }
-    std::vector<PendingGet*> batch(q.pending.begin(),
-                                   q.pending.begin() + n);
+    batch.assign(q.pending.begin(), q.pending.begin() + n);
     q.pending.erase(q.pending.begin(), q.pending.begin() + n);
     // Detached: bursts above max_batch go out as several concurrent
     // frames rather than serializing round trips.
@@ -681,39 +591,26 @@ sim::Task<> RbioClient::BatchFlusher(std::string key) {
   q.flusher_active = false;
 }
 
-sim::Task<> RbioClient::ResolveSingle(ReplicaSet replicas,
-                                      PendingGet* entry) {
-  entry->result =
-      co_await GetPageSingle(*replicas, entry->page_id, entry->min_lsn);
-  entry->done.Set();
-  ReleasePending(entry);
-}
-
 sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas,
                                    std::vector<PendingGet*> batch) {
-  if (batch.size() == 1) {
-    // Nothing to multiplex: identical wire behavior to the unbatched
-    // path.
-    co_await ResolveSingle(std::move(replicas), batch[0]);
-    co_return;
-  }
-  GetPageBatchRequest req;
-  req.entries.reserve(batch.size());
-  for (const auto& e : batch) {
-    req.entries.push_back({e->page_id, e->min_lsn});
-  }
   batches_sent_++;
   batched_pages_ += batch.size();
   batch_occupancy_.Add(static_cast<double>(batch.size()));
   // One round trip pays the fixed per-request CPU once; each extra
-  // sub-request costs only the amortized marshalling share.
+  // entry costs only the amortized marshalling share.
   SimTime cpu_us =
       kCpuPerRequestUs + (batch.size() - 1) * kCpuPerBatchedPageUs;
   std::string reqframe = AcquireFrame();
-  req.EncodeTo(&reqframe);
+  GetPageBatchRequest::EncodeHeader(&reqframe,
+                                    static_cast<uint32_t>(batch.size()));
+  for (const PendingGet* e : batch) {
+    GetPageBatchRequest::AppendEntry(&reqframe, {e->page_id, e->min_lsn});
+  }
   Result<std::string> raw =
       co_await RoundtripRaw(*replicas, std::move(reqframe), cpu_us);
-  GetPageBatchResponse resp;
+  // From here to the end nothing suspends, so decoded_ is this flush's
+  // alone.
+  GetPageBatchResponse& resp = decoded_;
   Status ds = raw.status();
   if (raw.ok()) {
     std::shared_ptr<std::string> fp = AcquireRespFrame();
@@ -745,6 +642,11 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas,
     batch[i]->done.Set();
     ReleasePending(batch[i]);
   }
+  // Drop the pages that were not handed out, so the pooled response
+  // frame they alias can be recycled.
+  resp.entries.clear();
+  batch.clear();
+  batch_pool_.push_back(std::move(batch));
 }
 
 sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(

@@ -15,17 +15,17 @@
 //    of observed latency per endpoint and routes to the fastest healthy
 //    replica, failing over on Unavailable.
 //
-// Messages: GetPage (the §4.4 GetPage@LSN call), GetPageBatch (many
-// unrelated GetPage sub-requests multiplexed into one frame) and
-// ScanRange (computation pushdown).
+// Messages: GetPageBatch (the §4.4 GetPage@LSN call for N >= 1 pages in
+// one frame; a lone miss is a one-entry frame) and ScanRange
+// (computation pushdown).
 //
 // Batched multiplexing: GetPage@LSN is the hottest cross-tier path, and
-// per-page frames pay one full network round trip plus fixed per-request
-// CPU each. The client therefore runs a per-endpoint-set batcher:
-// concurrent misses destined for the same Page Server are queued and
-// packed into a single kGetPageBatch frame (flushed when max_batch
-// sub-requests are queued, or at the next simulator tick when no further
-// miss arrives — so a lone miss pays zero extra latency).
+// every frame pays one full network round trip plus fixed per-request
+// CPU. The client therefore runs a per-endpoint-set batcher: concurrent
+// misses destined for the same Page Server are queued and packed into
+// one kGetPageBatch frame (flushed when max_batch entries are queued, or
+// at the next simulator tick when no further miss arrives — so a lone
+// miss pays zero extra latency).
 
 #pragma once
 
@@ -55,10 +55,12 @@ namespace rbio {
 inline constexpr uint16_t kProtocolVersion = 5;
 
 enum class MessageType : uint8_t {
+  /// Retired single-page and multi-page reads. The values stay reserved
+  /// so they are never reused; servers answer them NotSupported like any
+  /// other unknown type.
   kGetPage = 1,
-  /// Retired multi-page read. The value stays reserved so it is never
-  /// reused; servers reject it like any other unknown type.
   kGetPageRange = 2,
+  /// GetPage@LSN for N >= 1 pages: the one page-read message.
   kGetPageBatch = 3,
   kScanRange = 4,
 };
@@ -71,34 +73,48 @@ inline MessageType PeekMessageType(const std::string& frame) {
                            : static_cast<MessageType>(0);
 }
 
-struct GetPageRequest {
-  PageId page_id = kInvalidPageId;
-  Lsn min_lsn = kInvalidLsn;
-
-  std::string Encode() const;
-  /// Encode into a caller-owned buffer (cleared first) so hot paths can
-  /// recycle string capacity instead of allocating per frame.
-  void EncodeTo(std::string* out) const;
-  static Status Decode(Slice wire, GetPageRequest* out);
-};
-
-/// Many independent GetPage@LSN sub-requests multiplexed into one frame
-/// — one network round trip for the whole batch.
-struct GetPageBatchRequest {
+/// GetPage@LSN (§4.4) for N >= 1 pages in one frame — one network round
+/// trip however many pages ride in it: [header][u32 n] followed by n
+/// entries of [u64 page_id][u64 min_lsn]. Writers build the frame in
+/// place (EncodeHeader, then one AppendEntry per page); a decoded request
+/// is a view that reads each entry straight from the borrowed bytes.
+class GetPageBatchRequest {
+ public:
   struct Entry {
     PageId page_id = kInvalidPageId;
     Lsn min_lsn = kInvalidLsn;
   };
-  std::vector<Entry> entries;
+  static constexpr size_t kEntryBytes = 16;
 
-  std::string Encode() const;
-  void EncodeTo(std::string* out) const;
+  /// View `n` entries laid out as on the wire at `entries`, which must
+  /// outlive the view.
+  explicit GetPageBatchRequest(const char* entries = nullptr,
+                               uint32_t n = 0)
+      : entries_(entries), n_(n) {}
+
+  /// Start a frame of `n` entries in `*out` (cleared first, capacity
+  /// kept); the caller then appends exactly `n` entries.
+  static void EncodeHeader(std::string* out, uint32_t n);
+  static void AppendEntry(std::string* out, const Entry& e);
+  static std::string Encode(const std::vector<Entry>& entries);
+  /// View the entries of `wire`, whose bytes must outlive `*out`.
   static Status Decode(Slice wire, GetPageBatchRequest* out);
+
+  uint32_t size() const { return n_; }
+  Entry operator[](size_t i) const {
+    const char* p = entries_ + i * kEntryBytes;
+    return {DecodeFixed64(p), DecodeFixed64(p + 8)};
+  }
+
+ private:
+  const char* entries_;
+  uint32_t n_;
 };
 
-/// Response to a kGetPageBatch frame: per-sub-request status + page, in
+/// Response to a kGetPageBatch frame: per-entry status + page, in
 /// request order, after the [u16 version][status] prefix every response
-/// format shares.
+/// format shares. A frame the server could not serve at all (undecodable,
+/// unknown type, shed) gets a non-OK status and zero entries.
 struct GetPageBatchResponse {
   struct Entry {
     Status status;
@@ -108,10 +124,11 @@ struct GetPageBatchResponse {
   std::vector<Entry> entries;
 
   std::string Encode() const;
-  static Status Decode(Slice wire, GetPageBatchResponse* out);
   /// Zero-copy decode: the pages alias into `*frame` (sharing ownership)
   /// instead of copying each 8 KiB image. Mutating a decoded page COW-
   /// detaches it, so the frame's bytes are never written through a page.
+  /// `out->entries` keeps its capacity, so a reused response decodes
+  /// without allocating.
   static Status Decode(std::shared_ptr<const std::string> frame,
                        GetPageBatchResponse* out);
 };
@@ -188,19 +205,6 @@ struct ScanRangeResponse {
                        ScanRangeResponse* out);
 };
 
-/// Encode a kGetPage response: [u16 version][status][u32 n] followed by
-/// the page image when `page` is non-null (n = 1) or nothing (n = 0, an
-/// error status). Servers also answer undecodable frames this way.
-std::string EncodeSinglePageResponse(const Status& status,
-                                     const storage::Page* page);
-
-/// Decode a kGetPage response. `*page` aliases into `frame` (zero-copy).
-/// An error `*status` with zero pages decodes as OK with `*page`
-/// untouched.
-Status DecodeSinglePageResponse(
-    const std::shared_ptr<const std::string>& frame, Status* status,
-    storage::Page* page);
-
 /// Peek the format-shared [u16 version][status] prefix every response
 /// format starts with. Interposers (the fleet gateway) classify a
 /// forwarded response — e.g. a Page Server's kOverloaded scan shed —
@@ -228,8 +232,8 @@ struct Endpoint {
 struct RbioClientOptions {
   sim::LatencyModel network = sim::DeviceProfile::IntraDcNetwork().read;
   /// Pack up to this many concurrent GetPage misses per endpoint set
-  /// into one kGetPageBatch frame. 1 disables batching entirely: every
-  /// miss goes out as a per-page frame.
+  /// into one kGetPageBatch frame. 1 disables multiplexing: every miss
+  /// goes out as its own one-entry frame.
   uint32_t max_batch = 16;
   /// How long ScanRange avoids an endpoint set after it replied
   /// kOverloaded (scan admission shed the work). During the window scans
@@ -260,9 +264,9 @@ class RbioClient {
   RbioClient(sim::Simulator& sim, sim::CpuResource* cpu,
              const RbioClientOptions& options, uint64_t seed = 0xb10);
 
-  /// GetPage@LSN against the best replica in `replicas`. Concurrent
-  /// calls for the same endpoint set may be coalesced into one
-  /// kGetPageBatch frame (see RbioClientOptions::max_batch).
+  /// GetPage@LSN against the best replica in `replicas`, sent as an
+  /// entry of a kGetPageBatch frame that concurrent calls for the same
+  /// endpoint set may share (see RbioClientOptions::max_batch).
   sim::Task<Result<storage::Page>> GetPage(
       const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
 
@@ -318,10 +322,8 @@ class RbioClient {
   // ----- Batching counters.
   /// kGetPageBatch frames sent (each is one round trip).
   uint64_t batches_sent() const { return batches_sent_; }
-  /// GetPage sub-requests carried inside batch frames.
+  /// GetPage entries carried inside those frames.
   uint64_t batched_pages() const { return batched_pages_; }
-  /// Per-page frames sent for plain (unbatched / batch-of-one) GetPage.
-  uint64_t singles_sent() const { return singles_sent_; }
   /// Duplicate page requests coalesced into an already-queued entry.
   uint64_t batch_dedup_hits() const { return batch_dedup_hits_; }
   /// Network round trips avoided by multiplexing: each batch of k pages
@@ -340,7 +342,6 @@ class RbioClient {
     retries_ = 0;
     batches_sent_ = 0;
     batched_pages_ = 0;
-    singles_sent_ = 0;
     batch_dedup_hits_ = 0;
     scan_requests_ = 0;
     scans_sent_ = 0;
@@ -357,7 +358,7 @@ class RbioClient {
   ~RbioClient();
 
  private:
-  // One queued GetPage awaiting a batch flush (or a lone-miss single).
+  // One queued GetPage awaiting a batch flush.
   // Nodes are recycled through a free list (AcquirePending /
   // ReleasePending) with a manual refcount — one ref for the queue/flush
   // side plus one per awaiting rider — so the steady-state hot path
@@ -412,16 +413,12 @@ class RbioClient {
       const std::vector<Endpoint>& replicas, std::string frame,
       SimTime cpu_us);
 
-  // The unbatched GetPage path.
-  sim::Task<Result<storage::Page>> GetPageSingle(
-      const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
-
-  // Drains a queue: flushes full batches this tick, one frame per
-  // max_batch sub-requests, each as a detached round trip.
+  // Drains a queue: flushes everything queued this tick, one frame per
+  // max_batch entries, each as a detached round trip.
   sim::Task<> BatchFlusher(std::string key);
+  // One frame's round trip; hands `batch` back to batch_pool_ when done.
   sim::Task<> FlushBatch(ReplicaSet replicas,
                          std::vector<PendingGet*> batch);
-  sim::Task<> ResolveSingle(ReplicaSet replicas, PendingGet* entry);
 
   struct EndpointStats {
     double ewma_us = 0;
@@ -438,13 +435,18 @@ class RbioClient {
   // Per-endpoint-set end of the kOverloaded scan backoff.
   std::map<std::string, SimTime> scan_backoff_until_;
   std::vector<PendingGet*> pending_pool_;
+  // Emptied flush vectors, capacity kept.
+  std::vector<std::vector<PendingGet*>> batch_pool_;
+  // Decode target of every batch response. Decoding and handing the
+  // entries to their riders is one synchronous step, so flushes in
+  // flight can share it.
+  GetPageBatchResponse decoded_;
   std::vector<std::string> frame_pool_;
   std::vector<std::shared_ptr<std::string>> resp_frame_pool_;
   uint64_t requests_ = 0;
   uint64_t retries_ = 0;
   uint64_t batches_sent_ = 0;
   uint64_t batched_pages_ = 0;
-  uint64_t singles_sent_ = 0;
   uint64_t batch_dedup_hits_ = 0;
   uint64_t scan_requests_ = 0;
   uint64_t scans_sent_ = 0;

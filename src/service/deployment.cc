@@ -485,8 +485,11 @@ Deployment::PointInTimeRestore(const BackupHandle& backup,
     co_return Result<std::unique_ptr<Deployment>>(
         Status::InvalidArgument("backup does not match deployment"));
   }
-  static int restore_counter = 0;
-  std::string suffix = "/restore-" + std::to_string(restore_counter++);
+  // Named from this deployment's own count (nested under its suffix when
+  // it is itself a restore), so names never depend on what else ran in
+  // the process.
+  std::string suffix =
+      blob_suffix_ + "/restore-" + std::to_string(restores_++);
 
   auto restored = std::unique_ptr<Deployment>(
       new Deployment(sim_, opts_, this, suffix));

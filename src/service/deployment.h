@@ -328,6 +328,7 @@ class Deployment {
 
   Lsn last_checkpoint_lsn_ = engine::kLogStreamStart;
   std::string blob_suffix_;  // PITR restores use fresh blob names
+  int restores_ = 0;         // PITR restores made from this deployment
   bool restored_ = false;    // true for PITR deployments (frozen log)
 };
 

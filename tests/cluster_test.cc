@@ -734,21 +734,19 @@ TEST(ClusterTest, BatchAndWaiterCountersConsistent) {
   // The concurrent miss streams actually multiplexed.
   EXPECT_GT(client.batches_sent(), 0u);
   EXPECT_GT(client.round_trips_saved(), 0u);
-  // Counter consistency, client side: every wire request is either a
-  // batch frame or a per-page single (no retries in this run).
+  // Counter consistency, client side: every wire request is a batch
+  // frame, a lone miss being a frame of one (no retries in this run).
   EXPECT_EQ(client.retries(), 0u);
-  EXPECT_EQ(client.requests_sent(),
-            client.batches_sent() + client.singles_sent());
+  EXPECT_EQ(client.requests_sent(), client.batches_sent());
   EXPECT_EQ(client.round_trips_saved(),
             client.batched_pages() - client.batches_sent());
-  // Server side: GetPage@LSN requests == batch sub-requests + singles,
-  // and the two tiers agree about what crossed the wire.
+  // Server side: GetPage@LSN requests == batch entries, and the two
+  // tiers agree about what crossed the wire.
   EXPECT_EQ(ps->batch_requests(), client.batches_sent());
   EXPECT_EQ(ps->batch_subrequests(), client.batched_pages());
-  EXPECT_EQ(ps->getpage_requests(),
-            client.batched_pages() + client.singles_sent());
-  // Freshness waits were recorded (one per single + one per batch LSN
-  // group), and event-driven wakes carry no poll-quantization lag.
+  EXPECT_EQ(ps->getpage_requests(), client.batched_pages());
+  // Freshness waits were recorded (one per LSN group of each frame), and
+  // event-driven wakes carry no poll-quantization lag.
   EXPECT_GT(ps->freshness_wait_us().count(), 0u);
   EXPECT_LE(ps->freshness_wait_us().count(), ps->getpage_requests());
   EXPECT_EQ(ps->waiter_wake_lag_us().max(), 0.0);

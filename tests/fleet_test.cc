@@ -247,9 +247,9 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
   o.tenant.compute.mem_pages = 8;
   o.tenant.compute.ssd_pages = 16;
   o.tenant.compute.pushdown_plan = compute::PushdownPlan::kPush;
-  // No scan readahead: every miss is a single kGetPage frame, which is
+  // No scan readahead: every miss is a one-page frame, which is
   // what feeds the server's point-read latency ring (the admission
-  // health signal ignores batch prefetch traffic).
+  // health signal ignores frames of two or more pages).
   o.tenant.compute.scan_readahead = 0;
   // Server-side admission trips on any measurable tail once the latency
   // window fills, and sheds immediately (no tokens): a deterministic

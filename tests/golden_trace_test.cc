@@ -151,10 +151,6 @@ uint64_t RunFailoverTrace(uint64_t seed) {
   o.num_secondaries = 1;
   o.compute.mem_pages = 48;
   o.compute.ssd_pages = 128;
-  // A restore's blob names carry a process-wide counter, and checkpoint
-  // jitter is seeded by the blob name: unjittered checkpoints keep the
-  // hash independent of how many restores ran before.
-  o.page_server.checkpoint_jitter_frac = 0;
   Deployment d(s, o);
   std::unique_ptr<Deployment> restored;
   RunSim(s, [&]() -> Task<> {
@@ -203,7 +199,7 @@ uint64_t RunFailoverTrace(uint64_t seed) {
 // Pinned values; see the header comment before changing them.
 constexpr uint64_t kWorkloadTrace7 = 0xef13d2fe9d0dfd96ull;
 constexpr uint64_t kChaosTrace3 = 0x0f8873da2e645e74ull;
-constexpr uint64_t kFailoverTrace5 = 0xd91253bd966b675eull;
+constexpr uint64_t kFailoverTrace5 = 0x9e34f260acc885f9ull;
 
 TEST(GoldenTrace, WorkloadTraceIdenticalAcrossRuns) {
   const uint64_t h1 = RunWorkloadTrace(7);
@@ -234,6 +230,16 @@ TEST(GoldenTrace, FailoverTraceIdenticalAcrossRuns) {
   EXPECT_EQ(h2, h3);
   EXPECT_EQ(h1, kFailoverTrace5);
   EXPECT_NE(h1, RunFailoverTrace(6));
+}
+
+// Restore blob names (which seed checkpoint jitter) are counted per
+// deployment: a restore traces the same alone and after two earlier
+// restores in the same process.
+TEST(GoldenTrace, RestoreIsUnaffectedByEarlierRestores) {
+  const uint64_t alone = RunFailoverTrace(5);
+  (void)RunFailoverTrace(6);
+  (void)RunFailoverTrace(6);
+  EXPECT_EQ(RunFailoverTrace(5), alone);
 }
 
 }  // namespace

@@ -395,7 +395,7 @@ TEST(FaultPlanTest, TransientFailuresAreCreditsAtThePageServerSite) {
     co_await sim::Delay(s, 2000);
     EXPECT_EQ(d.chaos().FailuresRemaining("ps-0"), 3);
     const std::string frame =
-        rbio::GetPageRequest{engine::kRootPageId, 0}.Encode();
+        rbio::GetPageBatchRequest::Encode({{engine::kRootPageId, 0}});
     for (int i = 0; i < 3; i++) {
       auto raw = co_await d.page_server(0)->HandleRbio(frame);
       EXPECT_TRUE(raw.status().IsUnavailable()) << "frame " << i;

@@ -32,93 +32,154 @@ void RunSim(Simulator& s, Fn&& fn) {
 // ------------------------------------------------------------------ codec
 
 TEST(RbioCodecTest, GetPageRoundTrip) {
-  GetPageRequest req;
-  req.page_id = 42;
-  req.min_lsn = 123456;
-  GetPageRequest out;
-  ASSERT_TRUE(GetPageRequest::Decode(Slice(req.Encode()), &out).ok());
-  EXPECT_EQ(out.page_id, 42u);
-  EXPECT_EQ(out.min_lsn, 123456u);
+  // A lone miss is a one-entry GetPageBatch frame; building it entry by
+  // entry gives the same bytes as encoding the whole list.
+  const std::string wire = GetPageBatchRequest::Encode({{42, 123456}});
+  std::string built;
+  GetPageBatchRequest::EncodeHeader(&built, 1);
+  GetPageBatchRequest::AppendEntry(&built, {42, 123456});
+  EXPECT_EQ(built, wire);
+  EXPECT_EQ(PeekMessageType(wire), MessageType::kGetPageBatch);
+  GetPageBatchRequest out;
+  ASSERT_TRUE(GetPageBatchRequest::Decode(Slice(wire), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].page_id, 42u);
+  EXPECT_EQ(out[0].min_lsn, 123456u);
 }
 
 TEST(RbioCodecTest, TypeConfusionRejected) {
-  GetPageRequest get;
-  GetPageBatchRequest batch;
-  batch.entries.push_back({1, 1});
-  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(get.Encode()), &batch)
+  ScanRangeRequest scan;
+  scan.start_page = 1;
+  GetPageBatchRequest get;
+  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(scan.Encode()), &get)
                   .IsInvalidArgument());
-  EXPECT_TRUE(GetPageRequest::Decode(Slice(batch.Encode()), &get)
+  EXPECT_TRUE(ScanRangeRequest::Decode(
+                  Slice(GetPageBatchRequest::Encode({{1, 1}})), &scan)
                   .IsInvalidArgument());
 }
 
 TEST(RbioCodecTest, ForeignVersionRejected) {
   // One wire format: a frame stamped with any other protocol version is
   // not a frame of this build, in either direction.
-  GetPageRequest req;
-  req.page_id = 1;
-  const std::string wire = req.Encode();
-  GetPageRequest out;
+  const std::string wire = GetPageBatchRequest::Encode({{1, 0}});
+  GetPageBatchRequest out;
   for (uint16_t v : {uint16_t{0}, uint16_t{kProtocolVersion - 1},
                      uint16_t{kProtocolVersion + 1}}) {
     std::string foreign = wire;
     foreign[0] = static_cast<char>(v & 0xff);
     foreign[1] = static_cast<char>(v >> 8);
-    EXPECT_TRUE(GetPageRequest::Decode(Slice(foreign), &out).IsCorruption())
+    EXPECT_TRUE(
+        GetPageBatchRequest::Decode(Slice(foreign), &out).IsCorruption())
         << v;
   }
-  std::string resp = EncodeSinglePageResponse(Status::OK(), nullptr);
+  std::string resp = GetPageBatchResponse{Status::OK(), {}}.Encode();
   resp[0] ^= 0x01;
   Status prefix;
   EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(resp), &prefix).IsCorruption());
 }
 
 TEST(RbioCodecTest, ResponseRoundTripWithPages) {
-  storage::Page p;
-  p.Format(9, storage::PageType::kBTreeLeaf);
-  p.UpdateChecksum();
-  auto frame =
-      std::make_shared<const std::string>(EncodeSinglePageResponse(
-          Status::OK(), &p));
-  Status status;
-  storage::Page out;
-  ASSERT_TRUE(DecodeSinglePageResponse(frame, &status, &out).ok());
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(out.page_id(), 9u);
-  EXPECT_TRUE(out.VerifyChecksum().ok());
+  GetPageBatchResponse resp{Status::OK(), {}};
+  resp.entries.push_back({Status::OK(), storage::Page()});
+  resp.entries[0].page.Format(9, storage::PageType::kBTreeLeaf);
+  resp.entries[0].page.UpdateChecksum();
+  auto frame = std::make_shared<const std::string>(resp.Encode());
+  GetPageBatchResponse out;
+  ASSERT_TRUE(GetPageBatchResponse::Decode(frame, &out).ok());
+  EXPECT_TRUE(out.status.ok());
+  ASSERT_EQ(out.entries.size(), 1u);
+  EXPECT_TRUE(out.entries[0].status.ok());
+  EXPECT_EQ(out.entries[0].page.page_id(), 9u);
+  EXPECT_TRUE(out.entries[0].page.VerifyChecksum().ok());
+  // Zero-copy: the page aliases the frame.
+  EXPECT_EQ(out.entries[0].page.cdata(),
+            frame->data() + frame->size() - kPageSize);
 }
 
 TEST(RbioCodecTest, ErrorStatusSurvivesWire) {
   auto frame = std::make_shared<const std::string>(
-      EncodeSinglePageResponse(Status::NotFound("no such page"), nullptr));
-  Status status;
-  storage::Page out;
-  ASSERT_TRUE(DecodeSinglePageResponse(frame, &status, &out).ok());
-  EXPECT_TRUE(status.IsNotFound());
-  EXPECT_EQ(status.message(), "no such page");
+      GetPageBatchResponse{Status::NotFound("no such page"), {}}.Encode());
+  GetPageBatchResponse out;
+  ASSERT_TRUE(GetPageBatchResponse::Decode(frame, &out).ok());
+  EXPECT_TRUE(out.status.IsNotFound());
+  EXPECT_EQ(out.status.message(), "no such page");
+  EXPECT_TRUE(out.entries.empty());
+}
+
+TEST(RbioCodecTest, ZeroEntryErrorResponseKeepsItsLayout) {
+  // A frame the server cannot serve, or the fleet gateway sheds, is
+  // answered [u16 version][u8 code][u32 len][message][u32 0]: the shared
+  // response prefix plus an entry count of zero.
+  const Status shed = Status::Overloaded("gateway: host serving interactive");
+  std::string expect;
+  PutFixed16(&expect, kProtocolVersion);
+  expect.push_back(static_cast<char>(Status::Code::kOverloaded));
+  PutFixed32(&expect, static_cast<uint32_t>(shed.message().size()));
+  expect += shed.message();
+  PutFixed32(&expect, 0);
+  EXPECT_EQ((GetPageBatchResponse{shed, {}}.Encode()), expect);
 }
 
 TEST(RbioCodecTest, TruncatedFramesRejected) {
-  GetPageRequest req;
-  req.page_id = 7;
-  std::string wire = req.Encode();
-  GetPageRequest out;
-  for (size_t cut : {size_t{1}, size_t{3}, wire.size() - 1}) {
-    EXPECT_FALSE(GetPageRequest::Decode(Slice(wire.data(), cut), &out).ok());
+  const std::string wire = GetPageBatchRequest::Encode({{7, 3}});
+  GetPageBatchRequest out;
+  for (size_t cut = 0; cut < wire.size(); cut++) {
+    EXPECT_FALSE(
+        GetPageBatchRequest::Decode(Slice(wire.data(), cut), &out).ok())
+        << cut;
+  }
+  GetPageBatchResponse resp{Status::OK(), {}};
+  resp.entries.push_back({Status::OK(), storage::Page()});
+  resp.entries[0].page.Format(7, storage::PageType::kBTreeLeaf);
+  const std::string rwire = resp.Encode();
+  GetPageBatchResponse rout;
+  for (size_t cut = 0; cut < rwire.size(); cut++) {
+    auto frame = std::make_shared<const std::string>(rwire.substr(0, cut));
+    EXPECT_FALSE(GetPageBatchResponse::Decode(frame, &rout).ok()) << cut;
   }
 }
 
+TEST(RbioCodecTest, CountsBeyondTheFrameAreCorruption) {
+  // A count the remaining bytes cannot hold is rejected before it sizes
+  // anything: a 7-byte frame claiming 2^32 - 1 entries is Corruption,
+  // not a 64 GiB allocation.
+  std::string req;
+  PutFixed16(&req, kProtocolVersion);
+  req.push_back(static_cast<char>(MessageType::kGetPageBatch));
+  PutFixed32(&req, UINT32_MAX);
+  ASSERT_EQ(req.size(), 7u);
+  GetPageBatchRequest get;
+  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(req), &get).IsCorruption());
+
+  std::string resp;
+  PutFixed16(&resp, kProtocolVersion);
+  resp.push_back(static_cast<char>(Status::Code::kOk));
+  PutFixed32(&resp, 0);
+  PutFixed32(&resp, UINT32_MAX);
+  GetPageBatchResponse pages;
+  EXPECT_TRUE(GetPageBatchResponse::Decode(
+                  std::make_shared<const std::string>(resp), &pages)
+                  .IsCorruption());
+
+  ScanRangeResponse scan;
+  scan.status = Status::OK();
+  std::string tuples = scan.Encode();  // ends in a u32 tuple count of 0
+  EncodeFixed32(&tuples[tuples.size() - 4], UINT32_MAX);
+  ScanRangeResponse scan_out;
+  EXPECT_TRUE(ScanRangeResponse::Decode(
+                  std::make_shared<const std::string>(tuples), &scan_out)
+                  .IsCorruption());
+}
+
 TEST(RbioCodecTest, BatchRequestRoundTrip) {
-  GetPageBatchRequest req;
-  req.entries.push_back({11, 100});
-  req.entries.push_back({22, 0});
-  req.entries.push_back({33, 999999});
-  std::string wire = req.Encode();
+  std::string wire =
+      GetPageBatchRequest::Encode({{11, 100}, {22, 0}, {33, 999999}});
   GetPageBatchRequest out;
   ASSERT_TRUE(GetPageBatchRequest::Decode(Slice(wire), &out).ok());
-  ASSERT_EQ(out.entries.size(), 3u);
-  EXPECT_EQ(out.entries[0].page_id, 11u);
-  EXPECT_EQ(out.entries[0].min_lsn, 100u);
-  EXPECT_EQ(out.entries[2].min_lsn, 999999u);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].page_id, 11u);
+  EXPECT_EQ(out[0].min_lsn, 100u);
+  EXPECT_EQ(out[2].min_lsn, 999999u);
   // Truncations anywhere are rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
@@ -138,8 +199,9 @@ TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
   missing.status = Status::NotFound("no such page");
   resp.entries.push_back(std::move(missing));
   GetPageBatchResponse out;
-  ASSERT_TRUE(
-      GetPageBatchResponse::Decode(Slice(resp.Encode()), &out).ok());
+  ASSERT_TRUE(GetPageBatchResponse::Decode(
+                  std::make_shared<const std::string>(resp.Encode()), &out)
+                  .ok());
   EXPECT_TRUE(out.status.ok());
   ASSERT_EQ(out.entries.size(), 2u);
   EXPECT_TRUE(out.entries[0].status.ok());
@@ -320,33 +382,24 @@ class MockServer : public RbioServer {
       fail_next_--;
       co_return Result<std::string>(Status::Unavailable("mock outage"));
     }
-    GetPageRequest req;
     GetPageBatchRequest batch;
-    if (GetPageBatchRequest::Decode(Slice(frame), &batch).ok()) {
-      batch_frames_++;
-      GetPageBatchResponse bresp;
-      bresp.status = Status::OK();
-      for (const auto& e : batch.entries) {
-        GetPageBatchResponse::Entry out;
-        out.status = Status::OK();
-        out.page = MakePage(e.page_id, e.min_lsn + 1);
-        bresp.entries.push_back(std::move(out));
-      }
-      co_return bresp.Encode();
+    if (!GetPageBatchRequest::Decode(Slice(frame), &batch).ok()) {
+      co_return GetPageBatchResponse{
+          Status::NotSupported("mock: unknown request"), {}}
+          .Encode();
     }
-    if (GetPageRequest::Decode(Slice(frame), &req).ok()) {
-      single_frames_++;
-      storage::Page page = MakePage(req.page_id, req.min_lsn + 1);
-      co_return EncodeSinglePageResponse(Status::OK(), &page);
+    batch_frames_++;
+    GetPageBatchResponse bresp{Status::OK(), {}};
+    for (uint32_t i = 0; i < batch.size(); i++) {
+      bresp.entries.push_back(
+          {Status::OK(), MakePage(batch[i].page_id, batch[i].min_lsn + 1)});
     }
-    co_return EncodeSinglePageResponse(
-        Status::NotSupported("mock: unknown request"), nullptr);
+    co_return bresp.Encode();
   }
 
   int handled_ = 0;
   int fail_next_ = 0;
   int batch_frames_ = 0;
-  int single_frames_ = 0;
   std::string last_frame_;
 
  private:
@@ -458,7 +511,6 @@ TEST(RbioBatchTest, ConcurrentMissesPackIntoOneFrame) {
   EXPECT_EQ(client.batches_sent(), 1u);
   EXPECT_EQ(client.batched_pages(), 8u);
   EXPECT_EQ(client.round_trips_saved(), 7u);
-  EXPECT_EQ(client.singles_sent(), 0u);
   EXPECT_EQ(client.batch_occupancy().max(), 8.0);
 }
 
@@ -508,8 +560,8 @@ TEST(RbioBatchTest, SamePageConcurrentMissesDeduped) {
 }
 
 TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
-  // A single miss must behave exactly like the unbatched client: same
-  // frame on the wire (a per-page single), same completion time.
+  // A lone miss goes out as a one-entry frame whatever max_batch is: the
+  // same bytes on the wire and the same completion time at 16 as at 1.
   auto run_one = [](uint32_t max_batch, SimTime* finished,
                     std::string* frame) {
     Simulator s;
@@ -529,18 +581,18 @@ TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
     }
     *finished = s.now();
     *frame = server.last_frame_;
+    EXPECT_EQ(client.batches_sent(), 1u);
+    EXPECT_EQ(client.batched_pages(), 1u);
   };
   SimTime batched_t, unbatched_t;
   std::string batched_frame, unbatched_frame;
   run_one(16, &batched_t, &batched_frame);
   run_one(1, &unbatched_t, &unbatched_frame);
+  // Two 30 us network legs around 100 us of service: no batching window.
+  EXPECT_EQ(batched_t, 160);
   EXPECT_EQ(batched_t, unbatched_t);
-  // Byte-for-byte identical wire behavior.
   EXPECT_EQ(batched_frame, unbatched_frame);
-  GetPageRequest expect;
-  expect.page_id = 9;
-  expect.min_lsn = 10;
-  EXPECT_EQ(unbatched_frame, expect.Encode());
+  EXPECT_EQ(unbatched_frame, GetPageBatchRequest::Encode({{9, 10}}));
 }
 
 // --------------------------------------------- end-to-end via Page Server
@@ -578,20 +630,38 @@ TEST(RbioEndToEndTest, PageServerServesTypedRequests) {
     // Typed GetPage.
     auto page = co_await client.GetPage(eps, engine::kRootPageId, 0);
     EXPECT_TRUE(page.ok());
-    // The retired kGetPageRange type is answered with a typed rejection,
-    // not served.
-    std::string range;
-    PutFixed16(&range, kProtocolVersion);
-    range.push_back(static_cast<char>(MessageType::kGetPageRange));
-    PutFixed64(&range, 1);
-    PutFixed32(&range, 16);
-    PutFixed64(&range, 0);
-    auto raw = co_await d.page_server(0)->HandleRbio(range);
+    // The retired kGetPage and kGetPageRange types are answered with a
+    // typed rejection, not served.
+    for (MessageType retired :
+         {MessageType::kGetPage, MessageType::kGetPageRange}) {
+      std::string frame;
+      PutFixed16(&frame, kProtocolVersion);
+      frame.push_back(static_cast<char>(retired));
+      PutFixed64(&frame, engine::kRootPageId);
+      PutFixed64(&frame, 0);
+      auto raw = co_await d.page_server(0)->HandleRbio(frame);
+      EXPECT_TRUE(raw.ok());
+      if (raw.ok()) {
+        Status prefix;
+        EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(*raw), &prefix).ok());
+        EXPECT_TRUE(prefix.IsNotSupported()) << prefix.ToString();
+      }
+    }
+    // A count the frame cannot hold gets a typed error response too.
+    std::string huge;
+    PutFixed16(&huge, kProtocolVersion);
+    huge.push_back(static_cast<char>(MessageType::kGetPageBatch));
+    PutFixed32(&huge, UINT32_MAX);
+    auto raw = co_await d.page_server(0)->HandleRbio(huge);
     EXPECT_TRUE(raw.ok());
     if (raw.ok()) {
-      Status prefix;
-      EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(*raw), &prefix).ok());
-      EXPECT_TRUE(prefix.IsNotSupported()) << prefix.ToString();
+      GetPageBatchResponse resp;
+      EXPECT_TRUE(GetPageBatchResponse::Decode(
+                      std::make_shared<const std::string>(*raw), &resp)
+                      .ok());
+      EXPECT_FALSE(resp.status.ok());
+      EXPECT_EQ(resp.status.message(), "rbio: count exceeds frame");
+      EXPECT_TRUE(resp.entries.empty());
     }
   });
   d.Stop();

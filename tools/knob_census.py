@@ -26,6 +26,13 @@ The script also checks that DESIGN.md's knob table (rows beginning
 under src/ calls getenv(): an environment variable is a knob no options
 struct, setter or table row accounts for.
 
+Last, it fails on process-wide mutable state under src/: a `static` or
+`thread_local` variable (local, member or namespace-scope) or a
+namespace-scope variable that is not declared const or constexpr. Such
+state outlives the simulation that wrote it, so a second run in the same
+process behaves differently from the first. The exceptions are listed in
+PROCESS_STATE_ALLOWED below, each with the reason it stays.
+
 Usage: python3 tools/knob_census.py   (from anywhere; exit 1 on failure)
 """
 
@@ -51,6 +58,17 @@ TEST_ONLY_ALLOWED = {
        for f in ("start_us", "horizon_us", "events", "num_page_servers",
                  "num_secondaries", "max_window_us", "crashes")},
     "XLogClientOptions::max_block_bytes": "param_test's block-size sweep",
+}
+
+# Process-wide mutable variables under src/ that stay on purpose, keyed
+# by (file, variable), with the reason.
+PROCESS_STATE_ALLOWED = {
+    ("src/sim/frame_pool.h", "cache"):
+        "per-thread free lists of coroutine frames: recycled memory, not "
+        "state any simulation reads back",
+    ("src/engine/log_record.cc", "chain"):
+        "per-thread scratch buffer for redo's rebuilt version chain, "
+        "cleared before every use",
 }
 
 IDENT = r"[A-Za-z_]\w*"
@@ -162,6 +180,112 @@ def getenv_calls():
             line = text.count("\n", 0, m.start()) + 1
             hits.append(f"{os.path.relpath(path, ROOT)}:{line}")
     return hits
+
+
+def blank_literals(text):
+    """Replaces the contents of string and char literals with spaces."""
+    def blank(m):
+        lit = m.group(0)
+        return lit[0] + " " * (len(lit) - 2) + lit[-1]
+    return re.sub(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', blank,
+                  text)
+
+
+def drop_preprocessor(text):
+    """Blanks preprocessor lines (and their continuations), keeping
+    newlines."""
+    out, cont = [], False
+    for line in text.split("\n"):
+        directive = cont or line.lstrip().startswith("#")
+        cont = directive and line.rstrip().endswith("\\")
+        out.append("" if directive else line)
+    return "\n".join(out)
+
+
+STATIC_DECL_RE = re.compile(r"(?:^|[;{}])\s*((?:static|thread_local)\b"
+                            r"[^;{}()=\[]*)(.)", re.S)
+NOT_A_VARIABLE = ("using", "typedef", "template", "namespace",
+                  "static_assert", "friend", "class", "struct", "enum",
+                  "union", "extern")
+
+
+def declared_name(head):
+    """Declared variable name of a declaration head ('static int x')."""
+    idents = re.findall(IDENT, head)
+    return idents[-1] if idents else "?"
+
+
+def is_const(head):
+    return re.search(r"\b(?:const|constexpr|constinit)\b", head) is not None
+
+
+def namespace_statements(text):
+    """(offset, text) of each statement at namespace scope. Brace groups
+    inside a statement (initializers, class bodies) read as '{}'; a
+    function definition ends at its body."""
+    stmts, buf, start = [], [], 0
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "{":
+            head = "".join(buf)
+            if re.match(r"\s*(?:inline\s+)?namespace\b", head):
+                buf, start = [], i + 1  # enter: still namespace scope
+                i += 1
+                continue
+            depth, j = 1, i + 1
+            while depth and j < n:
+                depth += {"{": 1, "}": -1}.get(text[j], 0)
+                j += 1
+            if not re.search(r"[()]", head) or head.rstrip().endswith("="):
+                buf.append("{}")  # initializer or type body
+            else:
+                buf, start = [], j  # function body: statement over
+            i = j
+            continue
+        if c == "}":
+            buf, start = [], i + 1  # leaving a namespace
+        elif c == ";":
+            stmts.append((start, "".join(buf)))
+            buf, start = [], i + 1
+        else:
+            buf.append(c)
+        i += 1
+    return stmts
+
+
+def process_state():
+    """'path:line: declaration' of each process-wide mutable variable in
+    src/ that PROCESS_STATE_ALLOWED does not name, and the allowed
+    entries that were found."""
+    hits, allowed = [], set()
+    for path, d in source_files():
+        if d != "src":
+            continue
+        rel = os.path.relpath(path, ROOT)
+        text = drop_preprocessor(blank_literals(strip_comments(
+            open(path, errors="replace").read())))
+        found = []  # (offset, head)
+        for m in STATIC_DECL_RE.finditer(text):
+            head, nxt = m.group(1), m.group(2)
+            if nxt != "(" and not is_const(head):
+                found.append((m.start(1), head))
+        for off, stmt in namespace_statements(text):
+            decl = stmt.strip()
+            head = re.split(r"=|\{\}", decl, 1)[0]
+            if (not decl or decl.split()[0] in NOT_A_VARIABLE or
+                    re.match(r"(?:static|thread_local)\b", decl) or
+                    "(" in head or is_const(head)):
+                continue
+            found.append((off + len(stmt) - len(stmt.lstrip()), head))
+        for off, head in found:
+            name = declared_name(head)
+            if (rel, name) in PROCESS_STATE_ALLOWED:
+                allowed.add((rel, name))
+                continue
+            line = text.count("\n", 0, off) + 1
+            hits.append(f"{rel}:{line}: {' '.join(head.split())}")
+    return hits, allowed
 
 
 def struct_bodies(text, name_re):
@@ -347,6 +471,18 @@ def main():
               "make it an options field with a setter, or delete it):")
         for e in env:
             print(f"  {e}")
+
+    state, allowed = process_state()
+    if state:
+        ok = False
+        print(f"\n{len(state)} process-wide mutable variable(s) under src/ "
+              "(make each a member of the object that owns it, or const):")
+        for h in state:
+            print(f"  {h}")
+    for f, name in sorted(set(PROCESS_STATE_ALLOWED) - allowed):
+        ok = False
+        print(f"PROCESS_STATE_ALLOWED lists {name} in {f}, which is not "
+              "process-wide state there")
 
     design = os.path.join(ROOT, "DESIGN.md")
     if os.path.exists(design):
