@@ -9,17 +9,14 @@
 // same (key, payload) view of a row, which is what makes the pushdown
 // path and the local page-fetch fallback produce identical results.
 //
-// The vocabulary is deliberately small — enough to express the
-// PushdownDB-style "filter + project + partial aggregate" shapes that
-// dominate scan traffic, while keeping the wire codec a handful of
-// fixed-width fields:
-//   * predicates over the row key (modular residue — the HTAP mix's
-//     "every Nth row" analytic filter) and over single payload bytes;
-//   * projections as a list of [offset, len) payload extents;
-//   * key-range predicates (a <= key < b) and conjunctions (the primary
-//     term ANDed with a bounded list of extra byte/key tests);
-//   * partial aggregates COUNT / SUM / MIN / MAX over a little-endian
-//     u64 read at a fixed payload offset, several fields in one pass.
+// The vocabulary is what the callers send, and no more: PushdownDB's
+// "one filter + one projection + one partial aggregate" shape, as a
+// handful of fixed-width wire fields:
+//   * one predicate over the row key: every row, or a modular residue
+//     (the HTAP mix's "every Nth row" analytic filter);
+//   * a projection as a list of [offset, len) payload extents;
+//   * one partial aggregate, COUNT or SUM over a little-endian u64 read
+//     at a fixed payload offset.
 
 #pragma once
 
@@ -34,11 +31,8 @@ namespace socrates {
 namespace common {
 
 enum class PredOp : uint8_t {
-  kAll = 0,          // every row matches
-  kKeyModEq = 1,     // (key % a) == b — selectivity exactly 1/a
-  kPayloadByteEq = 2,  // payload[a] == (b & 0xff); short payloads miss
-  kPayloadByteLt = 3,  // payload[a] <  (b & 0xff); short payloads miss
-  kKeyRange = 4,     // a <= key < b (b == 0 means unbounded above)
+  kAll = 0,       // every row matches
+  kKeyModEq = 1,  // (key % a) == b — selectivity exactly 1/a
 };
 
 struct ScanPredicate {
@@ -46,62 +40,20 @@ struct ScanPredicate {
   uint64_t a = 0;
   uint64_t b = 0;
 
-  /// Extra terms ANDed with the primary (op, a, b) term — the
-  /// "conjunction of byte tests" form. Empty for a single-term predicate.
-  struct Term {
-    PredOp op = PredOp::kAll;
-    uint64_t a = 0;
-    uint64_t b = 0;
-  };
-  std::vector<Term> conjuncts;
-
-  static ScanPredicate All() { return ScanPredicate{}; }
   static ScanPredicate KeyModEq(uint64_t modulus, uint64_t residue) {
-    return ScanPredicate{PredOp::kKeyModEq, modulus, residue, {}};
-  }
-  static ScanPredicate PayloadByteEq(uint64_t offset, uint8_t value) {
-    return ScanPredicate{PredOp::kPayloadByteEq, offset, value, {}};
-  }
-  static ScanPredicate PayloadByteLt(uint64_t offset, uint8_t bound) {
-    return ScanPredicate{PredOp::kPayloadByteLt, offset, bound, {}};
-  }
-  /// lo <= key < hi (hi == 0 → unbounded above).
-  static ScanPredicate KeyRange(uint64_t lo, uint64_t hi) {
-    return ScanPredicate{PredOp::kKeyRange, lo, hi, {}};
-  }
-
-  /// AND another single-term predicate onto this one (conjunction).
-  /// The argument's own conjuncts are appended too, so chains compose.
-  ScanPredicate& And(const ScanPredicate& other) {
-    conjuncts.push_back(Term{other.op, other.a, other.b});
-    for (const Term& t : other.conjuncts) conjuncts.push_back(t);
-    return *this;
-  }
-
-  bool IsAll() const {
-    return op == PredOp::kAll && conjuncts.empty();
+    return ScanPredicate{PredOp::kKeyModEq, modulus, residue};
   }
 };
 
-/// True iff the row (key, payload) satisfies `pred` (primary term AND
-/// every conjunct). Payload-byte predicates never match rows whose
-/// payload is too short — on both tiers, so pushdown and local
-/// evaluation agree on every row.
+/// True iff the row satisfies `pred`. No predicate reads the payload;
+/// the parameter stays only because perfbench/perfbench.cc passes it.
 bool EvalPredicate(const ScanPredicate& pred, uint64_t key, Slice payload);
 
-/// Planner-side selectivity estimate in [0, 1]. kKeyModEq is exact
-/// (1/a); the payload-byte ops use fixed priors — the planner only needs
-/// a coarse "is this scan sparse enough to ship tuples" signal.
-/// Conjunct terms multiply under an independence assumption.
-double EstimatedSelectivity(const ScanPredicate& pred);
-
-/// Range-aware overload: the selectivity of `pred` over keys in
-/// [start_key, end_key) (end_key == 0 → unbounded above). Key-dependent
-/// terms are computed exactly against the range: kKeyModEq counts its
-/// actual hits in the window (a range narrower than the modulus holds at
-/// most one hit, so a tiny scan is *dense*, not 1/a-sparse), and
-/// kKeyRange is the overlap fraction. Falls back to the priors above
-/// for payload terms and for an unbounded range.
+/// Planner-side selectivity of `pred` over keys in [start_key, end_key)
+/// (end_key == 0 → unbounded above). kKeyModEq counts its actual hits
+/// in the window: a range narrower than the modulus holds at most one
+/// hit, so a tiny scan is *dense*, not 1/a-sparse. An unbounded range
+/// falls back to the full-range 1/a.
 double EstimatedSelectivity(const ScanPredicate& pred, uint64_t start_key,
                             uint64_t end_key);
 
@@ -128,8 +80,6 @@ enum class AggFn : uint8_t {
   kNone = 0,
   kCount = 1,
   kSum = 2,
-  kMin = 3,
-  kMax = 4,
 };
 
 /// Partial-aggregate spec: fn over a u64 field read little-endian at
@@ -140,56 +90,47 @@ struct ScanAggregate {
   uint16_t field_offset = 0;
 
   bool enabled() const { return fn != AggFn::kNone; }
-  static ScanAggregate None() { return ScanAggregate{}; }
   static ScanAggregate Count() { return ScanAggregate{AggFn::kCount, 0}; }
   static ScanAggregate Sum(uint16_t off) {
     return ScanAggregate{AggFn::kSum, off};
   }
-  static ScanAggregate Min(uint16_t off) {
-    return ScanAggregate{AggFn::kMin, off};
-  }
-  static ScanAggregate Max(uint16_t off) {
-    return ScanAggregate{AggFn::kMax, off};
-  }
 };
 
-/// Multi-field aggregates: a bounded list of per-field specs computed
-/// in one pass over the scanned rows (e.g. COUNT + SUM(price) +
-/// MAX(ts)).
-using ScanAggregateList = std::vector<ScanAggregate>;
-inline constexpr size_t kMaxScanAggregates = 8;
-
-/// The u64 aggregate input for one row (LE, zero-padded).
+/// The u64 aggregate input for one row (LE, zero-padded; always 0 for
+/// COUNT, so one fold serves both functions).
 uint64_t AggFieldValue(const ScanAggregate& agg, Slice payload);
 
 /// Running partial-aggregate state; mergeable across Page Servers /
-/// resumed scan segments. `rows == 0` means "no input yet" (MIN/MAX have
-/// no identity element, so emptiness is tracked explicitly).
+/// resumed scan segments. `rows` is the COUNT, `value` the SUM.
 struct AggState {
   uint64_t rows = 0;
   uint64_t value = 0;
 
-  void Accumulate(AggFn fn, uint64_t v);
-  void Merge(AggFn fn, const AggState& other);
+  void Accumulate(uint64_t v) {
+    rows++;
+    value += v;
+  }
+  void Merge(const AggState& other) {
+    rows += other.rows;
+    value += other.value;
+  }
 };
 
 // ----- Wire codec (shared by the rbio kScanRange frames). Decoders
-// reject unknown ops and over-long lists: the bytes come from the wire.
+// reject unknown ops and fns (NotSupported) and truncated or over-long
+// lists (Corruption): the bytes come from the wire.
 
-/// [u8 op][u64 a][u64 b], then [u8 n_conjuncts]([u8 op][u64 a][u64 b])*.
+/// [u8 op][u64 a][u64 b].
 void EncodePredicate(std::string* out, const ScanPredicate& pred);
 Status DecodePredicate(Slice* in, ScanPredicate* out);
 
+/// [u16 n]([u16 offset][u16 len])*.
 void EncodeProjection(std::string* out, const ScanProjection& proj);
 Status DecodeProjection(Slice* in, ScanProjection* out);
 
 /// [u8 fn][u16 field_offset].
 void EncodeAggregate(std::string* out, const ScanAggregate& agg);
 Status DecodeAggregate(Slice* in, ScanAggregate* out);
-
-/// [u8 n] aggregates, n <= kMaxScanAggregates.
-void EncodeAggregateList(std::string* out, const ScanAggregateList& aggs);
-Status DecodeAggregateList(Slice* in, ScanAggregateList* out);
 
 }  // namespace common
 }  // namespace socrates

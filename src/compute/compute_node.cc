@@ -108,7 +108,6 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     req.predicate = spec.predicate;
     req.projection = spec.projection;
     req.aggregate = spec.aggregate;
-    req.extra_aggregates = spec.extra_aggregates;
     // LSN-consistency rule: the server must have applied enough log that
     // every version visible at read_ts exists in its pages. Primary: the
     // newest local commit LSN (conservative sink-end at commit; all
@@ -135,7 +134,6 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     chunk.rows_scanned = resp->rows_scanned;
     chunk.pages_scanned = resp->pages_scanned;
     chunk.agg = resp->agg;
-    chunk.extra_aggs = resp->extra_aggs;
     chunk.tuples.reserve(resp->tuples.size());
     for (const rbio::ScanRangeResponse::Tuple& t : resp->tuples) {
       chunk.tuples.emplace_back(t.key, t.value.ToString());

@@ -32,9 +32,6 @@ struct ScanFilter {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// Multi-field aggregates computed in the same pass as `aggregate`
-  /// (ignored unless `aggregate` is enabled).
-  common::ScanAggregateList extra_aggregates;
 };
 
 /// Leaves a Page Server evaluates per kScanRange round trip (the
@@ -42,39 +39,22 @@ struct ScanFilter {
 /// the same number.
 inline constexpr uint32_t kScanLeavesPerFrame = 64;
 
-/// Cost-model constants for the residency-aware scan planner, all in
-/// virtual µs per leaf / per round trip. `enabled == false` (the
-/// default, and what test fakes inherit) skips the model and pushes
-/// every eligible scan; the compute tier's scanner turns the model on
-/// unless its plan is forced. The planner multiplies these by per-range
-/// EWMA correction factors learned from observed scan outcomes, so the
-/// constants only need to be in the right ballpark.
+/// What the residency-aware scan planner reads from its scanner, in
+/// virtual µs. `enabled == false` (the default, and what test fakes
+/// inherit) skips the model and pushes every eligible scan; the compute
+/// tier's scanner turns the model on unless its plan is forced. The
+/// local-tier, wire and geometry constants sit beside the planner in
+/// txn_engine.cc; the two remote prices are fields because tests price a
+/// free fake remote path against a warm standalone engine. The planner
+/// multiplies them by per-range EWMA correction factors learned from
+/// observed scan outcomes, so they only need to be in the right
+/// ballpark.
 struct PushdownCostModel {
   bool enabled = false;
-  /// Local evaluation of one leaf, by residency tier.
-  double mem_leaf_us = 8;
-  double ssd_leaf_us = 95;
-  /// Non-resident leaf on the local path: a GetPage round trip.
-  double miss_leaf_us = 600;
-  /// Server-side evaluator CPU per leaf (pushdown path).
-  double remote_leaf_us = 10;
   /// Per kScanRange round trip (request + response latency).
   double round_trip_us = 550;
-  /// Shipping qualifying tuple bytes back over the wire.
-  double wire_us_per_kb = 1.0;
-  /// Server max_pages budget: leaves evaluated per round trip.
-  double leaves_per_frame = kScanLeavesPerFrame;
-  /// Tree geometry estimates for sizing a range in leaves/bytes.
-  double rows_per_leaf = 64;
-  double avg_row_bytes = 128;
-  /// EWMA smoothing for the per-range observed/modeled correction.
-  double ewma_alpha = 0.3;
-  /// A hybrid (split) plan must beat the straight local plan by this
-  /// factor before the planner splits. The pushed suffix's round-trip
-  /// tail lands directly on the scan's completion time, so a hybrid
-  /// that is only marginally cheaper on modeled mean cost trades p99
-  /// for a sliver of throughput; demand a decisive win instead.
-  double hybrid_margin = 0.75;
+  /// Server-side evaluator CPU per leaf (pushdown path).
+  double remote_leaf_us = 10;
 };
 
 /// One remote-evaluation request: [start_key, end_key) at snapshot
@@ -89,8 +69,6 @@ struct RemoteScanSpec {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// Multi-field aggregates (see ScanFilter::extra_aggregates).
-  common::ScanAggregateList extra_aggregates;
 };
 
 /// One chunk of remote-evaluation results.
@@ -110,9 +88,6 @@ struct RemoteScanChunk {
   uint64_t pages_scanned = 0;
   /// Aggregate mode: mergeable partial state.
   common::AggState agg;
-  /// Multi-field aggregate states, index-aligned with the spec's
-  /// extra_aggregates.
-  std::vector<common::AggState> extra_aggs;
   /// Tuple mode: qualifying (key, projected payload), in key order.
   std::vector<std::pair<uint64_t, std::string>> tuples;
 };

@@ -204,6 +204,31 @@ sim::Task<Engine::ResidencyProbe> Engine::ProbeResidency(uint64_t start,
   co_return p;
 }
 
+namespace {
+
+// Scan-planner constants, in virtual µs unless noted. The per-range EWMA
+// corrections absorb their error, so they only need to be in the right
+// ballpark. Local evaluation of one leaf, by residency tier: memory,
+// RBPEX SSD, and a non-resident leaf, which costs a GetPage round trip.
+constexpr double kMemLeafUs = 8;
+constexpr double kSsdLeafUs = 95;
+constexpr double kMissLeafUs = 600;
+// Shipping qualifying tuple bytes back over the wire.
+constexpr double kWireUsPerKb = 1.0;
+// Tree geometry estimates for sizing a range in leaves and bytes.
+constexpr double kRowsPerLeaf = 64;
+constexpr size_t kAvgRowBytes = 128;
+// EWMA smoothing for the per-range observed/modeled correction.
+constexpr double kEwmaAlpha = 0.3;
+// A hybrid (split) plan must beat the straight local plan by this factor
+// before the planner splits. The pushed suffix's round-trip tail lands
+// directly on the scan's completion time, so a hybrid that is only
+// marginally cheaper on modeled mean cost trades p99 for a sliver of
+// throughput; demand a decisive win instead.
+constexpr double kHybridMargin = 0.75;
+
+}  // namespace
+
 Engine::ScanCostEwma& Engine::EwmaFor(uint64_t start, uint64_t end) {
   uint64_t h = start * 0x9E3779B97F4A7C15ull ^ (end + 0x7F4A7C15ull);
   h ^= h >> 29;
@@ -221,7 +246,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   FilteredScanResult out;
   const bool agg = filter.aggregate.enabled();
   out.aggregated = agg;
-  if (agg) out.extra_aggs.resize(filter.extra_aggregates.size());
   const Timestamp read_ts = txn->read_ts();
 
   bool writes_in_range = false;
@@ -230,17 +254,10 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     writes_in_range = it != txn->writes_.end() && it->first < end_key;
   }
 
-  // Folds one full payload into the aggregate states; both the local
-  // paths and the write overlay use it, so multi-field aggregates stay
-  // consistent with the remote evaluator's one-pass fold.
+  // Folds one full payload into the aggregate state, exactly as the
+  // remote evaluator does.
   auto fold = [&](Slice payload) {
-    out.agg.Accumulate(filter.aggregate.fn,
-                       common::AggFieldValue(filter.aggregate, payload));
-    for (size_t i = 0; i < filter.extra_aggregates.size(); i++) {
-      out.extra_aggs[i].Accumulate(
-          filter.extra_aggregates[i].fn,
-          common::AggFieldValue(filter.extra_aggregates[i], payload));
-    }
+    out.agg.Accumulate(common::AggFieldValue(filter.aggregate, payload));
   };
 
   // ----- Plan. Policy first: aggregates cannot push down over an
@@ -278,18 +295,16 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     const double sel =
         common::EstimatedSelectivity(filter.predicate, start, end_key);
     const double width = static_cast<double>(end_key - start);
-    const double rows_per_leaf = std::max(1.0, cm.rows_per_leaf);
-    const double leaves = std::max(1.0, width / rows_per_leaf);
+    const double leaves = std::max(1.0, width / kRowsPerLeaf);
     const double ssd_frac =
         std::max(0.0, probe.resident_frac - probe.mem_frac);
     const double miss_frac = std::max(0.0, 1.0 - probe.resident_frac);
-    model_local_leaf_us = probe.mem_frac * cm.mem_leaf_us +
-                          ssd_frac * cm.ssd_leaf_us +
-                          miss_frac * cm.miss_leaf_us;
+    model_local_leaf_us = probe.mem_frac * kMemLeafUs +
+                          ssd_frac * kSsdLeafUs + miss_frac * kMissLeafUs;
     // Per shipped tuple: key + projected payload bytes.
     const double proj_bytes =
-        16.0 + static_cast<double>(filter.projection.ProjectedSize(
-                   static_cast<size_t>(std::max(0.0, cm.avg_row_bytes))));
+        16.0 + static_cast<double>(
+                   filter.projection.ProjectedSize(kAvgRowBytes));
     const double remote_corr = e.remote_seen ? e.remote_corr : 1.0;
     const double local_corr = e.local_seen ? e.local_corr : 1.0;
     // Pushdown cost of `l` leaves: round trips + server eval CPU + the
@@ -297,12 +312,11 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     // state per round trip).
     auto push_cost_us = [&](double l) {
       if (l <= 0) return 0.0;
-      const double rts =
-          std::max(1.0, std::ceil(l / std::max(1.0, cm.leaves_per_frame)));
+      const double rts = std::max(1.0, std::ceil(l / kScanLeavesPerFrame));
       const double wire_kb =
-          agg ? rts * 0.05 : sel * l * rows_per_leaf * proj_bytes / 1024.0;
+          agg ? rts * 0.05 : sel * l * kRowsPerLeaf * proj_bytes / 1024.0;
       const double c = rts * cm.round_trip_us + l * cm.remote_leaf_us +
-                       wire_kb * cm.wire_us_per_kb;
+                       wire_kb * kWireUsPerKb;
       return c * remote_corr;
     };
     model_remote_leaf_us = push_cost_us(leaves) / leaves / remote_corr;
@@ -319,8 +333,8 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
           probe.resident_frac > 0
               ? std::min(1.0, probe.mem_frac / probe.resident_frac)
               : 0.0;
-      const double warm_leaf_us = mem_share * cm.mem_leaf_us +
-                                  (1.0 - mem_share) * cm.ssd_leaf_us;
+      const double warm_leaf_us =
+          mem_share * kMemLeafUs + (1.0 - mem_share) * kSsdLeafUs;
       est_hybrid = warm_leaves * warm_leaf_us * local_corr +
                    push_cost_us(leaves - warm_leaves);
     }
@@ -334,9 +348,7 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     // Splitting is only worth it on a decisive modeled win: the pushed
     // suffix's round trips sit on the completion path, so a marginal
     // hybrid beats local on mean cost but loses on tail latency.
-    const double hybrid_bar =
-        est_local * std::clamp(cm.hybrid_margin, 0.0, 1.0);
-    if (est_hybrid < hybrid_bar && est_hybrid < est_push) {
+    if (est_hybrid < est_local * kHybridMargin && est_hybrid < est_push) {
       plan.kind = ScanPlanDebug::Kind::kHybrid;
       plan.split_key = probe.warm_prefix_end;
       use_remote = true;
@@ -401,7 +413,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     spec.predicate = filter.predicate;
     spec.projection = filter.projection;
     spec.aggregate = filter.aggregate;
-    spec.extra_aggregates = filter.extra_aggregates;
     PageId leaf_hint = kInvalidPageId;
     int fence_retries = 0;
     const uint64_t remote_from = cursor;
@@ -454,12 +465,7 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       out.pushed_down = true;
       remote_pages += c->pages_scanned;
       if (agg) {
-        out.agg.Merge(filter.aggregate.fn, c->agg);
-        for (size_t i = 0;
-             i < out.extra_aggs.size() && i < c->extra_aggs.size(); i++) {
-          out.extra_aggs[i].Merge(filter.extra_aggregates[i].fn,
-                                  c->extra_aggs[i]);
-        }
+        out.agg.Merge(c->agg);
       } else {
         for (auto& t : c->tuples) rows.push_back(std::move(t));
       }
@@ -548,33 +554,33 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   // planner.
   if (cost_planned) {
     ScanCostEwma& e = EwmaFor(start, end_key);
-    const double alpha = std::clamp(cm.ewma_alpha, 0.01, 1.0);
-    const double rows_per_leaf = std::max(1.0, cm.rows_per_leaf);
     if (local_width_covered > 0 && model_local_leaf_us > 0) {
       const double l = std::max(
-          1.0, static_cast<double>(local_width_covered) / rows_per_leaf);
+          1.0, static_cast<double>(local_width_covered) / kRowsPerLeaf);
       const double ratio = std::clamp(
           (static_cast<double>(local_us_spent) / l) / model_local_leaf_us,
           0.05, 20.0);
-      e.local_corr =
-          e.local_seen ? (1 - alpha) * e.local_corr + alpha * ratio : ratio;
+      e.local_corr = e.local_seen
+                         ? (1 - kEwmaAlpha) * e.local_corr + kEwmaAlpha * ratio
+                         : ratio;
       e.local_seen = true;
     }
     if (remote_width_covered > 0 && model_remote_leaf_us > 0) {
       // Normalize by the *modeled* leaves of the width pushed — the
       // same denominator the planner multiplies back — not the server's
       // reported page count. With the server count, geometry error
-      // (real leaves per key vs rows_per_leaf) cancels out of the
+      // (real leaves per key vs kRowsPerLeaf) cancels out of the
       // feedback loop and the corrected push estimate stays
       // permanently optimistic by exactly that factor.
       const double l = std::max(
-          1.0, static_cast<double>(remote_width_covered) / rows_per_leaf);
+          1.0, static_cast<double>(remote_width_covered) / kRowsPerLeaf);
       const double ratio = std::clamp(
           (static_cast<double>(remote_us_spent) / l) / model_remote_leaf_us,
           0.05, 20.0);
-      e.remote_corr = e.remote_seen
-                          ? (1 - alpha) * e.remote_corr + alpha * ratio
-                          : ratio;
+      e.remote_corr =
+          e.remote_seen
+              ? (1 - kEwmaAlpha) * e.remote_corr + kEwmaAlpha * ratio
+              : ratio;
       e.remote_seen = true;
     }
   }

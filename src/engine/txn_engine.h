@@ -116,9 +116,6 @@ struct FilteredScanResult {
   /// (key, projected payload), in key order; empty in aggregate mode.
   std::vector<std::pair<uint64_t, std::string>> rows;
   common::AggState agg;
-  /// Multi-field aggregate states, index-aligned with the filter's
-  /// extra_aggregates (empty unless aggregating with extras).
-  std::vector<common::AggState> extra_aggs;
   bool aggregated = false;
   /// At least one chunk was evaluated remotely.
   bool pushed_down = false;

@@ -484,7 +484,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   }
   resp.status = Status::OK();
   resp.aggregated = req.aggregate.enabled();
-  if (resp.aggregated) resp.extra_aggs.resize(req.extra_aggregates.size());
   uint64_t cursor = req.start_key;
   PageId leaf = req.start_page;
   resp.resume_key = cursor;
@@ -556,14 +555,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
       scan_rows_scanned_++;
       if (!common::EvalPredicate(req.predicate, key, payload)) continue;
       if (resp.aggregated) {
-        resp.agg.Accumulate(req.aggregate.fn,
-                            common::AggFieldValue(req.aggregate, payload));
-        // Multi-field aggregates: one pass, one AggState per extra.
-        for (size_t ai = 0; ai < req.extra_aggregates.size(); ai++) {
-          resp.extra_aggs[ai].Accumulate(
-              req.extra_aggregates[ai].fn,
-              common::AggFieldValue(req.extra_aggregates[ai], payload));
-        }
+        resp.agg.Accumulate(common::AggFieldValue(req.aggregate, payload));
       } else {
         const auto off = static_cast<uint32_t>(arena.size());
         req.projection.Apply(payload, &arena);

@@ -225,7 +225,6 @@ void ScanRangeRequest::EncodeTo(std::string* out) const {
   common::EncodePredicate(out, predicate);
   common::EncodeProjection(out, projection);
   common::EncodeAggregate(out, aggregate);
-  common::EncodeAggregateList(out, extra_aggregates);
 }
 
 Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out) {
@@ -242,8 +241,7 @@ Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out) {
   SOCRATES_RETURN_IF_ERROR(common::DecodePredicate(&wire, &out->predicate));
   SOCRATES_RETURN_IF_ERROR(
       common::DecodeProjection(&wire, &out->projection));
-  SOCRATES_RETURN_IF_ERROR(common::DecodeAggregate(&wire, &out->aggregate));
-  return common::DecodeAggregateList(&wire, &out->extra_aggregates);
+  return common::DecodeAggregate(&wire, &out->aggregate);
 }
 
 std::string ScanRangeResponse::Encode() const {
@@ -251,7 +249,7 @@ std::string ScanRangeResponse::Encode() const {
   size_t tuple_bytes = 0;
   for (const Tuple& t : tuples) tuple_bytes += 12 + t.value.size();
   out.reserve(2 + 1 + 5 + status.message().size() + 29 +
-              (aggregated ? 17 + 16 * extra_aggs.size() : 4 + tuple_bytes));
+              (aggregated ? 16 : 4 + tuple_bytes));
   PutResponsePrefix(&out, status);
   uint8_t flags = (complete ? 1u : 0u) | (fence_miss ? 2u : 0u) |
                   (aggregated ? 4u : 0u);
@@ -263,11 +261,6 @@ std::string ScanRangeResponse::Encode() const {
   if (aggregated) {
     PutFixed64(&out, agg.rows);
     PutFixed64(&out, agg.value);
-    out.push_back(static_cast<char>(extra_aggs.size() & 0xff));
-    for (const common::AggState& st : extra_aggs) {
-      PutFixed64(&out, st.rows);
-      PutFixed64(&out, st.value);
-    }
   } else {
     PutFixed32(&out, static_cast<uint32_t>(tuples.size()));
     for (const Tuple& t : tuples) {
@@ -298,24 +291,10 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
     return Status::Corruption("rbio: truncated scan response");
   }
   out->tuples.clear();
-  out->extra_aggs.clear();
   if (out->aggregated) {
     if (!GetFixed64(&wire, &out->agg.rows) ||
         !GetFixed64(&wire, &out->agg.value)) {
       return Status::Corruption("rbio: truncated scan aggregate");
-    }
-    if (wire.empty()) {
-      return Status::Corruption("rbio: truncated extra-agg count");
-    }
-    uint8_t n = static_cast<uint8_t>(wire[0]);
-    wire.remove_prefix(1);
-    out->extra_aggs.reserve(n);
-    for (uint8_t i = 0; i < n; i++) {
-      common::AggState st;
-      if (!GetFixed64(&wire, &st.rows) || !GetFixed64(&wire, &st.value)) {
-        return Status::Corruption("rbio: truncated extra aggregate");
-      }
-      out->extra_aggs.push_back(st);
     }
     return Status::OK();
   }

@@ -133,12 +133,12 @@ struct GetPageBatchResponse {
                        GetPageBatchResponse* out);
 };
 
-/// Computation pushdown: evaluate a predicate + projection (or partial
-/// aggregates) over the key range [start_key, end_key) directly on the
+/// Computation pushdown: evaluate a predicate + projection (or a partial
+/// aggregate) over the key range [start_key, end_key) directly on the
 /// Page Server's covering RBPEX, walking leaves from `start_page` at
 /// freshness `min_lsn` and snapshot `read_ts`. The server returns
-/// qualifying projected tuples (or partial-aggregate states) instead of
-/// raw pages.
+/// qualifying projected tuples (or one partial-aggregate state) instead
+/// of raw pages.
 struct ScanRangeRequest {
   /// Leaf the range starts on (the client locates it by descending its
   /// cached interior pages; the B+-tree spans partitions, so the server
@@ -157,10 +157,6 @@ struct ScanRangeRequest {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// Multi-field aggregates: extra specs evaluated in the same pass as
-  /// `aggregate` (which stays the primary field). Total fields are
-  /// bounded by common::kMaxScanAggregates.
-  common::ScanAggregateList extra_aggregates;
 
   std::string Encode() const;
   void EncodeTo(std::string* out) const;
@@ -188,9 +184,6 @@ struct ScanRangeResponse {
   uint64_t rows_scanned = 0;
   uint32_t pages_scanned = 0;
   common::AggState agg;  // valid iff aggregated
-  /// Partial states for the request's extra_aggregates, in spec order
-  /// (`agg` holds the primary field's state).
-  std::vector<common::AggState> extra_aggs;
   /// Qualifying projected tuples, in key order. Values alias the decoded
   /// response frame (zero-copy; `owner` keeps it alive).
   struct Tuple {
@@ -205,10 +198,11 @@ struct ScanRangeResponse {
                        ScanRangeResponse* out);
 };
 
-/// Peek the format-shared [u16 version][status] prefix every response
-/// format starts with. Interposers (the fleet gateway) classify a
-/// forwarded response — e.g. a Page Server's kOverloaded scan shed —
-/// without knowing or decoding the format-specific payload.
+/// Decode only the format-shared [u16 version][status] prefix every
+/// response format starts with, without knowing which request it
+/// answers (e.g. a typed error for a frame the server rejected). The
+/// fleet gateway does not call it: it classifies the request with
+/// PeekMessageType and forwards the response bytes unread.
 Status DecodeResponseStatusPrefix(Slice wire, Status* out);
 
 /// Server side of the protocol. Page Servers implement this.

@@ -20,7 +20,9 @@ constexpr uint16_t kFrameLayout = 2;
 constexpr uint8_t kFlagCompressed = 0x1;
 
 // [magic u32][layout u16][flags u8][start_lsn u64][raw_len u32]
-// [stored_len u32][npart u32]
+// [stored_len u32][npart u32], then npart partition ids (u32), the body
+// and a masked CRC32C (u32) of every byte before it, header included: a
+// flipped start_lsn or partition id must not decode as a valid block.
 constexpr size_t kHeaderBytes = 4 + 2 + 1 + 8 + 4 + 4 + 4;
 
 }  // namespace
@@ -51,7 +53,7 @@ std::string EncodeBlockFrame(const LogBlock& block,
   for (PartitionId p : block.partitions()) PutFixed32(&frame, p);
   frame.append(body);
   PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(body.data(), body.size())));
+             crc32c::Mask(crc32c::Value(frame.data(), frame.size())));
   return frame;
 }
 
@@ -77,8 +79,9 @@ Status DecodeBlockFrame(Slice frame, LogBlock* out) {
   }
   const char* parts = p + kHeaderBytes;
   const char* body = parts + 4ull * npart;
-  uint32_t crc = DecodeFixed32(body + stored_len);
-  if (crc32c::Unmask(crc) != crc32c::Value(body, stored_len)) {
+  const size_t covered = frame.size() - 4;
+  if (crc32c::Unmask(DecodeFixed32(p + covered)) !=
+      crc32c::Value(p, covered)) {
     return Status::Corruption("block frame checksum mismatch");
   }
   std::set<PartitionId> partitions;

@@ -456,134 +456,73 @@ TEST(CounterStatsTest, HitRate) {
   EXPECT_DOUBLE_EQ(s.HitRate(), 0.75);
 }
 
-// ------------------------- scan expressions (key ranges, conjunctions)
+// ------------------------------------------------------ scan expressions
 
-TEST(ScanExprV5Test, KeyRangeEval) {
-  auto p = common::ScanPredicate::KeyRange(10, 20);
-  EXPECT_FALSE(common::EvalPredicate(p, 9, Slice()));
-  EXPECT_TRUE(common::EvalPredicate(p, 10, Slice()));
-  EXPECT_TRUE(common::EvalPredicate(p, 19, Slice()));
-  EXPECT_FALSE(common::EvalPredicate(p, 20, Slice()));
-  // hi == 0: unbounded above.
-  auto open = common::ScanPredicate::KeyRange(100, 0);
-  EXPECT_TRUE(common::EvalPredicate(open, UINT64_MAX, Slice()));
-  EXPECT_FALSE(common::EvalPredicate(open, 99, Slice()));
-}
-
-TEST(ScanExprV5Test, ConjunctionEval) {
-  std::string payload = "\x07rest";
-  auto p = common::ScanPredicate::KeyModEq(2, 0);
-  p.And(common::ScanPredicate::PayloadByteEq(0, 7));
-  EXPECT_TRUE(common::EvalPredicate(p, 4, Slice(payload)));
-  EXPECT_FALSE(common::EvalPredicate(p, 5, Slice(payload)));  // odd key
-  EXPECT_FALSE(common::EvalPredicate(p, 4, Slice("xrest")));  // byte miss
-  // And() flattens chains: (a AND b) AND c carries both extra terms.
-  auto q = common::ScanPredicate::KeyRange(0, 100);
-  q.And(p);
-  EXPECT_EQ(q.conjuncts.size(), 2u);
-  EXPECT_TRUE(common::EvalPredicate(q, 4, Slice(payload)));
-  EXPECT_FALSE(common::EvalPredicate(q, 102, Slice(payload)));
-}
-
-TEST(ScanExprV5Test, RangeAwareModSelectivityClamps) {
-  // Full-range prior: 1/1000.
+TEST(ScanExprTest, RangeAwareModSelectivityClamps) {
   auto p = common::ScanPredicate::KeyModEq(1000, 5);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p), 0.001);
+  // Unbounded range: the full-range prior, 1/1000.
+  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 0), 0.001);
   // A 10-key window holds exactly one hit (key 5): density 1/10, three
-  // orders denser than the prior — the satellite fix.
+  // orders denser than the prior.
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 10), 0.1);
   // The same window placed past the hit holds none.
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 6, 16), 0.0);
   // A wide window converges back to the prior.
   EXPECT_NEAR(common::EstimatedSelectivity(p, 0, 100000), 0.001, 1e-5);
-  // Unbounded range falls back to the prior.
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 0), 0.001);
 }
 
-TEST(ScanExprV5Test, RangeAwareKeyRangeSelectivityIsOverlap) {
-  auto p = common::ScanPredicate::KeyRange(50, 150);
-  // Without range context the key-range term is uninformative.
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p), 1.0);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 100), 0.5);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 100, 200), 0.5);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 200, 300), 0.0);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 60, 140), 1.0);
-}
-
-TEST(ScanExprV5Test, PredicateV5CodecRoundTrip) {
-  auto p = common::ScanPredicate::KeyRange(100, 900);
-  p.And(common::ScanPredicate::KeyModEq(7, 3));
-  p.And(common::ScanPredicate::PayloadByteLt(12, 200));
+TEST(ScanExprTest, PredicateCodecRoundTrip) {
+  auto p = common::ScanPredicate::KeyModEq(7, 3);
   std::string wire;
   common::EncodePredicate(&wire, p);
+  ASSERT_EQ(wire.size(), 17u);  // [u8 op][u64 a][u64 b]
   Slice in(wire);
   common::ScanPredicate out;
   ASSERT_TRUE(common::DecodePredicate(&in, &out).ok());
-  EXPECT_EQ(out.op, common::PredOp::kKeyRange);
-  EXPECT_EQ(out.a, 100u);
-  EXPECT_EQ(out.b, 900u);
-  ASSERT_EQ(out.conjuncts.size(), 2u);
-  EXPECT_EQ(out.conjuncts[0].op, common::PredOp::kKeyModEq);
-  EXPECT_EQ(out.conjuncts[0].a, 7u);
-  EXPECT_EQ(out.conjuncts[1].op, common::PredOp::kPayloadByteLt);
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(out.op, common::PredOp::kKeyModEq);
+  EXPECT_EQ(out.a, 7u);
+  EXPECT_EQ(out.b, 3u);
   // Truncations rejected, never mis-read.
-  for (size_t cut = 0; cut + 1 < wire.size(); cut++) {
+  for (size_t cut = 0; cut < wire.size(); cut++) {
     Slice t(wire.data(), cut);
     common::ScanPredicate scratch;
-    EXPECT_FALSE(common::DecodePredicate(&t, &scratch).ok());
+    EXPECT_TRUE(common::DecodePredicate(&t, &scratch).IsCorruption()) << cut;
   }
-  // Unknown ops are rejected, in the primary term and in a conjunct.
-  for (size_t at : {size_t{0}, size_t{18}}) {
+  // Every op past kKeyModEq is unknown.
+  for (int op : {2, 3, 4, 0x7f}) {
     std::string bad = wire;
-    bad[at] = static_cast<char>(0x7f);
+    bad[0] = static_cast<char>(op);
     Slice b(bad);
     common::ScanPredicate scratch;
-    EXPECT_FALSE(common::DecodePredicate(&b, &scratch).ok()) << at;
+    EXPECT_TRUE(common::DecodePredicate(&b, &scratch).IsNotSupported())
+        << op;
+  }
+  // Likewise every aggregate fn past kSum.
+  std::string agg;
+  common::EncodeAggregate(&agg, common::ScanAggregate::Sum(8));
+  Slice a(agg);
+  common::ScanAggregate got;
+  ASSERT_TRUE(common::DecodeAggregate(&a, &got).ok());
+  EXPECT_EQ(got.fn, common::AggFn::kSum);
+  EXPECT_EQ(got.field_offset, 8u);
+  for (int fn : {3, 4, 0x7f}) {
+    std::string bad = agg;
+    bad[0] = static_cast<char>(fn);
+    Slice b(bad);
+    EXPECT_TRUE(common::DecodeAggregate(&b, &got).IsNotSupported()) << fn;
   }
 }
 
-TEST(ScanExprV5Test, AggregateListCodecRoundTrip) {
-  common::ScanAggregateList aggs;
-  aggs.push_back(common::ScanAggregate::Count());
-  aggs.push_back(common::ScanAggregate::Sum(8));
-  aggs.push_back(common::ScanAggregate::Max(16));
+TEST(ScanExprTest, ProjectionCountBeyondFrameIsCorruption) {
+  // A 2-byte claim of 65535 extents (4 B each) must be rejected before
+  // anything is sized by it.
   std::string wire;
-  common::EncodeAggregateList(&wire, aggs);
+  PutFixed16(&wire, 0xffff);
   Slice in(wire);
-  common::ScanAggregateList out;
-  ASSERT_TRUE(common::DecodeAggregateList(&in, &out).ok());
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].fn, common::AggFn::kCount);
-  EXPECT_EQ(out[1].fn, common::AggFn::kSum);
-  EXPECT_EQ(out[1].field_offset, 8u);
-  EXPECT_EQ(out[2].fn, common::AggFn::kMax);
-  EXPECT_EQ(out[2].field_offset, 16u);
-}
-
-TEST(ScanExprV5Test, MultiAggOnePassMatchesScalarRuns) {
-  // One pass over rows with a 3-spec list == three scalar passes.
-  common::ScanAggregateList aggs;
-  aggs.push_back(common::ScanAggregate::Count());
-  aggs.push_back(common::ScanAggregate::Sum(0));
-  aggs.push_back(common::ScanAggregate::Min(0));
-  std::vector<common::AggState> multi(aggs.size());
-  common::AggState scalar[3];
-  for (uint64_t k = 1; k <= 100; k++) {
-    std::string payload;
-    PutFixed64(&payload, k * 7);
-    for (size_t i = 0; i < aggs.size(); i++) {
-      uint64_t v = common::AggFieldValue(aggs[i], Slice(payload));
-      multi[i].Accumulate(aggs[i].fn, v);
-      scalar[i].Accumulate(aggs[i].fn, v);
-    }
-  }
-  for (size_t i = 0; i < aggs.size(); i++) {
-    EXPECT_EQ(multi[i].rows, scalar[i].rows);
-    EXPECT_EQ(multi[i].value, scalar[i].value);
-  }
-  EXPECT_EQ(multi[0].rows, 100u);
-  EXPECT_EQ(multi[1].value, 7u * (100u * 101u / 2u));
-  EXPECT_EQ(multi[2].value, 7u);
+  common::ScanProjection out;
+  EXPECT_TRUE(common::DecodeProjection(&in, &out).IsCorruption());
+  EXPECT_LE(out.extents.capacity(), 16u);
 }
 
 }  // namespace

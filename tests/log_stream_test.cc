@@ -199,6 +199,31 @@ TEST(BlockFrameTest, CorruptFramesRejected) {
   EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
 }
 
+TEST(BlockFrameTest, HeaderAndPartitionFlipsFailTheChecksum) {
+  // The CRC covers the header and the partition list, not only the body:
+  // a flipped start_lsn would place the block at a wrong LSN and a
+  // flipped partition id would filter it away from its partition.
+  LogBlock b = TestBlock();
+  const std::string raw = EncodeBlockFrame(b, nullptr);
+  const std::string zip = CompressedFrame(b);
+  // Offsets: start_lsn at 7, raw_len at 15, stored_len at 19, the first
+  // partition id at 27 (after [magic][layout][flags] and the counts).
+  const struct {
+    const char* field;
+    size_t at;
+  } flips[] = {{"start_lsn", 7}, {"raw_len", 15}, {"stored_len", 19},
+               {"partition id", 27}};
+  for (const std::string* frame : {&raw, &zip}) {
+    for (const auto& f : flips) {
+      std::string bad = *frame;
+      bad[f.at] ^= 0x01;
+      LogBlock out;
+      EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption())
+          << f.field << (frame == &zip ? " (compressed)" : " (raw)");
+    }
+  }
+}
+
 // ------------------------------------------- end-to-end via the client
 
 struct XLogFixture {

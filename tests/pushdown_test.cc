@@ -90,9 +90,8 @@ class FakeScanner : public RemoteScanner {
         continue;
       }
       if (spec.aggregate.enabled()) {
-        c.agg.Accumulate(spec.aggregate.fn,
-                         common::AggFieldValue(spec.aggregate,
-                                               Slice(it->second)));
+        c.agg.Accumulate(
+            common::AggFieldValue(spec.aggregate, Slice(it->second)));
       } else {
         std::string out;
         spec.projection.Apply(Slice(it->second), &out);
@@ -216,20 +215,6 @@ TEST(ScanWhereLocalTest, Aggregates) {
       uint64_t want = 0;
       for (uint64_t k = 5; k < 400; k += 10) want += k * 3;
       EXPECT_EQ(r2->agg.value, want);
-    }
-    // MIN/MAX of the field over all rows.
-    ScanFilter mm;
-    mm.aggregate = common::ScanAggregate::Min(0);
-    auto r3 = co_await f.engine->ScanWhere(txn.get(), 10, 20, 0, mm);
-    EXPECT_TRUE(r3.ok());
-    if (r3.ok()) {
-      EXPECT_EQ(r3->agg.value, 30u);
-    }
-    mm.aggregate = common::ScanAggregate::Max(0);
-    auto r4 = co_await f.engine->ScanWhere(txn.get(), 10, 20, 0, mm);
-    EXPECT_TRUE(r4.ok());
-    if (r4.ok()) {
-      EXPECT_EQ(r4->agg.value, 57u);
     }
     (void)co_await f.engine->Commit(txn.get());
   });
@@ -542,69 +527,6 @@ TEST(PushdownEndToEndTest, UncommittedWritesOverlayPushedResults) {
     }
     e->Abort(txn.get());
   });
-  d.Stop();
-}
-
-TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
-  Simulator s;
-  service::Deployment d(s, SmallDeployment());
-  RunSim(s, [&]() -> Task<> {
-    EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 3000);
-    engine::Engine* e = d.primary_engine();
-    // Key ranges, conjunctions and multi-field aggregates end to end:
-    // key-range ∧ mod predicate, three aggregate fields in one pass.
-    // COUNT + SUM(field) + MAX(field) over keys in [500, 2500) with
-    // k % 10 == 5.
-    ScanFilter filter;
-    filter.predicate = common::ScanPredicate::KeyRange(MakeKey(1, 500),
-                                                       MakeKey(1, 2500));
-    filter.predicate.And(common::ScanPredicate::KeyModEq(10, 5));
-    filter.aggregate = common::ScanAggregate::Count();
-    filter.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
-    filter.extra_aggregates.push_back(common::ScanAggregate::Max(0));
-    auto txn = e->Begin(true);
-    auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
-                                   MakeKey(1, 3000), 0, filter);
-    EXPECT_TRUE(r.ok());
-    if (r.ok()) {
-      EXPECT_TRUE(r->pushed_down);
-      // The mod predicate applies to the full key (partition prefix
-      // included); compute the reference the same way.
-      uint64_t count = 0, sum = 0, mx = 0;
-      for (uint64_t k = 500; k < 2500; k++) {
-        if (MakeKey(1, k) % 10 != 5) continue;
-        count++;
-        sum += 3 * k;
-        mx = std::max<uint64_t>(mx, 3 * k);
-      }
-      EXPECT_EQ(r->agg.rows, count);
-      EXPECT_EQ(r->extra_aggs.size(), 2u);
-      if (r->extra_aggs.size() == 2) {
-        EXPECT_EQ(r->extra_aggs[0].value, sum);
-        EXPECT_EQ(r->extra_aggs[1].value, mx);
-      }
-      // The same spec evaluated locally must agree field for field.
-      RemoteScanner* scanner = e->remote_scanner();
-      e->SetRemoteScanner(nullptr);
-      auto local = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
-                                         MakeKey(1, 3000), 0, filter);
-      e->SetRemoteScanner(scanner);
-      EXPECT_TRUE(local.ok());
-      if (local.ok()) {
-        EXPECT_EQ(local->agg.rows, r->agg.rows);
-        EXPECT_EQ(local->extra_aggs.size(), 2u);
-        if (local->extra_aggs.size() == 2 && r->extra_aggs.size() == 2) {
-          EXPECT_EQ(local->extra_aggs[0].value, r->extra_aggs[0].value);
-          EXPECT_EQ(local->extra_aggs[1].value, r->extra_aggs[1].value);
-        }
-      }
-    }
-    (void)co_await e->Commit(txn.get());
-  });
-  // The key-range ∧ conjunct predicate went out on the wire.
-  EXPECT_GT(d.primary()->rbio_client().scans_sent(), 0u);
-  EXPECT_GT(d.page_server(0)->scan_requests(), 0u);
   d.Stop();
 }
 
@@ -955,7 +877,6 @@ TEST(ScanCostPlannerTest, EwmaBlendsLaterObservations) {
   scanner.data = f.fake.data;
   scanner.cm.round_trip_us = 1;
   scanner.cm.remote_leaf_us = 0.5;
-  scanner.cm.ewma_alpha = 0.3;
   f.engine->SetRemoteScanner(&scanner);
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);

@@ -241,7 +241,6 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   EXPECT_EQ(out.projection.extents[0].len, 12u);
   EXPECT_EQ(out.aggregate.fn, common::AggFn::kSum);
   EXPECT_EQ(out.aggregate.field_offset, 8u);
-  EXPECT_TRUE(out.extra_aggregates.empty());
   // Truncations anywhere are rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
@@ -292,58 +291,7 @@ TEST(RbioCodecTest, ScanRangeResponseAggRoundTrip) {
   EXPECT_TRUE(out.aggregated);
   EXPECT_EQ(out.agg.rows, 42u);
   EXPECT_EQ(out.agg.value, 123456789u);
-  EXPECT_TRUE(out.extra_aggs.empty());
   EXPECT_TRUE(out.tuples.empty());
-}
-
-TEST(RbioCodecTest, ScanRangeRequestV5RoundTrip) {
-  ScanRangeRequest req;
-  req.start_key = 100;
-  req.end_key = 900;
-  req.predicate = common::ScanPredicate::KeyRange(100, 900);
-  req.predicate.And(common::ScanPredicate::KeyModEq(7, 3));
-  req.aggregate = common::ScanAggregate::Count();
-  req.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
-  req.extra_aggregates.push_back(common::ScanAggregate::Max(8));
-  std::string wire = req.Encode();
-  ScanRangeRequest out;
-  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out).ok());
-  EXPECT_EQ(out.predicate.op, common::PredOp::kKeyRange);
-  ASSERT_EQ(out.predicate.conjuncts.size(), 1u);
-  EXPECT_EQ(out.predicate.conjuncts[0].a, 7u);
-  ASSERT_EQ(out.extra_aggregates.size(), 2u);
-  EXPECT_EQ(out.extra_aggregates[0].fn, common::AggFn::kSum);
-  EXPECT_EQ(out.extra_aggregates[1].fn, common::AggFn::kMax);
-  // Truncations rejected, never mis-read.
-  for (size_t cut = 0; cut < wire.size(); cut++) {
-    EXPECT_FALSE(
-        ScanRangeRequest::Decode(Slice(wire.data(), cut), &out).ok());
-  }
-}
-
-TEST(RbioCodecTest, ScanRangeResponseExtraAggsRoundTrip) {
-  ScanRangeResponse resp;
-  resp.status = Status::OK();
-  resp.complete = true;
-  resp.aggregated = true;
-  resp.agg.rows = 50;
-  resp.agg.value = 111;
-  common::AggState s1;
-  s1.rows = 50;
-  s1.value = 4242;
-  common::AggState s2;
-  s2.rows = 50;
-  s2.value = 99;
-  resp.extra_aggs.push_back(s1);
-  resp.extra_aggs.push_back(s2);
-  auto frame = std::make_shared<const std::string>(resp.Encode());
-  ScanRangeResponse out;
-  ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
-  EXPECT_TRUE(out.aggregated);
-  EXPECT_EQ(out.agg.rows, 50u);
-  ASSERT_EQ(out.extra_aggs.size(), 2u);
-  EXPECT_EQ(out.extra_aggs[0].value, 4242u);
-  EXPECT_EQ(out.extra_aggs[1].value, 99u);
 }
 
 TEST(RbioCodecTest, OverloadedStatusSurvivesWire) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Knob census: every field of every `struct *Options` under src/ must be set
+"""Knob census: every field of every knob struct under src/ (each
+`struct *Options`, plus the scan planner's `PushdownCostModel`) must be set
 somewhere, or it is a constant in disguise.
 
 For each field the census counts its setters per directory (src, bench,
@@ -7,10 +8,11 @@ tests, examples, perfbench). A setter is an assignment `x.f = ...`,
 `x->f = ...` (compound assignments included), a designated initializer
 `{.f = ...}`, or an assignment through the field (`x.f.g = ...` sets f).
 The receiver's type is resolved from the nearest declaration of its root
-variable in the same file or its sibling header, then walked through the
-Options structs' own member types (`o.compute.mem_pages` sets
-ComputeOptions::mem_pages). A receiver that cannot be resolved credits
-every Options struct with a field of that name.
+variable in the same file or its sibling header, then walked through
+member types (`o.compute.mem_pages` sets ComputeOptions::mem_pages, and
+`scanner.cm.round_trip_us` sets PushdownCostModel::round_trip_us when the
+scanner's `cm` member is one). A receiver that cannot be resolved credits
+every knob struct with a field of that name.
 
 A setter whose right-hand side is just another option field
 (`rbio.max_batch = opts.rbio_max_batch`) is a copy. It counts only if its
@@ -51,6 +53,10 @@ KEYWORDS = {
     "switch", "do", "operator",
 }
 
+# Structs whose fields are knobs: every *Options struct, and the cost
+# model a RemoteScanner hands the scan planner.
+KNOB_STRUCT_RE = r"\w+Options|PushdownCostModel"
+
 # Fields that only tests set and that stay on purpose, with the reason.
 TEST_ONLY_ALLOWED = {
     **{f"RandomPlanOptions::{f}":
@@ -58,6 +64,10 @@ TEST_ONLY_ALLOWED = {
        for f in ("start_us", "horizon_us", "events", "num_page_servers",
                  "num_secondaries", "max_window_us", "crashes")},
     "XLogClientOptions::max_block_bytes": "param_test's block-size sweep",
+    **{f"PushdownCostModel::{f}":
+       "the planner tests price a free fake remote path against a warm "
+       "standalone engine"
+       for f in ("round_trip_us", "remote_leaf_us")},
 }
 
 # Process-wide mutable variables under src/ that stay on purpose, keyed
@@ -305,7 +315,7 @@ def find_structs():
         if d != "src" or not path.endswith(".h"):
             continue
         text = strip_comments(open(path).read())
-        for name, body in struct_bodies(text, r"\w+Options"):
+        for name, body in struct_bodies(text, KNOB_STRUCT_RE):
             structs[name] = {"file": os.path.relpath(path, ROOT),
                              "fields": struct_fields(body)}
     return structs
@@ -318,15 +328,15 @@ class Census:
         for s, fields in self.members.items():
             for f in fields:
                 self.by_field[f].add(s)
-        # Members of every other struct/class in the tree, so that an
-        # assignment to one of them is not mistaken for a knob setter.
-        self.other_members = defaultdict(set)
+        # Members (name -> type) of every other struct/class in the tree,
+        # so that an assignment to one of them is not mistaken for a knob
+        # setter, while one through a member of knob type still counts.
+        self.other_members = defaultdict(dict)
         for path, _ in source_files():
             text = strip_comments(open(path, errors="replace").read())
             for name, body in struct_bodies(text, r"\w+"):
                 if name not in structs:
-                    self.other_members[name].update(
-                        f for f, _ in struct_fields(body))
+                    self.other_members[name].update(struct_fields(body))
 
     def root_type(self, name, suffix, text, pos, header):
         """Type of `name` (or of its element, when subscripted) at its
@@ -363,7 +373,12 @@ class Census:
             if typ in self.members:
                 owners = {typ}
             elif name in self.other_members.get(typ, ()):
-                return out, False  # a member of some other type
+                member_type = self.other_members[typ][name]
+                if member_type not in self.members or suffix:
+                    return out, False  # a member of some other type
+                out.append([])  # a knob struct held by another type
+                typ = member_type
+                continue
             else:
                 owners = self.by_field.get(name, set())
             hits = [(s, name) for s in owners if name in self.members[s]]
@@ -486,7 +501,8 @@ def main():
 
     design = os.path.join(ROOT, "DESIGN.md")
     if os.path.exists(design):
-        rows = set(re.findall(r"^\|\s*`(\w+Options::\w+)`\s*\|",
+        rows = set(re.findall(r"^\|\s*`((?:" + KNOB_STRUCT_RE +
+                              r")::\w+)`\s*\|",
                               open(design).read(), re.M))
         fields = {f"{s}::{f}" for s in structs for f, _ in
                   structs[s]["fields"]}
