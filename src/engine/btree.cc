@@ -86,24 +86,19 @@ sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key) {
       Status::Corruption("btree leaf locate did not converge"));
 }
 
-sim::Task<Result<VersionChain>> BTree::Find(uint64_t key) {
+sim::Task<Result<BTree::PinnedChain>> BTree::Find(uint64_t key) {
   std::vector<PageId> path;
   Result<PageRef> leaf = co_await TraverseToLeaf(key, &path);
-  if (!leaf.ok()) co_return Result<VersionChain>(leaf.status());
+  if (!leaf.ok()) co_return Result<PinnedChain>(leaf.status());
   BTreePage bp(leaf->page());
   int slot = bp.FindSlot(key);
-  if (slot < 0) co_return Result<VersionChain>(Status::NotFound("no key"));
-  VersionChain chain;
-  if (!VersionChain::Decode(bp.LeafValueAt(slot), &chain)) {
-    co_return Result<VersionChain>(
-        Status::Corruption("bad version chain encoding"));
-  }
-  co_return std::move(chain);
+  if (slot < 0) co_return Result<PinnedChain>(Status::NotFound("no key"));
+  co_return PinnedChain{std::move(leaf).value(), bp.LeafValueAt(slot)};
 }
 
 sim::Task<Result<size_t>> BTree::Scan(
     uint64_t start, size_t count,
-    const std::function<bool(uint64_t, const VersionChain&)>& visitor) {
+    const std::function<bool(uint64_t, Slice)>& visitor) {
   size_t visited = 0;
   uint64_t key = start;
   while (visited < count) {
@@ -116,13 +111,8 @@ sim::Task<Result<size_t>> BTree::Scan(
     }
     int slot = bp.LowerBound(key);
     for (; slot < bp.slot_count() && visited < count; slot++) {
-      VersionChain chain;
-      if (!VersionChain::Decode(bp.LeafValueAt(slot), &chain)) {
-        co_return Result<size_t>(
-            Status::Corruption("bad version chain encoding"));
-      }
       visited++;
-      if (!visitor(bp.KeyAt(slot), chain)) co_return visited;
+      if (!visitor(bp.KeyAt(slot), bp.LeafValueAt(slot))) co_return visited;
     }
     if (visited >= count) break;
     uint64_t high = bp.high_fence();
@@ -190,12 +180,11 @@ sim::Task<Status> BTree::Write(TxnId txn, uint64_t key, Timestamp commit_ts,
     const int slot = bp.FindSlot(key);
     const bool exists = slot >= 0;
     chain.clear();
-    if (!VersionChain::EncodePushed(exists ? bp.LeafValueAt(slot) : Slice(),
-                                    commit_ts, tombstone, payload, trim_ts,
-                                    &chain)) {
+    if (!EncodePushed(exists ? bp.LeafValueAt(slot) : Slice(), commit_ts,
+                      tombstone, payload, trim_ts, &chain)) {
       co_return Status::Corruption("bad version chain encoding");
     }
-    if (chain.size() > storage::kPageUsableSize / 2) {
+    if (chain.size() > kMaxChainBytes) {
       co_return Status::InvalidArgument(
           "version chain too large for a page");
     }

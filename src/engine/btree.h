@@ -36,6 +36,9 @@ namespace engine {
 /// place as an interior page over two freshly allocated children).
 inline constexpr PageId kRootPageId = 1;
 
+/// The longest version chain a write may leave: a leaf must hold two.
+inline constexpr size_t kMaxChainBytes = storage::kPageUsableSize / 2;
+
 class BTree {
  public:
   /// `sink` may be null on read-only tiers (Secondaries, Page Servers).
@@ -46,14 +49,22 @@ class BTree {
   /// as an empty leaf covering the whole key space.
   sim::Task<Status> Create();
 
-  /// Point lookup: the version chain stored under `key`.
-  sim::Task<Result<VersionChain>> Find(uint64_t key);
+  /// A leaf's encoded version chain (see version.h), readable while
+  /// `leaf` stays pinned.
+  struct PinnedChain {
+    PageRef leaf;
+    Slice chain;
+  };
 
-  /// Visit up to `count` keys >= `start` in order. The visitor returns
-  /// false to stop early. Returns the number of keys visited.
+  /// Point lookup: the version chain stored under `key`.
+  sim::Task<Result<PinnedChain>> Find(uint64_t key);
+
+  /// Visit up to `count` keys >= `start` in order, each with its encoded
+  /// version chain, valid during the call. The visitor returns false to
+  /// stop early. Returns the number of keys visited.
   sim::Task<Result<size_t>> Scan(
       uint64_t start, size_t count,
-      const std::function<bool(uint64_t, const VersionChain&)>& visitor);
+      const std::function<bool(uint64_t, Slice)>& visitor);
 
   /// Id of the leaf that should cover `key`, found by descending interior
   /// pages only — the leaf itself is never fetched. This is the pushdown
@@ -64,9 +75,10 @@ class BTree {
   sim::Task<Result<PageId>> LeafIdFor(uint64_t key);
 
   /// Commit one row version under `key` (insert or update), splitting as
-  /// needed. The stored chain becomes VersionChain::EncodePushed of the
-  /// old one (empty for a new key); the log record carries only the new
-  /// version and `trim_ts`. Primary-only, under the engine's commit mutex.
+  /// needed. The stored chain becomes EncodePushed of the old one (empty
+  /// for a new key); the log record carries only the new version and
+  /// `trim_ts`. A chain longer than kMaxChainBytes fails. Primary-only,
+  /// under the engine's commit mutex.
   sim::Task<Status> Write(TxnId txn, uint64_t key, Timestamp commit_ts,
                           bool tombstone, Slice payload, Timestamp trim_ts);
 

@@ -17,7 +17,7 @@
 // because the search key falls outside [low_fence, high_fence) and
 // retries the traversal after letting log apply catch up.
 //
-// Leaf record:      [u64 key][u32 len][len bytes of encoded VersionChain]
+// Leaf record:      [u64 key][u32 len][len bytes of encoded version chain]
 // Interior record:  [u64 key][u64 child]   (key = low fence of the child;
 //                   the first record's key equals the page's low fence)
 

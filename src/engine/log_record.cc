@@ -149,9 +149,9 @@ Status ApplyToPage(const LogRecord& rec, Lsn lsn, storage::Page* page) {
       // Rebuilt in a reused buffer, so steady-state redo never allocates.
       thread_local std::string chain;
       chain.clear();
-      if (!VersionChain::EncodePushed(
-              insert ? Slice() : bp.LeafValueAt(slot), rec.commit_ts,
-              rec.tombstone, Slice(rec.value), rec.trim_ts, &chain)) {
+      if (!EncodePushed(insert ? Slice() : bp.LeafValueAt(slot),
+                        rec.commit_ts, rec.tombstone, Slice(rec.value),
+                        rec.trim_ts, &chain)) {
         return Status::Corruption("bad version chain encoding");
       }
       SOCRATES_RETURN_IF_ERROR(insert

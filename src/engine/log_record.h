@@ -10,7 +10,7 @@
 // Records log what changed, not the state that results:
 //  * A leaf write carries only the new row version (commit_ts, tombstone
 //    flag, payload) and, for an update, the trim timestamp. Redo rebuilds
-//    the stored chain with VersionChain::EncodePushed, the function the
+//    the stored chain with EncodePushed (version.h), the function the
 //    Primary's write ran, so every tier's leaf bytes stay equal.
 //  * A split logs the page it keeps as the operation: kSplitLeft names
 //    the separator and the new right sibling, and redo rebuilds the lower

@@ -27,6 +27,8 @@ void Deactivate(std::multiset<Timestamp>* active, Transaction* txn) {
   active->erase(it);
 }
 
+Status BadChain() { return Status::Corruption("bad version chain encoding"); }
+
 }  // namespace
 
 sim::Task<Result<std::string>> Engine::Get(Transaction* txn, uint64_t key) {
@@ -39,13 +41,17 @@ sim::Task<Result<std::string>> Engine::Get(Transaction* txn, uint64_t key) {
     }
     co_return wit->second.value;
   }
-  Result<VersionChain> chain = co_await btree_.Find(key);
-  if (!chain.ok()) co_return Result<std::string>(chain.status());
-  const RowVersion* v = chain->VisibleAt(txn->read_ts());
-  if (v == nullptr || v->tombstone) {
+  Result<BTree::PinnedChain> found = co_await btree_.Find(key);
+  if (!found.ok()) co_return Result<std::string>(found.status());
+  VersionView v;
+  const ChainLookup seen = VisibleAt(found->chain, txn->read_ts(), &v);
+  if (seen == ChainLookup::kMalformed) {
+    co_return Result<std::string>(BadChain());
+  }
+  if (seen == ChainLookup::kNone || v.tombstone) {
     co_return Result<std::string>(Status::NotFound("invisible at snapshot"));
   }
-  co_return v->payload;
+  co_return v.payload.ToString();
 }
 
 Status Engine::Put(Transaction* txn, uint64_t key, Slice value) {
@@ -82,20 +88,25 @@ Engine::Scan(Transaction* txn, uint64_t start, size_t count) {
     size_t batch = want - rows.size() + 16;
     uint64_t last_key = cursor;
     size_t seen = 0;
+    bool malformed = false;
     Result<size_t> r = co_await btree_.Scan(
-        cursor, batch,
-        [&](uint64_t key, const VersionChain& chain) {
+        cursor, batch, [&](uint64_t key, Slice chain) {
           last_key = key;
           seen++;
-          const RowVersion* v = chain.VisibleAt(read_ts);
-          if (v != nullptr && !v->tombstone) {
-            rows.emplace_back(key, v->payload);
+          VersionView v;
+          const ChainLookup found = VisibleAt(chain, read_ts, &v);
+          if (found == ChainLookup::kMalformed) {
+            malformed = true;
+            return false;
+          }
+          if (found == ChainLookup::kFound && !v.tombstone) {
+            rows.emplace_back(key, v.payload.ToString());
           }
           return rows.size() < want;
         });
-    if (!r.ok()) {
+    if (!r.ok() || malformed) {
       co_return Result<std::vector<std::pair<uint64_t, std::string>>>(
-          r.status());
+          malformed ? BadChain() : r.status());
     }
     if (seen < batch) exhausted = true;
     if (last_key == UINT64_MAX) exhausted = true;
@@ -133,29 +144,35 @@ sim::Task<Status> Engine::CollectFiltered(
     const size_t batch = 256;
     uint64_t last_key = cursor;
     size_t seen = 0;
+    bool malformed = false;
     Result<size_t> r = co_await btree_.Scan(
-        cursor, batch, [&](uint64_t key, const VersionChain& chain) {
+        cursor, batch, [&](uint64_t key, Slice chain) {
           if (key >= end_key) {
             done = true;
             return false;
           }
           last_key = key;
           seen++;
-          const RowVersion* v = chain.VisibleAt(read_ts);
-          if (v != nullptr && !v->tombstone &&
-              common::EvalPredicate(filter.predicate, key,
-                                    Slice(v->payload))) {
+          VersionView v;
+          const ChainLookup found = VisibleAt(chain, read_ts, &v);
+          if (found == ChainLookup::kMalformed) {
+            malformed = true;
+            return false;
+          }
+          if (found == ChainLookup::kFound && !v.tombstone &&
+              common::EvalPredicate(filter.predicate, key, v.payload)) {
             if (project) {
               std::string out;
-              filter.projection.Apply(Slice(v->payload), &out);
+              filter.projection.Apply(v.payload, &out);
               rows->emplace_back(key, std::move(out));
             } else {
-              rows->emplace_back(key, v->payload);
+              rows->emplace_back(key, v.payload.ToString());
             }
             if (want > 0 && rows->size() >= want) return false;
           }
           return true;
         });
+    if (malformed) co_return BadChain();
     if (!r.ok()) co_return r.status();
     if (!done && seen < batch) done = true;  // tree exhausted
     if (last_key == UINT64_MAX) done = true;
@@ -612,24 +629,42 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     auto guard = co_await commit_mutex_.Acquire();
 
     // Phase 1: validation (first-committer-wins). A key written by a
-    // transaction that committed after our snapshot aborts us.
+    // transaction that committed after our snapshot aborts us. Each key's
+    // push is planned from the chain read here (a new key's is empty).
+    std::vector<PushPlan> plans(txn->writes_.size());
+    auto plan = plans.begin();
     for (const auto& [key, op] : txn->writes_) {
-      Result<VersionChain> chain = co_await btree_.Find(key);
-      if (chain.ok()) {
-        const RowVersion* newest = chain->Newest();
-        if (newest != nullptr && newest->commit_ts > txn->read_ts()) {
+      Result<BTree::PinnedChain> found = co_await btree_.Find(key);
+      if (found.ok()) {
+        if (!plan->Read(found->chain)) co_return fail(BadChain());
+        VersionView newest;
+        if (Newest(found->chain, &newest) == ChainLookup::kFound &&
+            newest.commit_ts > txn->read_ts()) {
           stats_.conflicts++;
           co_return fail(Status::Aborted("write-write conflict"));
         }
-      } else if (!chain.status().IsNotFound()) {
-        co_return fail(chain.status());
+      } else if (!found.status().IsNotFound()) {
+        co_return fail(found.status());
       }
+      ++plan;
     }
 
     // Phase 2: apply. Versions carry the commit timestamp; chains are
     // trimmed against the oldest active snapshot.
     Timestamp commit_ts = ++next_ts_;
     Timestamp trim_ts = OldestActiveTs();
+    // Size every chain before the first write: a write that failed after
+    // earlier keys' versions were in their chains would leave versions no
+    // commit record covers, visible once a later commit passes commit_ts.
+    plan = plans.begin();
+    for (const auto& [key, op] : txn->writes_) {
+      if (plan->PushedSize(commit_ts, op.value.size(), trim_ts) >
+          kMaxChainBytes) {
+        co_return fail(
+            Status::InvalidArgument("version chain too large for a page"));
+      }
+      ++plan;
+    }
     for (const auto& [key, op] : txn->writes_) {
       stats_.writes++;
       Status ws = co_await btree_.Write(txn->id_, key, commit_ts,

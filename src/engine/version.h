@@ -14,13 +14,20 @@
 //   [u16 count] then per version, newest first:
 //   [u64 commit_ts][u8 flags][u32 len][payload]
 // flags bit 0: tombstone (the row was deleted at commit_ts).
+//
+// This header has the one reader and the one writer of that encoding.
+// ChainReader walks a chain in place, without copying; VisibleAt and
+// Newest are its lookups. Every tier reads through it: the Primary's and
+// Secondaries' Get, Scan and commit validation, and the Page Servers'
+// pushdown evaluator, so a pushed scan and a local scan agree on every
+// byte, malformed ones included. EncodePushed is the writer: the
+// Primary's leaf write and every redo of its log record run it.
 
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "common/coding.h"
 #include "common/slice.h"
@@ -32,133 +39,148 @@ namespace engine {
 /// A row keeps at most this many versions, newest first.
 inline constexpr size_t kMaxChainLength = 8;
 
-struct RowVersion {
+/// One version as it sits in an encoded chain. `payload` points into the
+/// chain's bytes and is valid as long as they are.
+struct VersionView {
   Timestamp commit_ts = 0;
   bool tombstone = false;
-  std::string payload;
+  Slice payload;
 };
 
-class VersionChain {
+/// Walks an encoded chain newest-first without copying.
+class ChainReader {
  public:
-  VersionChain() = default;
+  explicit ChainReader(Slice chain) : rest_(chain) {
+    malformed_ = !GetFixed16(&rest_, &left_);
+    body_ = rest_;
+  }
 
-  /// Parse an encoded chain. Returns false on malformed input.
-  static bool Decode(Slice input, VersionChain* out) {
-    out->versions_.clear();
-    uint16_t count;
-    if (!GetFixed16(&input, &count)) return false;
-    out->versions_.reserve(count);
-    for (uint16_t i = 0; i < count; i++) {
-      RowVersion v;
-      uint64_t ts;
-      if (!GetFixed64(&input, &ts)) return false;
-      if (input.empty()) return false;
-      uint8_t flags = static_cast<uint8_t>(input[0]);
-      input.remove_prefix(1);
-      Slice payload;
-      if (!GetLengthPrefixed(&input, &payload)) return false;
-      v.commit_ts = ts;
-      v.tombstone = (flags & 0x1) != 0;
-      v.payload = payload.ToString();
-      out->versions_.push_back(std::move(v));
-    }
+  /// Reads the next version into `*v`. False at the end of the chain or
+  /// on malformed input; malformed() tells the two apart.
+  bool Next(VersionView* v) {
+    if (left_ == 0 || malformed_) return false;
+    uint64_t ts;
+    if (!GetFixed64(&rest_, &ts) || rest_.empty()) return Fail();
+    const auto flags = static_cast<uint8_t>(rest_[0]);
+    rest_.remove_prefix(1);
+    if (!GetLengthPrefixed(&rest_, &v->payload)) return Fail();
+    v->commit_ts = ts;
+    v->tombstone = (flags & 0x1) != 0;
+    left_--;
     return true;
   }
 
-  std::string Encode() const {
-    std::string out;
-    PutFixed16(&out, static_cast<uint16_t>(versions_.size()));
-    for (const auto& v : versions_) {
-      PutFixed64(&out, v.commit_ts);
-      out.push_back(static_cast<char>(v.tombstone ? 0x1 : 0x0));
-      PutLengthPrefixed(&out, Slice(v.payload));
-    }
-    return out;
-  }
+  bool malformed() const { return malformed_; }
 
-  /// Prepend a new committed version. Versions must be added in
-  /// monotonically increasing commit_ts order.
-  void Push(Timestamp commit_ts, bool tombstone, Slice payload) {
-    RowVersion v;
-    v.commit_ts = commit_ts;
-    v.tombstone = tombstone;
-    v.payload = payload.ToString();
-    versions_.insert(versions_.begin(), std::move(v));
-  }
-
-  /// The version visible to a snapshot at `read_ts`: the newest version
-  /// with commit_ts <= read_ts. nullopt if the row did not exist yet (or
-  /// the visible version is a tombstone — callers check `tombstone`).
-  const RowVersion* VisibleAt(Timestamp read_ts) const {
-    for (const auto& v : versions_) {
-      if (v.commit_ts <= read_ts) return &v;
-    }
-    return nullptr;
-  }
-
-  /// Newest version (the committed head), or nullptr if empty.
-  const RowVersion* Newest() const {
-    return versions_.empty() ? nullptr : &versions_.front();
-  }
-
-  /// Drop versions that no snapshot can need: keep the newest version
-  /// whose commit_ts <= oldest_active_ts plus everything newer.
-  void Trim(Timestamp oldest_active_ts) {
-    for (size_t i = 0; i < versions_.size(); i++) {
-      if (versions_[i].commit_ts <= oldest_active_ts) {
-        versions_.resize(i + 1);
-        return;
-      }
-    }
-  }
-
-  /// Hard cap on history length: keep only the newest `max` versions.
-  void Cap(size_t max) {
-    if (versions_.size() > max) versions_.resize(max);
-  }
-
-  /// Append to `*out` the encoding of the chain that committing one
-  /// version leaves behind: `old` (an encoded chain; empty for a new row)
-  /// after Push(commit_ts, tombstone, payload), Trim(trim_ts) and
-  /// Cap(kMaxChainLength). Works on the encoding, copying the kept old
-  /// versions as one block. The Primary's write and every redo of its
-  /// leaf record run this one function, so all tiers store the same
-  /// bytes. Returns false if `old` is malformed.
-  static bool EncodePushed(Slice old, Timestamp commit_ts, bool tombstone,
-                           Slice payload, Timestamp trim_ts,
-                           std::string* out) {
-    uint16_t old_count = 0;
-    if (!old.empty() && !GetFixed16(&old, &old_count)) return false;
-    // Trim keeps everything down to the newest version at or below
-    // trim_ts; Cap then keeps at most kMaxChainLength.
-    uint16_t keep = 1;  // the pushed version
-    size_t kept_bytes = 0;
-    bool trimmed = commit_ts <= trim_ts;
-    Slice rest = old;
-    while (!trimmed && keep < kMaxChainLength && keep <= old_count) {
-      uint64_t ts;
-      Slice skip;
-      if (!GetFixed64(&rest, &ts) || rest.empty()) return false;
-      rest.remove_prefix(1);  // flags
-      if (!GetLengthPrefixed(&rest, &skip)) return false;
-      keep++;
-      kept_bytes = old.size() - rest.size();
-      trimmed = ts <= trim_ts;
-    }
-    PutFixed16(out, keep);
-    PutFixed64(out, commit_ts);
-    out->push_back(static_cast<char>(tombstone ? 0x1 : 0x0));
-    PutLengthPrefixed(out, payload);
-    out->append(old.data(), kept_bytes);
-    return true;
-  }
-
-  size_t size() const { return versions_.size(); }
-  bool empty() const { return versions_.empty(); }
-  const std::vector<RowVersion>& versions() const { return versions_; }
+  /// Encoded bytes of the versions read so far (without the count).
+  size_t bytes_read() const { return body_.size() - rest_.size(); }
 
  private:
-  std::vector<RowVersion> versions_;
+  bool Fail() {
+    malformed_ = true;
+    return false;
+  }
+
+  Slice rest_;
+  Slice body_;
+  uint16_t left_ = 0;
+  bool malformed_ = false;
+};
+
+/// What a lookup in an encoded chain found.
+enum class ChainLookup : uint8_t {
+  kFound,      // the version is in `*out`; callers check `tombstone`
+  kNone,       // no version qualifies: the row did not exist yet
+  kMalformed,  // the bytes are not a chain
+};
+
+/// The version a snapshot at `read_ts` sees: the newest version with
+/// commit_ts <= read_ts. Reads no further than that version.
+inline ChainLookup VisibleAt(Slice chain, Timestamp read_ts,
+                             VersionView* out) {
+  ChainReader reader(chain);
+  while (reader.Next(out)) {
+    if (out->commit_ts <= read_ts) return ChainLookup::kFound;
+  }
+  return reader.malformed() ? ChainLookup::kMalformed : ChainLookup::kNone;
+}
+
+/// The newest version (the committed head).
+inline ChainLookup Newest(Slice chain, VersionView* out) {
+  return VisibleAt(chain, kMaxTimestamp, out);
+}
+
+/// The trim and cap rule of a push. Old versions are kept newest-first:
+/// with `kept` of them kept so far, the last one kept (or the pushed
+/// version, when none is) at `last_ts`, the next older one stays too
+/// unless `last_ts` is at or below `trim_ts` (no snapshot can need older
+/// versions) or the chain is at kMaxChainLength.
+inline bool KeepsNext(size_t kept, Timestamp last_ts, Timestamp trim_ts) {
+  return last_ts > trim_ts && kept + 1 < kMaxChainLength;
+}
+
+/// Append to `*out` the encoding of the chain that committing one version
+/// leaves behind: `old` (an encoded chain; empty for a new row) with
+/// (commit_ts, tombstone, payload) pushed on top and trimmed and capped
+/// by KeepsNext. The kept old versions are copied as one block. Returns
+/// false if `old` is malformed.
+inline bool EncodePushed(Slice old, Timestamp commit_ts, bool tombstone,
+                         Slice payload, Timestamp trim_ts,
+                         std::string* out) {
+  // A new row is the chain of no versions.
+  ChainReader reader(old.empty() ? Slice("\0\0", 2) : old);
+  size_t keep = 0;
+  Timestamp last_ts = commit_ts;
+  VersionView v;
+  while (KeepsNext(keep, last_ts, trim_ts) && reader.Next(&v)) {
+    keep++;
+    last_ts = v.commit_ts;
+  }
+  if (reader.malformed()) return false;
+  PutFixed16(out, static_cast<uint16_t>(keep + 1));
+  PutFixed64(out, commit_ts);
+  out->push_back(static_cast<char>(tombstone ? 0x1 : 0x0));
+  PutLengthPrefixed(out, payload);
+  // The kept versions start right after the old count.
+  if (keep > 0) out->append(old.data() + 2, reader.bytes_read());
+  return true;
+}
+
+/// Sizes a push onto a chain read earlier, once the leaf is unpinned and
+/// `trim_ts` is known: keeps the commit_ts of each of the chain's first
+/// kMaxChainLength - 1 versions and the encoded bytes through it.
+class PushPlan {
+ public:
+  /// Reads `old`, an encoded chain. Returns false if a version a push
+  /// could keep is malformed.
+  bool Read(Slice old) {
+    ChainReader reader(old);
+    VersionView v;
+    count_ = 0;
+    while (count_ < ts_.size() && reader.Next(&v)) {
+      ts_[count_] = v.commit_ts;
+      end_[count_++] = reader.bytes_read();
+    }
+    return !reader.malformed();
+  }
+
+  /// Size of the chain EncodePushed leaves for a `payload_len`-byte
+  /// payload (a new row's plan reads no chain).
+  size_t PushedSize(Timestamp commit_ts, size_t payload_len,
+                    Timestamp trim_ts) const {
+    size_t keep = 0;
+    Timestamp last_ts = commit_ts;
+    while (keep < count_ && KeepsNext(keep, last_ts, trim_ts)) {
+      last_ts = ts_[keep++];
+    }
+    // [u16 count], then the new version's [u64 ts][u8 flags][u32 len].
+    return 2 + 13 + payload_len + (keep == 0 ? 0 : end_[keep - 1]);
+  }
+
+ private:
+  std::array<Timestamp, kMaxChainLength - 1> ts_{};
+  std::array<size_t, kMaxChainLength - 1> end_{};
+  size_t count_ = 0;
 };
 
 }  // namespace engine

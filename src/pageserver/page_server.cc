@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/btree_page.h"
+#include "engine/version.h"
 
 namespace socrates {
 namespace pageserver {
@@ -26,31 +27,6 @@ struct ScopedInflight {
   uint64_t* counter;
   uint64_t* host;
 };
-
-// Find the version visible at `read_ts` in an encoded VersionChain
-// without materializing it (VersionChain::Decode copies every payload —
-// per row, per scan, that would dominate the evaluator). Returns false
-// if the chain is malformed or the row did not exist at read_ts.
-bool VisibleInEncodedChain(Slice chain, Timestamp read_ts, bool* tombstone,
-                           Slice* payload) {
-  uint16_t count;
-  if (!GetFixed16(&chain, &count)) return false;
-  for (uint16_t i = 0; i < count; i++) {
-    uint64_t ts;
-    if (!GetFixed64(&chain, &ts)) return false;
-    if (chain.empty()) return false;
-    uint8_t flags = static_cast<uint8_t>(chain[0]);
-    chain.remove_prefix(1);
-    Slice p;
-    if (!GetLengthPrefixed(&chain, &p)) return false;
-    if (ts <= read_ts) {  // newest-first: first hit is the visible one
-      *tombstone = (flags & 0x1) != 0;
-      *payload = p;
-      return true;
-    }
-  }
-  return false;
-}
 }  // namespace
 
 // Fan-out state shared by one checkpoint round's batch writers.
@@ -544,21 +520,25 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
         done = true;
         break;
       }
-      bool tomb = false;
-      Slice payload;
-      if (!VisibleInEncodedChain(bp.LeafValueAt(i), req.read_ts, &tomb,
-                                 &payload) ||
-          tomb) {
+      // The local plan's reader: a malformed chain fails both plans alike.
+      engine::VersionView v;
+      const engine::ChainLookup found =
+          engine::VisibleAt(bp.LeafValueAt(i), req.read_ts, &v);
+      if (found == engine::ChainLookup::kMalformed) {
+        resp.status = Status::Corruption("bad version chain encoding");
+        co_return resp.Encode();
+      }
+      if (found == engine::ChainLookup::kNone || v.tombstone) {
         continue;  // row not visible at this snapshot
       }
       resp.rows_scanned++;
       scan_rows_scanned_++;
-      if (!common::EvalPredicate(req.predicate, key, payload)) continue;
+      if (!common::EvalPredicate(req.predicate, key, v.payload)) continue;
       if (resp.aggregated) {
-        resp.agg.Accumulate(common::AggFieldValue(req.aggregate, payload));
+        resp.agg.Accumulate(common::AggFieldValue(req.aggregate, v.payload));
       } else {
         const auto off = static_cast<uint32_t>(arena.size());
-        req.projection.Apply(payload, &arena);
+        req.projection.Apply(v.payload, &arena);
         tups.push_back(
             {key, off, static_cast<uint32_t>(arena.size()) - off});
         if (req.limit > 0 && tups.size() >= req.limit) {

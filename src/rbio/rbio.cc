@@ -61,6 +61,9 @@ Status GetStatus(Slice* in, Status* out) {
     case Status::Code::kNotFound:
       *out = Status::NotFound(msg.ToView());
       break;
+    case Status::Code::kCorruption:
+      *out = Status::Corruption(msg.ToView());
+      break;
     case Status::Code::kInvalidArgument:
       *out = Status::InvalidArgument(msg.ToView());
       break;

@@ -24,12 +24,11 @@ namespace socrates {
 namespace xlog {
 
 // The payload and the partition annotation are immutable once the block
-// is built, and blocks fan out widely — the sequence map, per-partition
-// stream shards, the destage queue, and every Pull() result share the
-// same bytes. Both are therefore held by refcounted pointer: copying a
-// LogBlock is two refcount bumps, never a payload memcpy or a
-// set-node-by-node clone. Mutation happens before Make() (build the
-// string, then seal it).
+// is built, and blocks fan out widely — the sequence map, the destage
+// queue, and every Pull() result share the same bytes. Both are therefore
+// held by refcounted pointer: copying a LogBlock is two refcount bumps,
+// never a payload memcpy or a set-node-by-node clone. Mutation happens
+// before Make() (build the string, then seal it).
 struct LogBlock {
   Lsn start_lsn = 0;
   bool filtered = false;  // true when the payload was dropped by filtering
@@ -64,17 +63,6 @@ struct LogBlock {
       b.parts_ =
           std::make_shared<const std::set<PartitionId>>(std::move(parts));
     }
-    return b;
-  }
-
-  /// A metadata-only copy whose payload was filtered out. Shares the
-  /// partition annotation with the original.
-  LogBlock AsFiltered() const {
-    LogBlock b;
-    b.start_lsn = start_lsn;
-    b.payload_size = payload_size;
-    b.parts_ = parts_;
-    b.filtered = true;
     return b;
   }
 

@@ -37,7 +37,6 @@ sim::Task<> LogConsumer::PullTask(std::shared_ptr<PendingPull> pull,
 
 sim::Task<> LogConsumer::Run(engine::RedoApplier* applier,
                              std::function<bool()> live) {
-  const int consumer_id = xlog_->RegisterConsumer(spec_.name);
   std::shared_ptr<PendingPull> next;
   while (live()) {
     const Lsn from = applier->applied_lsn().value();
@@ -77,8 +76,6 @@ sim::Task<> LogConsumer::Run(engine::RedoApplier* applier,
       if (spec_.on_fatal) spec_.on_fatal();
       co_return;
     }
-    if (!live()) break;
-    xlog_->ReportProgress(consumer_id, applier->applied_lsn().value());
   }
 }
 

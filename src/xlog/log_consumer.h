@@ -28,7 +28,7 @@ class LogConsumer {
  public:
   /// What one consuming node contributes.
   struct Spec {
-    /// XLOG consumer registration name; also tags fatal-error messages.
+    /// Tags fatal-error messages.
     std::string name;
     /// Pull only this partition's records (Page Servers); nullopt takes
     /// the complete stream.
@@ -50,17 +50,17 @@ class LogConsumer {
   LogConsumer(const LogConsumer&) = delete;
   LogConsumer& operator=(const LogConsumer&) = delete;
 
-  /// Register with XLOG and apply the stream into `applier` from its
-  /// watermark until `live()` turns false, `apply_until` is reached or an
-  /// error is fatal (a gap, or an apply error other than Unavailable /
-  /// Busy / TimedOut; reported through Spec::on_fatal). Other errors back
-  /// off (pull 10 ms, apply 20 ms) and re-pull. Liveness is checked before
-  /// every pull and every block: a dead node never applies.
+  /// Apply the stream into `applier` from its watermark until `live()`
+  /// turns false, `apply_until` is reached or an error is fatal (a gap,
+  /// or an apply error other than Unavailable / Busy / TimedOut; reported
+  /// through Spec::on_fatal). Other errors back off (pull 10 ms, apply
+  /// 20 ms) and re-pull. Liveness is checked before every pull and every
+  /// block: a dead node never applies.
   sim::Task<> Run(engine::RedoApplier* applier, std::function<bool()> live);
 
-  /// Serial replay (Primary recovery): pull and apply, with no prefetch
-  /// and no progress reports, until the watermark reaches `until`. Any
-  /// pull or apply error is returned.
+  /// Serial replay (Primary recovery): pull and apply, with no prefetch,
+  /// until the watermark reaches `until`. Any pull or apply error is
+  /// returned.
   sim::Task<Status> Replay(engine::RedoApplier* applier, Lsn until);
 
   /// Successful pulls by Run().

@@ -129,39 +129,19 @@ void XLogProcess::Admit(LogBlock block) {
   seq_map_bytes_ += block.payload_size;
   // The queue's copy shares the payload — a refcount bump, not a memcpy.
   destage_q_.Push(block);
-  auto ptr = std::make_shared<const LogBlock>(std::move(block));
-  // Index the block into the stream shard of every partition it touches;
-  // shards share ownership with the sequence map, no payload copies.
-  for (PartitionId p : ptr->partitions()) {
-    StreamShard& shard = shards_[p];
-    shard.blocks.emplace(ptr->start_lsn, ptr);
-    shard.bytes += ptr->payload_size;
-  }
-  seq_map_.emplace(ptr->start_lsn, std::move(ptr));
+  const Lsn start = block.start_lsn;
+  seq_map_.emplace(start, std::move(block));
   available_.Advance(end);
   EvictSequenceMap();
 }
 
 void XLogProcess::EvictSequenceMap() {
   // Keep the newest blocks; older consumers fall back to the SSD cache,
-  // LZ, or LT. Shard entries leave with their sequence-map block and the
-  // shard floor advances so filtered pulls below it take the slow path.
+  // LZ, or LT.
   while (seq_map_bytes_ > opts_.sequence_map_bytes &&
          seq_map_.size() > 1) {
     auto it = seq_map_.begin();
-    const LogBlock& block = *it->second;
-    seq_map_bytes_ -= block.payload_size;
-    shard_floor_ = std::max(shard_floor_, block.end_lsn());
-    for (PartitionId p : block.partitions()) {
-      auto s = shards_.find(p);
-      if (s == shards_.end()) continue;
-      auto b = s->second.blocks.find(it->first);
-      if (b != s->second.blocks.end()) {
-        s->second.bytes -= block.payload_size;
-        s->second.blocks.erase(b);
-      }
-      if (s->second.blocks.empty()) shards_.erase(s);
-    }
+    seq_map_bytes_ -= it->second.payload_size;
     seq_map_.erase(it);
   }
 }
@@ -259,66 +239,30 @@ sim::Task<Result<std::vector<LogBlock>>> XLogProcess::Pull(
   Lsn end = available_.value();
   if (from >= end) co_return std::move(out);
 
-  // Fast path: a filtered pull inside the shard-covered tail walks only
-  // that partition's stream shard. Relevant blocks are served whole;
-  // the irrelevant stretches between them coalesce into single
-  // metadata-only gap runs. Everything is bounded by `end`, the global
-  // admitted (hardened + contiguous) watermark.
-  if (filter.has_value() && from >= shard_floor_) {
-    // `from` must sit on a block boundary of the admitted tail; a
-    // consumer that progressed through the slow path may be mid-block.
-    bool mid_block = false;
-    auto prev = seq_map_.upper_bound(from);
-    if (prev != seq_map_.begin()) {
-      --prev;
-      mid_block =
-          prev->first < from && prev->second->end_lsn() > from;
+  // A filtered pull serves the blocks touching its partition whole. The
+  // stretches between them coalesce into metadata-only gap runs: one
+  // filtered block per stretch, however many blocks it spans.
+  auto skip = [&out](Lsn start, uint64_t size) {
+    if (out.empty() || !out.back().filtered) {
+      LogBlock run;
+      run.start_lsn = start;
+      run.filtered = true;
+      out.push_back(std::move(run));
     }
-    if (!mid_block) {
-      pulls_shard_++;
-      auto sit = shards_.find(*filter);
-      const StreamShard* shard =
-          sit == shards_.end() ? nullptr : &sit->second;
-      uint64_t bytes = 0;
-      Lsn pos = from;
-      std::map<Lsn, std::shared_ptr<const LogBlock>>::const_iterator it;
-      if (shard != nullptr) it = shard->blocks.lower_bound(from);
-      while (pos < end && bytes < max_bytes) {
-        bool have_block =
-            shard != nullptr && it != shard->blocks.end() &&
-            it->first < end;
-        Lsn next_start = have_block ? std::max(it->first, pos) : end;
-        if (next_start > pos) {
-          LogBlock run;
-          run.start_lsn = pos;
-          run.payload_size = next_start - pos;
-          run.filtered = true;
-          out.push_back(std::move(run));
-          pos = next_start;
-          continue;
-        }
-        const LogBlock& b = *it->second;
-        out.push_back(b);
-        bytes += b.payload_size;
-        pos = b.end_lsn();
-        ++it;
-      }
-      co_return std::move(out);
-    }
-  }
-
+    out.back().payload_size += size;
+  };
   uint64_t bytes = 0;
   Lsn pos = from;
   while (pos < end && bytes < max_bytes) {
     auto it = seq_map_.find(pos);
     if (it != seq_map_.end()) {
       pulls_seq_++;
-      const LogBlock& b = *it->second;
+      const LogBlock& b = it->second;
       if (!filter.has_value() || b.TouchesPartition(*filter)) {
         out.push_back(b);
         bytes += b.payload_size;
       } else {
-        out.push_back(b.AsFiltered());
+        skip(pos, b.payload_size);
       }
       pos = b.end_lsn();
       continue;
@@ -354,7 +298,7 @@ sim::Task<Result<std::vector<LogBlock>>> XLogProcess::Pull(
       bytes += block.payload_size;
       out.push_back(std::move(block));
     } else {
-      out.push_back(block.AsFiltered());
+      skip(pos, aligned);
     }
     pos += aligned;
   }
@@ -408,49 +352,6 @@ sim::Task<Result<std::string>> XLogProcess::ReadRange(
                                 &out);
   if (!s.ok()) co_return Result<std::string>(s);
   co_return std::move(out);
-}
-
-int XLogProcess::RegisterConsumer(const std::string& name) {
-  Consumer c;
-  c.name = name;
-  c.progress = engine::kLogStreamStart;
-  c.lease_renewed_at = sim_.now();
-  consumers_.push_back(std::move(c));
-  return static_cast<int>(consumers_.size()) - 1;
-}
-
-void XLogProcess::ReportProgress(int consumer_id, Lsn lsn) {
-  if (consumer_id >= 0 &&
-      consumer_id < static_cast<int>(consumers_.size())) {
-    Consumer& c = consumers_[consumer_id];
-    c.progress = std::max(c.progress, lsn);
-    c.lease_renewed_at = sim_.now();
-  }
-}
-
-// Consumers hold a lease renewed by ReportProgress; an expired lease
-// stops counting toward MinConsumerProgress so a dead consumer cannot pin
-// log retention forever (§4.3 "leases for log lifetime").
-constexpr SimTime kConsumerLeaseUs = 10 * 1000 * 1000;
-
-bool XLogProcess::LeaseLive(int consumer_id) const {
-  if (consumer_id < 0 ||
-      consumer_id >= static_cast<int>(consumers_.size())) {
-    return false;
-  }
-  return sim_.now() - consumers_[consumer_id].lease_renewed_at <=
-         kConsumerLeaseUs;
-}
-
-Lsn XLogProcess::MinConsumerProgress() const {
-  Lsn min = kMaxLsn;
-  bool any = false;
-  for (int i = 0; i < static_cast<int>(consumers_.size()); i++) {
-    if (!LeaseLive(i)) continue;  // expired: cannot pin retention
-    min = std::min(min, consumers_[i].progress);
-    any = true;
-  }
-  return any ? min : kMaxLsn;
 }
 
 }  // namespace xlog

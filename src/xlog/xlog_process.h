@@ -15,14 +15,12 @@
 // covers the gap.
 //
 // Once admitted, blocks live in the in-memory **sequence map** for fast
-// dissemination and are simultaneously indexed into **per-partition
-// stream shards**: each shard references (not copies) the admitted blocks
-// touching that partition, so a Page Server's filtered pull walks only
-// its own lane and the irrelevant stretches in between collapse into
-// single metadata-only gap runs. All shard serving is bounded by the
-// global `available` watermark — the admitted (hardened + contiguous)
-// frontier — so no lane can ever expose a record whose stream
-// predecessors are unacknowledged.
+// dissemination. A Page Server's filtered pull is one walk of it: blocks
+// touching its partition are served whole, and each irrelevant stretch
+// between them collapses into a single metadata-only gap run. Every pull
+// is bounded by the global `available` watermark — the admitted
+// (hardened + contiguous) frontier — so no partition's stream can ever
+// expose a record whose stream predecessors are unacknowledged.
 //
 // A **destaging** pipeline writes admitted blocks to a fixed-size local
 // SSD block cache and appends them to the long-term archive (LT) in
@@ -31,8 +29,7 @@
 // truncation) advances only over the contiguous prefix of completed
 // batches. Consumers (Secondaries, Page Servers) *pull* blocks — the
 // broker does not track consumers — optionally filtered by partition,
-// served from (in order): stream shard / sequence map, local SSD cache,
-// LZ, LT.
+// served from (in order): sequence map, local SSD cache, LZ, LT.
 
 #pragma once
 
@@ -101,9 +98,8 @@ class XLogProcess {
   /// Blocks covering [from, ...), at most `max_bytes` of payload. If
   /// `filter` is set, blocks not touching that partition are returned as
   /// metadata-only (filtered) blocks so the consumer's applied LSN still
-  /// advances; within the shard-covered tail, consecutive irrelevant
-  /// blocks coalesce into one gap run. Returns an empty vector if `from`
-  /// >= available end.
+  /// advances; consecutive irrelevant blocks coalesce into one gap run.
+  /// Returns an empty vector if `from` >= available end.
   sim::Task<Result<std::vector<LogBlock>>> Pull(
       Lsn from, std::optional<PartitionId> filter, uint64_t max_bytes);
   /// `max_bytes` of one round of a consumer's apply loop (Page Servers,
@@ -112,14 +108,6 @@ class XLogProcess {
 
   /// Watermark of log available for dissemination (end of the LogBroker).
   sim::Watermark& available() { return available_; }
-
-  /// Progress reporting / leases (§4.3 "generic functions").
-  int RegisterConsumer(const std::string& name);
-  void ReportProgress(int consumer_id, Lsn lsn);  // also renews the lease
-  /// Min progress across consumers with LIVE leases (kMaxLsn if none).
-  Lsn MinConsumerProgress() const;
-  /// True if the consumer's lease is still live.
-  bool LeaseLive(int consumer_id) const;
 
   /// How long XLOG waits for an in-flight delivery before reading the
   /// missing range back from the LZ.
@@ -140,9 +128,6 @@ class XLogProcess {
   uint64_t pulls_from_ssd() const { return pulls_ssd_; }
   uint64_t pulls_from_lz() const { return pulls_lz_; }
   uint64_t pulls_from_lt() const { return pulls_lt_; }
-  /// Filtered pulls served entirely from a partition stream shard.
-  uint64_t pulls_from_shard() const { return pulls_shard_; }
-  uint64_t stream_shards() const { return shards_.size(); }
   uint64_t frames_delivered() const { return frames_delivered_; }
   uint64_t frames_corrupt() const { return frames_corrupt_; }
 
@@ -172,24 +157,14 @@ class XLogProcess {
   XLogOptions opts_;
 
   std::map<Lsn, LogBlock> pending_;   // by start LSN, awaiting hardening
-  // Admitted tail, shared with the per-partition shards below.
-  std::map<Lsn, std::shared_ptr<const LogBlock>> seq_map_;
+  // Admitted tail. Its blocks share their payloads with the destage
+  // queue and every pull result.
+  std::map<Lsn, LogBlock> seq_map_;
   uint64_t seq_map_bytes_ = 0;
   sim::Watermark available_;          // == admitted end
   Lsn hardened_ = engine::kLogStreamStart;
   Lsn destaged_ = engine::kLogStreamStart;
   Lsn ssd_cache_start_ = engine::kLogStreamStart;
-
-  // Per-partition stream shards: each references the admitted blocks
-  // touching one partition. Authoritative only at/above shard_floor_
-  // (the sequence-map eviction frontier); older ranges use the slow
-  // tiered path.
-  struct StreamShard {
-    std::map<Lsn, std::shared_ptr<const LogBlock>> blocks;
-    uint64_t bytes = 0;
-  };
-  std::map<PartitionId, StreamShard> shards_;
-  Lsn shard_floor_ = engine::kLogStreamStart;
 
   std::unique_ptr<storage::SimBlockDevice> ssd_cache_;
   sim::Channel<LogBlock> destage_q_;
@@ -200,19 +175,11 @@ class XLogProcess {
   bool repairing_ = false;
   sim::Event destage_idle_;
 
-  struct Consumer {
-    std::string name;
-    Lsn progress = 0;
-    SimTime lease_renewed_at = 0;
-  };
-  std::vector<Consumer> consumers_;
-
   uint64_t repairs_ = 0;
   uint64_t pulls_seq_ = 0;
   uint64_t pulls_ssd_ = 0;
   uint64_t pulls_lz_ = 0;
   uint64_t pulls_lt_ = 0;
-  uint64_t pulls_shard_ = 0;
   uint64_t frames_delivered_ = 0;
   uint64_t frames_corrupt_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -36,36 +37,114 @@ void RunSim(Simulator& s, Fn&& fn) {
 
 // ----------------------------------------------------------- VersionChain
 
+// The oracle for EncodePushed: a materialized chain whose Push, Trim and
+// Cap state the version-store rules one version at a time.
+struct RowVersion {
+  Timestamp commit_ts = 0;
+  bool tombstone = false;
+  std::string payload;
+};
+
+class VersionChain {
+ public:
+  std::string Encode() const {
+    std::string out;
+    PutFixed16(&out, static_cast<uint16_t>(versions_.size()));
+    for (const auto& v : versions_) {
+      PutFixed64(&out, v.commit_ts);
+      out.push_back(static_cast<char>(v.tombstone ? 0x1 : 0x0));
+      PutLengthPrefixed(&out, Slice(v.payload));
+    }
+    return out;
+  }
+
+  /// Prepend a new committed version (commit_ts increasing).
+  void Push(Timestamp commit_ts, bool tombstone, Slice payload) {
+    versions_.insert(versions_.begin(),
+                     RowVersion{commit_ts, tombstone, payload.ToString()});
+  }
+
+  /// Keep the newest version with commit_ts <= oldest_active_ts plus
+  /// everything newer.
+  void Trim(Timestamp oldest_active_ts) {
+    for (size_t i = 0; i < versions_.size(); i++) {
+      if (versions_[i].commit_ts <= oldest_active_ts) {
+        versions_.resize(i + 1);
+        return;
+      }
+    }
+  }
+
+  /// Keep only the newest `max` versions.
+  void Cap(size_t max) {
+    if (versions_.size() > max) versions_.resize(max);
+  }
+
+  size_t size() const { return versions_.size(); }
+  const std::vector<RowVersion>& versions() const { return versions_; }
+
+ private:
+  std::vector<RowVersion> versions_;
+};
+
+// Every version of an encoded chain, newest first, read by the engine's
+// reader; a malformed chain fails the test.
+std::vector<VersionView> Versions(Slice chain) {
+  std::vector<VersionView> out;
+  ChainReader reader(chain);
+  VersionView v;
+  while (reader.Next(&v)) out.push_back(v);
+  EXPECT_FALSE(reader.malformed());
+  return out;
+}
+
 TEST(VersionChainTest, EncodeDecodeRoundTrip) {
   VersionChain c;
   c.Push(10, false, Slice("v1"));
   c.Push(20, false, Slice("v2"));
   c.Push(30, true, Slice(""));
-  VersionChain d;
-  ASSERT_TRUE(VersionChain::Decode(Slice(c.Encode()), &d));
+  const std::string enc = c.Encode();
+  std::vector<VersionView> d = Versions(Slice(enc));
   ASSERT_EQ(d.size(), 3u);
-  EXPECT_EQ(d.versions()[0].commit_ts, 30u);
-  EXPECT_TRUE(d.versions()[0].tombstone);
-  EXPECT_EQ(d.versions()[2].payload, "v1");
+  EXPECT_EQ(d[0].commit_ts, 30u);
+  EXPECT_TRUE(d[0].tombstone);
+  EXPECT_EQ(d[2].payload.ToString(), "v1");
+}
+
+// The payload a snapshot at `read_ts` sees in `chain`, "<none>" if no
+// version is visible, "<malformed>" if the chain is not one.
+std::string SeenAt(Slice chain, Timestamp read_ts) {
+  VersionView v;
+  switch (VisibleAt(chain, read_ts, &v)) {
+    case ChainLookup::kFound:
+      return v.tombstone ? "<tombstone>" : v.payload.ToString();
+    case ChainLookup::kNone:
+      return "<none>";
+    case ChainLookup::kMalformed:
+      return "<malformed>";
+  }
+  return "";
 }
 
 TEST(VersionChainTest, VisibilityRules) {
   VersionChain c;
   c.Push(10, false, Slice("v1"));
   c.Push(20, false, Slice("v2"));
-  EXPECT_EQ(c.VisibleAt(5), nullptr);        // before creation
-  EXPECT_EQ(c.VisibleAt(10)->payload, "v1");  // exactly at commit
-  EXPECT_EQ(c.VisibleAt(15)->payload, "v1");
-  EXPECT_EQ(c.VisibleAt(20)->payload, "v2");
-  EXPECT_EQ(c.VisibleAt(1000)->payload, "v2");
+  const std::string enc = c.Encode();
+  EXPECT_EQ(SeenAt(Slice(enc), 5), "<none>");  // before creation
+  EXPECT_EQ(SeenAt(Slice(enc), 10), "v1");     // exactly at commit
+  EXPECT_EQ(SeenAt(Slice(enc), 15), "v1");
+  EXPECT_EQ(SeenAt(Slice(enc), 20), "v2");
+  EXPECT_EQ(SeenAt(Slice(enc), 1000), "v2");
 }
 
 TEST(VersionChainTest, TombstoneVisibility) {
   VersionChain c;
   c.Push(10, false, Slice("alive"));
   c.Push(20, true, Slice(""));
-  EXPECT_FALSE(c.VisibleAt(15)->tombstone);
-  EXPECT_TRUE(c.VisibleAt(25)->tombstone);
+  const std::string enc = c.Encode();
+  EXPECT_EQ(SeenAt(Slice(enc), 15), "alive");
+  EXPECT_EQ(SeenAt(Slice(enc), 25), "<tombstone>");
 }
 
 TEST(VersionChainTest, TrimKeepsNeededVersions) {
@@ -82,11 +161,46 @@ TEST(VersionChainTest, TrimKeepsNeededVersions) {
 }
 
 TEST(VersionChainTest, DecodeRejectsGarbage) {
-  VersionChain d;
-  EXPECT_FALSE(VersionChain::Decode(Slice("zz"), &d));
+  EXPECT_EQ(SeenAt(Slice("zz"), kMaxTimestamp), "<malformed>");
+  EXPECT_EQ(SeenAt(Slice("z"), kMaxTimestamp), "<malformed>");
   std::string half;
   PutFixed16(&half, 3);  // claims 3 versions, provides none
-  EXPECT_FALSE(VersionChain::Decode(Slice(half), &d));
+  EXPECT_EQ(SeenAt(Slice(half), kMaxTimestamp), "<malformed>");
+  VersionView v;
+  EXPECT_EQ(Newest(Slice(half), &v), ChainLookup::kMalformed);
+}
+
+// The reader's four answers: visible, not yet visible, deleted, and
+// malformed — which is not "invisible": a truncated chain whose visible
+// version is cut off must not read as a row that does not exist.
+TEST(VersionChainTest, ReaderSeparatesMalformedFromInvisible) {
+  VersionChain c;
+  c.Push(10, false, Slice("old"));
+  c.Push(20, true, Slice(""));
+  c.Push(30, false, Slice("new"));
+  const std::string enc = c.Encode();
+  EXPECT_EQ(SeenAt(Slice(enc), 35), "new");
+  EXPECT_EQ(SeenAt(Slice(enc), 12), "old");
+  EXPECT_EQ(SeenAt(Slice(enc), 5), "<none>");
+  EXPECT_EQ(SeenAt(Slice(enc), 25), "<tombstone>");
+  VersionView v;
+  ASSERT_EQ(Newest(Slice(enc), &v), ChainLookup::kFound);
+  EXPECT_EQ(v.commit_ts, 30u);
+  // Every truncation that cuts into the version at ts 10 is malformed
+  // for a reader that needs it; one that needs only the intact head is
+  // not.
+  for (size_t cut = 0; cut < enc.size(); cut++) {
+    const Slice head(enc.data(), cut);
+    EXPECT_EQ(SeenAt(head, 12), "<malformed>") << cut;
+  }
+  EXPECT_EQ(SeenAt(Slice(enc.data(), enc.size() - 1), 35), "new");
+  // A count past the versions present, or a length past the bytes.
+  std::string more = enc;
+  more[0] = 4;
+  EXPECT_EQ(SeenAt(Slice(more), 5), "<malformed>");
+  std::string longer = enc;
+  longer[2 + 8 + 1] = 100;  // the head's payload length
+  EXPECT_EQ(SeenAt(Slice(longer), 35), "<malformed>");
 }
 
 // -------------------------------------------------------------- BTreePage
@@ -398,10 +512,9 @@ TEST(LogRecordTest, LeafRecordsCarryOnlyTheNewVersion) {
     EXPECT_EQ(rec.Encode().size(), insert_bytes + 8);  // + trim_ts
   }
   BTreePage bp(&page);
-  VersionChain chain;
-  ASSERT_TRUE(VersionChain::Decode(bp.LeafValueAt(bp.FindSlot(9)), &chain));
-  EXPECT_EQ(chain.size(), kMaxChainLength);
-  EXPECT_EQ(chain.Newest()->commit_ts, 11u);
+  std::vector<VersionView> chain = Versions(bp.LeafValueAt(bp.FindSlot(9)));
+  ASSERT_EQ(chain.size(), kMaxChainLength);
+  EXPECT_EQ(chain[0].commit_ts, 11u);
   // An update that is not in the leaf, or an insert that is, fails.
   rec.key = 10;
   EXPECT_TRUE(ApplyToPage(rec, 5000, &page).IsNotFound());
@@ -426,15 +539,22 @@ TEST(VersionChainTest, EncodePushedMatchesPushTrimCap) {
         want.Trim(trim);
         want.Cap(kMaxChainLength);
         std::string got;
-        ASSERT_TRUE(VersionChain::EncodePushed(Slice(old_enc), 150, tomb,
-                                               Slice("new"), trim, &got));
+        ASSERT_TRUE(EncodePushed(Slice(old_enc), 150, tomb, Slice("new"),
+                                 trim, &got));
         EXPECT_EQ(got, want.Encode()) << len << " " << trim << " " << tomb;
+        // A committer sizes the push before writing it; a new row's plan
+        // reads no chain.
+        PushPlan plan;
+        if (len > 0) {
+          ASSERT_TRUE(plan.Read(Slice(old_enc)));
+        }
+        EXPECT_EQ(plan.PushedSize(150, 3, trim), got.size());
       }
     }
   }
   std::string out;
-  EXPECT_FALSE(VersionChain::EncodePushed(Slice("\x02\x00\x01", 3), 9,
-                                          false, Slice("x"), 0, &out));
+  EXPECT_FALSE(EncodePushed(Slice("\x02\x00\x01", 3), 9, false,
+                            Slice("x"), 0, &out));
 }
 
 TEST(LogRecordTest, ForEachRecordWalksFrames) {
@@ -745,7 +865,9 @@ TEST(BTreeTest, InsertAndFind) {
         (co_await WriteOne(f.tree.get(), 42, 1, "hello")).ok());
     auto r = co_await f.tree->Find(42);
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r->Newest()->payload, "hello");
+    if (r.ok()) {
+      EXPECT_EQ(Versions(r->chain)[0].payload.ToString(), "hello");
+    }
     auto miss = co_await f.tree->Find(43);
     EXPECT_TRUE(miss.status().IsNotFound());
   });
@@ -759,8 +881,12 @@ TEST(BTreeTest, UpdatePushesVersion) {
                                  /*trim_ts=*/0);
     auto r = co_await f.tree->Find(5);
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r->size(), 2u);
-    EXPECT_EQ(r->Newest()->payload, "b");
+    if (!r.ok()) co_return;
+    std::vector<VersionView> chain = Versions(r->chain);
+    EXPECT_EQ(chain.size(), 2u);
+    if (!chain.empty()) {
+      EXPECT_EQ(chain[0].payload.ToString(), "b");
+    }
   });
 }
 
@@ -783,7 +909,8 @@ TEST(BTreeTest, ManyInsertsForceSplitsAndStayFindable) {
       auto r = co_await f.tree->Find(k);
       EXPECT_TRUE(r.ok()) << "key " << k;
       if (r.ok()) {
-        EXPECT_EQ(r->Newest()->payload, "v" + std::to_string(k));
+        EXPECT_EQ(Versions(r->chain)[0].payload.ToString(),
+                  "v" + std::to_string(k));
       }
     }
   });
@@ -798,7 +925,7 @@ TEST(BTreeTest, ScanReturnsSortedRange) {
     }
     std::vector<uint64_t> seen;
     auto r = co_await f.tree->Scan(100, 50,
-                                   [&](uint64_t k, const VersionChain&) {
+                                   [&](uint64_t k, Slice) {
                                      seen.push_back(k);
                                      return true;
                                    });
@@ -832,8 +959,8 @@ TEST(BTreePropertyTest, MatchesModelUnderRandomOps) {
       if (op % 500 == 499) {
         std::vector<std::pair<uint64_t, std::string>> found;
         auto r = co_await f.tree->Scan(
-            0, SIZE_MAX, [&](uint64_t k, const VersionChain& c) {
-              found.emplace_back(k, c.Newest()->payload);
+            0, SIZE_MAX, [&](uint64_t k, Slice chain) {
+              found.emplace_back(k, Versions(chain)[0].payload.ToString());
               return true;
             });
         EXPECT_TRUE(r.ok());
@@ -1073,8 +1200,53 @@ TEST(EngineTest, FailedCommitStillLetsLaterCommitsTrim) {
     auto chain = co_await f.engine->btree()->Find(2);
     EXPECT_TRUE(chain.ok());
     if (chain.ok()) {
-      EXPECT_LE(chain->size(), 2u);
+      EXPECT_LE(Versions(chain->chain).size(), 2u);
     }
+  });
+  EXPECT_EQ(f.engine->stats().aborts, 1u);
+}
+
+TEST(EngineTest, FailedCommitLeavesNoOrphanVersions) {
+  // Phase 2 writes a commit's keys in key order. When a later key's chain
+  // cannot fit in a page, the earlier keys must not keep the failed
+  // commit's versions: no commit record covers them, yet the next commit
+  // would make them visible.
+  EngineFixture f;
+  RunSim(f.sim, [&]() -> Task<> {
+    const std::string big(1500, 'b');
+    auto load = f.engine->Begin();
+    (void)f.engine->Put(load.get(), 1, "low-old");
+    (void)f.engine->Put(load.get(), 2, big);
+    EXPECT_TRUE((co_await f.engine->Commit(load.get())).ok());
+    // An old snapshot pins trimming, so key 2 keeps every version.
+    auto pin = f.engine->Begin(true);
+    auto grow = f.engine->Begin();
+    (void)f.engine->Put(grow.get(), 2, big);
+    EXPECT_TRUE((co_await f.engine->Commit(grow.get())).ok());
+    // A third 1500-byte version does not fit: the whole commit fails.
+    const Lsn log_end = f.sink.end_lsn();
+    auto both = f.engine->Begin();
+    (void)f.engine->Put(both.get(), 1, "low-orphan");
+    (void)f.engine->Put(both.get(), 2, big);
+    Status s = co_await f.engine->Commit(both.get());
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(f.sink.end_lsn(), log_end);  // nothing was logged
+    // The next commit moves last_committed_ts past the failed one.
+    auto other = f.engine->Begin();
+    (void)f.engine->Put(other.get(), 3, "other");
+    EXPECT_TRUE((co_await f.engine->Commit(other.get())).ok());
+    auto fresh = f.engine->Begin(true);
+    auto low = co_await f.engine->Get(fresh.get(), 1);
+    EXPECT_TRUE(low.ok());
+    if (low.ok()) {
+      EXPECT_EQ(*low, "low-old");
+    }
+    (void)co_await f.engine->Commit(fresh.get());
+    // Once the snapshot is gone, trimming makes room for the version.
+    (void)co_await f.engine->Commit(pin.get());
+    auto retry = f.engine->Begin();
+    (void)f.engine->Put(retry.get(), 2, big);
+    EXPECT_TRUE((co_await f.engine->Commit(retry.get())).ok());
   });
   EXPECT_EQ(f.engine->stats().aborts, 1u);
 }

@@ -29,7 +29,6 @@ using engine::BufferPool;
 using engine::BufferPoolOptions;
 using engine::Engine;
 using engine::MemLogSink;
-using engine::VersionChain;
 using sim::Simulator;
 using sim::Spawn;
 using sim::Task;
@@ -85,10 +84,13 @@ TEST_P(BTreeSweep, MatchesModel) {
     auto mit = model.begin();
     size_t seen = 0;
     auto r = co_await tree.Scan(
-        0, SIZE_MAX, [&](uint64_t k, const VersionChain& c) {
+        0, SIZE_MAX, [&](uint64_t k, Slice chain) {
           if (mit == model.end()) return false;
           EXPECT_EQ(k, mit->first);
-          EXPECT_EQ(c.Newest()->payload, mit->second);
+          engine::VersionView newest;
+          EXPECT_EQ(engine::Newest(chain, &newest),
+                    engine::ChainLookup::kFound);
+          EXPECT_EQ(newest.payload.ToString(), mit->second);
           ++mit;
           seen++;
           return true;

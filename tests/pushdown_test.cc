@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/coding.h"
+#include "engine/btree_page.h"
 #include "engine/log_sink.h"
 #include "engine/txn_engine.h"
 #include "service/deployment.h"
@@ -896,6 +897,65 @@ TEST(ScanCostPlannerTest, EwmaBlendsLaterObservations) {
 }
 
 // --------------------------------------------- Page Server admission
+
+// Serve one kScanRange frame on `ps` and decode the response.
+Task<rbio::ScanRangeResponse> ServeScanFrame(pageserver::PageServer* ps,
+                                             rbio::ScanRangeRequest req) {
+  rbio::ScanRangeResponse resp;
+  auto raw = co_await ps->HandleRbio(req.Encode());
+  EXPECT_TRUE(raw.ok());
+  if (raw.ok()) {
+    EXPECT_TRUE(rbio::ScanRangeResponse::Decode(
+                    std::make_shared<const std::string>(
+                        std::move(raw).value()),
+                    &resp)
+                    .ok());
+  }
+  co_return resp;
+}
+
+TEST(PushdownEndToEndTest, MalformedLeafChainFailsThePushedScan) {
+  // The Page Server reads chains with the local plan's reader, so a
+  // malformed chain fails a pushed scan with Corruption, as it fails the
+  // local plan, instead of reading as a row that does not exist.
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await Load(e, 300);
+    co_await d.page_server(0)->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    const uint64_t key = MakeKey(1, 100);
+    Result<PageId> leaf = co_await e->btree()->LeafIdFor(key);
+    EXPECT_TRUE(leaf.ok());
+    if (!leaf.ok()) co_return;
+    rbio::ScanRangeRequest req;
+    req.start_page = *leaf;
+    req.start_key = key;
+    req.end_key = key + 1;
+    req.read_ts = e->last_committed_ts();
+    rbio::ScanRangeResponse intact =
+        co_await ServeScanFrame(d.page_server(0), req);
+    EXPECT_TRUE(intact.status.ok()) << intact.status.ToString();
+    EXPECT_EQ(intact.tuples.size(), 1u);
+    {
+      // Truncate the row's one version in the server's cached leaf.
+      auto ref = co_await d.page_server(0)->pool()->GetPage(*leaf);
+      EXPECT_TRUE(ref.ok());
+      if (!ref.ok()) co_return;
+      BTreePage bp(ref->page());
+      std::string chain = bp.LeafValueAt(bp.FindSlot(key)).ToString();
+      chain.pop_back();
+      EXPECT_TRUE(bp.LeafUpdate(key, Slice(chain)).ok());
+    }
+    rbio::ScanRangeResponse broken =
+        co_await ServeScanFrame(d.page_server(0), req);
+    EXPECT_TRUE(broken.status.IsCorruption()) << broken.status.ToString();
+    EXPECT_TRUE(broken.tuples.empty());
+  });
+  d.Stop();
+}
 
 // A deployment whose Page Server is easy to degrade: a tiny server
 // memory tier (point reads fall through to the covering RBPEX, so their

@@ -104,6 +104,11 @@ TEST(RbioCodecTest, ErrorStatusSurvivesWire) {
   EXPECT_TRUE(out.status.IsNotFound());
   EXPECT_EQ(out.status.message(), "no such page");
   EXPECT_TRUE(out.entries.empty());
+  // A server's Corruption arrives as Corruption, not a generic IOError.
+  auto bad = std::make_shared<const std::string>(
+      GetPageBatchResponse{Status::Corruption("bad chain"), {}}.Encode());
+  ASSERT_TRUE(GetPageBatchResponse::Decode(bad, &out).ok());
+  EXPECT_TRUE(out.status.IsCorruption()) << out.status.ToString();
 }
 
 TEST(RbioCodecTest, ZeroEntryErrorResponseKeepsItsLayout) {

@@ -473,17 +473,6 @@ TEST(XLogTest, DestagingSurvivesXStoreOutage) {
   EXPECT_EQ(f.xlog.destaged_lsn(), f.client.end_lsn());  // caught up
 }
 
-TEST(XLogTest, ConsumerProgressTracking) {
-  XLogFixture f;
-  int a = f.xlog.RegisterConsumer("secondary-1");
-  int b = f.xlog.RegisterConsumer("pageserver-0");
-  f.xlog.ReportProgress(a, 1000);
-  f.xlog.ReportProgress(b, 500);
-  EXPECT_EQ(f.xlog.MinConsumerProgress(), 500u);
-  f.xlog.ReportProgress(b, 2000);
-  EXPECT_EQ(f.xlog.MinConsumerProgress(), 1000u);
-}
-
 // Commit latency shape, XIO vs DirectDrive (Appendix A / Table 6).
 TEST(XLogLatencyTest, DirectDriveCommitsFasterThanXio) {
   auto measure = [](sim::DeviceProfile profile) {
