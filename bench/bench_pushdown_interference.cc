@@ -194,7 +194,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) p.smoke = true;
   }
   if (p.smoke) {
-    p.rows = 6000;
+    // Full leaves hold ~54 of these rows: 12000 rows span ~220 leaves,
+    // more than the compute tiers' 160 frames, so point reads keep
+    // missing to the server.
+    p.rows = 12000;
     // Enough samples that the one pre-trip scan burst (admission needs a
     // filled health window before it can react) sits below the 99th
     // percentile, as it does at full scale.

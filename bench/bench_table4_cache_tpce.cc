@@ -73,20 +73,22 @@ int main(int argc, char** argv) {
              db_pages,
          100 * st.LocalHitRate());
   printf("\nBreakdown: mem hits %llu, RBPEX hits %llu, remote misses "
-         "%llu; %llu txns\n",
+         "%llu; %llu txns, %llu failed\n",
          (unsigned long long)st.mem_hits, (unsigned long long)st.ssd_hits,
          (unsigned long long)st.misses,
-         (unsigned long long)report.commits);
+         (unsigned long long)report.commits,
+         (unsigned long long)report.aborts);
   printf("Data-page (leaf) hit rate: %.1f%%\n", 100 * st.LeafHitRate());
   json.Line("{\"bench\":\"table4_cache_tpce\",\"db_pages\":%llu,"
             "\"cache_frac\":%.4f,\"local_hit_rate\":%.3f,"
-            "\"leaf_hit_rate\":%.3f,\"commits\":%llu}",
+            "\"leaf_hit_rate\":%.3f,\"commits\":%llu,\"failed\":%llu}",
             (unsigned long long)db_pages,
             static_cast<double>(dopts.compute.mem_pages +
                                 dopts.compute.ssd_pages) /
                 db_pages,
             st.LocalHitRate(), st.LeafHitRate(),
-            (unsigned long long)report.commits);
+            (unsigned long long)report.commits,
+            (unsigned long long)report.aborts);
   d.Stop();
   return 0;
 }

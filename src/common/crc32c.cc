@@ -32,24 +32,90 @@ constexpr std::array<uint32_t, 256> kTable = MakeTable();
 
 #if defined(__x86_64__)
 
+// Multiplication modulo the polynomial in the reflected representation
+// (x^0 is bit 31). The raw CRC register is linear in its input, so
+// running a register `v` over n zero bytes is MultModP(x^(8n), v).
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+// x^(8n) mod P, by square-and-multiply over x^(2^k).
+constexpr uint32_t XPow8N(uint64_t n) {
+  uint32_t result = 1u << 31;  // x^0
+  uint32_t x2k = 1u << 23;     // x^8
+  for (; n != 0; n >>= 1) {
+    if (n & 1) result = MultModP(x2k, result);
+    x2k = MultModP(x2k, x2k);
+  }
+  return result;
+}
+
+// A byte-sliced table for "run the register over n zero bytes":
+// Shift(v) = t[0][v & 0xff] ^ t[1][(v >> 8) & 0xff] ^ ... by linearity.
+struct ShiftTable {
+  std::array<std::array<uint32_t, 256>, 4> t;
+  uint32_t Shift(uint32_t v) const {
+    return t[0][v & 0xff] ^ t[1][(v >> 8) & 0xff] ^
+           t[2][(v >> 16) & 0xff] ^ t[3][v >> 24];
+  }
+};
+
+constexpr ShiftTable MakeShiftTable(uint64_t n) {
+  const uint32_t k = XPow8N(n);
+  ShiftTable table{};
+  for (int j = 0; j < 4; j++) {
+    for (uint32_t b = 0; b < 256; b++) {
+      table.t[j][b] = MultModP(k, b << (8 * j));
+    }
+  }
+  return table;
+}
+
 // The `crc32` instruction implements exactly this polynomial, reflected,
-// so it needs no table. One serial 8-byte chain: a 3-stream interleave
-// measured ~2x faster per page but only ~5% on end-to-end wall time.
+// so it needs no table. It takes three cycles and a new one can start
+// every cycle, so one chain leaves the unit idle two cycles in three:
+// the buffer is cut into rounds of three kBlock-byte blocks, one chain
+// per block, and the three registers are joined with shifts by kBlock
+// bytes (a compile-time table). Bytes after the last whole round, fewer
+// than 3 * kBlock, run on one chain.
+constexpr size_t kBlock = 256;
+constexpr ShiftTable kShift = MakeShiftTable(kBlock);
+
+__attribute__((target("sse4.2"))) inline uint64_t Crc64(uint64_t crc,
+                                                        const char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return _mm_crc32_u64(crc, word);
+}
+
 __attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
                                                        const char* data,
                                                        size_t n) {
-  uint64_t crc = static_cast<uint32_t>(~init_crc);
+  uint32_t crc = ~init_crc;
   const char* p = data;
-  for (; n >= 8; p += 8, n -= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    crc = _mm_crc32_u64(crc, word);
+  for (; n >= 3 * kBlock; n -= 3 * kBlock, p += 3 * kBlock) {
+    uint64_t c0 = crc, c1 = 0, c2 = 0;
+    for (size_t i = 0; i < kBlock; i += 8) {
+      c0 = Crc64(c0, p + i);
+      c1 = Crc64(c1, p + kBlock + i);
+      c2 = Crc64(c2, p + 2 * kBlock + i);
+    }
+    crc = kShift.Shift(kShift.Shift(static_cast<uint32_t>(c0)) ^
+                       static_cast<uint32_t>(c1)) ^
+          static_cast<uint32_t>(c2);
   }
-  uint32_t crc32 = static_cast<uint32_t>(crc);
+  uint64_t crc64 = crc;
+  for (; n >= 8; p += 8, n -= 8) crc64 = Crc64(crc64, p);
+  crc = static_cast<uint32_t>(crc64);
   for (; n > 0; p++, n--) {
-    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*p));
+    crc = _mm_crc32_u8(crc, static_cast<unsigned char>(*p));
   }
-  return ~crc32;
+  return ~crc;
 }
 
 bool CpuHasSse42() {

@@ -14,6 +14,16 @@ namespace {
 // healthy Secondary the log-apply thread catches up after a few pauses.
 constexpr int kMaxTraverseRetries = 10000;
 
+// The slot a full page splits at to make room for `key` (a leaf's new
+// key, or the separator an interior page must take): records [slot, n)
+// move right. An append keeps all but the last record on the left, so
+// the right page starts with one record and ascending inserts fill
+// their pages; any other key splits at the middle.
+int SplitSlot(const BTreePage& page, uint64_t key) {
+  const int n = page.slot_count();
+  return key > page.KeyAt(n - 1) ? n - 1 : n / 2;
+}
+
 }  // namespace
 
 sim::Task<Status> BTree::Create() {
@@ -207,7 +217,7 @@ sim::Task<Status> BTree::Write(TxnId txn, uint64_t key, Timestamp commit_ts,
     // Split and retry. Release the leaf pin first; splits repin.
     leaf.value().Release();
     SOCRATES_CO_RETURN_IF_ERROR(
-        co_await SplitPage(txn, path, path.size() - 1));
+        co_await SplitPage(txn, path, path.size() - 1, key));
   }
   co_return Status::Corruption("btree write did not converge");
 }
@@ -228,8 +238,8 @@ sim::Task<Status> BTree::Erase(TxnId txn, uint64_t key) {
 
 sim::Task<Status> BTree::SplitPage(TxnId txn,
                                    const std::vector<PageId>& path,
-                                   size_t depth) {
-  if (depth == 0) co_return co_await SplitRoot(txn);
+                                   size_t depth, uint64_t key) {
+  if (depth == 0) co_return co_await SplitRoot(txn, key);
 
   PageId left_id = path[depth];
   Result<PageRef> left = co_await pool_->GetPage(left_id);
@@ -237,7 +247,7 @@ sim::Task<Status> BTree::SplitPage(TxnId txn,
   BTreePage lp(left->page());
   int n = lp.slot_count();
   if (n < 2) co_return Status::Corruption("cannot split page with <2 keys");
-  int mid = n / 2;
+  const int mid = SplitSlot(lp, key);
   uint64_t sep = lp.KeyAt(mid);
 
   PageId right_id = AllocatePage();
@@ -264,6 +274,7 @@ sim::Task<Status> BTree::SplitPage(TxnId txn,
   lrec.page_id = left_id;
   lrec.key = sep;
   lrec.right_sibling = right_id;
+  lrec.split_count = static_cast<uint16_t>(n);
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(lrec, &left.value()));
 
   co_return co_await InsertIntoInterior(txn, path, depth - 1, sep,
@@ -289,7 +300,7 @@ sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
   // The interior page is full: split it first. Release the pin; splits
   // repin by page id.
   node.value().Release();
-  SOCRATES_CO_RETURN_IF_ERROR(co_await SplitPage(txn, path, depth));
+  SOCRATES_CO_RETURN_IF_ERROR(co_await SplitPage(txn, path, depth, sep));
   // Relocate the insert target. Two cases:
   //  * ordinary split: path[depth] kept its level; the separator belongs
   //    to it or to its new right sibling (fence check).
@@ -318,8 +329,9 @@ sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
       continue;
     }
     if (!p.CanHostInteriorInsert()) {
-      // Freshly split halves are half-empty; this cannot happen unless
-      // the tree is corrupt.
+      // The split was made for this separator: the half that covers it
+      // lost at least one record, so it can take it unless the tree is
+      // corrupt.
       co_return Status::Corruption("split half cannot host separator");
     }
     LogRecord rec;
@@ -333,13 +345,13 @@ sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
   co_return Status::Corruption("interior relocation did not converge");
 }
 
-sim::Task<Status> BTree::SplitRoot(TxnId txn) {
+sim::Task<Status> BTree::SplitRoot(TxnId txn, uint64_t key) {
   Result<PageRef> root = co_await pool_->GetPage(kRootPageId);
   if (!root.ok()) co_return root.status();
   BTreePage rp(root->page());
   int n = rp.slot_count();
   if (n < 2) co_return Status::Corruption("cannot split root with <2 keys");
-  int mid = n / 2;
+  const int mid = SplitSlot(rp, key);
   uint64_t sep = rp.KeyAt(mid);
 
   PageId left_id = AllocatePage();

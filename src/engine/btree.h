@@ -14,6 +14,11 @@
 // do and redo. A leaf write logs only the new row version; structure
 // changes (splits) are logged as page images without their free-space
 // hole (see log_record.h).
+//
+// A full page splits where the key that needs room lands: when the key
+// sorts after the page's last record (an ascending load), the left page
+// keeps all but that last record, so a bulk-loaded index comes out full;
+// otherwise the page splits at its middle record.
 
 #pragma once
 
@@ -117,9 +122,10 @@ class BTree {
   // Append `rec` to the log and apply it to `page` (stamping the LSN).
   Status ApplyAndLog(const LogRecord& rec, PageRef* page);
 
-  // Split path[depth]; afterwards the caller must re-traverse.
+  // Split path[depth] to make room for `key` (see SplitSlot); afterwards
+  // the caller must re-traverse.
   sim::Task<Status> SplitPage(TxnId txn, const std::vector<PageId>& path,
-                              size_t depth);
+                              size_t depth, uint64_t key);
 
   // Insert (sep, child) into interior page path[depth], splitting upward
   // as needed.
@@ -128,7 +134,7 @@ class BTree {
                                        size_t depth, uint64_t sep,
                                        PageId child);
 
-  sim::Task<Status> SplitRoot(TxnId txn);
+  sim::Task<Status> SplitRoot(TxnId txn, uint64_t key);
 
   // Scan readahead: called once per distinct leaf Scan lands on. Ramps
   // the prefetch window while consecutive leaves match the predicted

@@ -25,6 +25,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -239,20 +240,20 @@ class BTreePage {
     return total;
   }
 
-  /// Rewrite the record heap dropping dead space.
+  /// Rewrite the record heap dropping dead space: the live records, in
+  /// slot order, are gathered into one page-sized buffer and copied back.
   void Compact() {
-    int n = slot_count();
-    std::vector<std::string> recs;
-    recs.reserve(n);
-    for (int i = 0; i < n; i++) {
-      recs.emplace_back(p_->cdata() + SlotOffset(i), RecordSize(i));
-    }
+    const int n = slot_count();
+    auto heap = std::make_unique_for_overwrite<char[]>(kPageSize);
     uint16_t off = kRecordAreaStart;
     for (int i = 0; i < n; i++) {
-      memcpy(p_->data() + off, recs[i].data(), recs[i].size());
+      const uint32_t size = RecordSize(i);
+      memcpy(heap.get() + off, p_->cdata() + SlotOffset(i), size);
       SetSlotOffset(i, off);
-      off += static_cast<uint16_t>(recs[i].size());
+      off += static_cast<uint16_t>(size);
     }
+    memcpy(p_->data() + kRecordAreaStart, heap.get() + kRecordAreaStart,
+           off - kRecordAreaStart);
     p_->set_free_offset(off);
   }
 

@@ -49,6 +49,7 @@ std::string LogRecord::Encode() const {
     case LogRecordType::kSplitLeft:
       PutFixed64(&out, key);
       PutFixed64(&out, right_sibling);
+      PutFixed16(&out, split_count);
       break;
   }
   return out;
@@ -111,7 +112,8 @@ Status LogRecord::Decode(Slice payload, LogRecord* out) {
       break;
     case LogRecordType::kSplitLeft:
       ok = GetFixed64(&payload, &out->key) &&
-           GetFixed64(&payload, &out->right_sibling);
+           GetFixed64(&payload, &out->right_sibling) &&
+           GetFixed16(&payload, &out->split_count);
       break;
     default:
       return Status::Corruption("unknown log record type");
@@ -173,16 +175,19 @@ Status ApplyToPage(const LogRecord& rec, Lsn lsn, storage::Page* page) {
       SOCRATES_RETURN_IF_ERROR(page->FromHoleFreeImage(Slice(rec.value)));
       break;
     case LogRecordType::kSplitLeft: {
-      // The Primary split at slot_count / 2; the same page state gives
-      // the same separator here, or the page is not the one it split.
+      // The page must be the one the Primary split: the same slot count,
+      // and the separator one of its keys past the first, so both halves
+      // keep a record. Keys in a page are unique, so the separator's slot
+      // is the split slot.
       BTreePage bp(page);
       const int n = bp.slot_count();
-      if (n < 2 || bp.KeyAt(n / 2) != rec.key) {
-        return Status::Corruption("split separator does not match page");
+      const int slot = bp.FindSlot(rec.key);
+      if (n != rec.split_count || slot < 1) {
+        return Status::Corruption("split does not match page");
       }
       storage::Page left;
       BTreePage::CopyRange(bp, &left, rec.page_id, bp.low_fence(), rec.key,
-                           rec.right_sibling, 0, n / 2);
+                           rec.right_sibling, 0, slot);
       *page = std::move(left);
       break;
     }

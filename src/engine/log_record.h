@@ -13,9 +13,10 @@
 //    the stored chain with EncodePushed (version.h), the function the
 //    Primary's write ran, so every tier's leaf bytes stay equal.
 //  * A split logs the page it keeps as the operation: kSplitLeft names
-//    the separator and the new right sibling, and redo rebuilds the lower
-//    half from the page's own records. The new pages (the right half, and
-//    both halves plus the new root of a root split) are page images
+//    the separator, the new right sibling and the page's slot count,
+//    and redo rebuilds the records below the separator from the page's
+//    own. The new pages (the right half, and both halves plus the
+//    new root of a root split) are page images
 //    without their free-space hole (storage::Page::HoleFreeImage): the
 //    hole between the record heap and the slot directory of a freshly
 //    built page is all zeros, and redo rebuilds it from the image's own
@@ -35,7 +36,7 @@
 //   kPageImage       [u32 len][hole-free image]
 //   kTxnCommit       [u64 commit_ts]
 //   kCheckpoint      [u64 commit_ts][u64 next_page_id]
-//   kSplitLeft       [u64 separator][u64 right_sibling]
+//   kSplitLeft       [u64 separator][u64 right_sibling][u16 slot_count]
 // flags bit 0: the new version is a tombstone.
 
 #pragma once
@@ -62,7 +63,7 @@ enum class LogRecordType : uint8_t {
   kPageImage = 6,    // overwrite the whole page (splits; hole-free)
   kTxnCommit = 7,    // commit marker: carries commit_ts (no page)
   kCheckpoint = 8,   // checkpoint marker: carries engine counters (no page)
-  kSplitLeft = 9,    // keep the lower half of a page (left half of a split)
+  kSplitLeft = 9,    // keep a page's records below the separator
 };
 
 struct LogRecord {
@@ -88,6 +89,8 @@ struct LogRecord {
   uint64_t low_fence = 0;
   uint64_t high_fence = 0;
   PageId right_sibling = kInvalidPageId;  // kPageFormat / kSplitLeft
+  // kSplitLeft: the page's slot count before the split.
+  uint16_t split_count = 0;
   // kTxnCommit / kCheckpoint; kLeafInsert / kLeafUpdate: the new
   // version's commit timestamp.
   Timestamp commit_ts = kInvalidTimestamp;
@@ -118,6 +121,7 @@ struct LogRecord {
     low_fence = 0;
     high_fence = 0;
     right_sibling = kInvalidPageId;
+    split_count = 0;
     commit_ts = kInvalidTimestamp;
     next_page_id = kInvalidPageId;
   }

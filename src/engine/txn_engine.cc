@@ -457,6 +457,12 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       Result<RemoteScanChunk> c =
           co_await scanner_->ScanLeaves(leaf, spec);
       if (!c.ok()) {
+        // A Page Server that read a malformed page answers Corruption:
+        // fail the scan, as the local plan would, rather than hide the
+        // server's bad copy behind a local re-read.
+        if (c.status().IsCorruption()) {
+          co_return Result<FilteredScanResult>(c.status());
+        }
         // kOverloaded (scan admission shed — the rbio client is already
         // backing off that endpoint) or a hard transport error: finish
         // [cursor, end_key) on the local page-based path — partial

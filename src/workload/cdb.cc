@@ -61,9 +61,13 @@ uint64_t CdbWorkload::RandomKey(int table, Random* rng) const {
 
 std::string CdbWorkload::MakePayload(int table, Random* rng) const {
   std::string payload(opts_.payload_bytes[table], '\0');
+  // Draw from a local copy: a char store may alias *rng, which would
+  // send its state through memory on every byte.
+  Random local = *rng;
   for (auto& c : payload) {
-    c = static_cast<char>('A' + rng->Uniform(26));
+    c = static_cast<char>('A' + local.Uniform(26));
   }
+  *rng = local;
   return payload;
 }
 

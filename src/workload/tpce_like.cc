@@ -47,18 +47,23 @@ sim::Task<TxnResult> TpceLikeWorkload::RunOne(Engine* engine,
   // A "trade" touches a handful of skewed rows.
   int reads = 2 + static_cast<int>(rng->Uniform(6));
   uint64_t last_key = 0;
+  bool read_failed = false;
   for (int i = 0; i < reads; i++) {
     last_key = MakeKey(kTradeTable, SkewedRow(zipf_.Next()));
     co_await charge(kReadUs);
-    (void)co_await engine->Get(txn.get(), last_key);
+    Result<std::string> row = co_await engine->Get(txn.get(), last_key);
+    // A row that cannot be read (say, no Page Server serves its page)
+    // fails the trade; a missing row does not.
+    if (!row.ok() && !row.status().IsNotFound()) read_failed = true;
   }
-  if (write) {
+  if (write && !read_failed) {
     co_await charge(kUpdateUs);
     std::string payload(kPayloadBytes, 'u');
     (void)engine->Put(txn.get(), last_key, payload);
     result.is_write = true;
   }
-  result.committed = (co_await engine->Commit(txn.get())).ok();
+  const Status commit = co_await engine->Commit(txn.get());
+  result.committed = commit.ok() && !read_failed;
   co_return result;
 }
 

@@ -226,6 +226,16 @@ TEST(ClusterTest, LeafBytesEqualOnEveryTierAfterTrimCapAndTombstone) {
     for (int p = 0; p < 2; p++) {
       co_await d.page_server(p)->applied_lsn().WaitFor(end);
     }
+    {
+      // The load filled its leaves, so key 1's growth split one: read
+      // every row again so the Secondary caches the new page as well.
+      Engine* sec = d.secondary(0)->engine();
+      auto txn = sec->Begin(true);
+      for (uint64_t k = 0; k < 300; k++) {
+        (void)co_await sec->Get(txn.get(), MakeKey(1, k));
+      }
+      (void)co_await sec->Commit(txn.get());
+    }
     // Byte 0-3 hold the checksum, which each tier stamps when it needs.
     int secondary_pages = 0, page_server_pages = 0;
     const PageId next = e->btree()->next_page_id();
@@ -284,7 +294,7 @@ TEST(ClusterTest, WarmupAfterRestartRestoresHitRateSooner) {
   // The probe touches one key per distinct leaf region so each access
   // reflects residency of a different page (a dense pass would hide the
   // per-leaf promotion cost behind ~hundreds of same-leaf mem hits).
-  constexpr uint64_t kDbRows = 8000;   // whole DB overflows memory
+  constexpr uint64_t kDbRows = 16000;  // whole DB overflows memory
   constexpr uint64_t kHotRows = 3200;  // hot set fits in memory
   constexpr uint64_t kStride = 100;    // ~2 probes per leaf
   struct Outcome {
@@ -732,13 +742,15 @@ TEST(ClusterTest, BatchAndWaiterCountersConsistent) {
   Deployment d(s, o);
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    co_await LoadRows(d.primary_engine(), 0, 1200, "v");
+    // Enough rows that the full leaves of an ascending load overflow
+    // the 8-frame memory tier several times over.
+    co_await LoadRows(d.primary_engine(), 0, 2400, "v");
     // Eight concurrent readers over disjoint slices: their misses
     // overlap in time and get multiplexed into batch frames.
     sim::WaitGroup wg(s);
     for (uint64_t r = 0; r < 8; r++) {
       wg.Add();
-      Spawn(s, ReadSlice(d.primary_engine(), r * 150, 150, &wg));
+      Spawn(s, ReadSlice(d.primary_engine(), r * 300, 300, &wg));
     }
     co_await wg.Wait();
   });

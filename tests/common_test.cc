@@ -5,6 +5,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/compress.h"
@@ -217,6 +218,30 @@ TEST(Crc32cTest, DispatchedMatchesPortable) {
     uint32_t head = crc32c::Extend(init, p, cut);
     EXPECT_EQ(crc32c::Extend(head, p + cut, 64 - cut), whole)
         << "cut " << cut;
+  }
+}
+
+TEST(Crc32cTest, ThreeStreamRoundsMatchPortableAtEveryEdge) {
+  // The hardware path runs rounds of three 256-byte blocks, then one
+  // chain; check lengths around each round boundary, the page body, a
+  // page and a near-64 KiB log block.
+  Random rng(29);
+  std::string buf(64 * 1024 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  std::vector<size_t> lengths = {8188, 8192, 64 * 1024 - 13};
+  constexpr size_t kRound = 3 * 256;
+  for (size_t k = 1; k * kRound <= 12 * 1024; k++) {
+    for (size_t d = 0; d <= 9; d++) {
+      lengths.push_back(k * kRound + d);
+      lengths.push_back(k * kRound - 1 - d);
+    }
+  }
+  for (size_t len : lengths) {
+    size_t off = rng.Uniform(16);
+    uint32_t init = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(crc32c::Extend(init, buf.data() + off, len),
+              crc32c::ExtendPortable(init, buf.data() + off, len))
+        << "len " << len << " off " << off << " init " << init;
   }
 }
 

@@ -357,6 +357,7 @@ TEST(LogRecordTest, CodecRoundTripAllTypes) {
     r.page_id = 4;
     r.key = 42;
     r.right_sibling = 19;
+    r.split_count = 12;
     recs.push_back(r);
   }
   for (const auto& r : recs) {
@@ -371,6 +372,7 @@ TEST(LogRecordTest, CodecRoundTripAllTypes) {
     EXPECT_EQ(d.trim_ts, r.trim_ts);
     EXPECT_EQ(d.child, r.child);
     EXPECT_EQ(d.right_sibling, r.right_sibling);
+    EXPECT_EQ(d.split_count, r.split_count);
     EXPECT_EQ(d.commit_ts, r.commit_ts);
     EXPECT_EQ(d.next_page_id, r.next_page_id);
   }
@@ -938,6 +940,123 @@ TEST(BTreeTest, ScanReturnsSortedRange) {
   });
 }
 
+// One kSplitLeft in a log stream: the page's slot count before the
+// split, and how many records its right image (logged just before) took.
+struct SplitSeen {
+  PageId page_id = kInvalidPageId;
+  int count = 0;
+  int right_records = 0;
+};
+
+std::vector<SplitSeen> SplitsInLog(Slice stream) {
+  std::vector<SplitSeen> splits;
+  std::map<PageId, int> image_records;
+  EXPECT_TRUE(ForEachRecord(stream, kLogStreamStart, [&](Lsn, Slice p) {
+                LogRecord rec;
+                EXPECT_TRUE(LogRecord::Decode(p, &rec).ok());
+                if (rec.type == LogRecordType::kPageImage) {
+                  storage::Page page;
+                  EXPECT_TRUE(
+                      page.FromHoleFreeImage(Slice(rec.value)).ok());
+                  image_records[rec.page_id] = BTreePage(&page).slot_count();
+                } else if (rec.type == LogRecordType::kSplitLeft) {
+                  splits.push_back({rec.page_id, rec.split_count,
+                                    image_records[rec.right_sibling]});
+                }
+                return true;
+              }).ok());
+  return splits;
+}
+
+// Records per page of `tree`'s leaves, and how many records of the
+// first leaf's chain size an empty leaf holds.
+struct LeafFill {
+  std::vector<int> records;  // per leaf, in page-id order, rightmost last
+  int page_capacity = 0;
+};
+
+Task<LeafFill> MeasureLeaves(TreeFixture* f) {
+  LeafFill fill;
+  int rightmost = -1;
+  uint32_t chain_size = 0;
+  for (PageId id = kRootPageId; id < f->tree->next_page_id(); id++) {
+    auto page = co_await f->pool->GetPage(id);
+    EXPECT_TRUE(page.ok());
+    if (!page.ok()) continue;
+    BTreePage bp(page->page());
+    if (!bp.is_leaf()) continue;
+    if (chain_size == 0 && bp.slot_count() > 0) {
+      chain_size = static_cast<uint32_t>(bp.LeafValueAt(0).size());
+    }
+    if (bp.high_fence() == kMaxKey) {
+      rightmost = bp.slot_count();
+    } else {
+      fill.records.push_back(bp.slot_count());
+    }
+  }
+  EXPECT_GE(rightmost, 0);
+  fill.records.push_back(rightmost);
+  storage::Page empty;
+  BTreePage::Format(&empty, 1, 0, kMinKey, kMaxKey, kInvalidPageId);
+  BTreePage ep(&empty);
+  const std::string chain(chain_size, 'c');
+  while (ep.CanHostLeafInsert(chain_size)) {
+    EXPECT_TRUE(ep.LeafInsert(fill.page_capacity++, Slice(chain)).ok());
+  }
+  co_return fill;
+}
+
+TEST(BTreeTest, AscendingLoadFillsEveryLeafButTheLast) {
+  TreeFixture f;
+  LeafFill fill;
+  RunSim(f.sim, [&]() -> Task<> {
+    for (uint64_t k = 0; k < 20000; k++) {
+      EXPECT_TRUE(
+          (co_await WriteOne(f.tree.get(), k, 1, std::string(100, 'x')))
+              .ok());
+    }
+    fill = co_await MeasureLeaves(&f);
+  });
+  ASSERT_GT(fill.records.size(), 100u);
+  ASSERT_GT(fill.page_capacity, 10);
+  for (size_t i = 0; i + 1 < fill.records.size(); i++) {
+    EXPECT_GE(fill.records[i], fill.page_capacity - 1) << "leaf " << i;
+  }
+}
+
+TEST(BTreeTest, RandomOrderLoadStillSplitsAtTheMiddle) {
+  TreeFixture f;
+  LeafFill fill;
+  RunSim(f.sim, [&]() -> Task<> {
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 0; k < 20000; k++) keys.push_back(k);
+    Random rng(5);
+    Shuffle(&keys, &rng);
+    for (uint64_t k : keys) {
+      EXPECT_TRUE(
+          (co_await WriteOne(f.tree.get(), k, 1, std::string(100, 'x')))
+              .ok());
+    }
+    fill = co_await MeasureLeaves(&f);
+  });
+  int middle = 0, other = 0;
+  for (const SplitSeen& split : SplitsInLog(Slice(f.sink.stream()))) {
+    (split.right_records == split.count - split.count / 2 ? middle
+                                                           : other)++;
+  }
+  // A random key lands past a page's last record about once per page
+  // fill; nearly every split is at the middle.
+  EXPECT_GT(middle, 100);
+  EXPECT_LT(other * 10, middle);
+  // So leaves end up partly full, as a middle-split B-tree's do.
+  double records = 0;
+  for (int n : fill.records) records += n;
+  const double mean_fill =
+      records / fill.records.size() / fill.page_capacity;
+  EXPECT_GT(mean_fill, 0.55);
+  EXPECT_LT(mean_fill, 0.85);
+}
+
 // Differential test: random upserts/erases vs std::map, with big values to
 // force frequent splits, verified by full scan.
 TEST(BTreePropertyTest, MatchesModelUnderRandomOps) {
@@ -1005,34 +1124,48 @@ TEST(BTreeTest, LogReplayReproducesTree) {
 }
 
 // Every split kind through the log: leaf and interior splits (a right
-// image plus a kSplitLeft record) and root splits (three images). The
-// replayed pages must equal the Primary's byte for byte.
+// image plus a kSplitLeft record) at the middle and at the end of the
+// page, and root splits (three images). The replayed pages must equal
+// the Primary's byte for byte.
 TEST(BTreeTest, LogReplayReproducesEveryPageByteForByte) {
   TreeFixture f;
   const int kKeys = 20000;
+  const int kAscendingKeys = 30000;
   RunSim(f.sim, [&]() -> Task<> {
     std::vector<uint64_t> keys;
     for (int i = 0; i < kKeys; i++) keys.push_back(i);
     Random rng(11);
     Shuffle(&keys, &rng);
+    // Then an ascending tail: append splits of leaves and interiors.
+    for (int i = 0; i < kAscendingKeys; i++) keys.push_back(kKeys + i);
     for (uint64_t k : keys) {
       EXPECT_TRUE((co_await WriteOne(f.tree.get(), k, 1,
                                      std::string(150, 'a' + k % 26)))
                       .ok());
     }
   });
-  int split_lefts = 0;
-  ASSERT_TRUE(ForEachRecord(Slice(f.sink.stream()), kLogStreamStart,
-                            [&](Lsn, Slice p) {
-                              LogRecord rec;
-                              EXPECT_TRUE(LogRecord::Decode(p, &rec).ok());
-                              if (rec.type == LogRecordType::kSplitLeft) {
-                                split_lefts++;
-                              }
-                              return true;
-                            })
-                  .ok());
-  EXPECT_GT(split_lefts, 0);
+  int middle_splits = 0;
+  std::vector<PageId> appended;  // pages split at their last record
+  for (const SplitSeen& split : SplitsInLog(Slice(f.sink.stream()))) {
+    if (split.right_records == 1) {
+      appended.push_back(split.page_id);
+    } else {
+      middle_splits++;
+    }
+  }
+  EXPECT_GT(middle_splits, 0);
+  int interior_appends = 0;
+  RunSim(f.sim, [&]() -> Task<> {
+    for (PageId id : appended) {
+      auto page = co_await f.pool->GetPage(id);
+      EXPECT_TRUE(page.ok());
+      if (page.ok() && !BTreePage(page->page()).is_leaf()) {
+        interior_appends++;
+      }
+    }
+  });
+  EXPECT_GT(appended.size() - interior_appends, 0u);  // leaf appends
+  EXPECT_GT(interior_appends, 0);
 
   BufferPoolOptions opts;
   opts.mem_pages = 1 << 20;
@@ -1061,17 +1194,32 @@ TEST(BTreeTest, LogReplayReproducesEveryPageByteForByte) {
 }
 
 TEST(LogRecordTest, SplitLeftChecksItsSeparator) {
+  auto ten_keys = [](storage::Page* page) {
+    BTreePage::Format(page, 5, 0, kMinKey, kMaxKey, kInvalidPageId);
+    for (uint64_t k = 0; k < 10; k++) {
+      ASSERT_TRUE(BTreePage(page).LeafInsert(k * 10, Slice("v")).ok());
+    }
+  };
   storage::Page page;
-  BTreePage::Format(&page, 5, 0, kMinKey, kMaxKey, kInvalidPageId);
-  for (uint64_t k = 0; k < 10; k++) {
-    ASSERT_TRUE(BTreePage(&page).LeafInsert(k * 10, Slice("v")).ok());
-  }
+  ten_keys(&page);
   LogRecord rec;
   rec.type = LogRecordType::kSplitLeft;
   rec.page_id = 5;
-  rec.key = 40;  // the split point is slot 5, key 50
   rec.right_sibling = 6;
+  rec.split_count = 10;
+  rec.key = 45;  // not a key of the page
   EXPECT_TRUE(ApplyToPage(rec, 100, &page).IsCorruption());
+  rec.key = 50;
+  rec.split_count = 11;  // the page has 10 records
+  EXPECT_TRUE(ApplyToPage(rec, 100, &page).IsCorruption());
+  rec.split_count = 10;
+  rec.key = 0;  // slot 0 would leave the left page empty
+  EXPECT_TRUE(ApplyToPage(rec, 100, &page).IsCorruption());
+  rec.key = 100;  // past the last record: the right page would be empty
+  EXPECT_TRUE(ApplyToPage(rec, 100, &page).IsCorruption());
+  EXPECT_EQ(page.page_lsn(), 0u);
+  EXPECT_EQ(BTreePage(&page).slot_count(), 10);
+
   rec.key = 50;
   ASSERT_TRUE(ApplyToPage(rec, 100, &page).ok());
   BTreePage bp(&page);
@@ -1079,6 +1227,14 @@ TEST(LogRecordTest, SplitLeftChecksItsSeparator) {
   EXPECT_EQ(bp.high_fence(), 50u);
   EXPECT_EQ(bp.right_sibling(), 6u);
   EXPECT_EQ(page.page_lsn(), 100u);
+
+  // An append split keeps all but the last record.
+  storage::Page full;
+  ten_keys(&full);
+  rec.key = 90;
+  ASSERT_TRUE(ApplyToPage(rec, 100, &full).ok());
+  EXPECT_EQ(BTreePage(&full).slot_count(), 9);
+  EXPECT_EQ(BTreePage(&full).high_fence(), 90u);
 }
 
 // --------------------------------------------------------------- Engine

@@ -262,16 +262,17 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
   // Long payloads spread the rows over dozens of leaves: the cold
   // verify then yields well over the 16 single-GetPage samples the
   // admission p99 signal requires.
+  constexpr uint64_t kRows = 800;
   const std::string v_pad(200, 'v');
   const std::string w_pad(200, 'w');
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await f.Start()).ok());
-    co_await LoadRows(f.tenant(0)->primary_engine(), 0, 400, v_pad);
-    co_await LoadRows(f.tenant(1)->primary_engine(), 0, 400, w_pad);
+    co_await LoadRows(f.tenant(0)->primary_engine(), 0, kRows, v_pad);
+    co_await LoadRows(f.tenant(1)->primary_engine(), 0, kRows, w_pad);
     // Fill the server's GetPage latency window so admission has a p99
     // signal (>= 16 samples), via cold cache-missing reads.
     co_await ColdRestart(f.tenant(0));
-    co_await VerifyRows(f.tenant(0)->primary_engine(), 0, 400, v_pad);
+    co_await VerifyRows(f.tenant(0)->primary_engine(), 0, kRows, v_pad);
 
     engine::ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(10, 0);
@@ -283,7 +284,7 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
     for (int i = 0; i < 2; i++) {
       auto txn = e0->Begin(true);
       auto r = co_await e0->ScanWhere(txn.get(), MakeKey(1, 0),
-                                      MakeKey(1, 400), 0, filter);
+                                      MakeKey(1, kRows), 0, filter);
       EXPECT_TRUE(r.ok());
       (void)co_await e0->Commit(txn.get());
     }

@@ -716,9 +716,12 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
   service::Deployment d(s, PlannerDeployment());
   FilteredScanResult r;
   ScanPlanDebug plan;
+  // Enough rows that the cold half spans more leaves than the local
+  // plan reads faster than one pushed scan.
+  constexpr uint64_t kRows = 12000;
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 6000);
+    co_await Load(d.primary_engine(), kRows);
     EXPECT_TRUE((co_await d.Checkpoint()).ok());
     EXPECT_TRUE((co_await d.RestartPrimary()).ok());
     engine::Engine* e = d.primary_engine();
@@ -729,7 +732,7 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
       auto txn = e->Begin(true);
       ScanFilter all;
       auto warm = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
-                                        MakeKey(1, 3000), 0, all);
+                                        MakeKey(1, kRows / 2), 0, all);
       EXPECT_TRUE(warm.ok());
       (void)co_await e->Commit(txn.get());
     }
@@ -737,12 +740,12 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     filter.projection.extents.push_back({0, 8});
-    co_await PlannedScanAndCompare(e, 6000, filter, &r, &plan);
+    co_await PlannedScanAndCompare(e, kRows, filter, &r, &plan);
   });
   // Warm prefix read locally, cold suffix pushed: one plan, both paths.
   EXPECT_EQ(plan.kind, ScanPlanDebug::Kind::kHybrid);
-  EXPECT_GT(plan.split_key, MakeKey(1, 1500));
-  EXPECT_LT(plan.split_key, MakeKey(1, 4500));
+  EXPECT_GT(plan.split_key, MakeKey(1, kRows / 4));
+  EXPECT_LT(plan.split_key, MakeKey(1, kRows * 3 / 4));
   EXPECT_LT(plan.est_hybrid_us, plan.est_local_us);
   EXPECT_LT(plan.est_hybrid_us, plan.est_push_us);
   EXPECT_TRUE(r.pushed_down);
@@ -917,7 +920,8 @@ Task<rbio::ScanRangeResponse> ServeScanFrame(pageserver::PageServer* ps,
 TEST(PushdownEndToEndTest, MalformedLeafChainFailsThePushedScan) {
   // The Page Server reads chains with the local plan's reader, so a
   // malformed chain fails a pushed scan with Corruption, as it fails the
-  // local plan, instead of reading as a row that does not exist.
+  // local plan, instead of reading as a row that does not exist; and
+  // ScanWhere reports that Corruption instead of re-reading locally.
   Simulator s;
   service::Deployment d(s, SmallDeployment());
   RunSim(s, [&]() -> Task<> {
@@ -953,6 +957,13 @@ TEST(PushdownEndToEndTest, MalformedLeafChainFailsThePushedScan) {
         co_await ServeScanFrame(d.page_server(0), req);
     EXPECT_TRUE(broken.status.IsCorruption()) << broken.status.ToString();
     EXPECT_TRUE(broken.tuples.empty());
+    // Through the planner the scan fails with it too, rather than
+    // finishing the range on the local plan and returning OK.
+    auto txn = e->Begin(true);
+    auto r = co_await e->ScanWhere(txn.get(), key, key + 1, 0,
+                                   ScanFilter{});
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+    EXPECT_EQ(e->stats().pushdown_fallbacks, 0u);
   });
   d.Stop();
 }
@@ -1080,11 +1091,13 @@ TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
   service::Deployment d(s, o);
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 3000);
+    // Rows and cold reads enough to touch over 32 distinct leaves, so
+    // the server's GetPage window fills and marks it degraded.
+    co_await Load(d.primary_engine(), 6000);
     EXPECT_TRUE((co_await d.Checkpoint()).ok());
     EXPECT_TRUE((co_await d.AddPageServerReplica(0)).ok());
     EXPECT_TRUE((co_await d.RestartPrimary()).ok());
-    co_await ColdPointReads(d.primary_engine(), 32, 3000);
+    co_await ColdPointReads(d.primary_engine(), 64, 6000);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     bool pushed = true;

@@ -646,15 +646,17 @@ TEST(RbioEndToEndTest, ComputeSurvivesTransientPageServerFailures) {
   o.compute.mem_pages = 8;
   o.compute.ssd_pages = 16;  // tiny cache: refetches guaranteed
   service::Deployment d(s, o);
+  // Enough rows that their leaves overflow both cache tiers.
+  constexpr uint64_t kRows = 4000;
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
-    co_await Load(d.primary_engine(), 2000);
+    co_await Load(d.primary_engine(), kRows);
     // Short transient failure bursts (below the retry budget) keep
     // hitting the server; reads must still succeed via RBIO retries.
     engine::Engine* e = d.primary_engine();
     auto txn = e->Begin(true);
     int bursts = 0;
-    for (uint64_t k = 0; k < 2000; k += 7) {
+    for (uint64_t k = 0; k < kRows; k += 7) {
       if (k % 210 == 0) {
         d.chaos().InjectFailures("ps-0", 2);
         bursts++;
