@@ -713,6 +713,26 @@ void BM_SimGetPageFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_SimGetPageFanout)->Arg(16);
 
+// As BM_SimGetPageFanout, but every id lies past the tree: the Page
+// Server answers each entry NotFound ("page never checkpointed"), so
+// allocs_per_op is the budget of a frame of not-found entries. A
+// decoded not-found entry must cost no more than a found one.
+void BM_SimGetPagePastTree(benchmark::State& state) {
+  service::DeploymentOptions o = GetPageBedOptions();
+  o.page_server.checkpoint_interval_us = 3600ull * 1000 * 1000;
+  GetPageBed bed(o);
+  const int fanout = static_cast<int>(state.range(0));
+  const PageId first = bed.d.primary_engine()->btree()->next_page_id() + 64;
+  GetPages(&bed, first, fanout);
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    GetPages(&bed, first, fanout);
+  }
+  state.SetItemsProcessed(state.iterations());
+  allocs.Report(state.iterations());
+}
+BENCHMARK(BM_SimGetPagePastTree)->Arg(16);
+
 }  // namespace
 }  // namespace socrates
 

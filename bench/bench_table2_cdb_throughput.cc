@@ -56,16 +56,35 @@ int main(int argc, char** argv) {
   printf("\nSocrates deficit vs HADR: %.1f%%  (paper: ~5%%)\n", deficit);
   printf("Socrates local cache hit rate: %.0f%%\n",
          100 * soc.deployment->primary()->pool()->stats().LocalHitRate());
+  printf("Failed transactions: HADR %llu, Socrates %llu\n",
+         (unsigned long long)h.aborts, (unsigned long long)s.aborts);
+  // The commit mutex is held across Phase 1/2 page fetches; every commit
+  // with writes samples it, the bulk load's included.
+  const engine::EngineStats& es = soc.deployment->primary_engine()->stats();
+  printf("Socrates commit mutex (us): wait %s\n",
+         es.commit_mutex_wait_us.ToString().c_str());
+  printf("                            hold %s\n",
+         es.commit_mutex_hold_us.ToString().c_str());
   json.Line("{\"bench\":\"table2_cdb_throughput\",\"system\":\"hadr\","
             "\"cpu_pct\":%.1f,\"write_tps\":%.0f,\"read_tps\":%.0f,"
-            "\"total_tps\":%.0f}",
-            100 * h.cpu_utilization, h.write_tps, h.read_tps, h.total_tps);
+            "\"total_tps\":%.0f,\"failed\":%llu}",
+            100 * h.cpu_utilization, h.write_tps, h.read_tps, h.total_tps,
+            (unsigned long long)h.aborts);
   json.Line("{\"bench\":\"table2_cdb_throughput\",\"system\":\"socrates\","
             "\"cpu_pct\":%.1f,\"write_tps\":%.0f,\"read_tps\":%.0f,"
             "\"total_tps\":%.0f,\"deficit_pct\":%.1f,"
-            "\"local_hit_rate\":%.3f}",
+            "\"local_hit_rate\":%.3f,\"failed\":%llu,"
+            "\"commit_mutex_wait_p50_us\":%.0f,"
+            "\"commit_mutex_wait_p99_us\":%.0f,"
+            "\"commit_mutex_hold_p50_us\":%.0f,"
+            "\"commit_mutex_hold_p99_us\":%.0f}",
             100 * s.cpu_utilization, s.write_tps, s.read_tps, s.total_tps,
             deficit,
-            soc.deployment->primary()->pool()->stats().LocalHitRate());
+            soc.deployment->primary()->pool()->stats().LocalHitRate(),
+            (unsigned long long)s.aborts,
+            es.commit_mutex_wait_us.Percentile(50),
+            es.commit_mutex_wait_us.Percentile(99),
+            es.commit_mutex_hold_us.Percentile(50),
+            es.commit_mutex_hold_us.Percentile(99));
   return 0;
 }

@@ -83,13 +83,15 @@ int main(int argc, char** argv) {
            ps->freshness_wait_us().ToString().c_str());
   }
 
-  // Commit-path phase split (enqueue -> quorum ack -> visible) and LZ
-  // flush-size / occupancy counters for the Socrates log pipeline.
+  // Commit-path phase split (enqueue -> quorum ack -> in-order harden ->
+  // visible) and LZ flush-size / occupancy counters for the Socrates log
+  // pipeline.
   xlog::XLogClient& lc = soc.deployment->log_client();
   xlog::LandingZone& lz = soc.deployment->landing_zone();
   printf("\nCommit-path phases (us):\n");
   printf("  enqueue  %s\n", lc.enqueue_phase().ToString().c_str());
   printf("  quorum   %s\n", lc.quorum_phase().ToString().c_str());
+  printf("  harden   %s\n", lc.harden_wait_phase().ToString().c_str());
   printf("  visible  %s\n", lc.visible_phase().ToString().c_str());
   printf("LZ flush sizes (bytes): %s\n",
          lc.flush_sizes().ToString().c_str());
@@ -101,11 +103,14 @@ int main(int argc, char** argv) {
       "{\"bench\":\"table5_log_throughput\",\"detail\":\"phases\","
       "\"enqueue_p50_us\":%.0f,\"enqueue_p99_us\":%.0f,"
       "\"quorum_p50_us\":%.0f,\"quorum_p99_us\":%.0f,"
+      "\"harden_wait_p50_us\":%.0f,\"harden_wait_p99_us\":%.0f,"
       "\"visible_p50_us\":%.0f,\"visible_p99_us\":%.0f,"
       "\"flush_mean_bytes\":%.0f,\"lz_peak_stored_bytes\":%llu,"
       "\"lz_stalls\":%llu}",
       lc.enqueue_phase().Percentile(50), lc.enqueue_phase().Percentile(99),
       lc.quorum_phase().Percentile(50), lc.quorum_phase().Percentile(99),
+      lc.harden_wait_phase().Percentile(50),
+      lc.harden_wait_phase().Percentile(99),
       lc.visible_phase().Percentile(50),
       lc.visible_phase().Percentile(99), lc.flush_sizes().mean(),
       (unsigned long long)lz.peak_stored_bytes(),

@@ -60,6 +60,7 @@ struct SweepCell {
   double p50 = 0, p99 = 0;
   double enq_p50 = 0, enq_p99 = 0;
   double quo_p50 = 0, quo_p99 = 0;
+  double hw_p50 = 0, hw_p99 = 0;
   double vis_p50 = 0, vis_p99 = 0;
   double flush_mean = 0;
   uint64_t blocks = 0, holds = 0, zipped = 0;
@@ -94,6 +95,8 @@ SweepCell MeasureSweepCell(const Policy& pol, int clients) {
   c.enq_p99 = lc.enqueue_phase().Percentile(99);
   c.quo_p50 = lc.quorum_phase().Percentile(50);
   c.quo_p99 = lc.quorum_phase().Percentile(99);
+  c.hw_p50 = lc.harden_wait_phase().Percentile(50);
+  c.hw_p99 = lc.harden_wait_phase().Percentile(99);
   c.vis_p50 = lc.visible_phase().Percentile(50);
   c.vis_p99 = lc.visible_phase().Percentile(99);
   c.flush_mean = lc.flush_sizes().mean();
@@ -137,9 +140,10 @@ int main(int argc, char** argv) {
             dd.stddev(), dd.min(), dd.Median(), dd.max());
 
   printf("\n--- Block-sizing policy sweep (XIO landing zone) ---\n");
-  printf("%-13s %8s %10s %10s | %9s %9s %9s | %9s %7s %6s %6s\n",
+  printf("%-13s %8s %10s %10s | %9s %9s %9s %9s | %9s %7s %6s %6s\n",
          "policy", "clients", "p50 (us)", "p99 (us)", "enq p50",
-         "quo p50", "vis p50", "blk mean", "blocks", "holds", "zip%");
+         "quo p50", "hw p50", "vis p50", "blk mean", "blocks", "holds",
+         "zip%");
   for (int clients : {1, 32, 256}) {
     for (const Policy& pol : kPolicies) {
       SweepCell c = MeasureSweepCell(pol, clients);
@@ -149,23 +153,25 @@ int main(int argc, char** argv) {
           c.stored_bytes > 0
               ? static_cast<double>(c.logical_bytes) / c.stored_bytes
               : 1.0;
-      printf("%-13s %8d %10.0f %10.0f | %9.0f %9.0f %9.0f | %9.0f %7llu "
-             "%6llu %5.0f%%\n",
+      printf("%-13s %8d %10.0f %10.0f | %9.0f %9.0f %9.0f %9.0f | %9.0f "
+             "%7llu %6llu %5.0f%%\n",
              pol.name, clients, c.p50, c.p99, c.enq_p50, c.quo_p50,
-             c.vis_p50, c.flush_mean, (unsigned long long)c.blocks,
+             c.hw_p50, c.vis_p50, c.flush_mean, (unsigned long long)c.blocks,
              (unsigned long long)c.holds, zip_pct);
       json.Line(
           "{\"bench\":\"table6_lz_latency\",\"sweep\":\"policy\","
           "\"policy\":\"%s\",\"clients\":%d,\"p50_us\":%.0f,"
           "\"p99_us\":%.0f,\"enqueue_p50_us\":%.0f,"
           "\"enqueue_p99_us\":%.0f,\"quorum_p50_us\":%.0f,"
-          "\"quorum_p99_us\":%.0f,\"visible_p50_us\":%.0f,"
+          "\"quorum_p99_us\":%.0f,\"harden_wait_p50_us\":%.0f,"
+          "\"harden_wait_p99_us\":%.0f,\"visible_p50_us\":%.0f,"
           "\"visible_p99_us\":%.0f,\"flush_mean_bytes\":%.0f,"
           "\"blocks\":%llu,\"adaptive_holds\":%llu,"
           "\"compressed_blocks\":%llu,\"compression_ratio\":%.2f,"
           "\"lz_peak_stored_bytes\":%llu}",
           pol.name, clients, c.p50, c.p99, c.enq_p50, c.enq_p99,
-          c.quo_p50, c.quo_p99, c.vis_p50, c.vis_p99, c.flush_mean,
+          c.quo_p50, c.quo_p99, c.hw_p50, c.hw_p99, c.vis_p50, c.vis_p99,
+          c.flush_mean,
           (unsigned long long)c.blocks, (unsigned long long)c.holds,
           (unsigned long long)c.zipped, ratio,
           (unsigned long long)c.lz_peak);

@@ -25,9 +25,9 @@ const char* CodeName(Status::Code code) {
 
 std::string Status::ToString() const {
   std::string out = CodeName(code_);
-  if (msg_ != nullptr && !msg_->empty()) {
+  if (len_ > 0) {
     out += ": ";
-    out += *msg_;
+    out += message();
   }
   return out;
 }

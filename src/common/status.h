@@ -6,6 +6,8 @@
 
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -71,6 +73,24 @@ class [[nodiscard]] Status {
     return Status(Code::kOverloaded, msg);
   }
 
+  /// Status `code` with a copy of `msg` (a decoder's generic path).
+  static Status FromCode(Code code, std::string_view msg) {
+    return Status(code, msg);
+  }
+  /// As above, but `msg` lies inside `*owner` (say, a decoded wire
+  /// frame): the status shares `owner` instead of copying the bytes, so
+  /// making one allocates nothing.
+  static Status FromCode(Code code, std::string_view msg,
+                         const std::shared_ptr<const std::string>& owner) {
+    Status s;
+    s.code_ = code;
+    if (!msg.empty()) {
+      s.len_ = static_cast<uint32_t>(msg.size());
+      s.msg_ = std::shared_ptr<const char>(owner, msg.data());
+    }
+    return s;
+  }
+
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
@@ -86,9 +106,8 @@ class [[nodiscard]] Status {
   bool IsOverloaded() const { return code_ == Code::kOverloaded; }
 
   Code code() const { return code_; }
-  const std::string& message() const {
-    static const std::string kEmpty;
-    return msg_ != nullptr ? *msg_ : kEmpty;
+  std::string_view message() const {
+    return std::string_view(msg_.get(), len_);
   }
 
   /// Human-readable "<code>: <message>" string for logs and test output.
@@ -99,15 +118,22 @@ class [[nodiscard]] Status {
  private:
   // The message is immutable and refcounted: copying a Status (it travels
   // through every layer of an error path by value) bumps a refcount
-  // instead of duplicating the string. Empty messages carry a null
-  // pointer, so OK statuses stay allocation-free.
+  // instead of duplicating the bytes. Empty messages carry a null
+  // pointer, so OK statuses stay allocation-free; a message costs one
+  // allocation, or none when borrowed from its owner.
   Status(Code code, std::string_view msg)
-      : code_(code),
-        msg_(msg.empty() ? nullptr
-                         : std::make_shared<const std::string>(msg)) {}
+      : code_(code), len_(static_cast<uint32_t>(msg.size())) {
+    if (msg.empty()) return;
+    std::shared_ptr<char[]> bytes =
+        std::make_shared_for_overwrite<char[]>(msg.size());
+    char* data = bytes.get();
+    std::memcpy(data, msg.data(), msg.size());
+    msg_ = std::shared_ptr<const char>(std::move(bytes), data);
+  }
 
   Code code_;
-  std::shared_ptr<const std::string> msg_;
+  uint32_t len_ = 0;
+  std::shared_ptr<const char> msg_;
 };
 
 /// Propagate a non-OK Status to the caller (RocksDB idiom).

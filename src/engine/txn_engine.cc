@@ -632,7 +632,18 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
 
   Lsn commit_lsn;
   {
+    const SimTime asked_us = sim_.now();
     auto guard = co_await commit_mutex_.Acquire();
+    // Samples the hold on every way out of the critical section, just
+    // before `guard` releases the mutex.
+    struct HoldSample {
+      sim::Simulator& sim;
+      Histogram& hist;
+      SimTime since_us;
+      ~HoldSample() { hist.Add(static_cast<double>(sim.now() - since_us)); }
+    } hold{sim_, stats_.commit_mutex_hold_us, sim_.now()};
+    stats_.commit_mutex_wait_us.Add(static_cast<double>(hold.since_us -
+                                                        asked_us));
 
     // Phase 1: validation (first-committer-wins). A key written by a
     // transaction that committed after our snapshot aborts us. Each key's

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -89,6 +90,13 @@ struct EngineStats {
   /// Remote chunks shed by Page-Server scan admission (kOverloaded);
   /// each also counts as a fallback — the local path finished the range.
   uint64_t pushdown_overloaded = 0;
+  /// Commit critical section, one sample per commit that takes the
+  /// commit mutex (every commit with writes, bulk loads included), in
+  /// simulated µs: the wait to acquire it, and how long it is held
+  /// (validation and apply, with the page fetches they make, and the
+  /// commit-record append).
+  Histogram commit_mutex_wait_us;
+  Histogram commit_mutex_hold_us;
 };
 
 /// How the planner decided the last ScanWhere (debug / test visibility;

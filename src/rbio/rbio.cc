@@ -48,7 +48,12 @@ void PutResponsePrefix(std::string* out, const Status& status) {
   PutStatus(out, status);
 }
 
-Status GetStatus(Slice* in, Status* out) {
+// Codes a client does not act on arrive as IOError. With `owner`, the
+// frame `in` points into, the message is borrowed from the frame rather
+// than copied: a not-found entry then costs no allocation, like a found
+// one (the frame stays alive while the status does).
+Status GetStatus(Slice* in, Status* out,
+                 const std::shared_ptr<const std::string>* owner) {
   if (in->empty()) return Status::Corruption("rbio: missing status");
   auto code = static_cast<Status::Code>((*in)[0]);
   in->remove_prefix(1);
@@ -57,29 +62,22 @@ Status GetStatus(Slice* in, Status* out) {
     return Status::Corruption("rbio: truncated status message");
   }
   switch (code) {
-    case Status::Code::kOk: *out = Status::OK(); break;
+    case Status::Code::kOk:
+      *out = Status::OK();
+      return Status::OK();
     case Status::Code::kNotFound:
-      *out = Status::NotFound(msg.ToView());
-      break;
     case Status::Code::kCorruption:
-      *out = Status::Corruption(msg.ToView());
-      break;
     case Status::Code::kInvalidArgument:
-      *out = Status::InvalidArgument(msg.ToView());
-      break;
     case Status::Code::kUnavailable:
-      *out = Status::Unavailable(msg.ToView());
-      break;
     case Status::Code::kNotSupported:
-      *out = Status::NotSupported(msg.ToView());
-      break;
     case Status::Code::kOverloaded:
-      *out = Status::Overloaded(msg.ToView());
       break;
     default:
-      *out = Status::IOError(msg.ToView());
+      code = Status::Code::kIOError;
       break;
   }
+  *out = owner != nullptr ? Status::FromCode(code, msg.ToView(), *owner)
+                          : Status::FromCode(code, msg.ToView());
   return Status::OK();
 }
 
@@ -87,7 +85,7 @@ Status GetStatus(Slice* in, Status* out) {
 // failures without knowing which response format the frame carries.
 Status PeekResponseStatus(Slice wire, Status* out) {
   SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
-  return GetStatus(&wire, out);
+  return GetStatus(&wire, out, nullptr);
 }
 
 // Code-only variant for the retry loop's transient check: reads the code
@@ -191,12 +189,12 @@ Status GetPageBatchResponse::Decode(std::shared_ptr<const std::string> frame,
   Slice wire(*frame);
   out->entries.clear();
   SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
-  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
+  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status, &frame));
   uint32_t n = 0;
   SOCRATES_RETURN_IF_ERROR(GetCount(&wire, kMinBatchResponseEntryBytes, &n));
   out->entries.resize(n);
   for (Entry& e : out->entries) {
-    SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &e.status));
+    SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &e.status, &frame));
     if (wire.empty()) {
       return Status::Corruption("rbio: truncated batch entry");
     }
@@ -278,7 +276,7 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
                                  ScanRangeResponse* out) {
   Slice wire(*frame);
   SOCRATES_RETURN_IF_ERROR(GetVersion(&wire));
-  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
+  SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status, &frame));
   // Error responses carry no body.
   if (!out->status.ok()) return Status::OK();
   if (wire.empty()) return Status::Corruption("rbio: truncated scan flags");

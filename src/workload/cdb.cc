@@ -78,48 +78,58 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
   CdbTxnType type = PickType(rng);
   (void)co_await Charge(cpu, kTxnBaseUs);
 
+  std::unique_ptr<engine::Transaction> txn;
+  // A read that fails (say, no Page Server serves its page) fails the
+  // transaction: it reads and writes nothing more and is aborted. A
+  // missing row is not a failure.
+  bool read_failed = false;
+  auto failed = [](const Status& s) { return !s.ok() && !s.IsNotFound(); };
   switch (type) {
     case CdbTxnType::kPointLookup: {
-      auto txn = engine->Begin(true);
+      txn = engine->Begin(true);
       int n = 1 + static_cast<int>(rng->Uniform(10));
-      for (int i = 0; i < n; i++) {
+      for (int i = 0; i < n && !read_failed; i++) {
         int t = static_cast<int>(rng->Uniform(6));
         (void)co_await Charge(cpu, kPointReadUs);
-        (void)co_await engine->Get(
-            txn.get(), MakeKey(static_cast<TableId>(t + 1),
-                               RandomKey(t, rng)));
+        read_failed = failed(
+            (co_await engine->Get(
+                 txn.get(), MakeKey(static_cast<TableId>(t + 1),
+                                    RandomKey(t, rng))))
+                .status());
       }
-      result.committed = (co_await engine->Commit(txn.get())).ok();
       break;
     }
     case CdbTxnType::kRangeScan: {
-      auto txn = engine->Begin(true);
+      txn = engine->Begin(true);
       int t = static_cast<int>(rng->Uniform(6));
       uint64_t start = RandomKey(t, rng);
       size_t n = 16 + rng->Uniform(113);  // up to 128 rows
       (void)co_await Charge(cpu, kScanRowUs * static_cast<double>(n));
-      (void)co_await engine->Scan(
-          txn.get(), MakeKey(static_cast<TableId>(t + 1), start), n);
-      result.committed = (co_await engine->Commit(txn.get())).ok();
+      read_failed = failed(
+          (co_await engine->Scan(
+               txn.get(), MakeKey(static_cast<TableId>(t + 1), start), n))
+              .status());
       break;
     }
     case CdbTxnType::kReadModifyWrite: {
-      auto txn = engine->Begin();
+      txn = engine->Begin();
       int n = 1 + static_cast<int>(rng->Uniform(4));
       int t = static_cast<int>(rng->Uniform(6));
-      for (int i = 0; i < n; i++) {
+      for (int i = 0; i < n && !read_failed; i++) {
         uint64_t key = MakeKey(static_cast<TableId>(t + 1),
                                RandomKey(t, rng));
         (void)co_await Charge(cpu, kPointReadUs + kUpdateRowUs);
-        (void)co_await engine->Get(txn.get(), key);
-        (void)engine->Put(txn.get(), key, MakePayload(t, rng));
+        read_failed =
+            failed((co_await engine->Get(txn.get(), key)).status());
+        if (!read_failed) {
+          (void)engine->Put(txn.get(), key, MakePayload(t, rng));
+        }
       }
       result.is_write = true;
-      result.committed = (co_await engine->Commit(txn.get())).ok();
       break;
     }
     case CdbTxnType::kBulkUpdate: {
-      auto txn = engine->Begin();
+      txn = engine->Begin();
       int t = static_cast<int>(rng->Uniform(6));
       uint64_t start = RandomKey(t, rng);
       int n = 64 + static_cast<int>(rng->Uniform(64));
@@ -132,11 +142,10 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
                           MakePayload(t, rng));
       }
       result.is_write = true;
-      result.committed = (co_await engine->Commit(txn.get())).ok();
       break;
     }
     case CdbTxnType::kInsert: {
-      auto txn = engine->Begin();
+      txn = engine->Begin();
       int t = static_cast<int>(rng->Uniform(6));
       int n = 4 + static_cast<int>(rng->Uniform(8));
       (void)co_await Charge(cpu, kInsertRowUs * static_cast<double>(n));
@@ -148,11 +157,10 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
                           MakePayload(t, rng));
       }
       result.is_write = true;
-      result.committed = (co_await engine->Commit(txn.get())).ok();
       break;
     }
     case CdbTxnType::kUpdateLite: {
-      auto txn = engine->Begin();
+      txn = engine->Begin();
       int t = static_cast<int>(rng->Uniform(6));
       uint64_t key = MakeKey(static_cast<TableId>(t + 1),
                              RandomKey(t, rng));
@@ -163,7 +171,6 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
               : MakePayload(t, rng);
       (void)engine->Put(txn.get(), key, payload);
       result.is_write = true;
-      result.committed = (co_await engine->Commit(txn.get())).ok();
       break;
     }
     case CdbTxnType::kAnalyticScan: {
@@ -171,7 +178,7 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
       // over a contiguous span of 512-2048 rows. With pushdown on the
       // engine ships this to the owning Page Servers (kScanRange);
       // otherwise it runs as a page-based scan.
-      auto txn = engine->Begin(true);
+      txn = engine->Begin(true);
       int t = static_cast<int>(rng->Uniform(6));
       uint64_t rows = TableRows(t);
       uint64_t span = std::min<uint64_t>(rows, 512 + rng->Uniform(1537));
@@ -194,13 +201,19 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
       (void)co_await Charge(cpu,
                             kAnalyticRowUs * static_cast<double>(span) *
                                 0.1);
-      (void)co_await engine->ScanWhere(
-          txn.get(), MakeKey(static_cast<TableId>(t + 1), start),
-          MakeKey(static_cast<TableId>(t + 1), start + span),
-          /*limit=*/0, filter);
-      result.committed = (co_await engine->Commit(txn.get())).ok();
+      read_failed = failed(
+          (co_await engine->ScanWhere(
+               txn.get(), MakeKey(static_cast<TableId>(t + 1), start),
+               MakeKey(static_cast<TableId>(t + 1), start + span),
+               /*limit=*/0, filter))
+              .status());
       break;
     }
+  }
+  if (read_failed) {
+    engine->Abort(txn.get());
+  } else {
+    result.committed = (co_await engine->Commit(txn.get())).ok();
   }
   co_return result;
 }

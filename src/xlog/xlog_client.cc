@@ -26,6 +26,7 @@ XLogClient::XLogClient(sim::Simulator& sim, LandingZone* lz,
   // move pending blocks into the LogBroker.
   lz_->set_on_durable_advance([this](Lsn durable) {
     hardened_.Advance(durable);
+    RecordHardenWaits(durable);
     if (xlog_ != nullptr) sim::Spawn(sim_, NotifyAsync(durable));
   });
 }
@@ -131,6 +132,11 @@ sim::Task<> XLogClient::FlusherLoop() {
         }
       }
     }
+    // Take a write slot before cutting (group commit): while all
+    // max_inflight_writes are busy the buffer keeps growing, and the
+    // block cut when a slot frees carries everything that arrived
+    // meanwhile. With a slot free this does not suspend.
+    co_await inflight_->Acquire();
     // Cut a block: whole record frames only, up to the block size cap
     // (consumers parse block payloads independently, so a frame must
     // never straddle a block boundary).
@@ -180,10 +186,9 @@ sim::Task<> XLogClient::FlusherLoop() {
       sim::Spawn(sim_, DeliverAsync(block, stored));
     }
 
-    // Durability path: pipelined quorum write; bounded in-flight.
-    co_await inflight_->Acquire();
-    sim::Spawn(sim_, WriteBlockTask(std::move(block), std::move(stored),
-                                    sim_.now()));
+    // Durability path: pipelined quorum write on the slot taken above.
+    sim::Spawn(sim_,
+               WriteBlockTask(std::move(block), std::move(stored), now));
   }
   stopped_ = true;
 }
@@ -220,10 +225,25 @@ sim::Task<> XLogClient::WriteBlockTask(
   bytes_written_ += block.payload().size();
   stored_bytes_written_ += data.size();
   if (compressed) compressed_blocks_++;
+  // This write's completion may have advanced the durable end past the
+  // block already; otherwise an earlier block's write is still in flight.
+  if (hardened_.value() >= block.end_lsn()) {
+    hist_harden_wait_us_.Add(0);
+  } else {
+    awaiting_harden_.emplace_back(block.end_lsn(), done);
+  }
   if (xlog_ != nullptr) {
     sim::Spawn(sim_, VisibleWatch(block.end_lsn(), done));
   }
   inflight_->Release();
+}
+
+void XLogClient::RecordHardenWaits(Lsn durable) {
+  std::erase_if(awaiting_harden_, [&](const auto& w) {
+    if (w.first > durable) return false;
+    hist_harden_wait_us_.Add(static_cast<double>(sim_.now() - w.second));
+    return true;
+  });
 }
 
 sim::Task<> XLogClient::VisibleWatch(Lsn end, SimTime hardened_at_us) {

@@ -1,8 +1,10 @@
 // XLogClient: the Primary-side log writer (paper §4.3, upper-left of
 // Figure 3), implementing engine::LogSink.
 //
-// Appends buffer into the current block; a single flusher coroutine cuts
-// blocks (up to 60 KiB) and, for each block, *in parallel*:
+// Appends buffer into the current block; a single flusher coroutine takes
+// one of max_inflight_writes write slots, then cuts a block of everything
+// buffered (up to 60 KiB) — so commits that arrive while every slot is
+// busy ride the next block together — and, for each block, *in parallel*:
 //   * writes it synchronously + durably to the LandingZone (commit path;
 //     quorum write; burns per-I/O CPU on the Primary — the XIO-vs-DD
 //     effect of Table 7), and
@@ -12,16 +14,15 @@
 // all commits in the block — group commit) and a durability notification
 // is sent to XLOG so it can move the block out of the pending area.
 //
-// Block sizing is a policy. kFixed cuts greedily up to the cap (the
-// original behavior; implicit batching only through the in-flight write
-// limit). kAdaptive runs a BtrLog-style controller: the target block size
-// is the EWMA arrival rate times the EWMA quorum-write latency — the
-// bytes that would arrive while one write is in flight — clamped to the
-// cap. A hold is only taken when the EWMA inter-append gap fits well
-// inside the hold budget: a lone committer's next record arrives only
-// after its current commit completes, so at low load the flusher cuts
-// immediately (no added latency); under fan-in it holds the buffer
-// (bounded) to amortize per-I/O cost over bigger blocks.
+// Block sizing is a policy. kFixed cuts greedily up to the cap (batching
+// only through the in-flight write limit). kAdaptive runs a BtrLog-style
+// controller: the target block size is the EWMA arrival rate times the
+// EWMA quorum-write latency — the bytes that would arrive while one write
+// is in flight — clamped to the cap. A hold is only taken when the EWMA
+// inter-append gap fits well inside the hold budget: a lone committer's
+// next record arrives only after its current commit completes, so at low
+// load the flusher cuts immediately (no added latency); under fan-in it
+// holds the buffer (bounded) to amortize per-I/O cost over bigger blocks.
 //
 // Blocks may be compressed, once per block: the same stored bytes go to
 // the LZ and travel the async wire inside a checksummed frame.
@@ -34,6 +35,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/chaos.h"
 #include "common/histogram.h"
@@ -69,8 +72,7 @@ struct XLogClientOptions {
   /// liveness does not depend on delivery).
   chaos::SitePort chaos;
 
-  /// Group-commit block sizing policy. kFixed reproduces the original
-  /// behavior byte-for-byte.
+  /// Group-commit block sizing policy.
   BlockSizing block_sizing = BlockSizing::kFixed;
 
   /// Compress block payloads (LZ storage and the wire frame). Blocks
@@ -126,12 +128,18 @@ class XLogClient : public engine::LogSink {
   uint64_t adaptive_holds() const { return adaptive_holds_; }
   uint64_t wire_bytes_sent() const { return wire_bytes_sent_; }
 
-  // Commit-path phase histograms (all in microseconds except flush size):
-  //   enqueue — first append in a block until the block is cut;
-  //   quorum  — cut until the LZ quorum write completes (hardened);
-  //   visible — hardened until XLOG admits the block for dissemination.
+  // Commit-path phase histograms (all in microseconds except flush size),
+  // one sample per block:
+  //   enqueue     — first append in a block until the block is cut,
+  //                 including the wait for a free write slot;
+  //   quorum      — cut until the block's own LZ quorum write completes;
+  //   harden_wait — that completion until the durable end passes the
+  //                 block (an earlier block's write was still in flight);
+  //   visible     — hardened until XLOG admits the block for dissemination.
+  // enqueue + quorum + harden_wait is the block's first append to hardened.
   const Histogram& enqueue_phase() const { return hist_enqueue_us_; }
   const Histogram& quorum_phase() const { return hist_quorum_us_; }
+  const Histogram& harden_wait_phase() const { return hist_harden_wait_us_; }
   const Histogram& visible_phase() const { return hist_visible_us_; }
   /// Cut-block payload sizes in bytes.
   const Histogram& flush_sizes() const { return hist_flush_bytes_; }
@@ -146,6 +154,10 @@ class XLogClient : public engine::LogSink {
   sim::Task<> DeliverAsync(LogBlock block,
                            std::shared_ptr<const std::string> stored);
   sim::Task<> NotifyAsync(Lsn hardened);
+  // Samples harden_wait for every written block the durable end has now
+  // passed; runs in the LZ's durable-advance callback, so it schedules
+  // nothing.
+  void RecordHardenWaits(Lsn durable);
 
   /// Adaptive target: EWMA arrival bytes/us x EWMA write latency us,
   /// clamped to [0, max_block_bytes].
@@ -171,6 +183,9 @@ class XLogClient : public engine::LogSink {
   sim::Watermark hardened_;
   sim::Event work_available_;
   std::unique_ptr<sim::Semaphore> inflight_;
+  // Written blocks not yet hardened: (end LSN, write completion time).
+  // At most max_inflight_writes entries.
+  std::vector<std::pair<Lsn, SimTime>> awaiting_harden_;
   bool running_ = false;
   bool stopped_ = true;
 
@@ -194,6 +209,7 @@ class XLogClient : public engine::LogSink {
 
   Histogram hist_enqueue_us_;
   Histogram hist_quorum_us_;
+  Histogram hist_harden_wait_us_;
   Histogram hist_visible_us_;
   Histogram hist_flush_bytes_;
 };

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "chaos/chaos.h"
 #include "common/compress.h"
 #include "engine/log_record.h"
@@ -325,6 +329,97 @@ TEST(AdaptiveSizingTest, SameSeedSameBlockBoundaries) {
   EXPECT_EQ(a.holds, b.holds);
   EXPECT_EQ(a.mean_flush, b.mean_flush);
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+}
+
+// ------------------------------------------------------- group commit
+
+// A landing zone whose quorum writes take `write` (DirectDrive's CPU
+// prices, so a null CPU is all the same).
+sim::DeviceProfile LzWithWrites(sim::LatencyModel write) {
+  sim::DeviceProfile p = sim::DeviceProfile::DirectDrive();
+  p.write = write;
+  return p;
+}
+
+TEST(GroupCommitTest, RecordsArrivingWhileEverySlotIsBusyJoinTheWaitingBlock) {
+  XLogClientOptions copts;
+  copts.max_inflight_writes = 1;
+  XLogFixture f(LzWithWrites(sim::LatencyModel::Fixed(5000)), copts);
+  SimTime hardened_at[3] = {0, 0, 0};
+  auto commit = [&](int i, Lsn end) -> Task<> {
+    (void)co_await f.client.WaitHardened(end);
+    hardened_at[i] = f.sim.now();
+  };
+  RunSim(f.sim, [&]() -> Task<> {
+    f.client.Append(CommitRecord(1));
+    Spawn(f.sim, commit(0, f.client.end_lsn()));
+    // The first block's write now holds the only slot.
+    co_await sim::Delay(f.sim, 100);
+    f.client.Append(CommitRecord(2));
+    Spawn(f.sim, commit(1, f.client.end_lsn()));
+    co_await sim::Delay(f.sim, 100);
+    f.client.Append(CommitRecord(3));
+    Spawn(f.sim, commit(2, f.client.end_lsn()));
+    (void)co_await f.client.Flush();
+  });
+  // The pair waited for the slot in one buffer and went out as one block,
+  // cut when the first write finished: both harden with its write.
+  EXPECT_EQ(f.client.blocks_written(), 2u);
+  EXPECT_EQ(f.client.flush_sizes().max(), 2 * f.client.flush_sizes().min());
+  EXPECT_EQ(hardened_at[1], hardened_at[2]);
+  EXPECT_EQ(hardened_at[1] - hardened_at[0], hardened_at[0]);
+  // The second block's slot wait is part of its enqueue phase.
+  EXPECT_EQ(f.client.enqueue_phase().max(),
+            static_cast<double>(hardened_at[0] - 100));
+}
+
+TEST(GroupCommitTest, PhasesSumToFirstAppendToHardenedOverAllBlocks) {
+  // Writes that finish out of order, so blocks wait on earlier ones to
+  // harden, and few slots, so cuts wait for a slot.
+  XLogClientOptions copts;
+  copts.max_inflight_writes = 3;
+  XLogFixture f(LzWithWrites(sim::LatencyModel::Uniform(300, 6000)), copts);
+  std::map<Lsn, SimTime> appended_at;  // record start LSN -> append time
+  std::map<Lsn, SimTime> hardened_at;  // record end LSN -> hardened time
+  auto commit = [&](Lsn end) -> Task<> {
+    (void)co_await f.client.WaitHardened(end);
+    hardened_at[end] = f.sim.now();
+  };
+  std::vector<LogBlock> blocks;
+  RunSim(f.sim, [&]() -> Task<> {
+    for (int i = 0; i < 300; i++) {
+      appended_at[f.client.Append(CommitRecord(i + 1))] = f.sim.now();
+      Spawn(f.sim, commit(f.client.end_lsn()));
+      co_await sim::Delay(f.sim, 20 + 40 * (i % 5));
+    }
+    (void)co_await f.client.Flush();
+    co_await f.xlog.available().WaitFor(f.client.end_lsn());
+    auto pulled = co_await f.xlog.Pull(kLogStreamStart, std::nullopt,
+                                       64 * MiB);
+    EXPECT_TRUE(pulled.ok());
+    if (pulled.ok()) blocks = std::move(*pulled);
+  });
+  ASSERT_EQ(blocks.size(), f.client.blocks_written());
+  ASSERT_GT(blocks.size(), 10u);
+  double first_append_to_hardened = 0;
+  for (const LogBlock& b : blocks) {
+    ASSERT_EQ(appended_at.count(b.start_lsn), 1u);
+    ASSERT_EQ(hardened_at.count(b.end_lsn()), 1u);
+    first_append_to_hardened += static_cast<double>(
+        hardened_at[b.end_lsn()] - appended_at[b.start_lsn]);
+  }
+  const Histogram& enq = f.client.enqueue_phase();
+  const Histogram& quo = f.client.quorum_phase();
+  const Histogram& hw = f.client.harden_wait_phase();
+  EXPECT_EQ(enq.count(), blocks.size());
+  EXPECT_EQ(quo.count(), blocks.size());
+  EXPECT_EQ(hw.count(), blocks.size());
+  EXPECT_GT(enq.max(), 0);  // some cut waited for a slot
+  EXPECT_GT(hw.max(), 0);   // some block waited on an earlier write
+  const double phases = enq.mean() * enq.count() +
+                        quo.mean() * quo.count() + hw.mean() * hw.count();
+  EXPECT_NEAR(phases, first_append_to_hardened,
+              1e-9 * first_append_to_hardened);
 }
 
 // ------------------------------ stream shards & watermark correctness

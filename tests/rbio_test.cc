@@ -216,6 +216,34 @@ TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
   EXPECT_EQ(out.entries[1].status.message(), "no such page");
 }
 
+TEST(RbioCodecTest, DecodedStatusMessageBorrowsTheFrame) {
+  GetPageBatchResponse resp;
+  for (int i = 0; i < 2; i++) {
+    GetPageBatchResponse::Entry missing;
+    missing.status = Status::NotFound("page never checkpointed");
+    resp.entries.push_back(std::move(missing));
+  }
+  auto frame = std::make_shared<const std::string>(resp.Encode());
+  GetPageBatchResponse out;
+  ASSERT_TRUE(GetPageBatchResponse::Decode(frame, &out).ok());
+  ASSERT_EQ(out.entries.size(), 2u);
+  // Each not-found entry's message points into the frame (no copy) and
+  // keeps the frame alive: the codec's reference, the test's and one per
+  // entry.
+  for (const auto& e : out.entries) {
+    EXPECT_TRUE(e.status.IsNotFound());
+    EXPECT_EQ(e.status.message(), "page never checkpointed");
+    EXPECT_GE(e.status.message().data(), frame->data());
+    EXPECT_LE(e.status.message().data() + e.status.message().size(),
+              frame->data() + frame->size());
+  }
+  EXPECT_EQ(frame.use_count(), 3);
+  Status kept = out.entries[0].status;
+  out.entries.clear();
+  frame.reset();
+  EXPECT_EQ(kept.ToString(), "NotFound: page never checkpointed");
+}
+
 TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   ScanRangeRequest req;
   req.start_page = 17;

@@ -238,6 +238,48 @@ TEST(DriverTest, RunsAgainstSocratesDeployment) {
   d.Stop();
 }
 
+TEST(CdbTest, PointLookupFailsWhenNoPageServerServesItsPage) {
+  Simulator s;
+  service::DeploymentOptions o;
+  o.partition_map.pages_per_partition = 4096;
+  o.num_page_servers = 1;
+  o.compute.mem_pages = 16;  // most lookups miss the compute cache
+  o.compute.ssd_pages = 16;
+  service::Deployment d(s, o);
+  CdbOptions copts;
+  copts.scale_factor = 200;  // ~300 pages: far past the cache
+  CdbWorkload loader(copts, CdbMix::Default());
+  CdbMix lookups;
+  lookups.weights[static_cast<int>(CdbTxnType::kPointLookup)] = 1.0;
+  CdbWorkload cdb(copts, lookups);
+  int failed_in_outage = 0, failed_after = 0;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    EXPECT_TRUE((co_await loader.Load(d.primary_engine())).ok());
+    co_await d.page_server(0)->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    Random rng(5);
+    d.chaos().SetOutage("ps-0", true);
+    for (int i = 0; i < 10; i++) {
+      TxnResult r = co_await cdb.RunOne(d.primary_engine(), nullptr, &rng);
+      EXPECT_FALSE(r.is_write);
+      if (!r.committed) failed_in_outage++;
+    }
+    d.chaos().SetOutage("ps-0", false);
+    for (int i = 0; i < 10; i++) {
+      TxnResult r = co_await cdb.RunOne(d.primary_engine(), nullptr, &rng);
+      if (!r.committed) failed_after++;
+    }
+  });
+  // A lookup whose page no Page Server serves fails its transaction; it
+  // does not commit as if the row were read.
+  EXPECT_GT(failed_in_outage, 0);
+  EXPECT_EQ(failed_after, 0);
+  EXPECT_EQ(d.primary_engine()->stats().aborts,
+            static_cast<uint64_t>(failed_in_outage));
+  d.Stop();
+}
+
 TEST(DriverTest, HtapMixPushesAnalyticScansDown) {
   Simulator s;
   service::DeploymentOptions o;
