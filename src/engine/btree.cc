@@ -43,7 +43,7 @@ sim::Task<Status> BTree::Create() {
 sim::Task<Result<PageRef>> BTree::TraverseToLeaf(uint64_t key,
                                                  std::vector<PageId>* path) {
   for (int attempt = 0; attempt < kMaxTraverseRetries; attempt++) {
-    path->clear();
+    if (path != nullptr) path->clear();
     PageId page_id = kRootPageId;
     bool retry = false;
     while (true) {
@@ -59,7 +59,7 @@ sim::Task<Result<PageRef>> BTree::TraverseToLeaf(uint64_t key,
         retry = true;
         break;
       }
-      path->push_back(page_id);
+      if (path != nullptr) path->push_back(page_id);
       if (bp.is_leaf()) co_return std::move(ref).value();
       page_id = bp.ChildAt(bp.FindChildSlot(key));
     }
@@ -96,14 +96,98 @@ sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key) {
       Status::Corruption("btree leaf locate did not converge"));
 }
 
+PageId BTree::ResidentLeafIdFor(uint64_t key) const {
+  PageId page_id = kRootPageId;
+  while (true) {
+    storage::Page* page = pool_->Peek(page_id);
+    if (page == nullptr) return kInvalidPageId;
+    BTreePage bp(page);
+    if (!bp.CoversKey(key) || (!bp.is_leaf() && bp.slot_count() == 0)) {
+      return kInvalidPageId;
+    }
+    if (bp.is_leaf()) return page_id;  // root-is-leaf tree
+    const PageId child = bp.ChildAt(bp.FindChildSlot(key));
+    if (bp.level() == 1) return child;
+    page_id = child;
+  }
+}
+
+sim::Task<Result<PageRef>> BTree::FindLeaf(uint64_t key) {
+  return TraverseToLeaf(key, /*path=*/nullptr);
+}
+
 sim::Task<Result<BTree::PinnedChain>> BTree::Find(uint64_t key) {
-  std::vector<PageId> path;
-  Result<PageRef> leaf = co_await TraverseToLeaf(key, &path);
+  Result<PageRef> leaf = co_await FindLeaf(key);
   if (!leaf.ok()) co_return Result<PinnedChain>(leaf.status());
   BTreePage bp(leaf->page());
   int slot = bp.FindSlot(key);
   if (slot < 0) co_return Result<PinnedChain>(Status::NotFound("no key"));
   co_return PinnedChain{std::move(leaf).value(), bp.LeafValueAt(slot)};
+}
+
+sim::Task<Status> BTree::PinPaths(const std::vector<uint64_t>& keys,
+                                  std::vector<PageRef>* pins) {
+  sim::WaitGroup fetches(sim_);
+  Status first_error;
+  // Key range [lo, hi) of the last leaf pinned; hi == kMaxKey is open.
+  uint64_t lo = 1, hi = 0;
+  for (uint64_t key : keys) {
+    if (!first_error.ok()) break;
+    if (key >= lo && (hi == kMaxKey || key < hi)) continue;
+    PageId page_id = kRootPageId;
+    while (true) {
+      Result<PageRef> ref = co_await pool_->GetPage(page_id);
+      if (!ref.ok()) {
+        if (first_error.ok()) first_error = ref.status();
+        break;
+      }
+      BTreePage bp(ref->page());
+      // A page that does not cover the key (§4.5, on a promoted
+      // Secondary) ends this key's walk; FindLeaf and Write retry it.
+      if (!bp.CoversKey(key) || (!bp.is_leaf() && bp.slot_count() == 0)) {
+        break;
+      }
+      if (bp.is_leaf()) {  // the root is the only leaf
+        lo = bp.low_fence();
+        hi = bp.high_fence();
+        pins->push_back(std::move(ref).value());
+        break;
+      }
+      const int slot = bp.FindChildSlot(key);
+      const PageId child = bp.ChildAt(slot);
+      if (bp.level() == 1) {
+        // The leaf's key range is its parent's separators: the walk need
+        // not wait for the leaf to know which keys it covers.
+        lo = bp.KeyAt(slot);
+        hi = slot + 1 < bp.slot_count() ? bp.KeyAt(slot + 1)
+                                        : bp.high_fence();
+        pins->push_back(std::move(ref).value());
+        if (pool_->InMemory(child)) {
+          Result<PageRef> leaf = co_await pool_->GetPage(child);  // a hit
+          if (leaf.ok()) pins->push_back(std::move(leaf).value());
+        } else {
+          fetches.Add();
+          sim::Spawn(sim_, PinOne(child, pins, &first_error, &fetches));
+        }
+        break;
+      }
+      pins->push_back(std::move(ref).value());
+      page_id = child;
+    }
+  }
+  if (fetches.count() > 0) co_await fetches.Wait();
+  co_return first_error;
+}
+
+sim::Task<> BTree::PinOne(PageId id, std::vector<PageRef>* pins,
+                          Status* first_error, sim::WaitGroup* fetches) {
+  Result<PageRef> ref = co_await pool_->GetPage(id);
+  if (ref.ok()) {
+    pins->push_back(std::move(ref).value());
+  } else if (first_error->ok()) {
+    *first_error = ref.status();
+  }
+  fetches->Done();
 }
 
 sim::Task<Result<size_t>> BTree::Scan(
@@ -112,12 +196,11 @@ sim::Task<Result<size_t>> BTree::Scan(
   size_t visited = 0;
   uint64_t key = start;
   while (visited < count) {
-    std::vector<PageId> path;
-    Result<PageRef> leaf = co_await TraverseToLeaf(key, &path);
+    Result<PageRef> leaf = co_await TraverseToLeaf(key, /*path=*/nullptr);
     if (!leaf.ok()) co_return Result<size_t>(leaf.status());
     BTreePage bp(leaf->page());
     if (scan_readahead_ > 0) {
-      MaybeReadahead(path.back(), bp.right_sibling());
+      MaybeReadahead(leaf->page()->page_id(), bp.right_sibling());
     }
     int slot = bp.LowerBound(key);
     for (; slot < bp.slot_count() && visited < count; slot++) {
@@ -180,7 +263,8 @@ Status BTree::ApplyAndLog(const LogRecord& rec, PageRef* page) {
 
 sim::Task<Status> BTree::Write(TxnId txn, uint64_t key, Timestamp commit_ts,
                                bool tombstone, Slice payload,
-                               Timestamp trim_ts) {
+                               Timestamp trim_ts,
+                               std::vector<PageRef>* pins) {
   std::string chain;  // the chain this write leaves, sized for the fit check
   for (int attempt = 0; attempt < kMaxTraverseRetries; attempt++) {
     std::vector<PageId> path;
@@ -217,7 +301,7 @@ sim::Task<Status> BTree::Write(TxnId txn, uint64_t key, Timestamp commit_ts,
     // Split and retry. Release the leaf pin first; splits repin.
     leaf.value().Release();
     SOCRATES_CO_RETURN_IF_ERROR(
-        co_await SplitPage(txn, path, path.size() - 1, key));
+        co_await SplitPage(txn, path, path.size() - 1, key, pins));
   }
   co_return Status::Corruption("btree write did not converge");
 }
@@ -238,8 +322,10 @@ sim::Task<Status> BTree::Erase(TxnId txn, uint64_t key) {
 
 sim::Task<Status> BTree::SplitPage(TxnId txn,
                                    const std::vector<PageId>& path,
-                                   size_t depth, uint64_t key) {
-  if (depth == 0) co_return co_await SplitRoot(txn, key);
+                                   size_t depth, uint64_t key,
+                                   std::vector<PageRef>* pins) {
+  if (depth == 0) co_return co_await SplitRoot(txn, key, pins);
+  splits_++;
 
   PageId left_id = path[depth];
   Result<PageRef> left = co_await pool_->GetPage(left_id);
@@ -276,15 +362,17 @@ sim::Task<Status> BTree::SplitPage(TxnId txn,
   lrec.right_sibling = right_id;
   lrec.split_count = static_cast<uint16_t>(n);
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(lrec, &left.value()));
+  if (pins != nullptr) pins->push_back(std::move(right).value());
 
   co_return co_await InsertIntoInterior(txn, path, depth - 1, sep,
-                                        right_id);
+                                        right_id, pins);
 }
 
 sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
                                             const std::vector<PageId>& path,
                                             size_t depth, uint64_t sep,
-                                            PageId child) {
+                                            PageId child,
+                                            std::vector<PageRef>* pins) {
   Result<PageRef> node = co_await pool_->GetPage(path[depth]);
   if (!node.ok()) co_return node.status();
   const uint32_t orig_level = BTreePage(node->page()).level();
@@ -300,7 +388,8 @@ sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
   // The interior page is full: split it first. Release the pin; splits
   // repin by page id.
   node.value().Release();
-  SOCRATES_CO_RETURN_IF_ERROR(co_await SplitPage(txn, path, depth, sep));
+  SOCRATES_CO_RETURN_IF_ERROR(
+      co_await SplitPage(txn, path, depth, sep, pins));
   // Relocate the insert target. Two cases:
   //  * ordinary split: path[depth] kept its level; the separator belongs
   //    to it or to its new right sibling (fence check).
@@ -345,7 +434,9 @@ sim::Task<Status> BTree::InsertIntoInterior(TxnId txn,
   co_return Status::Corruption("interior relocation did not converge");
 }
 
-sim::Task<Status> BTree::SplitRoot(TxnId txn, uint64_t key) {
+sim::Task<Status> BTree::SplitRoot(TxnId txn, uint64_t key,
+                                   std::vector<PageRef>* pins) {
+  splits_++;
   Result<PageRef> root = co_await pool_->GetPage(kRootPageId);
   if (!root.ok()) co_return root.status();
   BTreePage rp(root->page());
@@ -397,6 +488,10 @@ sim::Task<Status> BTree::SplitRoot(TxnId txn, uint64_t key) {
   rec.value = root_img.HoleFreeImage();
   SOCRATES_CO_RETURN_IF_ERROR(ApplyAndLog(rec, &root.value()));
 
+  if (pins != nullptr) {
+    pins->push_back(std::move(left).value());
+    pins->push_back(std::move(right).value());
+  }
   co_return Status::OK();
 }
 

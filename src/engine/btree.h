@@ -33,6 +33,7 @@
 #include "engine/log_record.h"
 #include "engine/log_sink.h"
 #include "engine/version.h"
+#include "sim/sync.h"
 
 namespace socrates {
 namespace engine {
@@ -64,6 +65,22 @@ class BTree {
   /// Point lookup: the version chain stored under `key`.
   sim::Task<Result<PinnedChain>> Find(uint64_t key);
 
+  /// The leaf covering `key`, pinned, whether or not it holds the key.
+  sim::Task<Result<PageRef>> FindLeaf(uint64_t key);
+
+  /// Pin every page on the root-to-leaf path of each of `keys`
+  /// (ascending) into `pins`. Leaves not in memory are fetched
+  /// concurrently, so remote misses share GetPage batch frames; a key
+  /// inside the key range of the leaf pinned before it is not walked
+  /// again. Returns the first fetch error once every fetch has finished.
+  /// The pins hold each key's path until splits() moves.
+  sim::Task<Status> PinPaths(const std::vector<uint64_t>& keys,
+                             std::vector<PageRef>* pins);
+
+  /// Page splits made through this tree (the only way a key's path
+  /// changes on the Primary).
+  uint64_t splits() const { return splits_; }
+
   /// Visit up to `count` keys >= `start` in order, each with its encoded
   /// version chain, valid during the call. The visitor returns false to
   /// stop early. Returns the number of keys visited.
@@ -79,13 +96,20 @@ class BTree {
   /// same §4.5 retry discipline as TraverseToLeaf.
   sim::Task<Result<PageId>> LeafIdFor(uint64_t key);
 
+  /// LeafIdFor over the memory tier alone: kInvalidPageId when a page on
+  /// the way is not in memory. Synchronous, and counts no access.
+  PageId ResidentLeafIdFor(uint64_t key) const;
+
   /// Commit one row version under `key` (insert or update), splitting as
   /// needed. The stored chain becomes EncodePushed of the old one (empty
   /// for a new key); the log record carries only the new version and
   /// `trim_ts`. A chain longer than kMaxChainBytes fails. Primary-only,
-  /// under the engine's commit mutex.
+  /// under the engine's commit mutex. Pages its splits create stay pinned
+  /// in `pins` when given, so a caller that pinned the key's path beforehand
+  /// (PinPaths) can write its later keys without a fetch.
   sim::Task<Status> Write(TxnId txn, uint64_t key, Timestamp commit_ts,
-                          bool tombstone, Slice payload, Timestamp trim_ts);
+                          bool tombstone, Slice payload, Timestamp trim_ts,
+                          std::vector<PageRef>* pins = nullptr);
 
   /// Remove `key` entirely (version GC when the whole chain is dead).
   sim::Task<Status> Erase(TxnId txn, uint64_t key);
@@ -114,8 +138,9 @@ class BTree {
   static constexpr SimTime kRetryPauseUs = 200;
 
  private:
-  // Traverse to the leaf covering `key`; fills `path` with page ids from
-  // root to leaf (inclusive) and returns a pinned ref to the leaf.
+  // Traverse to the leaf covering `key`; fills `path` (when non-null)
+  // with page ids from root to leaf (inclusive) and returns a pinned ref
+  // to the leaf.
   sim::Task<Result<PageRef>> TraverseToLeaf(uint64_t key,
                                             std::vector<PageId>* path);
 
@@ -123,18 +148,26 @@ class BTree {
   Status ApplyAndLog(const LogRecord& rec, PageRef* page);
 
   // Split path[depth] to make room for `key` (see SplitSlot); afterwards
-  // the caller must re-traverse.
+  // the caller must re-traverse. New pages go to `pins` when non-null.
   sim::Task<Status> SplitPage(TxnId txn, const std::vector<PageId>& path,
-                              size_t depth, uint64_t key);
+                              size_t depth, uint64_t key,
+                              std::vector<PageRef>* pins);
 
   // Insert (sep, child) into interior page path[depth], splitting upward
   // as needed.
   sim::Task<Status> InsertIntoInterior(TxnId txn,
                                        const std::vector<PageId>& path,
                                        size_t depth, uint64_t sep,
-                                       PageId child);
+                                       PageId child,
+                                       std::vector<PageRef>* pins);
 
-  sim::Task<Status> SplitRoot(TxnId txn, uint64_t key);
+  sim::Task<Status> SplitRoot(TxnId txn, uint64_t key,
+                              std::vector<PageRef>* pins);
+
+  // One concurrent leaf fetch of PinPaths: pins `id` into `pins` or keeps
+  // the first error in `first_error`, then checks in with `fetches`.
+  sim::Task<> PinOne(PageId id, std::vector<PageRef>* pins,
+                     Status* first_error, sim::WaitGroup* fetches);
 
   // Scan readahead: called once per distinct leaf Scan lands on. Ramps
   // the prefetch window while consecutive leaves match the predicted
@@ -151,6 +184,7 @@ class BTree {
   LogSink* sink_;
   PageId next_page_id_ = kRootPageId + 1;
   uint64_t traversal_retries_ = 0;
+  uint64_t splits_ = 0;
 
   // Readahead state persists across Scan calls so stride-driven scans
   // (many small Scan calls walking forward) still ramp. Concurrent

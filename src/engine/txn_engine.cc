@@ -54,6 +54,13 @@ sim::Task<Result<std::string>> Engine::Get(Transaction* txn, uint64_t key) {
   co_return v.payload.ToString();
 }
 
+void Engine::PrefetchLeaves(const std::vector<uint64_t>& keys) {
+  std::vector<PageId> leaves;
+  leaves.reserve(keys.size());
+  for (uint64_t key : keys) leaves.push_back(btree_.ResidentLeafIdFor(key));
+  pool_->Preload(leaves);
+}
+
 Status Engine::Put(Transaction* txn, uint64_t key, Slice value) {
   if (txn->read_only_) {
     return Status::InvalidArgument("read-only transaction");
@@ -630,6 +637,19 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     co_return fail(Status::InvalidArgument("engine has no log sink"));
   }
 
+  // Fetch before taking the mutex: pin every page Phase 1 and Phase 2
+  // read, which is each written key's root-to-leaf path, with the leaves
+  // not in memory fetched at once. The pins hold until the commit record
+  // is appended, so the critical section touches only resident pages.
+  std::vector<uint64_t> keys;
+  keys.reserve(txn->writes_.size());
+  for (const auto& [key, op] : txn->writes_) keys.push_back(key);
+  std::vector<PageRef> pins;
+  const uint64_t pinned_at = btree_.splits();
+  if (Status ps = co_await btree_.PinPaths(keys, &pins); !ps.ok()) {
+    co_return fail(std::move(ps));
+  }
+
   Lsn commit_lsn;
   {
     const SimTime asked_us = sim_.now();
@@ -645,23 +665,38 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     stats_.commit_mutex_wait_us.Add(static_cast<double>(hold.since_us -
                                                         asked_us));
 
+    // Another commit's split during the wait may have moved a key to a
+    // page not pinned yet: pin the paths again before the first write.
+    if (btree_.splits() != pinned_at) {
+      if (Status ps = co_await btree_.PinPaths(keys, &pins); !ps.ok()) {
+        co_return fail(std::move(ps));
+      }
+    }
+
     // Phase 1: validation (first-committer-wins). A key written by a
     // transaction that committed after our snapshot aborts us. Each key's
     // push is planned from the chain read here (a new key's is empty).
+    // Consecutive keys are read from the leaf that covers them.
     std::vector<PushPlan> plans(txn->writes_.size());
     auto plan = plans.begin();
+    PageRef leaf;
     for (const auto& [key, op] : txn->writes_) {
-      Result<BTree::PinnedChain> found = co_await btree_.Find(key);
-      if (found.ok()) {
-        if (!plan->Read(found->chain)) co_return fail(BadChain());
+      if (!leaf.valid() || !BTreePage(leaf.page()).is_leaf() ||
+          !BTreePage(leaf.page()).CoversKey(key)) {
+        Result<PageRef> found = co_await btree_.FindLeaf(key);
+        if (!found.ok()) co_return fail(found.status());
+        leaf = std::move(found).value();
+      }
+      const BTreePage bp(leaf.page());
+      if (const int slot = bp.FindSlot(key); slot >= 0) {
+        const Slice chain = bp.LeafValueAt(slot);
+        if (!plan->Read(chain)) co_return fail(BadChain());
         VersionView newest;
-        if (Newest(found->chain, &newest) == ChainLookup::kFound &&
+        if (Newest(chain, &newest) == ChainLookup::kFound &&
             newest.commit_ts > txn->read_ts()) {
           stats_.conflicts++;
           co_return fail(Status::Aborted("write-write conflict"));
         }
-      } else if (!found.status().IsNotFound()) {
-        co_return fail(found.status());
       }
       ++plan;
     }
@@ -686,7 +721,7 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
       stats_.writes++;
       Status ws = co_await btree_.Write(txn->id_, key, commit_ts,
                                         op.is_delete, Slice(op.value),
-                                        trim_ts);
+                                        trim_ts, &pins);
       if (!ws.ok()) co_return fail(std::move(ws));
     }
 
@@ -703,6 +738,7 @@ sim::Task<Status> Engine::Commit(Transaction* txn) {
     // version any current snapshot can see.
     last_committed_lsn_ = commit_lsn;
   }
+  pins.clear();
 
   txn->finished_ = true;
   Deactivate(&active_read_ts_, txn);

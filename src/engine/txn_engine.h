@@ -8,6 +8,8 @@
 //    commit mutex: first-committer-wins validation (a newer committed
 //    version than read_ts aborts the transaction), then the new versions
 //    are pushed onto the chains, then the commit record is appended.
+//    The pages those steps read are fetched and pinned before the mutex
+//    is taken, so its holder never waits for a fetch.
 //  * Commit acks only after the log sink hardens the commit LSN — but the
 //    mutex is released before that wait, so commits pipeline into group
 //    commits exactly as in the real system.
@@ -93,8 +95,9 @@ struct EngineStats {
   /// Commit critical section, one sample per commit that takes the
   /// commit mutex (every commit with writes, bulk loads included), in
   /// simulated µs: the wait to acquire it, and how long it is held
-  /// (validation and apply, with the page fetches they make, and the
-  /// commit-record append).
+  /// (validation, apply and the commit-record append, on pages pinned
+  /// beforehand; a holder fetches only after another commit's split
+  /// moved one of its keys).
   Histogram commit_mutex_wait_us;
   Histogram commit_mutex_hold_us;
 };
@@ -149,6 +152,13 @@ class Engine {
 
   /// Snapshot read. NotFound if the key is invisible at the snapshot.
   sim::Task<Result<std::string>> Get(Transaction* txn, uint64_t key);
+
+  /// Start fetching, all at once, the leaves of `keys` that are not
+  /// cached (BufferPool::Preload), so Gets of those keys that follow
+  /// overlap their fetches and misses to one Page Server share a GetPage
+  /// batch frame. Leaves are located through the interior pages in
+  /// memory; a key whose walk leaves memory is left to its Get.
+  void PrefetchLeaves(const std::vector<uint64_t>& keys);
 
   /// Buffer an upsert / delete in the write set (no I/O).
   Status Put(Transaction* txn, uint64_t key, Slice value);

@@ -27,6 +27,13 @@ struct ScopedInflight {
   uint64_t* counter;
   uint64_t* host;
 };
+
+// Out of line on purpose: GCC 12 with -fsanitize=thread flags an error
+// Result<Page> built inline in XStoreFetcher::FetchPage as
+// maybe-uninitialized.
+[[gnu::noinline]] Result<storage::Page> PageError(Status s) {
+  return Result<storage::Page>(std::move(s));
+}
 }  // namespace
 
 // Fan-out state shared by one checkpoint round's batch writers.
@@ -58,18 +65,18 @@ class PageServer::XStoreFetcher : public engine::PageFetcher {
     // Scan readahead overshooting the end of a table hits this on every
     // window, and a batch frame serializes those misses server-side.
     if (!ps_->xstore_->Exists(ps_->data_blob_)) {
-      co_return Result<storage::Page>(kNoBlobYet);
+      co_return PageError(kNoBlobYet);
     }
     if (offset + kPageSize > ps_->xstore_->BlobSize(ps_->data_blob_)) {
-      co_return Result<storage::Page>(kNeverCheckpointed);
+      co_return PageError(kNeverCheckpointed);
     }
     std::string image;
     Status s = co_await ps_->xstore_->Read(ps_->data_blob_, offset,
                                            kPageSize, &image);
     if (s.IsNotFound()) {
-      co_return Result<storage::Page>(kNoBlobYet);
+      co_return PageError(kNoBlobYet);
     }
-    if (!s.ok()) co_return Result<storage::Page>(s);
+    if (!s.ok()) co_return PageError(s);
     bool all_zero = true;
     for (char c : image) {
       if (c != '\0') {
@@ -78,14 +85,14 @@ class PageServer::XStoreFetcher : public engine::PageFetcher {
       }
     }
     if (all_zero) {
-      co_return Result<storage::Page>(kNeverCheckpointed);
+      co_return PageError(kNeverCheckpointed);
     }
     storage::Page page = storage::Page::Uninitialized();
     if (Status ps = page.FromSlice(Slice(image)); !ps.ok()) {
-      co_return Result<storage::Page>(ps);
+      co_return PageError(ps);
     }
     if (Status cs = page.VerifyChecksum(); !cs.ok()) {
-      co_return Result<storage::Page>(cs);
+      co_return PageError(cs);
     }
     co_return std::move(page);
   }

@@ -88,14 +88,17 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
     case CdbTxnType::kPointLookup: {
       txn = engine->Begin(true);
       int n = 1 + static_cast<int>(rng->Uniform(10));
-      for (int i = 0; i < n && !read_failed; i++) {
+      std::vector<uint64_t> keys(n);
+      for (uint64_t& key : keys) {
         int t = static_cast<int>(rng->Uniform(6));
+        key = MakeKey(static_cast<TableId>(t + 1), RandomKey(t, rng));
+      }
+      // Fetch every leaf at once, then read the keys in order.
+      engine->PrefetchLeaves(keys);
+      for (int i = 0; i < n && !read_failed; i++) {
         (void)co_await Charge(cpu, kPointReadUs);
-        read_failed = failed(
-            (co_await engine->Get(
-                 txn.get(), MakeKey(static_cast<TableId>(t + 1),
-                                    RandomKey(t, rng))))
-                .status());
+        read_failed =
+            failed((co_await engine->Get(txn.get(), keys[i])).status());
       }
       break;
     }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -1405,6 +1407,155 @@ TEST(EngineTest, FailedCommitLeavesNoOrphanVersions) {
     EXPECT_TRUE((co_await f.engine->Commit(retry.get())).ok());
   });
   EXPECT_EQ(f.engine->stats().aborts, 1u);
+}
+
+// A Page Server for an engine whose pool is smaller than its tree: a
+// fetch takes one round trip, applies the engine's log through its end to
+// a replica pool and serves the page from there. Fetches past `budget_`
+// fail, as in a Page-Server outage.
+class RedoFetcher : public PageFetcher {
+ public:
+  RedoFetcher(Simulator& sim, const MemLogSink* log)
+      : sim_(sim),
+        log_(log),
+        pool_(sim, BufferPoolOptions{1 << 18, 0, true}, nullptr),
+        applier_(sim, &pool_, RedoApplier::MissPolicy::kMaterialize) {}
+
+  Task<Result<storage::Page>> FetchPage(PageId page_id) override {
+    co_await sim::Delay(sim_, 300);
+    if (++fetches_ > budget_) {
+      co_return Result<storage::Page>(Status::Unavailable("outage"));
+    }
+    const std::string& log = log_->stream();
+    const size_t from = applied_ - kLogStreamStart;
+    Result<Lsn> applied = co_await applier_.ApplyStream(
+        Slice(log.data() + from, log.size() - from), applied_);
+    if (!applied.ok()) co_return Result<storage::Page>(applied.status());
+    applied_ = std::max(applied_, *applied);
+    Result<PageRef> ref = co_await pool_.GetPage(page_id);
+    if (!ref.ok()) co_return Result<storage::Page>(ref.status());
+    co_return *ref->page();
+  }
+
+  int fetches_ = 0;
+  int budget_ = std::numeric_limits<int>::max();
+
+ private:
+  Simulator& sim_;
+  const MemLogSink* log_;
+  BufferPool pool_;
+  RedoApplier applier_;
+  Lsn applied_ = kLogStreamStart;
+};
+
+// An engine over a 16-frame pool (no SSD tier) holding 2000 rows of 200
+// bytes, about 35 to a leaf: the rows below 1000 are not cached.
+struct ColdEngineFixture {
+  static constexpr uint64_t kRows = 2000;
+  Simulator sim;
+  MemLogSink sink{sim};
+  RedoFetcher fetcher{sim, &sink};
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<Engine> engine;
+
+  ColdEngineFixture() {
+    BufferPoolOptions opts;
+    opts.mem_pages = 16;
+    pool = std::make_unique<BufferPool>(sim, opts, &fetcher);
+    engine = std::make_unique<Engine>(sim, pool.get(), &sink);
+    RunSim(sim, [this]() -> Task<> {
+      EXPECT_TRUE((co_await engine->Bootstrap()).ok());
+      for (uint64_t row = 0; row < kRows; row += 100) {
+        auto load = engine->Begin();
+        for (uint64_t i = row; i < row + 100; i++) {
+          (void)engine->Put(load.get(), i, std::string(200, 'o'));
+        }
+        EXPECT_TRUE((co_await engine->Commit(load.get())).ok());
+      }
+    });
+  }
+
+  // Leaf ids of `keys`, each checked to be out of the pool.
+  Task<std::set<PageId>> ColdLeaves(const std::vector<uint64_t>& keys) {
+    std::set<PageId> leaves;
+    for (uint64_t key : keys) {
+      Result<PageId> leaf = co_await engine->btree()->LeafIdFor(key);
+      EXPECT_TRUE(leaf.ok());
+      if (!leaf.ok()) continue;
+      EXPECT_FALSE(pool->Contains(*leaf)) << key;
+      leaves.insert(*leaf);
+    }
+    co_return leaves;
+  }
+};
+
+TEST(EngineTest, CommitFetchesItsLeavesBeforeTheMutex) {
+  // Two commits whose leaves are not cached: both fetch before they take
+  // the commit mutex, so neither holds it across a round trip and the
+  // second does not wait for the first one's fetches.
+  ColdEngineFixture f;
+  const std::vector<uint64_t> a = {0, 50}, b = {500, 550};
+  RunSim(f.sim, [&]() -> Task<> {
+    std::vector<uint64_t> all = a;
+    all.insert(all.end(), b.begin(), b.end());
+    EXPECT_EQ((co_await f.ColdLeaves(all)).size(), 4u);
+  });
+  const uint64_t samples = f.engine->stats().commit_mutex_hold_us.count();
+  Status sa, sb;
+  auto commit = [](Engine* e, std::vector<uint64_t> keys,
+                   Status* out) -> Task<> {
+    auto txn = e->Begin();
+    for (uint64_t key : keys) (void)e->Put(txn.get(), key, "new");
+    *out = co_await e->Commit(txn.get());
+  };
+  Spawn(f.sim, commit(f.engine.get(), a, &sa));
+  Spawn(f.sim, commit(f.engine.get(), b, &sb));
+  f.sim.Run();
+  EXPECT_TRUE(sa.ok()) << sa.ToString();
+  EXPECT_TRUE(sb.ok()) << sb.ToString();
+  const EngineStats& st = f.engine->stats();
+  EXPECT_EQ(st.commit_mutex_hold_us.count(), samples + 2);
+  EXPECT_EQ(st.commit_mutex_hold_us.max(), 0);
+  EXPECT_EQ(st.commit_mutex_wait_us.max(), 0);
+}
+
+TEST(EngineTest, FetchErrorAfterTheFirstWriteLeavesNoOrphanVersions) {
+  // A commit spanning 20 leaves, more than the 16-frame pool holds, and
+  // a Page-Server outage that starts one fetch after its leaves have been
+  // read. Wherever the commit stops, a later snapshot sees either all of
+  // its versions (it committed) or none of them: no version that no
+  // commit record covers.
+  ColdEngineFixture f;
+  std::vector<uint64_t> keys;
+  for (uint64_t row = 0; row < 1000; row += 50) keys.push_back(row);
+  Status s;
+  RunSim(f.sim, [&]() -> Task<> {
+    const std::set<PageId> leaves = co_await f.ColdLeaves(keys);
+    EXPECT_EQ(leaves.size(), keys.size());
+    f.fetcher.budget_ =
+        f.fetcher.fetches_ + static_cast<int>(leaves.size()) + 1;
+    auto txn = f.engine->Begin();
+    for (uint64_t key : keys) {
+      (void)f.engine->Put(txn.get(), key, "new-" + std::to_string(key));
+    }
+    s = co_await f.engine->Commit(txn.get());
+    f.fetcher.budget_ = std::numeric_limits<int>::max();
+    // The next commit moves last_committed_ts past the one above.
+    auto other = f.engine->Begin();
+    (void)f.engine->Put(other.get(), ColdEngineFixture::kRows - 1, "other");
+    EXPECT_TRUE((co_await f.engine->Commit(other.get())).ok());
+    auto fresh = f.engine->Begin(true);
+    for (uint64_t key : keys) {
+      Result<std::string> v = co_await f.engine->Get(fresh.get(), key);
+      EXPECT_TRUE(v.ok()) << key;
+      if (v.ok()) {
+        EXPECT_EQ(*v == "new-" + std::to_string(key), s.ok())
+            << key << " reads " << v->substr(0, 8) << " after "
+            << s.ToString();
+      }
+    }
+    (void)co_await f.engine->Commit(fresh.get());
+  });
 }
 
 TEST(EngineTest, DeleteBecomesTombstone) {

@@ -199,7 +199,7 @@ uint64_t RunFailoverTrace(uint64_t seed) {
 // Pinned values; see the header comment before changing them.
 constexpr uint64_t kWorkloadTrace7 = 0x69304480f1e25b3aull;
 constexpr uint64_t kChaosTrace3 = 0x0f8873da2e645e74ull;
-constexpr uint64_t kFailoverTrace5 = 0xf127592194356685ull;
+constexpr uint64_t kFailoverTrace5 = 0x1b931fb6aa809a43ull;
 
 TEST(GoldenTrace, WorkloadTraceIdenticalAcrossRuns) {
   const uint64_t h1 = RunWorkloadTrace(7);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "service/deployment.h"
 #include "workload/cdb.h"
 #include "workload/tpce_like.h"
@@ -278,6 +280,129 @@ TEST(CdbTest, PointLookupFailsWhenNoPageServerServesItsPage) {
   EXPECT_EQ(d.primary_engine()->stats().aborts,
             static_cast<uint64_t>(failed_in_outage));
   d.Stop();
+}
+
+// A loaded CDB database (scale 200, ~330 leaves) on two Page Servers
+// behind a 16-page compute cache: almost every leaf is remote.
+struct ColdCdb {
+  static CdbOptions Options() {
+    CdbOptions copts;
+    copts.scale_factor = 200;
+    return copts;
+  }
+  static CdbMix PointLookups() {
+    CdbMix mix;
+    mix.weights[static_cast<int>(CdbTxnType::kPointLookup)] = 1.0;
+    return mix;
+  }
+  static service::DeploymentOptions Deploy() {
+    service::DeploymentOptions o;
+    o.partition_map.pages_per_partition = 256;
+    o.num_page_servers = 2;
+    o.compute.mem_pages = 16;
+    o.compute.ssd_pages = 16;
+    return o;
+  }
+
+  Simulator s;
+  service::Deployment d{s, Deploy()};
+  CdbWorkload cdb{Options(), PointLookups()};
+
+  ColdCdb() {
+    RunSim(s, [this]() -> Task<> {
+      EXPECT_TRUE((co_await d.Start()).ok());
+      EXPECT_TRUE((co_await cdb.Load(d.primary_engine())).ok());
+      for (int i = 0; i < d.num_page_servers(); i++) {
+        co_await d.page_server(i)->applied_lsn().WaitFor(
+            d.log_client().end_lsn());
+      }
+    });
+  }
+  ~ColdCdb() { d.Stop(); }
+
+  Engine* engine() { return d.primary_engine(); }
+  uint64_t frames() { return d.primary()->rbio_client().batches_sent(); }
+
+  // The keys RunOne's point lookup reads for `seed`, in its draw order.
+  std::vector<uint64_t> LookupKeys(uint64_t seed) const {
+    Random rng(seed);
+    (void)rng.NextDouble();  // the transaction type
+    std::vector<uint64_t> keys(1 + rng.Uniform(10));
+    for (uint64_t& key : keys) {
+      const int t = static_cast<int>(rng.Uniform(6));
+      key = engine::MakeKey(static_cast<TableId>(t + 1),
+                            rng.Uniform(cdb.TableRows(t)));
+    }
+    return keys;
+  }
+
+  // Snapshot reads of `keys`, one after another.
+  Task<std::vector<std::string>> Read(const std::vector<uint64_t>& keys,
+                                      bool prefetch) {
+    auto txn = engine()->Begin(true);
+    if (prefetch) engine()->PrefetchLeaves(keys);
+    std::vector<std::string> values;
+    for (uint64_t key : keys) {
+      Result<std::string> v = co_await engine()->Get(txn.get(), key);
+      EXPECT_TRUE(v.ok()) << v.status().ToString();
+      values.push_back(v.ok() ? *v : v.status().ToString());
+    }
+    (void)co_await engine()->Commit(txn.get());
+    co_return values;
+  }
+};
+
+TEST(CdbTest, PointLookupFetchesItsLeavesInOneFramePerPageServer) {
+  ColdCdb db;
+  // A lookup of at least six keys, each on its own leaf outside the
+  // compute cache.
+  uint64_t seed = 0;
+  std::vector<uint64_t> keys;
+  RunSim(db.s, [&]() -> Task<> {
+    for (uint64_t sd = 1; sd < 500 && seed == 0; sd++) {
+      std::vector<uint64_t> k = db.LookupKeys(sd);
+      if (k.size() < 6) continue;
+      std::set<PageId> leaves;
+      for (uint64_t key : k) {
+        Result<PageId> leaf = co_await db.engine()->btree()->LeafIdFor(key);
+        if (leaf.ok() && !db.engine()->pool()->Contains(*leaf)) {
+          leaves.insert(*leaf);
+        }
+      }
+      if (leaves.size() == k.size()) {
+        seed = sd;
+        keys = std::move(k);
+      }
+    }
+  });
+  ASSERT_NE(seed, 0u);
+  const uint64_t frames = db.frames();
+  const uint64_t leaf_misses = db.engine()->pool()->stats().leaf_misses;
+  RunSim(db.s, [&]() -> Task<> {
+    Random rng(seed);
+    TxnResult r = co_await db.cdb.RunOne(db.engine(), nullptr, &rng);
+    EXPECT_TRUE(r.committed);
+  });
+  // One GetPage frame per Page Server, not one per key; each leaf is
+  // still counted as the miss it was.
+  EXPECT_LE(db.frames() - frames,
+            static_cast<uint64_t>(db.d.num_page_servers()));
+  EXPECT_EQ(db.engine()->pool()->stats().leaf_misses - leaf_misses,
+            keys.size());
+
+  // The batch reads what sequential Gets read, on a twin database.
+  ColdCdb twin;
+  std::vector<std::string> batched, sequential;
+  const uint64_t twin_frames = twin.frames();
+  RunSim(twin.s, [&]() -> Task<> {
+    batched = co_await twin.Read(keys, /*prefetch=*/true);
+  });
+  EXPECT_LE(twin.frames() - twin_frames,
+            static_cast<uint64_t>(twin.d.num_page_servers()));
+  RunSim(db.s, [&]() -> Task<> {
+    sequential = co_await db.Read(keys, /*prefetch=*/false);
+  });
+  EXPECT_EQ(batched, sequential);
 }
 
 TEST(DriverTest, HtapMixPushesAnalyticScansDown) {
