@@ -9,9 +9,9 @@
 // XIO's min is above 2 ms; max dominated by rare stragglers in both.
 //
 // Extended sweep: commit latency across load levels (client fan-in) and
-// log-block sizing policies — fixed cut vs the BtrLog-style adaptive
-// controller vs adaptive + wire/LZ compression — on the XIO profile,
-// where per-I/O and per-byte costs make the policy differences visible.
+// log-block policies — raw blocks vs the same cut with wire/LZ
+// compression — on the XIO profile, where per-I/O and per-byte costs
+// make the policy differences visible.
 // Each (policy, load) cell reports transaction p50/p99 plus the
 // commit-path phase split (enqueue / quorum / visible) and LZ flush-size
 // and occupancy counters.
@@ -46,14 +46,12 @@ Histogram MeasureCommitLatency(sim::DeviceProfile lz_profile) {
 
 struct Policy {
   const char* name;
-  xlog::BlockSizing sizing;
   bool zip;
 };
 
 constexpr Policy kPolicies[] = {
-    {"fixed", xlog::BlockSizing::kFixed, false},
-    {"adaptive", xlog::BlockSizing::kAdaptive, false},
-    {"adaptive_zip", xlog::BlockSizing::kAdaptive, true},
+    {"fixed", false},
+    {"zip", true},
 };
 
 struct SweepCell {
@@ -63,7 +61,7 @@ struct SweepCell {
   double hw_p50 = 0, hw_p99 = 0;
   double vis_p50 = 0, vis_p99 = 0;
   double flush_mean = 0;
-  uint64_t blocks = 0, holds = 0, zipped = 0;
+  uint64_t blocks = 0, zipped = 0;
   uint64_t logical_bytes = 0, stored_bytes = 0;
   uint64_t lz_peak = 0;
 };
@@ -77,7 +75,6 @@ SweepCell MeasureSweepCell(const Policy& pol, int clients) {
     c->lite_payload_bytes = 2048;
   };
   soc.tweak_dopts = [&](service::DeploymentOptions* d) {
-    d->xlog_client.block_sizing = pol.sizing;
     d->xlog_client.compress_blocks = pol.zip;
   };
   // A larger scale factor keeps write-write conflicts rare at 256
@@ -101,7 +98,6 @@ SweepCell MeasureSweepCell(const Policy& pol, int clients) {
   c.vis_p99 = lc.visible_phase().Percentile(99);
   c.flush_mean = lc.flush_sizes().mean();
   c.blocks = lc.blocks_written();
-  c.holds = lc.adaptive_holds();
   c.zipped = lc.compressed_blocks();
   c.logical_bytes = lz.logical_bytes_written();
   c.stored_bytes = lz.stored_bytes_written();
@@ -139,11 +135,10 @@ int main(int argc, char** argv) {
             "\"max_us\":%.0f}",
             dd.stddev(), dd.min(), dd.Median(), dd.max());
 
-  printf("\n--- Block-sizing policy sweep (XIO landing zone) ---\n");
-  printf("%-13s %8s %10s %10s | %9s %9s %9s %9s | %9s %7s %6s %6s\n",
+  printf("\n--- Raw vs compressed blocks (XIO landing zone) ---\n");
+  printf("%-13s %8s %10s %10s | %9s %9s %9s %9s | %9s %7s %6s\n",
          "policy", "clients", "p50 (us)", "p99 (us)", "enq p50",
-         "quo p50", "hw p50", "vis p50", "blk mean", "blocks", "holds",
-         "zip%");
+         "quo p50", "hw p50", "vis p50", "blk mean", "blocks", "zip%");
   for (int clients : {1, 32, 256}) {
     for (const Policy& pol : kPolicies) {
       SweepCell c = MeasureSweepCell(pol, clients);
@@ -154,10 +149,10 @@ int main(int argc, char** argv) {
               ? static_cast<double>(c.logical_bytes) / c.stored_bytes
               : 1.0;
       printf("%-13s %8d %10.0f %10.0f | %9.0f %9.0f %9.0f %9.0f | %9.0f "
-             "%7llu %6llu %5.0f%%\n",
+             "%7llu %5.0f%%\n",
              pol.name, clients, c.p50, c.p99, c.enq_p50, c.quo_p50,
              c.hw_p50, c.vis_p50, c.flush_mean, (unsigned long long)c.blocks,
-             (unsigned long long)c.holds, zip_pct);
+             zip_pct);
       json.Line(
           "{\"bench\":\"table6_lz_latency\",\"sweep\":\"policy\","
           "\"policy\":\"%s\",\"clients\":%d,\"p50_us\":%.0f,"
@@ -166,14 +161,12 @@ int main(int argc, char** argv) {
           "\"quorum_p99_us\":%.0f,\"harden_wait_p50_us\":%.0f,"
           "\"harden_wait_p99_us\":%.0f,\"visible_p50_us\":%.0f,"
           "\"visible_p99_us\":%.0f,\"flush_mean_bytes\":%.0f,"
-          "\"blocks\":%llu,\"adaptive_holds\":%llu,"
-          "\"compressed_blocks\":%llu,\"compression_ratio\":%.2f,"
-          "\"lz_peak_stored_bytes\":%llu}",
+          "\"blocks\":%llu,\"compressed_blocks\":%llu,"
+          "\"compression_ratio\":%.2f,\"lz_peak_stored_bytes\":%llu}",
           pol.name, clients, c.p50, c.p99, c.enq_p50, c.enq_p99,
           c.quo_p50, c.quo_p99, c.hw_p50, c.hw_p99, c.vis_p50, c.vis_p99,
           c.flush_mean,
-          (unsigned long long)c.blocks, (unsigned long long)c.holds,
-          (unsigned long long)c.zipped, ratio,
+          (unsigned long long)c.blocks, (unsigned long long)c.zipped, ratio,
           (unsigned long long)c.lz_peak);
     }
   }

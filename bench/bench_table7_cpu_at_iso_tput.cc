@@ -26,12 +26,9 @@ struct IsoResult {
   double stored_ratio = 1.0;  // logical / stored log bytes
 };
 
-IsoResult Measure(sim::DeviceProfile lz, int clients,
-                  xlog::BlockSizing sizing = xlog::BlockSizing::kFixed,
-                  bool zip = false) {
+IsoResult Measure(sim::DeviceProfile lz, int clients, bool zip = false) {
   SocratesBed soc;
   soc.tweak_dopts = [&](service::DeploymentOptions* d) {
-    d->xlog_client.block_sizing = sizing;
     d->xlog_client.compress_blocks = zip;
   };
   // Small updates of ~2 KiB rows: enough log volume per transaction that
@@ -101,25 +98,22 @@ int main(int argc, char** argv) {
             dd.threads, dd.log_mb_s, dd.cpu_pct);
 
   // Policy sweep at fixed load on XIO: the REST path charges CPU per
-  // stored byte, so bigger adaptive blocks (fewer I/Os) and compression
-  // (fewer bytes) should both cut Primary CPU at the same offered load.
+  // stored byte, so compression (fewer bytes per block) should cut
+  // Primary CPU per logged MB at the same offered load.
   struct PolicyRow {
     const char* name;
-    xlog::BlockSizing sizing;
     bool zip;
   };
   constexpr PolicyRow kRows[] = {
-      {"fixed", xlog::BlockSizing::kFixed, false},
-      {"adaptive", xlog::BlockSizing::kAdaptive, false},
-      {"adaptive_zip", xlog::BlockSizing::kAdaptive, true},
+      {"fixed", false},
+      {"zip", true},
   };
   printf("\n--- Policy sweep on XIO ---\n");
   printf("%-13s %8s %12s %8s %10s %10s %8s\n", "policy", "threads",
          "Log MB/s", "CPU %", "p50 (us)", "p99 (us)", "zip x");
   for (int threads : {16, 96}) {
     for (const PolicyRow& row : kRows) {
-      IsoResult r =
-          Measure(sim::DeviceProfile::Xio(), threads, row.sizing, row.zip);
+      IsoResult r = Measure(sim::DeviceProfile::Xio(), threads, row.zip);
       printf("%-13s %8d %12.2f %8.1f %10.0f %10.0f %7.2fx\n", row.name,
              threads, r.log_mb_s, r.cpu_pct, r.p50_us, r.p99_us,
              r.stored_ratio);

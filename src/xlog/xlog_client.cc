@@ -1,7 +1,5 @@
 #include "xlog/xlog_client.h"
 
-#include <algorithm>
-
 namespace socrates {
 namespace xlog {
 
@@ -33,7 +31,6 @@ XLogClient::XLogClient(sim::Simulator& sim, LandingZone* lz,
 
 void XLogClient::Start() {
   running_ = true;
-  stopped_ = false;
   sim::Spawn(sim_, FlusherLoop());
 }
 
@@ -45,20 +42,7 @@ void XLogClient::Stop() {
 Lsn XLogClient::Append(const engine::LogRecord& rec) {
   std::string payload = rec.Encode();
   Lsn lsn = end_lsn_;
-  SimTime now = sim_.now();
-  if (buffer_.empty()) {
-    buffer_first_append_us_ = now;
-    // Gap between buffer refills, not between raw appends: a multi-record
-    // transaction appends in a burst, and counting intra-burst gaps would
-    // make a lone committer look like a steady arrival stream.
-    if (have_last_append_) {
-      double gap = static_cast<double>(now - last_append_us_);
-      ewma_gap_us_ = kAdaptiveEwmaAlpha * gap +
-                     (1 - kAdaptiveEwmaAlpha) * ewma_gap_us_;
-    }
-    have_last_append_ = true;
-    last_append_us_ = now;
-  }
+  if (buffer_.empty()) buffer_first_append_us_ = sim_.now();
   engine::FrameRecord(&buffer_, Slice(payload));
   end_lsn_ = lsn + engine::FramedSize(payload.size());
   if (rec.HasPage()) {
@@ -80,16 +64,6 @@ sim::Task<Status> XLogClient::Flush() {
   co_return Status::OK();
 }
 
-uint64_t XLogClient::TargetBlockBytes() const {
-  // The bytes that arrive during one quorum write: batching to this size
-  // keeps the device pipeline busy without queueing. At low load the
-  // product collapses below one record and the flusher cuts immediately.
-  double target = ewma_arrival_bpu_ * ewma_write_lat_us_;
-  if (target < 0) target = 0;
-  return std::min<uint64_t>(opts_.max_block_bytes,
-                            static_cast<uint64_t>(target));
-}
-
 sim::Task<> XLogClient::FlusherLoop() {
   while (true) {
     if (buffer_.empty()) {
@@ -98,39 +72,6 @@ sim::Task<> XLogClient::FlusherLoop() {
       co_await work_available_.Wait();
       if (!running_ && buffer_.empty()) break;
       continue;
-    }
-    // Adaptive sizing: hold the cut (bounded) while the buffer is below
-    // the controller's target, letting concurrent appends coalesce.
-    if (opts_.block_sizing == BlockSizing::kAdaptive && running_) {
-      uint64_t target = TargetBlockBytes();
-      // Hold only when the next append is expected well inside the hold
-      // budget. A lone committer's next record arrives only after *this*
-      // commit completes, so holding for it can never fill the block —
-      // it would just burn the cap and inflate the latency EWMA into a
-      // feedback loop.
-      bool arrivals_expected =
-          ewma_gap_us_ > 0 &&
-          ewma_gap_us_ * 2 <= static_cast<double>(kAdaptiveHoldCapUs);
-      if (buffer_.size() < target && arrivals_expected) {
-        adaptive_holds_++;
-        SimTime deadline = sim_.now() + kAdaptiveHoldCapUs;
-        SimTime last_growth_us = sim_.now();
-        uint64_t last_size = buffer_.size();
-        double stall_budget =
-            std::max(ewma_gap_us_ * 2,
-                     static_cast<double>(kAdaptiveHoldQuantumUs));
-        while (running_ && buffer_.size() < target &&
-               sim_.now() < deadline) {
-          co_await sim::Delay(sim_, kAdaptiveHoldQuantumUs);
-          if (buffer_.size() > last_size) {
-            last_size = buffer_.size();
-            last_growth_us = sim_.now();
-          } else if (static_cast<double>(sim_.now() - last_growth_us) >
-                     stall_budget) {
-            break;  // arrivals ceased mid-hold: cut what we have
-          }
-        }
-      }
     }
     // Take a write slot before cutting (group commit): while all
     // max_inflight_writes are busy the buffer keeps growing, and the
@@ -153,15 +94,6 @@ sim::Task<> XLogClient::FlusherLoop() {
     hist_enqueue_us_.Add(static_cast<double>(now - buffer_first_append_us_));
     if (!buffer_.empty()) buffer_first_append_us_ = now;
     hist_flush_bytes_.Add(static_cast<double>(take));
-    // Arrival-rate EWMA, measured block-to-block on the sim clock.
-    if (have_last_cut_ && now > last_cut_us_) {
-      double rate = static_cast<double>(take) /
-                    static_cast<double>(now - last_cut_us_);
-      ewma_arrival_bpu_ = kAdaptiveEwmaAlpha * rate +
-                          (1 - kAdaptiveEwmaAlpha) * ewma_arrival_bpu_;
-    }
-    have_last_cut_ = true;
-    last_cut_us_ = now;
 
     // Compress once when enabled: the same stored bytes go to the LZ and
     // onto the XLOG wire. Null means the block stays raw.
@@ -190,7 +122,6 @@ sim::Task<> XLogClient::FlusherLoop() {
     sim::Spawn(sim_,
                WriteBlockTask(std::move(block), std::move(stored), now));
   }
-  stopped_ = true;
 }
 
 sim::Task<> XLogClient::WriteBlockTask(
@@ -218,9 +149,6 @@ sim::Task<> XLogClient::WriteBlockTask(
   }
   SimTime done = sim_.now();
   hist_quorum_us_.Add(static_cast<double>(done - cut_at_us));
-  ewma_write_lat_us_ =
-      kAdaptiveEwmaAlpha * static_cast<double>(done - cut_at_us) +
-      (1 - kAdaptiveEwmaAlpha) * ewma_write_lat_us_;
   blocks_written_++;
   bytes_written_ += block.payload().size();
   stored_bytes_written_ += data.size();

@@ -4,7 +4,9 @@
 // Appends buffer into the current block; a single flusher coroutine takes
 // one of max_inflight_writes write slots, then cuts a block of everything
 // buffered (up to 60 KiB) — so commits that arrive while every slot is
-// busy ride the next block together — and, for each block, *in parallel*:
+// busy ride the next block together; with a slot free the cut is
+// immediate, so a lone commit pays one quorum write. For each block,
+// *in parallel*, it:
 //   * writes it synchronously + durably to the LandingZone (commit path;
 //     quorum write; burns per-I/O CPU on the Primary — the XIO-vs-DD
 //     effect of Table 7), and
@@ -13,16 +15,6 @@
 // Once the LZ write completes, the hardened watermark advances (waking
 // all commits in the block — group commit) and a durability notification
 // is sent to XLOG so it can move the block out of the pending area.
-//
-// Block sizing is a policy. kFixed cuts greedily up to the cap (batching
-// only through the in-flight write limit). kAdaptive runs a BtrLog-style
-// controller: the target block size is the EWMA arrival rate times the
-// EWMA quorum-write latency — the bytes that would arrive while one write
-// is in flight — clamped to the cap. A hold is only taken when the EWMA
-// inter-append gap fits well inside the hold budget: a lone committer's
-// next record arrives only after its current commit completes, so at low
-// load the flusher cuts immediately (no added latency); under fan-in it
-// holds the buffer (bounded) to amortize per-I/O cost over bigger blocks.
 //
 // Blocks may be compressed, once per block: the same stored bytes go to
 // the LZ and travel the async wire inside a checksummed frame.
@@ -53,11 +45,6 @@
 namespace socrates {
 namespace xlog {
 
-enum class BlockSizing {
-  kFixed,     // greedy cut up to max_block_bytes (degenerate baseline)
-  kAdaptive,  // rate x latency controller, bounded hold
-};
-
 struct XLogClientOptions {
   uint64_t max_block_bytes = kMaxLogBlockSize;
   /// Outstanding LZ block writes (the real log writer keeps several
@@ -71,9 +58,6 @@ struct XLogClientOptions {
   /// (they are cumulative; XLOG repairs lost blocks from the LZ — §4.3
   /// liveness does not depend on delivery).
   chaos::SitePort chaos;
-
-  /// Group-commit block sizing policy.
-  BlockSizing block_sizing = BlockSizing::kFixed;
 
   /// Compress block payloads (LZ storage and the wire frame). Blocks
   /// that do not shrink are kept raw.
@@ -109,15 +93,6 @@ class XLogClient : public engine::LogSink {
   /// Primary when compression is enabled).
   static constexpr double kCompressCpuUsPerKb = 0.4;
 
-  /// Adaptive block sizing: hold-poll quantum, and the hard cap on how
-  /// long a cut may be delayed waiting for the target to fill. The cap is
-  /// roughly half a quorum-write latency on the slow (XIO) path: holding
-  /// longer than the per-I/O cost it amortizes away is a bad trade.
-  static constexpr SimTime kAdaptiveHoldQuantumUs = 50;
-  static constexpr SimTime kAdaptiveHoldCapUs = 2000;
-  /// Smoothing of the arrival-gap, arrival-rate and write-latency EWMAs.
-  static constexpr double kAdaptiveEwmaAlpha = 0.2;
-
   uint64_t blocks_written() const { return blocks_written_; }
   uint64_t bytes_written() const { return bytes_written_; }
   /// Physical bytes handed to the LZ (== bytes_written when raw).
@@ -125,7 +100,6 @@ class XLogClient : public engine::LogSink {
   uint64_t compressed_blocks() const { return compressed_blocks_; }
   uint64_t deliveries_lost() const { return deliveries_lost_; }
   uint64_t lz_stalls() const { return lz_stalls_; }
-  uint64_t adaptive_holds() const { return adaptive_holds_; }
   uint64_t wire_bytes_sent() const { return wire_bytes_sent_; }
 
   // Commit-path phase histograms (all in microseconds except flush size),
@@ -159,10 +133,6 @@ class XLogClient : public engine::LogSink {
   // nothing.
   void RecordHardenWaits(Lsn durable);
 
-  /// Adaptive target: EWMA arrival bytes/us x EWMA write latency us,
-  /// clamped to [0, max_block_bytes].
-  uint64_t TargetBlockBytes() const;
-
   sim::Simulator& sim_;
   LandingZone* lz_;
   XLogProcess* xlog_;
@@ -187,16 +157,6 @@ class XLogClient : public engine::LogSink {
   // At most max_inflight_writes entries.
   std::vector<std::pair<Lsn, SimTime>> awaiting_harden_;
   bool running_ = false;
-  bool stopped_ = true;
-
-  // Adaptive-sizing controller state.
-  double ewma_arrival_bpu_ = 0;     // bytes per microsecond
-  double ewma_write_lat_us_ = 0;
-  double ewma_gap_us_ = 0;          // between consecutive appends
-  bool have_last_cut_ = false;
-  SimTime last_cut_us_ = 0;
-  bool have_last_append_ = false;
-  SimTime last_append_us_ = 0;
 
   uint64_t blocks_written_ = 0;
   uint64_t bytes_written_ = 0;
@@ -204,7 +164,6 @@ class XLogClient : public engine::LogSink {
   uint64_t compressed_blocks_ = 0;
   uint64_t deliveries_lost_ = 0;
   uint64_t lz_stalls_ = 0;
-  uint64_t adaptive_holds_ = 0;
   uint64_t wire_bytes_sent_ = 0;
 
   Histogram hist_enqueue_us_;

@@ -1,8 +1,8 @@
 // Logging tier v2 tests: exact landing-zone space accounting under
 // variable-size (compressed) blocks, block-frame round trips, corrupt-
-// frame rejection, deterministic adaptive block sizing, per-partition
-// stream shards, and the global commit watermark's prefix-correctness
-// guarantee.
+// frame rejection, group commit at the write slot (and its determinism
+// with compressed blocks), partition-filtered pulls, the global commit
+// watermark's prefix-correctness guarantee, and parallel destaging.
 
 #include <gtest/gtest.h>
 
@@ -261,76 +261,6 @@ TEST(BlockFrameTest, CorruptWireFrameCountedAndDropped) {
   EXPECT_EQ(xlog.pending_blocks(), 0u);  // never entered the pending area
 }
 
-// ------------------------------------------------ adaptive block sizing
-
-struct SizingOutcome {
-  uint64_t blocks = 0;
-  double mean_flush = 0;
-  uint64_t holds = 0;
-  Lsn end = 0;
-  uint64_t wire_bytes = 0;
-};
-
-SizingOutcome RunTrickleThenLoad(BlockSizing sizing, bool zip) {
-  XLogClientOptions copts;
-  copts.block_sizing = sizing;
-  copts.compress_blocks = zip;
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts);
-  RunSim(f.sim, [&]() -> Task<> {
-    // Steady fan-in: records arrive every 10 us while a quorum write
-    // takes ~800 us, so the adaptive target sits well above one record.
-    for (int i = 0; i < 400; i++) {
-      f.client.Append(InsertRecord(1, i, 64));
-      co_await sim::Delay(f.sim, 10);
-    }
-    (void)co_await f.client.Flush();
-  });
-  SizingOutcome out;
-  out.blocks = f.client.blocks_written();
-  out.mean_flush = f.client.flush_sizes().mean();
-  out.holds = f.client.adaptive_holds();
-  out.end = f.client.end_lsn();
-  out.wire_bytes = f.client.wire_bytes_sent();
-  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
-  return out;
-}
-
-TEST(AdaptiveSizingTest, ControllerBatchesBiggerBlocksUnderFanIn) {
-  SizingOutcome fixed = RunTrickleThenLoad(BlockSizing::kFixed, false);
-  SizingOutcome adaptive =
-      RunTrickleThenLoad(BlockSizing::kAdaptive, false);
-  EXPECT_EQ(fixed.end, adaptive.end);  // same stream either way
-  EXPECT_GT(adaptive.holds, 0u);
-  EXPECT_LT(adaptive.blocks, fixed.blocks);
-  EXPECT_GT(adaptive.mean_flush, fixed.mean_flush);
-}
-
-TEST(AdaptiveSizingTest, LoneCommitIsNotHeld) {
-  XLogClientOptions copts;
-  copts.block_sizing = BlockSizing::kAdaptive;
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts);
-  SimTime committed_at = 0;
-  RunSim(f.sim, [&]() -> Task<> {
-    f.client.Append(CommitRecord(1));
-    (void)co_await f.client.Flush();
-    committed_at = f.sim.now();
-  });
-  // With no arrival history the target is zero: the cut is immediate and
-  // the commit pays only the quorum write, never the hold cap.
-  EXPECT_EQ(f.client.adaptive_holds(), 0u);
-  EXPECT_LT(committed_at, XLogClient::kAdaptiveHoldCapUs);
-}
-
-TEST(AdaptiveSizingTest, SameSeedSameBlockBoundaries) {
-  SizingOutcome a = RunTrickleThenLoad(BlockSizing::kAdaptive, true);
-  SizingOutcome b = RunTrickleThenLoad(BlockSizing::kAdaptive, true);
-  EXPECT_EQ(a.end, b.end);
-  EXPECT_EQ(a.blocks, b.blocks);
-  EXPECT_EQ(a.holds, b.holds);
-  EXPECT_EQ(a.mean_flush, b.mean_flush);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-}
-
 // ------------------------------------------------------- group commit
 
 // A landing zone whose quorum writes take `write` (DirectDrive's CPU
@@ -422,7 +352,64 @@ TEST(GroupCommitTest, PhasesSumToFirstAppendToHardenedOverAllBlocks) {
               1e-9 * first_append_to_hardened);
 }
 
-// ------------------------------ stream shards & watermark correctness
+TEST(GroupCommitTest, LoneCommitHardensWithinOneQuorumWrite) {
+  XLogFixture f;
+  SimTime committed_at = 0;
+  RunSim(f.sim, [&]() -> Task<> {
+    f.client.Append(CommitRecord(1));
+    (void)co_await f.client.Flush();
+    committed_at = f.sim.now();
+  });
+  // A free slot means an immediate cut: the commit pays its own quorum
+  // write (under 2 ms on DirectDrive) and nothing else.
+  EXPECT_EQ(f.client.blocks_written(), 1u);
+  EXPECT_EQ(f.client.enqueue_phase().max(), 0);
+  EXPECT_EQ(static_cast<double>(committed_at),
+            f.client.quorum_phase().max());
+  EXPECT_LT(committed_at, 2000);
+}
+
+struct TrickleOutcome {
+  uint64_t blocks = 0;
+  double mean_flush = 0;
+  Lsn end = 0;
+  uint64_t wire_bytes = 0;
+  uint64_t stored_bytes = 0;
+};
+
+// Steady fan-in through the compressing flusher: a record every 10 us
+// while a quorum write takes ~800 us.
+TrickleOutcome RunCompressedTrickle() {
+  XLogClientOptions copts;
+  copts.compress_blocks = true;
+  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts);
+  RunSim(f.sim, [&]() -> Task<> {
+    for (int i = 0; i < 400; i++) {
+      f.client.Append(InsertRecord(1, i, 64));
+      co_await sim::Delay(f.sim, 10);
+    }
+    (void)co_await f.client.Flush();
+  });
+  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
+  EXPECT_EQ(f.client.compressed_blocks(), f.client.blocks_written());
+  return {f.client.blocks_written(), f.client.flush_sizes().mean(),
+          f.client.end_lsn(), f.client.wire_bytes_sent(),
+          f.client.stored_bytes_written()};
+}
+
+TEST(GroupCommitTest, SameSeedSameBlockBoundaries) {
+  TrickleOutcome a = RunCompressedTrickle();
+  TrickleOutcome b = RunCompressedTrickle();
+  EXPECT_GT(a.blocks, 1u);
+  EXPECT_LT(a.stored_bytes, a.end - kLogStreamStart);
+  EXPECT_EQ(a.end, b.end);
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.mean_flush, b.mean_flush);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  EXPECT_EQ(a.stored_bytes, b.stored_bytes);
+}
+
+// ---------------------------- partition pulls & watermark correctness
 
 TEST(StreamShardTest, FilteredPullServedFromShardWithGapRuns) {
   XLogOptions xopts;
