@@ -6,7 +6,7 @@
 // the pipeline was built for). Reports checkpoint duration, the speedup
 // against the inflight=1 serial baseline of the same dirty set, and the
 // GetPage@LSN p99 of a foreground probe stream running *during* the
-// checkpoint (the latency the §4.6 pacing protects).
+// checkpoint (the serving latency §4.6 says checkpoints must not hurt).
 //
 // Phase "backup": the Backup() latency split — how much is the forced
 // checkpoint (grows with the dirty set) vs the XStore snapshot (the
@@ -106,7 +106,6 @@ struct SweepResult {
   double checkpoint_ms = 0;
   double getpage_p99_us = 0;
   uint64_t batches = 0;
-  uint64_t pace_stalls = 0;
 };
 
 SweepResult MeasureSweep(uint64_t dirty_pages, int inflight) {
@@ -129,7 +128,6 @@ SweepResult MeasureSweep(uint64_t dirty_pages, int inflight) {
     co_await sim::Delay(bed.sim, 2000);
     r.getpage_p99_us = probe_lat.Percentile(99.0);
     r.batches = ps->checkpoint_batches();
-    r.pace_stalls = ps->checkpoint_pace_stalls();
   });
   return r;
 }
@@ -165,8 +163,8 @@ int main(int argc, char** argv) {
   std::vector<int> inflights = p.smoke ? std::vector<int>{1, 4}
                                        : std::vector<int>{1, 2, 4, 8};
 
-  printf("\n%8s %9s %14s %9s %13s %8s %7s\n", "dirty", "inflight",
-         "checkpoint_ms", "speedup", "getpage_p99", "batches", "stalls");
+  printf("\n%8s %9s %14s %9s %13s %8s\n", "dirty", "inflight",
+         "checkpoint_ms", "speedup", "getpage_p99", "batches");
   for (uint64_t dirty : dirty_sizes) {
     double serial_ms = 0;
     double serial_p99 = 0;
@@ -179,18 +177,16 @@ int main(int argc, char** argv) {
       double speedup = r.checkpoint_ms > 0
                            ? serial_ms / r.checkpoint_ms
                            : 0;
-      printf("%8" PRIu64 " %9d %14.1f %8.2fx %10.0fus %8" PRIu64
-             " %7" PRIu64 "\n",
+      printf("%8" PRIu64 " %9d %14.1f %8.2fx %10.0fus %8" PRIu64 "\n",
              dirty, inflight, r.checkpoint_ms, speedup, r.getpage_p99_us,
-             r.batches, r.pace_stalls);
+             r.batches);
       out.Line("{\"bench\": \"checkpoint\", \"phase\": \"sweep\", "
                "\"dirty_pages\": %" PRIu64 ", \"inflight\": %d, "
                "\"checkpoint_ms\": %.2f, \"speedup_vs_serial\": %.3f, "
                "\"getpage_p99_us\": %.1f, \"serial_getpage_p99_us\": "
-               "%.1f, \"batches\": %" PRIu64 ", \"pace_stalls\": %" PRIu64
-               "}",
+               "%.1f, \"batches\": %" PRIu64 "}",
                dirty, inflight, r.checkpoint_ms, speedup, r.getpage_p99_us,
-               serial_p99, r.batches, r.pace_stalls);
+               serial_p99, r.batches);
     }
   }
 

@@ -123,8 +123,8 @@ class EvictedLsnMap {
 
 /// How ScanWhere plans a filtered scan.
 enum class PushdownPlan : uint8_t {
-  /// The residency- and load-aware cost planner picks local, pushdown
-  /// or hybrid per range (Engine::ScanWhere).
+  /// The residency-aware cost planner picks local or pushdown per range
+  /// (Engine::ScanWhere).
   kCost,
   /// Never push: every scan fetches leaves via GetPage@LSN.
   kPages,
@@ -233,8 +233,7 @@ class ComputeNode {
   Lsn applied_lsn() const { return applier_->applied_lsn().value(); }
   uint64_t remote_fetches() const { return remote_fetches_; }
   /// End-to-end GetPage@LSN latency seen by this node, including any
-  /// WaitApplied stall on the serving Page Server — the foreground
-  /// metric checkpoint pacing protects.
+  /// WaitApplied stall on the serving Page Server.
   const Histogram& remote_fetch_us() const { return remote_fetch_us_; }
   rbio::RbioClient& rbio_client() { return *rbio_; }
   /// Reconfiguration hook: the deployment bumps its config epoch after

@@ -45,10 +45,7 @@ inline constexpr uint32_t kScanLeavesPerFrame = 64;
 /// tier's scanner turns the model on unless its plan is forced. The
 /// local-tier, wire and geometry constants sit beside the planner in
 /// txn_engine.cc; the two remote prices are fields because tests price a
-/// free fake remote path against a warm standalone engine. The planner
-/// multiplies them by per-range EWMA correction factors learned from
-/// observed scan outcomes, so they only need to be in the right
-/// ballpark.
+/// free fake remote path against a warm standalone engine.
 struct PushdownCostModel {
   bool enabled = false;
   /// Per kScanRange round trip (request + response latency).
@@ -84,8 +81,6 @@ struct RemoteScanChunk {
   PageId next_leaf = kInvalidPageId;
   /// Visible rows the remote evaluator examined.
   uint64_t rows_scanned = 0;
-  /// Leaf pages the remote evaluator walked (EWMA feedback input).
-  uint64_t pages_scanned = 0;
   /// Aggregate mode: mergeable partial state.
   common::AggState agg;
   /// Tuple mode: qualifying (key, projected payload), in key order.

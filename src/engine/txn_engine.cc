@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace socrates {
 namespace engine {
@@ -192,7 +191,6 @@ sim::Task<Status> Engine::CollectFiltered(
 sim::Task<Engine::ResidencyProbe> Engine::ProbeResidency(uint64_t start,
                                                          uint64_t end) {
   ResidencyProbe p;
-  p.warm_prefix_end = start;
   if (end <= start) co_return p;
   const uint64_t width = end - start;
   const int n =
@@ -200,7 +198,6 @@ sim::Task<Engine::ResidencyProbe> Engine::ProbeResidency(uint64_t start,
   const uint64_t step = width / static_cast<uint64_t>(n);
   int resident = 0;
   int in_mem = 0;
-  bool prefix_unbroken = true;
   for (int i = 0; i < n; i++) {
     const uint64_t key = start + static_cast<uint64_t>(i) * step;
     Result<PageId> leaf = co_await btree_.LeafIdFor(key);
@@ -212,14 +209,6 @@ sim::Task<Engine::ResidencyProbe> Engine::ProbeResidency(uint64_t start,
     const bool res = mem || pool_->Contains(leaf.value());
     if (res) resident++;
     if (mem) in_mem++;
-    if (prefix_unbroken) {
-      if (res) {
-        p.warm_prefix_end =
-            i == n - 1 ? end : start + static_cast<uint64_t>(i + 1) * step;
-      } else {
-        prefix_unbroken = false;
-      }
-    }
   }
   if (p.samples > 0) {
     p.resident_frac = static_cast<double>(resident) / p.samples;
@@ -230,10 +219,9 @@ sim::Task<Engine::ResidencyProbe> Engine::ProbeResidency(uint64_t start,
 
 namespace {
 
-// Scan-planner constants, in virtual µs unless noted. The per-range EWMA
-// corrections absorb their error, so they only need to be in the right
-// ballpark. Local evaluation of one leaf, by residency tier: memory,
-// RBPEX SSD, and a non-resident leaf, which costs a GetPage round trip.
+// Scan-planner constants, in virtual µs unless noted. Local evaluation
+// of one leaf, by residency tier: memory, RBPEX SSD, and a non-resident
+// leaf, which costs a GetPage round trip.
 constexpr double kMemLeafUs = 8;
 constexpr double kSsdLeafUs = 95;
 constexpr double kMissLeafUs = 600;
@@ -242,22 +230,8 @@ constexpr double kWireUsPerKb = 1.0;
 // Tree geometry estimates for sizing a range in leaves and bytes.
 constexpr double kRowsPerLeaf = 64;
 constexpr size_t kAvgRowBytes = 128;
-// EWMA smoothing for the per-range observed/modeled correction.
-constexpr double kEwmaAlpha = 0.3;
-// A hybrid (split) plan must beat the straight local plan by this factor
-// before the planner splits. The pushed suffix's round-trip tail lands
-// directly on the scan's completion time, so a hybrid that is only
-// marginally cheaper on modeled mean cost trades p99 for a sliver of
-// throughput; demand a decisive win instead.
-constexpr double kHybridMargin = 0.75;
 
 }  // namespace
-
-Engine::ScanCostEwma& Engine::EwmaFor(uint64_t start, uint64_t end) {
-  uint64_t h = start * 0x9E3779B97F4A7C15ull ^ (end + 0x7F4A7C15ull);
-  h ^= h >> 29;
-  return scan_ewma_[h % kEwmaBuckets];
-}
 
 sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     Transaction* txn, uint64_t start, uint64_t end_key, size_t limit,
@@ -294,26 +268,20 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       scanner_ != nullptr ? scanner_->CostModel() : PushdownCostModel{};
 
   ScanPlanDebug plan;
-  bool use_remote = false;     // the plan includes a remote portion
-  uint64_t push_from = start;  // keys >= push_from go remote
+  bool use_remote = false;
   // The residency probe can only size a bounded, non-empty range; any
   // other range stays local while the model is on.
   const bool cost_planned = remote_allowed && cm.enabled &&
                             end_key != UINT64_MAX && end_key > start;
-  // Residency-weighted model constants, kept for the EWMA update below.
-  double model_local_leaf_us = 0;
-  double model_remote_leaf_us = 0;
 
   if (remote_allowed && !cm.enabled) {
     // Model off (a forced plan): every eligible scan ships.
     plan.kind = ScanPlanDebug::Kind::kPushdown;
     use_remote = true;
   } else if (cost_planned) {
-    // Residency- and load-aware plan: sample the range's leaves against
-    // the pool tiers, price local vs pushdown vs hybrid from the model
-    // (corrected by per-range EWMA feedback), take the cheapest.
+    // Residency-aware plan: sample the range's leaves against the pool
+    // tiers, price local vs pushdown from the model, take the cheaper.
     const ResidencyProbe probe = co_await ProbeResidency(start, end_key);
-    const ScanCostEwma& e = EwmaFor(start, end_key);
     // Range-aware selectivity: a window narrower than a kKeyModEq
     // modulus is dense relative to itself, never 1/a-sparse.
     const double sel =
@@ -323,61 +291,29 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     const double ssd_frac =
         std::max(0.0, probe.resident_frac - probe.mem_frac);
     const double miss_frac = std::max(0.0, 1.0 - probe.resident_frac);
-    model_local_leaf_us = probe.mem_frac * kMemLeafUs +
-                          ssd_frac * kSsdLeafUs + miss_frac * kMissLeafUs;
+    const double local_leaf_us = probe.mem_frac * kMemLeafUs +
+                                 ssd_frac * kSsdLeafUs +
+                                 miss_frac * kMissLeafUs;
     // Per shipped tuple: key + projected payload bytes.
     const double proj_bytes =
         16.0 + static_cast<double>(
                    filter.projection.ProjectedSize(kAvgRowBytes));
-    const double remote_corr = e.remote_seen ? e.remote_corr : 1.0;
-    const double local_corr = e.local_seen ? e.local_corr : 1.0;
-    // Pushdown cost of `l` leaves: round trips + server eval CPU + the
-    // qualifying tuple bytes on the wire (aggregates ship one fixed-size
-    // state per round trip).
-    auto push_cost_us = [&](double l) {
-      if (l <= 0) return 0.0;
-      const double rts = std::max(1.0, std::ceil(l / kScanLeavesPerFrame));
-      const double wire_kb =
-          agg ? rts * 0.05 : sel * l * kRowsPerLeaf * proj_bytes / 1024.0;
-      const double c = rts * cm.round_trip_us + l * cm.remote_leaf_us +
-                       wire_kb * kWireUsPerKb;
-      return c * remote_corr;
-    };
-    model_remote_leaf_us = push_cost_us(leaves) / leaves / remote_corr;
-    const double est_local = leaves * model_local_leaf_us * local_corr;
-    const double est_push = push_cost_us(leaves);
-    // Hybrid: the probe saw a warm prefix and a cold remainder — read
-    // the prefix from the local tiers, push only the cold suffix.
-    double est_hybrid = std::numeric_limits<double>::infinity();
-    if (probe.warm_prefix_end > start && probe.warm_prefix_end < end_key) {
-      const double warm_leaves =
-          leaves * static_cast<double>(probe.warm_prefix_end - start) /
-          width;
-      const double mem_share =
-          probe.resident_frac > 0
-              ? std::min(1.0, probe.mem_frac / probe.resident_frac)
-              : 0.0;
-      const double warm_leaf_us =
-          mem_share * kMemLeafUs + (1.0 - mem_share) * kSsdLeafUs;
-      est_hybrid = warm_leaves * warm_leaf_us * local_corr +
-                   push_cost_us(leaves - warm_leaves);
-    }
+    // Pushdown cost: round trips + server eval CPU + the qualifying
+    // tuple bytes on the wire (aggregates ship one fixed-size state per
+    // round trip).
+    const double rts =
+        std::max(1.0, std::ceil(leaves / kScanLeavesPerFrame));
+    const double wire_kb =
+        agg ? rts * 0.05 : sel * leaves * kRowsPerLeaf * proj_bytes / 1024.0;
+    const double est_push = rts * cm.round_trip_us +
+                            leaves * cm.remote_leaf_us +
+                            wire_kb * kWireUsPerKb;
+    const double est_local = leaves * local_leaf_us;
     plan.resident_frac = probe.resident_frac;
     plan.mem_frac = probe.mem_frac;
     plan.est_local_us = est_local;
     plan.est_push_us = est_push;
-    plan.est_hybrid_us = est_hybrid;
-    plan.local_corr = local_corr;
-    plan.remote_corr = remote_corr;
-    // Splitting is only worth it on a decisive modeled win: the pushed
-    // suffix's round trips sit on the completion path, so a marginal
-    // hybrid beats local on mean cost but loses on tail latency.
-    if (est_hybrid < est_local * kHybridMargin && est_hybrid < est_push) {
-      plan.kind = ScanPlanDebug::Kind::kHybrid;
-      plan.split_key = probe.warm_prefix_end;
-      use_remote = true;
-      push_from = probe.warm_prefix_end;
-    } else if (est_push < est_local) {
+    if (est_push < est_local) {
       plan.kind = ScanPlanDebug::Kind::kPushdown;
       use_remote = true;
     } else {
@@ -394,43 +330,8 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   uint64_t cursor = start;
   uint64_t window_end = end_key;
   bool need_local_tail = !use_remote;
-  bool limit_hit_in_prefix = false;
-  // EWMA instrumentation: virtual time and coverage per executed path.
-  SimTime local_us_spent = 0;
-  uint64_t local_width_covered = 0;
-  SimTime remote_us_spent = 0;
-  uint64_t remote_pages = 0;
-  uint64_t remote_width_covered = 0;
 
-  // Hybrid warm prefix: [start, push_from) on the local page path.
-  if (use_remote && push_from > start) {
-    stats_.hybrid_scans++;
-    const SimTime t0 = sim_.now();
-    uint64_t prefix_end = push_from;
-    if (agg) {
-      // No writes in range by eligibility: fold straight into the state.
-      std::vector<std::pair<uint64_t, std::string>> rest;
-      SOCRATES_CO_RETURN_IF_ERROR(
-          co_await CollectFiltered(start, push_from, 0, read_ts, filter,
-                                   /*project=*/false, &rest, &prefix_end));
-      for (auto& [key, payload] : rest) fold(Slice(payload));
-    } else {
-      SOCRATES_CO_RETURN_IF_ERROR(
-          co_await CollectFiltered(start, push_from, want, read_ts, filter,
-                                   /*project=*/true, &rows, &prefix_end));
-    }
-    local_us_spent += sim_.now() - t0;
-    if (prefix_end > start) local_width_covered += prefix_end - start;
-    cursor = push_from;
-    if (want > 0 && rows.size() >= want && prefix_end <= push_from) {
-      // Limit satisfied inside the warm prefix: nothing remote to do,
-      // and the examined window ends where the prefix stopped.
-      window_end = prefix_end;
-      limit_hit_in_prefix = true;
-    }
-  }
-
-  if (use_remote && !limit_hit_in_prefix) {
+  if (use_remote) {
     RemoteScanSpec spec;
     spec.end_key = end_key;
     spec.read_ts = read_ts;
@@ -439,8 +340,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     spec.aggregate = filter.aggregate;
     PageId leaf_hint = kInvalidPageId;
     int fence_retries = 0;
-    const uint64_t remote_from = cursor;
-    const SimTime rt0 = sim_.now();
     while (true) {
       if (want > 0 && rows.size() >= want) {
         window_end = cursor;  // limit hit: keys past here not examined
@@ -493,7 +392,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       }
       fence_retries = 0;
       out.pushed_down = true;
-      remote_pages += c->pages_scanned;
       if (agg) {
         out.agg.Merge(c->agg);
       } else {
@@ -506,16 +404,9 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
       cursor = c->resume_key;
       leaf_hint = c->next_leaf;
     }
-    remote_us_spent += sim_.now() - rt0;
-    const uint64_t remote_to = need_local_tail ? cursor : window_end;
-    if (remote_to > remote_from) {
-      remote_width_covered += remote_to - remote_from;
-    }
   }
 
   if (need_local_tail && cursor < end_key) {
-    const SimTime t0 = sim_.now();
-    const uint64_t from = cursor;
     if (agg && use_remote) {
       // Fallback remainder of a remote-participating aggregate (no
       // writes in range by eligibility): fold the local tail directly.
@@ -531,8 +422,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
           co_await CollectFiltered(cursor, end_key, want, read_ts, filter,
                                    /*project=*/!agg, &rows, &window_end));
     }
-    local_us_spent += sim_.now() - t0;
-    if (window_end > from) local_width_covered += window_end - from;
   }
 
   // Overlay buffered writes inside the examined window, evaluating the
@@ -578,42 +467,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   stats_.pushdown_fallbacks += out.fallbacks;
   if (out.pushed_down) stats_.pushdown_scans++;
 
-  // Per-range EWMA feedback: fold this scan's observed per-leaf cost
-  // into the correction the next plan over this range will apply. The
-  // ratio is clamped so one pathological outcome cannot wedge the
-  // planner.
-  if (cost_planned) {
-    ScanCostEwma& e = EwmaFor(start, end_key);
-    if (local_width_covered > 0 && model_local_leaf_us > 0) {
-      const double l = std::max(
-          1.0, static_cast<double>(local_width_covered) / kRowsPerLeaf);
-      const double ratio = std::clamp(
-          (static_cast<double>(local_us_spent) / l) / model_local_leaf_us,
-          0.05, 20.0);
-      e.local_corr = e.local_seen
-                         ? (1 - kEwmaAlpha) * e.local_corr + kEwmaAlpha * ratio
-                         : ratio;
-      e.local_seen = true;
-    }
-    if (remote_width_covered > 0 && model_remote_leaf_us > 0) {
-      // Normalize by the *modeled* leaves of the width pushed — the
-      // same denominator the planner multiplies back — not the server's
-      // reported page count. With the server count, geometry error
-      // (real leaves per key vs kRowsPerLeaf) cancels out of the
-      // feedback loop and the corrected push estimate stays
-      // permanently optimistic by exactly that factor.
-      const double l = std::max(
-          1.0, static_cast<double>(remote_width_covered) / kRowsPerLeaf);
-      const double ratio = std::clamp(
-          (static_cast<double>(remote_us_spent) / l) / model_remote_leaf_us,
-          0.05, 20.0);
-      e.remote_corr =
-          e.remote_seen
-              ? (1 - kEwmaAlpha) * e.remote_corr + kEwmaAlpha * ratio
-              : ratio;
-      e.remote_seen = true;
-    }
-  }
   co_return std::move(out);
 }
 

@@ -86,9 +86,6 @@ struct EngineStats {
   uint64_t filtered_scans = 0;
   uint64_t pushdown_scans = 0;
   uint64_t pushdown_fallbacks = 0;
-  /// Cost-planned scans that split the range: warm prefix read locally,
-  /// cold suffix pushed down.
-  uint64_t hybrid_scans = 0;
   /// Remote chunks shed by Page-Server scan admission (kOverloaded);
   /// each also counts as a fallback — the local path finished the range.
   uint64_t pushdown_overloaded = 0;
@@ -105,20 +102,14 @@ struct EngineStats {
 /// How the planner decided the last ScanWhere (debug / test visibility;
 /// the residency and cost fields are filled only by cost-planned scans).
 struct ScanPlanDebug {
-  enum class Kind : uint8_t { kLocal = 0, kPushdown, kHybrid };
+  enum class Kind : uint8_t { kLocal = 0, kPushdown };
   Kind kind = Kind::kLocal;
   /// Sampled fraction of the range's leaves resident locally (mem+ssd).
   double resident_frac = 0;
   double mem_frac = 0;
-  /// Modeled costs (µs, EWMA-corrected) the choice was made from.
+  /// Modeled costs (µs) the choice was made from.
   double est_local_us = 0;
   double est_push_us = 0;
-  double est_hybrid_us = 0;
-  /// Hybrid split: keys >= split_key were pushed down.
-  uint64_t split_key = 0;
-  /// EWMA observed/modeled correction factors in force at plan time.
-  double local_corr = 1.0;
-  double remote_corr = 1.0;
 };
 
 /// Result of a filtered scan: projected tuples (tuple mode) or one
@@ -251,29 +242,14 @@ class Engine {
   // Residency probe for the cost-based planner: descend to the leaf id
   // of `kProbeSamples` evenly spaced keys in [start, end) (interior
   // pages only — never faults a leaf in) and classify each against the
-  // pool's tiers. warm_prefix_end is the first sampled key whose leaf
-  // was NOT resident (== end when the whole range sampled warm).
+  // pool's tiers.
   struct ResidencyProbe {
     double resident_frac = 0;  // mem or ssd
     double mem_frac = 0;
-    uint64_t warm_prefix_end = 0;
     int samples = 0;
   };
   static constexpr int kProbeSamples = 8;
   sim::Task<ResidencyProbe> ProbeResidency(uint64_t start, uint64_t end);
-
-  // Per-range EWMA of observed/modeled cost ratios (the planner's
-  // feedback loop). Ranges hash into a small fixed table; collisions
-  // just share a correction, which is harmless — corrections are
-  // calibration, not correctness.
-  struct ScanCostEwma {
-    double local_corr = 1.0;
-    double remote_corr = 1.0;
-    bool local_seen = false;
-    bool remote_seen = false;
-  };
-  static constexpr size_t kEwmaBuckets = 64;
-  ScanCostEwma& EwmaFor(uint64_t start, uint64_t end);
 
   sim::Simulator& sim_;
   BufferPool* pool_;
@@ -290,7 +266,6 @@ class Engine {
   std::function<Timestamp()> read_ts_provider_;
   EngineStats stats_;
   ScanPlanDebug last_scan_plan_;
-  ScanCostEwma scan_ewma_[kEwmaBuckets];
 };
 
 }  // namespace engine

@@ -8,9 +8,9 @@
 namespace socrates {
 namespace pageserver {
 
-// Foreground-request depth tracking for the checkpoint pacer: counts a
-// request from entry until its coroutine frame unwinds (including all
-// co_return paths).
+// Point-read depth tracking for scan admission: counts a GetPage frame
+// from entry until its coroutine frame unwinds (including all co_return
+// paths).
 namespace {
 struct ScopedInflight {
   explicit ScopedInflight(uint64_t* counter, uint64_t* host = nullptr)
@@ -449,17 +449,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     resp.status = admit;
     co_return resp.Encode();
   }
-  // Scans count in getpage_inflight_ (the checkpoint pacer watches total
-  // foreground pressure) and in scan_inflight_ (so the admission gate
-  // can subtract them out and see pure point-read depth).
-  ScopedInflight inflight(&getpage_inflight_,
-                          opts_.host_load != nullptr
-                              ? &opts_.host_load->getpage_inflight
-                              : nullptr);
-  ScopedInflight scan_flight(&scan_inflight_,
-                             opts_.host_load != nullptr
-                                 ? &opts_.host_load->scan_inflight
-                                 : nullptr);
   Status ws = co_await WaitApplied(req.min_lsn);
   if (!ws.ok()) {
     resp.status = ws;
@@ -601,14 +590,10 @@ SimTime PageServer::RecentGetPageP99Us() const {
 }
 
 bool PageServer::ServingDegraded() const {
-  // Pure point-read depth: scans hold getpage_inflight_ too (for the
-  // checkpoint pacer), so subtract them — scans queueing behind their
-  // own inflight count would self-deadlock the admission gate.
-  const uint64_t point_depth = getpage_inflight_ > scan_inflight_
-                                   ? getpage_inflight_ - scan_inflight_
-                                   : 0;
+  // Point-read depth only: scans never count in getpage_inflight_, so
+  // scans queueing here cannot hold the gate shut on themselves.
   if (opts_.scan_admission_getpage_depth > 0 &&
-      point_depth >= opts_.scan_admission_getpage_depth) {
+      getpage_inflight_ >= opts_.scan_admission_getpage_depth) {
     return true;
   }
   if (opts_.scan_admission_p99_us > 0 &&
@@ -617,15 +602,11 @@ bool PageServer::ServingDegraded() const {
   }
   // Fleet colocation: a co-resident tenant's point-read burst degrades
   // this server too — its scans would steal the shared host CPU those
-  // point reads are queued on. Host depth uses the same subtraction
-  // (scans host-wide are not point pressure).
-  if (opts_.host_load != nullptr && opts_.scan_admission_getpage_depth > 0) {
-    const HostLoad& h = *opts_.host_load;
-    const uint64_t host_point_depth =
-        h.getpage_inflight > h.scan_inflight
-            ? h.getpage_inflight - h.scan_inflight
-            : 0;
-    if (host_point_depth >= opts_.scan_admission_getpage_depth) return true;
+  // point reads are queued on.
+  if (opts_.host_load != nullptr && opts_.scan_admission_getpage_depth > 0 &&
+      opts_.host_load->getpage_inflight >=
+          opts_.scan_admission_getpage_depth) {
+    return true;
   }
   return false;
 }
@@ -689,24 +670,6 @@ sim::Task<Status> PageServer::AdmitScan() {
     }
     co_await sim::Delay(sim_, token_wait);
   }
-}
-
-// Adaptive checkpoint pacing: collapse checkpoint write concurrency to a
-// single in-flight write while this many foreground GetPage requests are
-// being served. Checkpoints must never blow out serving p99 (§4.6:
-// checkpointing is a Page Server duty exactly so it cannot throttle the
-// Primary).
-constexpr uint64_t kCheckpointPaceGetPageDepth = 8;
-// ...or while the applier lags more than this many log bytes behind the
-// XLOG available tail.
-constexpr uint64_t kCheckpointPaceApplyLagBytes = 4 * MiB;
-
-bool PageServer::PaceCheckpoint() const {
-  if (getpage_inflight_ >= kCheckpointPaceGetPageDepth) return true;
-  uint64_t available = xlog_->available().value();
-  uint64_t applied = applier_->applied_lsn().value();
-  return available > applied &&
-         available - applied > kCheckpointPaceApplyLagBytes;
 }
 
 // Aggregate contiguous dirty pages into single XStore writes up to this
@@ -802,15 +765,6 @@ sim::Task<Status> PageServer::Checkpoint() {
       j++;
     }
     co_await sem.Acquire();
-    // Adaptive pacing: while the foreground is busy, drain to a single
-    // in-flight write instead of launching the full window — serving
-    // p99 and apply progress outrank checkpoint throughput.
-    while (PaceCheckpoint() && join->inflight > 0 &&
-           join->first_error.ok() && epoch_ == epoch) {
-      checkpoint_pace_stalls_++;
-      join->drained.Reset();
-      co_await join->drained.Wait();
-    }
     if (!join->first_error.ok() || epoch_ != epoch) {
       sem.Release();
       break;

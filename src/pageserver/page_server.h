@@ -43,13 +43,12 @@ namespace socrates {
 namespace pageserver {
 
 /// Shared load board for Page Servers co-resident on one fleet host.
-/// Each server adds its foreground counters here (alongside its own), so
+/// Each server adds its point-read depth here (alongside its own), so
 /// admission decisions can see host-wide pressure: tenant A's scans must
 /// queue while tenant B's point reads are hot on the same box, even
 /// though the two partitions are served by different PageServer objects.
 struct HostLoad {
-  uint64_t getpage_inflight = 0;  // all foreground frames, host-wide
-  uint64_t scan_inflight = 0;     // subset that is scans
+  uint64_t getpage_inflight = 0;  // GetPage frames in service, host-wide
   int residents = 0;              // (tenant, partition) servers placed here
 };
 
@@ -89,18 +88,16 @@ struct PageServerOptions {
 
   // ----- Scan admission (§4.6: scan CPU must not starve the GetPage
   // path). ServeScan work is metered against a serving-health signal —
-  // point-read inflight depth plus recent GetPage p99, the same family
-  // as the checkpoint pacer. While healthy, scans are admitted
-  // immediately; while degraded they queue behind a token bucket and are
-  // rejected with kOverloaded once the queue wait exceeds its bound
-  // (kScanAdmissionMaxWaitUs; the client treats that as "fall back
-  // locally, back off this endpoint").
+  // point-read inflight depth plus recent GetPage p99. While healthy,
+  // scans are admitted immediately; while degraded they queue behind a
+  // token bucket and are rejected with kOverloaded once the queue wait
+  // exceeds its bound (kScanAdmissionMaxWaitUs; the client treats that
+  // as "fall back locally, back off this endpoint").
   /// Master switch; off = pre-admission behavior (scans always admitted).
   bool scan_admission_enabled = true;
   /// Degraded while this many point reads (GetPage/batch frames,
   /// excluding scans) are in service, on this server or — with host_load
-  /// set — host-wide. Same family as the checkpoint pacer's
-  /// kCheckpointPaceGetPageDepth. 0 disables the trigger.
+  /// set — host-wide. 0 disables the trigger.
   uint64_t scan_admission_getpage_depth = 8;
   /// ...or while the recent GetPage service p99 exceeds this (µs over a
   /// sliding window of served point reads). 0 disables the trigger.
@@ -208,11 +205,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t checkpoint_failed_batches() const {
     return checkpoint_failed_batches_;
   }
-  /// Times the round driver drained its pipeline to one in-flight write
-  /// because the foreground was busy (adaptive pacing).
-  uint64_t checkpoint_pace_stalls() const {
-    return checkpoint_pace_stalls_;
-  }
   /// Virtual duration of each completed checkpoint round.
   const Histogram& checkpoint_duration_us() const {
     return checkpoint_duration_us_;
@@ -229,9 +221,6 @@ class PageServer : public rbio::RbioServer {
   SimTime last_backup_snapshot_us() const {
     return last_backup_snapshot_us_;
   }
-  /// Foreground requests currently in service (GetPage and scan) —
-  /// the queue-depth signal the checkpoint pacer watches.
-  uint64_t getpage_inflight() const { return getpage_inflight_; }
   /// Start times of the first few checkpoint rounds (jitter tests).
   const std::vector<SimTime>& checkpoint_starts() const {
     return checkpoint_starts_;
@@ -258,8 +247,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_fence_misses() const { return scan_fence_misses_; }
 
   // Scan-admission health (the interference bench prints these).
-  /// Scans currently in service (subset of getpage_inflight_).
-  uint64_t scan_inflight() const { return scan_inflight_; }
   /// Scans that found the server degraded and waited on the token bucket
   /// (whether or not they were eventually admitted).
   uint64_t scans_queued() const { return scans_queued_; }
@@ -315,8 +302,6 @@ class PageServer : public rbio::RbioServer {
   sim::Task<> CheckpointWriteBatch(std::vector<PageId> run,
                                    std::shared_ptr<CheckpointJoin> join,
                                    sim::Semaphore* sem, uint64_t epoch);
-  // True while foreground pressure says checkpoint I/O should back off.
-  bool PaceCheckpoint() const;
   sim::Task<Status> LoadMeta();
   sim::Task<Status> StoreMeta(Lsn restart_lsn);
   sim::Task<Status> WaitApplied(Lsn min_lsn);
@@ -395,7 +380,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t checkpoint_pages_written_ = 0;
   uint64_t checkpoint_batches_ = 0;
   uint64_t checkpoint_failed_batches_ = 0;
-  uint64_t checkpoint_pace_stalls_ = 0;
   Histogram checkpoint_duration_us_;
   Histogram restart_lag_bytes_;
   SimTime last_backup_checkpoint_us_ = 0;
@@ -416,12 +400,9 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_tuples_returned_ = 0;
   uint64_t scan_bytes_returned_ = 0;
   uint64_t scan_fence_misses_ = 0;
-  // Scan admission state. Scans bump BOTH getpage_inflight_ (so the
-  // checkpoint pacer still sees total foreground pressure) and
-  // scan_inflight_; the admission gate's point-read depth is the
-  // difference. GetPage service times feed a small ring whose p99 is the
-  // second health signal.
-  uint64_t scan_inflight_ = 0;
+  // Scan admission state. getpage_inflight_ (GetPage frames only) is
+  // the point-read depth signal; GetPage service times feed a small ring
+  // whose p99 is the second health signal.
   uint64_t scans_queued_ = 0;
   uint64_t scans_rejected_ = 0;
   Histogram scan_queue_wait_us_;

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "engine/btree_page.h"
@@ -606,19 +609,6 @@ class CostFakeScanner : public FakeScanner {
 
   CostFakeScanner() { cm.enabled = true; }
   PushdownCostModel CostModel() const override { return cm; }
-
-  Task<Result<RemoteScanChunk>> ScanLeaves(
-      PageId leaf, const RemoteScanSpec& spec) override {
-    auto r = co_await FakeScanner::ScanLeaves(leaf, spec);
-    if (r.ok() && !r->fence_miss) {
-      // The EWMA denominator: pretend one leaf per 64 keys evaluated.
-      uint64_t span = (r->resume_key > spec.start_key
-                           ? r->resume_key - spec.start_key
-                           : 64);
-      r->pages_scanned = (span + 63) / 64;
-    }
-    co_return r;
-  }
 };
 
 // Deployment sized so residency is test-controlled: the compute memory
@@ -711,13 +701,14 @@ TEST(ScanCostPlannerTest, ColdRangePushesDown) {
   d.Stop();
 }
 
-TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
+// A half-warm range (first half resident, second half cold) gets one
+// whole-range plan, local or pushdown, whichever the model prices
+// cheaper, and returns exactly the local plan's rows.
+TEST(ScanCostPlannerTest, MixedResidencyRangeMatchesLocalPlan) {
   Simulator s;
   service::Deployment d(s, PlannerDeployment());
   FilteredScanResult r;
   ScanPlanDebug plan;
-  // Enough rows that the cold half spans more leaves than the local
-  // plan reads faster than one pushed scan.
   constexpr uint64_t kRows = 12000;
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
@@ -742,15 +733,16 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
     filter.projection.extents.push_back({0, 8});
     co_await PlannedScanAndCompare(e, kRows, filter, &r, &plan);
   });
-  // Warm prefix read locally, cold suffix pushed: one plan, both paths.
-  EXPECT_EQ(plan.kind, ScanPlanDebug::Kind::kHybrid);
-  EXPECT_GT(plan.split_key, MakeKey(1, kRows / 4));
-  EXPECT_LT(plan.split_key, MakeKey(1, kRows * 3 / 4));
-  EXPECT_LT(plan.est_hybrid_us, plan.est_local_us);
-  EXPECT_LT(plan.est_hybrid_us, plan.est_push_us);
-  EXPECT_TRUE(r.pushed_down);
-  EXPECT_EQ(d.primary_engine()->stats().hybrid_scans, 1u);
-  EXPECT_GT(d.primary()->rbio_client().scans_sent(), 0u);
+  // The probe saw the mixed residency...
+  EXPECT_GT(plan.resident_frac, 0.25);
+  EXPECT_LT(plan.resident_frac, 0.75);
+  // ...and the plan is the cheaper of the two modeled whole-range costs.
+  const ScanPlanDebug::Kind cheaper = plan.est_push_us < plan.est_local_us
+                                          ? ScanPlanDebug::Kind::kPushdown
+                                          : ScanPlanDebug::Kind::kLocal;
+  EXPECT_EQ(plan.kind, cheaper);
+  EXPECT_EQ(r.pushed_down, plan.kind == ScanPlanDebug::Kind::kPushdown);
+  EXPECT_EQ(r.rows.size(), kRows / 16);
   d.Stop();
 }
 
@@ -832,69 +824,6 @@ TEST(ScanCostPlannerTest, UnboundedRangePlansLocal) {
     }
     EXPECT_EQ(f.engine->last_scan_plan().kind, ScanPlanDebug::Kind::kLocal);
     EXPECT_EQ(scanner.calls, calls_before);
-    (void)co_await f.engine->Commit(txn.get());
-  });
-}
-
-TEST(ScanCostPlannerTest, EwmaFeedbackConvergesToObservedCost) {
-  EngineFixture f;
-  CostFakeScanner scanner;
-  scanner.data = f.fake.data;
-  // Mis-tune the model toward pushdown: the fake remote path is
-  // virtually free, so feedback must drive remote_corr to the clamp
-  // floor and keep the plan pinned to the observed-cheaper path.
-  scanner.cm.round_trip_us = 1;
-  scanner.cm.remote_leaf_us = 0.5;
-  f.engine->SetRemoteScanner(&scanner);
-  ScanFilter filter;
-  filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
-  std::vector<double> corrs;
-  RunSim(f.sim, [&]() -> Task<> {
-    for (int i = 0; i < 6; i++) {
-      auto txn = f.engine->Begin(true);
-      auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
-      EXPECT_TRUE(r.ok());
-      if (r.ok()) {
-        EXPECT_TRUE(r->pushed_down);
-      }
-      corrs.push_back(f.engine->last_scan_plan().remote_corr);
-      EXPECT_EQ(f.engine->last_scan_plan().kind,
-                ScanPlanDebug::Kind::kPushdown);
-      (void)co_await f.engine->Commit(txn.get());
-    }
-  });
-  ASSERT_EQ(corrs.size(), 6u);
-  // First plan has no feedback yet.
-  EXPECT_DOUBLE_EQ(corrs[0], 1.0);
-  // The observed/modeled ratio of a free remote path clamps at 0.05;
-  // the first observation seeds the EWMA directly, then it holds.
-  EXPECT_NEAR(corrs[1], 0.05, 1e-9);
-  for (size_t i = 2; i < corrs.size(); i++) {
-    EXPECT_NEAR(corrs[i], 0.05, 1e-9);
-  }
-}
-
-TEST(ScanCostPlannerTest, EwmaBlendsLaterObservations) {
-  // Unit check of the blend itself: seed ratio r1, then alpha-blend r2.
-  EngineFixture f;
-  CostFakeScanner scanner;
-  scanner.data = f.fake.data;
-  scanner.cm.round_trip_us = 1;
-  scanner.cm.remote_leaf_us = 0.5;
-  f.engine->SetRemoteScanner(&scanner);
-  ScanFilter filter;
-  filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
-  RunSim(f.sim, [&]() -> Task<> {
-    // Two scans over DIFFERENT ranges hash to independent EWMA buckets:
-    // feedback for one range never contaminates another.
-    auto txn = f.engine->Begin(true);
-    (void)co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
-    double corr_a = f.engine->last_scan_plan().remote_corr;
-    (void)co_await f.engine->ScanWhere(txn.get(), 0, 200, 0, filter);
-    double corr_b = f.engine->last_scan_plan().remote_corr;
-    // The second range had no prior feedback of its own.
-    EXPECT_DOUBLE_EQ(corr_a, 1.0);
-    EXPECT_DOUBLE_EQ(corr_b, 1.0);
     (void)co_await f.engine->Commit(txn.get());
   });
 }
@@ -1016,6 +945,84 @@ TEST(ScanAdmissionTest, HealthyServerAdmitsImmediately) {
   EXPECT_EQ(d.page_server(0)->scans_queued(), 0u);
   EXPECT_EQ(d.page_server(0)->scans_rejected(), 0u);
   d.Stop();
+}
+
+// Scans in service on one host, counted client-side around each frame.
+struct ScanFlight {
+  int outstanding = 0;
+  int peak = 0;
+  int done = 0;
+  int ok = 0;
+};
+
+Task<> FlyScan(pageserver::PageServer* ps, rbio::ScanRangeRequest req,
+               ScanFlight* f) {
+  f->peak = std::max(f->peak, ++f->outstanding);
+  rbio::ScanRangeResponse r = co_await ServeScanFrame(ps, req);
+  if (r.status.ok()) f->ok++;
+  f->outstanding--;
+  f->done++;
+}
+
+// Scans are not point reads: with only the depth trigger armed (at its
+// default of 8), a dozen concurrent pushed scans on a healthy server are
+// all admitted at once, and so are they spread over two co-resident
+// servers that share one HostLoad board.
+TEST(ScanAdmissionTest, ConcurrentScansNeverCountAsPointReadDepth) {
+  constexpr int kScans = 12;
+  constexpr uint64_t kRows = 3000;
+  for (const bool shared_host : {false, true}) {
+    SCOPED_TRACE(shared_host ? "two servers, one host" : "one server");
+    Simulator s;
+    pageserver::HostLoad host;
+    service::DeploymentOptions o = AdmissionDeployment();
+    o.page_server.scan_admission_p99_us = 0;  // depth trigger only
+    EXPECT_EQ(o.page_server.scan_admission_getpage_depth, 8u);
+    if (shared_host) {
+      o.ps_host = [&host](PartitionId) {
+        service::PsHostBinding b;
+        b.load = &host;
+        return b;
+      };
+    }
+    std::vector<std::unique_ptr<service::Deployment>> ds;
+    for (int t = 0; t < (shared_host ? 2 : 1); t++) {
+      ds.push_back(std::make_unique<service::Deployment>(s, o));
+    }
+    ScanFlight flight;
+    RunSim(s, [&]() -> Task<> {
+      std::vector<rbio::ScanRangeRequest> reqs;
+      for (auto& d : ds) {
+        EXPECT_TRUE((co_await d->Start()).ok());
+        Engine* e = d->primary_engine();
+        co_await Load(e, kRows);
+        co_await d->page_server(0)->applied_lsn().WaitFor(
+            d->log_client().end_lsn());
+        Result<PageId> leaf = co_await e->btree()->LeafIdFor(MakeKey(1, 0));
+        EXPECT_TRUE(leaf.ok());
+        if (!leaf.ok()) co_return;
+        rbio::ScanRangeRequest req;
+        req.start_page = *leaf;
+        req.start_key = MakeKey(1, 0);
+        req.end_key = MakeKey(1, kRows);
+        req.read_ts = e->last_committed_ts();
+        req.predicate = common::ScanPredicate::KeyModEq(16, 1);
+        reqs.push_back(req);
+      }
+      for (int i = 0; i < kScans; i++) {
+        const size_t t = static_cast<size_t>(i) % ds.size();
+        Spawn(s, FlyScan(ds[t]->page_server(0), reqs[t], &flight));
+      }
+      while (flight.done < kScans) co_await sim::Delay(s, 100);
+    });
+    EXPECT_GE(flight.peak, 8);
+    EXPECT_EQ(flight.ok, kScans);
+    for (auto& d : ds) {
+      EXPECT_EQ(d->page_server(0)->scans_queued(), 0u);
+      EXPECT_EQ(d->page_server(0)->scans_rejected(), 0u);
+      d->Stop();
+    }
+  }
 }
 
 TEST(ScanAdmissionTest, DegradedServerQueuesScansBehindTokenBucket) {
