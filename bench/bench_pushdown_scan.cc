@@ -244,12 +244,18 @@ int main(int argc, char** argv) {
               std::strcmp(state, "warm") == 0) {
             // The regression this planner exists to kill: on a warm
             // range the planner must not be slower than the local plan.
+            // A small warm range runs from memory in 0 simulated µs, so
+            // both p99s can be 0 (ratio 1); a plan slower than a 0 µs
+            // local one gets kSlowerThanFree, which fails any bound.
+            constexpr double kSlowerThanFree = 1e9;
+            const double ratio = baseline_p99 > 0 ? r.p99_us / baseline_p99
+                                 : r.p99_us > 0   ? kSlowerThanFree
+                                                  : 1.0;
             json.Line("{\"bench\":\"pushdown_scan\",\"phase\":"
                       "\"warm_floor\",\"sel_pct\":%.1f,"
                       "\"planned_p99_us\":%.1f,\"local_p99_us\":%.1f,"
                       "\"ratio\":%.3f}",
-                      sel, r.p99_us, baseline_p99,
-                      baseline_p99 > 0 ? r.p99_us / baseline_p99 : 0.0);
+                      sel, r.p99_us, baseline_p99, ratio);
           }
         }
       }

@@ -131,7 +131,6 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     chunk.fence_miss = resp->fence_miss;
     chunk.resume_key = resp->resume_key;
     chunk.next_leaf = resp->next_leaf;
-    chunk.rows_scanned = resp->rows_scanned;
     chunk.agg = resp->agg;
     chunk.tuples.reserve(resp->tuples.size());
     for (const rbio::ScanRangeResponse::Tuple& t : resp->tuples) {

@@ -96,22 +96,6 @@ sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key) {
       Status::Corruption("btree leaf locate did not converge"));
 }
 
-PageId BTree::ResidentLeafIdFor(uint64_t key) const {
-  PageId page_id = kRootPageId;
-  while (true) {
-    storage::Page* page = pool_->Peek(page_id);
-    if (page == nullptr) return kInvalidPageId;
-    BTreePage bp(page);
-    if (!bp.CoversKey(key) || (!bp.is_leaf() && bp.slot_count() == 0)) {
-      return kInvalidPageId;
-    }
-    if (bp.is_leaf()) return page_id;  // root-is-leaf tree
-    const PageId child = bp.ChildAt(bp.FindChildSlot(key));
-    if (bp.level() == 1) return child;
-    page_id = child;
-  }
-}
-
 sim::Task<Result<PageRef>> BTree::FindLeaf(uint64_t key) {
   return TraverseToLeaf(key, /*path=*/nullptr);
 }

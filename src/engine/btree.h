@@ -96,10 +96,6 @@ class BTree {
   /// same §4.5 retry discipline as TraverseToLeaf.
   sim::Task<Result<PageId>> LeafIdFor(uint64_t key);
 
-  /// LeafIdFor over the memory tier alone: kInvalidPageId when a page on
-  /// the way is not in memory. Synchronous, and counts no access.
-  PageId ResidentLeafIdFor(uint64_t key) const;
-
   /// Commit one row version under `key` (insert or update), splitting as
   /// needed. The stored chain becomes EncodePushed of the old one (empty
   /// for a new key); the log record carries only the new version and

@@ -26,8 +26,6 @@ struct PageRef::Frame {
   // evicted with it still set was speculation that never paid off.
   bool cold = false;
   bool prefetched = false;
-  // Loaded by Preload, which counted the access that will read it.
-  bool preloaded = false;
   std::list<PageId>::iterator lru_it;
 };
 
@@ -153,13 +151,9 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
     auto it = frames_.find(page_id);
     if (it != frames_.end()) {
       Frame* f = it->second.get();
-      if (f->preloaded) {
-        f->preloaded = false;
-      } else {
-        stats_.mem_hits++;
-        if (f->page.type() == storage::PageType::kBTreeLeaf) {
-          stats_.leaf_hits++;
-        }
+      stats_.mem_hits++;
+      if (f->page.type() == storage::PageType::kBTreeLeaf) {
+        stats_.leaf_hits++;
       }
       TouchMem(f);
       PageRef ref(this, f);
@@ -283,9 +277,8 @@ void BufferPool::InstallIfAbsent(storage::Page page) {
   ScheduleEviction();
 }
 
-void BufferPool::InstallUnpinned(storage::Page page, bool dirty,
-                                 uint64_t dirty_gen, bool checksum_valid,
-                                 bool preload) {
+void BufferPool::InstallCold(storage::Page page, bool dirty,
+                             uint64_t dirty_gen, bool checksum_valid) {
   PageId page_id = page.page_id();
   auto frame = std::make_unique<Frame>();
   frame->page_id = page_id;
@@ -293,58 +286,37 @@ void BufferPool::InstallUnpinned(storage::Page page, bool dirty,
   frame->dirty = dirty;
   frame->dirty_gen = dirty_gen;
   frame->checksum_valid = checksum_valid;
-  frame->preloaded = preload;
+  frame->cold = true;
+  frame->prefetched = true;
   if (dirty) dirty_index_.insert(page_id);
-  if (preload) {
-    mem_lru_.push_front(page_id);
-    frame->lru_it = mem_lru_.begin();
-  } else {
-    frame->cold = true;
-    frame->prefetched = true;
-    mem_cold_.push_front(page_id);
-    frame->lru_it = mem_cold_.begin();
-  }
+  mem_cold_.push_front(page_id);
+  frame->lru_it = mem_cold_.begin();
   frames_.emplace(page_id, std::move(frame));
 }
 
 void BufferPool::Prefetch(const std::vector<PageId>& pages) {
-  Load(pages, /*preload=*/false);
-}
-
-void BufferPool::Preload(const std::vector<PageId>& pages) {
-  Load(pages, /*preload=*/true);
-}
-
-void BufferPool::Load(const std::vector<PageId>& pages, bool preload) {
   for (PageId id : pages) {
     if (id == kInvalidPageId) continue;
     if (frames_.count(id) > 0 || inflight_.count(id) > 0) continue;
-    // Prefetch promotes SSD pages too; Preload fetches only remote ones.
-    const bool on_ssd = ssd_meta_.count(id) > 0;
-    if (preload ? on_ssd || fetcher_ == nullptr
-                : !on_ssd && fetcher_ == nullptr) {
-      continue;
-    }
-    if (!preload) stats_.prefetch_issued++;
+    if (ssd_meta_.count(id) == 0 && fetcher_ == nullptr) continue;
+    stats_.prefetch_issued++;
     // Register the in-flight barrier synchronously: later ids in this
     // call and concurrent demand fetches dedup against it immediately.
     std::shared_ptr<sim::Event> barrier = AcquireEvent();
     InflightInsert(id, barrier);
     sim::Spawn(sim_,
                PrefetchOne(id, std::move(barrier), life_, life_->epoch,
-                           ssd_, preload));
+                           ssd_));
   }
 }
 
 sim::Task<> BufferPool::PrefetchOne(PageId page_id,
                                     std::shared_ptr<sim::Event> barrier,
                                     LifePtr life, uint64_t epoch,
-                                    SsdPtr ssd, bool preload) {
+                                    SsdPtr ssd) {
   auto meta = ssd_meta_.find(page_id);
   if (meta != ssd_meta_.end() && ssd != nullptr) {
-    // SSD promotion, installed cold without a pin (Preload leaves pages
-    // on the SSD tier to their reads).
-    assert(!preload);
+    // SSD promotion, installed cold without a pin.
     meta->second.readers++;
     uint64_t slot = meta->second.slot;
     storage::Page page;
@@ -362,8 +334,7 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
       bool dirty = m2 != ssd_meta_.end() ? m2->second.dirty : false;
       uint64_t gen = m2 != ssd_meta_.end() ? m2->second.dirty_gen : 0;
       TouchSsd(page_id);
-      InstallUnpinned(std::move(page), dirty, gen, /*checksum_valid=*/true,
-                      /*preload=*/false);
+      InstallCold(std::move(page), dirty, gen, /*checksum_valid=*/true);
     }
   } else if (fetcher_ != nullptr) {
     Result<storage::Page> fetched = co_await fetcher_->FetchPage(page_id);
@@ -373,14 +344,8 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     }
     if (life->epoch == epoch && fetched.ok() &&
         frames_.count(page_id) == 0) {
-      if (preload) {
-        stats_.misses++;
-        if (fetched->type() == storage::PageType::kBTreeLeaf) {
-          stats_.leaf_misses++;
-        }
-      }
-      InstallUnpinned(std::move(fetched).value(), /*dirty=*/false,
-                      /*dirty_gen=*/0, /*checksum_valid=*/false, preload);
+      InstallCold(std::move(fetched).value(), /*dirty=*/false,
+                  /*dirty_gen=*/0, /*checksum_valid=*/false);
     }
   }
   if (life->alive && life->epoch == epoch) {
@@ -451,11 +416,6 @@ void BufferPool::Purge(PageId page_id) {
     ssd_meta_.erase(meta);
   }
   dirty_index_.erase(page_id);
-}
-
-storage::Page* BufferPool::Peek(PageId page_id) const {
-  auto it = frames_.find(page_id);
-  return it == frames_.end() ? nullptr : &it->second->page;
 }
 
 bool BufferPool::Contains(PageId page_id) const {

@@ -176,14 +176,6 @@ class BufferPool {
   /// downstream. Failures are dropped — prefetch is best-effort.
   void Prefetch(const std::vector<PageId>& pages);
 
-  /// Start fetching the pages of `pages` that are cached on neither tier,
-  /// for reads that follow at once (a batch of point reads). Unlike
-  /// Prefetch, each page is installed in the hot segment, as a demand
-  /// miss would be, and counted as the miss its read will be; that read's
-  /// access then counts nothing. Failures are dropped; the read that
-  /// follows fetches the page itself.
-  void Preload(const std::vector<PageId>& pages);
-
   /// Background warm-cache promotion (§3.3): walk the SSD tier's MRU
   /// prefix and promote up to memory capacity into memory via the
   /// prefetch machinery, in small windows so demand traffic is not
@@ -195,10 +187,6 @@ class BufferPool {
   /// Drop a page from all tiers without reporting an eviction (PITR /
   /// partition reassignment housekeeping).
   void Purge(PageId page_id);
-
-  /// The memory-tier frame of `page_id`, or null. No pin, no LRU touch
-  /// and no hit counted; valid only until the caller next suspends.
-  storage::Page* Peek(PageId page_id) const;
 
   /// True if present in memory or the SSD tier.
   bool Contains(PageId page_id) const;
@@ -293,13 +281,9 @@ class BufferPool {
                                            uint64_t dirty_gen,
                                            bool checksum_valid);
 
-  // Install an unpinned frame: into the cold LRU segment (Prefetch) or
-  // the hot one (Preload).
-  void InstallUnpinned(storage::Page page, bool dirty, uint64_t dirty_gen,
-                       bool checksum_valid, bool preload);
-
-  // Start PrefetchOne for each page not resident or in flight.
-  void Load(const std::vector<PageId>& pages, bool preload);
+  // Install an unpinned frame into the cold LRU segment (prefetch path).
+  void InstallCold(storage::Page page, bool dirty, uint64_t dirty_gen,
+                   bool checksum_valid);
 
   // Kick the background evictor if the memory tier is over capacity.
   void ScheduleEviction();
@@ -324,12 +308,11 @@ class BufferPool {
   sim::Task<> SpillToSsd(PageId page_id, const storage::Page& page,
                          LifePtr life, SsdPtr ssd);
 
-  // Load one prefetched page (SSD promotion or remote fetch) or preloaded
-  // one (remote fetch) and install it; `barrier` is this page's in-flight
-  // event.
+  // Load one prefetched page (SSD promotion or remote fetch) and install
+  // it cold; `barrier` is this page's in-flight event.
   sim::Task<> PrefetchOne(PageId page_id,
                           std::shared_ptr<sim::Event> barrier, LifePtr life,
-                          uint64_t epoch, SsdPtr ssd, bool preload);
+                          uint64_t epoch, SsdPtr ssd);
 
   sim::Task<> WarmupTask(std::vector<PageId> ids, LifePtr life,
                          uint64_t epoch);

@@ -79,8 +79,6 @@ struct RemoteScanChunk {
   uint64_t resume_key = 0;
   /// Leaf to resume on (kInvalidPageId = caller re-locates by key).
   PageId next_leaf = kInvalidPageId;
-  /// Visible rows the remote evaluator examined.
-  uint64_t rows_scanned = 0;
   /// Aggregate mode: mergeable partial state.
   common::AggState agg;
   /// Tuple mode: qualifying (key, projected payload), in key order.

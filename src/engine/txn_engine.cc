@@ -53,11 +53,34 @@ sim::Task<Result<std::string>> Engine::Get(Transaction* txn, uint64_t key) {
   co_return v.payload.ToString();
 }
 
-void Engine::PrefetchLeaves(const std::vector<uint64_t>& keys) {
-  std::vector<PageId> leaves;
-  leaves.reserve(keys.size());
-  for (uint64_t key : keys) leaves.push_back(btree_.ResidentLeafIdFor(key));
-  pool_->Preload(leaves);
+GetBatch Engine::StartGets(Transaction* txn,
+                           const std::vector<uint64_t>& keys) {
+  return GetBatch(sim_, this, txn, keys);
+}
+
+GetBatch::GetBatch(sim::Simulator& sim, Engine* engine, Transaction* txn,
+                   const std::vector<uint64_t>& keys)
+    : engine_(engine), txn_(txn), pending_(sim) {
+  slots_.reserve(keys.size());
+  for (uint64_t key : keys) slots_.emplace_back(sim, key);
+  pending_.Add(static_cast<int>(slots_.size()));
+  for (Slot& slot : slots_) sim::Spawn(sim, ReadOne(&slot));
+}
+
+sim::Task<> GetBatch::ReadOne(Slot* slot) {
+  slot->result.emplace(co_await engine_->Get(txn_, slot->key));
+  slot->ready.Set();
+  pending_.Done();
+}
+
+sim::Task<Result<std::string>> GetBatch::Get(size_t i) {
+  Slot& slot = slots_[i];
+  co_await slot.ready.Wait();
+  co_return std::move(*slot.result);
+}
+
+sim::Task<> GetBatch::Join() {
+  if (pending_.count() > 0) co_await pending_.Wait();
 }
 
 Status Engine::Put(Transaction* txn, uint64_t key, Slice value) {

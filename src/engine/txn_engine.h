@@ -24,9 +24,11 @@
 
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -126,6 +128,8 @@ struct FilteredScanResult {
   uint64_t fallbacks = 0;
 };
 
+class GetBatch;
+
 class Engine {
  public:
   /// `sink` may be null for read-only tiers; Commit then fails.
@@ -144,12 +148,11 @@ class Engine {
   /// Snapshot read. NotFound if the key is invisible at the snapshot.
   sim::Task<Result<std::string>> Get(Transaction* txn, uint64_t key);
 
-  /// Start fetching, all at once, the leaves of `keys` that are not
-  /// cached (BufferPool::Preload), so Gets of those keys that follow
-  /// overlap their fetches and misses to one Page Server share a GetPage
-  /// batch frame. Leaves are located through the interior pages in
-  /// memory; a key whose walk leaves memory is left to its Get.
-  void PrefetchLeaves(const std::vector<uint64_t>& keys);
+  /// Start a snapshot Get of every one of `keys` at once (a batch of
+  /// point reads). Each read copies its row the moment its leaf lands and
+  /// unpins it; cold leaves are fetched concurrently, so misses to one
+  /// Page Server share a GetPage batch frame. See GetBatch.
+  GetBatch StartGets(Transaction* txn, const std::vector<uint64_t>& keys);
 
   /// Buffer an upsert / delete in the write set (no I/O).
   Status Put(Transaction* txn, uint64_t key, Slice value);
@@ -266,6 +269,40 @@ class Engine {
   std::function<Timestamp()> read_ts_provider_;
   EngineStats stats_;
   ScanPlanDebug last_scan_plan_;
+};
+
+/// The reads of Engine::StartGets, running. Take key i's result with
+/// Get(i), once, in any order, and co_await Join() before the batch or
+/// its transaction goes away: a read still running uses both.
+class GetBatch {
+ public:
+  GetBatch(const GetBatch&) = delete;
+  GetBatch& operator=(const GetBatch&) = delete;
+  ~GetBatch() { assert(pending_.count() == 0); }
+
+  /// The result of the i-th key, once its read has finished.
+  sim::Task<Result<std::string>> Get(size_t i);
+
+  /// Resumes once every read has finished.
+  sim::Task<> Join();
+
+ private:
+  friend class Engine;
+  struct Slot {
+    Slot(sim::Simulator& sim, uint64_t key) : key(key), ready(sim) {}
+    uint64_t key;
+    std::optional<Result<std::string>> result;
+    sim::Event ready;
+  };
+
+  GetBatch(sim::Simulator& sim, Engine* engine, Transaction* txn,
+           const std::vector<uint64_t>& keys);
+  sim::Task<> ReadOne(Slot* slot);
+
+  Engine* engine_;
+  Transaction* txn_;
+  std::vector<Slot> slots_;  // never reallocated once the reads start
+  sim::WaitGroup pending_;
 };
 
 }  // namespace engine

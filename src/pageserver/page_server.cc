@@ -527,7 +527,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
       if (found == engine::ChainLookup::kNone || v.tombstone) {
         continue;  // row not visible at this snapshot
       }
-      resp.rows_scanned++;
       scan_rows_scanned_++;
       if (!common::EvalPredicate(req.predicate, key, v.payload)) continue;
       if (resp.aggregated) {

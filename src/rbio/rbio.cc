@@ -249,7 +249,7 @@ std::string ScanRangeResponse::Encode() const {
   std::string out;
   size_t tuple_bytes = 0;
   for (const Tuple& t : tuples) tuple_bytes += 12 + t.value.size();
-  out.reserve(2 + 1 + 5 + status.message().size() + 29 +
+  out.reserve(2 + 1 + 5 + status.message().size() + 21 +
               (aggregated ? 16 : 4 + tuple_bytes));
   PutResponsePrefix(&out, status);
   uint8_t flags = (complete ? 1u : 0u) | (fence_miss ? 2u : 0u) |
@@ -257,7 +257,6 @@ std::string ScanRangeResponse::Encode() const {
   out.push_back(static_cast<char>(flags));
   PutFixed64(&out, resume_key);
   PutFixed64(&out, next_leaf);
-  PutFixed64(&out, rows_scanned);
   PutFixed32(&out, pages_scanned);
   if (aggregated) {
     PutFixed64(&out, agg.rows);
@@ -287,7 +286,6 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
   out->aggregated = (flags & 4) != 0;
   if (!GetFixed64(&wire, &out->resume_key) ||
       !GetFixed64(&wire, &out->next_leaf) ||
-      !GetFixed64(&wire, &out->rows_scanned) ||
       !GetFixed32(&wire, &out->pages_scanned)) {
     return Status::Corruption("rbio: truncated scan response");
   }

@@ -179,9 +179,6 @@ struct ScanRangeResponse {
   bool aggregated = false;
   uint64_t resume_key = 0;
   PageId next_leaf = kInvalidPageId;
-  /// Rows the evaluator examined (visible-version checks) — the
-  /// selectivity denominator in the client's stats.
-  uint64_t rows_scanned = 0;
   uint32_t pages_scanned = 0;
   common::AggState agg;  // valid iff aggregated
   /// Qualifying projected tuples, in key order. Values alias the decoded

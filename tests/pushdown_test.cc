@@ -88,7 +88,6 @@ class FakeScanner : public RemoteScanner {
     }
     for (auto it = data.lower_bound(spec.start_key);
          it != data.end() && it->first < hi; ++it) {
-      c.rows_scanned++;
       if (!common::EvalPredicate(spec.predicate, it->first,
                                  Slice(it->second))) {
         continue;

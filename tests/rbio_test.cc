@@ -287,7 +287,6 @@ TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
   resp.complete = false;
   resp.resume_key = 777;
   resp.next_leaf = 31;
-  resp.rows_scanned = 120;
   resp.pages_scanned = 3;
   std::string v1 = "hello", v2 = "";
   resp.tuples.push_back({10, Slice(v1)});
@@ -300,7 +299,6 @@ TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
   EXPECT_FALSE(out.aggregated);
   EXPECT_EQ(out.resume_key, 777u);
   EXPECT_EQ(out.next_leaf, 31u);
-  EXPECT_EQ(out.rows_scanned, 120u);
   EXPECT_EQ(out.pages_scanned, 3u);
   ASSERT_EQ(out.tuples.size(), 2u);
   EXPECT_EQ(out.tuples[0].key, 10u);

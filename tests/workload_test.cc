@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "service/deployment.h"
@@ -283,7 +284,8 @@ TEST(CdbTest, PointLookupFailsWhenNoPageServerServesItsPage) {
 }
 
 // A loaded CDB database (scale 200, ~330 leaves) on two Page Servers
-// behind a 16-page compute cache: almost every leaf is remote.
+// behind a small compute cache (16 memory + 16 RBPEX pages by default):
+// almost every leaf is remote.
 struct ColdCdb {
   static CdbOptions Options() {
     CdbOptions copts;
@@ -295,20 +297,22 @@ struct ColdCdb {
     mix.weights[static_cast<int>(CdbTxnType::kPointLookup)] = 1.0;
     return mix;
   }
-  static service::DeploymentOptions Deploy() {
+  static service::DeploymentOptions Deploy(size_t mem_pages,
+                                           size_t ssd_pages) {
     service::DeploymentOptions o;
     o.partition_map.pages_per_partition = 256;
     o.num_page_servers = 2;
-    o.compute.mem_pages = 16;
-    o.compute.ssd_pages = 16;
+    o.compute.mem_pages = mem_pages;
+    o.compute.ssd_pages = ssd_pages;
     return o;
   }
 
   Simulator s;
-  service::Deployment d{s, Deploy()};
+  service::Deployment d;
   CdbWorkload cdb{Options(), PointLookups()};
 
-  ColdCdb() {
+  explicit ColdCdb(size_t mem_pages = 16, size_t ssd_pages = 16)
+      : d(s, Deploy(mem_pages, ssd_pages)) {
     RunSim(s, [this]() -> Task<> {
       EXPECT_TRUE((co_await d.Start()).ok());
       EXPECT_TRUE((co_await cdb.Load(d.primary_engine())).ok());
@@ -321,7 +325,13 @@ struct ColdCdb {
   ~ColdCdb() { d.Stop(); }
 
   Engine* engine() { return d.primary_engine(); }
+  engine::BufferPool* pool() { return engine()->pool(); }
   uint64_t frames() { return d.primary()->rbio_client().batches_sent(); }
+
+  // Chaos site of the Page Server that serves `page`.
+  std::string SiteOf(PageId page) const {
+    return d.PageServerSite(d.partition_map().PartitionOf(page));
+  }
 
   // The keys RunOne's point lookup reads for `seed`, in its draw order.
   std::vector<uint64_t> LookupKeys(uint64_t seed) const {
@@ -336,16 +346,50 @@ struct ColdCdb {
     return keys;
   }
 
-  // Snapshot reads of `keys`, one after another.
+  // The first lookup of at least `min_keys` keys, all on distinct leaves
+  // cached on neither compute tier, whose leaves `accept` (when given)
+  // takes: its RunOne seed, or 0.
+  Task<uint64_t> FindColdLookup(
+      size_t min_keys, std::vector<uint64_t>* keys,
+      std::vector<PageId>* leaves,
+      std::function<bool(const std::vector<PageId>&)> accept = nullptr) {
+    for (uint64_t sd = 1; sd < 5000; sd++) {
+      std::vector<uint64_t> k = LookupKeys(sd);
+      if (k.size() < min_keys) continue;
+      std::vector<PageId> l;
+      std::set<PageId> distinct;
+      for (uint64_t key : k) {
+        Result<PageId> leaf = co_await engine()->btree()->LeafIdFor(key);
+        if (leaf.ok() && !pool()->Contains(*leaf)) {
+          l.push_back(*leaf);
+          distinct.insert(*leaf);
+        }
+      }
+      if (distinct.size() == k.size() && (!accept || accept(l))) {
+        *keys = std::move(k);
+        *leaves = std::move(l);
+        co_return sd;
+      }
+    }
+    co_return 0;
+  }
+
+  // Snapshot reads of `keys`: all started at once (StartGets) or one
+  // after another.
   Task<std::vector<std::string>> Read(const std::vector<uint64_t>& keys,
-                                      bool prefetch) {
+                                      bool batched) {
     auto txn = engine()->Begin(true);
-    if (prefetch) engine()->PrefetchLeaves(keys);
     std::vector<std::string> values;
-    for (uint64_t key : keys) {
-      Result<std::string> v = co_await engine()->Get(txn.get(), key);
+    auto keep = [&](const Result<std::string>& v) {
       EXPECT_TRUE(v.ok()) << v.status().ToString();
       values.push_back(v.ok() ? *v : v.status().ToString());
+    };
+    if (batched) {
+      engine::GetBatch reads = engine()->StartGets(txn.get(), keys);
+      for (size_t i = 0; i < keys.size(); i++) keep(co_await reads.Get(i));
+      co_await reads.Join();
+    } else {
+      for (uint64_t key : keys) keep(co_await engine()->Get(txn.get(), key));
     }
     (void)co_await engine()->Commit(txn.get());
     co_return values;
@@ -358,51 +402,130 @@ TEST(CdbTest, PointLookupFetchesItsLeavesInOneFramePerPageServer) {
   // compute cache.
   uint64_t seed = 0;
   std::vector<uint64_t> keys;
+  std::vector<PageId> leaves;
   RunSim(db.s, [&]() -> Task<> {
-    for (uint64_t sd = 1; sd < 500 && seed == 0; sd++) {
-      std::vector<uint64_t> k = db.LookupKeys(sd);
-      if (k.size() < 6) continue;
-      std::set<PageId> leaves;
-      for (uint64_t key : k) {
-        Result<PageId> leaf = co_await db.engine()->btree()->LeafIdFor(key);
-        if (leaf.ok() && !db.engine()->pool()->Contains(*leaf)) {
-          leaves.insert(*leaf);
-        }
-      }
-      if (leaves.size() == k.size()) {
-        seed = sd;
-        keys = std::move(k);
-      }
-    }
+    seed = co_await db.FindColdLookup(6, &keys, &leaves);
   });
   ASSERT_NE(seed, 0u);
   const uint64_t frames = db.frames();
-  const uint64_t leaf_misses = db.engine()->pool()->stats().leaf_misses;
+  const uint64_t leaf_misses = db.pool()->stats().leaf_misses;
   RunSim(db.s, [&]() -> Task<> {
     Random rng(seed);
     TxnResult r = co_await db.cdb.RunOne(db.engine(), nullptr, &rng);
     EXPECT_TRUE(r.committed);
   });
   // One GetPage frame per Page Server, not one per key; each leaf is
-  // still counted as the miss it was.
+  // counted as the miss it was.
   EXPECT_LE(db.frames() - frames,
             static_cast<uint64_t>(db.d.num_page_servers()));
-  EXPECT_EQ(db.engine()->pool()->stats().leaf_misses - leaf_misses,
-            keys.size());
+  EXPECT_EQ(db.pool()->stats().leaf_misses - leaf_misses, keys.size());
 
   // The batch reads what sequential Gets read, on a twin database.
   ColdCdb twin;
   std::vector<std::string> batched, sequential;
   const uint64_t twin_frames = twin.frames();
   RunSim(twin.s, [&]() -> Task<> {
-    batched = co_await twin.Read(keys, /*prefetch=*/true);
+    batched = co_await twin.Read(keys, /*batched=*/true);
   });
   EXPECT_LE(twin.frames() - twin_frames,
             static_cast<uint64_t>(twin.d.num_page_servers()));
   RunSim(db.s, [&]() -> Task<> {
-    sequential = co_await db.Read(keys, /*prefetch=*/false);
+    sequential = co_await db.Read(keys, /*batched=*/false);
   });
   EXPECT_EQ(batched, sequential);
+}
+
+// Ten cold leaves through a 4-frame memory tier with a 16-page RBPEX:
+// each read takes its row as its leaf lands, so no leaf is evicted
+// before it is read, then fetched or read back from RBPEX a second time.
+TEST(CdbTest, PointLookupFetchesEachLeafOnceThroughASmallMemoryTier) {
+  ColdCdb db(/*mem_pages=*/4, /*ssd_pages=*/16);
+  uint64_t seed = 0;
+  std::vector<uint64_t> keys;
+  std::vector<PageId> leaves;
+  RunSim(db.s, [&]() -> Task<> {
+    seed = co_await db.FindColdLookup(10, &keys, &leaves);
+  });
+  ASSERT_NE(seed, 0u);
+  ASSERT_EQ(keys.size(), 10u);
+  const engine::BufferPoolStats before = db.pool()->stats();
+  RunSim(db.s, [&]() -> Task<> {
+    Random rng(seed);
+    TxnResult r = co_await db.cdb.RunOne(db.engine(), nullptr, &rng);
+    EXPECT_TRUE(r.committed);
+  });
+  const engine::BufferPoolStats& after = db.pool()->stats();
+  // One remote fetch per leaf, and no leaf read back from memory or
+  // RBPEX.
+  EXPECT_EQ(after.leaf_misses - before.leaf_misses, keys.size());
+  EXPECT_EQ(after.leaf_hits - before.leaf_hits, 0u);
+
+  // The rows are what sequential Gets read on a twin deployment.
+  ColdCdb twin(/*mem_pages=*/4, /*ssd_pages=*/16);
+  std::vector<std::string> batched, sequential;
+  RunSim(db.s, [&]() -> Task<> {
+    batched = co_await db.Read(keys, /*batched=*/true);
+  });
+  RunSim(twin.s, [&]() -> Task<> {
+    sequential = co_await twin.Read(keys, /*batched=*/false);
+  });
+  EXPECT_EQ(batched, sequential);
+}
+
+// The third key's Page Server is down, and the other server is slower
+// than the failure: the lookup aborts only once every read has finished.
+TEST(CdbTest, PointLookupJoinsEveryReadBeforeItAborts) {
+  ColdCdb db;
+  uint64_t seed = 0;
+  std::vector<uint64_t> keys;
+  std::vector<PageId> leaves;
+  // A later key on the other Page Server than the third key's.
+  auto later_key_elsewhere = [&](const std::vector<PageId>& l) {
+    for (size_t i = 3; i < l.size(); i++) {
+      if (db.SiteOf(l[i]) != db.SiteOf(l[2])) return true;
+    }
+    return false;
+  };
+  RunSim(db.s, [&]() -> Task<> {
+    seed = co_await db.FindColdLookup(4, &keys, &leaves,
+                                      later_key_elsewhere);
+  });
+  ASSERT_NE(seed, 0u);
+  const std::string down = db.SiteOf(leaves[2]);
+  std::string slow;
+  size_t slow_keys = 0;
+  for (size_t i = 3; i < leaves.size(); i++) {
+    if (db.SiteOf(leaves[i]) != down) {
+      slow = db.SiteOf(leaves[i]);
+      slow_keys++;
+    }
+  }
+  const uint64_t reads = db.engine()->stats().reads;
+  const uint64_t aborts = db.engine()->stats().aborts;
+  RunSim(db.s, [&]() -> Task<> {
+    // The first two keys read from memory; the third fails after the
+    // RBIO retries (~12 ms), and the slow server answers after 50 ms.
+    auto warm = db.engine()->Begin(true);
+    for (int i = 0; i < 2; i++) {
+      EXPECT_TRUE((co_await db.engine()->Get(warm.get(), keys[i])).ok());
+    }
+    EXPECT_TRUE((co_await db.engine()->Commit(warm.get())).ok());
+    EXPECT_TRUE(db.pool()->InMemory(leaves[0]));
+    EXPECT_TRUE(db.pool()->InMemory(leaves[1]));
+    db.d.chaos().SetOutage(down, true);
+    db.d.chaos().SetGrayDelay(slow, 50 * 1000);
+    const uint64_t leaf_misses = db.pool()->stats().leaf_misses;
+    Random rng(seed);
+    TxnResult r = co_await db.cdb.RunOne(db.engine(), nullptr, &rng);
+    EXPECT_FALSE(r.committed);
+    // Every key's read ran, and each one on the slow server had landed
+    // its leaf before RunOne returned.
+    EXPECT_EQ(db.engine()->stats().reads - reads, 2 + keys.size());
+    EXPECT_EQ(db.pool()->stats().leaf_misses - leaf_misses, slow_keys);
+    db.d.chaos().SetOutage(down, false);
+    db.d.chaos().SetGrayDelay(slow, 0);
+  });
+  EXPECT_EQ(db.engine()->stats().aborts - aborts, 1u);
 }
 
 TEST(DriverTest, HtapMixPushesAnalyticScansDown) {
