@@ -17,11 +17,14 @@
 //           (warm ranges stay local, cold ranges ship).
 //
 // Each (mode, selectivity) runs against a cold compute tier (restart with
-// non-recoverable RBPEX: the page plan refetches every leaf) and a warm
-// one (prior untimed pass). Reported per config: compute<->Page-Server
-// bytes on the wire (both legs), RBIO round trips, pushdown
-// scans/fallbacks, matched rows (cross-mode equality is asserted — all
-// three plans must see the same data), and per-stride scan p50/p99.
+// non-recoverable RBPEX: the page plan refetches every leaf), a warm one
+// (prior untimed pass), and a cold compute tier whose Page Server also
+// keeps fewer pages in memory than one timed ScanWhere call spans
+// (cold_server: the leaves come off the server's RBPEX). Reported per
+// config: compute<->Page-Server bytes on the wire (both legs), RBIO round
+// trips, pushdown scans/fallbacks, matched rows (cross-mode equality is
+// asserted — all three plans must see the same data), and per-stride
+// scan p50/p99.
 // The wire is modelled at a finite bandwidth so bytes moved translate
 // into scan latency, as on a real network.
 
@@ -44,8 +47,12 @@ struct Params {
 struct Config {
   const char* mode = "";   // pages | tuples | agg | planned
   uint64_t mod = 1;        // KeyModEq modulus: selectivity = 1/mod
-  const char* state = "";  // cold | warm
+  const char* state = "";  // cold | warm | cold_server
 };
+
+// cold_server's Page Server memory tier, in pages: below the ~20 leaves
+// of a smoke stride (1000 rows, ~52 per leaf) and the ~38 of a full one.
+constexpr size_t kColdServerMemPages = 8;
 
 struct PushdownResult {
   uint64_t wire_bytes = 0;   // request + response legs
@@ -115,7 +122,7 @@ PushdownResult Measure(const Params& p, const Config& c) {
   o.compute.mem_pages = 96;    // scan length >> memory tier
   o.compute.ssd_pages = 8192;  // RBPEX can hold the whole database
   o.compute.warmup_after_recovery = false;
-  o.compute.rbpex_recoverable = std::strcmp(c.state, "cold") != 0;
+  o.compute.rbpex_recoverable = std::strcmp(c.state, "warm") == 0;
   // The sweep axis is the predicate, not the planner: tuples and agg
   // push every selectivity so the crossover is visible in the data. Only
   // the "planned" mode hands the choice to the cost-based planner.
@@ -126,7 +133,8 @@ PushdownResult Measure(const Params& p, const Config& c) {
   }
   // Finite wire so bytes moved show up as time (2 GB/s intra-DC link).
   o.compute.rbio_wire_mb_per_s = 2000;
-  o.page_server.mem_pages = 1024;
+  o.page_server.mem_pages =
+      std::strcmp(c.state, "cold_server") == 0 ? kColdServerMemPages : 1024;
   service::Deployment d(sim, o);
 
   PushdownResult r;
@@ -185,10 +193,10 @@ int main(int argc, char** argv) {
                                    : std::vector<uint64_t>{1000, 100, 10,
                                                            1};
   // Smoke keeps the warm state: the warm-floor line below is a CI gate.
-  std::vector<const char*> states = {"cold", "warm"};
+  std::vector<const char*> states = {"cold", "warm", "cold_server"};
   const char* modes[] = {"pages", "tuples", "agg", "planned"};
 
-  printf("\n%-6s %-7s %8s %12s %10s %6s %5s %9s %10s %10s %9s\n", "state",
+  printf("\n%-11s %-7s %8s %12s %10s %6s %5s %9s %10s %10s %9s\n", "state",
          "mode", "sel %%", "wire bytes", "roundtrip", "scans", "fall",
          "matched", "p50 us", "p99 us", "scan ms");
   for (const char* state : states) {
@@ -203,7 +211,7 @@ int main(int argc, char** argv) {
         c.state = state;
         PushdownResult r = Measure(p, c);
         double sel = 100.0 / static_cast<double>(mod);
-        printf("%-6s %-7s %8.1f %12" PRIu64 " %10" PRIu64 " %6" PRIu64
+        printf("%-11s %-7s %8.1f %12" PRIu64 " %10" PRIu64 " %6" PRIu64
                " %5" PRIu64 " %9" PRIu64 " %10.1f %10.1f %9.2f\n",
                state, mode, sel, r.wire_bytes, r.round_trips,
                r.scans_sent, r.fallbacks, r.matched, r.p50_us, r.p99_us,

@@ -99,7 +99,10 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
           Status::Unavailable("no page server for partition"));
     }
     rbio::ScanRangeRequest req;
-    req.start_page = start_leaf;
+    req.leaves.reserve(1 + spec.next_leaves.size());
+    req.leaves.push_back(start_leaf);
+    req.leaves.insert(req.leaves.end(), spec.next_leaves.begin(),
+                      spec.next_leaves.end());
     req.start_key = spec.start_key;
     req.end_key = spec.end_key;
     req.limit = spec.limit;
@@ -130,7 +133,6 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     chunk.complete = resp->complete;
     chunk.fence_miss = resp->fence_miss;
     chunk.resume_key = resp->resume_key;
-    chunk.next_leaf = resp->next_leaf;
     chunk.agg = resp->agg;
     chunk.tuples.reserve(resp->tuples.size());
     for (const rbio::ScanRangeResponse::Tuple& t : resp->tuples) {

@@ -69,7 +69,11 @@ sim::Task<Result<PageRef>> BTree::TraverseToLeaf(uint64_t key,
       Status::Corruption("btree traversal did not converge"));
 }
 
-sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key) {
+sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key,
+                                           std::vector<PageId>* next,
+                                           uint64_t end_key,
+                                           size_t max_next) {
+  if (next != nullptr) next->clear();
   for (int attempt = 0; attempt < kMaxTraverseRetries; attempt++) {
     PageId page_id = kRootPageId;
     bool retry = false;
@@ -86,8 +90,19 @@ sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key) {
         break;
       }
       if (bp.is_leaf()) co_return page_id;  // root-is-leaf tree
-      PageId child = bp.ChildAt(bp.FindChildSlot(key));
-      if (bp.level() == 1) co_return child;  // child is the leaf: done
+      const int slot = bp.FindChildSlot(key);
+      PageId child = bp.ChildAt(slot);
+      if (bp.level() == 1) {  // child is the leaf: done
+        if (next != nullptr) {
+          for (int i = slot + 1; i < bp.slot_count() &&
+                                 bp.KeyAt(i) < end_key &&
+                                 next->size() < max_next;
+               i++) {
+            next->push_back(bp.ChildAt(i));
+          }
+        }
+        co_return child;
+      }
       page_id = child;
     }
     if (retry) continue;

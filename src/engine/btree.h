@@ -93,8 +93,15 @@ class BTree {
   /// planner's leaf locator: interior pages are hot in the compute tier's
   /// cache, so locating costs no Page Server round trip, and the server
   /// re-validates the leaf's fences anyway (fence_miss). Subject to the
-  /// same §4.5 retry discipline as TraverseToLeaf.
-  sim::Task<Result<PageId>> LeafIdFor(uint64_t key);
+  /// same §4.5 retry discipline as TraverseToLeaf. With `next` given, it
+  /// also gets the leaves the same level-1 page lists after that one, in
+  /// key order, while their ranges start below `end_key`, at most
+  /// `max_next`: the leaves a scan from `key` walks next, found without
+  /// another page visit.
+  sim::Task<Result<PageId>> LeafIdFor(uint64_t key,
+                                      std::vector<PageId>* next = nullptr,
+                                      uint64_t end_key = kMaxKey,
+                                      size_t max_next = 0);
 
   /// Commit one row version under `key` (insert or update), splitting as
   /// needed. The stored chain becomes EncodePushed of the old one (empty

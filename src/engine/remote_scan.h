@@ -6,11 +6,12 @@
 // dependency and unit tests can plug in fakes.
 //
 // Contract: ScanLeaves evaluates the spec over leaves starting at
-// `start_leaf` (which the caller located by descending its cached
-// interior pages) and returns one chunk — qualifying projected tuples or
-// a partial-aggregate state — plus a resume point. The implementation
-// must evaluate with the exact same scan_expr functions as the local
-// page-based path so both produce identical results.
+// `start_leaf` (which the caller located, with the leaves expected after
+// it, by descending its cached interior pages) and returns one chunk —
+// qualifying projected tuples or a partial-aggregate state — plus a
+// resume point. The implementation must evaluate with the exact same
+// scan_expr functions as the local page-based path so both produce
+// identical results.
 
 #pragma once
 
@@ -59,6 +60,11 @@ struct PushdownCostModel {
 struct RemoteScanSpec {
   uint64_t start_key = 0;
   uint64_t end_key = UINT64_MAX;
+  /// The leaves the caller expects after start_leaf, in key order (at
+  /// most kScanLeavesPerFrame - 1). Only a hint: the server reads them at
+  /// once before it walks the sibling chain, and a wrong id costs one
+  /// wasted read, never a wrong row.
+  std::vector<PageId> next_leaves;
   /// Max qualifying tuples wanted (0 = unbounded); ignored in aggregate
   /// mode.
   uint32_t limit = 0;
@@ -75,10 +81,9 @@ struct RemoteScanChunk {
   /// The server saw a leaf inconsistent with the cursor key (§4.5 split
   /// racing log apply); nothing past resume_key was evaluated.
   bool fence_miss = false;
-  /// First key not yet evaluated (valid when !complete).
+  /// First key not yet evaluated (valid when !complete); the caller
+  /// locates the next chunk's leaves from it.
   uint64_t resume_key = 0;
-  /// Leaf to resume on (kInvalidPageId = caller re-locates by key).
-  PageId next_leaf = kInvalidPageId;
   /// Aggregate mode: mergeable partial state.
   common::AggState agg;
   /// Tuple mode: qualifying (key, projected payload), in key order.

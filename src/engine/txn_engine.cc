@@ -361,7 +361,6 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
     spec.predicate = filter.predicate;
     spec.projection = filter.projection;
     spec.aggregate = filter.aggregate;
-    PageId leaf_hint = kInvalidPageId;
     int fence_retries = 0;
     while (true) {
       if (want > 0 && rows.size() >= want) {
@@ -369,22 +368,21 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
         need_local_tail = false;
         break;
       }
-      PageId leaf = leaf_hint;
-      leaf_hint = kInvalidPageId;
-      if (leaf == kInvalidPageId) {
-        Result<PageId> lid = co_await btree_.LeafIdFor(cursor);
-        if (!lid.ok()) {
-          out.fallbacks++;
-          need_local_tail = true;
-          break;
-        }
-        leaf = lid.value();
+      // Each chunk locates its leaves by key: the leaf covering the
+      // cursor and, off the same level-1 page, the ones after it that the
+      // server will walk, so it can read them all at once.
+      Result<PageId> leaf = co_await btree_.LeafIdFor(
+          cursor, &spec.next_leaves, end_key, kScanLeavesPerFrame - 1);
+      if (!leaf.ok()) {
+        out.fallbacks++;
+        need_local_tail = true;
+        break;
       }
       spec.start_key = cursor;
       spec.limit =
           want == 0 ? 0 : static_cast<uint32_t>(want - rows.size());
       Result<RemoteScanChunk> c =
-          co_await scanner_->ScanLeaves(leaf, spec);
+          co_await scanner_->ScanLeaves(leaf.value(), spec);
       if (!c.ok()) {
         // A Page Server that read a malformed page answers Corruption:
         // fail the scan, as the local plan would, rather than hide the
@@ -401,6 +399,14 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
         need_local_tail = true;
         break;
       }
+      // What the server evaluated before resume_key is final, also when
+      // a fence miss stopped its walk there.
+      if (!c->fence_miss || c->resume_key > cursor) out.pushed_down = true;
+      if (agg) {
+        out.agg.Merge(c->agg);
+      } else {
+        for (auto& t : c->tuples) rows.push_back(std::move(t));
+      }
       if (c->fence_miss) {
         // §4.5 split racing log apply, observed server-side. Re-locate
         // the leaf and retry; persistent misses degrade to local.
@@ -414,18 +420,11 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
         continue;
       }
       fence_retries = 0;
-      out.pushed_down = true;
-      if (agg) {
-        out.agg.Merge(c->agg);
-      } else {
-        for (auto& t : c->tuples) rows.push_back(std::move(t));
-      }
       if (c->complete) {
         need_local_tail = false;
         break;
       }
       cursor = c->resume_key;
-      leaf_hint = c->next_leaf;
     }
   }
 

@@ -428,14 +428,28 @@ sim::Task<> PageServer::ServeGetPages(rbio::GetPageBatchRequest req,
   }
 }
 
+namespace {
+
+// One pre-read of ServeScan: pin `id` into `pins`. A failed read is
+// dropped; if the walk reaches that page it reads it again and reports
+// the error there.
+sim::Task<> PinScanLeaf(engine::BufferPool* pool, PageId id,
+                        std::vector<engine::PageRef>* pins) {
+  Result<engine::PageRef> ref = co_await pool->GetPage(id);
+  if (ref.ok()) pins->push_back(std::move(ref).value());
+}
+
+}  // namespace
+
 // Serve one kScanRange frame: the computation-pushdown evaluator. Wait
-// for min_lsn, then walk leaf pages from req.start_page through right-
-// sibling links, evaluating predicate / projection / aggregate against
-// the covering RBPEX (§4.6) at snapshot req.read_ts — shipping back
-// qualifying tuples (or one partial-aggregate state) instead of raw
-// pages. Fence keys police the walk exactly like a §4.5 traversal: a
-// leaf that does not cover the cursor key (split racing log apply) stops
-// the scan with fence_miss and the client re-locates or falls back.
+// for min_lsn, pin the leaves the client listed (all reads at once), then
+// walk leaf pages from req.leaves[0] through right-sibling links,
+// evaluating predicate / projection / aggregate against the covering
+// RBPEX (§4.6) at snapshot req.read_ts — shipping back qualifying tuples
+// (or one partial-aggregate state) instead of raw pages. Fence keys
+// police the walk exactly like a §4.5 traversal: a leaf that does not
+// cover the cursor key (split racing log apply) stops the scan with
+// fence_miss and the client re-locates or falls back.
 sim::Task<Result<std::string>> PageServer::ServeScan(
     rbio::ScanRangeRequest req) {
   scan_requests_++;
@@ -457,10 +471,29 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   resp.status = Status::OK();
   resp.aggregated = req.aggregate.enabled();
   uint64_t cursor = req.start_key;
-  PageId leaf = req.start_page;
   resp.resume_key = cursor;
-  // Projected tuple bytes accumulate in one arena (the page pins only
-  // live per leaf); response Slices are taken after it stops growing.
+  if (req.leaves.empty()) {
+    resp.fence_miss = true;  // no leaf to start on: the client re-locates
+    co_return resp.Encode();
+  }
+  PageId leaf = req.leaves[0];
+  // Read the listed leaves at once, up to the walk's budget and the
+  // first one another partition owns (the walk stops there), and hold
+  // the pins for the walk: it then finds them in memory instead of
+  // paying one SSD read per sibling hop. The list is only a hint; a
+  // wrong id costs one wasted read.
+  std::vector<engine::PageRef> pins;
+  {
+    std::vector<sim::Task<>> reads;
+    const size_t n = std::min<size_t>(req.leaves.size(), req.max_pages);
+    for (size_t i = 0; i < n && InPartition(req.leaves[i]); i++) {
+      reads.push_back(PinScanLeaf(pool_.get(), req.leaves[i], &pins));
+    }
+    co_await sim::Gather(sim_, std::move(reads));
+  }
+  // Projected tuple bytes accumulate in one arena (the walk's own page
+  // pin lives per leaf); response Slices are taken after it stops
+  // growing.
   std::string arena;
   struct Tup {
     uint64_t key;
@@ -475,12 +508,12 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
       eval.cpu_per_io_us +
       static_cast<SimTime>(eval.cpu_per_kb_us *
                            (static_cast<double>(kPageSize) / 1024.0));
+  uint32_t pages_scanned = 0;
   bool done = false;
   while (!done) {
     if (!InPartition(leaf)) {
-      // Partition boundary: report the remainder's first leaf so the
-      // client resumes against the owning Page Server.
-      resp.next_leaf = leaf;
+      // Partition boundary: the client resumes from resume_key against
+      // the owning Page Server.
       break;
     }
     Result<engine::PageRef> ref = co_await pool_->GetPage(leaf);
@@ -489,7 +522,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
         // The sibling pointer led to a not-yet-materialized page (split
         // racing log apply): nothing past resume_key was evaluated.
         resp.fence_miss = true;
-        scan_fence_misses_++;
         break;
       }
       resp.status = ref.status();
@@ -498,11 +530,9 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     engine::BTreePage bp(ref->page());
     if (!bp.is_leaf() || !bp.CoversKey(cursor)) {
       resp.fence_miss = true;
-      scan_fence_misses_++;
       break;
     }
-    resp.pages_scanned++;
-    scan_pages_scanned_++;
+    pages_scanned++;
     // The evaluator is not free: pushdown trades wire bytes for Page
     // Server CPU, priced per leaf + per KB by the pushdown profile.
     co_await cpu_->Consume(eval_cpu_us);
@@ -553,10 +583,9 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
       break;
     }
     leaf = sibling;
-    if (resp.pages_scanned >= req.max_pages) {
+    if (pages_scanned >= req.max_pages) {
       // Budget spent: bound frame size / service time; the client
-      // resumes from (resume_key, next_leaf).
-      resp.next_leaf = sibling;
+      // resumes from resume_key.
       break;
     }
   }

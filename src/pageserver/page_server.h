@@ -235,16 +235,12 @@ class PageServer : public rbio::RbioServer {
   // these — rows vs tuples is the server-observed selectivity).
   /// kScanRange frames served.
   uint64_t scan_requests() const { return scan_requests_; }
-  /// Leaf pages the evaluator walked.
-  uint64_t scan_pages_scanned() const { return scan_pages_scanned_; }
   /// Visible rows the evaluator examined.
   uint64_t scan_rows_scanned() const { return scan_rows_scanned_; }
   /// Qualifying tuples shipped back.
   uint64_t scan_tuples_returned() const { return scan_tuples_returned_; }
   /// Projected tuple payload bytes shipped back.
   uint64_t scan_bytes_returned() const { return scan_bytes_returned_; }
-  /// Scans aborted on a fence inconsistency (split racing log apply).
-  uint64_t scan_fence_misses() const { return scan_fence_misses_; }
 
   // Scan-admission health (the interference bench prints these).
   /// Scans that found the server degraded and waited on the token bucket
@@ -321,8 +317,9 @@ class PageServer : public rbio::RbioServer {
   sim::Task<> ServeGetPages(rbio::GetPageBatchRequest req,
                             GetPageScratch* scratch);
   // kScanRange pushdown evaluator (§4.6 covering RBPEX + PushdownDB
-  // economics): wait for min_lsn, then walk leaves from req.start_page
-  // evaluating predicate/projection/aggregate at req.read_ts.
+  // economics): wait for min_lsn, pin the listed leaves at once, then
+  // walk leaves from req.leaves[0] evaluating predicate/projection/
+  // aggregate at req.read_ts.
   sim::Task<Result<std::string>> ServeScan(rbio::ScanRangeRequest req);
 
   // Scan admission (§4.6 serving-health defense): decide whether a
@@ -395,11 +392,9 @@ class PageServer : public rbio::RbioServer {
   uint64_t batch_requests_ = 0;
   uint64_t batch_subrequests_ = 0;
   uint64_t scan_requests_ = 0;
-  uint64_t scan_pages_scanned_ = 0;
   uint64_t scan_rows_scanned_ = 0;
   uint64_t scan_tuples_returned_ = 0;
   uint64_t scan_bytes_returned_ = 0;
-  uint64_t scan_fence_misses_ = 0;
   // Scan admission state. getpage_inflight_ (GetPage frames only) is
   // the point-read depth signal; GetPage service times feed a small ring
   // whose p99 is the second health signal.

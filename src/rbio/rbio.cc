@@ -216,7 +216,8 @@ std::string ScanRangeRequest::Encode() const {
 void ScanRangeRequest::EncodeTo(std::string* out) const {
   out->clear();
   PutHeader(out, MessageType::kScanRange);
-  PutFixed64(out, start_page);
+  PutFixed32(out, static_cast<uint32_t>(leaves.size()));
+  for (PageId id : leaves) PutFixed64(out, id);
   PutFixed64(out, start_key);
   PutFixed64(out, end_key);
   PutFixed32(out, limit);
@@ -231,8 +232,11 @@ void ScanRangeRequest::EncodeTo(std::string* out) const {
 Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out) {
   SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, MessageType::kScanRange,
                                      "rbio: not a ScanRange request"));
-  if (!GetFixed64(&wire, &out->start_page) ||
-      !GetFixed64(&wire, &out->start_key) ||
+  uint32_t n = 0;
+  SOCRATES_RETURN_IF_ERROR(GetCount(&wire, sizeof(PageId), &n));
+  out->leaves.resize(n);
+  for (PageId& id : out->leaves) GetFixed64(&wire, &id);  // fits: GetCount
+  if (!GetFixed64(&wire, &out->start_key) ||
       !GetFixed64(&wire, &out->end_key) || !GetFixed32(&wire, &out->limit) ||
       !GetFixed32(&wire, &out->max_pages) ||
       !GetFixed64(&wire, &out->min_lsn) ||
@@ -249,15 +253,13 @@ std::string ScanRangeResponse::Encode() const {
   std::string out;
   size_t tuple_bytes = 0;
   for (const Tuple& t : tuples) tuple_bytes += 12 + t.value.size();
-  out.reserve(2 + 1 + 5 + status.message().size() + 21 +
+  out.reserve(2 + 1 + 5 + status.message().size() + 9 +
               (aggregated ? 16 : 4 + tuple_bytes));
   PutResponsePrefix(&out, status);
   uint8_t flags = (complete ? 1u : 0u) | (fence_miss ? 2u : 0u) |
                   (aggregated ? 4u : 0u);
   out.push_back(static_cast<char>(flags));
   PutFixed64(&out, resume_key);
-  PutFixed64(&out, next_leaf);
-  PutFixed32(&out, pages_scanned);
   if (aggregated) {
     PutFixed64(&out, agg.rows);
     PutFixed64(&out, agg.value);
@@ -284,9 +286,7 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
   out->complete = (flags & 1) != 0;
   out->fence_miss = (flags & 2) != 0;
   out->aggregated = (flags & 4) != 0;
-  if (!GetFixed64(&wire, &out->resume_key) ||
-      !GetFixed64(&wire, &out->next_leaf) ||
-      !GetFixed32(&wire, &out->pages_scanned)) {
+  if (!GetFixed64(&wire, &out->resume_key)) {
     return Status::Corruption("rbio: truncated scan response");
   }
   out->tuples.clear();

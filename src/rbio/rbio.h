@@ -135,15 +135,18 @@ struct GetPageBatchResponse {
 
 /// Computation pushdown: evaluate a predicate + projection (or a partial
 /// aggregate) over the key range [start_key, end_key) directly on the
-/// Page Server's covering RBPEX, walking leaves from `start_page` at
+/// Page Server's covering RBPEX, walking leaves from `leaves[0]` at
 /// freshness `min_lsn` and snapshot `read_ts`. The server returns
 /// qualifying projected tuples (or one partial-aggregate state) instead
 /// of raw pages.
 struct ScanRangeRequest {
-  /// Leaf the range starts on (the client locates it by descending its
-  /// cached interior pages; the B+-tree spans partitions, so the server
-  /// cannot traverse from the root).
-  PageId start_page = kInvalidPageId;
+  /// The leaf the range starts on, then the leaves the client expects
+  /// the walk to reach after it, in key order (the client reads them off
+  /// its cached interior pages; the B+-tree spans partitions, so the
+  /// server cannot traverse from the root). The server reads the first
+  /// `max_pages` at once before it walks; past `leaves[0]` the list is
+  /// only a hint, and sibling links decide the walk.
+  std::vector<PageId> leaves;
   uint64_t start_key = 0;
   /// Exclusive; UINT64_MAX scans to the end of the key space.
   uint64_t end_key = UINT64_MAX;
@@ -169,7 +172,7 @@ struct ScanRangeResponse {
   Status status;
   /// True when the whole requested range was evaluated; false means the
   /// client resumes from `resume_key` (budget/limit hit, or a partition
-  /// boundary — `next_leaf` then hints the first leaf of the remainder).
+  /// boundary).
   bool complete = false;
   /// The server observed a leaf inconsistent with the requested key
   /// (a §4.5-style split racing log apply): nothing past `resume_key`
@@ -178,8 +181,6 @@ struct ScanRangeResponse {
   bool fence_miss = false;
   bool aggregated = false;
   uint64_t resume_key = 0;
-  PageId next_leaf = kInvalidPageId;
-  uint32_t pages_scanned = 0;
   common::AggState agg;  // valid iff aggregated
   /// Qualifying projected tuples, in key order. Values alias the decoded
   /// response frame (zero-copy; `owner` keeps it alive).

@@ -58,6 +58,10 @@ class FakeScanner : public RemoteScanner {
   bool enabled = true;
   uint64_t chunk_span = UINT64_MAX;  // keys evaluated per call
   int fence_misses_to_inject = 0;
+  // Chunks that evaluate up to chunk_span keys and then report a fence
+  // miss at their resume key, as a walk that meets a split past its
+  // first leaf does.
+  int partial_fence_misses_to_inject = 0;
   int error_after_chunks = -1;  // serve this many chunks, then error
   int calls = 0;
   int chunks_served = 0;
@@ -103,6 +107,10 @@ class FakeScanner : public RemoteScanner {
     }
     c.complete = hi >= spec.end_key;
     c.resume_key = hi;
+    if (!c.complete && partial_fence_misses_to_inject > 0) {
+      partial_fence_misses_to_inject--;
+      c.fence_miss = true;
+    }
     co_return c;
   }
 };
@@ -348,6 +356,40 @@ TEST(ScanWherePlannerTest, FenceMissRetriesThenSucceeds) {
     (void)co_await f.engine->Commit(txn.get());
   });
   EXPECT_GE(f.fake.calls, 3);
+}
+
+TEST(ScanWherePlannerTest, RowsBeforeAFenceMissAreKept) {
+  // A fence miss stops the server's walk at resume_key, but what it
+  // evaluated before that key is final and ships in the same chunk.
+  for (const bool aggregate : {false, true}) {
+    SCOPED_TRACE(aggregate ? "aggregate" : "tuples");
+    EngineFixture f;
+    f.engine->SetRemoteScanner(&f.fake);
+    f.fake.chunk_span = 64;
+    f.fake.partial_fence_misses_to_inject = 2;  // below the retry budget
+    ScanFilter filter;
+    filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    if (aggregate) filter.aggregate = common::ScanAggregate::Sum(0);
+    RunSim(f.sim, [&]() -> Task<> {
+      auto txn = f.engine->Begin(true);
+      auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) {
+        EXPECT_TRUE(r->pushed_down);
+        EXPECT_EQ(r->fallbacks, 0u);
+        const auto want = Expected(f.fake.data, 0, 400, filter);
+        if (aggregate) {
+          uint64_t sum = 0;
+          for (const auto& [key, payload] : want) sum += key * 3;
+          EXPECT_EQ(r->agg.rows, want.size());
+          EXPECT_EQ(r->agg.value, sum);
+        } else {
+          EXPECT_EQ(r->rows, want);
+        }
+      }
+      (void)co_await f.engine->Commit(txn.get());
+    });
+  }
 }
 
 TEST(ScanWherePlannerTest, PersistentFenceMissFallsBackToLocal) {
@@ -863,7 +905,7 @@ TEST(PushdownEndToEndTest, MalformedLeafChainFailsThePushedScan) {
     EXPECT_TRUE(leaf.ok());
     if (!leaf.ok()) co_return;
     rbio::ScanRangeRequest req;
-    req.start_page = *leaf;
+    req.leaves = {*leaf};
     req.start_key = key;
     req.end_key = key + 1;
     req.read_ts = e->last_committed_ts();
@@ -892,6 +934,171 @@ TEST(PushdownEndToEndTest, MalformedLeafChainFailsThePushedScan) {
                                    ScanFilter{});
     EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
     EXPECT_EQ(e->stats().pushdown_fallbacks, 0u);
+  });
+  d.Stop();
+}
+
+// Forwards each chunk to the deployment's scanner and records its
+// simulated round-trip time; with `hint` set it replaces the leaves the
+// engine listed after the start leaf.
+class ForwardingScanner : public RemoteScanner {
+ public:
+  ForwardingScanner(Simulator& sim, RemoteScanner* inner)
+      : sim_(sim), inner_(inner) {}
+
+  bool has_hint = false;
+  std::vector<PageId> hint;
+  std::vector<SimTime> chunk_us;
+
+  bool Enabled() const override { return inner_->Enabled(); }
+  PushdownCostModel CostModel() const override {
+    return inner_->CostModel();
+  }
+
+  Task<Result<RemoteScanChunk>> ScanLeaves(
+      PageId start_leaf, const RemoteScanSpec& spec) override {
+    RemoteScanSpec sent = spec;
+    if (has_hint) sent.next_leaves = hint;
+    const SimTime t0 = sim_.now();
+    Result<RemoteScanChunk> c = co_await inner_->ScanLeaves(start_leaf, sent);
+    chunk_us.push_back(sim_.now() - t0);
+    co_return c;
+  }
+
+  RemoteScanner* inner() const { return inner_; }
+
+ private:
+  Simulator& sim_;
+  RemoteScanner* inner_;
+};
+
+TEST(PushdownEndToEndTest, ChunkReadsItsRbpexLeavesAtOnce) {
+  // The server's memory tier holds 8 pages, so most of the range's k
+  // leaves sit only on its RBPEX. Read one per sibling hop, they cost at
+  // least LocalSsd's 50 µs floor each; read at once, the whole chunk
+  // comes back in under k * 50 µs.
+  constexpr uint64_t kRows = 8000;
+  Simulator s;
+  service::DeploymentOptions o = SmallDeployment();
+  o.page_server.mem_pages = 8;
+  service::Deployment d(s, o);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await Load(e, kRows);
+    co_await d.page_server(0)->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    std::vector<PageId> leaves;
+    Result<PageId> first = co_await e->btree()->LeafIdFor(
+        MakeKey(1, 0), &leaves, MakeKey(1, kRows), kScanLeavesPerFrame - 1);
+    EXPECT_TRUE(first.ok());
+    if (!first.ok()) co_return;
+    leaves.push_back(*first);
+    const size_t k = leaves.size();
+    EXPECT_GE(k, 32u);
+    EXPECT_LT(k, static_cast<size_t>(kScanLeavesPerFrame));  // one chunk
+    size_t only_on_ssd = 0;
+    BufferPool* server = d.page_server(0)->pool();
+    for (PageId id : leaves) {
+      if (!server->InMemory(id) && server->Contains(id)) only_on_ssd++;
+    }
+    EXPECT_GE(only_on_ssd, k - 8);
+
+    ForwardingScanner timed(s, e->remote_scanner());
+    e->SetRemoteScanner(&timed);
+    ScanFilter filter;
+    filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.aggregate = common::ScanAggregate::Count();
+    auto txn = e->Begin(true);
+    auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
+                                   MakeKey(1, kRows), 0, filter);
+    e->SetRemoteScanner(timed.inner());
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) {
+      EXPECT_TRUE(r->pushed_down);
+      EXPECT_EQ(r->agg.rows, kRows / 16);
+    }
+    (void)co_await e->Commit(txn.get());
+    EXPECT_EQ(timed.chunk_us.size(), 1u);
+    if (timed.chunk_us.size() != 1) co_return;
+    EXPECT_LT(timed.chunk_us[0], static_cast<SimTime>(k * 50))
+        << k << " leaves, " << only_on_ssd << " only on the server's RBPEX";
+  });
+  d.Stop();
+}
+
+TEST(PushdownEndToEndTest, BadLeafHintsNeverChangeRowsOrFailScans) {
+  // The leaves a request lists after its start leaf are a read-ahead
+  // hint: the walk follows sibling links and fences. Whatever the list
+  // says, the pushed scan returns the local plan's rows, with no fence
+  // miss and no fallback.
+  constexpr uint64_t kRows = 3000;
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await Load(e, kRows);
+    const uint64_t lo = MakeKey(1, 200), hi = MakeKey(1, 2200);
+    std::vector<PageId> right;  // what the engine itself lists
+    EXPECT_TRUE((co_await e->btree()->LeafIdFor(lo, &right, hi, 63)).ok());
+    std::vector<PageId> elsewhere;  // leaves of another range
+    Result<PageId> far = co_await e->btree()->LeafIdFor(
+        MakeKey(1, 2500), &elsewhere, MakeKey(1, kRows), 63);
+    EXPECT_TRUE(far.ok());
+    if (!far.ok()) co_return;
+    elsewhere.insert(elsewhere.begin(), *far);
+    EXPECT_GE(right.size(), 4u);
+    std::vector<PageId> doubled;
+    for (PageId id : right) doubled.insert(doubled.end(), {id, id});
+    const PageId other_partition = 2 * 8192 + 5;  // pages_per_partition
+    const PageId never_written = 8000;            // in partition 0
+    const std::vector<std::vector<PageId>> hints = {
+        elsewhere,
+        {other_partition, other_partition + 1, right[0]},
+        {never_written, right[1]},
+        doubled,
+        {right.rbegin(), right.rend()},
+        {},
+    };
+    ScanFilter filter;
+    filter.predicate = common::ScanPredicate::KeyModEq(8, 3);
+    filter.projection.extents.push_back({0, 8});
+    auto txn = e->Begin(true);
+    RemoteScanner* inner = e->remote_scanner();
+    e->SetRemoteScanner(nullptr);
+    auto local = co_await e->ScanWhere(txn.get(), lo, hi, 0, filter);
+    EXPECT_TRUE(local.ok());
+    if (!local.ok()) co_return;
+    ForwardingScanner hinted(s, inner);
+    hinted.has_hint = true;
+    e->SetRemoteScanner(&hinted);
+    for (size_t i = 0; i < hints.size(); i++) {
+      SCOPED_TRACE("hint " + std::to_string(i));
+      hinted.hint = hints[i];
+      const uint64_t fallbacks = e->stats().pushdown_fallbacks;
+      auto r = co_await e->ScanWhere(txn.get(), lo, hi, 0, filter);
+      EXPECT_TRUE(r.ok());
+      if (!r.ok()) continue;
+      EXPECT_TRUE(r->pushed_down);
+      EXPECT_EQ(r->rows, local->rows);
+      EXPECT_EQ(e->stats().pushdown_fallbacks, fallbacks);
+    }
+    EXPECT_EQ(hinted.chunk_us.size(), hints.size());  // no fence miss
+    e->SetRemoteScanner(inner);
+    (void)co_await e->Commit(txn.get());
+
+    // A request that lists no leaf at all has nowhere to start: the
+    // server answers with a fence miss, never an error.
+    rbio::ScanRangeRequest req;
+    req.start_key = lo;
+    req.end_key = hi;
+    req.read_ts = e->last_committed_ts();
+    rbio::ScanRangeResponse none =
+        co_await ServeScanFrame(d.page_server(0), req);
+    EXPECT_TRUE(none.status.ok()) << none.status.ToString();
+    EXPECT_TRUE(none.fence_miss);
+    EXPECT_TRUE(none.tuples.empty());
   });
   d.Stop();
 }
@@ -1001,7 +1208,7 @@ TEST(ScanAdmissionTest, ConcurrentScansNeverCountAsPointReadDepth) {
         EXPECT_TRUE(leaf.ok());
         if (!leaf.ok()) co_return;
         rbio::ScanRangeRequest req;
-        req.start_page = *leaf;
+        req.leaves = {*leaf};
         req.start_key = MakeKey(1, 0);
         req.end_key = MakeKey(1, kRows);
         req.read_ts = e->last_committed_ts();

@@ -49,7 +49,7 @@ TEST(RbioCodecTest, GetPageRoundTrip) {
 
 TEST(RbioCodecTest, TypeConfusionRejected) {
   ScanRangeRequest scan;
-  scan.start_page = 1;
+  scan.leaves = {1};
   GetPageBatchRequest get;
   EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(scan.Encode()), &get)
                   .IsInvalidArgument());
@@ -166,6 +166,14 @@ TEST(RbioCodecTest, CountsBeyondTheFrameAreCorruption) {
                   std::make_shared<const std::string>(resp), &pages)
                   .IsCorruption());
 
+  ScanRangeRequest range;
+  range.leaves = {5};
+  std::string leaves = range.Encode();
+  EncodeFixed32(&leaves[3], UINT32_MAX);  // the count after the header
+  Status ls = ScanRangeRequest::Decode(Slice(leaves), &range);
+  EXPECT_TRUE(ls.IsCorruption()) << ls.ToString();
+  EXPECT_EQ(ls.message(), "rbio: count exceeds frame");
+
   ScanRangeResponse scan;
   scan.status = Status::OK();
   std::string tuples = scan.Encode();  // ends in a u32 tuple count of 0
@@ -246,7 +254,7 @@ TEST(RbioCodecTest, DecodedStatusMessageBorrowsTheFrame) {
 
 TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   ScanRangeRequest req;
-  req.start_page = 17;
+  req.leaves = {17, 18, 40, 18};
   req.start_key = 1000;
   req.end_key = 5000;
   req.limit = 64;
@@ -259,7 +267,7 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   std::string wire = req.Encode();
   ScanRangeRequest out;
   ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out).ok());
-  EXPECT_EQ(out.start_page, 17u);
+  EXPECT_EQ(out.leaves, (std::vector<PageId>{17, 18, 40, 18}));
   EXPECT_EQ(out.start_key, 1000u);
   EXPECT_EQ(out.end_key, 5000u);
   EXPECT_EQ(out.limit, 64u);
@@ -279,6 +287,10 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
     EXPECT_FALSE(
         ScanRangeRequest::Decode(Slice(wire.data(), cut), &out).ok());
   }
+  // An empty list round-trips (the server answers it with a fence miss).
+  req.leaves.clear();
+  ASSERT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode()), &out).ok());
+  EXPECT_TRUE(out.leaves.empty());
 }
 
 TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
@@ -286,8 +298,6 @@ TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
   resp.status = Status::OK();
   resp.complete = false;
   resp.resume_key = 777;
-  resp.next_leaf = 31;
-  resp.pages_scanned = 3;
   std::string v1 = "hello", v2 = "";
   resp.tuples.push_back({10, Slice(v1)});
   resp.tuples.push_back({20, Slice(v2)});
@@ -298,8 +308,6 @@ TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
   EXPECT_FALSE(out.complete);
   EXPECT_FALSE(out.aggregated);
   EXPECT_EQ(out.resume_key, 777u);
-  EXPECT_EQ(out.next_leaf, 31u);
-  EXPECT_EQ(out.pages_scanned, 3u);
   ASSERT_EQ(out.tuples.size(), 2u);
   EXPECT_EQ(out.tuples[0].key, 10u);
   EXPECT_EQ(out.tuples[0].value.ToString(), "hello");
