@@ -238,7 +238,7 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   }
   alive_ = true;
   // 1. RBPEX: keep the warm cache, discard anything speculative.
-  (void)co_await pool_->Recover(durable_end);
+  pool_->Recover(durable_end);
   // 2. Redo the hardened tail over cached pages. Uncached pages will be
   //    fetched fresh (>= durable_end) from Page Servers when touched.
   applier_->applied_lsn().Advance(replay_from);

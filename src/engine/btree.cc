@@ -54,7 +54,6 @@ sim::Task<Result<PageRef>> BTree::TraverseToLeaf(uint64_t key,
           (!bp.is_leaf() && bp.slot_count() == 0)) {
         // §4.5: this page is from the "future" relative to the parent we
         // came through (or apply is mid-flight). Pause and re-traverse.
-        traversal_retries_++;
         co_await sim::Delay(sim_, kRetryPauseUs);
         retry = true;
         break;
@@ -84,7 +83,6 @@ sim::Task<Result<PageId>> BTree::LeafIdFor(uint64_t key,
       if (!bp.CoversKey(key) ||
           (!bp.is_leaf() && bp.slot_count() == 0)) {
         // §4.5: page from the future / apply mid-flight — pause, retry.
-        traversal_retries_++;
         co_await sim::Delay(sim_, kRetryPauseUs);
         retry = true;
         break;

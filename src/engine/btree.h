@@ -123,9 +123,6 @@ class BTree {
   /// Attach a log sink (Secondary promotion: the tree becomes writable).
   void SetSink(LogSink* sink) { sink_ = sink; }
 
-  /// Number of fence-key traversal retries observed (the §4.5 race).
-  uint64_t traversal_retries() const { return traversal_retries_; }
-
   /// Enable sequential-scan readahead: when Scan confirms sequential
   /// leaf access via sibling pointers, prefetch a window of upcoming
   /// leaves that ramps 2 → `max_window` and collapses when the access
@@ -186,7 +183,6 @@ class BTree {
   BufferPool* pool_;
   LogSink* sink_;
   PageId next_page_id_ = kRootPageId + 1;
-  uint64_t traversal_retries_ = 0;
   uint64_t splits_ = 0;
 
   // Readahead state persists across Scan calls so stride-driven scans

@@ -183,12 +183,16 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
       // The promoted frame shares the SSD image until its first write
       // detaches it (copy-on-write), so promotion copies no bytes.
       storage::Page page;
+      const uint64_t epoch = life_->epoch;
       Status s = co_await ssd_->ReadPage(slot * kPageSize, &page);
       auto meta2 = ssd_meta_.find(page_id);
       if (meta2 != ssd_meta_.end()) meta2->second.readers--;
       InflightErase(page_id);
       event->Set();
       ReleaseEvent(std::move(event));
+      // A crash meanwhile may have purged the image (speculative state):
+      // look the page up again.
+      if (life_->epoch != epoch) continue;
       if (!s.ok()) co_return Result<PageRef>(s);
       if (Status cs = page.VerifyChecksum(); !cs.ok()) {
         co_return Result<PageRef>(cs);
@@ -412,7 +416,13 @@ void BufferPool::Purge(PageId page_id) {
   auto meta = ssd_meta_.find(page_id);
   if (meta != ssd_meta_.end()) {
     ssd_lru_.erase(meta->second.lru_it);
-    ssd_free_slots_.push_back(meta->second.slot);
+    // A spill given the slot now could land before the one in flight,
+    // which would then overwrite it.
+    if (meta->second.writers > 0) {
+      ssd_unlanded_[meta->second.slot] = meta->second.writers;
+    } else {
+      ssd_free_slots_.push_back(meta->second.slot);
+    }
     ssd_meta_.erase(meta);
   }
   dirty_index_.erase(page_id);
@@ -507,7 +517,6 @@ void BufferPool::Crash() {
   frames_.clear();
   mem_lru_.clear();
   mem_cold_.clear();
-  inflight_.clear();
   // Fence detached background tasks (eviction spills, prefetches,
   // warmup): they observe the epoch change at their next suspension
   // point and stop touching pool state.
@@ -518,12 +527,18 @@ void BufferPool::Crash() {
   std::erase_if(zombies_,
                 [](const std::unique_ptr<Frame>& f) { return f->pins == 0; });
   if (!opts_.ssd_recoverable) {
-    // Plain buffer-pool extension: the SSD index does not survive.
-    ssd_meta_.clear();
-    ssd_lru_.clear();
-    ssd_free_slots_.clear();
-    ssd_next_slot_ = 0;
+    // Plain buffer-pool extension: the SSD index does not survive, but a
+    // slot still being written stays taken until its write lands.
+    while (!ssd_lru_.empty()) Purge(ssd_lru_.back());
   }
+  // In-flight loads die with the process. A spill still writing a slot
+  // that the index keeps holds its barrier until the write lands: a read
+  // issued now could overtake the write and promote the slot's previous
+  // image.
+  std::erase_if(inflight_, [&](const auto& entry) {
+    auto meta = ssd_meta_.find(entry.first);
+    return meta == ssd_meta_.end() || meta->second.writers == 0;
+  });
   // Rebuild the dirty index: memory-tier dirtiness died with the
   // frames (log replay from the restart LSN re-creates it); what
   // survives is the recoverable SSD tier's dirty bits.
@@ -533,36 +548,16 @@ void BufferPool::Crash() {
   }
 }
 
-sim::Task<Result<size_t>> BufferPool::Recover(Lsn durable_end_lsn) {
-  if (ssd_ == nullptr || ssd_meta_.empty()) co_return size_t{0};
-  // Rebuild by scanning: read every slot, verify, and drop images that
-  // reflect log which never hardened (speculative state, §4.3). The index
-  // can change while a read is suspended (spills insert and rehash, SSD
-  // evictions and Purge erase), so walk a snapshot of (page, slot) pairs
-  // and re-look-up each entry after its read.
-  std::vector<std::pair<PageId, uint64_t>> slots;
-  slots.reserve(ssd_meta_.size());
-  for (const auto& [id, meta] : ssd_meta_) slots.emplace_back(id, meta.slot);
-  size_t recovered = 0;
-  for (const auto& [id, slot] : slots) {
-    storage::Page page;
-    Status s = co_await ssd_->ReadPage(slot * kPageSize, &page);
-    auto meta = ssd_meta_.find(id);
-    // Evicted, purged or being rewritten while the read was in flight:
-    // the slot no longer holds the image just read, so leave it alone.
-    if (meta == ssd_meta_.end() || meta->second.slot != slot ||
-        meta->second.writers > 0) {
-      continue;
-    }
-    if (!s.ok() || !page.VerifyChecksum().ok() ||
-        page.page_lsn() > durable_end_lsn) {
-      Purge(id);
-      continue;
-    }
-    meta->second.page_lsn = page.page_lsn();
-    recovered++;
+size_t BufferPool::Recover(Lsn durable_end_lsn) {
+  // Drop the images that reflect log which never hardened (speculative
+  // state, §4.3). SpillToSsd records each pageLSN in the index before
+  // its write, so no slot is read here.
+  std::vector<PageId> speculative;
+  for (const auto& [id, meta] : ssd_meta_) {
+    if (meta.page_lsn > durable_end_lsn) speculative.push_back(id);
   }
-  co_return recovered;
+  for (PageId id : speculative) Purge(id);
+  return ssd_meta_.size();
 }
 
 sim::Task<Result<PageRef>> BufferPool::InstallAndPin(PageId page_id,
@@ -685,6 +680,9 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
     if (meta2 != ssd_meta_.end() && meta2->second.dirty) {
       dirty_index_.insert(page_id);
     }
+  }
+  // The barrier may have outlived a crash (see Crash()).
+  if (life->alive) {
     auto inf = inflight_.find(page_id);
     if (inf != inflight_.end() && inf->second == barrier) {
       inflight_.erase(inf);
@@ -764,6 +762,11 @@ sim::Task<> BufferPool::SpillToSsd(PageId page_id,
   auto m2 = ssd_meta_.find(page_id);
   if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
     m2->second.writers--;
+  } else if (auto u = ssd_unlanded_.find(slot);
+             u != ssd_unlanded_.end() && --u->second == 0) {
+    // Purged mid-write: the slot is free once its last write lands.
+    ssd_unlanded_.erase(u);
+    ssd_free_slots_.push_back(slot);
   }
 }
 

@@ -13,10 +13,11 @@
 //  * every departure from the memory tier reports (page, pageLSN) to the
 //    eviction callback — that is how the Primary maintains the
 //    evicted-LSN hash map that makes GetPage@LSN safe (§4.4).
-//  * RBPEX recoverability: after Crash(), Recover() rebuilds the SSD
-//    index by scanning slot headers (checksums verified), discarding
-//    pages newer than the durable log end — a warm cache survives short
-//    failures, which is the point of §3.3.
+//  * RBPEX recoverability: the SSD index survives Crash() and holds each
+//    slot's pageLSN, so Recover() is one pass over the index, reading no
+//    slot: it drops pages newer than the durable log end, and promotion
+//    verifies every image it reads — a warm cache survives short
+//    failures at once, which is the point of §3.3.
 //  * misses go to a PageFetcher (the owner's GetPage@LSN client); in-
 //    flight fetches are deduplicated.
 //  * prefetch pipeline: Prefetch() issues fire-and-forget fetches that
@@ -185,7 +186,8 @@ class BufferPool {
   uint64_t warmup_promoted() const { return warmup_promoted_; }
 
   /// Drop a page from all tiers without reporting an eviction (PITR /
-  /// partition reassignment housekeeping).
+  /// partition reassignment housekeeping). A slot whose spill write is
+  /// still in flight returns to the free list when that write lands.
   void Purge(PageId page_id);
 
   /// True if present in memory or the SSD tier.
@@ -233,15 +235,17 @@ class BufferPool {
   /// tier is not recoverable, its index is lost too (plain BPE). In-
   /// flight background tasks (eviction spills, prefetches, warmup) are
   /// fenced by an epoch bump: they complete their device I/O but stop
-  /// touching pool state.
+  /// touching pool state. A spill still writing a slot the index keeps
+  /// keeps its in-flight barrier, so no read of that page can overtake
+  /// the write and promote the slot's previous image.
   void Crash();
 
-  /// RBPEX recovery: scan SSD slots, verify checksums, rebuild the index.
-  /// Pages whose pageLSN exceeds `durable_end_lsn` are discarded (they
-  /// reflect log that never hardened). Entries that a concurrent spill,
-  /// SSD eviction or Purge changes while their slot is being read are
-  /// left to that change. Returns number of pages recovered.
-  sim::Task<Result<size_t>> Recover(Lsn durable_end_lsn);
+  /// RBPEX recovery: purge the index entries whose pageLSN exceeds
+  /// `durable_end_lsn` (they reflect log that never hardened). Reads no
+  /// slot: the index kept each pageLSN as its spill wrote it, and every
+  /// promotion verifies checksum and page id. Returns the number of
+  /// pages kept.
+  size_t Recover(Lsn durable_end_lsn);
 
   const BufferPoolStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferPoolStats(); }
@@ -351,6 +355,9 @@ class BufferPool {
   std::list<PageId> ssd_lru_;
   std::vector<uint64_t> ssd_free_slots_;
   uint64_t ssd_next_slot_ = 0;
+  // Slots purged while spill writes were still in flight -> writes left;
+  // each returns to the free list when its last write lands.
+  std::unordered_map<uint64_t, int> ssd_unlanded_;
 
   // In-flight fetch deduplication. The hot miss paths recycle both the
   // completion events (event_pool_) and the map's nodes (spare_node_),

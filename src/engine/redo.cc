@@ -90,10 +90,7 @@ sim::Task<Status> RedoApplier::ApplyPageRecord(Lsn lsn,
     max_page_seen_ = rec.page_id;
   }
   // Outside the partition -> skip.
-  if (filter_ && !filter_(rec.page_id)) {
-    records_skipped_++;
-    co_return Status::OK();
-  }
+  if (filter_ && !filter_(rec.page_id)) co_return Status::OK();
 
   // A fetch for this page is in flight: queue the record; it is drained
   // into the fetched image before installation (§4.5). Correct under
@@ -109,10 +106,7 @@ sim::Task<Status> RedoApplier::ApplyPageRecord(Lsn lsn,
   if (policy_ == MissPolicy::kIgnoreUncached) {
     Result<PageRef> ref = co_await pool_->GetIfCached(rec.page_id);
     if (!ref.ok()) {
-      if (ref.status().IsNotFound()) {
-        records_skipped_++;
-        co_return Status::OK();
-      }
+      if (ref.status().IsNotFound()) co_return Status::OK();
       co_return ref.status();
     }
     result = ApplyToPage(rec, lsn, ref->page());

@@ -103,7 +103,6 @@ class RedoApplier {
   PageId checkpoint_next_page_id() const { return checkpoint_next_page_id_; }
 
   uint64_t records_applied() const { return records_applied_; }
-  uint64_t records_skipped() const { return records_skipped_; }
 
   // Parallel-apply counters (the benches print these).
   uint64_t parallel_batches() const { return parallel_batches_; }
@@ -149,7 +148,6 @@ class RedoApplier {
   Timestamp checkpoint_commit_ts_ = 0;
   PageId checkpoint_next_page_id_ = kInvalidPageId;
   uint64_t records_applied_ = 0;
-  uint64_t records_skipped_ = 0;
   PageId max_page_seen_ = 0;
 
   int lanes_ = 1;

@@ -158,7 +158,7 @@ sim::Task<Status> PageServer::Start() {
   // Pages newer than the hardened log would be speculative; the Page
   // Server only ever applies hardened log, so everything is retained up
   // to the XLOG hardened mark.
-  (void)co_await pool_->Recover(xlog_->hardened_lsn());
+  pool_->Recover(xlog_->hardened_lsn());
   // A fresh applier for this incarnation: its applied watermark must
   // restart at the checkpoint replay point. (The old watermark is
   // monotonic — reusing it would skip re-applying records whose effects
@@ -592,7 +592,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   resp.tuples.reserve(tups.size());
   for (const Tup& t : tups) {
     resp.tuples.push_back({t.key, Slice(arena.data() + t.off, t.len)});
-    scan_bytes_returned_ += t.len;
   }
   scan_tuples_returned_ += tups.size();
   co_return resp.Encode();
@@ -749,7 +748,6 @@ sim::Task<> PageServer::CheckpointWriteBatch(
     } else {
       // XStore outage insulation (§4.6): this batch's pages stay dirty
       // and the round reports the failure; the next round retries.
-      checkpoint_failed_batches_++;
       if (join->first_error.ok()) join->first_error = status;
     }
   } else if (join->first_error.ok()) {
@@ -889,12 +887,9 @@ sim::Task<> PageServer::SeedLoop(uint64_t epoch) {
       pool_->Prefetch(window);
     }
     if (!pool_->Contains(id)) {
-      Result<engine::PageRef> r = co_await pool_->GetPage(id);
-      if (!Live(epoch)) co_return;
-      if (r.ok()) seeded_pages_++;
       // NotFound = page does not exist yet; fine.
-    } else {
-      seeded_pages_++;
+      (void)co_await pool_->GetPage(id);
+      if (!Live(epoch)) co_return;
     }
     if ((id - first) % 64 == 63) co_await sim::Yield(sim_);
   }

@@ -163,7 +163,7 @@ class PageServer : public rbio::RbioServer {
   sim::Task<Result<xstore::SnapshotId>> Backup();
 
   /// Background cache warm-up over the whole partition (§4.6 async
-  /// seeding). Returns immediately; track progress via seeded_pages().
+  /// seeding). Returns immediately; seeding_done() turns true at the end.
   void SeedAsync();
 
   /// Crash the process: volatile state is lost; RBPEX survives.
@@ -190,7 +190,6 @@ class PageServer : public rbio::RbioServer {
   /// The host load board this server reports into (null outside fleets).
   HostLoad* host_load() const { return opts_.host_load; }
   const std::string& data_blob() const { return data_blob_; }
-  uint64_t seeded_pages() const { return seeded_pages_; }
   bool seeding_done() const { return seeding_done_; }
   uint64_t checkpoints_completed() const { return checkpoints_; }
   uint64_t checkpoint_failures() const { return checkpoint_failures_; }
@@ -201,10 +200,6 @@ class PageServer : public rbio::RbioServer {
     return checkpoint_pages_written_;
   }
   uint64_t checkpoint_batches() const { return checkpoint_batches_; }
-  /// Batches whose XStore write failed (their pages stayed dirty).
-  uint64_t checkpoint_failed_batches() const {
-    return checkpoint_failed_batches_;
-  }
   /// Virtual duration of each completed checkpoint round.
   const Histogram& checkpoint_duration_us() const {
     return checkpoint_duration_us_;
@@ -239,8 +234,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_rows_scanned() const { return scan_rows_scanned_; }
   /// Qualifying tuples shipped back.
   uint64_t scan_tuples_returned() const { return scan_tuples_returned_; }
-  /// Projected tuple payload bytes shipped back.
-  uint64_t scan_bytes_returned() const { return scan_bytes_returned_; }
 
   // Scan-admission health (the interference bench prints these).
   /// Scans that found the server degraded and waited on the token bucket
@@ -370,13 +363,11 @@ class PageServer : public rbio::RbioServer {
   // spawned before the crash exit instead of racing the new ones.
   uint64_t epoch_ = 0;
   Lsn restart_lsn_ = engine::kLogStreamStart;
-  uint64_t seeded_pages_ = 0;
   bool seeding_done_ = false;
   uint64_t checkpoints_ = 0;
   uint64_t checkpoint_failures_ = 0;
   uint64_t checkpoint_pages_written_ = 0;
   uint64_t checkpoint_batches_ = 0;
-  uint64_t checkpoint_failed_batches_ = 0;
   Histogram checkpoint_duration_us_;
   Histogram restart_lag_bytes_;
   SimTime last_backup_checkpoint_us_ = 0;
@@ -394,7 +385,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_requests_ = 0;
   uint64_t scan_rows_scanned_ = 0;
   uint64_t scan_tuples_returned_ = 0;
-  uint64_t scan_bytes_returned_ = 0;
   // Scan admission state. getpage_inflight_ (GetPage frames only) is
   // the point-read depth signal; GetPage service times feed a small ring
   // whose p99 is the second health signal.

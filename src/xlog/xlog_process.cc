@@ -47,7 +47,6 @@ Status XLogProcess::DeliverFrame(Slice frame) {
     frames_corrupt_++;
     return s;
   }
-  frames_delivered_++;
   DeliverBlock(std::move(block));
   return Status::OK();
 }

@@ -128,7 +128,6 @@ class XLogProcess {
   uint64_t pulls_from_ssd() const { return pulls_ssd_; }
   uint64_t pulls_from_lz() const { return pulls_lz_; }
   uint64_t pulls_from_lt() const { return pulls_lt_; }
-  uint64_t frames_delivered() const { return frames_delivered_; }
   uint64_t frames_corrupt() const { return frames_corrupt_; }
 
  private:
@@ -180,7 +179,6 @@ class XLogProcess {
   uint64_t pulls_ssd_ = 0;
   uint64_t pulls_lz_ = 0;
   uint64_t pulls_lt_ = 0;
-  uint64_t frames_delivered_ = 0;
   uint64_t frames_corrupt_ = 0;
 };
 

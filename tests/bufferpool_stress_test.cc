@@ -4,8 +4,10 @@
 //      another page's image under the wrong page id;
 //  (2) a reader promoting the *stale* SSD image while the eviction spill
 //      of the fresh image was still in flight lost updates;
-//  (3) Recover() walked the live SSD index across its device reads, so
-//      spills landing meanwhile could rehash the map under it.
+//  (3) a spill still writing its slot at a crash: a read issued after
+//      Recover() could overtake the write and promote the slot's previous
+//      image, and a speculative spill's slot, freed at once, could be
+//      overwritten by its late write after another page took it.
 // They manifest only under concurrent access with tiny cache tiers. The
 // RBPEX by-reference tests pin the ownership rules of the SSD tier: a
 // promoted frame shares the SSD image until its first write, and the
@@ -15,6 +17,7 @@
 
 #include <map>
 
+#include "chaos/chaos.h"
 #include "engine/buffer_pool.h"
 #include "engine/btree_page.h"
 
@@ -167,8 +170,7 @@ TEST(BufferPoolStressTest, CrashDuringEvictionSpillIsSafe) {
     co_await sim::Yield(s);
     p.Crash();
     co_await sim::Delay(s, 5000);  // drain the fenced background tasks
-    Result<size_t> rec = co_await p.Recover(/*durable_end_lsn=*/100);
-    EXPECT_TRUE(rec.ok());
+    p.Recover(/*durable_end_lsn=*/100);
     // Whatever survived must be self-consistent and servable.
     for (PageId id = 0; id < 8; id++) {
       Result<PageRef> ref = co_await p.GetIfCached(id);
@@ -308,8 +310,7 @@ TEST(RbpexByReferenceTest, PromotedFrameWriteLeavesSsdImageIntact) {
     ref.value().MarkDirty();
     ref.value().Release();
     p.Crash();  // before the dirtied frame is ever spilled
-    Result<size_t> rec = co_await p.Recover(/*durable_end_lsn=*/100);
-    EXPECT_TRUE(rec.ok());
+    p.Recover(/*durable_end_lsn=*/100);
     EXPECT_TRUE(p.Contains(1));  // the SSD image still verifies
     int fetches = f.fetches_;
     uint64_t ssd_hits = p.stats().ssd_hits;
@@ -389,24 +390,22 @@ void InstallDirty(BufferPool& p, PageId id, Lsn lsn) {
   ref.value().MarkDirty();
 }
 
-constexpr Lsn kDurableEnd = 500;
-constexpr PageId kOldPages = 12;  // pages 0..11 sit in SSD at the crash
-constexpr PageId kFresh = 200;    // pages 200.. installed during Recover
-constexpr PageId kNumFresh = 48;
-
-Task<> InstallDuringRecover(Simulator& s, BufferPool& p, bool* fin) {
-  for (PageId i = 0; i < kNumFresh; i++) {
-    InstallDirty(p, kFresh + i, 2000);
-    co_await sim::Delay(s, 15);
-  }
-  *fin = true;
+// Attaches the pool's RBPEX device to `hub` under "rbpex", so a gray
+// delay can slow its writes. The accessor is const; the device is not.
+void AttachRbpexChaos(BufferPool& p, chaos::Injector* hub) {
+  std::const_pointer_cast<storage::SimBlockDevice>(p.ssd_device())
+      ->AttachChaos(hub, "rbpex");
 }
 
-TEST(BufferPoolStressTest, RecoverSurvivesSpillsDuringItsReads) {
-  // Recover() suspends on one device read per SSD slot. Pages installed
-  // meanwhile spill into the SSD tier and grow (rehash) its index. Every
-  // valid pre-crash image must be recovered exactly once, every
-  // speculative one dropped exactly once, and the fresh spills kept.
+constexpr Lsn kDurableEnd = 500;
+constexpr PageId kOldPages = 12;  // pages 0..11 sit in SSD at the crash
+constexpr PageId kFresh = 200;    // pages 200.. spill after Recover
+constexpr PageId kNumFresh = 48;
+
+TEST(BufferPoolStressTest, RecoverKeepsHardenedImagesAndFreesEachSlotOnce) {
+  // Every valid pre-crash image must be kept, every speculative one
+  // dropped exactly once, and no slot freed twice: fresh pages that
+  // spill into the freed slots afterwards each promote as themselves.
   Simulator sim;
   BufferPoolOptions opts;
   opts.mem_pages = 4;
@@ -424,12 +423,12 @@ TEST(BufferPoolStressTest, RecoverSurvivesSpillsDuringItsReads) {
     EXPECT_EQ(p.ssd_resident(), kOldPages);
     p.Crash();
 
-    bool installs_done = false;
-    Spawn(s, InstallDuringRecover(s, p, &installs_done));
-    Result<size_t> rec = co_await p.Recover(kDurableEnd);
-    EXPECT_TRUE(rec.ok());
-    EXPECT_EQ(*rec, kOldPages / 2);
-    while (!installs_done) co_await sim::Delay(s, 100);
+    EXPECT_EQ(p.Recover(kDurableEnd), kOldPages / 2);
+    EXPECT_EQ(p.Recover(kDurableEnd), kOldPages / 2);  // nothing left
+    for (PageId i = 0; i < kNumFresh; i++) {
+      InstallDirty(p, kFresh + i, 20);
+      co_await sim::Delay(s, 15);
+    }
     co_await sim::Delay(s, 5000);
 
     for (PageId id = 0; id < kOldPages; id++) {
@@ -440,10 +439,9 @@ TEST(BufferPoolStressTest, RecoverSurvivesSpillsDuringItsReads) {
       EXPECT_TRUE(p.Contains(kFresh + i)) << kFresh + i;
       if (!p.InMemory(kFresh + i)) fresh_on_ssd++;
     }
-    EXPECT_GT(fresh_on_ssd, kOldPages);  // enough inserts to rehash
+    EXPECT_GT(fresh_on_ssd, kOldPages);  // the freed slots were reused
     EXPECT_EQ(p.ssd_resident(),
               kOldPages / 2 + kNumFresh - p.mem_resident());
-    // No slot was freed twice: every SSD-resident page promotes as itself.
     for (PageId id = 0; id < kOldPages; id += 2) {
       Result<PageRef> ref = co_await p.GetIfCached(id);
       EXPECT_TRUE(ref.ok()) << id;
@@ -458,6 +456,199 @@ TEST(BufferPoolStressTest, RecoverSurvivesSpillsDuringItsReads) {
         EXPECT_EQ(ref->page()->page_id(), kFresh + i);
       }
     }
+    *done = true;
+  }(sim, pool, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(BufferPoolStressTest, SpeculativeSpillInFlightAtCrashFreesItsSlotLate) {
+  // Page 1 is spilled past the durable end with a slow write, and the
+  // node crashes before it lands. Recover() drops the page, but its slot
+  // must stay taken until the write lands: a spill given the slot at
+  // once lands first and is then overwritten with page 1's image.
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPoolOptions opts;
+  opts.mem_pages = 2;
+  opts.ssd_pages = 2;
+  BufferPool pool(sim, opts, &fetcher);
+  chaos::Injector hub;
+  AttachRbpexChaos(pool, &hub);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, chaos::Injector& hub,
+                bool* done) -> Task<> {
+    hub.SetGrayDelay("rbpex", 2000);
+    InstallDirty(p, 1, 1000);
+    InstallDirty(p, 2, 10);
+    InstallDirty(p, 3, 10);
+    co_await sim::Delay(s, 10);  // page 1's spill write is issued
+    hub.SetGrayDelay("rbpex", 0);
+    EXPECT_FALSE(p.InMemory(1));
+    EXPECT_TRUE(p.Contains(1));
+    p.Crash();
+    EXPECT_EQ(p.Recover(kDurableEnd), 0u);
+    EXPECT_FALSE(p.Contains(1));
+
+    // Page 10 spills while page 1's write is still in flight.
+    InstallDirty(p, 10, 10);
+    InstallDirty(p, 11, 10);
+    InstallDirty(p, 12, 10);
+    co_await sim::Delay(s, 5000);  // every write has landed
+    // Page 1's slot came back when its write landed: page 11 takes it
+    // without evicting page 10 from the two-slot SSD tier.
+    InstallDirty(p, 13, 10);
+    co_await sim::Delay(s, 5000);
+    EXPECT_FALSE(p.InMemory(10));
+    EXPECT_FALSE(p.InMemory(11));
+    EXPECT_TRUE(p.Contains(11));
+    EXPECT_EQ(p.stats().ssd_evictions, 0u);
+    Result<PageRef> ref = co_await p.GetPage(10);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (ref.ok()) {
+      EXPECT_EQ(ref->page()->page_id(), 10u);
+      EXPECT_EQ(ref->page()->page_lsn(), 10u);
+      ref.value().Release();
+    }
+    // The speculative image is never served: page 1 comes from the
+    // fetcher.
+    ref = co_await p.GetPage(1);
+    EXPECT_TRUE(ref.ok());
+    if (ref.ok()) {
+      EXPECT_EQ(ref->page()->page_lsn(), 1u);
+    }
+    *done = true;
+  }(sim, pool, hub, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(BufferPoolStressTest, PlainBpeCrashKeepsASlotUntilItsWriteLands) {
+  // The plain BPE loses its index at a crash, but not the writes still in
+  // flight: a slot handed out again at once is overwritten when page 1's
+  // late write lands, and page 10 then reads back as page 1.
+  Simulator sim;
+  BufferPoolOptions opts;
+  opts.mem_pages = 2;
+  opts.ssd_pages = 2;
+  opts.ssd_recoverable = false;
+  BufferPool pool(sim, opts, nullptr);
+  chaos::Injector hub;
+  AttachRbpexChaos(pool, &hub);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, chaos::Injector& hub,
+                bool* done) -> Task<> {
+    hub.SetGrayDelay("rbpex", 2000);
+    InstallDirty(p, 1, 10);
+    InstallDirty(p, 2, 10);
+    InstallDirty(p, 3, 10);
+    co_await sim::Delay(s, 10);  // page 1's spill write is issued
+    hub.SetGrayDelay("rbpex", 0);
+    EXPECT_FALSE(p.InMemory(1));
+    p.Crash();
+    EXPECT_EQ(p.ssd_resident(), 0u);
+    InstallDirty(p, 10, 10);
+    InstallDirty(p, 11, 10);
+    InstallDirty(p, 12, 10);
+    co_await sim::Delay(s, 5000);  // every write has landed
+    EXPECT_FALSE(p.InMemory(10));
+    Result<PageRef> ref = co_await p.GetPage(10);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (ref.ok()) {
+      EXPECT_EQ(ref->page()->page_id(), 10u);
+    }
+    *done = true;
+  }(sim, pool, hub, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(BufferPoolStressTest, SpillInFlightAtCrashIsNeverOvertakenByARead) {
+  // Page 1 sits in its slot at LSN 10, is promoted, updated to LSN 20
+  // and spilled back to the same slot with a slow write; the node
+  // crashes before it lands. A read issued after Recover() pays ~85 us
+  // and would return the slot's LSN 10 image if it did not wait for the
+  // write (~2000 us).
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPoolOptions opts;
+  opts.mem_pages = 2;
+  opts.ssd_pages = 16;
+  BufferPool pool(sim, opts, &fetcher);
+  chaos::Injector hub;
+  AttachRbpexChaos(pool, &hub);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, chaos::Injector& hub,
+                bool* done) -> Task<> {
+    InstallDirty(p, 1, 10);
+    InstallDirty(p, 2, 10);
+    InstallDirty(p, 3, 10);
+    co_await sim::Delay(s, 5000);
+    EXPECT_FALSE(p.InMemory(1));
+    Result<PageRef> ref = co_await p.GetPage(1);
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) co_return;
+    ref->page()->set_page_lsn(20);
+    ref.value().MarkDirty();
+    ref.value().Release();
+    co_await sim::Delay(s, 5000);
+
+    hub.SetGrayDelay("rbpex", 2000);
+    InstallDirty(p, 4, 10);
+    InstallDirty(p, 5, 10);
+    // Leaving memory, page 1 issued its spill write.
+    while (p.InMemory(1)) co_await sim::Delay(s, 10);
+    hub.SetGrayDelay("rbpex", 0);
+    p.Crash();
+    p.Recover(kDurableEnd);
+    EXPECT_TRUE(p.Contains(1));
+
+    const int fetches = static_cast<int>(p.stats().misses);
+    ref = co_await p.GetPage(1);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (ref.ok()) {
+      EXPECT_EQ(ref->page()->page_lsn(), 20u);
+    }
+    EXPECT_EQ(static_cast<int>(p.stats().misses), fetches);  // from SSD
+    *done = true;
+  }(sim, pool, hub, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(BufferPoolStressTest, ReadSpanningACrashNeverInstallsASpeculativeImage) {
+  // A promotion read of page 1 (LSN past the durable end) is in flight
+  // when the node crashes, and Recover() drops the page before the read
+  // lands. The read must look the page up again instead of installing
+  // the speculative image it read.
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPoolOptions opts;
+  opts.mem_pages = 2;
+  opts.ssd_pages = 16;
+  BufferPool pool(sim, opts, &fetcher);
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, bool* done) -> Task<> {
+    InstallDirty(p, 1, 1000);
+    InstallDirty(p, 2, 10);
+    InstallDirty(p, 3, 10);
+    co_await sim::Delay(s, 5000);
+    EXPECT_FALSE(p.InMemory(1));
+    Lsn read_lsn = kInvalidLsn;
+    bool read_done = false;
+    Spawn(s, [](BufferPool& p, Lsn* lsn, bool* fin) -> Task<> {
+      Result<PageRef> ref = co_await p.GetPage(1);
+      EXPECT_TRUE(ref.ok());
+      if (ref.ok()) *lsn = ref->page()->page_lsn();
+      *fin = true;
+    }(p, &read_lsn, &read_done));
+    co_await sim::Delay(s, 10);  // the SSD read is in flight
+    EXPECT_FALSE(read_done);
+    p.Crash();
+    p.Recover(kDurableEnd);
+    EXPECT_FALSE(p.Contains(1));
+    while (!read_done) co_await sim::Delay(s, 100);
+    EXPECT_EQ(read_lsn, 1u);  // fetched, not the LSN 1000 image
     *done = true;
   }(sim, pool, &done));
   sim.Run();

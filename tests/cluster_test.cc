@@ -613,7 +613,7 @@ TEST(ClusterTest, PageServerReplicaFailoverIsInstant) {
     // All reads still work — including pages in partition 0 that the
     // primary must refetch through the replica.
     d.primary()->pool()->Crash();
-    (void)co_await d.primary()->pool()->Recover(d.durable_end());
+    d.primary()->pool()->Recover(d.durable_end());
     co_await VerifyRows(d.primary_engine(), 0, 200, "ps-");
   });
   d.Stop();

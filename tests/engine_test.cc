@@ -754,11 +754,8 @@ TEST(BufferPoolTest, RbpexSurvivesCrashAndRecovers) {
   });
   int fetches_before = fetcher.fetches_;
   pool.Crash();
-  size_t recovered = 0;
+  size_t recovered = pool.Recover(/*durable_end_lsn=*/1000);
   RunSim(s, [&]() -> Task<> {
-    auto r = co_await pool.Recover(/*durable_end_lsn=*/1000);
-    EXPECT_TRUE(r.ok());
-    recovered = *r;
     // Reading a recovered page hits SSD, not the remote fetcher.
     auto p = co_await pool.GetPage(3);
     EXPECT_TRUE(p.ok());
@@ -783,9 +780,7 @@ TEST(BufferPoolTest, RecoverDiscardsUnhardenedPages) {
     (void)co_await pool.GetPage(1);  // force 2 out of mem too
   });
   pool.Crash();
-  RunSim(s, [&]() -> Task<> {
-    (void)co_await pool.Recover(/*durable_end_lsn=*/500);
-  });
+  pool.Recover(/*durable_end_lsn=*/500);
   // Page 2 (LSN 999 > 500) must have been discarded.
   EXPECT_FALSE(pool.Contains(2));
 }
@@ -808,11 +803,7 @@ TEST(BufferPoolTest, NonRecoverableBpeLosesSsdOnCrash) {
   });
   pool.Crash();
   EXPECT_EQ(pool.ssd_resident(), 0u);
-  RunSim(s, [&]() -> Task<> {
-    auto r = co_await pool.Recover(1000);
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(*r, 0u);
-  });
+  EXPECT_EQ(pool.Recover(1000), 0u);
 }
 
 TEST(BufferPoolTest, DirtyTracking) {

@@ -263,9 +263,7 @@ TEST(PrefetchTest, WarmupPromotesMruPrefixAfterRecover) {
 
     p.Crash();
     EXPECT_EQ(p.mem_resident(), 0u);
-    Result<size_t> rec = co_await p.Recover(/*durable_end_lsn=*/100);
-    EXPECT_TRUE(rec.ok());
-    EXPECT_GT(*rec, 0u);
+    EXPECT_GT(p.Recover(/*durable_end_lsn=*/100), 0u);
 
     p.StartWarmup();
     EXPECT_FALSE(p.warmup_done());
