@@ -60,23 +60,30 @@ GetBatch Engine::StartGets(Transaction* txn,
 
 GetBatch::GetBatch(sim::Simulator& sim, Engine* engine, Transaction* txn,
                    const std::vector<uint64_t>& keys)
-    : engine_(engine), txn_(txn), pending_(sim) {
-  slots_.reserve(keys.size());
-  for (uint64_t key : keys) slots_.emplace_back(sim, key);
-  pending_.Add(static_cast<int>(slots_.size()));
-  for (Slot& slot : slots_) sim::Spawn(sim, ReadOne(&slot));
+    : engine_(engine),
+      txn_(txn),
+      unread_(keys.size()),
+      landed_(sim),
+      pending_(sim) {
+  pending_.Add(static_cast<int>(keys.size()));
+  for (size_t i = 0; i < keys.size(); i++) {
+    sim::Spawn(sim, ReadOne(i, keys[i]));
+  }
 }
 
-sim::Task<> GetBatch::ReadOne(Slot* slot) {
-  slot->result.emplace(co_await engine_->Get(txn_, slot->key));
-  slot->ready.Set();
+sim::Task<> GetBatch::ReadOne(size_t index, uint64_t key) {
+  // A co_await inside the braced initializer below frees the result
+  // twice under GCC 12, so the read is its own statement.
+  Result<std::string> value = co_await engine_->Get(txn_, key);
+  landed_.Push(Read{index, std::move(value)});
   pending_.Done();
 }
 
-sim::Task<Result<std::string>> GetBatch::Get(size_t i) {
-  Slot& slot = slots_[i];
-  co_await slot.ready.Wait();
-  co_return std::move(*slot.result);
+sim::Task<GetBatch::Read> GetBatch::Next() {
+  assert(unread_ > 0);
+  unread_--;
+  std::optional<Read> read = co_await landed_.Pop();
+  co_return std::move(*read);
 }
 
 sim::Task<> GetBatch::Join() {

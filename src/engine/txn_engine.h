@@ -42,6 +42,7 @@
 #include "engine/log_sink.h"
 #include "engine/remote_scan.h"
 #include "engine/version.h"
+#include "sim/channel.h"
 #include "sim/sync.h"
 
 namespace socrates {
@@ -271,37 +272,40 @@ class Engine {
   ScanPlanDebug last_scan_plan_;
 };
 
-/// The reads of Engine::StartGets, running. Take key i's result with
-/// Get(i), once, in any order, and co_await Join() before the batch or
-/// its transaction goes away: a read still running uses both.
+/// The reads of Engine::StartGets, running. Take each read with Next()
+/// as it finishes, and co_await Join() before the batch or its
+/// transaction goes away: a read still running uses both.
 class GetBatch {
  public:
+  /// One finished read of keys[index] (the keys given to StartGets).
+  struct Read {
+    size_t index;
+    Result<std::string> value;
+  };
+
   GetBatch(const GetBatch&) = delete;
   GetBatch& operator=(const GetBatch&) = delete;
   ~GetBatch() { assert(pending_.count() == 0); }
 
-  /// The result of the i-th key, once its read has finished.
-  sim::Task<Result<std::string>> Get(size_t i);
+  /// The next read to finish, in landing order; reads that finish at the
+  /// same instant come in the order the simulator ran them. At most one
+  /// call per key.
+  sim::Task<Read> Next();
 
   /// Resumes once every read has finished.
   sim::Task<> Join();
 
  private:
   friend class Engine;
-  struct Slot {
-    Slot(sim::Simulator& sim, uint64_t key) : key(key), ready(sim) {}
-    uint64_t key;
-    std::optional<Result<std::string>> result;
-    sim::Event ready;
-  };
 
   GetBatch(sim::Simulator& sim, Engine* engine, Transaction* txn,
            const std::vector<uint64_t>& keys);
-  sim::Task<> ReadOne(Slot* slot);
+  sim::Task<> ReadOne(size_t index, uint64_t key);
 
   Engine* engine_;
   Transaction* txn_;
-  std::vector<Slot> slots_;  // never reallocated once the reads start
+  size_t unread_;  // reads Next() has not handed out yet
+  sim::Channel<Read> landed_;
   sim::WaitGroup pending_;
 };
 

@@ -93,11 +93,11 @@ sim::Task<TxnResult> CdbWorkload::RunOne(Engine* engine,
         int t = static_cast<int>(rng->Uniform(6));
         key = MakeKey(static_cast<TableId>(t + 1), RandomKey(t, rng));
       }
-      // Start every read at once, then take the rows in key order.
+      // Start every read at once, then take the rows as they land.
       engine::GetBatch reads = engine->StartGets(txn.get(), keys);
       for (int i = 0; i < n && !read_failed; i++) {
         (void)co_await Charge(cpu, kPointReadUs);
-        read_failed = failed((co_await reads.Get(i)).status());
+        read_failed = failed((co_await reads.Next()).value.status());
       }
       co_await reads.Join();
       break;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 
 #include "service/deployment.h"
@@ -374,22 +375,27 @@ struct ColdCdb {
     co_return 0;
   }
 
-  // Snapshot reads of `keys`: all started at once (StartGets) or one
-  // after another.
-  Task<std::vector<std::string>> Read(const std::vector<uint64_t>& keys,
-                                      bool batched) {
+  // Snapshot reads of `keys`, by key: all started at once (StartGets) and
+  // taken as they land, or one after another.
+  Task<std::map<uint64_t, std::string>> Read(
+      const std::vector<uint64_t>& keys, bool batched) {
     auto txn = engine()->Begin(true);
-    std::vector<std::string> values;
-    auto keep = [&](const Result<std::string>& v) {
+    std::map<uint64_t, std::string> values;
+    auto keep = [&](uint64_t key, const Result<std::string>& v) {
       EXPECT_TRUE(v.ok()) << v.status().ToString();
-      values.push_back(v.ok() ? *v : v.status().ToString());
+      values[key] = v.ok() ? *v : v.status().ToString();
     };
     if (batched) {
       engine::GetBatch reads = engine()->StartGets(txn.get(), keys);
-      for (size_t i = 0; i < keys.size(); i++) keep(co_await reads.Get(i));
+      for (size_t i = 0; i < keys.size(); i++) {
+        engine::GetBatch::Read read = co_await reads.Next();
+        keep(keys[read.index], read.value);
+      }
       co_await reads.Join();
     } else {
-      for (uint64_t key : keys) keep(co_await engine()->Get(txn.get(), key));
+      for (uint64_t key : keys) {
+        keep(key, co_await engine()->Get(txn.get(), key));
+      }
     }
     (void)co_await engine()->Commit(txn.get());
     co_return values;
@@ -422,7 +428,7 @@ TEST(CdbTest, PointLookupFetchesItsLeavesInOneFramePerPageServer) {
 
   // The batch reads what sequential Gets read, on a twin database.
   ColdCdb twin;
-  std::vector<std::string> batched, sequential;
+  std::map<uint64_t, std::string> batched, sequential;
   const uint64_t twin_frames = twin.frames();
   RunSim(twin.s, [&]() -> Task<> {
     batched = co_await twin.Read(keys, /*batched=*/true);
@@ -462,7 +468,7 @@ TEST(CdbTest, PointLookupFetchesEachLeafOnceThroughASmallMemoryTier) {
 
   // The rows are what sequential Gets read on a twin deployment.
   ColdCdb twin(/*mem_pages=*/4, /*ssd_pages=*/16);
-  std::vector<std::string> batched, sequential;
+  std::map<uint64_t, std::string> batched, sequential;
   RunSim(db.s, [&]() -> Task<> {
     batched = co_await db.Read(keys, /*batched=*/true);
   });
@@ -526,6 +532,45 @@ TEST(CdbTest, PointLookupJoinsEveryReadBeforeItAborts) {
     db.d.chaos().SetGrayDelay(slow, 0);
   });
   EXPECT_EQ(db.engine()->stats().aborts - aborts, 1u);
+}
+
+// A batch of [a key whose leaf only a Page Server has, a key whose leaf
+// is in memory]: Next() hands out the cached row first, before the
+// remote leaf could have made one round trip.
+TEST(CdbTest, PointLookupTakesACachedRowBeforeAnEarlierRemoteOne) {
+  // The fastest RBIO round trip: two legs at the intra-DC network's
+  // 120 us floor.
+  constexpr SimTime kRoundTripFloorUs = 2 * 120;
+  ColdCdb db;
+  uint64_t seed = 0;
+  std::vector<uint64_t> keys;
+  std::vector<PageId> leaves;
+  RunSim(db.s, [&]() -> Task<> {
+    seed = co_await db.FindColdLookup(2, &keys, &leaves);
+  });
+  ASSERT_NE(seed, 0u);
+  keys.resize(2);
+  RunSim(db.s, [&]() -> Task<> {
+    auto warm = db.engine()->Begin(true);
+    EXPECT_TRUE((co_await db.engine()->Get(warm.get(), keys[1])).ok());
+    EXPECT_TRUE((co_await db.engine()->Commit(warm.get())).ok());
+    EXPECT_TRUE(db.pool()->InMemory(leaves[1]));
+    EXPECT_FALSE(db.pool()->Contains(leaves[0]));
+
+    auto txn = db.engine()->Begin(true);
+    const SimTime start = db.s.now();
+    engine::GetBatch reads = db.engine()->StartGets(txn.get(), keys);
+    engine::GetBatch::Read first = co_await reads.Next();
+    EXPECT_EQ(first.index, 1u);
+    EXPECT_TRUE(first.value.ok());
+    EXPECT_LT(db.s.now() - start, kRoundTripFloorUs);
+    engine::GetBatch::Read second = co_await reads.Next();
+    EXPECT_EQ(second.index, 0u);
+    EXPECT_TRUE(second.value.ok());
+    EXPECT_GE(db.s.now() - start, kRoundTripFloorUs);
+    co_await reads.Join();
+    EXPECT_TRUE((co_await db.engine()->Commit(txn.get())).ok());
+  });
 }
 
 TEST(DriverTest, HtapMixPushesAnalyticScansDown) {
