@@ -118,14 +118,13 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.compute.pushdown_plan = compute::PushdownPlan::kPush;
   o.tenant.compute.rbio_wire_mb_per_s = 2000;
   // No readahead: every victim miss is a one-page frame — the
-  // depth/latency signals the admission gate watches, undiluted.
+  // latency signal the admission gate watches, undiluted.
   o.tenant.compute.scan_readahead = 0;
   // A shed scan keeps the abuser on the local plan long enough for the
   // victim's serving window to recover before the next wire attempt.
   o.tenant.compute.rbio_overload_backoff_us = 200 * 1000;
   o.tenant.page_server.mem_pages = 512;  // CPU-bound, not IO-bound
   o.tenant.page_server.scan_admission_enabled = qos;
-  o.tenant.page_server.scan_admission_getpage_depth = 2;
   o.tenant.page_server.scan_admission_p99_us = 20;
   o.tenant.page_server.scan_admission_tokens_per_s = 10;
   // Isolation comes from the gateway's cross-tenant scan hold-off; the

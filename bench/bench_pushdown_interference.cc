@@ -8,10 +8,10 @@
 //
 //   baseline       point readers only — the scan-free serving floor;
 //   admission_on   scanners added, scan admission gating them: while the
-//                  server is degraded (point-read inflight depth or
-//                  recent GetPage p99 over the bar) scans wait behind a
-//                  token bucket and are shed with kOverloaded past the
-//                  wait bound — shed scans fall back to the local plan;
+//                  server is degraded (recent GetPage p99 over the bar)
+//                  scans wait behind a token bucket and are shed with
+//                  kOverloaded past the wait bound — shed scans fall
+//                  back to the local plan;
 //   admission_off  the counterfactual: same scanners, admission disabled,
 //                  scans always served immediately.
 //
@@ -130,9 +130,6 @@ InterferenceResult Measure(const Params& p, const Config& c) {
   // server. Interference shows up directly in GetPage service time.
   o.page_server.cpu_cores = 1;
   o.page_server.scan_admission_enabled = c.admission;
-  // Sequential readers keep only ~1 frame in flight each; degrade on a
-  // modest concurrent depth so admission reacts within the run.
-  o.page_server.scan_admission_getpage_depth = 3;
   // Health bar scaled to this deployment's serving floor (~5-10 us
   // memory-hit service times): a recent p99 past 2x the healthy tail
   // means scans are already inflating point reads.

@@ -95,7 +95,6 @@ class ZipfGenerator {
   uint64_t Next();
 
   uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
 
  private:
   static double Zeta(uint64_t n, double theta);

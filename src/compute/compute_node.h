@@ -225,7 +225,6 @@ class ComputeNode {
   bool alive() const { return alive_; }
   const std::string& chaos_site() const { return opts_.chaos.site(); }
 
-  Role role() const { return role_; }
   engine::Engine* engine() { return engine_.get(); }
   engine::BufferPool* pool() { return pool_.get(); }
   sim::CpuResource& cpu() { return *cpu_; }

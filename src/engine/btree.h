@@ -131,7 +131,6 @@ class BTree {
   void set_scan_readahead(uint32_t max_window) {
     scan_readahead_ = max_window;
   }
-  uint32_t scan_readahead() const { return scan_readahead_; }
 
   /// Pause before retrying a traversal that hit a future page; gives the
   /// log-apply thread time to catch up (§4.5).

@@ -266,21 +266,6 @@ Result<PageRef> BufferPool::NewPage(PageId page_id) {
   return ref;
 }
 
-void BufferPool::InstallIfAbsent(storage::Page page) {
-  // Hot-front install, unlike Prefetch(): the image already arrived and
-  // is typically consumed within the next few accesses — a cold insert
-  // would let a tight pool evict it before it is read.
-  PageId page_id = page.page_id();
-  if (Contains(page_id) || inflight_.count(page_id) > 0) return;
-  auto frame = std::make_unique<Frame>();
-  frame->page_id = page_id;
-  frame->page = std::move(page);
-  mem_lru_.push_front(page_id);
-  frame->lru_it = mem_lru_.begin();
-  frames_.emplace(page_id, std::move(frame));
-  ScheduleEviction();
-}
-
 void BufferPool::InstallCold(storage::Page page, bool dirty,
                              uint64_t dirty_gen, bool checksum_valid) {
   PageId page_id = page.page_id();

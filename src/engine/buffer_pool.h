@@ -165,10 +165,6 @@ class BufferPool {
   /// InvalidArgument if the page is already cached.
   Result<PageRef> NewPage(PageId page_id);
 
-  /// Install a fetched page image if the page is not already cached or
-  /// being loaded. No-op otherwise.
-  void InstallIfAbsent(storage::Page page);
-
   /// Fire-and-forget readahead: start loading each page that is not
   /// already resident or in flight (SSD promotion or remote fetch),
   /// installing it unpinned into the *cold* LRU segment. Demand fetches

@@ -76,7 +76,6 @@ void RedoApplier::ApplySystemRecord(const LogRecord& rec) {
       applied_commit_ts_ = rec.commit_ts;
     }
   } else if (rec.type == LogRecordType::kCheckpoint) {
-    checkpoint_commit_ts_ = rec.commit_ts;
     checkpoint_next_page_id_ = rec.next_page_id;
     if (rec.commit_ts > applied_commit_ts_) {
       applied_commit_ts_ = rec.commit_ts;

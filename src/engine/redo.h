@@ -98,8 +98,7 @@ class RedoApplier {
   sim::Watermark& applied_lsn() { return applied_lsn_; }
   Timestamp applied_commit_ts() const { return applied_commit_ts_; }
 
-  /// Engine counters carried by the most recent checkpoint record seen.
-  Timestamp checkpoint_commit_ts() const { return checkpoint_commit_ts_; }
+  /// Next page id carried by the most recent checkpoint record seen.
   PageId checkpoint_next_page_id() const { return checkpoint_next_page_id_; }
 
   uint64_t records_applied() const { return records_applied_; }
@@ -145,7 +144,6 @@ class RedoApplier {
   std::function<bool(PageId)> filter_;
   sim::Watermark applied_lsn_;
   Timestamp applied_commit_ts_ = 0;
-  Timestamp checkpoint_commit_ts_ = 0;
   PageId checkpoint_next_page_id_ = kInvalidPageId;
   uint64_t records_applied_ = 0;
   PageId max_page_seen_ = 0;

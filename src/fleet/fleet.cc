@@ -42,9 +42,8 @@ sim::Task<Status> Fleet::Start() {
     d.ps_host = [this, tenant](PartitionId p) {
       const int h = static_cast<int>(tenant) % opts_.hosts;
       placement_[{tenant, p}] = h;
-      hosts_[h]->load.residents++;
-      return service::PsHostBinding{hosts_[h]->site, hosts_[h]->cpu.get(),
-                                    &hosts_[h]->load};
+      hosts_[h]->residents++;
+      return service::PsHostBinding{hosts_[h]->site, hosts_[h]->cpu.get()};
     };
     auto dep = std::make_unique<service::Deployment>(sim_, d);
     directory_.Register(tenant, dep.get());
@@ -69,8 +68,7 @@ int Fleet::LeastLoadedHost(int exclude) const {
   int best = -1;
   for (int h = 0; h < num_hosts(); h++) {
     if (h == exclude) continue;
-    if (best < 0 ||
-        hosts_[h]->load.residents < hosts_[best]->load.residents) {
+    if (best < 0 || hosts_[h]->residents < hosts_[best]->residents) {
       best = h;
     }
   }
@@ -82,15 +80,13 @@ sim::Task<Status> Fleet::Migrate(TenantId t, PartitionId p, int dst_host) {
     co_return Status::InvalidArgument("fleet: no such tenant or host");
   }
   PageServerHost& dst = *hosts_[dst_host];
-  service::PsHostBinding binding{dst.site, dst.cpu.get(), &dst.load};
+  service::PsHostBinding binding{dst.site, dst.cpu.get()};
   Result<pageserver::PageServer*> moved =
       co_await tenants_[t]->MigratePartition(p, binding);
   if (!moved.ok()) co_return moved.status();
   const int src = HostOf(t, p);
-  if (src >= 0 && hosts_[src]->load.residents > 0) {
-    hosts_[src]->load.residents--;
-  }
-  dst.load.residents++;
+  if (src >= 0 && hosts_[src]->residents > 0) hosts_[src]->residents--;
+  dst.residents++;
   placement_[{t, p}] = dst_host;
   directory_.BumpPlacement(t);
   migrations_++;

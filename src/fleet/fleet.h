@@ -32,11 +32,12 @@ namespace fleet {
 
 /// One shared Page Server host: a chaos site (an outage takes down every
 /// resident partition of every tenant placed here), one CPU shared by
-/// all residents, and the host-wide load board feeding scan admission.
+/// all residents, and the count of (tenant, partition) servers placed
+/// here.
 struct PageServerHost {
   std::string site;
   std::unique_ptr<sim::CpuResource> cpu;
-  pageserver::HostLoad load;
+  int residents = 0;
 };
 
 struct FleetOptions {
@@ -81,7 +82,7 @@ class Fleet {
 
   /// Live-migrate one partition to `dst_host`: the deployment builds a
   /// caught-up replacement there (reseed + log catch-up) and cuts over;
-  /// the fleet updates placement, the host load boards, and the
+  /// the fleet updates placement, the hosts' resident counts, and the
   /// directory's placement epoch. On failure the incumbent keeps serving
   /// and nothing moves.
   sim::Task<Status> Migrate(TenantId t, PartitionId p, int dst_host);

@@ -69,7 +69,6 @@ class HadrLogSink : public engine::LogSink {
   /// block already on its way to the current Secondaries.
   Lsn shipped_lsn() const { return flushed_; }
 
-  Lsn backed_up_lsn() const { return backed_up_; }
   uint64_t backup_stalls() const { return backup_stalls_; }
   const std::string& stream() const { return stream_; }
 

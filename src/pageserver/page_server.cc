@@ -8,26 +8,7 @@
 namespace socrates {
 namespace pageserver {
 
-// Point-read depth tracking for scan admission: counts a GetPage frame
-// from entry until its coroutine frame unwinds (including all co_return
-// paths).
 namespace {
-struct ScopedInflight {
-  explicit ScopedInflight(uint64_t* counter, uint64_t* host = nullptr)
-      : counter(counter), host(host) {
-    (*counter)++;
-    if (host != nullptr) (*host)++;
-  }
-  ~ScopedInflight() {
-    (*counter)--;
-    if (host != nullptr) (*host)--;
-  }
-  ScopedInflight(const ScopedInflight&) = delete;
-  ScopedInflight& operator=(const ScopedInflight&) = delete;
-  uint64_t* counter;
-  uint64_t* host;
-};
-
 // Out of line on purpose: GCC 12 with -fsanitize=thread flags an error
 // Result<Page> built inline in XStoreFetcher::FetchPage as
 // maybe-uninitialized.
@@ -374,10 +355,6 @@ sim::Task<> PageServer::ServeGetPages(rbio::GetPageBatchRequest req,
   batch_requests_++;
   batch_subrequests_ += n;
   getpage_requests_ += n;
-  ScopedInflight inflight(&getpage_inflight_,
-                          opts_.host_load != nullptr
-                              ? &opts_.host_load->getpage_inflight
-                              : nullptr);
   rbio::GetPageBatchResponse& resp = scratch->resp;
   resp.status = Status::OK();
   resp.entries.resize(n);
@@ -617,25 +594,8 @@ SimTime PageServer::RecentGetPageP99Us() const {
 }
 
 bool PageServer::ServingDegraded() const {
-  // Point-read depth only: scans never count in getpage_inflight_, so
-  // scans queueing here cannot hold the gate shut on themselves.
-  if (opts_.scan_admission_getpage_depth > 0 &&
-      getpage_inflight_ >= opts_.scan_admission_getpage_depth) {
-    return true;
-  }
-  if (opts_.scan_admission_p99_us > 0 &&
-      RecentGetPageP99Us() > opts_.scan_admission_p99_us) {
-    return true;
-  }
-  // Fleet colocation: a co-resident tenant's point-read burst degrades
-  // this server too — its scans would steal the shared host CPU those
-  // point reads are queued on.
-  if (opts_.host_load != nullptr && opts_.scan_admission_getpage_depth > 0 &&
-      opts_.host_load->getpage_inflight >=
-          opts_.scan_admission_getpage_depth) {
-    return true;
-  }
-  return false;
+  return opts_.scan_admission_p99_us > 0 &&
+         RecentGetPageP99Us() > opts_.scan_admission_p99_us;
 }
 
 // Scan admission token bucket capacity (burst allowance).

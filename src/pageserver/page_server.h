@@ -42,16 +42,6 @@
 namespace socrates {
 namespace pageserver {
 
-/// Shared load board for Page Servers co-resident on one fleet host.
-/// Each server adds its point-read depth here (alongside its own), so
-/// admission decisions can see host-wide pressure: tenant A's scans must
-/// queue while tenant B's point reads are hot on the same box, even
-/// though the two partitions are served by different PageServer objects.
-struct HostLoad {
-  uint64_t getpage_inflight = 0;  // GetPage frames in service, host-wide
-  int residents = 0;              // (tenant, partition) servers placed here
-};
-
 struct PageServerOptions {
   PartitionId partition = 0;
   xlog::PartitionMap partition_map;
@@ -87,20 +77,16 @@ struct PageServerOptions {
   bool checkpointing_enabled = true;
 
   // ----- Scan admission (§4.6: scan CPU must not starve the GetPage
-  // path). ServeScan work is metered against a serving-health signal —
-  // point-read inflight depth plus recent GetPage p99. While healthy,
+  // path). ServeScan work is metered against a serving-health signal:
+  // the recent p99 of one-page GetPage frames. While healthy,
   // scans are admitted immediately; while degraded they queue behind a
   // token bucket and are rejected with kOverloaded once the queue wait
   // exceeds its bound (kScanAdmissionMaxWaitUs; the client treats that
   // as "fall back locally, back off this endpoint").
   /// Master switch; off = pre-admission behavior (scans always admitted).
   bool scan_admission_enabled = true;
-  /// Degraded while this many point reads (GetPage/batch frames,
-  /// excluding scans) are in service, on this server or — with host_load
-  /// set — host-wide. 0 disables the trigger.
-  uint64_t scan_admission_getpage_depth = 8;
-  /// ...or while the recent GetPage service p99 exceeds this (µs over a
-  /// sliding window of served point reads). 0 disables the trigger.
+  /// Degraded while the recent GetPage service p99 exceeds this (µs over
+  /// a sliding window of served one-page frames). 0 disables the trigger.
   SimTime scan_admission_p99_us = 5000;
   /// Token bucket draining queued scans while degraded: refill rate.
   double scan_admission_tokens_per_s = 100.0;
@@ -110,11 +96,6 @@ struct PageServerOptions {
   /// its own: co-resident tenants' serving, apply, and scan-evaluation
   /// work contend for the same cores — the noisy-neighbor substrate.
   sim::CpuResource* shared_cpu = nullptr;
-  /// Host-wide load board shared by co-resident servers (see HostLoad).
-  /// When set, host-wide point-read depth also feeds the scan-admission
-  /// degradation signal: a scan on this server queues while any
-  /// co-resident tenant's point path is hot.
-  HostLoad* host_load = nullptr;
 };
 
 class PageServer : public rbio::RbioServer {
@@ -187,8 +168,6 @@ class PageServer : public rbio::RbioServer {
   Lsn restart_lsn() const { return restart_lsn_; }
   engine::BufferPool* pool() { return pool_.get(); }
   sim::CpuResource& cpu() { return *cpu_; }
-  /// The host load board this server reports into (null outside fleets).
-  HostLoad* host_load() const { return opts_.host_load; }
   const std::string& data_blob() const { return data_blob_; }
   bool seeding_done() const { return seeding_done_; }
   uint64_t checkpoints_completed() const { return checkpoints_; }
@@ -320,8 +299,8 @@ class PageServer : public rbio::RbioServer {
   // token-bucket wait); kOverloaded = shed, the client falls back to a
   // local scan and backs off this endpoint.
   sim::Task<Status> AdmitScan();
-  // True while the point-read path looks unhealthy (inflight depth or
-  // recent p99 over threshold) — scans must queue.
+  // True while the point-read path looks unhealthy (recent p99 over
+  // threshold): scans must queue.
   bool ServingDegraded() const;
   // Sliding-window p99 of GetPage service time (0 = not enough samples).
   SimTime RecentGetPageP99Us() const;
@@ -372,7 +351,6 @@ class PageServer : public rbio::RbioServer {
   Histogram restart_lag_bytes_;
   SimTime last_backup_checkpoint_us_ = 0;
   SimTime last_backup_snapshot_us_ = 0;
-  uint64_t getpage_inflight_ = 0;
   std::vector<SimTime> checkpoint_starts_;
   // Serializes checkpoint rounds (the periodic loop, manual Checkpoint()
   // calls, and Backup() can otherwise overlap and double-write extents).
@@ -385,9 +363,8 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_requests_ = 0;
   uint64_t scan_rows_scanned_ = 0;
   uint64_t scan_tuples_returned_ = 0;
-  // Scan admission state. getpage_inflight_ (GetPage frames only) is
-  // the point-read depth signal; GetPage service times feed a small ring
-  // whose p99 is the second health signal.
+  // Scan admission state. One-page GetPage service times feed a small
+  // ring whose p99 is the health signal.
   uint64_t scans_queued_ = 0;
   uint64_t scans_rejected_ = 0;
   Histogram scan_queue_wait_us_;

@@ -502,41 +502,26 @@ sim::Task<Result<storage::Page>> RbioClient::GetPage(
     key += '|';
   }
   BatchQueue& q = batch_queues_[key];
-  // Batch-aware dedup: a request for a page already queued this window
-  // rides along (at the max of both freshness LSNs) instead of adding a
-  // duplicate sub-request.
-  PendingGet* entry = nullptr;
-  for (PendingGet* e : q.pending) {
-    if (e->page_id == page_id) {
-      if (min_lsn > e->min_lsn) e->min_lsn = min_lsn;
-      entry = e;
-      batch_dedup_hits_++;
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    entry = AcquirePending(page_id, min_lsn);
-    // Refresh to the callers' latest view — swapping the shared set only
-    // when it actually changed, so the steady state stays allocation-free.
-    bool same = q.replicas != nullptr &&
-                q.replicas->size() == replicas.size();
-    if (same) {
-      for (size_t i = 0; i < replicas.size(); i++) {
-        if ((*q.replicas)[i].server != replicas[i].server ||
-            (*q.replicas)[i].name != replicas[i].name) {
-          same = false;
-          break;
-        }
+  PendingGet* entry = AcquirePending(page_id, min_lsn);
+  // Refresh to the callers' latest view — swapping the shared set only
+  // when it actually changed, so the steady state stays allocation-free.
+  bool same = q.replicas != nullptr && q.replicas->size() == replicas.size();
+  if (same) {
+    for (size_t i = 0; i < replicas.size(); i++) {
+      if ((*q.replicas)[i].server != replicas[i].server ||
+          (*q.replicas)[i].name != replicas[i].name) {
+        same = false;
+        break;
       }
     }
-    if (!same) {
-      q.replicas = std::make_shared<const std::vector<Endpoint>>(replicas);
-    }
-    q.pending.push_back(entry);
-    if (!q.flusher_active) {
-      q.flusher_active = true;
-      sim::Spawn(sim_, BatchFlusher(key));
-    }
+  }
+  if (!same) {
+    q.replicas = std::make_shared<const std::vector<Endpoint>>(replicas);
+  }
+  q.pending.push_back(entry);
+  if (!q.flusher_active) {
+    q.flusher_active = true;
+    sim::Spawn(sim_, BatchFlusher(key));
   }
   entry->refs++;  // this rider
   co_await entry->done.Wait();

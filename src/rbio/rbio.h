@@ -316,8 +316,6 @@ class RbioClient {
   uint64_t batches_sent() const { return batches_sent_; }
   /// GetPage entries carried inside those frames.
   uint64_t batched_pages() const { return batched_pages_; }
-  /// Duplicate page requests coalesced into an already-queued entry.
-  uint64_t batch_dedup_hits() const { return batch_dedup_hits_; }
   /// Network round trips avoided by multiplexing: each batch of k pages
   /// costs 1 frame instead of k.
   uint64_t round_trips_saved() const {
@@ -334,7 +332,6 @@ class RbioClient {
     retries_ = 0;
     batches_sent_ = 0;
     batched_pages_ = 0;
-    batch_dedup_hits_ = 0;
     scan_requests_ = 0;
     scans_sent_ = 0;
     scans_overloaded_ = 0;
@@ -353,7 +350,7 @@ class RbioClient {
   // One queued GetPage awaiting a batch flush.
   // Nodes are recycled through a free list (AcquirePending /
   // ReleasePending) with a manual refcount — one ref for the queue/flush
-  // side plus one per awaiting rider — so the steady-state hot path
+  // side plus one for the awaiting rider — so the steady-state hot path
   // performs no allocation.
   struct PendingGet {
     explicit PendingGet(sim::Simulator& sim) : done(sim) {}
@@ -439,7 +436,6 @@ class RbioClient {
   uint64_t retries_ = 0;
   uint64_t batches_sent_ = 0;
   uint64_t batched_pages_ = 0;
-  uint64_t batch_dedup_hits_ = 0;
   uint64_t scan_requests_ = 0;
   uint64_t scans_sent_ = 0;
   uint64_t scans_overloaded_ = 0;

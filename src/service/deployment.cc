@@ -108,7 +108,6 @@ pageserver::PageServerOptions Deployment::MakePsOptions(
     ps_opts.blob_override = PartitionBlobName(p);
   }
   ps_opts.shared_cpu = binding.cpu;
-  ps_opts.host_load = binding.load;
   return ps_opts;
 }
 

@@ -32,12 +32,11 @@ class ClusterMonitor;
 
 /// Where a Page Server runs in a multi-tenant fleet: the host's chaos
 /// site (a host outage takes down every resident partition of every
-/// tenant placed there), the host's shared CPU, and the host-wide load
-/// board. Empty/null fields keep the single-tenant defaults.
+/// tenant placed there) and the host's shared CPU. Empty/null fields
+/// keep the single-tenant defaults.
 struct PsHostBinding {
   std::string site;
   sim::CpuResource* cpu = nullptr;
-  pageserver::HostLoad* load = nullptr;
 };
 
 struct DeploymentOptions {

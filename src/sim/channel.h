@@ -74,7 +74,6 @@ class Channel {
     poppers_.clear();
   }
 
-  bool closed() const { return closed_; }
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 

@@ -73,8 +73,6 @@ class LatencyModel {
     return std::max<SimTime>(t, 0);
   }
 
-  Kind kind() const { return kind_; }
-
  private:
   Kind kind_;
   double a_ = 0;  // fixed value / uniform lo / lognormal median

@@ -123,7 +123,6 @@ class LandingZone {
 
   Lsn start_lsn() const { return start_lsn_; }
   Lsn durable_end() const { return durable_end_; }
-  Lsn reserved_end() const { return reserved_end_; }
   uint64_t capacity() const { return capacity_; }
   /// Logical window size (consumer-visible stream bytes retained).
   uint64_t used_bytes() const { return reserved_end_ - start_lsn_; }

@@ -778,6 +778,46 @@ TEST(ClusterTest, BatchAndWaiterCountersConsistent) {
   d.Stop();
 }
 
+// Same-page misses collapse in the compute node's buffer pool before they
+// reach RBIO: concurrent cold Gets of one key put one page on the wire,
+// in one frame.
+TEST(ClusterTest, ConcurrentColdGetsOfOneKeyFetchOnePage) {
+  constexpr int kReaders = 5;
+  Simulator s;
+  DeploymentOptions o = SmallDeployment(/*page_servers=*/1,
+                                        /*secondaries=*/0);
+  o.compute.ssd_pages = 0;  // the purged leaf can only come back remotely
+  Deployment d(s, o);
+  uint64_t pages = 0;
+  uint64_t frames = 0;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await LoadRows(e, 0, 200, "v");
+    co_await d.page_server(0)->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    // Only the key's leaf is cold; the pages above it stay resident.
+    Result<PageId> leaf = co_await e->btree()->LeafIdFor(MakeKey(1, 100));
+    EXPECT_TRUE(leaf.ok());
+    if (!leaf.ok()) co_return;
+    d.primary()->pool()->Purge(*leaf);
+    rbio::RbioClient& client = d.primary()->rbio_client();
+    pages = client.batched_pages();
+    frames = client.batches_sent();
+    sim::WaitGroup wg(s);
+    for (int r = 0; r < kReaders; r++) {
+      wg.Add();
+      Spawn(s, ReadSlice(e, 100, 1, &wg));
+    }
+    co_await wg.Wait();
+    pages = client.batched_pages() - pages;
+    frames = client.batches_sent() - frames;
+  });
+  EXPECT_EQ(pages, 1u);
+  EXPECT_EQ(frames, 1u);
+  d.Stop();
+}
+
 TEST(ClusterTest, FreshnessWaitWakesExactlyOnApply) {
   Simulator s;
   Deployment d(s, SmallDeployment(/*page_servers=*/1, /*secondaries=*/0));

@@ -175,8 +175,8 @@ TEST(FleetTest, MigrationInvalidatesRoutesAndPreservesData) {
   EXPECT_EQ(f.gateway().qos(1).route_refreshes, 0u);
   // The serving server for the partition now runs on the destination
   // host's shared CPU.
-  EXPECT_EQ(f.directory().Resolve(0, 0)->host_load(),
-            &f.host(f.HostOf(0, 0)).load);
+  EXPECT_EQ(&f.directory().Resolve(0, 0)->cpu(),
+            f.host(f.HostOf(0, 0)).cpu.get());
   f.Stop();
 }
 
@@ -255,7 +255,6 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
   // window fills, and sheds immediately (no tokens): a deterministic
   // kOverloaded for every scan the gateway forwards.
   o.tenant.page_server.scan_admission_enabled = true;
-  o.tenant.page_server.scan_admission_getpage_depth = 0;
   o.tenant.page_server.scan_admission_p99_us = 1;
   o.tenant.page_server.scan_admission_tokens_per_s = 0;
   Fleet f(s, o);

@@ -1136,8 +1136,7 @@ Task<> ColdPointReads(engine::Engine* e, uint64_t n, uint64_t range) {
 TEST(ScanAdmissionTest, HealthyServerAdmitsImmediately) {
   Simulator s;
   service::DeploymentOptions o = AdmissionDeployment();
-  o.page_server.scan_admission_p99_us = 0;       // disable p99 trigger
-  o.page_server.scan_admission_getpage_depth = 0;  // disable depth trigger
+  o.page_server.scan_admission_p99_us = 0;  // disable the trigger
   service::Deployment d(s, o);
   bool pushed = false;
   RunSim(s, [&]() -> Task<> {
@@ -1151,84 +1150,6 @@ TEST(ScanAdmissionTest, HealthyServerAdmitsImmediately) {
   EXPECT_EQ(d.page_server(0)->scans_queued(), 0u);
   EXPECT_EQ(d.page_server(0)->scans_rejected(), 0u);
   d.Stop();
-}
-
-// Scans in service on one host, counted client-side around each frame.
-struct ScanFlight {
-  int outstanding = 0;
-  int peak = 0;
-  int done = 0;
-  int ok = 0;
-};
-
-Task<> FlyScan(pageserver::PageServer* ps, rbio::ScanRangeRequest req,
-               ScanFlight* f) {
-  f->peak = std::max(f->peak, ++f->outstanding);
-  rbio::ScanRangeResponse r = co_await ServeScanFrame(ps, req);
-  if (r.status.ok()) f->ok++;
-  f->outstanding--;
-  f->done++;
-}
-
-// Scans are not point reads: with only the depth trigger armed (at its
-// default of 8), a dozen concurrent pushed scans on a healthy server are
-// all admitted at once, and so are they spread over two co-resident
-// servers that share one HostLoad board.
-TEST(ScanAdmissionTest, ConcurrentScansNeverCountAsPointReadDepth) {
-  constexpr int kScans = 12;
-  constexpr uint64_t kRows = 3000;
-  for (const bool shared_host : {false, true}) {
-    SCOPED_TRACE(shared_host ? "two servers, one host" : "one server");
-    Simulator s;
-    pageserver::HostLoad host;
-    service::DeploymentOptions o = AdmissionDeployment();
-    o.page_server.scan_admission_p99_us = 0;  // depth trigger only
-    EXPECT_EQ(o.page_server.scan_admission_getpage_depth, 8u);
-    if (shared_host) {
-      o.ps_host = [&host](PartitionId) {
-        service::PsHostBinding b;
-        b.load = &host;
-        return b;
-      };
-    }
-    std::vector<std::unique_ptr<service::Deployment>> ds;
-    for (int t = 0; t < (shared_host ? 2 : 1); t++) {
-      ds.push_back(std::make_unique<service::Deployment>(s, o));
-    }
-    ScanFlight flight;
-    RunSim(s, [&]() -> Task<> {
-      std::vector<rbio::ScanRangeRequest> reqs;
-      for (auto& d : ds) {
-        EXPECT_TRUE((co_await d->Start()).ok());
-        Engine* e = d->primary_engine();
-        co_await Load(e, kRows);
-        co_await d->page_server(0)->applied_lsn().WaitFor(
-            d->log_client().end_lsn());
-        Result<PageId> leaf = co_await e->btree()->LeafIdFor(MakeKey(1, 0));
-        EXPECT_TRUE(leaf.ok());
-        if (!leaf.ok()) co_return;
-        rbio::ScanRangeRequest req;
-        req.leaves = {*leaf};
-        req.start_key = MakeKey(1, 0);
-        req.end_key = MakeKey(1, kRows);
-        req.read_ts = e->last_committed_ts();
-        req.predicate = common::ScanPredicate::KeyModEq(16, 1);
-        reqs.push_back(req);
-      }
-      for (int i = 0; i < kScans; i++) {
-        const size_t t = static_cast<size_t>(i) % ds.size();
-        Spawn(s, FlyScan(ds[t]->page_server(0), reqs[t], &flight));
-      }
-      while (flight.done < kScans) co_await sim::Delay(s, 100);
-    });
-    EXPECT_GE(flight.peak, 8);
-    EXPECT_EQ(flight.ok, kScans);
-    for (auto& d : ds) {
-      EXPECT_EQ(d->page_server(0)->scans_queued(), 0u);
-      EXPECT_EQ(d->page_server(0)->scans_rejected(), 0u);
-      d->Stop();
-    }
-  }
 }
 
 TEST(ScanAdmissionTest, DegradedServerQueuesScansBehindTokenBucket) {

@@ -520,32 +520,6 @@ TEST(RbioBatchTest, BurstsAboveMaxBatchSplitIntoConcurrentFrames) {
   EXPECT_EQ(client.round_trips_saved(), 37u);
 }
 
-TEST(RbioBatchTest, SamePageConcurrentMissesDeduped) {
-  Simulator s;
-  MockServer server(s, 100);
-  RbioClient client(s, nullptr, {});
-  std::vector<Endpoint> eps{{&server, "m"}};
-  int ok = 0;
-  RunSim(s, [&]() -> Task<> {
-    sim::WaitGroup wg(s);
-    for (int i = 0; i < 5; i++) {
-      wg.Add();
-      Spawn(s, [](RbioClient* c, std::vector<Endpoint> e,
-                  sim::WaitGroup* w, int* okp) -> Task<> {
-        auto r = co_await c->GetPage(e, 55, 10);
-        if (r.ok() && r->page_id() == 55) (*okp)++;
-        w->Done();
-      }(&client, eps, &wg, &ok));
-    }
-    co_await wg.Wait();
-  });
-  EXPECT_EQ(ok, 5);
-  // One wire request total: four callers shared the first one's entry.
-  EXPECT_EQ(server.handled_, 1);
-  EXPECT_EQ(client.batch_dedup_hits(), 4u);
-  EXPECT_EQ(client.requests_sent(), 1u);
-}
-
 TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
   // A lone miss goes out as a one-entry frame whatever max_batch is: the
   // same bytes on the wire and the same completion time at 16 as at 1.

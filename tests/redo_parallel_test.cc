@@ -200,11 +200,38 @@ Task<> ApplyTail(RedoApplier* applier, const std::string* stream,
   *done = true;
 }
 
+// A Secondary's remote fetch of one page, as compute::RemoteFetcher does
+// it: the image arrives after `delay_us`, and the records the applier
+// queued meanwhile are drained into it before the pool installs it. Until
+// `page` is set every page is not found, so kMaterialize redo formats it.
+class PendingFetchFetcher : public PageFetcher {
+ public:
+  explicit PendingFetchFetcher(Simulator& sim) : sim_(sim) {}
+
+  Task<Result<storage::Page>> FetchPage(PageId page_id) override {
+    if (page_id != page) {
+      co_return Result<storage::Page>(Status::NotFound("no remote image"));
+    }
+    co_await sim::Delay(sim_, delay_us);
+    storage::Page fetched = image;
+    Status ds = applier->DrainPendingInto(page_id, &fetched);
+    if (!ds.ok()) co_return Result<storage::Page>(ds);
+    co_return Result<storage::Page>(std::move(fetched));
+  }
+
+  PageId page = kInvalidPageId;
+  storage::Page image;
+  SimTime delay_us = 0;
+  RedoApplier* applier = nullptr;
+
+ private:
+  Simulator& sim_;
+};
+
 // The §4.5 race under parallel apply: while lanes chew through the tail,
-// a "fetch" of a purged page completes mid-stream; queued records are
-// drained into the image, the image is installed, and later records
-// apply to it directly. The final bytes must equal the serial
-// materialization.
+// a fetch of a purged page completes mid-stream; queued records are
+// drained into the image, the pool installs it, and later records apply
+// to it directly. The final bytes must equal the serial materialization.
 void RunPendingFetchRace(SimTime drain_at_us) {
   Lsn mid = 0;
   std::string stream = BuildUpdateHeavyStream(600, 3, &mid);
@@ -234,7 +261,8 @@ void RunPendingFetchRace(SimTime drain_at_us) {
   Simulator sim;
   BufferPoolOptions opts;
   opts.mem_pages = 1 << 20;
-  BufferPool pool(sim, opts, nullptr);
+  PendingFetchFetcher fetcher(sim);
+  BufferPool pool(sim, opts, &fetcher);
   sim::CpuResource cpu(sim, 4);
 
   // Warm the cache with the prefix (what the Secondary had applied
@@ -257,18 +285,16 @@ void RunPendingFetchRace(SimTime drain_at_us) {
   applier.applied_lsn().Advance(mid);
   applier.RegisterPendingFetch(victim);
 
-  storage::Page image;
-  ASSERT_TRUE(image.FromSlice(Slice(at_mid.pages[victim])).ok());
+  ASSERT_TRUE(fetcher.image.FromSlice(Slice(at_mid.pages[victim])).ok());
+  fetcher.page = victim;
+  fetcher.delay_us = drain_at_us;
+  fetcher.applier = &applier;
 
   bool apply_done = false;
   RunSim(sim, [&]() -> Task<> {
     Spawn(sim, ApplyTail(&applier, &stream, &apply_done));
-    co_await sim::Delay(sim, drain_at_us);
-    // Fetch completes: drain queued records into the image and install
-    // it, with no suspension point in between (the §4.5 protocol).
-    Status ds = applier.DrainPendingInto(victim, &image);
-    EXPECT_TRUE(ds.ok()) << ds.ToString();
-    pool.InstallIfAbsent(image);
+    Result<PageRef> fetched = co_await pool.GetPage(victim);
+    EXPECT_TRUE(fetched.ok()) << fetched.status().ToString();
   });
   ASSERT_TRUE(apply_done);
   EXPECT_EQ(applier.applied_commit_ts(), reference.commit_ts);
