@@ -3,21 +3,23 @@
 //
 // The paper's cost argument is pooling: many databases share Page
 // Server, XLOG and XStore capacity. That only works if (a) a noisy
-// tenant cannot inflate its neighbors' point-read tails — the gateway's
-// cross-tenant scan hold-off plus host-aware scan admission at the
-// servers — and (b) the fleet can rebalance placement online, moving a
-// partition between hosts without a visible outage (§4.3's reseed path
-// does the data movement; the directory epoch fences the route swap).
+// tenant cannot inflate its neighbors' point-read tails — scan
+// evaluation is background work on the shared host CPU, so a point read
+// never waits behind a neighbor's scan — and (b) the fleet can
+// rebalance placement online, moving a partition between hosts without
+// a visible outage (§4.3's reseed path does the data movement; the
+// directory epoch fences the route swap).
 //
 // Phases:
 //   reseed     crash + recover one Page Server: the PR 5 reseed MTTR,
 //              the yardstick the migration stall is gated against;
 //   solo       one tenant alone on the host — the point-read p99 floor;
 //   qos_on     a second tenant runs bulk scans against the same host,
-//              gateway hold-off + host-aware admission on. Victim p99
+//              its scan evaluation yielding the host CPU. Victim p99
 //              must hold within 1.3x solo;
-//   qos_off    the counterfactual: same scans, all QoS off — shows what
-//              the neighbor would otherwise do to the victim's tail;
+//   qos_off    the counterfactual: same scans, evaluation queued FIFO
+//              with point reads — shows what the neighbor would
+//              otherwise do to the victim's tail;
 //   migration  continuous reads while the partition live-migrates to
 //              another host: zero terminal failures, max stall bounded
 //              by 2x the reseed MTTR;
@@ -101,8 +103,8 @@ sim::Task<> Scanner(sim::Simulator* sim, engine::Engine* e,
 // Fleet shape for the isolation phases: every tenant's single partition
 // lands on ONE shared host with ONE serving core, so a neighbor's scan
 // CPU directly contends with the victim's GetPage serving — the fleet
-// analog of bench_pushdown_interference, with the QoS machinery
-// (gateway scan hold-off + host-aware admission) as the `qos` toggle.
+// analog of bench_pushdown_interference, with scans yielding the host
+// CPU as the `qos` toggle.
 fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   fleet::FleetOptions o;
   o.tenants = tenants;
@@ -117,19 +119,8 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.compute.rbpex_recoverable = false;
   o.tenant.compute.pushdown_plan = compute::PushdownPlan::kPush;
   o.tenant.compute.rbio_wire_mb_per_s = 2000;
-  // No readahead: every victim miss is a one-page frame — the
-  // latency signal the admission gate watches, undiluted.
-  o.tenant.compute.scan_readahead = 0;
-  // A shed scan keeps the abuser on the local plan long enough for the
-  // victim's serving window to recover before the next wire attempt.
-  o.tenant.compute.rbio_overload_backoff_us = 200 * 1000;
   o.tenant.page_server.mem_pages = 512;  // CPU-bound, not IO-bound
-  o.tenant.page_server.scan_admission_enabled = qos;
-  o.tenant.page_server.scan_admission_p99_us = 20;
-  o.tenant.page_server.scan_admission_tokens_per_s = 10;
-  // Isolation comes from the gateway's cross-tenant scan hold-off; the
-  // 16-subset ablation in EXPERIMENTS.md shows it is the gate that acts.
-  if (!qos) o.gateway.scan_hold_off_us = 0;
+  o.tenant.page_server.scans_yield_cpu = qos;
   return o;
 }
 
@@ -137,9 +128,8 @@ struct PhaseResult {
   double point_p99_us = 0;    // client-observed victim Get p99
   double getpage_p99_us = 0;  // victim server-side GetPage service p99
   uint64_t failures = 0;
-  uint64_t scans_forwarded = 0;
-  uint64_t scans_shed = 0;  // gateway hold-off sheds, abuser
-  double sim_ms = 0;        // simulated span of the reader phase
+  uint64_t scans_forwarded = 0;  // abuser scans the gateway forwarded
+  double sim_ms = 0;             // simulated span of the reader phase
 };
 
 PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
@@ -188,11 +178,7 @@ PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
     // the shared host core), long before wire latency drowns it out.
     r.getpage_p99_us =
         f.directory().Resolve(0, 0)->getpage_service_us().Percentile(99.0);
-    if (tenants > 1) {
-      const fleet::TenantQos& abuser = f.gateway().qos(1);
-      r.scans_forwarded = abuser.scans_forwarded;
-      r.scans_shed = abuser.scans_shed_holdoff;
-    }
+    if (tenants > 1) r.scans_forwarded = f.gateway().qos(1).scans_forwarded;
   });
   f.Stop();
   return r;
@@ -353,8 +339,8 @@ int main(int argc, char** argv) {
             mttr_ms);
 
   // Phases: solo floor, then the noisy neighbor with QoS on / off.
-  printf("\n%-10s %12s %12s %9s %8s %8s %9s\n", "config", "gp p99 us",
-         "pt p99 us", "fail", "scan fwd", "shed", "sim ms");
+  printf("\n%-10s %12s %12s %9s %8s %9s\n", "config", "gp p99 us",
+         "pt p99 us", "fail", "scan fwd", "sim ms");
   struct {
     const char* name;
     bool qos;
@@ -367,17 +353,16 @@ int main(int argc, char** argv) {
   double solo_p99 = 0, on_ratio = 0, off_ratio = 0;
   for (const auto& c : configs) {
     PhaseResult r = MeasureIsolation(p, c.scans ? 2 : 1, c.qos, c.scans);
-    printf("%-10s %12.1f %12.1f %9" PRIu64 " %8" PRIu64 " %8" PRIu64
-           " %9.2f\n",
+    printf("%-10s %12.1f %12.1f %9" PRIu64 " %8" PRIu64 " %9.2f\n",
            c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-           r.scans_forwarded, r.scans_shed, r.sim_ms);
+           r.scans_forwarded, r.sim_ms);
     json.Line(
         "{\"bench\":\"fleet\",\"phase\":\"noisy\",\"config\":\"%s\","
         "\"getpage_p99_us\":%.1f,\"point_p99_us\":%.1f,"
         "\"failures\":%" PRIu64 ",\"scans_forwarded\":%" PRIu64
-        ",\"scans_shed\":%" PRIu64 ",\"sim_ms\":%.2f}",
+        ",\"sim_ms\":%.2f}",
         c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-        r.scans_forwarded, r.scans_shed, r.sim_ms);
+        r.scans_forwarded, r.sim_ms);
     if (std::strcmp(c.name, "solo") == 0) solo_p99 = r.getpage_p99_us;
     if (std::strcmp(c.name, "qos_on") == 0 && solo_p99 > 0) {
       on_ratio = r.getpage_p99_us / solo_p99;

@@ -17,7 +17,6 @@ const char* CodeName(Status::Code code) {
     case Status::Code::kNotSupported: return "NotSupported";
     case Status::Code::kOutOfSpace: return "OutOfSpace";
     case Status::Code::kShutdown: return "Shutdown";
-    case Status::Code::kOverloaded: return "Overloaded";
   }
   return "Unknown";
 }

@@ -30,7 +30,6 @@ class [[nodiscard]] Status {
     kNotSupported = 9,
     kOutOfSpace = 10,     // landing zone full, device full
     kShutdown = 11,       // service is stopping
-    kOverloaded = 12,     // server shedding load; retry elsewhere / later
   };
 
   Status() noexcept : code_(Code::kOk) {}
@@ -69,9 +68,6 @@ class [[nodiscard]] Status {
   static Status Shutdown(std::string_view msg = "") {
     return Status(Code::kShutdown, msg);
   }
-  static Status Overloaded(std::string_view msg = "") {
-    return Status(Code::kOverloaded, msg);
-  }
 
   /// Status `code` with a copy of `msg` (a decoder's generic path).
   static Status FromCode(Code code, std::string_view msg) {
@@ -103,7 +99,6 @@ class [[nodiscard]] Status {
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsOutOfSpace() const { return code_ == Code::kOutOfSpace; }
   bool IsShutdown() const { return code_ == Code::kShutdown; }
-  bool IsOverloaded() const { return code_ == Code::kOverloaded; }
 
   Code code() const { return code_; }
   std::string_view message() const {

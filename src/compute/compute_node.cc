@@ -73,8 +73,8 @@ class ComputeNode::RemoteFetcher : public engine::PageFetcher {
 // routes the chunk to the replicas of the partition owning the start
 // leaf, sets the LSN-consistency floor for the node's role, and converts
 // the wire response (tuple Slices aliasing the response frame) into an
-// owned RemoteScanChunk. Server errors (e.g. a kOverloaded shed) surface
-// as an error Result; the planner then falls back to the page-based path.
+// owned RemoteScanChunk. Server and transport errors surface as an error
+// Result; the planner then falls back to the page-based path.
 class ComputeNode::PushdownScanner : public engine::RemoteScanner {
  public:
   explicit PushdownScanner(ComputeNode* node) : node_(node) {}
@@ -168,7 +168,6 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
   rbio_opts.network = options.rpc_latency;
   rbio_opts.chaos = options.chaos;
   rbio_opts.wire_mb_per_s = options.rbio_wire_mb_per_s;
-  rbio_opts.overload_backoff_us = options.rbio_overload_backoff_us;
   rbio_ = std::make_unique<rbio::RbioClient>(
       sim, cpu_.get(), rbio_opts, 0xb10c + options.cpu_cores);
   engine::BufferPoolOptions pool_opts;

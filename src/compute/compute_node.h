@@ -162,9 +162,6 @@ struct ComputeOptions {
   /// on request/response legs (0 = infinite — the historical timing,
   /// bit-identical traces).
   double rbio_wire_mb_per_s = 0;
-  /// How long a kOverloaded reply keeps this client off an endpoint's
-  /// scan path.
-  SimTime rbio_overload_backoff_us = 50 * 1000;
   /// Chaos injection: the deployment's fault hub and the node's network
   /// site (unique per node, stable across role changes). The RBIO client
   /// keys link faults on (this site, endpoint name).
@@ -235,11 +232,6 @@ class ComputeNode {
   /// WaitApplied stall on the serving Page Server.
   const Histogram& remote_fetch_us() const { return remote_fetch_us_; }
   rbio::RbioClient& rbio_client() { return *rbio_; }
-  /// Reconfiguration hook: the deployment bumps its config epoch after
-  /// every topology change, and endpoint names may now resolve to
-  /// different servers — drop the client's kOverloaded scan backoffs,
-  /// which described the old servers' load.
-  void ClearScanBackoff() { rbio_->ClearScanBackoff(); }
 
  private:
   class RemoteFetcher;

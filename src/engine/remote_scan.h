@@ -105,10 +105,9 @@ class RemoteScanner {
   /// pushes every eligible scan without pricing it.
   virtual PushdownCostModel CostModel() const { return PushdownCostModel{}; }
 
-  /// Evaluate `spec` remotely starting at `start_leaf`. Transport errors
-  /// and server rejections (e.g. kOverloaded) surface as error Results —
-  /// the planner falls back to the local page-based path from
-  /// spec.start_key.
+  /// Evaluate `spec` remotely starting at `start_leaf`. Transport and
+  /// server errors surface as error Results — the planner falls back to
+  /// the local page-based path from spec.start_key.
   virtual sim::Task<Result<RemoteScanChunk>> ScanLeaves(
       PageId start_leaf, const RemoteScanSpec& spec) = 0;
 };

@@ -397,11 +397,8 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
         if (c.status().IsCorruption()) {
           co_return Result<FilteredScanResult>(c.status());
         }
-        // kOverloaded (scan admission shed — the rbio client is already
-        // backing off that endpoint) or a hard transport error: finish
-        // [cursor, end_key) on the local page-based path — partial
-        // remote results stay valid.
-        if (c.status().IsOverloaded()) stats_.pushdown_overloaded++;
+        // A transport or server error: finish [cursor, end_key) on the
+        // local page-based path — partial remote results stay valid.
         out.fallbacks++;
         need_local_tail = true;
         break;

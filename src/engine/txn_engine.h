@@ -89,9 +89,6 @@ struct EngineStats {
   uint64_t filtered_scans = 0;
   uint64_t pushdown_scans = 0;
   uint64_t pushdown_fallbacks = 0;
-  /// Remote chunks shed by Page-Server scan admission (kOverloaded);
-  /// each also counts as a fallback — the local path finished the range.
-  uint64_t pushdown_overloaded = 0;
   /// Commit critical section, one sample per commit that takes the
   /// commit mutex (every commit with writes, bulk loads included), in
   /// simulated µs: the wait to acquire it, and how long it is held

@@ -19,7 +19,7 @@ Fleet::Fleet(sim::Simulator& sim, const FleetOptions& options)
         std::make_unique<sim::CpuResource>(sim, opts_.host_cpu_cores);
     hosts_.push_back(std::move(host));
   }
-  gateway_ = std::make_unique<Gateway>(sim, &directory_, opts_.gateway);
+  gateway_ = std::make_unique<Gateway>(sim, &directory_);
 }
 
 Fleet::~Fleet() { Stop(); }

@@ -7,7 +7,7 @@
 // as long as QoS keeps a noisy neighbor from absorbing everyone's.
 //
 // The fleet owns the control plane: the TenantDirectory (routing truth),
-// the Gateway (per-tenant QoS + epoch-fenced routing), placement (which
+// the Gateway (epoch-fenced routing), placement (which
 // host runs which (tenant, partition)), and live migration (move a
 // partition to another host with bounded stall, §4.3's reseed path doing
 // the heavy lifting).
@@ -50,7 +50,6 @@ struct FleetOptions {
   /// Fleet-mode fields (shared_*, site_prefix, blob_namespace, lz_site,
   /// compute_router, ps_host) are overwritten per tenant.
   service::DeploymentOptions tenant;
-  GatewayOptions gateway;
 };
 
 class Fleet {

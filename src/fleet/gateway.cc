@@ -24,9 +24,8 @@ constexpr int kCpuCores = 16;
 constexpr SimTime kHopLatencyUs = 30;
 constexpr SimTime kCpuPerFrameUs = 2;
 
-Gateway::Gateway(sim::Simulator& sim, TenantDirectory* directory,
-                 const GatewayOptions& options)
-    : sim_(sim), directory_(directory), opts_(options), cpu_(sim, kCpuCores) {}
+Gateway::Gateway(sim::Simulator& sim, TenantDirectory* directory)
+    : sim_(sim), directory_(directory), cpu_(sim, kCpuCores) {}
 
 compute::PageServerRouter* Gateway::RouterFor(
     TenantId tenant, const xlog::PartitionMap& pmap) {
@@ -51,18 +50,6 @@ TenantPort* Gateway::PortFor(TenantId tenant, PartitionId partition) {
   }
   return it->second.get();
 }
-
-namespace {
-
-// Shed response: the format-shared [version][status] prefix means this
-// decodes as an error GetPage or ScanRange response alike — the
-// client's existing overload machinery (backoff + local-plan fallback)
-// handles it with no gateway-specific wire format.
-std::string EncodeShed(const char* why) {
-  return rbio::GetPageBatchResponse{Status::Overloaded(why), {}}.Encode();
-}
-
-}  // namespace
 
 sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
                                                 const std::string& frame) {
@@ -89,36 +76,12 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
     if (port->server_ != nullptr) q.route_refreshes++;
     port->server_ = server;
     port->epoch_ = epoch;
-    port->host_site_ = rec->deployment->PageServerSite(port->partition_);
   }
 
-  const bool is_scan =
-      rbio::PeekMessageType(frame) == rbio::MessageType::kScanRange;
-  if (is_scan && opts_.scan_hold_off_us > 0) {
-    // Bulk yields to interactive: another tenant's point read on this
-    // host inside the window means the scan's CPU burst would land on
-    // an interactive server. Shed it — the scanner's client falls back
-    // to its local plan and backs off.
-    auto hp = host_points_.find(port->host_site_);
-    if (hp != host_points_.end()) {
-      for (const auto& [t, at] : hp->second) {
-        if (t != port->tenant_ &&
-            sim_.now() < at + opts_.scan_hold_off_us) {
-          q.scans_shed_holdoff++;
-          frames_shed_++;
-          co_return EncodeShed("gateway: host serving interactive");
-        }
-      }
-    }
-  }
-
-  if (is_scan) {
+  if (rbio::PeekMessageType(frame) == rbio::MessageType::kScanRange) {
     q.scans_forwarded++;
   } else {
     q.points_forwarded++;
-    if (opts_.scan_hold_off_us > 0) {
-      host_points_[port->host_site_][port->tenant_] = sim_.now();
-    }
   }
   frames_forwarded_++;
   co_await cpu_.Consume(kCpuPerFrameUs);

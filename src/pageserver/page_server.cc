@@ -344,7 +344,7 @@ void SetEntry(rbio::GetPageBatchResponse::Entry* out,
 
 // Serve every GetPage@LSN entry of one frame into scratch->resp, in
 // request order. A one-page frame waits for freshness, then pays 5 us of
-// CPU and feeds its service time to the scan-admission window. A frame of
+// CPU and records its service time in getpage_service_us(). A frame of
 // N >= 2 pays 5 + N/2 us on arrival plus 1 us per page, and serves its
 // entries grouped by min_lsn in ascending order (ties in request order),
 // so low-LSN groups' page reads overlap the apply progress the high-LSN
@@ -369,7 +369,7 @@ sim::Task<> PageServer::ServeGetPages(rbio::GetPageBatchRequest req,
     } else {
       co_await cpu_->Consume(5);
       SetEntry(&out, co_await ServeLocal(e.page_id));
-      RecordGetPageServiceTime(sim_.now() - t0);
+      getpage_service_us_.Add(static_cast<double>(sim_.now() - t0));
     }
   } else {
     std::vector<uint32_t>& order = scratch->order;
@@ -431,15 +431,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     rbio::ScanRangeRequest req) {
   scan_requests_++;
   rbio::ScanRangeResponse resp;
-  // Admission (§4.6 serving health): while the point-read path is
-  // degraded, scans queue behind a token bucket and are shed with
-  // kOverloaded past the wait bound — before they pin pages, wait on
-  // freshness, or burn evaluator CPU.
-  Status admit = co_await AdmitScan();
-  if (!admit.ok()) {
-    resp.status = admit;
-    co_return resp.Encode();
-  }
   Status ws = co_await WaitApplied(req.min_lsn);
   if (!ws.ok()) {
     resp.status = ws;
@@ -511,8 +502,13 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     }
     pages_scanned++;
     // The evaluator is not free: pushdown trades wire bytes for Page
-    // Server CPU, priced per leaf + per KB by the pushdown profile.
-    co_await cpu_->Consume(eval_cpu_us);
+    // Server CPU, priced per leaf + per KB by the pushdown profile. It is
+    // background work, so a point read never waits behind it (§4.6).
+    if (opts_.scans_yield_cpu) {
+      co_await cpu_->ConsumeBackground(eval_cpu_us);
+    } else {
+      co_await cpu_->Consume(eval_cpu_us);
+    }
     const uint64_t high = bp.high_fence();
     const PageId sibling = bp.right_sibling();
     const int n = bp.slot_count();
@@ -572,91 +568,6 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   }
   scan_tuples_returned_ += tups.size();
   co_return resp.Encode();
-}
-
-void PageServer::RecordGetPageServiceTime(SimTime us) {
-  getpage_service_us_.Add(static_cast<double>(us));
-  getpage_lat_ring_[getpage_lat_next_] = us;
-  getpage_lat_next_ = (getpage_lat_next_ + 1) % kGetPageLatWindow;
-  if (getpage_lat_count_ < kGetPageLatWindow) getpage_lat_count_++;
-}
-
-SimTime PageServer::RecentGetPageP99Us() const {
-  // Too few samples = no signal (a freshly started server must not look
-  // degraded because its first request waited on recovery).
-  if (getpage_lat_count_ < 16) return 0;
-  SimTime buf[kGetPageLatWindow];
-  std::copy(getpage_lat_ring_, getpage_lat_ring_ + getpage_lat_count_, buf);
-  size_t idx = (getpage_lat_count_ * 99) / 100;
-  if (idx >= getpage_lat_count_) idx = getpage_lat_count_ - 1;
-  std::nth_element(buf, buf + idx, buf + getpage_lat_count_);
-  return buf[idx];
-}
-
-bool PageServer::ServingDegraded() const {
-  return opts_.scan_admission_p99_us > 0 &&
-         RecentGetPageP99Us() > opts_.scan_admission_p99_us;
-}
-
-// Scan admission token bucket capacity (burst allowance).
-constexpr double kScanAdmissionBurst = 2.0;
-// Max admission-queue wait before a scan is shed with kOverloaded.
-constexpr SimTime kScanAdmissionMaxWaitUs = 20 * 1000;
-
-// Gate one kScanRange request. Healthy server: admit immediately, zero
-// added latency. Degraded server: the scan joins a token-bucket queue
-// (refill scan_admission_tokens_per_s, cap kScanAdmissionBurst) and is
-// shed with kOverloaded once waiting any longer cannot yield a token
-// before kScanAdmissionMaxWaitUs. The health predicate is re-checked
-// every wakeup, so scans stop paying the bucket as soon as the point-
-// read burst drains.
-sim::Task<Status> PageServer::AdmitScan() {
-  if (!opts_.scan_admission_enabled) co_return Status::OK();
-  if (!ServingDegraded()) co_return Status::OK();
-  scans_queued_++;
-  const SimTime start = sim_.now();
-  const SimTime deadline = start + kScanAdmissionMaxWaitUs;
-  while (true) {
-    const SimTime now = sim_.now();
-    // Lazy refill from elapsed virtual time.
-    if (scan_tokens_refill_at_ == 0) scan_tokens_refill_at_ = now;
-    if (now > scan_tokens_refill_at_ &&
-        opts_.scan_admission_tokens_per_s > 0) {
-      const double refill =
-          static_cast<double>(now - scan_tokens_refill_at_) *
-          opts_.scan_admission_tokens_per_s / 1e6;
-      scan_tokens_ =
-          std::min(kScanAdmissionBurst, scan_tokens_ + refill);
-    }
-    scan_tokens_refill_at_ = now;
-    if (!ServingDegraded()) {
-      // Recovered while we queued; no token needed.
-      scan_queue_wait_us_.Add(static_cast<double>(now - start));
-      co_return Status::OK();
-    }
-    if (scan_tokens_ >= 1.0) {
-      scan_tokens_ -= 1.0;
-      scan_queue_wait_us_.Add(static_cast<double>(now - start));
-      co_return Status::OK();
-    }
-    // Time until the bucket reaches one token; shed if that lands past
-    // the deadline (waiting longer cannot help).
-    if (opts_.scan_admission_tokens_per_s <= 0) {
-      scans_rejected_++;
-      scan_queue_wait_us_.Add(static_cast<double>(now - start));
-      co_return Status::Overloaded("ps: scan admission shed");
-    }
-    const SimTime token_wait =
-        static_cast<SimTime>((1.0 - scan_tokens_) * 1e6 /
-                             opts_.scan_admission_tokens_per_s) +
-        1;
-    if (now + token_wait > deadline) {
-      scans_rejected_++;
-      scan_queue_wait_us_.Add(static_cast<double>(now - start));
-      co_return Status::Overloaded("ps: scan admission shed");
-    }
-    co_await sim::Delay(sim_, token_wait);
-  }
 }
 
 // Aggregate contiguous dirty pages into single XStore writes up to this

@@ -76,20 +76,12 @@ struct PageServerOptions {
   /// exist purely for availability can skip checkpointing, §6).
   bool checkpointing_enabled = true;
 
-  // ----- Scan admission (§4.6: scan CPU must not starve the GetPage
-  // path). ServeScan work is metered against a serving-health signal:
-  // the recent p99 of one-page GetPage frames. While healthy,
-  // scans are admitted immediately; while degraded they queue behind a
-  // token bucket and are rejected with kOverloaded once the queue wait
-  // exceeds its bound (kScanAdmissionMaxWaitUs; the client treats that
-  // as "fall back locally, back off this endpoint").
-  /// Master switch; off = pre-admission behavior (scans always admitted).
-  bool scan_admission_enabled = true;
-  /// Degraded while the recent GetPage service p99 exceeds this (µs over
-  /// a sliding window of served one-page frames). 0 disables the trigger.
-  SimTime scan_admission_p99_us = 5000;
-  /// Token bucket draining queued scans while degraded: refill rate.
-  double scan_admission_tokens_per_s = 100.0;
+  /// §4.6: scan CPU must not starve the GetPage path. On, ServeScan's
+  /// per-leaf evaluation runs as background CPU work, which gives its core
+  /// to any point read (or other foreground work) that finds none free;
+  /// off, it queues FIFO with everything else (the interference and fleet
+  /// benches' counterfactual).
+  bool scans_yield_cpu = true;
 
   // ----- Fleet colocation (multi-tenant shared hosts).
   /// When set, this server runs on a shared host CPU instead of owning
@@ -214,17 +206,6 @@ class PageServer : public rbio::RbioServer {
   /// Qualifying tuples shipped back.
   uint64_t scan_tuples_returned() const { return scan_tuples_returned_; }
 
-  // Scan-admission health (the interference bench prints these).
-  /// Scans that found the server degraded and waited on the token bucket
-  /// (whether or not they were eventually admitted).
-  uint64_t scans_queued() const { return scans_queued_; }
-  /// Scans shed with kOverloaded (queue wait exceeded its bound).
-  uint64_t scans_rejected() const { return scans_rejected_; }
-  /// Admission-queue wait of every queued scan, admitted or shed.
-  const Histogram& scan_queue_wait_us() const { return scan_queue_wait_us_; }
-  /// Recent GetPage service p99 (µs) over the sliding sample window the
-  /// admission gate reads; 0 until enough point reads have been served.
-  SimTime recent_getpage_p99_us() const { return RecentGetPageP99Us(); }
   /// Full-lifetime GetPage service-time distribution (freshness wait +
   /// pool read), server side — the interference bench's defended metric.
   const Histogram& getpage_service_us() const { return getpage_service_us_; }
@@ -294,18 +275,6 @@ class PageServer : public rbio::RbioServer {
   // aggregate at req.read_ts.
   sim::Task<Result<std::string>> ServeScan(rbio::ScanRangeRequest req);
 
-  // Scan admission (§4.6 serving-health defense): decide whether a
-  // kScanRange request may run now. OK = admitted (possibly after a
-  // token-bucket wait); kOverloaded = shed, the client falls back to a
-  // local scan and backs off this endpoint.
-  sim::Task<Status> AdmitScan();
-  // True while the point-read path looks unhealthy (recent p99 over
-  // threshold): scans must queue.
-  bool ServingDegraded() const;
-  // Sliding-window p99 of GetPage service time (0 = not enough samples).
-  SimTime RecentGetPageP99Us() const;
-  void RecordGetPageServiceTime(SimTime us);
-
   // Hook the current applier's watermark so every Advance wakes exactly
   // the waiters whose threshold was crossed.
   void AttachWaiterWake();
@@ -363,17 +332,6 @@ class PageServer : public rbio::RbioServer {
   uint64_t scan_requests_ = 0;
   uint64_t scan_rows_scanned_ = 0;
   uint64_t scan_tuples_returned_ = 0;
-  // Scan admission state. One-page GetPage service times feed a small
-  // ring whose p99 is the health signal.
-  uint64_t scans_queued_ = 0;
-  uint64_t scans_rejected_ = 0;
-  Histogram scan_queue_wait_us_;
-  double scan_tokens_ = 0;
-  SimTime scan_tokens_refill_at_ = 0;
-  static constexpr size_t kGetPageLatWindow = 128;
-  SimTime getpage_lat_ring_[kGetPageLatWindow] = {};
-  size_t getpage_lat_next_ = 0;
-  size_t getpage_lat_count_ = 0;
   Histogram getpage_service_us_;
   Histogram freshness_wait_us_;
   // Min-heap of parked freshness waiters, ordered by lsn (front = lowest

@@ -70,7 +70,6 @@ Status GetStatus(Slice* in, Status* out,
     case Status::Code::kInvalidArgument:
     case Status::Code::kUnavailable:
     case Status::Code::kNotSupported:
-    case Status::Code::kOverloaded:
       break;
     default:
       code = Status::Code::kIOError;
@@ -615,22 +614,7 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas,
 sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
     const std::vector<Endpoint>& replicas, const ScanRangeRequest& req) {
   static const Status kNoEndpoints = Status::Unavailable("no endpoints");
-  static const Status kBackedOff =
-      Status::Overloaded("rbio: endpoint in overload backoff");
-  scan_requests_++;
   if (replicas.empty()) co_return Result<ScanRangeResponse>(kNoEndpoints);
-  std::string key;
-  for (const Endpoint& ep : replicas) {
-    key += ep.name;
-    key += '|';
-  }
-  auto backoff = scan_backoff_until_.find(key);
-  if (backoff != scan_backoff_until_.end() && backoff->second > sim_.now()) {
-    // The set shed a scan recently (kOverloaded): stay off it until the
-    // backoff expires.
-    scans_overloaded_++;
-    co_return Result<ScanRangeResponse>(kBackedOff);
-  }
   scans_sent_++;
   std::string frame = AcquireFrame();
   req.EncodeTo(&frame);
@@ -642,16 +626,6 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   *fp = std::move(*raw);
   Status ds = ScanRangeResponse::Decode(fp, &resp);
   if (!ds.ok()) co_return Result<ScanRangeResponse>(ds);
-  if (resp.status.IsOverloaded()) {
-    // Scan admission shed the work: back off this endpoint set for a
-    // while and fall back locally for this scan. Point reads (GetPage)
-    // are unaffected — that is the entire point of admission. Looked up
-    // again: a config-epoch change may have cleared the map while the
-    // frame was in flight.
-    scan_backoff_until_[key] = sim_.now() + opts_.overload_backoff_us;
-    scans_overloaded_++;
-    co_return Result<ScanRangeResponse>(resp.status);
-  }
   if (!resp.status.ok()) co_return Result<ScanRangeResponse>(resp.status);
   scan_tuples_received_ += resp.tuples.size();
   // Tuple frames are variable-size, so decode CPU scales with the bytes

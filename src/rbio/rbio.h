@@ -227,11 +227,6 @@ struct RbioClientOptions {
   /// into one kGetPageBatch frame. 1 disables multiplexing: every miss
   /// goes out as its own one-entry frame.
   uint32_t max_batch = 16;
-  /// How long ScanRange avoids an endpoint set after it replied
-  /// kOverloaded (scan admission shed the work). During the window scans
-  /// short-circuit to Overloaded without wire traffic and the planner
-  /// runs its local plan.
-  SimTime overload_backoff_us = 50 * 1000;
   /// Compute <-> Page Server wire bandwidth in MB/s: each leg pays an
   /// extra frame_bytes / bandwidth transfer term on top of the sampled
   /// base latency (1 MB/s == 1 byte/us). 0 charges base latency only,
@@ -262,10 +257,7 @@ class RbioClient {
   sim::Task<Result<storage::Page>> GetPage(
       const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
 
-  /// Computation pushdown: evaluate `req` on the best replica. While the
-  /// endpoint set is in its kOverloaded backoff window the call returns
-  /// Overloaded without wire traffic, so the planner's local fallback
-  /// costs nothing extra.
+  /// Computation pushdown: evaluate `req` on the best replica.
   sim::Task<Result<ScanRangeResponse>> ScanRange(
       const std::vector<Endpoint>& replicas, const ScanRangeRequest& req);
 
@@ -280,36 +272,12 @@ class RbioClient {
   uint64_t wire_bytes_received() const { return wire_bytes_received_; }
 
   // ----- Pushdown counters.
-  /// ScanRange calls made by the planner.
-  uint64_t scan_requests() const { return scan_requests_; }
-  /// kScanRange frames actually sent (excludes backoff short-circuits).
+  /// kScanRange frames actually sent.
   uint64_t scans_sent() const { return scans_sent_; }
-  /// ScanRange calls resolved Overloaded (server shed the scan, or the
-  /// endpoint set is inside its overload-backoff window).
-  uint64_t scans_overloaded() const { return scans_overloaded_; }
+  /// Always 0: no server sheds a scan. Kept because perfbench reads it.
+  uint64_t scans_overloaded() const { return 0; }
   /// Qualifying tuples received in ScanRange responses.
   uint64_t scan_tuples_received() const { return scan_tuples_received_; }
-
-  /// Drop every endpoint set's overload backoff. Call on config-epoch
-  /// change: after a failover or reseed the endpoint name may now be
-  /// served by a different server, whose load the old backoff says
-  /// nothing about.
-  void ClearScanBackoff() { scan_backoff_until_.clear(); }
-
-  /// Remaining overload-backoff window for an endpoint set, 0 when none.
-  /// The key is the concatenated replica names, each followed by '|' —
-  /// the same key ScanRange builds internally. All per-endpoint state in
-  /// this client (EWMA, batch queues, this backoff) is keyed by endpoint
-  /// *name*; in a multi-tenant fleet each tenant's client sees
-  /// tenant-prefixed names, so backoff earned by one tenant tripping a
-  /// server's admission control is scoped (tenant, endpoint) and never
-  /// bleeds into a neighbor's scans against the same physical server.
-  SimTime ScanBackoffRemainingUs(const std::string& endpoint_key) const {
-    auto it = scan_backoff_until_.find(endpoint_key);
-    if (it == scan_backoff_until_.end()) return 0;
-    SimTime now = sim_.now();
-    return it->second > now ? it->second - now : 0;
-  }
 
   // ----- Batching counters.
   /// kGetPageBatch frames sent (each is one round trip).
@@ -332,9 +300,7 @@ class RbioClient {
     retries_ = 0;
     batches_sent_ = 0;
     batched_pages_ = 0;
-    scan_requests_ = 0;
     scans_sent_ = 0;
-    scans_overloaded_ = 0;
     scan_tuples_received_ = 0;
     wire_bytes_sent_ = 0;
     wire_bytes_received_ = 0;
@@ -421,8 +387,6 @@ class RbioClient {
 
   std::map<std::string, EndpointStats> stats_;
   std::map<std::string, BatchQueue> batch_queues_;
-  // Per-endpoint-set end of the kOverloaded scan backoff.
-  std::map<std::string, SimTime> scan_backoff_until_;
   std::vector<PendingGet*> pending_pool_;
   // Emptied flush vectors, capacity kept.
   std::vector<std::vector<PendingGet*>> batch_pool_;
@@ -436,9 +400,7 @@ class RbioClient {
   uint64_t retries_ = 0;
   uint64_t batches_sent_ = 0;
   uint64_t batched_pages_ = 0;
-  uint64_t scan_requests_ = 0;
   uint64_t scans_sent_ = 0;
-  uint64_t scans_overloaded_ = 0;
   uint64_t scan_tuples_received_ = 0;
   uint64_t wire_bytes_sent_ = 0;
   uint64_t wire_bytes_received_ = 0;

@@ -223,7 +223,7 @@ sim::Task<Status> Deployment::FailoverLocked(int idx) {
       co_await promoted->Promote(client_.get(), lz_->durable_end()));
   primary_ = std::move(promoted);
   client_->SetCpu(&primary_->cpu());
-  BumpConfigEpoch();
+  config_epoch_++;
   co_return Status::OK();
 }
 
@@ -240,7 +240,7 @@ sim::Task<Status> Deployment::RestartPrimaryLocked() {
   }
   Status s = co_await primary_->RecoverPrimary(last_checkpoint_lsn_,
                                                lz_->durable_end());
-  if (s.ok()) BumpConfigEpoch();
+  if (s.ok()) config_epoch_++;
   co_return s;
 }
 
@@ -311,21 +311,11 @@ sim::Task<Status> Deployment::FailoverPageServer(PartitionId partition) {
   }
   // The replica is warm (it has been applying the same filtered log all
   // along); rerouting is a metadata operation — but it IS a topology
-  // change: "ps-N" now resolves to the replica, so complete it like any
-  // other reconfiguration.
+  // change: "ps-N" now resolves to the replica, so it bumps the config
+  // epoch like any other reconfiguration.
   router_->Add(partition, it->second.get());
-  BumpConfigEpoch();
-  co_return Status::OK();
-}
-
-void Deployment::BumpConfigEpoch() {
   config_epoch_++;
-  if (primary_ != nullptr && primary_->alive()) {
-    primary_->ClearScanBackoff();
-  }
-  for (auto& s : secondaries_) {
-    if (s != nullptr && s->alive()) s->ClearScanBackoff();
-  }
+  co_return Status::OK();
 }
 
 ClusterMonitor* Deployment::EnableMonitor() {
@@ -384,7 +374,7 @@ sim::Task<Status> Deployment::RecoverPageServer(PartitionId p) {
   // any compute node.
   SOCRATES_CO_RETURN_IF_ERROR(co_await ps->Start());
   router_->Add(p, ps);  // re-point (a replica may have been serving)
-  BumpConfigEpoch();
+  config_epoch_++;
   co_return Status::OK();
 }
 
@@ -447,7 +437,7 @@ sim::Task<Result<pageserver::PageServer*>> Deployment::MigratePartition(
   ps_sites_[p] = site;
   ps_graveyard_.push_back(std::move(page_servers_[p]));
   page_servers_[p] = std::move(next);
-  BumpConfigEpoch();
+  config_epoch_++;
   co_return ResultPs(fresh);
 }
 
@@ -455,7 +445,7 @@ void Deployment::RemoveSecondary(int idx) {
   if (idx < 0 || idx >= num_secondaries()) return;
   graveyard_.push_back(std::move(secondaries_[idx]));
   secondaries_.erase(secondaries_.begin() + idx);
-  BumpConfigEpoch();
+  config_epoch_++;
 }
 
 sim::Task<Result<BackupHandle>> Deployment::Backup() {

@@ -285,12 +285,6 @@ class Deployment {
                                            : router_.get();
   }
 
-  // Complete a reconfiguration: bump the config epoch and clear every
-  // live compute node's kOverloaded scan backoffs — an endpoint name may
-  // now resolve to a different server (a replica promoted, a reseeded
-  // server), whose load the old backoff says nothing about.
-  void BumpConfigEpoch();
-
   sim::Simulator& sim_;
   DeploymentOptions opts_;
 

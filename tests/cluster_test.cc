@@ -607,9 +607,12 @@ TEST(ClusterTest, PageServerReplicaFailoverIsInstant) {
     co_await d.page_server_replica(0)->applied_lsn().WaitFor(
         d.log_client().end_lsn());
     SimTime t0 = s.now();
+    const uint64_t epoch_before = d.config_epoch();
     EXPECT_TRUE((co_await d.FailoverPageServer(0)).ok());
     SimTime failover_us = s.now() - t0;
     EXPECT_LT(failover_us, 1000);  // metadata-only rerouting
+    // "ps-0" now resolves to another server: a reconfiguration.
+    EXPECT_GT(d.config_epoch(), epoch_before);
     // All reads still work — including pages in partition 0 that the
     // primary must refetch through the replica.
     d.primary()->pool()->Crash();

@@ -112,17 +112,17 @@ TEST(RbioCodecTest, ErrorStatusSurvivesWire) {
 }
 
 TEST(RbioCodecTest, ZeroEntryErrorResponseKeepsItsLayout) {
-  // A frame the server cannot serve, or the fleet gateway sheds, is
+  // A frame the server cannot decode, or whose type it does not know, is
   // answered [u16 version][u8 code][u32 len][message][u32 0]: the shared
   // response prefix plus an entry count of zero.
-  const Status shed = Status::Overloaded("gateway: host serving interactive");
+  const Status rejected = Status::NotSupported("rbio: unknown message type");
   std::string expect;
   PutFixed16(&expect, kProtocolVersion);
-  expect.push_back(static_cast<char>(Status::Code::kOverloaded));
-  PutFixed32(&expect, static_cast<uint32_t>(shed.message().size()));
-  expect += shed.message();
+  expect.push_back(static_cast<char>(Status::Code::kNotSupported));
+  PutFixed32(&expect, static_cast<uint32_t>(rejected.message().size()));
+  expect += rejected.message();
   PutFixed32(&expect, 0);
-  EXPECT_EQ((GetPageBatchResponse{shed, {}}.Encode()), expect);
+  EXPECT_EQ((GetPageBatchResponse{rejected, {}}.Encode()), expect);
 }
 
 TEST(RbioCodecTest, TruncatedFramesRejected) {
@@ -331,19 +331,6 @@ TEST(RbioCodecTest, ScanRangeResponseAggRoundTrip) {
   EXPECT_EQ(out.agg.rows, 42u);
   EXPECT_EQ(out.agg.value, 123456789u);
   EXPECT_TRUE(out.tuples.empty());
-}
-
-TEST(RbioCodecTest, OverloadedStatusSurvivesWire) {
-  // kOverloaded is the scan-admission shed signal; it must round-trip so
-  // the client planner can distinguish it from Unavailable (retried by
-  // transport).
-  ScanRangeResponse resp;
-  resp.status = Status::Overloaded("ps: scan admission shed");
-  auto frame = std::make_shared<const std::string>(resp.Encode());
-  ScanRangeResponse out;
-  ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
-  EXPECT_TRUE(out.status.IsOverloaded());
-  EXPECT_FALSE(out.status.IsUnavailable());
 }
 
 // ------------------------------------------------------------ mock server

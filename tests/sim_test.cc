@@ -499,6 +499,79 @@ TEST(CpuTest, FullSaturationReads100Pct) {
   EXPECT_NEAR(cpu.Utilization(), 1.0, 1e-9);
 }
 
+// One core: a 100 us background job starts at 0 and a 20 us Consume
+// arrives at 30. Records when each finished.
+struct PreemptRun {
+  SimTime consume_start = -1;
+  SimTime consume_end = -1;
+  SimTime background_end = -1;
+};
+
+PreemptRun RunPreemption(Simulator& s, CpuResource& cpu) {
+  PreemptRun r;
+  Spawn(s, [](Simulator& sim, CpuResource& c, PreemptRun* r) -> Task<> {
+    co_await c.ConsumeBackground(100);
+    r->background_end = sim.now();
+  }(s, cpu, &r));
+  Spawn(s, [](Simulator& sim, CpuResource& c, PreemptRun* r) -> Task<> {
+    co_await Delay(sim, 30);
+    r->consume_start = sim.now();
+    co_await c.Consume(20);
+    r->consume_end = sim.now();
+  }(s, cpu, &r));
+  s.Run();
+  return r;
+}
+
+TEST(CpuTest, ConsumeTakesTheCoreOfBackgroundWorkAtOnce) {
+  Simulator s;
+  CpuResource cpu(s, 1);
+  PreemptRun r = RunPreemption(s, cpu);
+  EXPECT_EQ(r.consume_start, 30);
+  EXPECT_EQ(r.consume_end, 50);  // no wait behind the background job
+}
+
+TEST(CpuTest, PreemptedBackgroundWorkFinishesThatMuchLater) {
+  Simulator s;
+  CpuResource cpu(s, 1);
+  PreemptRun r = RunPreemption(s, cpu);
+  EXPECT_EQ(r.background_end, 120);  // 100 us of work + 20 us preempted
+}
+
+TEST(CpuTest, BackgroundAccountingCountsEachMicroOnce) {
+  Simulator s;
+  CpuResource cpu(s, 1);
+  cpu.ResetAccounting();
+  RunPreemption(s, cpu);
+  EXPECT_EQ(cpu.busy_micros(), 120);
+  EXPECT_NEAR(cpu.Utilization(), 1.0, 1e-9);
+  s.RunUntil(240);
+  EXPECT_NEAR(cpu.Utilization(), 0.5, 1e-9);
+}
+
+TEST(CpuTest, BackgroundJobsOnOneCoreStayFifo) {
+  Simulator s;
+  CpuResource cpu(s, 1);
+  std::vector<std::pair<int, SimTime>> ends;
+  for (int i = 0; i < 2; i++) {
+    Spawn(s, [](Simulator& sim, CpuResource& c, int id,
+                std::vector<std::pair<int, SimTime>>* e) -> Task<> {
+      co_await c.ConsumeBackground(id == 0 ? 100 : 50);
+      e->emplace_back(id, sim.now());
+    }(s, cpu, i, &ends));
+  }
+  Spawn(s, [](Simulator& sim, CpuResource& c) -> Task<> {
+    co_await Delay(sim, 30);
+    co_await c.Consume(20);
+  }(s, cpu));
+  s.Run();
+  // The preempted first job resumes ahead of the queued second one.
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_EQ(ends[0], std::make_pair(0, SimTime{120}));
+  EXPECT_EQ(ends[1], std::make_pair(1, SimTime{170}));
+  EXPECT_EQ(cpu.busy_micros(), 170);
+}
+
 // ---------------------------------------------------------- LatencyModel
 
 TEST(LatencyModelTest, FixedAndZero) {
